@@ -1,10 +1,13 @@
 """Kernel microbenchmarks on this host (pytest-benchmark timings).
 
 Times the k-qubit kernel strategies on a 2**20-amplitude state: the
-generic indexed kernel (with the autotuner's preferred blocking), the
+table-free dense sweep (with the autotuner's preferred blocking), the
 generated specialized kernels, and the diagonal fast path.  These are
 the numbers the autotuner's feedback loop selects between (Sec. 3.2's
-code-generation/benchmarking loop).
+code-generation/benchmarking loop).  The autotune record's winning
+``indexed[chunk=N]`` is what ``repro.kernels.DEFAULT_CHUNK`` reads back,
+so it is tuned on a 4-qubit gate — the scheduler's cluster width, and
+the width the plan compiler scales other widths' chunks from.
 """
 
 from __future__ import annotations
@@ -18,6 +21,11 @@ from repro.kernels import apply_diagonal_gate, apply_gate_indexed
 from repro.util.rng import random_statevector
 
 _N = 20
+
+#: The autotuned shape: a kmax=4 cluster spread over low and high bits.
+_TUNE_QUBITS = (9, 12, 13, 17)
+#: A diagonal on two of them for the diagonal-mode pool.
+_TUNE_DIAG_QUBITS = (9, 17)
 
 
 @pytest.fixture(scope="module")
@@ -54,10 +62,10 @@ def bench_high_order_stride_penalty(benchmark, state):
 
 
 def bench_autotuned_kernel(benchmark, state, report_writer, bench_record):
-    tuner = AutoTuner(repeats=2)
-    result = tuner.tune(_N, (2, 9))
-    diag_result = tuner.tune(_N, (2, 9), diagonal=True)
-    rows = [f"autotune (n={_N}, qubits=(2,9)) winner: {result.strategy}"]
+    tuner = AutoTuner(repeats=5)
+    result = tuner.tune(_N, _TUNE_QUBITS)
+    diag_result = tuner.tune(_N, _TUNE_DIAG_QUBITS, diagonal=True)
+    rows = [f"autotune (n={_N}, qubits={_TUNE_QUBITS}) winner: {result.strategy}"]
     for label, seconds in sorted(result.timings.items(), key=lambda kv: kv[1]):
         rows.append(f"  {label:<24} {seconds * 1e3:8.3f} ms")
     rows.append(f"diagonal-mode winner: {diag_result.strategy}")
@@ -69,7 +77,7 @@ def bench_autotuned_kernel(benchmark, state, report_writer, bench_record):
     bench_record(
         "kernels_autotune",
         seconds=min(result.timings.values()),
-        params={"qubits": _N, "gate_qubits": [2, 9]},
+        params={"qubits": _N, "gate_qubits": list(_TUNE_QUBITS)},
         metrics={
             "winner": result.strategy,
             "diagonal_winner": diag_result.strategy,
@@ -80,6 +88,6 @@ def bench_autotuned_kernel(benchmark, state, report_writer, bench_record):
             },
         },
     )
-    u = random_unitary(2, 0)
-    kernel = tuner.best_kernel(_N, (2, 9))
+    u = random_unitary(len(_TUNE_QUBITS), 0)
+    kernel = tuner.best_kernel(_N, _TUNE_QUBITS)
     benchmark(kernel, state, u)

@@ -20,7 +20,9 @@ from repro.util.rng import random_statevector
 __all__ = ["TuneResult", "AutoTuner", "tune_plan"]
 
 #: Blocking chunk sizes (in ``c`` substrings) tried for the indexed kernel.
-_CHUNK_CANDIDATES: tuple[int | None, ...] = (1 << 12, 1 << 14, 1 << 16, None)
+_CHUNK_CANDIDATES: tuple[int | None, ...] = (
+    1 << 8, 1 << 10, 1 << 11, 1 << 12, 1 << 14, None,
+)
 
 
 @dataclass(frozen=True)
@@ -41,11 +43,10 @@ class AutoTuner:
 
     The candidates per (n, qubits):
 
-    * ``indexed[chunk]`` — the gather/matmul/scatter kernel with several
-      register/cache blocking sizes (the paper's block-size search),
-      rebuilding its index tables on every call;
-    * ``cached[chunk]`` — the same kernel with memoized gather tables
-      from :data:`repro.kernels.GATHER_CACHE` (the plan-execution path);
+    * ``indexed[chunk]`` — the table-free dense sweep
+      (:class:`repro.kernels.DenseSweep`, the plan-execution path) with
+      several register/cache blocking sizes (the paper's block-size
+      search);
     * ``generated`` — the specialized reshape/einsum source from
       :mod:`repro.codegen.generator`;
     * ``reference`` — the generic tensordot kernel.
@@ -86,11 +87,6 @@ class AutoTuner:
         cands: dict[str, Callable] = {}
         for chunk in _CHUNK_CANDIDATES:
             cands[f"indexed[chunk={chunk}]"] = (
-                lambda state, matrix, _c=chunk: apply_gate_indexed(
-                    state, matrix, qubits, chunk_size=_c, cache=None
-                )
-            )
-            cands[f"cached[chunk={chunk}]"] = (
                 lambda state, matrix, _c=chunk: apply_gate_indexed(
                     state, matrix, qubits, chunk_size=_c
                 )

@@ -131,7 +131,7 @@ class DistributedSimulator:
 
         By default the schedule is lowered (once, memoized on the
         schedule) to a :class:`repro.plan.CompiledProgram` and that plan
-        is executed — pre-resolved strategies, cached gather tables,
+        is executed — pre-resolved strategies, cached phase factors,
         fused diagonal runs and refused multi-op kernels.  A
         :class:`repro.plan.PlanConfig` passed as *plan_config* selects
         (and memoizes under) a specific compile configuration, e.g. a

@@ -22,8 +22,9 @@ from repro.gates.gate import Gate
 from repro.gates.matrices import SWAP_MATRIX
 from repro.kernels import (
     DEFAULT_CHUNK,
-    apply_diagonal_gate,
-    apply_fused_kernel,
+    SWEEP_MAX_QUBITS,
+    DenseSweep,
+    apply_diagonal_factor,
     apply_gate,
 )
 from repro.kernels.apply import matrix_is_diagonal
@@ -262,56 +263,48 @@ class DistributedState:
 
         Either *matrix* or (for the diagonal path) *diag* must be given.
         *strategy*/*chunk_size* let a compiled plan hand down pre-resolved
-        choices; otherwise they are derived here — but still only once for
-        all ``2**g`` ranks, not per shard.
+        choices; otherwise they are derived here.  Everything an op needs
+        — the memoized phase factor, the dense sweep descriptor — is
+        built once for all ``2**g`` ranks, and traced and untraced runs
+        execute the very same per-shard kernel: tracing only adds the
+        span bookkeeping around it.
         """
         k = len(bits)
+        l = self.local_qubits
         if diagonal:
             if diag is None:
                 diag = np.diagonal(matrix)
+            factor = GATHER_CACHE.diagonal_factor(
+                l, bits, np.asarray(diag, dtype=self.storage.dtype)
+            )
+
+            def kernel(shard):
+                apply_diagonal_factor(shard, factor)
         else:
             if strategy is None:
-                strategy = "indexed" if k <= 6 else "reference"
+                strategy = (
+                    "indexed" if k <= SWEEP_MAX_QUBITS else "reference"
+                )
             if chunk_size is None:
                 chunk_size = self.chunk_size
-        tel = self.telemetry
-        if not tel.active:
-            if diagonal:
-                # Batched sweep: the memoized phase factor is resolved
-                # once for all 2**g ranks instead of once per shard.
-                l = self.local_qubits
-                factor = GATHER_CACHE.diagonal_factor(
-                    l, tuple(int(b) for b in bits),
-                    np.asarray(diag, dtype=self.storage.dtype),
-                )
-                flat = factor.ndim == 1
-                for r in range(self.num_ranks):
-                    shard = self.storage.get(r)
-                    if flat:
-                        shard *= factor
-                    else:
-                        psi = shard.reshape((2,) * l)
-                        psi *= factor
-                    self._sync(shard)
-            elif strategy in ("indexed", "fused"):
-                # Batched sweep: tables/matrix/panels resolved once for
-                # all 2**g ranks instead of once per shard.
-                apply_fused_kernel(
-                    self.storage, self.num_ranks, matrix, bits,
-                    self.local_qubits,
-                    chunk_size=chunk_size, sync=self._sync,
-                )
+            if strategy in ("indexed", "fused"):
+                kernel = DenseSweep(
+                    l, matrix, bits, self.storage.dtype, chunk_size
+                ).bind()
             else:
-                for r in range(self.num_ranks):
-                    shard = self.storage.get(r)
+
+                def kernel(shard):
                     apply_gate(
                         shard, matrix, bits,
                         strategy=strategy, chunk_size=chunk_size,
                     )
-                    self._sync(shard)
-            self.kernel_cost.record(
-                self.num_qubits, len(bits), diagonal=diagonal
-            )
+        tel = self.telemetry
+        if not tel.active:
+            for r in range(self.num_ranks):
+                shard = self.storage.get(r)
+                kernel(shard)
+                self._sync(shard)
+            self.kernel_cost.record(self.num_qubits, k, diagonal=diagonal)
             return
         tracer = tel.tracer
         per_rank = tracer.enabled and tracer.per_rank
@@ -320,13 +313,7 @@ class DistributedState:
             for r in range(self.num_ranks):
                 t0 = tracer.now() if per_rank else 0.0
                 shard = self.storage.get(r)
-                if diagonal:
-                    apply_diagonal_gate(shard, diag, bits)
-                else:
-                    apply_gate(
-                        shard, matrix, bits,
-                        strategy=strategy, chunk_size=chunk_size,
-                    )
+                kernel(shard)
                 self._sync(shard)
                 if per_rank:
                     tracer.add_span(
@@ -421,6 +408,9 @@ class DistributedState:
             local_patterns = scatter_bits(
                 np.arange(1 << len(local_js), dtype=np.int64), local_js
             )
+        # One memoized phase factor per value of the gate's global bits,
+        # resolved once — not once per rank.
+        factors: dict[int, np.ndarray] = {}
         with tel.tracer.span(
             "kernel.diagonal_global", kind="kernel", k=len(bits)
         ):
@@ -428,8 +418,16 @@ class DistributedState:
                 xg = self._rank_gate_bits(r, bits, global_js)
                 shard = self.storage.get(r)
                 if local_js:
-                    sub = np.asarray(diag)[local_patterns | xg]
-                    apply_diagonal_gate(shard, sub, local_bits)
+                    factor = factors.get(xg)
+                    if factor is None:
+                        factor = factors[xg] = GATHER_CACHE.diagonal_factor(
+                            self.local_qubits, local_bits,
+                            np.asarray(
+                                diag[local_patterns | xg],
+                                dtype=self.storage.dtype,
+                            ),
+                        )
+                    apply_diagonal_factor(shard, factor)
                 else:
                     shard *= diag[xg]
                 self._sync(shard)
@@ -632,32 +630,47 @@ class DistributedState:
     def _apply_local_bit_permutation(
         self, transpositions: Sequence[tuple[int, int]]
     ) -> None:
-        """Apply a chain of local-bit swaps as ONE gather per shard.
+        """Apply a chain of local-bit swaps as ONE transposed copy per shard.
 
         Composes *transpositions* (already reflected in ``bit_of_qubit``
-        by the caller) into a single memoized index permutation and
-        applies it with one ``np.take`` per rank — bit-exact with the
-        per-swap SWAP kernels it replaces (a pure index shuffle touches
-        no amplitude arithmetic) at a fraction of the memory traffic.
-        Swap/kernel counters still advance once per transposition so
-        ``CommStats`` and the cost model keep their Sec. 3.4 accounting.
+        by the caller) into a single axis permutation of the shard viewed
+        one axis per run of bits that move together, and applies it with
+        one strided ``np.copyto`` per rank — bit-exact with the per-swap
+        SWAP kernels it replaces (a pure index shuffle touches no
+        amplitude arithmetic) at a fraction of the memory traffic, and
+        with no index table of any size.  Swap/kernel counters still
+        advance once per transposition so ``CommStats`` and the cost
+        model keep their Sec. 3.4 accounting.
         """
         if not transpositions:
             return
         l = self.local_qubits
-        perm_bits = list(range(l))
+        # source_of[i]: the source bit whose value lands on destination bit i.
+        source_of = list(range(l))
         for bit_a, bit_b in transpositions:
-            perm_bits[bit_a], perm_bits[bit_b] = (
-                perm_bits[bit_b], perm_bits[bit_a],
+            source_of[bit_a], source_of[bit_b] = (
+                source_of[bit_b], source_of[bit_a],
             )
-        perm = GATHER_CACHE.bit_permutation(l, perm_bits)
+        # One axis per maximal run of bits that keep their relative order
+        # (top bit first on both sides).
+        starts = [
+            i for i in range(l)
+            if i == 0 or source_of[i] != source_of[i - 1] + 1
+        ]
+        runs = [
+            (source_of[lo], hi - lo) for lo, hi in zip(starts, starts[1:] + [l])
+        ][::-1]
+        by_source = sorted(runs, reverse=True)
+        shape = [1 << width for _, width in by_source]
+        axes = [by_source.index(run) for run in runs]
         with self.telemetry.tracer.span(
             "comm.staging_swap", kind="staging", swaps=len(transpositions)
         ):
             buf = np.empty_like(self.storage.get(0))
+            permuted = buf.reshape([shape[a] for a in axes])
             for r in range(self.num_ranks):
                 shard = self.storage.get(r)
-                np.take(shard, perm, out=buf)
+                np.copyto(permuted, shard.reshape(shape).transpose(axes))
                 shard[:] = buf
                 self._sync(shard)
         for _ in transpositions:

@@ -58,6 +58,10 @@ __all__ = ["ShardStorage", "InMemoryShards", "DiskShards"]
 #: enough that one request never dominates the worker's queue.
 _READ_AHEAD_STEP = 1 << 20
 
+#: Staging budget of the in-memory block exchange (two tiles of blocks):
+#: half of the 2 MiB L2, so a tile is still cached when it is written back.
+_EXCHANGE_STAGE_BYTES = 1 << 20
+
 
 class ShardStorage(abc.ABC):
     """Interface shared by the in-memory and on-disk shard backends."""
@@ -148,22 +152,44 @@ class InMemoryShards(ShardStorage):
 
     def exchange_blocks(self, swap_qubits: int) -> None:
         # shard[s] block t <-> shard[t] block s within each group: the
-        # all-to-all of Fig. 3 as pairwise in-place block swaps (the same
-        # scheme DiskShards uses).  Diagonal blocks stay put, so the
-        # traffic is the off-diagonal data actually exchanged — less than
-        # half of what a stack/transpose/copy round-trip moves.
-        group, block, num_groups = self._check_exchange_args(swap_qubits)
-        buf = np.empty(block, dtype=self.dtype)
-        for g in range(num_groups):
-            base = g * group
-            for s in range(group):
-                shard_s = self._shards[base + s]
-                for t in range(s + 1, group):
-                    a = shard_s[t * block:(t + 1) * block]
-                    b = self._shards[base + t][s * block:(s + 1) * block]
-                    buf[:] = a
-                    a[:] = b
-                    b[:] = buf
+        # all-to-all of Fig. 3 is the transpose of the group's
+        # (group x group) matrix of blocks, done in place tile by tile.
+        # A tile pair costs 4*tile copies for tile**2 block swaps, so the
+        # many-rank, tiny-block exchanges (1024 ranks x 4-amplitude
+        # blocks) are not a Python loop over every pair of ranks; once
+        # eight blocks exceed _EXCHANGE_STAGE_BYTES the tile is one block
+        # and this is the pairwise swap.  Staging is two tiles.
+        group, block, _ = self._check_exchange_args(swap_qubits)
+        tile = 1
+        block_bytes = block * self.dtype.itemsize
+        while (
+            tile < group
+            and 2 * (2 * tile) ** 2 * block_bytes <= _EXCHANGE_STAGE_BYTES
+        ):
+            tile *= 2
+        stage_a = np.empty((tile, tile, block), dtype=self.dtype)
+        stage_b = np.empty_like(stage_a)
+        steps = range(tile)
+        for base in range(0, self.num_shards, group):
+            rows = [
+                shard.reshape(group, block)
+                for shard in self._shards[base:base + group]
+            ]
+            for i in range(0, group, tile):
+                if tile > 1:  # a diagonal tile of one block stays put
+                    for a in steps:
+                        stage_a[a] = rows[i + a][i:i + tile]
+                    for a in steps:
+                        rows[i + a][i:i + tile] = stage_a[:, a]
+                for j in range(i + tile, group, tile):
+                    for a in steps:
+                        stage_a[a] = rows[i + a][j:j + tile]
+                    for b in steps:
+                        stage_b[b] = rows[j + b][i:i + tile]
+                    for a in steps:
+                        rows[i + a][j:j + tile] = stage_b[:, a]
+                    for b in steps:
+                        rows[j + b][i:i + tile] = stage_a[:, b]
 
     def permute_shards(self, permutation: np.ndarray) -> None:
         if sorted(permutation) != list(range(self.num_shards)):

@@ -6,16 +6,15 @@ Several strategies are provided, mirroring the paper's optimization steps:
   Only useful as a correctness oracle for tiny states.
 * :func:`apply_gate_reference` — ``tensordot``-based application; numpy's
   analogue of the compiler's auto-vectorised baseline.
-* :func:`apply_gate_indexed` — the paper's kernel: split every state index
-  into the ``c`` substring and the ``x`` substring, gather the ``2**k``
-  amplitudes of each matrix-vector product, multiply, scatter back
-  in place.  Supports blocking over ``c`` (register/MCDRAM blocking
-  stand-in) via ``chunk_size``.
+* :class:`DenseSweep` / :func:`apply_gate_indexed` — the paper's kernel:
+  split every state index into the ``c`` substring and the ``x``
+  substring and multiply the ``2**k`` amplitudes of each ``c`` by the
+  gate, in place.  The addresses come from the target bit positions
+  (strided views, one periodic in-window index), never from stored
+  tables; blocking over ``c`` (register/MCDRAM blocking stand-in) via
+  ``chunk_size``.  One descriptor serves every shard of an op.
 * :func:`apply_diagonal_gate` — fast path for diagonal gates
   (CZ, T, Z, S): one complex multiply per amplitude, no gather.
-* :func:`apply_fused_kernel` — batched multi-op path: one (possibly
-  fused) unitary swept over every rank's shard with tables, matrix
-  fixup and panel buffers resolved once for all ranks.
 * :func:`apply_gate` — dispatcher choosing a strategy per gate structure.
 
 All in-place kernels mutate ``state`` and also return it, so call sites can
@@ -24,8 +23,10 @@ chain or ignore the return value.
 
 from repro.kernels.apply import (
     DEFAULT_CHUNK,
+    SWEEP_MAX_QUBITS,
+    DenseSweep,
+    apply_diagonal_factor,
     apply_diagonal_gate,
-    apply_fused_kernel,
     apply_gate,
     apply_gate_indexed,
     apply_gate_naive,
@@ -38,11 +39,13 @@ from repro.kernels.tables import GATHER_CACHE, GatherTableCache
 
 __all__ = [
     "DEFAULT_CHUNK",
+    "DenseSweep",
     "GATHER_CACHE",
     "GatherTableCache",
     "KernelCostModel",
+    "SWEEP_MAX_QUBITS",
+    "apply_diagonal_factor",
     "apply_diagonal_gate",
-    "apply_fused_kernel",
     "apply_gate",
     "apply_gate_indexed",
     "apply_gate_naive",

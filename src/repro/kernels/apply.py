@@ -4,16 +4,20 @@ Index conventions (little-endian) follow Sec. 2/3.2 of the paper: state
 index bit ``q`` is the value of qubit ``q``; a gate bound to qubits
 ``(q0, .., q_{k-1})`` uses matrix row/column bit ``j`` for qubit ``qj``.
 
-The hot kernels are allocation-free in steady state: gather-index tables
-and diagonal phase tensors come from the process-wide
-:data:`~repro.kernels.tables.GATHER_CACHE`, and the gather/product panels
-are preallocated per-thread buffers reused across calls via
-``np.take(..., out=)`` / ``np.matmul(..., out=)``.
+The dense kernel is table-free: :class:`DenseSweep` computes, once per
+op, how the ``2**k`` amplitudes of every matrix-vector product are
+reached from the target bit *positions* alone — strided views for
+targets above a small window, one periodic in-window index (KiB, never
+cached) for targets inside it, no copy at all for bottom-contiguous
+targets — and then sweeps cache-sized blocks through reused per-thread
+panels with ``np.copyto`` / ``np.take(..., out=)`` /
+``np.matmul(..., out=)``.  Nothing the sweep needs grows with the shard.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 import threading
 from pathlib import Path
@@ -21,32 +25,42 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.kernels.tables import GATHER_CACHE, GatherTableCache
-from repro.util.bits import bit_length_of_power_of_two
+from repro.kernels.tables import (
+    GATHER_CACHE,
+    GatherTableCache,
+    _build_diagonal_factor,
+)
+from repro.util.bits import (
+    bit_length_of_power_of_two,
+    expand_index,
+    scatter_bits,
+)
 from repro.util.validation import check_qubit_indices
 
 __all__ = [
+    "DenseSweep",
+    "SWEEP_MAX_QUBITS",
     "apply_gate_naive",
     "apply_gate_reference",
     "apply_gate_indexed",
     "apply_gate_two_vector",
     "apply_diagonal_gate",
-    "apply_fused_kernel",
+    "apply_diagonal_factor",
     "apply_gate",
     "matrix_is_diagonal",
 ]
 
-#: Fallback block size when no autotune record is available.  4096 ``c``
-#: substrings keep a k=2 gather panel (32 KiB per complex128 row set)
-#: comfortably inside the last-level cache.
-_FALLBACK_CHUNK = 1 << 12
+#: Fallback block size when no autotune record is available: 1024 ``c``
+#: substrings make a k=4 panel 256 KiB, so the copy-in, product and
+#: write-back panels of one block share the L2 cache.
+_FALLBACK_CHUNK = 1 << 10
 
 
 def _autotuned_default_chunk() -> int:
     """Read the winning chunk size from the checked-in autotune record.
 
     ``benchmarks/results/BENCH_kernels_autotune.json`` names its winner
-    e.g. ``"indexed[chunk=4096]"``; any failure falls back to
+    e.g. ``"indexed[chunk=1024]"``; any failure falls back to
     :data:`_FALLBACK_CHUNK` so the kernels never depend on the benchmark
     tree being present.
     """
@@ -66,38 +80,31 @@ def _autotuned_default_chunk() -> int:
     return _FALLBACK_CHUNK
 
 
-#: Default number of ``c`` substrings processed per block in the indexed
+#: Default number of ``c`` substrings processed per block in the dense
 #: kernel.  Sourced from the autotune benchmark record so the shipped
 #: default tracks what actually wins on this host class.
 DEFAULT_CHUNK = _autotuned_default_chunk()
 
-#: Sentinel meaning "use the process-wide table cache".
-_DEFAULT_CACHE = GATHER_CACHE
-
 _panel_buffers = threading.local()
 
 
-def _panels_t(
-    k: int, block: int, dtype: np.dtype
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-thread reusable (gathered, product) panels of shape (block, 2**k).
+def _panels(amplitudes: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Two per-thread reusable flat panels of *amplitudes* entries each.
 
-    Keyed on the exact shape so the buffers stay contiguous (``np.take`` /
-    ``np.matmul`` with ``out=`` skip their buffered fallbacks); a chunked
-    sweep uses at most two shapes (full block + remainder).
+    One growing pair per thread and dtype: a sweep slices what its block
+    needs, so the steady-state loop allocates nothing and a process
+    holds at most its largest block twice.
     """
-    pool = getattr(_panel_buffers, "pool_t", None)
+    pool = getattr(_panel_buffers, "pool", None)
     if pool is None:
-        pool = _panel_buffers.pool_t = {}
-    key = (k, block, dtype.str)
-    bufs = pool.get(key)
-    if bufs is None:
-        bufs = (
-            np.empty((block, 1 << k), dtype=dtype),
-            np.empty((block, 1 << k), dtype=dtype),
+        pool = _panel_buffers.pool = {}
+    pair = pool.get(dtype.str)
+    if pair is None or pair[0].shape[0] < amplitudes:
+        pair = pool[dtype.str] = (
+            np.empty(amplitudes, dtype=dtype),
+            np.empty(amplitudes, dtype=dtype),
         )
-        pool[key] = bufs
-    return bufs
+    return pair[0][:amplitudes], pair[1][:amplitudes]
 
 
 def _num_qubits_of(state: np.ndarray) -> int:
@@ -172,18 +179,230 @@ def apply_gate_two_vector(
     return out
 
 
-def _gather_indices(
-    n: int, qubits: Sequence[int], c_start: int, c_stop: int
-) -> np.ndarray:
-    """Indices of shape ``(2**k, c_stop-c_start)`` for the indexed kernel.
+#: Widest periodic window: gates whose highest target sits below this
+#: bit are resolved by one in-window index of at most 2**12 entries
+#: (32 KiB), whatever the shard size.
+_WINDOW_MAX_BITS = 12
 
-    Column ``m`` holds the ``2**k`` state indices participating in the
-    matrix-vector product for ``c = c_start + m`` (Sec. 3.2); row ``x`` is
-    the entry whose target-qubit bits spell ``x``.
+#: Widest gate the dense sweep takes before the tensordot kernel does.
+#: Measured cold on this host (1 BLAS thread, us per sweep, sweep vs
+#: ``apply_gate_reference``): 16 x 2**14 shards k=7 5.7k/7.7k, k=8
+#: 10.6k/14.1k, k=9 21.3k/34.5k; one 2**20 shard k=7 22k/38k, k=8
+#: 38k/43k, k=9 76k/74k — the tensordot only catches up at k=9.
+SWEEP_MAX_QUBITS = 8
+
+#: Widest gate for which the real-block GEMM beats complex GEMM on the
+#: reference host (small inner dimensions leave zgemm overhead-bound;
+#: from k=4 up the two are within noise of each other).
+_REAL_GEMM_MAX_QUBITS = 3
+
+
+def _real_gemm_operand(matrix_t: np.ndarray) -> np.ndarray:
+    """Real block matrix ``W`` with ``(g.view(real) @ W).view(complex) == g @ matrix_t``.
+
+    Interleaved re/im columns: for ``y = x @ M`` with ``M = A + iB``,
+    ``Re y_i = sum_j (Re x_j * A_ji - Im x_j * B_ji)`` and
+    ``Im y_i = sum_j (Re x_j * B_ji + Im x_j * A_ji)`` — each complex
+    product contributes two adjacent real terms, so one real GEMM over
+    the float view computes the whole panel.  Only used for small gates
+    (see :data:`_REAL_GEMM_MAX_QUBITS`).
     """
-    from repro.kernels.tables import _build_gather_table
+    d = matrix_t.shape[0]
+    w = np.empty((2 * d, 2 * d), dtype=matrix_t.real.dtype)
+    w[0::2, 0::2] = matrix_t.real
+    w[1::2, 0::2] = -matrix_t.imag
+    w[0::2, 1::2] = matrix_t.imag
+    w[1::2, 1::2] = matrix_t.real
+    return w
 
-    return _build_gather_table(n, qubits, c_start, c_stop)
+
+def _window_index(positions: Sequence[int], w: int) -> np.ndarray:
+    """In-window source offsets that bring the target bits together.
+
+    Entry ``j = c << k | x`` is the offset, inside a window of ``2**w``
+    amplitudes, whose bits at the (sorted) target *positions* spell ``x``
+    and whose other bits spell ``c`` — so gathering a window through it
+    yields rows of ``2**k`` amplitudes ready for ``panel @ M.T``.  Every
+    window of a shard uses this one index (it is periodic), which is why
+    it is rebuilt per op and never stored.
+    """
+    k = len(positions)
+    j = np.arange(1 << w, dtype=np.intp)
+    return expand_index(j >> k, j & ((1 << k) - 1), positions)
+
+
+class DenseSweep:
+    """The paper's k-qubit kernel (Sec. 3.2) as a per-op sweep descriptor.
+
+    Built once per op from the target bit positions of a ``2**n`` shard
+    and applied to any number of shards (:meth:`apply`): every rank of a
+    distributed state, a single state vector, one worker's shard.  The
+    gate matrix is permuted once so its bit ``j`` is the ``j``-th lowest
+    target; each block of ``chunk_size`` index substrings ``c`` (rounded
+    down to a power of two) then takes three steps through one of two
+    address schemes, chosen from the highest target bit alone:
+
+    * **window** (every target below bit :data:`_WINDOW_MAX_BITS`): the
+      shard is a stack of windows ``reshape(-1, 2**w)``; one ``np.take``
+      through the periodic in-window index gathers each ``c``'s
+      amplitudes into a row, ``panel @ M.T`` multiplies (a real GEMM for
+      small gates), and the inverse index writes back.  Targets that are
+      the bottom ``k`` bits already *are* such rows and skip both takes.
+    * **slab** (some target above the window): the shard is viewed as
+      ``reshape(hi, 2, .., 2, lo)`` with one size-2 axis per target, and
+      one transposed ``np.copyto`` brings the block's ``2**k`` slabs
+      into a contiguous ``(2**k, chunk)`` panel; ``M @ panel``
+      multiplies and the mirror-image copy writes back.
+
+    The panels are per-thread buffers reused across calls, so the
+    steady-state sweep allocates nothing, and nothing it uses grows with
+    the shard.
+    """
+
+    def __init__(
+        self,
+        n: int,
+        matrix: np.ndarray,
+        qubits: Sequence[int],
+        dtype,
+        chunk_size: int | None = None,
+    ) -> None:
+        qubits = check_qubit_indices(qubits, n)
+        k = len(qubits)
+        dtype = np.dtype(dtype)
+        matrix = np.asarray(matrix, dtype=dtype)
+        if k == 0 or matrix.shape != (1 << k, 1 << k):
+            raise ValueError(
+                f"matrix of shape {matrix.shape} does not act on "
+                f"{k} qubit(s)"
+            )
+        # Sorted positions; matrix bit j = j-th lowest target.
+        order = sorted(range(k), key=qubits.__getitem__)
+        pos = [qubits[j] for j in order]
+        unsorted = scatter_bits(np.arange(1 << k), order)
+        matrix = matrix[np.ix_(unsorted, unsorted)]
+
+        total_c = 1 << (n - k)
+        chunk = total_c if chunk_size is None else min(int(chunk_size), total_c)
+        cbits = max(chunk, 1).bit_length() - 1
+        self._dtype = dtype
+        self._index = self._inverse = self._real = self._perm = None
+        self._windowed = pos[-1] < _WINDOW_MAX_BITS
+        if self._windowed:
+            w = pos[-1] + 1
+            windows = 1 << (n - w)
+            rows = min(1 << max(0, cbits - (w - k)), windows)
+            self._shape = (windows // rows, rows, 1 << w)
+            self._outer = [(i,) for i in range(windows // rows)]
+            self._block_shape = (rows, 1 << w)
+            self._block_size = rows << w
+            self._gemm_shape = (-1, 1 << k)
+            if pos != list(range(k)):
+                self._index = _window_index(pos, w)
+                self._inverse = np.empty_like(self._index)
+                self._inverse[self._index] = np.arange(1 << w)
+            self._matrix = np.ascontiguousarray(matrix.T)
+            if k <= _REAL_GEMM_MAX_QUBITS and dtype.kind == "c":
+                self._real = self._matrix.real.dtype
+                self._matrix = _real_gemm_operand(self._matrix)
+            return
+        # Slab scheme.  Axes of the shard view, top bit first: a size-2
+        # axis per target; the non-target runs between them, split where
+        # the block's ``cbits`` lowest non-target bits end.
+        b, left = 0, cbits
+        while left:
+            left -= b not in pos
+            b += 1
+        edges = sorted({0, b, n}.union(pos, (p + 1 for p in pos)))
+        shape, kinds = [], []
+        for lo, hi in zip(edges[-2::-1], edges[:0:-1]):
+            shape.append(1 << (hi - lo))
+            kinds.append("x" if lo in pos else "in" if hi <= b else "out")
+        axes = {kind: [i for i, a in enumerate(kinds) if a == kind]
+                for kind in ("out", "x", "in")}
+        # The panel's own axis order is free, and numpy's copy loop runs
+        # over its innermost axis: put the longest non-target run there.
+        # (With the shard's order a gate on bits 1-2 copies 2-amplitude
+        # runs: 48 ms per k=4 sweep of a 2**22 shard instead of 33.)
+        axes["in"].sort(key=shape.__getitem__)
+        self._shape = tuple(shape)
+        self._perm = (*axes["out"], *axes["x"], *axes["in"])
+        self._outer = list(np.ndindex(*(shape[i] for i in axes["out"])))
+        self._block_shape = (
+            *(2,) * k, *(shape[i] for i in axes["in"])
+        )
+        self._block_size = math.prod(self._block_shape)
+        self._gemm_shape = (1 << k, -1)
+        self._matrix = np.ascontiguousarray(matrix)
+
+    @property
+    def num_blocks(self) -> int:
+        """Blocks per shard; ``apply(shard, i, j)`` sweeps blocks ``i..j-1``."""
+        return len(self._outer)
+
+    def bind(self, start: int = 0, stop: int | None = None):
+        """A ``run(shard)`` callable sweeping blocks ``start..stop-1``.
+
+        Resolves the calling thread's panels and every view of them once,
+        so sweeping many shards (every rank of an op) pays per shard only
+        for the shard's own views.  The callable belongs to the thread
+        that bound it.
+        """
+        a, b = (
+            buf.reshape(self._block_shape)
+            for buf in _panels(self._block_size, self._dtype)
+        )
+        shape, perm, matrix = self._shape, self._perm, self._matrix
+        gemm_shape, blocks = self._gemm_shape, self._outer[start:stop]
+        if not self._windowed:
+            panel, product = a.reshape(gemm_shape), b.reshape(gemm_shape)
+
+            def run(shard: np.ndarray) -> np.ndarray:
+                view = shard.reshape(shape).transpose(perm)
+                for outer in blocks:
+                    block = view[outer]
+                    np.copyto(a, block)
+                    np.matmul(matrix, panel, out=product)
+                    np.copyto(block, b)
+                return shard
+
+            return run
+        index, inverse, real = self._index, self._inverse, self._real
+        panel, product = b.reshape(gemm_shape), a.reshape(gemm_shape)
+        if real is not None:
+            panel, product = panel.view(real), product.view(real)
+
+        def run(shard: np.ndarray) -> np.ndarray:
+            view = shard.reshape(shape)
+            for outer in blocks:
+                block = view[outer]
+                if index is None:
+                    # Bottom-contiguous targets: the shard's rows are
+                    # the panel.
+                    rows = block.reshape(gemm_shape)
+                    if real is not None:
+                        rows = rows.view(real)
+                    np.matmul(rows, matrix, out=product)
+                    np.copyto(block, a)
+                else:
+                    # (The method, not ``np.take``: its Python wrapper is a
+                    # tenth of a sweep over a 2**11-amplitude shard.)
+                    block.take(index, axis=-1, out=b, mode="clip")
+                    np.matmul(panel, matrix, out=product)
+                    a.take(inverse, axis=-1, out=block, mode="clip")
+            return shard
+
+        return run
+
+    def apply(
+        self, shard: np.ndarray, start: int = 0, stop: int | None = None
+    ) -> np.ndarray:
+        """Apply the gate to *shard* in place (blocks ``start..stop-1``).
+
+        Distinct blocks touch disjoint amplitudes, so block ranges can be
+        swept concurrently from different threads.
+        """
+        return self.bind(start, stop)(shard)
 
 
 def apply_gate_indexed(
@@ -192,73 +411,34 @@ def apply_gate_indexed(
     qubits: Sequence[int],
     *,
     chunk_size: int | None = None,
-    cache: GatherTableCache | None = _DEFAULT_CACHE,
 ) -> np.ndarray:
-    """The paper's kernel: gather / small matmul / scatter, in place.
+    """The paper's kernel on one state vector, in place.
 
-    For each block of ``c`` index substrings, gathers a ``(block, 2**k)``
-    panel of amplitudes, multiplies by the transposed ``2**k x 2**k`` gate
-    matrix (one BLAS call covering ``block`` matrix-vector products at
-    once), and scatters the result back.  ``chunk_size`` is the number of
-    ``c`` values per block — the numpy analogue of the paper's
-    register/MCDRAM blocking.  The column-major orientation keeps the
-    gather/scatter walking the state nearly sequentially, and is shared
-    bit-for-bit with the batched multi-rank sweep
-    (:func:`apply_fused_kernel`), so traced per-rank and batched
-    executions of the same op agree exactly.
-
-    Gather-index tables come from *cache* (default: the process-wide
-    :data:`~repro.kernels.tables.GATHER_CACHE`; pass ``None`` to rebuild
-    per call), and the gather/product panels are per-thread buffers reused
-    across calls, so the steady-state loop allocates nothing.
+    Splits every state index into the ``c`` substring and the ``x``
+    substring (Sec. 3.2) and multiplies each block of ``chunk_size``
+    substrings (``None``: one block) by the gate in one BLAS call — the
+    numpy analogue of the paper's register/MCDRAM blocking.  A one-shard
+    :class:`DenseSweep`: the distributed state builds the same
+    descriptor once per op and applies it to every rank, so per-rank and
+    all-ranks executions agree bit for bit.
     """
     n = _num_qubits_of(state)
-    qubits = check_qubit_indices(qubits, n)
-    k = len(qubits)
-    matrix_t = np.ascontiguousarray(
-        np.asarray(matrix, dtype=state.dtype).T
-    )
-    total_c = 1 << (n - k)
-    chunk = total_c if chunk_size is None else min(chunk_size, total_c)
-    if cache is not None:
-        tables = cache.gather_tables_t(n, qubits, chunk)
+    return DenseSweep(n, matrix, qubits, state.dtype, chunk_size).apply(state)
+
+
+def apply_diagonal_factor(state: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """Multiply *state* by a phase factor from ``GatherTableCache.diagonal_factor``.
+
+    The factor is either a flat ``2**n`` vector — one contiguous SIMD
+    multiply — or, for states too large to expand, a broadcastable
+    tensor over the ``(2,)*n`` view.
+    """
+    if factor.ndim == 1:
+        state *= factor
     else:
-        tables = tuple(
-            np.ascontiguousarray(
-                _gather_indices(
-                    n, qubits, c_start, min(c_start + chunk, total_c)
-                ).T
-            )
-            for c_start in range(0, total_c, chunk)
-        )
-    inverse = _gather_inverse_of(tables, n, qubits, chunk, cache)
-    real_w = (
-        _real_gemm_operand(matrix_t) if k <= _REAL_GEMM_MAX_QUBITS else None
-    )
-    for idx in tables:
-        gathered, product = _panels_t(k, idx.shape[0], state.dtype)
-        np.take(state, idx, out=gathered, mode="clip")
-        if real_w is not None:
-            np.matmul(
-                gathered.view(np.float64), real_w,
-                out=product.view(np.float64),
-            )
-        else:
-            np.matmul(gathered, matrix_t, out=product)
-        if inverse is not None:
-            np.take(product.reshape(-1), inverse, out=state, mode="clip")
-        else:
-            state[idx] = product
+        psi = state.reshape((2,) * factor.ndim)
+        psi *= factor
     return state
-
-
-def _diagonal_factor_tensor(
-    diag: np.ndarray, qubits: Sequence[int], n: int
-) -> np.ndarray:
-    """Broadcastable tensor of per-amplitude phases for a diagonal gate."""
-    from repro.kernels.tables import _build_diagonal_factor
-
-    return _build_diagonal_factor(diag, qubits, n)
 
 
 def apply_diagonal_gate(
@@ -266,16 +446,16 @@ def apply_diagonal_gate(
     diag: np.ndarray,
     qubits: Sequence[int],
     *,
-    cache: GatherTableCache | None = _DEFAULT_CACHE,
+    cache: GatherTableCache | None = GATHER_CACHE,
 ) -> np.ndarray:
     """Apply a diagonal gate given its diagonal (length ``2**k``), in place.
 
     One complex multiply per amplitude — no index gather, no temporary of
     state size.  This is the specialization that makes CZ and T gates
-    (Sec. 3.5) cheap even locally.  The memoized phase factor (from
-    *cache*; pass ``None`` to rebuild per call) is either a flat ``2**n``
-    vector — one contiguous SIMD multiply — or, for states too large to
-    expand, a broadcastable tensor over the ``(2,)*n`` view.
+    (Sec. 3.5) cheap even locally.  The phase factor is memoized in
+    *cache* (default: the process-wide
+    :data:`~repro.kernels.tables.GATHER_CACHE`; pass ``None`` to rebuild
+    per call).
     """
     n = _num_qubits_of(state)
     qubits = check_qubit_indices(qubits, n)
@@ -283,138 +463,8 @@ def apply_diagonal_gate(
     if cache is not None:
         factor = cache.diagonal_factor(n, qubits, diag)
     else:
-        factor = _diagonal_factor_tensor(diag, qubits, n)
-    if factor.ndim == 1:
-        state *= factor
-    else:
-        psi = state.reshape((2,) * n)
-        psi *= factor
-    return state
-
-
-#: Widest gate for which the real-block GEMM beats complex GEMM on the
-#: reference host (small inner dimensions leave zgemm overhead-bound;
-#: from k=4 up the two are within noise of each other).
-_REAL_GEMM_MAX_QUBITS = 3
-
-
-def _real_gemm_operand(matrix_t: np.ndarray) -> np.ndarray | None:
-    """Real block matrix ``W`` with ``(g.view(f8) @ W).view(c16) == g @ matrix_t``.
-
-    Interleaved re/im columns: for ``y = x @ M`` with ``M = A + iB``,
-    ``Re y_i = sum_j (Re x_j * A_ji - Im x_j * B_ji)`` and
-    ``Im y_i = sum_j (Re x_j * B_ji + Im x_j * A_ji)`` — each complex
-    product contributes two adjacent real terms, so one dgemm over the
-    float64 view computes the whole panel.  Only used for small gates
-    (see :data:`_REAL_GEMM_MAX_QUBITS`); returns ``None`` for dtypes
-    other than complex128.
-    """
-    if matrix_t.dtype != np.complex128:
-        return None
-    d = matrix_t.shape[0]
-    w = np.empty((2 * d, 2 * d), dtype=np.float64)
-    w[0::2, 0::2] = matrix_t.real
-    w[1::2, 0::2] = -matrix_t.imag
-    w[0::2, 1::2] = matrix_t.imag
-    w[1::2, 1::2] = matrix_t.real
-    return w
-
-
-def _gather_inverse_of(tables, n, qubits, chunk, cache):
-    """Inverse write-back permutation, or ``None`` for chunked sweeps.
-
-    When one block covers the whole ``c`` range the flattened gather
-    table visits every state index exactly once, so the write-back
-    ``state[idx] = product`` is a pure permutation — expressible as a
-    sequential-output ``np.take`` of the product panel, which is
-    measurably faster than the fancy-index scatter.  The values written
-    are identical either way, so bit-exactness is unaffected.
-    """
-    if len(tables) != 1:
-        return None
-    if cache is not None:
-        return cache.gather_inverse(n, qubits, chunk)
-    return np.argsort(tables[0].reshape(-1)).astype(np.intp, copy=False)
-
-
-def apply_fused_kernel(
-    storage,
-    num_ranks: int,
-    matrix: np.ndarray,
-    qubits: Sequence[int],
-    n: int,
-    *,
-    chunk_size: int | None = None,
-    cache: GatherTableCache | None = _DEFAULT_CACHE,
-    sync=None,
-) -> None:
-    """Batched apply path: one dense op swept over every rank's shard.
-
-    The per-call work of :func:`apply_gate_indexed` — gather-table
-    lookup, matrix dtype/contiguity fixup, panel-buffer resolution — is
-    hoisted out of the rank loop, so applying one (possibly fused
-    multi-op) ``2**k`` unitary to ``2**g`` shards pays it once instead
-    of ``2**g`` times.  *storage* provides ``get(rank) -> shard`` (each
-    a ``2**n`` vector); *sync* (optional) is called with each shard
-    after its sweep, mirroring ``DistributedState._sync``.
-
-    This is the executor path for ``exec_kind="fused_kernel"`` plan ops
-    and for pre-resolved indexed kernels on multi-rank states.
-    """
-    qubits = check_qubit_indices(qubits, n)
-    k = len(qubits)
-    total_c = 1 << (n - k)
-    chunk = total_c if chunk_size is None else min(chunk_size, total_c)
-    first = storage.get(0)
-    # Column-major sweep: tables of shape (block, 2**k) list each c
-    # substring's amplitudes contiguously, so take/scatter walk the
-    # shard nearly sequentially; gathered @ matrix.T computes the same
-    # dot products bit-for-bit as matrix @ gathered row-major.
-    matrix_t = np.ascontiguousarray(
-        np.asarray(matrix, dtype=first.dtype).T
-    )
-    if cache is not None:
-        tables = cache.gather_tables_t(n, qubits, chunk)
-    else:
-        tables = tuple(
-            np.ascontiguousarray(
-                _gather_indices(
-                    n, qubits, c_start, min(c_start + chunk, total_c)
-                ).T
-            )
-            for c_start in range(0, total_c, chunk)
-        )
-    panels = [
-        (idx, *_panels_t(k, idx.shape[0], first.dtype)) for idx in tables
-    ]
-    inverse = _gather_inverse_of(tables, n, qubits, chunk, cache)
-    real_w = (
-        _real_gemm_operand(matrix_t) if k <= _REAL_GEMM_MAX_QUBITS else None
-    )
-
-    def _panel_matmul(gathered, product):
-        if real_w is not None:
-            np.matmul(
-                gathered.view(np.float64), real_w,
-                out=product.view(np.float64),
-            )
-        else:
-            np.matmul(gathered, matrix_t, out=product)
-
-    for rank in range(num_ranks):
-        shard = first if rank == 0 else storage.get(rank)
-        if inverse is not None:
-            idx, gathered, product = panels[0]
-            np.take(shard, idx, out=gathered, mode="clip")
-            _panel_matmul(gathered, product)
-            np.take(product.reshape(-1), inverse, out=shard, mode="clip")
-        else:
-            for idx, gathered, product in panels:
-                np.take(shard, idx, out=gathered, mode="clip")
-                _panel_matmul(gathered, product)
-                shard[idx] = product
-        if sync is not None:
-            sync(shard)
+        factor = _build_diagonal_factor(diag, qubits, n)
+    return apply_diagonal_factor(state, factor)
 
 
 def matrix_is_diagonal(matrix: np.ndarray, *, atol: float = 1e-12) -> bool:
@@ -432,14 +482,13 @@ def apply_gate(
     strategy: str = "auto",
     chunk_size: int | None = None,
     diagonal: bool | None = None,
-    cache: GatherTableCache | None = _DEFAULT_CACHE,
 ) -> np.ndarray:
     """Apply a gate matrix choosing a kernel strategy.
 
     ``strategy`` is one of ``"auto"``, ``"naive"``, ``"reference"``,
     ``"indexed"``, ``"diagonal"``.  ``"auto"`` picks the diagonal fast path
-    when the matrix is diagonal, the indexed kernel for k ≤ 6, and the
-    tensordot kernel otherwise.
+    when the matrix is diagonal, the indexed kernel up to
+    :data:`SWEEP_MAX_QUBITS`, and the tensordot kernel beyond.
 
     ``diagonal`` is an optional structure hint (e.g. from
     :class:`~repro.gates.Gate` metadata): when given, ``"auto"`` trusts it
@@ -450,13 +499,10 @@ def apply_gate(
         if diagonal is None:
             diagonal = matrix_is_diagonal(matrix)
         if diagonal:
-            return apply_diagonal_gate(
-                state, np.diagonal(matrix), qubits, cache=cache
-            )
-        if len(qubits) <= 6:
+            return apply_diagonal_gate(state, np.diagonal(matrix), qubits)
+        if len(qubits) <= SWEEP_MAX_QUBITS:
             return apply_gate_indexed(
-                state, matrix, qubits,
-                chunk_size=chunk_size or DEFAULT_CHUNK, cache=cache,
+                state, matrix, qubits, chunk_size=chunk_size or DEFAULT_CHUNK
             )
         return apply_gate_reference(state, matrix, qubits)
     if strategy == "naive":
@@ -464,11 +510,9 @@ def apply_gate(
     if strategy == "reference":
         return apply_gate_reference(state, matrix, qubits)
     if strategy in ("indexed", "fused"):
-        # "fused" marks a batched multi-op kernel in compiled plans; on a
-        # single shard it reduces to the indexed gather/matmul/scatter.
-        return apply_gate_indexed(
-            state, matrix, qubits, chunk_size=chunk_size, cache=cache
-        )
+        # "fused" marks a batched multi-op kernel in compiled plans; it is
+        # the same dense sweep over the union of the fused qubits.
+        return apply_gate_indexed(state, matrix, qubits, chunk_size=chunk_size)
     if strategy == "diagonal":
-        return apply_diagonal_gate(state, np.diagonal(matrix), qubits, cache=cache)
+        return apply_diagonal_gate(state, np.diagonal(matrix), qubits)
     raise ValueError(f"unknown kernel strategy {strategy!r}")

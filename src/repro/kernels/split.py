@@ -25,8 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.kernels.apply import _gather_indices
-from repro.util.bits import bit_length_of_power_of_two
+from repro.util.bits import bit_length_of_power_of_two, expand_index
 from repro.util.validation import check_qubit_indices
 
 __all__ = ["SplitGateMatrix", "apply_gate_split_real"]
@@ -84,8 +83,9 @@ def apply_gate_split_real(
         )
     total_c = 1 << (n - k)
     chunk = total_c if chunk_size is None else min(chunk_size, total_c)
+    x = np.arange(1 << k)[:, None]
     for c_start in range(0, total_c, chunk):
         c_stop = min(c_start + chunk, total_c)
-        idx = _gather_indices(n, qubits, c_start, c_stop)
+        idx = expand_index(np.arange(c_start, c_stop)[None, :], x, qubits)
         state[idx] = split.panel_product(state[idx])
     return state

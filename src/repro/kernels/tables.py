@@ -1,17 +1,18 @@
-"""Memoized kernel lookup tables: gather indices and diagonal tensors.
+"""Memoized kernel lookup tables: diagonal factors and lift indices.
 
 The paper's single-core wins come from precomputing everything the kernel
-needs before touching the state (Sec. 3.2-3.4).  The runtime analogue
-here is a small LRU cache of the two table families every kernel
-invocation would otherwise rebuild:
+needs before touching the state (Sec. 3.2-3.4).  The dense kernel needs
+nothing precomputed that grows with the shard — its addresses come from
+bit positions (:class:`repro.kernels.apply.DenseSweep`) — so the small
+LRU cache here holds only the two families that are worth keeping:
 
-* **gather-index tables** — the ``(2**k, block)`` index panels of the
-  indexed kernel, keyed on ``(n, qubits, chunk)``.  Supremacy circuits
-  repeat the same CZ layers and fused-cluster shapes dozens of times, and
-  every virtual rank applies the same op to an identically-shaped shard,
-  so one table serves ``2**g`` ranks times every repetition of the layer.
-* **diagonal factor tensors** — the broadcastable per-amplitude phase
-  tensor of the diagonal fast path, keyed on ``(n, qubits, diag bytes)``.
+* **diagonal factor tensors** — the per-amplitude phase factor of the
+  diagonal fast path, keyed on ``(n, qubits, diag bytes)``.  Supremacy
+  circuits repeat the same CZ layers dozens of times and every virtual
+  rank applies the same op to an identically-shaped shard, so one factor
+  serves ``2**g`` ranks times every repetition of the layer.
+* **lift index tables** — the ``2**u`` bit-extraction indices the plan
+  compiler uses to lift a diagonal onto a fused qubit union.
 
 Cache hits and misses are counted (and optionally mirrored into a
 :class:`~repro.telemetry.metrics.MetricsRegistry` as ``plan.cache.hits``
@@ -29,25 +30,6 @@ import numpy as np
 from repro.util.locktrack import TrackedLock
 
 __all__ = ["GatherTableCache", "GATHER_CACHE"]
-
-
-def _build_gather_table(
-    n: int, qubits: Sequence[int], c_start: int, c_stop: int
-) -> np.ndarray:
-    """Indices of shape ``(2**k, c_stop-c_start)`` for the indexed kernel.
-
-    Column ``m`` holds the ``2**k`` state indices participating in the
-    matrix-vector product for ``c = c_start + m`` (Sec. 3.2); row ``x`` is
-    the entry whose target-qubit bits spell ``x``.
-    """
-    from repro.util.bits import insert_zero_bits, scatter_bits
-
-    k = len(qubits)
-    sorted_pos = sorted(qubits)
-    c = np.arange(c_start, c_stop, dtype=np.int64)
-    base = insert_zero_bits(c, sorted_pos)
-    offsets = scatter_bits(np.arange(1 << k, dtype=np.int64), list(qubits))
-    return offsets[:, None] + base[None, :]
 
 
 #: Widest state for which diagonal factors are expanded to a flat dense
@@ -100,9 +82,11 @@ def _build_diagonal_tensor(
 
 
 class GatherTableCache:
-    """LRU cache of gather-index tables and diagonal factor tensors.
+    """LRU cache of diagonal factor tensors and lift index tables.
 
-    ``capacity`` bounds the number of cached entries; least-recently-used
+    (The dense kernel has no tables — "gather" survives only in the
+    name, by which ``--plan-stats``, ``/statusz`` and the repo benchmark
+    address this cache.)  ``capacity`` bounds the number of cached entries; least-recently-used
     entries are evicted first.  Returned arrays are marked read-only —
     they are shared across every rank and every repetition of an op.
 
@@ -129,15 +113,6 @@ class GatherTableCache:
         self.bytes_cached = 0
         #: Bytes of table construction avoided by hits so far.
         self.bytes_saved = 0
-        #: Entries built by the silent warm-up path (pipeline prefetch).
-        #: Not part of :meth:`stats` — warms must leave the ``--plan-stats``
-        #: payload bit-identical to a non-pipelined run.
-        self.prefetched = 0
-        #: Warmed keys whose first *real* lookup has not happened yet;
-        #: that lookup records a miss (exactly what a run without the
-        #: warm-up would have counted), so pipelined and serial runs
-        #: report identical plan.cache.* numbers.
-        self._uncounted: set[tuple] = set()
         self._metrics = None
 
     # ------------------------------------------------------------------
@@ -179,165 +154,18 @@ class GatherTableCache:
         entry = self._entries.get(key)
         if entry is not None:
             self._entries.move_to_end(key)
-            if key in self._uncounted:
-                self._uncounted.discard(key)
-                self._record(hit=False, nbytes=entry[1])
-            else:
-                self._record(hit=True, nbytes=entry[1])
+            self._record(hit=True, nbytes=entry[1])
         return entry
 
     def _insert(self, key: tuple, value, nbytes: int) -> None:
         self._record(hit=False, nbytes=nbytes)
-        self._store(key, value, nbytes)
-
-    def _insert_silent(self, key: tuple, value, nbytes: int) -> None:
-        """Insert without touching hit/miss counters (warm-up path)."""
-        self.prefetched += 1
-        self._uncounted.add(key)
-        self._store(key, value, nbytes)
-
-    def _store(self, key: tuple, value, nbytes: int) -> None:
         self._entries[key] = (value, nbytes)
         self.bytes_cached += nbytes
         while len(self._entries) > self.capacity:
-            evicted_key, (_, evicted_bytes) = self._entries.popitem(last=False)
-            self._uncounted.discard(evicted_key)
+            _, (_, evicted_bytes) = self._entries.popitem(last=False)
             self.bytes_cached -= evicted_bytes
 
     # ------------------------------------------------------------------
-    def gather_tables(
-        self, n: int, qubits: Sequence[int], chunk_size: int | None
-    ) -> tuple[np.ndarray, ...]:
-        """Per-block gather-index tables covering the whole ``c`` range.
-
-        Memoized on ``(n, qubits, chunk)``: the key the plan layer shares
-        across ranks and repeated ops.  ``chunk_size=None`` means one
-        block covering all ``2**(n-k)`` substrings.
-        """
-        key, chunk, total_c = self._gather_key(n, qubits, chunk_size)
-        with self._lock:
-            entry = self._lookup(key)
-            if entry is not None:
-                return entry[0]
-            value, nbytes = self._build_gather_value(n, key[2], chunk, total_c)
-            self._insert(key, value, nbytes)
-            return value
-
-    @staticmethod
-    def _gather_key(
-        n: int, qubits: Sequence[int], chunk_size: int | None
-    ) -> tuple[tuple, int, int]:
-        qubits = tuple(int(q) for q in qubits)
-        total_c = 1 << (n - len(qubits))
-        chunk = total_c if chunk_size is None else min(int(chunk_size), total_c)
-        return ("gather", n, qubits, chunk), chunk, total_c
-
-    @staticmethod
-    def _build_gather_value(
-        n: int, qubits: tuple[int, ...], chunk: int, total_c: int
-    ) -> tuple[tuple, int]:
-        tables = []
-        nbytes = 0
-        for c_start in range(0, total_c, chunk):
-            table = _build_gather_table(
-                n, qubits, c_start, min(c_start + chunk, total_c)
-            )
-            table.setflags(write=False)
-            nbytes += table.nbytes
-            tables.append(table)
-        return tuple(tables), nbytes
-
-    def gather_tables_t(
-        self, n: int, qubits: Sequence[int], chunk_size: int | None
-    ) -> tuple[np.ndarray, ...]:
-        """Column-major twins of :meth:`gather_tables`.
-
-        Shape ``(block, 2**k)`` instead of ``(2**k, block)``: each *row*
-        lists the ``2**k`` amplitudes of one ``c`` substring, which sit
-        close together in memory, so the batched sweep's ``np.take`` and
-        scatter walk the shard nearly sequentially (measured ~10% faster
-        per sweep than the row-major orientation).  The matmul flips to
-        ``gathered @ matrix.T``, which computes the exact same dot
-        products — results are bit-identical.
-        """
-        key, chunk, total_c = self._gather_key_t(n, qubits, chunk_size)
-        with self._lock:
-            entry = self._lookup(key)
-            if entry is not None:
-                return entry[0]
-            value, nbytes = self._build_gather_value_t(
-                n, key[2], chunk, total_c
-            )
-            self._insert(key, value, nbytes)
-            return value
-
-    @staticmethod
-    def _gather_key_t(
-        n: int, qubits: Sequence[int], chunk_size: int | None
-    ) -> tuple[tuple, int, int]:
-        qubits = tuple(int(q) for q in qubits)
-        total_c = 1 << (n - len(qubits))
-        chunk = total_c if chunk_size is None else min(int(chunk_size), total_c)
-        return ("gatherT", n, qubits, chunk), chunk, total_c
-
-    @classmethod
-    def _build_gather_value_t(
-        cls, n: int, qubits: tuple[int, ...], chunk: int, total_c: int
-    ) -> tuple[tuple, int]:
-        tables, _ = cls._build_gather_value(n, qubits, chunk, total_c)
-        out = []
-        nbytes = 0
-        for table in tables:
-            t = np.ascontiguousarray(table.T)
-            t.setflags(write=False)
-            nbytes += t.nbytes
-            out.append(t)
-        return tuple(out), nbytes
-
-    def gather_inverse(
-        self, n: int, qubits: Sequence[int], chunk_size: int | None
-    ) -> np.ndarray:
-        """Inverse permutation of the single-block column-major table.
-
-        When one block covers the whole ``c`` range, the gather table's
-        flattened entries visit every state index exactly once, so the
-        write-back is a pure permutation: ``state[i] = product.flat[inv[i]]``
-        — a sequential-output ``np.take`` instead of a fancy-index
-        scatter (measured ~2.5x faster per write-back).  Only defined for
-        the single-block case; chunked sweeps must scatter per block.
-        """
-        key, chunk, total_c = self._gather_inverse_key(n, qubits, chunk_size)
-        with self._lock:
-            entry = self._lookup(key)
-            if entry is not None:
-                return entry[0]
-            value, nbytes = self._build_gather_inverse(n, key[2], total_c)
-            self._insert(key, value, nbytes)
-            return value
-
-    @staticmethod
-    def _gather_inverse_key(
-        n: int, qubits: Sequence[int], chunk_size: int | None
-    ) -> tuple[tuple, int, int]:
-        qubits = tuple(int(q) for q in qubits)
-        total_c = 1 << (n - len(qubits))
-        chunk = total_c if chunk_size is None else min(int(chunk_size), total_c)
-        if chunk != total_c:
-            raise ValueError(
-                "gather_inverse is only defined when one block covers the "
-                f"whole c range (chunk {chunk} < total {total_c})"
-            )
-        return ("gatherI", n, qubits, chunk), chunk, total_c
-
-    @classmethod
-    def _build_gather_inverse(
-        cls, n: int, qubits: tuple[int, ...], total_c: int
-    ) -> tuple[np.ndarray, int]:
-        (table,), _ = cls._build_gather_value_t(n, qubits, total_c, total_c)
-        inv = np.argsort(table.reshape(-1)).astype(np.intp, copy=False)
-        inv.setflags(write=False)
-        return inv, inv.nbytes
-
     def diagonal_factor(
         self, n: int, qubits: Sequence[int], diag: np.ndarray
     ) -> np.ndarray:
@@ -385,128 +213,6 @@ class GatherTableCache:
             self._insert(key, table, table.nbytes)
             return table
 
-    def bit_permutation(
-        self, n: int, perm_bits: Sequence[int]
-    ) -> np.ndarray:
-        """Gather indices realizing a local-bit permutation, memoized.
-
-        ``perm_bits[i] = src`` means destination bit ``i`` takes its
-        value from source bit ``src``; the returned ``2**n`` index array
-        applies the whole permutation as one ``np.take``.  The staging
-        swap uses this to collapse a chain of pairwise local swaps into
-        a single gather per rank, and supremacy schedules repeat the
-        same swap sets every stage, so the table is shared across stages
-        and ranks alike.
-        """
-        perm_bits = tuple(int(b) for b in perm_bits)
-        key = ("bitperm", int(n), perm_bits)
-        with self._lock:
-            entry = self._lookup(key)
-            if entry is not None:
-                return entry[0]
-            ar = np.arange(1 << n, dtype=np.int64)
-            perm = np.zeros_like(ar)
-            for i, src in enumerate(perm_bits):
-                perm |= ((ar >> i) & 1) << src
-            perm.setflags(write=False)
-            self._insert(key, perm, perm.nbytes)
-            return perm
-
-    # ------------------------------------------------------------------
-    # Silent warm-up (pipeline lookahead prefetch)
-    # ------------------------------------------------------------------
-    def warm_gather_tables(
-        self, n: int, qubits: Sequence[int], chunk_size: int | None
-    ) -> bool:
-        """Build-if-absent *without* touching the hit/miss counters.
-
-        The pipeline layer's background prefetch warms the next op's
-        tables through this so ``plan.cache.hits`` / ``misses`` (and the
-        ``--plan-stats`` payload) stay bit-identical with and without
-        pipelining; the later real lookup records the hit.  Returns
-        ``True`` when the entry was already cached.  LRU order is left
-        untouched on a warm hit — the real lookup refreshes it.
-        """
-        key, chunk, total_c = self._gather_key(n, qubits, chunk_size)
-        with self._lock:
-            if key in self._entries:
-                return True
-            value, nbytes = self._build_gather_value(n, key[2], chunk, total_c)
-            self._insert_silent(key, value, nbytes)
-            return False
-
-    def warm_gather_tables_t(
-        self, n: int, qubits: Sequence[int], chunk_size: int | None
-    ) -> bool:
-        """Counter-neutral build-if-absent twin of :meth:`gather_tables_t`."""
-        key, chunk, total_c = self._gather_key_t(n, qubits, chunk_size)
-        with self._lock:
-            if key in self._entries:
-                return True
-            value, nbytes = self._build_gather_value_t(
-                n, key[2], chunk, total_c
-            )
-            self._insert_silent(key, value, nbytes)
-            return False
-
-    def warm_gather_inverse(
-        self, n: int, qubits: Sequence[int], chunk_size: int | None
-    ) -> bool:
-        """Counter-neutral build-if-absent twin of :meth:`gather_inverse`.
-
-        Returns ``True`` (nothing to build) for chunked sweeps, where the
-        inverse is undefined and the kernel scatters per block.
-        """
-        try:
-            key, chunk, total_c = self._gather_inverse_key(
-                n, qubits, chunk_size
-            )
-        except ValueError:
-            return True
-        with self._lock:
-            if key in self._entries:
-                return True
-            value, nbytes = self._build_gather_inverse(n, key[2], total_c)
-            self._insert_silent(key, value, nbytes)
-            return False
-
-    def warm_bit_permutation(
-        self, n: int, perm_bits: Sequence[int]
-    ) -> bool:
-        """Counter-neutral build-if-absent twin of :meth:`bit_permutation`."""
-        perm_bits = tuple(int(b) for b in perm_bits)
-        key = ("bitperm", int(n), perm_bits)
-        with self._lock:
-            if key in self._entries:
-                return True
-            ar = np.arange(1 << n, dtype=np.int64)
-            perm = np.zeros_like(ar)
-            for i, src in enumerate(perm_bits):
-                perm |= ((ar >> i) & 1) << src
-            perm.setflags(write=False)
-            self._insert_silent(key, perm, perm.nbytes)
-            return False
-
-    def warm_diagonal_factor(
-        self, n: int, qubits: Sequence[int], diag: np.ndarray
-    ) -> bool:
-        """Counter-neutral build-if-absent twin of :meth:`diagonal_factor`.
-
-        *diag* must already carry the dtype the kernel will look up with
-        (the state dtype) — the key includes the dtype string and raw
-        bytes, so a float64 warm would never serve a complex128 lookup.
-        """
-        qubits = tuple(int(q) for q in qubits)
-        diag = np.asarray(diag)
-        key = ("diag", n, qubits, diag.dtype.str, diag.tobytes())
-        with self._lock:
-            if key in self._entries:
-                return True
-            factor = _build_diagonal_factor(diag, qubits, n)
-            factor.setflags(write=False)
-            self._insert_silent(key, factor, factor.nbytes)
-            return False
-
     # ------------------------------------------------------------------
     @property
     def hit_rate(self) -> float:
@@ -531,9 +237,8 @@ class GatherTableCache:
         """Drop every entry and reset all counters."""
         with self._lock:
             self._entries.clear()
-            self._uncounted.clear()
             self.hits = self.misses = 0
-            self.bytes_cached = self.bytes_saved = self.prefetched = 0
+            self.bytes_cached = self.bytes_saved = 0
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -7,8 +7,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.kernels.apply import _gather_indices, apply_diagonal_gate
-from repro.parallel.partition import partition_work
+from repro.kernels.apply import DenseSweep, apply_diagonal_gate
+from repro.parallel.partition import partition_range
 from repro.util.bits import bit_length_of_power_of_two
 from repro.util.validation import check_qubit_indices
 
@@ -18,10 +18,11 @@ __all__ = ["ChunkedExecutor"]
 class ChunkedExecutor:
     """Applies gate kernels across a pool of worker threads.
 
-    Different ``c`` blocks of the indexed kernel read and write disjoint
-    state entries, so block tasks are embarrassingly parallel — the same
-    decomposition the paper's OpenMP pragmas exploit.  Use as a context
-    manager or call :meth:`close` to release the pool.
+    Different ``c`` blocks of the dense sweep read and write disjoint
+    state entries, so block ranges are embarrassingly parallel — the same
+    decomposition the paper's OpenMP pragmas exploit.  ``min_chunk`` is
+    the block size (in ``c`` substrings) handed to the sweep.  Use as a
+    context manager or call :meth:`close` to release the pool.
     """
 
     def __init__(self, num_threads: int, *, min_chunk: int = 1 << 12) -> None:
@@ -39,22 +40,11 @@ class ChunkedExecutor:
     ) -> np.ndarray:
         """Apply a dense k-qubit gate in place, parallel over ``c`` blocks."""
         n = bit_length_of_power_of_two(state.shape[0])
-        qubits = check_qubit_indices(qubits, n)
-        k = len(qubits)
-        matrix = np.ascontiguousarray(matrix, dtype=state.dtype)
-        total_c = 1 << (n - k)
-        spans = partition_work(total_c, self.num_threads, min_chunk=self.min_chunk)
-
-        def work(span: tuple[int, int]) -> None:
-            c_start, c_stop = span
-            idx = _gather_indices(n, qubits, c_start, c_stop)
-            state[idx] = matrix @ state[idx]
-
+        sweep = DenseSweep(n, matrix, qubits, state.dtype, self.min_chunk)
+        spans = partition_range(sweep.num_blocks, self.num_threads)
         if self._pool is None or len(spans) <= 1:
-            for span in spans:
-                work(span)
-        else:
-            list(self._pool.map(work, spans))
+            return sweep.apply(state)
+        list(self._pool.map(lambda span: sweep.apply(state, *span), spans))
         return state
 
     def apply_diagonal(

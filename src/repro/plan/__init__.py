@@ -1,12 +1,12 @@
 """Compiled execution plans (pass-based plan compiler + kernel-plan cache).
 
 A :class:`~repro.scheduling.Schedule` describes *what* to run; every
-kernel decision — diagonal vs indexed vs reference strategy, the gather
-index tables, the extracted diagonals, fusion, the chunk size — is
-re-derivable from it, and the pre-plan executor re-derived all of it on
-every shard of every rank.  :func:`compile_program` resolves those
+kernel decision — diagonal vs indexed vs reference strategy, the
+extracted diagonals, fusion, the chunk size — is re-derivable from it,
+and the pre-plan executor re-derived all of it on every shard of every
+rank.  :func:`compile_program` resolves those
 decisions exactly once through a staged pass pipeline
-(:data:`repro.plan.passes.PIPELINE`)::
+(:mod:`repro.plan.passes`)::
 
     lower  ->  refuse  ->  specialize  ->  finalize
 
@@ -14,13 +14,13 @@ Each pass consumes and produces a typed stream of frozen
 :class:`PlanOp`\\ s that every rank replays:
 
 * dense cluster ops carry their fused matrix, pre-resolved strategy and
-  the autotuned chunk size (gather tables come from the process-wide
-  :data:`repro.kernels.GATHER_CACHE`, shared across ranks and repeated
-  layers);
+  the autotuned chunk size (the kernel's addresses come from the bit
+  layout at run time — :class:`repro.kernels.DenseSweep` — so a plan
+  holds no tables);
 * the *refuse* pass merges adjacent dense/diagonal ops whose qubit
-  union stays within ``PlanConfig.fusion_kmax`` into one batched
-  multi-op kernel (``exec_kind="fused_kernel"``), executed through
-  :func:`repro.kernels.apply.apply_fused_kernel`;
+  union stays within ``PlanConfig.fusion_kmax`` into one multi-op
+  kernel (``exec_kind="fused_kernel"``), executed by the same dense
+  sweep over the union;
 * diagonal ops carry their extracted ``2**k`` diagonal, and consecutive
   runs of them are fused into a single per-amplitude multiply;
 * swaps and rank-conditional ops pass through to the distributed state

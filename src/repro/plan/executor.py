@@ -33,7 +33,7 @@ def execute_plan(plan, state, *, telemetry=None):
     diagonals record their first source's span around the real work plus
     zero-length spans for the ops folded in — so
     :meth:`ExecutionTrace.signature` is identical to an unplanned traced
-    run of the same schedule.  The shared gather-table cache mirrors its
+    run of the same schedule.  The shared kernel cache mirrors its
     counters into the bundle's metrics (``plan.cache.hits`` /
     ``plan.cache.misses``) for the duration of the run.
     """

@@ -20,8 +20,8 @@ input (the ``plan-pass-mutation`` lint rule enforces this).  The stages:
 * :func:`finalize_pass` — freeze and validate the stream (source
   ordering, per-kind field invariants).
 
-The cost model is calibrated against the batched apply path
-(:func:`repro.kernels.apply.apply_fused_kernel`) on the reference host:
+The cost model is calibrated against the dense sweep
+(:class:`repro.kernels.DenseSweep`) on the reference host:
 one k-qubit dense sweep over all ranks costs roughly
 ``_KERNEL_COST_US[k]`` microseconds and a diagonal sweep
 ``_DIAG_COST_US``; a merge is accepted only when the fused sweep is
@@ -31,7 +31,7 @@ help (larger ``fusion_kmax`` admits strictly more merge opportunities).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,47 +43,40 @@ from repro.scheduling.program import ClusterOp, GateOp, Schedule, SwapOp
 
 __all__ = [
     "PassContext",
-    "PIPELINE",
     "lower_pass",
     "refuse_pass",
     "specialize_pass",
     "finalize_pass",
 ]
 
-#: Dense kernels stay indexed up to this k; larger clusters use tensordot.
-_INDEXED_MAX_QUBITS = 6
+#: Width of the gate ``DEFAULT_CHUNK`` is autotuned on
+#: (``benchmarks/bench_kernels_micro.py``): the scheduler's cluster
+#: width, which is what most dense plan ops are.
+_TUNED_GATE_QUBITS = 4
 
-#: Fused unions wider than this fall back to the tensordot kernel.
-_FUSED_INDEXED_MAX_QUBITS = 8
-
-#: Shards up to this many local qubits (a 512 KB complex128 panel) run
-#: single-block: one gather table covers the whole c range, enabling the
-#: permutation write-back (``GATHER_CACHE.gather_inverse``) instead of a
-#: per-block fancy-index scatter.  Only applied when the caller left
-#: ``chunk_size`` at the autotuned default — an explicit chunk is
-#: honored verbatim.
-_SINGLE_BLOCK_MAX_QUBITS = 15
-
-#: Measured microseconds for one k-qubit dense sweep over all virtual
-#: ranks of the headline shard shape (batched apply path, l=14, 16
-#: ranks), taken *cold* — every sweep pays a fixed state-streaming
-#: component (~1.7 ms for 16 x 256 KB shards) on top of the ``2**k``
-#: matmul term, which is why fewer, wider sweeps win well past the
-#: point where raw FLOP counts would say otherwise.  Beyond the
-#: measured range the matmul term dominates and the cost is
-#: extrapolated by doubling.
+#: Measured microseconds for one k-qubit dense sweep
+#: (:class:`repro.kernels.DenseSweep`, plan-default chunk) over all
+#: virtual ranks of the headline shard shape (l=14, 16 ranks), taken
+#: *cold* (300 MiB streamed between samples), 1 BLAS thread, median over
+#: 8 random target sets x 5 samples, two runs averaged — every sweep
+#: pays a fixed state-streaming component (~1.2 ms for 16 x 256 KB
+#: shards) on top of the ``2**k`` matmul term, which is why fewer, wider
+#: sweeps win well past the point where raw FLOP counts would say
+#: otherwise.  Beyond the measured range the matmul term dominates (k=8
+#: measured 10.6k, k=9 21.3k) and the cost is extrapolated by doubling.
 _KERNEL_COST_US = {
-    1: 2500.0,
-    2: 1950.0,
-    3: 2200.0,
-    4: 2600.0,
-    5: 3500.0,
-    6: 4900.0,
-    7: 8000.0,
+    1: 1400.0,
+    2: 1700.0,
+    3: 1750.0,
+    4: 2350.0,
+    5: 2600.0,
+    6: 3700.0,
+    7: 5700.0,
 }
 
-#: Measured microseconds for one diagonal (per-amplitude multiply) sweep.
-_DIAG_COST_US = 1000.0
+#: Measured microseconds for one diagonal (per-amplitude multiply) sweep
+#: on the same shape and harness (640-740 us).
+_DIAG_COST_US = 700.0
 
 
 def _kernel_cost(k: int) -> float:
@@ -397,54 +390,32 @@ def refuse_pass(ops, ctx: PassContext):
 # ----------------------------------------------------------------------
 def specialize_pass(ops, ctx: PassContext):
     """Fix kernel strategy and blocking chunk for dense plan ops."""
-    from repro.kernels import DEFAULT_CHUNK
-    from repro.plan.program import PlanOp
+    from repro.kernels import DEFAULT_CHUNK, SWEEP_MAX_QUBITS
 
     config = ctx.config
-    local = ctx.schedule.local_qubits
 
     def _chunk_for(k: int) -> int:
-        # At small shard sizes the whole panel is cache-resident, so a
-        # single block covering all 2**(l-k) substrings beats chunking:
-        # the write-back becomes one permutation gather.  Respect an
-        # explicitly pinned (non-default) chunk.
-        total_c = 1 << (local - k)
-        if (
-            config.chunk_size == DEFAULT_CHUNK
-            and local <= _SINGLE_BLOCK_MAX_QUBITS
-            and total_c > config.chunk_size
-        ):
-            return total_c
-        return config.chunk_size
+        # The autotuned default is measured on a _TUNED_GATE_QUBITS-wide
+        # gate; what it really fixes is the panel (chunk * 2**k
+        # amplitudes), so other widths scale the chunk to keep it.  An
+        # explicitly pinned (non-default) chunk is honored verbatim.
+        if config.chunk_size != DEFAULT_CHUNK:
+            return config.chunk_size
+        return max(1, (DEFAULT_CHUNK << _TUNED_GATE_QUBITS) >> k)
 
     out: list = []
     for op in ops:
-        if op.exec_kind == "kernel":
-            k = len(op.qubits)
-            strategy = config.kernel_strategy or (
-                "indexed" if k <= _INDEXED_MAX_QUBITS else "reference"
-            )
-            out.append(
-                PlanOp(
-                    exec_kind=op.exec_kind, sources=op.sources,
-                    stage=op.stage, qubits=op.qubits, matrix=op.matrix,
-                    strategy=strategy, chunk_size=_chunk_for(k),
-                )
-            )
-        elif op.exec_kind == "fused_kernel":
-            u = len(op.qubits)
-            strategy = (
-                "fused" if u <= _FUSED_INDEXED_MAX_QUBITS else "reference"
-            )
-            out.append(
-                PlanOp(
-                    exec_kind=op.exec_kind, sources=op.sources,
-                    stage=op.stage, qubits=op.qubits, matrix=op.matrix,
-                    strategy=strategy, chunk_size=_chunk_for(u),
-                )
-            )
-        else:
+        if op.exec_kind not in ("kernel", "fused_kernel"):
             out.append(op)
+            continue
+        k = len(op.qubits)
+        if op.exec_kind == "kernel" and config.kernel_strategy:
+            strategy = config.kernel_strategy
+        elif k > SWEEP_MAX_QUBITS:
+            strategy = "reference"
+        else:
+            strategy = "indexed" if op.exec_kind == "kernel" else "fused"
+        out.append(replace(op, strategy=strategy, chunk_size=_chunk_for(k)))
     return tuple(out)
 
 
@@ -481,8 +452,3 @@ def finalize_pass(ops, ctx: PassContext):
                 )
             last_index = source.op_index
     return tuple(ops)
-
-
-#: The pipeline, in execution order.  Every pass consumes and produces a
-#: typed op stream; ``lower_pass`` is the source (its input is empty).
-PIPELINE = (lower_pass, refuse_pass, specialize_pass, finalize_pass)

@@ -20,7 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.plan.config import PlanConfig
-from repro.plan.passes import PIPELINE, PassContext
+from repro.plan.passes import (
+    PassContext,
+    finalize_pass,
+    lower_pass,
+    refuse_pass,
+    specialize_pass,
+)
 from repro.scheduling.program import Schedule
 from repro.util.locktrack import TrackedLock
 
@@ -49,11 +55,11 @@ class PlanOp:
     ``exec_kind`` selects the executor path:
 
     * ``"kernel"`` — dense op: *matrix*, *strategy* and *chunk_size* are
-      fixed; gather tables come from the shared cache at run time.
+      fixed; the sweep's addresses come from the run-time bit layout.
     * ``"fused_kernel"`` — several adjacent dense/diagonal schedule ops
-      refused into one batched multi-op kernel over the qubit union
-      (strategy ``"fused"``: the batched apply path of
-      :func:`repro.kernels.apply.apply_fused_kernel`).
+      refused into one multi-op kernel over the qubit union (strategy
+      ``"fused"``: the same :class:`repro.kernels.DenseSweep` as a plain
+      dense op, over the union).
     * ``"diagonal"`` — one diagonal op: *diag* is the extracted ``2**k``
       diagonal (local or global qubits; no communication either way).
     * ``"fused_diagonal"`` — several consecutive diagonal schedule ops
@@ -224,9 +230,12 @@ def compile_program(
     )
     t0 = time.perf_counter()
     ctx = PassContext.for_schedule(schedule, resolved)
-    ops: tuple[PlanOp, ...] = ()
-    for pipeline_pass in PIPELINE:
-        ops = pipeline_pass(ops, ctx)
+    # Called by name so the lock-order lint can follow compile -> refuse
+    # -> GATHER_CACHE (lift tables) under the plan lock.
+    ops: tuple[PlanOp, ...] = lower_pass((), ctx)
+    ops = refuse_pass(ops, ctx)
+    ops = specialize_pass(ops, ctx)
+    ops = finalize_pass(ops, ctx)
     program = CompiledProgram(
         schedule=schedule,
         ops=ops,
@@ -234,11 +243,6 @@ def compile_program(
         compile_seconds=0.0,
         counts=_counts_of(ops),
     )
-    # Precompute gather tables / phase factors off the execution clock;
-    # counter-neutral, so --plan-stats is unchanged by the warm-up.
-    from repro.plan.warmup import warm_plan_tables
-
-    warm_plan_tables(program)
     program.compile_seconds = time.perf_counter() - t0
     return program
 

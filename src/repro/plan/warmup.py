@@ -1,170 +1,23 @@
-"""Compile-time kernel-table warm-up for compiled plans.
+"""Compile-time kernel-table warm-up — nothing is left to warm.
 
-A compiled plan fixes every kernel decision up front, but the gather
-index tables and diagonal phase factors those kernels consume were still
-built lazily on first use — inside the timed execution, on the critical
-path.  Their cache keys are pure functions of the *bit layout* at each
-op, and the layout evolution of a scheduled run is fully determined by
-the schedule (initial global set + the swap points), so the plan
-compiler can walk a lightweight layout shadow of
-:class:`~repro.distributed.state.DistributedState` and warm every table
-the run will look up — off the execution clock, through the
-counter-neutral ``warm_*`` paths (so ``--plan-stats`` stays
-bit-identical to an unwarmed run).
+The dense kernel computes its addresses from bit positions
+(:class:`repro.kernels.DenseSweep`), so a compiled plan has no
+shard-sized table to build ahead of execution, and
+:func:`~repro.plan.compile_program` no longer calls into this module.
 
-:class:`PlanLayout` mirrors only the ``bit_of_qubit`` bookkeeping of
-``DistributedState.__init__`` and ``swap_global_set``; a parity test
-pins the two against each other.
+Only ``benchmarks/e2e/engine_runs.py`` (read-only for the PR that
+removed the tables) still imports :func:`warm_plan_tables`, to time
+``plan.table_build_s``.  A follow-up ``benchmark`` PR should drop
+``plan.table_build_s`` and the ``kernels.table_*`` metrics, re-price
+``kernels.bytes_computed`` (see ``docs/benchmarks.md``), and delete this
+module with them.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
-import numpy as np
-
-from repro.kernels.tables import GATHER_CACHE
-
-__all__ = ["PlanLayout", "warm_plan_tables"]
-
-
-class PlanLayout:
-    """Layout-only shadow of a distributed state's qubit-to-bit map.
-
-    Tracks exactly the ``bit_of_qubit`` updates of
-    :class:`~repro.distributed.state.DistributedState` — free initial
-    placement and the three layout-affecting steps of
-    ``swap_global_set`` — without touching any amplitude data.
-    """
-
-    def __init__(
-        self,
-        num_qubits: int,
-        local_qubits: int,
-        initial_global_qubits: Iterable[int] | None = None,
-    ) -> None:
-        self.num_qubits = num_qubits
-        self.local_qubits = local_qubits
-        self.bit_of_qubit: list[int] = list(range(num_qubits))
-        if initial_global_qubits:
-            global_set = sorted({int(q) for q in initial_global_qubits})
-            if len(global_set) != num_qubits - local_qubits:
-                raise ValueError(
-                    f"initial_global_qubits must have "
-                    f"{num_qubits - local_qubits} entries, got "
-                    f"{len(global_set)}"
-                )
-            local_set = [
-                q for q in range(num_qubits) if q not in set(global_set)
-            ]
-            for bit, q in enumerate(local_set + global_set):
-                self.bit_of_qubit[q] = bit
-
-    def global_qubit_set(self) -> set[int]:
-        l = self.local_qubits
-        return {q for q, b in enumerate(self.bit_of_qubit) if b >= l}
-
-    def _qubit_at_bit(self, bit: int) -> int:
-        return self.bit_of_qubit.index(bit)
-
-    def swap_global_set(
-        self, new_global_qubits: Iterable[int]
-    ) -> list[tuple[int, int]]:
-        """Replay the layout effect of a global-to-local swap point.
-
-        Returns the staging transpositions the runtime will compose into
-        its permutation gather (empty when no data motion is needed).
-        """
-        new_global = {int(q) for q in new_global_qubits}
-        cur_global = self.global_qubit_set()
-        incoming = sorted(cur_global - new_global)
-        outgoing = sorted(new_global - cur_global)
-        q = len(incoming)
-        if q == 0:
-            return []
-        l = self.local_qubits
-        # 1. Free renumbering (mirrors _permute_global_bits).
-        staying = sorted(
-            cur_global & new_global, key=lambda qq: self.bit_of_qubit[qq]
-        )
-        new_positions = {qq: l + i for i, qq in enumerate(incoming)}
-        new_positions.update(
-            {qq: l + q + i for i, qq in enumerate(staying)}
-        )
-        for qq, bit in new_positions.items():
-            self.bit_of_qubit[qq] = bit
-        # 2. Local staging swaps.
-        transpositions: list[tuple[int, int]] = []
-        for i, qq in enumerate(outgoing):
-            target = l - q + i
-            current = self.bit_of_qubit[qq]
-            if current != target:
-                transpositions.append((current, target))
-                other = self._qubit_at_bit(target)
-                self.bit_of_qubit[qq] = target
-                self.bit_of_qubit[other] = current
-        # 4. (Step 3 moves data only.)  The bit ranges swap contents.
-        for qubit in range(self.num_qubits):
-            bit = self.bit_of_qubit[qubit]
-            if l - q <= bit < l:
-                self.bit_of_qubit[qubit] = bit + q
-            elif l <= bit < l + q:
-                self.bit_of_qubit[qubit] = bit - q
-        return transpositions
+__all__ = ["warm_plan_tables"]
 
 
 def warm_plan_tables(program) -> int:
-    """Warm every kernel table *program*'s execution will look up.
-
-    Walks the plan ops with a :class:`PlanLayout` shadow, warming gather
-    tables for indexed/fused dense ops and phase factors for diagonal
-    ops through the counter-neutral ``GATHER_CACHE.warm_*`` paths.
-    Returns the number of entries warmed (already-cached keys count as
-    zero).  Factors are warmed at complex128 — a single-precision state
-    keys differently and simply misses the warm, which is harmless.
-    """
-    schedule = program.schedule
-    layout = PlanLayout(
-        schedule.num_qubits,
-        schedule.local_qubits,
-        schedule.initial_global_qubits,
-    )
-    n = schedule.local_qubits
-    warmed = 0
-    for op in program.ops:
-        if op.exec_kind == "swap":
-            transpositions = layout.swap_global_set(
-                op.source_op.new_global_qubits
-            )
-            if transpositions:
-                perm_bits = list(range(n))
-                for bit_a, bit_b in transpositions:
-                    perm_bits[bit_a], perm_bits[bit_b] = (
-                        perm_bits[bit_b], perm_bits[bit_a],
-                    )
-                if not GATHER_CACHE.warm_bit_permutation(n, perm_bits):
-                    warmed += 1
-            continue
-        if not op.qubits:
-            continue
-        bits = [layout.bit_of_qubit[q] for q in op.qubits]
-        if any(b >= n for b in bits):
-            continue  # global diagonal / passthrough: rank-conditional
-        if op.exec_kind in ("kernel", "fused_kernel"):
-            if op.strategy in ("indexed", "fused"):
-                # Column-major tables feed both the batched multi-rank
-                # sweep and the per-rank traced path; the inverse
-                # permutation covers the single-block write-back.
-                if not GATHER_CACHE.warm_gather_tables_t(
-                    n, bits, op.chunk_size
-                ):
-                    warmed += 1
-                if not GATHER_CACHE.warm_gather_inverse(
-                    n, bits, op.chunk_size
-                ):
-                    warmed += 1
-        elif op.exec_kind in ("diagonal", "fused_diagonal"):
-            diag = np.asarray(op.diag, dtype=np.complex128)
-            if not GATHER_CACHE.warm_diagonal_factor(n, bits, diag):
-                warmed += 1
-    return warmed
+    """Number of cache entries warmed for *program*: always 0."""
+    return 0

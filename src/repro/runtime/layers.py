@@ -133,7 +133,7 @@ class TracingLayer(RuntimeLayer):
 
     def on_run_start(self, ctx) -> None:
         if ctx.from_plan and not self._cache_bound:
-            # Mirror the shared gather-table cache counters into the
+            # Mirror the shared kernel cache's counters into the
             # bundle's metrics for the duration of the run.
             GATHER_CACHE.bind_metrics(self.telemetry.metrics)
             self._cache_bound = True

@@ -1,43 +1,32 @@
-"""Pipelined compute/comm/I-O overlap as a composable runtime layer.
+"""Pipelined compute/I-O overlap as a composable runtime layer.
 
 qHiPSTER's canonical trick (PAPERS.md, arXiv:1601.07195) is to overlap
 communication with computation via double buffering.  The engine-side
-half lives here: while the main thread runs the current unit's kernel,
-:class:`PipelineLayer` looks *ahead* over the engine's ``ExecUnit``
-stream and uses one background worker to
+half lives here: :class:`PipelineLayer` arms the state's
+:class:`~repro.distributed.ShardStorage` with one background worker so
+that, while the main thread runs kernels, shard syncs become scheduled
+background fsyncs, upcoming shards are read ahead, and block exchanges
+double-buffer (the storage-side half — see ``repro.distributed.storage``).
 
-* warm the next ops' gather-index tables and diagonal factor tensors
-  into :data:`~repro.kernels.tables.GATHER_CACHE` (through the cache's
-  counter-neutral ``warm_*`` twins, so ``plan.cache.*`` metrics stay
-  bit-identical with and without pipelining);
-* arm the state's :class:`~repro.distributed.ShardStorage` so shard
-  syncs become scheduled background fsyncs, upcoming shards are read
-  ahead, and block exchanges double-buffer (the storage-side half — see
-  ``repro.distributed.storage``).
+There is no compute-side prefetch: the dense kernel
+(:class:`repro.kernels.DenseSweep`) derives its addresses from bit
+positions per op, so no table of a later op can be built ahead of time.
 
-Lookahead stops at the first swap unit: a swap rewrites the
-qubit-to-bit layout, so table keys beyond it are unknowable until it
-runs.  Everything the layer does is pure warm-up — no byte of state, no
+Everything the layer does moves I/O in time — no byte of state, no
 span, no trace event changes — which is why
 ``ExecutionTrace.signature()`` parity with a serial run is exact.
 
-Exposed metrics: ``pipeline.depth`` (gauge), ``pipeline.prefetch.hits``
-/ ``pipeline.prefetch.misses`` / ``pipeline.prefetch.errors``
-(counters), ``pipeline.stall.seconds`` (histogram: time spent waiting
-for a prefetch that was issued but had not finished).  With a
-:class:`~repro.telemetry.recorder.FlightRecorder` attached, every
-issued/hit/stall becomes a ``kind="pipeline"`` ring event so ``repro
-top`` postmortems show where overlap broke down.
+Exposed metric: ``pipeline.depth`` (gauge).  With a
+:class:`~repro.telemetry.recorder.FlightRecorder` attached, arming and
+finalizing become ``kind="pipeline"`` ring events; the overlap evidence
+itself (background syncs, read-aheads, prefetched exchange pairs) is in
+the storage's ``io_stats``.
 """
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-
-from repro.kernels.tables import GATHER_CACHE
 from repro.runtime.layers import RuntimeLayer
 from repro.util.executors import register_executor, unregister_executor
 
@@ -45,14 +34,13 @@ __all__ = ["PipelineLayer"]
 
 
 class PipelineLayer(RuntimeLayer):
-    """Lookahead prefetch + storage pipelining for the canonical loop.
+    """Storage pipelining for the canonical loop.
 
     Parameters
     ----------
     depth:
-        How many units past the current one to prefetch (and how many
-        shards the storage reads ahead).  Depth 1 is classic double
-        buffering.
+        How many shards the storage reads ahead.  Depth 1 is classic
+        double buffering.
     recorder / trace_id:
         Optional :class:`~repro.telemetry.recorder.FlightRecorder` ring
         (plus trace id) receiving ``kind="pipeline"`` events.
@@ -76,16 +64,6 @@ class PipelineLayer(RuntimeLayer):
         self.trace_id = trace_id
         self._executor: ThreadPoolExecutor | None = None
         self._storage = None
-        #: unit index -> in-flight warm future.
-        self._inflight: dict[int, object] = {}
-        #: unit indexes a warm was ever issued for (this pass).
-        self._issued: set[int] = set()
-        self.hits = 0
-        self.misses = 0
-        self.stalls = 0
-        self.errors = 0
-        self.issued = 0
-        self.stall_seconds = 0.0
 
     # ------------------------------------------------------------------
     def _record(self, event: str, **fields) -> None:
@@ -96,16 +74,8 @@ class PipelineLayer(RuntimeLayer):
         self.recorder.record("pipeline", event=event, **fields)
 
     def stats(self) -> dict:
-        """Counter snapshot (the pipeline bench's overlap evidence)."""
-        return {
-            "depth": self.depth,
-            "issued": self.issued,
-            "hits": self.hits,
-            "misses": self.misses,
-            "stalls": self.stalls,
-            "errors": self.errors,
-            "stall_seconds": self.stall_seconds,
-        }
+        """Configuration snapshot; overlap counters live in ``io_stats``."""
+        return {"depth": self.depth}
 
     # ------------------------------------------------------------------
     def on_run_start(self, ctx) -> None:
@@ -114,8 +84,6 @@ class PipelineLayer(RuntimeLayer):
                 max_workers=1, thread_name_prefix="repro-pipeline"
             )
             register_executor(self._executor)
-        self._inflight.clear()
-        self._issued.clear()
         storage = getattr(ctx.state, "storage", None)
         if storage is not self._storage and self._storage is not None:
             self._storage.disarm_pipeline()
@@ -126,157 +94,6 @@ class PipelineLayer(RuntimeLayer):
         ctx.metrics.gauge("pipeline.depth").set(self.depth)
         self._record("armed", depth=self.depth)
 
-    def before_op(self, ctx, unit) -> None:
-        self._resolve(ctx, unit)
-        self._issue_lookahead(ctx, unit)
-
-    def _resolve(self, ctx, unit) -> None:
-        """Account for this unit's own prefetch before it runs."""
-        future = self._inflight.pop(unit.index, None)
-        if future is None:
-            if unit.index in self._issued:
-                # Issued and already drained in a previous resolve —
-                # cannot happen with pop(), kept for symmetry.
-                return
-            if not unit.is_swap and self._warm_task(ctx.state, unit) is not None:
-                self.misses += 1
-                ctx.metrics.counter("pipeline.prefetch.misses").inc()
-            return
-        if not future.done():
-            start = time.perf_counter()
-            waited = self._await(future)
-            stall = time.perf_counter() - start
-            self.stalls += 1
-            self.stall_seconds += stall
-            ctx.metrics.histogram("pipeline.stall.seconds").observe(stall)
-            self._record(
-                "stall", op_index=unit.op_index, seconds=stall, ok=waited
-            )
-            return
-        if self._await(future):
-            self.hits += 1
-            ctx.metrics.counter("pipeline.prefetch.hits").inc()
-            self._record("hit", op_index=unit.op_index)
-
-    def _await(self, future) -> bool:
-        """Wait a future out; prefetch failures never fail the run."""
-        try:
-            future.result()
-            return True
-        except Exception:
-            self.errors += 1
-            return False
-
-    def _issue_lookahead(self, ctx, unit) -> None:
-        units = ctx.units
-        horizon = min(unit.index + 1 + self.depth, len(units))
-        for j in range(unit.index + 1, horizon):
-            ahead = units[j]
-            if ahead.is_swap:
-                # The swap rewrites the qubit-to-bit layout: any table
-                # key computed past it would be speculative.
-                break
-            if ahead.index in self._issued:
-                continue
-            task = self._warm_task(ctx.state, ahead)
-            if task is None:
-                continue
-            self._issued.add(ahead.index)
-            self._inflight[ahead.index] = self._executor.submit(task)
-            self.issued += 1
-            self._record("issued", op_index=ahead.op_index, ahead=j - unit.index)
-
-    # ------------------------------------------------------------------
-    def _warm_task(self, state, unit):
-        """A zero-argument warm-up callable for *unit*, or ``None``.
-
-        Table keys are computed *here*, on the main thread, from the
-        current layout — the background task only builds.
-        """
-        bit_of_qubit = getattr(state, "bit_of_qubit", None)
-        if bit_of_qubit is None:
-            return None
-        plan_op = unit.plan_op
-        if plan_op is not None:
-            return self._warm_task_plan(state, plan_op, bit_of_qubit)
-        return self._warm_task_raw(state, unit, bit_of_qubit)
-
-    def _warm_task_plan(self, state, plan_op, bit_of_qubit):
-        kind = plan_op.exec_kind
-        if kind in ("kernel", "fused_kernel"):
-            if plan_op.strategy in ("indexed", "fused"):
-                # A fused group's batched kernel gathers through the same
-                # table family as a plain indexed kernel over the union.
-                bits = [bit_of_qubit[q] for q in plan_op.qubits]
-                if any(b >= state.local_qubits for b in bits):
-                    return None
-                n, chunk = state.local_qubits, plan_op.chunk_size
-
-                def warm_kernel():
-                    GATHER_CACHE.warm_gather_tables_t(n, bits, chunk)
-                    GATHER_CACHE.warm_gather_inverse(n, bits, chunk)
-
-                return warm_kernel
-            if plan_op.strategy == "diagonal":
-                return self._diag_warm(state, plan_op.qubits, plan_op.diag,
-                                       bit_of_qubit)
-            return None
-        if kind in ("diagonal", "fused_diagonal"):
-            return self._diag_warm(state, plan_op.qubits, plan_op.diag,
-                                   bit_of_qubit)
-        return None  # swap / passthrough: delegated verbatim, no tables
-
-    def _warm_task_raw(self, state, unit, bit_of_qubit):
-        op = getattr(unit.run, "__self__", None)
-        gate = getattr(op, "gate", None)  # GateOp
-        if gate is None:
-            gates = getattr(op, "gates", None)  # ClusterOp
-            if gates is None:
-                return None
-            qubits = op.qubits
-            bits = [bit_of_qubit[q] for q in qubits]
-            if any(b >= state.local_qubits for b in bits):
-                return None
-            if len(bits) > 6:
-                return None  # reference strategy: no gather tables
-            n, chunk = state.local_qubits, state.chunk_size
-
-            def warm_cluster():
-                fused = op.fused  # builds (and memoizes) the unitary
-                if fused.is_diagonal:
-                    diag = np.asarray(
-                        np.diagonal(fused.matrix), dtype=state.storage.dtype
-                    )
-                    GATHER_CACHE.warm_diagonal_factor(n, bits, diag)
-                else:
-                    GATHER_CACHE.warm_gather_tables_t(n, bits, chunk)
-                    GATHER_CACHE.warm_gather_inverse(n, bits, chunk)
-
-            return warm_cluster
-        if gate.is_diagonal:
-            return self._diag_warm(
-                state, gate.qubits, np.diagonal(gate.matrix), bit_of_qubit
-            )
-        return None  # monomial specialization: no tables
-
-    @staticmethod
-    def _diag_warm(state, qubits, diag, bit_of_qubit):
-        bits = [bit_of_qubit[q] for q in qubits]
-        if any(b >= state.local_qubits for b in bits):
-            return None  # global diagonal: rank-conditional sub-diagonals
-        # Mirror the kernel's cast: the cache key includes dtype + bytes.
-        diag = np.asarray(diag, dtype=state.storage.dtype)
-        n = state.local_qubits
-        return lambda: GATHER_CACHE.warm_diagonal_factor(n, bits, diag)
-
-    # ------------------------------------------------------------------
-    def on_failure(self, ctx, exc: BaseException) -> None:
-        # A restart pass re-resolves everything; drop stale futures.
-        for future in self._inflight.values():
-            future.cancel()
-        self._inflight.clear()
-        self._issued.clear()
-
     def on_run_end(self, ctx) -> None:
         if self._storage is not None:
             # Run-boundary durability: everything the serial path would
@@ -284,10 +101,6 @@ class PipelineLayer(RuntimeLayer):
             self._storage.drain()
 
     def finalize(self, ctx) -> None:
-        for future in self._inflight.values():
-            future.cancel()
-        self._inflight.clear()
-        self._issued.clear()
         if self._storage is not None:
             self._storage.disarm_pipeline()
             self._storage = None

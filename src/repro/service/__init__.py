@@ -16,7 +16,7 @@ and compiled :class:`~repro.plan.CompiledProgram`\\ s between requests
 keyed on :meth:`Circuit.content_hash() <repro.circuit.Circuit.content_hash>`,
 a :class:`ResultCache` returns finished results without re-execution,
 and the process-wide :data:`~repro.kernels.GATHER_CACHE` (now
-thread-safe) serves gather tables to every worker thread.  Per-tenant
+thread-safe) serves diagonal factors to every worker thread.  Per-tenant
 SLO metrics (``service.jobs.completed{tenant=}``, queue-wait
 histograms, admission rejections) ride the existing
 :mod:`repro.telemetry` registry.

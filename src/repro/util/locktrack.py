@@ -3,7 +3,7 @@
 The static lock-order rule (:mod:`repro.staticcheck.lint.rules.lock_order`)
 derives the *possible* lock-acquisition graph from nested ``with`` blocks;
 this module records the graph a process *actually* walked.  Every shared
-lock in the concurrent layer (the service caches, the gather-table cache,
+lock in the concurrent layer (the service caches, the kernel cache,
 ``plan_for``'s compile lock) is a :class:`TrackedLock` — a named wrapper
 around a :class:`threading.Lock`/:class:`threading.RLock` that, when the
 process-wide :data:`LOCK_TRACKER` is enabled, records

@@ -75,6 +75,34 @@ class TestShardStorage:
         for r in range(4):
             assert np.allclose(np.asarray(st.get(r)), originals[r])
 
+    @pytest.mark.parametrize("stage_bytes", [1 << 6, 1 << 11, 1 << 20])
+    @pytest.mark.parametrize("swap_qubits", [1, 3, 5])
+    def test_in_memory_exchange_tiling(
+        self, monkeypatch, swap_qubits, stage_bytes
+    ):
+        """Every tile size (one block, several tiles, one tile) moves
+        rank s's block b to rank b's block s, in place."""
+        from repro.distributed import storage as storage_module
+
+        monkeypatch.setattr(
+            storage_module, "_EXCHANGE_STAGE_BYTES", stage_bytes
+        )
+        ranks, size, group = 64, 32, 1 << swap_qubits
+        block = size // group
+        st = InMemoryShards(ranks, size)
+        for r in range(ranks):
+            st.get(r)[:] = np.arange(size) + 1j * r
+        arrays = [st.get(r) for r in range(ranks)]
+        st.exchange_blocks(swap_qubits)
+        for r in range(ranks):
+            base, b = r - r % group, r % group
+            assert st.get(r) is arrays[r]
+            for s in range(group):
+                assert np.array_equal(
+                    st.get(r)[s * block:(s + 1) * block],
+                    np.arange(b * block, (b + 1) * block) + 1j * (base + s),
+                ), (r, s)
+
     def test_exchange_too_many_qubits(self, storage_factory):
         with pytest.raises(ValueError):
             storage_factory(num_shards=4).exchange_blocks(3)

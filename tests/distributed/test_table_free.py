@@ -1,0 +1,115 @@
+"""The distributed state's table-free paths.
+
+* traced (per-rank spans) and untraced runs execute the *same* per-shard
+  kernel, so every op leaves bit-identical shards either way;
+* the staging swap's single transposed copy equals the chain of SWAP
+  kernels it replaces, bit for bit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.circuit import generate_supremacy_circuit
+from repro.distributed import DistributedState
+from repro.distributed.checkpoint import CheckpointManager
+from repro.gates import random_unitary
+from repro.plan import plan_for
+from repro.plan.executor import _run_op
+from repro.scheduling import SchedulerConfig, schedule_circuit
+from repro.telemetry import Telemetry
+from repro.util.rng import random_statevector
+
+
+def _shards(state) -> list[np.ndarray]:
+    return [state.storage.get(r).copy() for r in range(state.num_ranks)]
+
+
+def _same_shards(a, b) -> bool:
+    return all(np.array_equal(x, y) for x, y in zip(_shards(a), _shards(b)))
+
+
+def _random_state(n, l, seed, **kwargs) -> DistributedState:
+    state = DistributedState(n, l, **kwargs)
+    amps = random_statevector(n, seed)
+    for r in range(state.num_ranks):
+        state.storage.get(r)[:] = amps[r << l:(r + 1) << l]
+    return state
+
+
+class TestTracedEqualsUntraced:
+    @pytest.mark.parametrize(
+        "bits", [(0, 1, 2), (9, 3, 7, 1), (8, 9), (5,), (2, 4, 5, 8, 0, 9)]
+    )
+    def test_dense_op_bit_identical(self, bits):
+        n, l = 13, 10
+        u = random_unitary(len(bits), 1)
+        plain = _random_state(n, l, 4)
+        traced = _random_state(n, l, 4, telemetry=Telemetry.enabled(per_rank=True))
+        for state in (plain, traced):
+            state._apply_local(u, bits, diagonal=False, chunk_size=16)
+        assert _same_shards(plain, traced)
+
+    def test_diagonal_op_bit_identical(self):
+        n, l = 13, 10
+        diag = np.exp(1j * np.linspace(0, 3, 4))
+        plain = _random_state(n, l, 5)
+        traced = _random_state(n, l, 5, telemetry=Telemetry.enabled(per_rank=True))
+        for state in (plain, traced):
+            state._apply_local(None, (2, 7), diagonal=True, diag=diag)
+        assert _same_shards(plain, traced)
+
+    @pytest.mark.parametrize("seed", [0, 3, 8])
+    def test_every_plan_op_bit_identical(self, seed):
+        """Per-rank traced vs all-ranks untraced, compared after each op."""
+        circuit = generate_supremacy_circuit(12, 12, seed=seed)
+        schedule = schedule_circuit(
+            circuit, SchedulerConfig(local_qubits=8, kmax=4, seed=seed + 1)
+        )
+        plain = CheckpointManager.initial_state_for(schedule)
+        traced = CheckpointManager.initial_state_for(schedule)
+        traced.use_telemetry(Telemetry.enabled(per_rank=True))
+        for index, op in enumerate(plan_for(schedule).ops):
+            _run_op(op, plain)
+            _run_op(op, traced)
+            assert _same_shards(plain, traced), (index, op.exec_kind)
+
+
+class TestLocalBitPermutation:
+    @pytest.mark.parametrize(
+        "transpositions",
+        [
+            [(1, 2)],
+            [(0, 7)],
+            [(2, 5), (3, 6), (4, 7), (2, 8), (3, 9), (2, 8)],
+            [(0, 2), (0, 4)],
+            [(3, 6), (4, 7), (5, 8), (6, 9)],
+            [(1, 2), (1, 2)],
+        ],
+        ids=str,
+    )
+    def test_equals_chain_of_swap_kernels(self, transpositions):
+        n, l = 12, 10
+        composed = _random_state(n, l, 2)
+        chained = _random_state(n, l, 2)
+        composed._apply_local_bit_permutation(transpositions)
+        for bit_a, bit_b in transpositions:
+            chained._swap_local_bits(bit_a, bit_b)
+        assert _same_shards(composed, chained)
+        assert composed.stats.local_swap_kernels == chained.stats.local_swap_kernels
+
+    def test_random_chains(self):
+        rng = np.random.default_rng(0)
+        n, l = 11, 9
+        for trial in range(10):
+            transpositions = []
+            for _ in range(int(rng.integers(1, 7))):
+                a, b = (int(x) for x in rng.choice(l, size=2, replace=False))
+                transpositions.append((a, b))
+            composed = _random_state(n, l, trial)
+            chained = _random_state(n, l, trial)
+            composed._apply_local_bit_permutation(transpositions)
+            for bit_a, bit_b in transpositions:
+                chained._swap_local_bits(bit_a, bit_b)
+            assert _same_shards(composed, chained), transpositions

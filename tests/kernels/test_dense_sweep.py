@@ -1,0 +1,199 @@
+"""Property tests for the table-free dense sweep (``DenseSweep``).
+
+Both address schemes of the sweep — strided slabs (including slabs with
+runs of one or two amplitudes) and the periodic window with its
+bottom-contiguous shortcut — are checked against the
+explicit-loop oracle (small n) and the tensordot kernel (n <= 16), over
+gate widths 1..8, every blocking regime, both complex dtypes, a memmap
+shard and non-sorted qubit orders.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.gates import random_unitary
+from repro.kernels import (
+    DenseSweep,
+    apply_gate_indexed,
+    apply_gate_naive,
+    apply_gate_reference,
+)
+from repro.kernels.apply import _WINDOW_MAX_BITS, _window_index
+from repro.util.rng import random_statevector
+
+N = 16
+
+#: Representatives of every position class at n = 16: gates whose highest
+#: target is below bit 12 go through the window, the others through slabs.
+POSITION_CLASSES = {
+    "bottom-contiguous": (0, 1, 2, 3),
+    "bottom-contiguous-unsorted": (2, 0, 3, 1),
+    "all-high": (9, 12, 13, 15),
+    "all-high-unsorted": (13, 9, 15, 12),
+    "low-scattered": (2, 4, 5, 8),
+    "low-scattered-unsorted": (8, 2, 5, 4),
+    "mixed-low-high": (1, 2, 13, 14),
+    "mixed-low-high-unsorted": (14, 1, 13, 2),
+    "mixed-bit0-high": (14, 15, 0),
+    "window-absorbs-mid": (3, 8, 9, 6, 1),
+    "top-bit": (15,),
+    "bit-0": (0,),
+    "mid-bit": (5,),
+    "window-edge": (1, 3, 5, 6, 11),
+    "just-above-window": (1, 3, 5, 6, 12),
+    "adjacent-high": (7, 8),
+}
+
+
+def _chunks(n: int, k: int) -> list[int | None]:
+    total = 1 << (n - k)
+    return [1, 3, max(1, total // 2 - 1), total, 4 * total, None]
+
+
+def _random_state(n: int, seed: int, dtype=np.complex128) -> np.ndarray:
+    return random_statevector(n, seed).astype(dtype)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("name", POSITION_CLASSES)
+    def test_position_classes_all_blockings(self, name):
+        qubits = POSITION_CLASSES[name]
+        u = random_unitary(len(qubits), 7)
+        s0 = _random_state(N, 3)
+        expected = s0.copy()
+        apply_gate_reference(expected, u, qubits)
+        for chunk in _chunks(N, len(qubits)):
+            out = s0.copy()
+            apply_gate_indexed(out, u, qubits, chunk_size=chunk)
+            assert np.allclose(out, expected, atol=1e-12), (name, chunk)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_every_width(self, k):
+        rng = np.random.default_rng(k)
+        for trial in range(4):
+            qubits = tuple(int(q) for q in rng.permutation(N)[:k])
+            u = random_unitary(k, rng)
+            s0 = _random_state(N, trial)
+            expected = s0.copy()
+            apply_gate_reference(expected, u, qubits)
+            out = s0.copy()
+            apply_gate_indexed(out, u, qubits, chunk_size=64)
+            assert np.allclose(out, expected, atol=1e-12), qubits
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_gate_on_every_qubit(self, n):
+        """k = n: the c index is empty; one matrix-vector product."""
+        for qubits in (tuple(range(n)), tuple(reversed(range(n)))):
+            u = random_unitary(n, n)
+            s0 = _random_state(n, 1)
+            expected = s0.copy()
+            apply_gate_reference(expected, u, qubits)
+            for chunk in (1, None):
+                out = s0.copy()
+                apply_gate_indexed(out, u, qubits, chunk_size=chunk)
+                assert np.allclose(out, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("name", POSITION_CLASSES)
+    def test_complex64(self, name):
+        qubits = POSITION_CLASSES[name]
+        u = random_unitary(len(qubits), 2)
+        s0 = _random_state(N, 5, np.complex64)
+        expected = s0.astype(np.complex128)
+        apply_gate_reference(expected, u, qubits)
+        out = s0.copy()
+        apply_gate_indexed(out, u, qubits, chunk_size=256)
+        assert out.dtype == np.complex64
+        assert np.allclose(out, expected, atol=1e-5)
+
+    @pytest.mark.parametrize(
+        "name", ["all-high", "low-scattered", "mixed-low-high", "bottom-contiguous"]
+    )
+    def test_memmap_shard(self, name, tmp_path):
+        qubits = POSITION_CLASSES[name]
+        u = random_unitary(len(qubits), 4)
+        s0 = _random_state(N, 9)
+        expected = s0.copy()
+        apply_gate_reference(expected, u, qubits)
+        path = tmp_path / "shard.bin"
+        shard = np.memmap(path, dtype=np.complex128, mode="w+", shape=(1 << N,))
+        shard[:] = s0
+        apply_gate_indexed(shard, u, qubits, chunk_size=128)
+        shard.flush()
+        on_disk = np.fromfile(path, dtype=np.complex128)
+        assert np.allclose(on_disk, expected, atol=1e-12)
+
+
+@st.composite
+def _small_cases(draw):
+    n = draw(st.integers(1, 10))
+    k = draw(st.integers(1, min(3, n)))
+    qubits = tuple(draw(st.permutations(range(n)))[:k])
+    chunk = draw(st.sampled_from([1, 3, 5, 1 << n, None]))
+    seed = draw(st.integers(0, 10_000))
+    return n, qubits, chunk, seed
+
+
+class TestAgainstNaive:
+    @settings(max_examples=40, deadline=None)
+    @given(_small_cases())
+    def test_matches_explicit_loop(self, case):
+        n, qubits, chunk, seed = case
+        u = random_unitary(len(qubits), seed)
+        s0 = _random_state(n, seed)
+        oracle = s0.copy()
+        apply_gate_naive(oracle, u, qubits)
+        out = s0.copy()
+        apply_gate_indexed(out, u, qubits, chunk_size=chunk)
+        assert np.allclose(out, oracle, atol=1e-10)
+
+
+class TestDescriptor:
+    def test_one_descriptor_serves_many_shards(self):
+        qubits = (1, 2, 13, 14)
+        u = random_unitary(4, 0)
+        run = DenseSweep(N, u, qubits, np.complex128, 256).bind()
+        for seed in range(3):
+            s0 = _random_state(N, seed)
+            once = s0.copy()
+            apply_gate_indexed(once, u, qubits, chunk_size=256)
+            assert np.array_equal(run(s0.copy()), once)
+
+    def test_block_ranges_partition_the_sweep(self):
+        qubits = (9, 12, 13, 15)
+        u = random_unitary(4, 1)
+        sweep = DenseSweep(N, u, qubits, np.complex128, 64)
+        assert sweep.num_blocks == (1 << (N - 4)) // 64
+        s0 = _random_state(N, 2)
+        whole = sweep.apply(s0.copy())
+        pieces = s0.copy()
+        half = sweep.num_blocks // 2
+        sweep.apply(pieces, half, None)
+        sweep.apply(pieces, 0, half)
+        assert np.array_equal(pieces, whole)
+
+    def test_window_index_is_a_small_permutation(self):
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            w = int(rng.integers(1, _WINDOW_MAX_BITS + 1))
+            k = int(rng.integers(1, min(8, w) + 1))
+            pos = sorted(int(q) for q in rng.permutation(w)[:k])
+            index = _window_index(pos, w)
+            assert index.shape == (1 << w,)
+            assert np.array_equal(np.sort(index), np.arange(1 << w))
+            # Row c of the gathered window holds the 2**k amplitudes whose
+            # non-target bits spell c, target bits counting up.
+            rows = index.reshape(-1, 1 << k)
+            mask = sum(1 << p for p in pos)
+            assert np.all((rows & ~mask) == (rows[:, :1] & ~mask))
+
+    def test_matrix_shape_validated(self):
+        with pytest.raises(ValueError, match="does not act on"):
+            DenseSweep(6, np.eye(4), (1,), np.complex128)
+
+    def test_qubits_validated(self):
+        with pytest.raises(ValueError, match="out of range"):
+            DenseSweep(3, np.eye(2), (3,), np.complex128)

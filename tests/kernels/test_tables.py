@@ -1,52 +1,50 @@
-"""Tests for the memoized gather-table / diagonal-factor cache."""
+"""Tests for the memoized diagonal-factor / lift-table cache."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.kernels import GatherTableCache, apply_gate_indexed
-from repro.kernels.tables import _build_gather_table
+from repro.kernels import GATHER_CACHE, GatherTableCache, apply_gate_indexed
 from repro.telemetry import MetricsRegistry
+from repro.util.bits import extract_bits
 
 
-class TestGatherTables:
-    def test_tables_match_uncached_build(self):
+def _lift(cache: GatherTableCache, bit: int) -> np.ndarray:
+    """One distinct cache key per *bit* (a 2**6-entry lift table)."""
+    return cache.lift_index_table(6, (bit,))
+
+
+class TestLiftTables:
+    def test_table_matches_bit_extraction(self):
         cache = GatherTableCache()
-        (table,) = cache.gather_tables(6, (1, 4), None)
-        expected = _build_gather_table(6, (1, 4), 0, 1 << 4)
+        table = cache.lift_index_table(6, (1, 4))
+        expected = extract_bits(np.arange(1 << 6, dtype=np.int64), (1, 4))
         assert np.array_equal(table, expected)
-
-    def test_chunking_covers_full_c_range(self):
-        cache = GatherTableCache()
-        tables = cache.gather_tables(8, (0, 3), 16)
-        assert len(tables) == (1 << 6) // 16
-        joined = np.concatenate(tables, axis=1)
-        assert np.array_equal(joined, _build_gather_table(8, (0, 3), 0, 1 << 6))
 
     def test_hit_and_miss_counters(self):
         cache = GatherTableCache()
-        cache.gather_tables(6, (2,), None)
+        _lift(cache, 2)
         assert (cache.hits, cache.misses) == (0, 1)
-        cache.gather_tables(6, (2,), None)
+        _lift(cache, 2)
         assert (cache.hits, cache.misses) == (1, 1)
         assert cache.hit_rate == 0.5
         # A different key misses again.
-        cache.gather_tables(6, (3,), None)
+        _lift(cache, 3)
         assert cache.misses == 2
 
     def test_returned_tables_are_read_only(self):
         cache = GatherTableCache()
-        (table,) = cache.gather_tables(6, (1,), None)
+        table = _lift(cache, 1)
         with pytest.raises(ValueError):
-            table[0, 0] = 99
+            table[0] = 99
 
     def test_bytes_accounting(self):
         cache = GatherTableCache()
-        (table,) = cache.gather_tables(6, (1,), None)
+        table = _lift(cache, 1)
         assert cache.bytes_cached == table.nbytes
         assert cache.bytes_saved == 0
-        cache.gather_tables(6, (1,), None)
+        _lift(cache, 1)
         assert cache.bytes_saved == table.nbytes
 
 
@@ -71,21 +69,21 @@ class TestDiagonalFactor:
 class TestLRUEviction:
     def test_evicts_least_recently_used(self):
         cache = GatherTableCache(capacity=2)
-        cache.gather_tables(6, (0,), None)
-        cache.gather_tables(6, (1,), None)
-        cache.gather_tables(6, (0,), None)  # refresh (0,)
-        cache.gather_tables(6, (2,), None)  # evicts (1,)
+        _lift(cache, 0)
+        _lift(cache, 1)
+        _lift(cache, 0)  # refresh 0
+        _lift(cache, 2)  # evicts 1
         assert len(cache) == 2
         misses = cache.misses
-        cache.gather_tables(6, (0,), None)  # still cached
+        _lift(cache, 0)  # still cached
         assert cache.misses == misses
-        cache.gather_tables(6, (1,), None)  # was evicted -> rebuild
+        _lift(cache, 1)  # was evicted -> rebuild
         assert cache.misses == misses + 1
 
     def test_bytes_cached_shrinks_on_eviction(self):
         cache = GatherTableCache(capacity=1)
-        cache.gather_tables(6, (0,), None)
-        (second,) = cache.gather_tables(8, (0, 1), None)
+        _lift(cache, 0)
+        second = cache.lift_index_table(8, (0, 1))
         assert len(cache) == 1
         assert cache.bytes_cached == second.nbytes
 
@@ -99,8 +97,8 @@ class TestMetricsMirroring:
         cache = GatherTableCache()
         registry = MetricsRegistry(enabled=True)
         cache.bind_metrics(registry)
-        cache.gather_tables(6, (1,), None)
-        cache.gather_tables(6, (1,), None)
+        _lift(cache, 1)
+        _lift(cache, 1)
         snap = registry.snapshot()
         assert snap["plan.cache.misses"] == 1
         assert snap["plan.cache.hits"] == 1
@@ -109,7 +107,7 @@ class TestMetricsMirroring:
     def test_disabled_registry_is_ignored(self):
         cache = GatherTableCache()
         cache.bind_metrics(MetricsRegistry(enabled=False))
-        cache.gather_tables(6, (1,), None)  # must not raise / record
+        _lift(cache, 1)  # must not raise / record
         assert cache._metrics is None
 
     def test_unbind(self):
@@ -117,15 +115,15 @@ class TestMetricsMirroring:
         registry = MetricsRegistry(enabled=True)
         cache.bind_metrics(registry)
         cache.bind_metrics(None)
-        cache.gather_tables(6, (1,), None)
+        _lift(cache, 1)
         assert "plan.cache.misses" not in registry.snapshot()
 
 
 class TestClear:
     def test_clear_resets_everything(self):
         cache = GatherTableCache()
-        cache.gather_tables(6, (1,), None)
-        cache.gather_tables(6, (1,), None)
+        _lift(cache, 1)
+        _lift(cache, 1)
         cache.clear()
         assert len(cache) == 0
         assert cache.stats() == {
@@ -139,42 +137,49 @@ class TestClear:
         }
 
 
-class TestKernelIntegration:
-    def test_private_cache_gives_identical_amplitudes(self):
+class TestDenseKernelIsTableFree:
+    """The dense sweep derives its addresses per op; nothing it uses is
+    cached, so the cache never holds anything the size of a shard."""
+
+    def test_dense_op_caches_nothing_shard_sized(self):
         rng = np.random.default_rng(0)
-        state = rng.standard_normal(1 << 8) + 1j * rng.standard_normal(1 << 8)
-        u = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        cached = state.copy()
-        cache = GatherTableCache()
-        apply_gate_indexed(cached, u, (1, 6), chunk_size=8, cache=cache)
-        uncached = state.copy()
-        apply_gate_indexed(uncached, u, (1, 6), chunk_size=8, cache=None)
-        assert np.array_equal(cached, uncached)
-        assert cache.misses == 1
-        # Re-applying the same shape hits.
-        apply_gate_indexed(cached, u, (1, 6), chunk_size=8, cache=cache)
-        assert cache.hits >= 1
+        n = 20
+        state = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+        u = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        GATHER_CACHE.clear()
+        for qubits in [(0, 1, 2, 3), (2, 4, 5, 8), (9, 12, 13, 17), (1, 2, 16, 17)]:
+            apply_gate_indexed(state, u, qubits, chunk_size=1024)
+        assert GATHER_CACHE.stats()["bytes_cached"] < 1 << 20
+        families = {key[0] for key in GATHER_CACHE._entries}
+        assert families <= {"diag", "lift"}
+
+    def test_cache_has_no_gather_families(self):
+        for name in (
+            "gather_tables", "gather_tables_t", "gather_inverse",
+            "bit_permutation", "warm_gather_tables", "warm_diagonal_factor",
+        ):
+            assert not hasattr(GatherTableCache, name)
 
 
 class TestSetCapacity:
     def test_shrink_evicts_lru_overflow(self):
         cache = GatherTableCache(capacity=4)
         for q in range(4):
-            cache.gather_tables(6, (q,), None)
-        cache.gather_tables(6, (0,), None)  # refresh (0,)
+            _lift(cache, q)
+        _lift(cache, 0)  # refresh 0
         cache.set_capacity(2)
         assert len(cache) == 2
         assert cache.stats()["capacity"] == 2
         misses = cache.misses
-        cache.gather_tables(6, (0,), None)  # survivor
-        cache.gather_tables(6, (3,), None)  # survivor
+        _lift(cache, 0)  # survivor
+        _lift(cache, 3)  # survivor
         assert cache.misses == misses
-        cache.gather_tables(6, (1,), None)  # was evicted
+        _lift(cache, 1)  # was evicted
         assert cache.misses == misses + 1
 
     def test_grow_keeps_entries(self):
         cache = GatherTableCache(capacity=1)
-        cache.gather_tables(6, (0,), None)
+        _lift(cache, 0)
         cache.set_capacity(8)
         assert len(cache) == 1
         assert cache.capacity == 8
@@ -191,16 +196,16 @@ class TestThreadSafety:
         cache = GatherTableCache(capacity=8)
         errors = []
         barrier = threading.Barrier(8)
+        arange = np.arange(1 << 6, dtype=np.int64)
 
         def worker(seed: int) -> None:
             try:
                 barrier.wait()
                 for i in range(50):
                     q = (seed + i) % 6
-                    (table,) = cache.gather_tables(6, (q,), None)
-                    expected = _build_gather_table(6, (q,), 0, 32)
-                    if not np.array_equal(table, expected):
-                        raise AssertionError(f"corrupt table for qubit {q}")
+                    table = _lift(cache, q)
+                    if not np.array_equal(table, extract_bits(arange, (q,))):
+                        raise AssertionError(f"corrupt table for bit {q}")
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 

@@ -11,9 +11,7 @@ Covers the pass-pipeline refactor's new surface:
   schedule op;
 * monotonicity of the fusion-depth sweep;
 * pipeline / checkpoint / sanitize layer composition over fused
-  programs;
-* :class:`~repro.plan.warmup.PlanLayout` staying bit-for-bit in step
-  with the real ``DistributedState`` layout bookkeeping.
+  programs.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ import pytest
 from repro.circuit import generate_supremacy_circuit
 from repro.distributed import DistributedState
 from repro.plan import PlanConfig, compile_program, plan_for
-from repro.plan.warmup import PlanLayout
 from repro.runtime import (
     CheckpointLayer,
     ExecutionEngine,
@@ -249,21 +246,3 @@ class TestFusedComposition:
         assert len(result.trace.events) == plan_for(
             schedule, _FUSED
         ).num_source_ops
-
-
-class TestPlanLayoutParity:
-    @pytest.mark.parametrize("seed", [0, 4, 8, 15])
-    def test_layout_shadow_tracks_real_state(self, seed):
-        _, schedule = _case(seed, depth=10)
-        layout = PlanLayout(
-            schedule.num_qubits,
-            schedule.local_qubits,
-            schedule.initial_global_qubits,
-        )
-        state = _state_for(schedule)
-        assert layout.bit_of_qubit == list(state.bit_of_qubit)
-        for op in schedule.operations():
-            if hasattr(op, "new_global_qubits"):  # a SwapOp
-                layout.swap_global_set(op.new_global_qubits)
-                state.swap_global_set(op.new_global_qubits)
-                assert layout.bit_of_qubit == list(state.bit_of_qubit)

@@ -133,15 +133,15 @@ class TestExecutionCorrectness:
 
     def test_cross_rank_plan_sharing(self):
         """One CompiledProgram drives every virtual rank: the same plan
-        object executes repeatedly and reuses cached gather tables."""
+        object executes repeatedly and reuses cached phase factors."""
         _, schedule = _small_case(6)
         plan = plan_for(schedule)
         GATHER_CACHE.clear()
         s1 = _state_for(schedule)
         plan.execute(s1)
-        # Batched apply paths fetch each table once per op (every rank
-        # then sweeps the shared arrays), so the cold run records one
-        # miss per distinct table — not per-rank re-hits.
+        # Each diagonal op fetches its factor once (every rank then
+        # sweeps the shared array), so the cold run records one miss per
+        # distinct factor — not per-rank re-hits.
         cold_misses = GATHER_CACHE.misses
         s2 = _state_for(schedule)
         assert plan_for(schedule) is plan
@@ -149,7 +149,7 @@ class TestExecutionCorrectness:
         assert np.array_equal(
             s1.to_statevector().data, s2.to_statevector().data
         )
-        # Warm run: every lookup hits, no new table builds.
+        # Warm run: every lookup hits, no new factor builds.
         assert GATHER_CACHE.misses == cold_misses
 
 

@@ -1,8 +1,8 @@
 """Pipelined execution: composition, parity, metrics, cleanup.
 
-The :class:`~repro.runtime.PipelineLayer` is pure warm-up — it may move
-msync/table work in time but never change a byte of state, a span, or a
-``plan.cache.*`` counter.  These tests pin that contract against every
+The :class:`~repro.runtime.PipelineLayer` only moves storage I/O in time
+— it never changes a byte of state, a span, or a ``plan.cache.*``
+counter.  These tests pin that contract against every
 layer combination and both storage backends.
 """
 
@@ -100,7 +100,7 @@ class TestPipelineComposition:
         assert piped.trace.signature() == serial.trace.signature()
 
     def test_plan_cache_counters_unchanged(self, schedule):
-        """Warmed entries must report exactly the serial hit/miss stream."""
+        """A pipelined run reports exactly the serial hit/miss stream."""
 
         def counters(pipelined):
             GATHER_CACHE.clear()
@@ -121,8 +121,6 @@ class TestPipelineComposition:
         ExecutionEngine(schedule, layers=layers).run()
         snapshot = telemetry.metrics.snapshot()
         assert snapshot.get("pipeline.depth") == 2
-        prefetch_keys = [k for k in snapshot if k.startswith("pipeline.prefetch.")]
-        assert prefetch_keys, snapshot
 
     def test_flight_recorder_events(self, tmp_path, schedule):
         recorder = FlightRecorder(capacity=512)
@@ -133,7 +131,6 @@ class TestPipelineComposition:
         names = {e["event"] for e in events}
         assert "armed" in names
         assert "finalized" in names
-        assert "issued" in names
         assert all(e["trace_id"] == "tid-1" for e in events)
 
     def test_no_thread_leak_after_failure(self, schedule):
