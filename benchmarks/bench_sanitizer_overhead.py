@@ -14,8 +14,18 @@ import time
 
 from repro.circuit import generate_supremacy_circuit
 from repro.distributed import DistributedSimulator
+from repro.runtime import SanitizerLayer
 from repro.scheduling import SchedulerConfig, schedule_circuit
-from repro.staticcheck import SanitizerConfig, run_sanitized
+from repro.staticcheck import SanitizerConfig, ShardSanitizer
+
+
+def _sanitized(sim, sched, config=None):
+    """Op-by-op run of *sched* with the sanitizer armed: (state, report)."""
+    sanitizer = ShardSanitizer(config)
+    result = sim.run_schedule(
+        sched, use_plan=False, layers=[SanitizerLayer(sanitizer)]
+    )
+    return result.state, sanitizer.report
 
 
 def bench_sanitizer_overhead(benchmark, report_writer, bench_record):
@@ -44,7 +54,7 @@ def bench_sanitizer_overhead(benchmark, report_writer, bench_record):
     ]
     for name, config in configs.items():
         start = time.perf_counter()
-        state, report = run_sanitized(sched, config=config)
+        state, report = _sanitized(sim, sched, config)
         wall = time.perf_counter() - start
         assert report.passed, report.format()
         assert plain.state.to_statevector().allclose(
@@ -71,5 +81,5 @@ def bench_sanitizer_overhead(benchmark, report_writer, bench_record):
     )
 
     benchmark.pedantic(
-        lambda: run_sanitized(sched), rounds=1, iterations=1
+        lambda: _sanitized(sim, sched), rounds=1, iterations=1
     )

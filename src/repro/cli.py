@@ -488,14 +488,7 @@ def _cmd_simulate(args) -> int:
             )
 
             def state_factory():
-                return DistributedState(
-                    schedule.num_qubits,
-                    schedule.local_qubits,
-                    storage=storage,
-                    init=getattr(schedule, "initial_state", "zero"),
-                    initial_global_qubits=schedule.initial_global_qubits
-                    or None,
-                )
+                return DistributedState.for_schedule(schedule, storage=storage)
 
         pipeline_layers = []
         if args.pipeline:

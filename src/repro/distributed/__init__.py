@@ -3,10 +3,15 @@
 The paper runs on MPI across up to 8,192 Cori II nodes.  This environment
 has no MPI, so the layer is built over a *simulated* communicator:
 
+* :mod:`repro.distributed.layout` — :class:`QubitLayout`: the one frozen
+  value object saying which physical bit holds which logical qubit, with
+  the Sec. 3.4 swap recipe as a pure transition.
 * :mod:`repro.distributed.storage` — shard storage backends.  A "node" (MPI
-  rank) owns one shard of ``2**l`` amplitudes; shards live either in memory
-  (:class:`InMemoryShards`) or as disk files (:class:`DiskShards`, the
-  SSD-backed execution mode the paper's outlook motivates).
+  rank) owns one shard of ``2**l`` amplitudes; shards live in memory
+  (:class:`InMemoryShards`), in one shared block worked on by several
+  processes (:class:`SharedMemoryShards`), or as disk files
+  (:class:`DiskShards`, the SSD-backed execution mode the paper's outlook
+  motivates).
 * :mod:`repro.distributed.comm` — :class:`CommStats`: exact accounting of
   communication steps and bytes, the quantities Table 2 and Fig. 5 report.
 * :mod:`repro.distributed.state` — :class:`DistributedState`: the
@@ -21,9 +26,15 @@ verified bit-for-bit against the single-node simulator.
 """
 
 from repro.distributed.comm import CommStats
+from repro.distributed.layout import QubitLayout
 from repro.distributed.simulator import DistributedSimulator
 from repro.distributed.state import DistributedState, NeedsSwapError
-from repro.distributed.storage import DiskShards, InMemoryShards, ShardStorage
+from repro.distributed.storage import (
+    DiskShards,
+    InMemoryShards,
+    ShardStorage,
+    SharedMemoryShards,
+)
 
 __all__ = [
     "CommStats",
@@ -32,5 +43,7 @@ __all__ = [
     "DistributedState",
     "InMemoryShards",
     "NeedsSwapError",
+    "QubitLayout",
     "ShardStorage",
+    "SharedMemoryShards",
 ]

@@ -6,27 +6,25 @@ everything needed to resume a schedule mid-program:
 
 * the shard data (written shard-by-shard, never materialising the full
   state),
-* the layout (``bit_of_qubit``),
+* the layout (a :class:`~repro.distributed.layout.QubitLayout`),
 * the index of the next operation in the schedule's op stream,
 * the accumulated communication and kernel statistics.
 
 Periodic checkpointing during execution is a
 :class:`~repro.runtime.CheckpointLayer` on the
-:class:`~repro.runtime.ExecutionEngine`;
-:meth:`CheckpointManager.run_with_checkpoints` remains as a deprecation
-shim over that stack, and :meth:`resume` continues after a (simulated or
-real) failure.
+:class:`~repro.runtime.ExecutionEngine`; :meth:`CheckpointManager.resume`
+continues after a (simulated or real) failure.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from pathlib import Path
 
 import numpy as np
 
 from repro.distributed.comm import CommStats
+from repro.distributed.layout import QubitLayout
 from repro.distributed.state import DistributedState
 from repro.kernels.cost import KernelCostModel
 from repro.scheduling.program import Schedule
@@ -59,12 +57,7 @@ class CheckpointManager:
     @staticmethod
     def initial_state_for(schedule: Schedule) -> DistributedState:
         """The fresh state a schedule starts from (shared restart path)."""
-        return DistributedState(
-            schedule.num_qubits,
-            schedule.local_qubits,
-            init=schedule.initial_state,
-            initial_global_qubits=schedule.initial_global_qubits or None,
-        )
+        return DistributedState.for_schedule(schedule)
 
     def save(self, state: DistributedState, next_op_index: int) -> int:
         """Write a checkpoint (atomically: meta file last); returns bytes."""
@@ -77,7 +70,7 @@ class CheckpointManager:
         meta = {
             "num_qubits": state.num_qubits,
             "local_qubits": state.local_qubits,
-            "bit_of_qubit": list(state.bit_of_qubit),
+            "bit_of_qubit": list(state.layout.bit_of_qubit),
             "next_op_index": int(next_op_index),
             "stats": {
                 "alltoall_steps": state.stats.alltoall_steps,
@@ -127,7 +120,9 @@ class CheckpointManager:
         for r in range(state.num_ranks):
             shard = np.load(self.directory / f"ckpt_shard_{r:06d}.npy")
             state.storage.set(r, shard)
-        state.bit_of_qubit = list(meta["bit_of_qubit"])
+        state.layout = QubitLayout(
+            state.local_qubits, tuple(meta["bit_of_qubit"])
+        )
         stats = CommStats()
         for key, value in meta["stats"].items():
             setattr(stats, key, value)
@@ -143,47 +138,12 @@ class CheckpointManager:
         return state, int(meta["next_op_index"])
 
     # ------------------------------------------------------------------
-    def run_with_checkpoints(
-        self,
-        schedule: Schedule,
-        *,
-        every: int = 8,
-        fail_after: int | None = None,
-    ) -> DistributedState:
-        """Execute *schedule*, checkpointing every *every* operations.
-
-        .. deprecated::
-            Thin shim over :class:`repro.runtime.ExecutionEngine` with a
-            :class:`~repro.runtime.CheckpointLayer`; build that stack
-            directly.
-
-        ``fail_after`` aborts (RuntimeError) after that many operations —
-        the failure-injection hook the tests use to prove resumability.
-        """
-        warnings.warn(
-            "run_with_checkpoints is deprecated; run the schedule through "
-            "repro.runtime.ExecutionEngine with a CheckpointLayer",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        state = self.initial_state_for(schedule)
-        return self._execute(schedule, state, 0, every, fail_after)
-
     def resume(self, schedule: Schedule, *, every: int = 8) -> DistributedState:
         """Continue a checkpointed run to completion."""
-        state, next_op = self.load()
-        return self._execute(schedule, state, next_op, every, None)
-
-    def _execute(
-        self,
-        schedule: Schedule,
-        state: DistributedState,
-        start_index: int,
-        every: int,
-        fail_after: int | None,
-    ) -> DistributedState:
         from repro.runtime import CheckpointLayer, ExecutionEngine
 
-        layer = CheckpointLayer(self, every=every, fail_after=fail_after)
-        engine = ExecutionEngine(schedule, use_plan=False, layers=[layer])  # lint: allow-engine-direct
-        return engine.run(state=state, start_index=start_index).state
+        state, next_op = self.load()
+        engine = ExecutionEngine(  # lint: allow-engine-direct
+            schedule, use_plan=False, layers=[CheckpointLayer(self, every=every)]
+        )
+        return engine.run(state=state, start_index=next_op).state

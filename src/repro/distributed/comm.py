@@ -18,7 +18,6 @@ run's ``comm.*`` counters as it happens.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 __all__ = ["CommEvent", "CommStats"]
@@ -29,33 +28,13 @@ class CommEvent:
     """One communication-layer event (typed successor of the raw dicts).
 
     ``num_groups``/``group_size`` are populated for all-to-all events
-    only.  Dict-style access (``event["kind"]``) still works behind a
-    :class:`DeprecationWarning` so pre-telemetry callers keep running.
+    only.
     """
 
     kind: str  # "alltoall" | "renumber"
     bytes: int = 0
     num_groups: int | None = None
     group_size: int | None = None
-
-    def __getitem__(self, key: str):
-        warnings.warn(
-            "dict-style access to CommEvent is deprecated; use attribute "
-            f"access (event.{key})",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        try:
-            return getattr(self, key)
-        except AttributeError:
-            raise KeyError(key) from None
-
-    def get(self, key: str, default=None):
-        """Dict-compatible lookup (same deprecation shim)."""
-        try:
-            return self[key]
-        except KeyError:
-            return default
 
     def to_dict(self) -> dict:
         """Plain-dict form (the old event representation)."""

@@ -1,345 +1,72 @@
-"""Process-parallel schedule execution over shared memory.
+"""Multi-core schedule execution: the engine, SPMD, over shared memory.
 
-The in-process :class:`DistributedState` iterates over virtual ranks in
-a loop; this module runs the same program with *real* OS processes — one
-per rank, like MPI — over :mod:`multiprocessing.shared_memory`:
-
-* the state lives in one shared block (all shards contiguous) plus a
-  scratch block of equal size used as the exchange buffer;
-* every worker executes the schedule deterministically in lockstep,
-  applying kernels only to its own shard;
-* communication points (global-to-local swaps, monomial rank
-  renumberings) are two-phase: each worker publishes its shard to the
-  scratch block, a barrier, then each worker gathers its new shard —
-  exactly an all-to-all's data motion;
-* layout bookkeeping (``bit_of_qubit``) is replicated: it evolves
-  deterministically, so no control messages are needed beyond barriers.
-
-On a single-core container this demonstrates correctness and the
-communication structure; on a multi-core host the workers genuinely
-execute kernels in parallel.
+:class:`MultiprocessRunner` forks worker processes that each run the very
+same :class:`~repro.runtime.ExecutionEngine` loop over the same compiled
+plan — like MPI ranks running one binary.  What differs per worker is
+only its :class:`~repro.distributed.storage.SharedMemoryShards`
+attachment: the state lives once, in one shared block; a worker computes
+on the contiguous block of logical ranks it owns and meets its peers at
+the barrier inside the two storage collectives (rank relabeling and the
+block exchange of a global-to-local swap).  Layout, plan, fusion, kernels
+and byte accounting are the in-process ones by construction, so results
+are bit-identical to :class:`~repro.distributed.DistributedSimulator`.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
-import pickle
-from multiprocessing import shared_memory
+import os
+import threading
+from multiprocessing import connection, shared_memory
 
-import numpy as np
-
-from repro.kernels import apply_diagonal_gate, apply_gate
-from repro.scheduling.program import ClusterOp, GateOp, Schedule, SwapOp
+from repro.distributed.comm import CommStats
+from repro.distributed.simulator import DistributedSimulator
+from repro.distributed.state import DistributedState
+from repro.distributed.storage import SharedMemoryShards
+from repro.plan import plan_for
+from repro.scheduling.program import Schedule
 from repro.statevector.state import StateVector
-from repro.util.bits import extract_bits
 
 __all__ = ["MultiprocessRunner"]
 
-_DTYPE = np.complex128
+
+def _worker_count(num_ranks: int) -> int:
+    """One worker per CPU this process may use, each owning many ranks."""
+    return min(num_ranks, len(os.sched_getaffinity(0)))
 
 
-class _WorkerLayout:
-    """Replicated layout bookkeeping (mirrors DistributedState)."""
-
-    def __init__(self, num_qubits: int, local_qubits: int, initial_global) -> None:
-        self.n = num_qubits
-        self.l = local_qubits
-        self.g = num_qubits - local_qubits
-        self.bit_of_qubit = list(range(num_qubits))
-        if initial_global:
-            global_sorted = sorted(initial_global)
-            local_sorted = [q for q in range(num_qubits) if q not in set(global_sorted)]
-            for bit, q in enumerate(local_sorted + global_sorted):
-                self.bit_of_qubit[q] = bit
-        #: rank -> shard slot in the shared block.  Rank renumberings are
-        #: slot relabelings, mirroring InMemoryShards.permute_shards.
-        self.slot_of_rank = list(range(1 << self.g))
-
-    def bits(self, qubits) -> list[int]:
-        return [self.bit_of_qubit[q] for q in qubits]
-
-    def is_local(self, qubit: int) -> bool:
-        return self.bit_of_qubit[qubit] < self.l
-
-    def global_set(self) -> set[int]:
-        return {q for q in range(self.n) if not self.is_local(q)}
-
-    def qubit_at_bit(self, bit: int) -> int:
-        return self.bit_of_qubit.index(bit)
-
-
-def _worker(
-    rank: int,
-    num_qubits: int,
-    local_qubits: int,
-    state_name: str,
-    scratch_name: str,
-    program_bytes: bytes,
-    initial_global,
-    barrier,
-    error_queue,
-) -> None:
-    """Execute the whole program for one rank (lockstep with barriers)."""
+def _worker(schedule, shards, barrier, result) -> None:
+    """Initialise and run the schedule on the ranks *shards* owns."""
     try:
-        shard_size = 1 << local_qubits
-        state_shm = shared_memory.SharedMemory(name=state_name)
-        scratch_shm = shared_memory.SharedMemory(name=scratch_name)
-        full = np.ndarray((1 << num_qubits,), dtype=_DTYPE, buffer=state_shm.buf)
-        scratch = np.ndarray((1 << num_qubits,), dtype=_DTYPE, buffer=scratch_shm.buf)
-        layout = _WorkerLayout(num_qubits, local_qubits, initial_global)
-        ops = pickle.loads(program_bytes)
-
-        def my_shard() -> np.ndarray:
-            slot = layout.slot_of_rank[rank]
-            return full[slot * shard_size : (slot + 1) * shard_size]
-
-        for op in ops:
-            _execute_op(op, rank, layout, my_shard, full, scratch, shard_size, barrier)
-        state_shm.close()
-        scratch_shm.close()
-    except Exception as exc:  # surface worker failures to the coordinator
-        error_queue.put((rank, repr(exc)))
+        state = DistributedSimulator(
+            schedule.num_qubits, schedule.local_qubits, storage=shards
+        ).run_schedule(schedule).state
+        # Every worker evolved the same layout, labelling and counters;
+        # the coordinator reads worker 0's.
+        result.send((state.layout, shards.slot_of_rank, state.stats))
+    except threading.BrokenBarrierError:
+        result.send(None)  # a peer failed first and reports for itself
+        raise
+    except BaseException as exc:
+        barrier.abort()  # peers leave their waits instead of hanging
+        result.send(f"{type(exc).__name__}: {exc}")
         raise
 
 
-def _publish_and_gather(
-    rank,
-    layout: _WorkerLayout,
-    my_shard,
-    full: np.ndarray,
-    scratch: np.ndarray,
-    shard_size: int,
-    barrier,
-    gather,
-) -> None:
-    """Two-phase exchange: publish own shard, barrier, gather new shard."""
-    slot = layout.slot_of_rank[rank]
-    scratch[slot * shard_size : (slot + 1) * shard_size] = my_shard()
-    barrier.wait()
-    gather(scratch)
-    barrier.wait()  # nobody reuses scratch until all have gathered
-
-
-def _execute_op(
-    op, rank, layout, my_shard, full, scratch, shard_size, barrier
-) -> None:
-    l = layout.l
-    if isinstance(op, SwapOp):
-        _execute_swap(op, rank, layout, my_shard, full, scratch, shard_size, barrier)
-        return
-    if isinstance(op, GateOp):
-        gate = op.gate
-        bits = layout.bits(gate.qubits)
-        if all(b < l for b in bits):
-            apply_gate(my_shard(), gate.matrix, bits)
-            return
-        if gate.is_diagonal:
-            _apply_diagonal_global(gate, rank, layout, my_shard)
-            return
-        if gate.is_monomial:
-            _apply_monomial_global(
-                gate, rank, layout, my_shard, full, scratch, shard_size, barrier
-            )
-            return
-        raise RuntimeError(f"gate {gate!r} not executable under current layout")
-    if isinstance(op, ClusterOp):
-        bits = layout.bits(op.qubits)
-        apply_gate(my_shard(), op.fused.matrix, bits)
-        return
-    # AbsorbedClusterOp (duck-typed to avoid import cycles)
-    rank_qubits = sorted(op.global_qubits_used())
-    rank_bits = {
-        q: (rank >> (layout.bit_of_qubit[q] - l)) & 1 for q in rank_qubits
-    }
-    matrix = op.matrix_for_rank(rank_bits)
-    apply_gate(my_shard(), matrix, layout.bits(op.qubits))
-
-
-def _apply_diagonal_global(gate, rank, layout, my_shard) -> None:
-    l = layout.l
-    bits = layout.bits(gate.qubits)
-    diag = np.diagonal(gate.matrix)
-    local_js = [j for j, b in enumerate(bits) if b < l]
-    global_js = [j for j, b in enumerate(bits) if b >= l]
-    xg = 0
-    for j in global_js:
-        xg |= ((rank >> (bits[j] - l)) & 1) << j
-    shard = my_shard()
-    if local_js:
-        sub = np.empty(1 << len(local_js), dtype=_DTYPE)
-        for xl in range(1 << len(local_js)):
-            x = xg
-            for jj, j in enumerate(local_js):
-                x |= ((xl >> jj) & 1) << j
-            sub[xl] = diag[x]
-        apply_diagonal_gate(shard, sub, [bits[j] for j in local_js])
-    else:
-        shard *= diag[xg]
-
-
-def _apply_monomial_global(
-    gate, rank, layout, my_shard, full, scratch, shard_size, barrier
-) -> None:
-    """Monomial gate with global qubits: local update + shard movement."""
-    l = layout.l
-    bits = layout.bits(gate.qubits)
-    perm = gate.basis_permutation
-    phases = gate.basis_phases
-    local_js = [j for j, b in enumerate(bits) if b < l]
-    global_js = [j for j, b in enumerate(bits) if b >= l]
-    k_l = len(local_js)
-    num_ranks = 1 << layout.g
-
-    def rank_xg(r: int) -> int:
-        xg = 0
-        for j in global_js:
-            xg |= ((r >> (bits[j] - l)) & 1) << j
-        return xg
-
-    # Local part of the update on our own shard.
-    xg = rank_xg(rank)
-    if k_l:
-        sub = np.zeros((1 << k_l, 1 << k_l), dtype=_DTYPE)
-        for xl in range(1 << k_l):
-            x = xg
-            for jj, j in enumerate(local_js):
-                x |= ((xl >> jj) & 1) << j
-            out = int(perm[x])
-            xl_out = 0
-            for jj, j in enumerate(local_js):
-                xl_out |= ((out >> j) & 1) << jj
-            sub[xl_out, xl] = phases[x]
-        apply_gate(my_shard(), sub, [bits[j] for j in local_js])
-    else:
-        phase = phases[xg]
-        if not np.isclose(phase, 1.0):
-            my_shard()[:] = my_shard() * phase
-
-    # Destination mapping (identical on every worker).
-    dest_of = {}
-    for r in range(num_ranks):
-        x = rank_xg(r)
-        out_global = 0
-        out = int(perm[x])
-        for jj, j in enumerate(global_js):
-            out_global |= ((out >> j) & 1) << jj
-        dest = r
-        for jj, j in enumerate(global_js):
-            bit_pos = bits[j] - l
-            dest &= ~(1 << bit_pos)
-            dest |= ((out_global >> jj) & 1) << bit_pos
-        dest_of[r] = dest
-    src_of = {dest: src for src, dest in dest_of.items()}
-
-    if all(dest == src for src, dest in dest_of.items()):
-        return  # no rank movement at all: everyone skips the barriers
-
-    # Data physically moves between slots (slot labels stay fixed, unlike
-    # the in-process pointer relabeling).  EVERY rank participates in the
-    # publish/gather barriers, even those gathering from themselves.
-    src = src_of[rank]
-
-    def gather(scratch_arr):
-        src_slot = layout.slot_of_rank[src]
-        my_shard()[:] = scratch_arr[src_slot * shard_size : (src_slot + 1) * shard_size]
-
-    _publish_and_gather(
-        rank, layout, my_shard, full, scratch, shard_size, barrier, gather
-    )
-
-
-def _execute_swap(
-    op: SwapOp, rank, layout, my_shard, full, scratch, shard_size, barrier
-) -> None:
-    """Global-to-local swap, mirroring DistributedState.swap_global_set."""
-    l, g = layout.l, layout.g
-    new_global = set(op.new_global_qubits)
-    cur_global = layout.global_set()
-    incoming = sorted(cur_global - new_global)
-    outgoing = sorted(new_global - cur_global)
-    q = len(incoming)
-    if q == 0:
-        return
-
-    # 1. Free renumbering: incoming qubits to the lowest global bits.
-    staying = sorted(cur_global & new_global, key=lambda qq: layout.bit_of_qubit[qq])
-    new_positions = {qq: l + i for i, qq in enumerate(incoming)}
-    new_positions.update({qq: l + q + i for i, qq in enumerate(staying)})
-    old_positions = {qq: layout.bit_of_qubit[qq] for qq in cur_global}
-    if any(new_positions[qq] != old_positions[qq] for qq in cur_global):
-        # slot relabeling: new rank r holds old rank r_old's shard.
-        new_slots = list(layout.slot_of_rank)
-        for r_new in range(1 << g):
-            r_old = 0
-            for qq, new_bit in new_positions.items():
-                r_old |= ((r_new >> (new_bit - l)) & 1) << (old_positions[qq] - l)
-            new_slots[r_new] = layout.slot_of_rank[r_old]
-        layout.slot_of_rank = new_slots
-        for qq, new_bit in new_positions.items():
-            layout.bit_of_qubit[qq] = new_bit
-
-    # 2. Local swaps: outgoing qubits to the top local bits.
-    from repro.gates.matrices import SWAP_MATRIX
-
-    for i, qq in enumerate(outgoing):
-        target = l - q + i
-        current = layout.bit_of_qubit[qq]
-        if current != target:
-            apply_gate(my_shard(), SWAP_MATRIX, (current, target))
-            qa = layout.qubit_at_bit(current)
-            qb = layout.qubit_at_bit(target)
-            layout.bit_of_qubit[qa], layout.bit_of_qubit[qb] = target, current
-
-    # 3. The all-to-all block exchange over groups of 2**q ranks.
-    group = 1 << q
-    block = shard_size // group
-    base = (rank // group) * group
-    s = rank % group
-
-    def gather(scratch_arr):
-        shard = my_shard()
-        for b in range(group):
-            peer = base + b
-            peer_slot = layout.slot_of_rank[peer]
-            peer_shard = scratch_arr[
-                peer_slot * shard_size : (peer_slot + 1) * shard_size
-            ]
-            shard[b * block : (b + 1) * block] = peer_shard[
-                s * block : (s + 1) * block
-            ]
-
-    _publish_and_gather(
-        rank, layout, my_shard, full, scratch, shard_size, barrier, gather
-    )
-
-    # 4. Update the layout: the two bit ranges swapped contents.
-    for qubit in range(layout.n):
-        bit = layout.bit_of_qubit[qubit]
-        if l - q <= bit < l:
-            layout.bit_of_qubit[qubit] = bit + q
-        elif l <= bit < l + q:
-            layout.bit_of_qubit[qubit] = bit - q
-
-
 class MultiprocessRunner:
-    """Executes a :class:`Schedule` with one OS process per virtual rank.
+    """Executes a :class:`Schedule` on every CPU available to the process.
 
-    Use for modest rank counts (the container must afford ``2**g``
-    processes).  Returns the final state gathered into a
-    :class:`StateVector`, verified in tests to match both the in-process
-    distributed simulator and the single-node reference.
+    Returns the final state gathered into a :class:`StateVector`;
+    ``stats`` holds the :class:`CommStats` of the most recent run.
     """
 
     def __init__(self, num_qubits: int, local_qubits: int) -> None:
         if not 0 < local_qubits <= num_qubits:
             raise ValueError("invalid qubit split")
-        if num_qubits - local_qubits > 6:
-            raise ValueError(
-                "refusing more than 64 worker processes; raise local_qubits"
-            )
         self.num_qubits = num_qubits
         self.local_qubits = local_qubits
         self.num_ranks = 1 << (num_qubits - local_qubits)
+        self.stats: CommStats | None = None
 
     def run_schedule(self, schedule: Schedule) -> StateVector:
         """Run *schedule* and return the gathered final state."""
@@ -347,115 +74,72 @@ class MultiprocessRunner:
             raise ValueError("schedule size mismatch")
         if schedule.local_qubits != self.local_qubits:
             raise ValueError("schedule local-qubit split mismatch")
-        n, l = self.num_qubits, self.local_qubits
-        total = 1 << n
-        nbytes = total * np.dtype(_DTYPE).itemsize
-        state_shm = shared_memory.SharedMemory(create=True, size=nbytes)
-        scratch_shm = shared_memory.SharedMemory(create=True, size=nbytes)
-        try:
-            full = np.ndarray((total,), dtype=_DTYPE, buffer=state_shm.buf)
-            full[:] = 0
-            initial_global = sorted(schedule.initial_global_qubits)
-            if schedule.initial_state == "plus":
-                full[:] = 2.0 ** (-n / 2)
-            else:
-                full[0] = 1.0  # zero state is layout-invariant
-
-            program_bytes = pickle.dumps(list(schedule.operations()))
-            ctx = mp.get_context("fork")
-            barrier = ctx.Barrier(self.num_ranks)
-            error_queue = ctx.Queue()
-            workers = [
-                ctx.Process(
-                    target=_worker,
-                    args=(
-                        rank,
-                        n,
-                        l,
-                        state_shm.name,
-                        scratch_shm.name,
-                        program_bytes,
-                        initial_global,
-                        barrier,
-                        error_queue,
-                    ),
-                )
-                for rank in range(self.num_ranks)
-            ]
-            for w in workers:
-                w.start()
-            for w in workers:
-                w.join()
-            if not error_queue.empty():
-                rank, message = error_queue.get()
-                raise RuntimeError(f"worker {rank} failed: {message}")
-            if any(w.exitcode != 0 for w in workers):
-                raise RuntimeError("a worker exited abnormally")
-
-            # Gather: replay the layout evolution to decode the final
-            # physical ordering into logical amplitude order.
-            layout = _WorkerLayout(n, l, initial_global)
-            for op in schedule.operations():
-                _replay_layout(op, layout)
-            out = np.empty(total, dtype=_DTYPE)
-            offsets = np.arange(1 << l, dtype=np.int64)
-            positions = list(layout.bit_of_qubit)
-            for rank in range(self.num_ranks):
-                slot = layout.slot_of_rank[rank]
-                phys = (rank << l) | offsets
-                logical = extract_bits(phys, positions)
-                out[logical] = full[slot * (1 << l) : (slot + 1) * (1 << l)]
-            return StateVector(n, out)
-        finally:
-            state_shm.close()
-            state_shm.unlink()
-            scratch_shm.close()
-            scratch_shm.unlink()
-
-
-def _replay_layout(op, layout: _WorkerLayout) -> None:
-    """Evolve layout bookkeeping exactly as the workers do (no data)."""
-    l, g = layout.l, layout.g
-    if isinstance(op, SwapOp):
-        new_global = set(op.new_global_qubits)
-        cur_global = layout.global_set()
-        incoming = sorted(cur_global - new_global)
-        outgoing = sorted(new_global - cur_global)
-        q = len(incoming)
-        if q == 0:
-            return
-        staying = sorted(
-            cur_global & new_global, key=lambda qq: layout.bit_of_qubit[qq]
+        plan_for(schedule)  # compiled once, inherited by every fork
+        count = _worker_count(self.num_ranks)
+        ctx = mp.get_context("fork")
+        barrier = ctx.Barrier(count)
+        block = shared_memory.SharedMemory(
+            create=True, size=(1 << self.num_qubits) * 16
         )
-        new_positions = {qq: l + i for i, qq in enumerate(incoming)}
-        new_positions.update({qq: l + q + i for i, qq in enumerate(staying)})
-        old_positions = {qq: layout.bit_of_qubit[qq] for qq in cur_global}
-        if any(new_positions[qq] != old_positions[qq] for qq in cur_global):
-            new_slots = list(layout.slot_of_rank)
-            for r_new in range(1 << g):
-                r_old = 0
-                for qq, new_bit in new_positions.items():
-                    r_old |= ((r_new >> (new_bit - l)) & 1) << (
-                        old_positions[qq] - l
+        procs, receivers = [], []
+        try:
+            attachments = [
+                SharedMemoryShards(
+                    self.num_ranks, 1 << self.local_qubits, buffer=block.buf,
+                    barrier=barrier, worker=index, num_workers=count,
+                )
+                for index in range(count)
+            ]
+            for shards in attachments:
+                # The write end lives in its worker alone, so a worker that
+                # dies without reporting reads as EOF here.
+                receive, send = ctx.Pipe(duplex=False)
+                proc = ctx.Process(
+                    target=_worker, args=(schedule, shards, barrier, send)
+                )
+                proc.start()
+                send.close()
+                procs.append(proc)
+                receivers.append(receive)
+            layout, slots, self.stats = self._collect(receivers, attachments)
+            attachments[0].relabel(slots)
+            state = DistributedState(
+                self.num_qubits, self.local_qubits,
+                storage=attachments[0], init=None,
+            )
+            state.layout = layout
+            return state.to_statevector()
+        except BaseException:
+            for proc in procs:
+                proc.terminate()  # peers of a dead worker wait forever
+            raise
+        finally:
+            for proc, receive in zip(procs, receivers):
+                proc.join()  # reported or terminated: exits at once
+                receive.close()
+            block.close()
+            block.unlink()
+
+    @staticmethod
+    def _collect(receivers: list, attachments: list):
+        """Worker 0's result once all reported; the first failure raises."""
+        final = None
+        waiting = {receive: index for index, receive in enumerate(receivers)}
+        while waiting:
+            for receive in connection.wait(list(waiting)):
+                index = waiting.pop(receive)
+                try:
+                    outcome = receive.recv()
+                except EOFError:
+                    outcome = "exited without reporting"
+                if isinstance(outcome, str):
+                    ranks = attachments[index].local_ranks
+                    raise RuntimeError(
+                        f"worker {index} (ranks {ranks[0]}..{ranks[-1]}) "
+                        f"failed: {outcome}"
                     )
-                new_slots[r_new] = layout.slot_of_rank[r_old]
-            layout.slot_of_rank = new_slots
-            for qq, new_bit in new_positions.items():
-                layout.bit_of_qubit[qq] = new_bit
-        for i, qq in enumerate(outgoing):
-            target = l - q + i
-            current = layout.bit_of_qubit[qq]
-            if current != target:
-                qa = layout.qubit_at_bit(current)
-                qb = layout.qubit_at_bit(target)
-                layout.bit_of_qubit[qa], layout.bit_of_qubit[qb] = target, current
-        for qubit in range(layout.n):
-            bit = layout.bit_of_qubit[qubit]
-            if l - q <= bit < l:
-                layout.bit_of_qubit[qubit] = bit + q
-            elif l <= bit < l + q:
-                layout.bit_of_qubit[qubit] = bit - q
-        return
-    # Monomial gates move amplitude data between slots in the worker
-    # implementation (slot labels stay fixed), so the layout replay needs
-    # no update for them.
+                if index == 0:
+                    final = outcome
+        if final is None:
+            raise RuntimeError("workers aborted without reporting a failure")
+        return final

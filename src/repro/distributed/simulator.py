@@ -81,6 +81,15 @@ class DistributedSimulator:
             telemetry=self.telemetry,
         )
 
+    def _state_for(self, schedule) -> DistributedState:
+        """The state *schedule* starts from, on this simulator's backend."""
+        return DistributedState.for_schedule(
+            schedule,
+            storage=self._storage,
+            single_precision=self._single_precision,
+            telemetry=self.telemetry,
+        )
+
     def run(
         self,
         circuit: Circuit,
@@ -145,16 +154,7 @@ class DistributedSimulator:
         tracing layer.
         """
         if state is None:
-            initial = getattr(schedule, "initial_state", self._initial_state)
-            state = DistributedState(
-                self.num_qubits,
-                self.local_qubits,
-                storage=self._storage,
-                init=initial,
-                initial_global_qubits=schedule.initial_global_qubits or None,
-                single_precision=self._single_precision,
-                telemetry=self.telemetry,
-            )
+            state = self._state_for(schedule)
         from repro.runtime import ExecutionEngine, TracingLayer
 
         traced = self.telemetry is not None and self.telemetry.active
@@ -192,16 +192,6 @@ class DistributedSimulator:
         """
         from repro.resilience import ResilientExecutor  # avoid import cycle
 
-        def state_factory() -> DistributedState:
-            return DistributedState(
-                schedule.num_qubits,
-                schedule.local_qubits,
-                storage=self._storage,
-                init=getattr(schedule, "initial_state", self._initial_state),
-                initial_global_qubits=schedule.initial_global_qubits or None,
-                single_precision=self._single_precision,
-            )
-
         return ResilientExecutor(
             schedule,
             checkpoint_dir,
@@ -211,5 +201,5 @@ class DistributedSimulator:
             verify=verify,
             sanitizer=sanitizer,
             telemetry=self.telemetry,
-            state_factory=state_factory,
+            state_factory=lambda: self._state_for(schedule),
         ).run()

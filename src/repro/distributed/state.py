@@ -3,9 +3,14 @@
 Physical layout (Sec. 3.4): with ``2**g`` ranks each owning ``2**l``
 amplitudes, the *physical* amplitude index has bits ``0..l-1`` local
 (offset within a shard) and bits ``l..n-1`` global (the rank number).
-``bit_of_qubit`` maps every *logical* qubit to its current physical bit —
-local gates, rank renumberings and global-to-local swaps all just edit
-this permutation while moving data accordingly.
+``self.layout`` (a frozen :class:`~repro.distributed.layout.QubitLayout`)
+maps every *logical* qubit to its current physical bit; this class moves
+the amplitudes the way the layout's transitions say and then adopts the
+layout they return.
+
+Per-rank loops cover ``storage.local_ranks`` — every rank for the
+in-process backends, one worker's block of ranks when several processes
+run this same code over a :class:`~repro.distributed.storage.SharedMemoryShards`.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.distributed.comm import CommStats
+from repro.distributed.layout import QubitLayout
 from repro.distributed.storage import InMemoryShards, ShardStorage
 from repro.gates.gate import Gate
 from repro.gates.matrices import SWAP_MATRIX
@@ -56,7 +62,10 @@ class DistributedState:
         Shard backend; defaults to :class:`InMemoryShards`.  Pass a
         :class:`DiskShards` for SSD-resident state.
     init:
-        ``"zero"`` or ``"plus"`` (uniform superposition).
+        ``"zero"``, ``"plus"`` (uniform superposition), or ``None`` to
+        adopt the storage's contents as found (a reopened
+        :class:`DiskShards` directory, a worker attaching to amplitudes
+        its coordinator initialised).
     chunk_size:
         Block size of the indexed kernel on every shard; defaults to the
         autotuned :data:`repro.kernels.DEFAULT_CHUNK`.
@@ -68,16 +77,16 @@ class DistributedState:
         local_qubits: int,
         *,
         storage: ShardStorage | None = None,
-        init: str = "zero",
+        init: str | None = "zero",
         initial_global_qubits: Iterable[int] | None = None,
         single_precision: bool = False,
         telemetry: Telemetry | None = None,
         chunk_size: int | None = None,
     ) -> None:
-        if not 0 < local_qubits <= num_qubits:
-            raise ValueError(
-                f"local_qubits must be in (0, {num_qubits}], got {local_qubits}"
-            )
+        #: where every logical qubit currently sits (replaced, never edited).
+        self.layout = QubitLayout.initial(
+            num_qubits, local_qubits, initial_global_qubits
+        )
         self.num_qubits = num_qubits
         self.local_qubits = local_qubits
         self.global_qubits = num_qubits - local_qubits
@@ -98,26 +107,13 @@ class DistributedState:
         ):
             raise ValueError("storage dimensions inconsistent with qubit split")
         self.storage = storage
-        #: physical bit position of each logical qubit (a permutation).
-        self.bit_of_qubit: list[int] = list(range(num_qubits))
-        if initial_global_qubits is not None:
-            # Free placement: |0...0> and |+...+> are layout-invariant, so
-            # the first stage's global set costs nothing (Sec. 3.6.1).
-            global_set = sorted({int(q) for q in initial_global_qubits})
-            if len(global_set) != self.global_qubits:
-                raise ValueError(
-                    f"initial_global_qubits must have {self.global_qubits} "
-                    f"entries, got {len(global_set)}"
-                )
-            local_set = [q for q in range(num_qubits) if q not in set(global_set)]
-            for bit, q in enumerate(local_set + global_set):
-                self.bit_of_qubit[q] = bit
         self.chunk_size = int(chunk_size) if chunk_size is not None else DEFAULT_CHUNK
         self.stats = CommStats()
         self.kernel_cost = KernelCostModel()
         self.telemetry = NULL_TELEMETRY
         self.use_telemetry(telemetry)
-        self._initialize(init)
+        if init is not None:
+            self._initialize(init)
 
     def use_telemetry(self, telemetry: Telemetry | None) -> None:
         """Attach (or detach, with ``None``) a telemetry bundle.
@@ -134,23 +130,15 @@ class DistributedState:
     # Initialisation / conversion
     # ------------------------------------------------------------------
     def _initialize(self, init: str) -> None:
-        if init == "zero":
-            shard0 = self.storage.get(0)
-            shard0[:] = 0
-            shard0[0] = 1.0
-            self._sync(shard0)
-            for r in range(1, self.num_ranks):
-                shard = self.storage.get(r)
-                shard[:] = 0
-                self._sync(shard)
-        elif init == "plus":
-            amp = 2.0 ** (-self.num_qubits / 2)
-            for r in range(self.num_ranks):
-                shard = self.storage.get(r)
-                shard[:] = amp
-                self._sync(shard)
-        else:
+        if init not in ("zero", "plus"):
             raise ValueError(f"unknown init {init!r}")
+        amp = 2.0 ** (-self.num_qubits / 2) if init == "plus" else 0
+        for r in self.storage.local_ranks:
+            shard = self.storage.get(r)
+            shard[:] = amp
+            if r == 0 and init == "zero":
+                shard[0] = 1.0
+            self._sync(shard)
 
     @property
     def num_ranks(self) -> int:
@@ -163,6 +151,22 @@ class DistributedState:
         self.storage.sync(shard)
 
     @classmethod
+    def for_schedule(cls, schedule, **kwargs) -> "DistributedState":
+        """The fresh state *schedule* starts from.
+
+        Its first stage's global set is adopted for free and its
+        ``initial_state`` ("plus" when the Hadamard layer was absorbed)
+        chosen; *kwargs* (``storage``, ``telemetry``, ...) pass through.
+        """
+        return cls(
+            schedule.num_qubits,
+            schedule.local_qubits,
+            init=schedule.initial_state,
+            initial_global_qubits=schedule.initial_global_qubits or None,
+            **kwargs,
+        )
+
+    @classmethod
     def from_statevector(
         cls,
         state: StateVector,
@@ -172,21 +176,23 @@ class DistributedState:
     ) -> "DistributedState":
         """Scatter a logical state vector onto shards (identity layout)."""
         dist = cls(state.num_qubits, local_qubits, storage=storage)
-        l = local_qubits
-        offsets = np.arange(1 << l, dtype=np.int64)
-        for r in range(dist.num_ranks):
-            phys = (r << l) | offsets
-            shard = dist.storage.get(r)
-            shard[:] = state.data[phys]  # identity layout: phys == logical
-            dist._sync(shard)
+        dist._scatter(state)
         return dist
+
+    def _scatter(self, state: StateVector) -> None:
+        # Identity layout: rank r's shard is the r-th contiguous slice.
+        size = 1 << self.local_qubits
+        for r in range(self.num_ranks):
+            shard = self.storage.get(r)
+            shard[:] = state.data[r * size:(r + 1) * size]
+            self._sync(shard)
 
     def to_statevector(self) -> StateVector:
         """Gather all shards into a logical-order state vector."""
         n, l = self.num_qubits, self.local_qubits
         out = np.empty(1 << n, dtype=self.storage.dtype)
         offsets = np.arange(1 << l, dtype=np.int64)
-        positions = list(self.bit_of_qubit)
+        positions = self.layout.bit_of_qubit
         for r in range(self.num_ranks):
             phys = (r << l) | offsets
             logical = extract_bits(phys, positions)
@@ -198,24 +204,26 @@ class DistributedState:
     # ------------------------------------------------------------------
     # Layout queries
     # ------------------------------------------------------------------
+    @property
+    def bit_of_qubit(self) -> tuple[int, ...]:
+        """Physical bit of each logical qubit (read-only view of the layout)."""
+        return self.layout.bit_of_qubit
+
     def bit_position(self, qubit: int) -> int:
         """Current physical bit of a logical qubit."""
-        return self.bit_of_qubit[qubit]
+        return self.layout.bit_of_qubit[qubit]
 
     def is_local(self, qubit: int) -> bool:
         """True when the qubit's amplitude bit lies inside every shard."""
-        return self.bit_of_qubit[qubit] < self.local_qubits
+        return self.layout.is_local(qubit)
 
     def local_qubit_set(self) -> set[int]:
         """Logical qubits currently local."""
-        return {q for q in range(self.num_qubits) if self.is_local(q)}
+        return self.layout.local_set()
 
     def global_qubit_set(self) -> set[int]:
         """Logical qubits currently global (encoded in the rank number)."""
-        return {q for q in range(self.num_qubits) if not self.is_local(q)}
-
-    def _qubit_at_bit(self, bit: int) -> int:
-        return self.bit_of_qubit.index(bit)
+        return self.layout.global_set()
 
     # ------------------------------------------------------------------
     # Gate application
@@ -228,7 +236,7 @@ class DistributedState:
         automatically when ``auto_swap`` is set, else raising
         :class:`NeedsSwapError`.
         """
-        bits = [self.bit_of_qubit[q] for q in gate.qubits]
+        bits = self.layout.bits(gate.qubits)
         l = self.local_qubits
         if all(b < l for b in bits):
             self._apply_local(gate.matrix, bits, diagonal=gate.is_diagonal)
@@ -236,8 +244,11 @@ class DistributedState:
         if gate.is_diagonal:
             self._apply_diagonal_global(np.diagonal(gate.matrix), bits)
             return
-        if gate.is_monomial and self._monomial_is_rank_separable(gate, bits):
-            self._apply_monomial_global(gate, bits)
+        actions = None
+        if gate.is_monomial:
+            actions = self._monomial_rank_actions(gate, bits)
+        if actions is not None:
+            self._apply_monomial_global(bits, actions)
             return
         if auto_swap:
             self.make_local(gate.qubits)
@@ -265,12 +276,28 @@ class DistributedState:
         *strategy*/*chunk_size* let a compiled plan hand down pre-resolved
         choices; otherwise they are derived here.  Everything an op needs
         — the memoized phase factor, the dense sweep descriptor — is
-        built once for all ``2**g`` ranks, and traced and untraced runs
-        execute the very same per-shard kernel: tracing only adds the
-        span bookkeeping around it.
+        built once for all ``2**g`` ranks, and every way of running it
+        (one sweep over a block of shards, rank by rank, traced or not)
+        does the same arithmetic on every amplitude, bit for bit.
         """
         k = len(bits)
         l = self.local_qubits
+        tel = self.telemetry
+        tracer = tel.tracer
+        per_rank = tel.active and tracer.enabled and tracer.per_rank
+        if not diagonal and strategy is None:
+            strategy = "indexed" if k <= SWEEP_MAX_QUBITS else "reference"
+        if chunk_size is None:
+            chunk_size = self.chunk_size
+        # The op treats every shard alike, so a backend that keeps the
+        # local shards side by side gets one sweep over all of them: the
+        # targets are bits of that longer vector just the same.  Rank by
+        # rank otherwise, whenever each rank is to get its own span, and
+        # for the tensordot kernel, whose GEMM shape (and with it the
+        # rounding) would follow the length of the vector.
+        block = None
+        if not per_rank and (diagonal or strategy in ("indexed", "fused")):
+            block = self.storage.local_block()
         if diagonal:
             if diag is None:
                 diag = np.diagonal(matrix)
@@ -279,38 +306,25 @@ class DistributedState:
             )
 
             def kernel(shard):
-                apply_diagonal_factor(shard, factor)
+                apply_diagonal_factor(shard.reshape(-1, 1 << l), factor)
+        elif strategy in ("indexed", "fused"):
+            width = l if block is None else block.size.bit_length() - 1
+            kernel = DenseSweep(
+                width, matrix, bits, self.storage.dtype, chunk_size
+            ).bind()
         else:
-            if strategy is None:
-                strategy = (
-                    "indexed" if k <= SWEEP_MAX_QUBITS else "reference"
-                )
-            if chunk_size is None:
-                chunk_size = self.chunk_size
-            if strategy in ("indexed", "fused"):
-                kernel = DenseSweep(
-                    l, matrix, bits, self.storage.dtype, chunk_size
-                ).bind()
-            else:
 
-                def kernel(shard):
-                    apply_gate(
-                        shard, matrix, bits,
-                        strategy=strategy, chunk_size=chunk_size,
-                    )
-        tel = self.telemetry
-        if not tel.active:
-            for r in range(self.num_ranks):
-                shard = self.storage.get(r)
-                kernel(shard)
-                self._sync(shard)
-            self.kernel_cost.record(self.num_qubits, k, diagonal=diagonal)
-            return
-        tracer = tel.tracer
-        per_rank = tracer.enabled and tracer.per_rank
-        with tracer.span("kernel.apply", kind="kernel", k=k, diagonal=diagonal):
-            start = time.perf_counter()
-            for r in range(self.num_ranks):
+            def kernel(shard):
+                apply_gate(
+                    shard, matrix, bits,
+                    strategy=strategy, chunk_size=chunk_size,
+                )
+
+        def sweep():
+            if block is not None:
+                kernel(block)
+                return
+            for r in self.storage.local_ranks:
                 t0 = tracer.now() if per_rank else 0.0
                 shard = self.storage.get(r)
                 kernel(shard)
@@ -324,9 +338,18 @@ class DistributedState:
                         rank=r,
                         k=k,
                     )
-            elapsed = time.perf_counter() - start
+
+        if tel.active:
+            with tracer.span(
+                "kernel.apply", kind="kernel", k=k, diagonal=diagonal
+            ):
+                start = time.perf_counter()
+                sweep()
+                elapsed = time.perf_counter() - start
+            tel.metrics.histogram("kernel.apply.seconds", k=k).observe(elapsed)
+        else:
+            sweep()
         self.kernel_cost.record(self.num_qubits, k, diagonal=diagonal)
-        tel.metrics.histogram("kernel.apply.seconds", k=k).observe(elapsed)
 
     # ------------------------------------------------------------------
     # Plan-facing entry points (pre-resolved kernel decisions)
@@ -347,7 +370,7 @@ class DistributedState:
         resolved at compile time, so nothing is re-derived per rank or per
         call.  All target qubits must currently be local.
         """
-        bits = [self.bit_of_qubit[q] for q in qubits]
+        bits = self.layout.bits(qubits)
         if any(b >= self.local_qubits for b in bits):
             raise NeedsSwapError(
                 f"compiled op touches global qubits "
@@ -368,7 +391,7 @@ class DistributedState:
         is local, and to the Sec. 3.5 rank-conditional specialization when
         some are global — no communication either way.
         """
-        bits = [self.bit_of_qubit[q] for q in qubits]
+        bits = self.layout.bits(qubits)
         if all(b < self.local_qubits for b in bits):
             self._apply_local(None, bits, diagonal=True, diag=np.asarray(diag))
         else:
@@ -414,7 +437,7 @@ class DistributedState:
         with tel.tracer.span(
             "kernel.diagonal_global", kind="kernel", k=len(bits)
         ):
-            for r in range(self.num_ranks):
+            for r in self.storage.local_ranks:
                 xg = self._rank_gate_bits(r, bits, global_js)
                 shard = self.storage.get(r)
                 if local_js:
@@ -437,90 +460,79 @@ class DistributedState:
                 "kernel.specialized.seconds", kind="diagonal"
             ).observe(time.perf_counter() - start)
 
-    def _monomial_is_rank_separable(self, gate: Gate, bits: Sequence[int]) -> bool:
-        """True when the gate's action on global bits is local-independent.
+    def _monomial_rank_actions(
+        self, gate: Gate, bits: Sequence[int]
+    ) -> dict[int, tuple[np.ndarray, int]] | None:
+        """What a monomial gate does to a rank, per value of its global bits.
 
-        E.g. CNOT with a *global* control and local target is separable
-        (each rank either applies X or not); CNOT with a *local* control
-        and global target is not (the destination rank would depend on
-        local data), so it needs a swap.
+        Maps each gate-basis value ``xg`` of the gate's global bits to the
+        local sub-matrix ``M[xl_out, xl_in]`` such a rank applies and the
+        gate-basis value its global bits take afterwards.  ``None`` when
+        that value would depend on local data: CNOT with a *global*
+        control and local target is fine (each rank applies X or not);
+        with a *local* control and global target the destination rank
+        differs amplitude by amplitude, so the gate needs a swap.
         """
-        perm = gate.basis_permutation
-        assert perm is not None
-        local_js, global_js = self._split_gate_bits(bits)
-        if not global_js:
-            return True
-        for xg_pattern in range(1 << len(global_js)):
-            seen: set[int] = set()
-            for xl_pattern in range(1 << len(local_js)):
-                x = 0
-                for jj, j in enumerate(global_js):
-                    x |= ((xg_pattern >> jj) & 1) << j
-                for jj, j in enumerate(local_js):
-                    x |= ((xl_pattern >> jj) & 1) << j
-                out = int(perm[x])
-                out_global = 0
-                for jj, j in enumerate(global_js):
-                    out_global |= ((out >> j) & 1) << jj
-                seen.add(out_global)
-            if len(seen) != 1:
-                return False
-        return True
-
-    def _apply_monomial_global(self, gate: Gate, bits: Sequence[int]) -> None:
-        """Monomial gate on global qubits: rank renumbering + local update."""
-        tel = self.telemetry
-        start = tel.tracer.now() if tel.active else 0.0
         perm = gate.basis_permutation
         phases = gate.basis_phases
         assert perm is not None and phases is not None
         local_js, global_js = self._split_gate_bits(bits)
+        dim = 1 << len(local_js)
+        global_mask = sum(1 << j for j in global_js)
+        actions = {}
+        for pattern in range(1 << len(global_js)):
+            xg = int(scatter_bits(pattern, global_js))
+            sub = np.zeros((dim, dim), dtype=np.complex128)
+            outputs = set()
+            for xl in range(dim):
+                x = xg | int(scatter_bits(xl, local_js))
+                out = int(perm[x])
+                sub[extract_bits(out, local_js), xl] = phases[x]
+                outputs.add(out & global_mask)
+            if len(outputs) != 1:
+                return None
+            actions[xg] = (sub, outputs.pop())
+        return actions
+
+    def _apply_monomial_global(
+        self,
+        bits: Sequence[int],
+        actions: dict[int, tuple[np.ndarray, int]],
+    ) -> None:
+        """Monomial gate on global qubits: local update + rank renumbering.
+
+        The relabeling covers every rank (each process relabels all of
+        them identically); kernels run on the owned ranks only.
+        """
+        tel = self.telemetry
+        start = tel.tracer.now() if tel.active else 0.0
+        local_js, global_js = self._split_gate_bits(bits)
         local_bits = [bits[j] for j in local_js]
         l = self.local_qubits
-        k_l = len(local_js)
-
-        dest_of_src = {}
+        owned = self.storage.local_ranks
+        # New rank d holds the shard of the old rank whose destination is d.
+        source_of_dest = np.empty(self.num_ranks, dtype=np.int64)
         for r in range(self.num_ranks):
-            xg = self._rank_gate_bits(r, bits, global_js)
-            # Build the per-rank local sub-matrix M[xl_out, xl_in].
-            sub = np.zeros((1 << k_l, 1 << k_l), dtype=np.complex128)
-            out_global_bits = None
-            for xl in range(1 << k_l):
-                x = xg
-                for jj, j in enumerate(local_js):
-                    x |= ((xl >> jj) & 1) << j
-                out = int(perm[x])
-                xl_out = 0
-                for jj, j in enumerate(local_js):
-                    xl_out |= ((out >> j) & 1) << jj
-                sub[xl_out, xl] = phases[x]
-                og = 0
-                for jj, j in enumerate(global_js):
-                    og |= ((out >> j) & 1) << jj
-                out_global_bits = og
-            # Destination rank: replace this rank's gate-global bits.
+            sub, out_global = actions[self._rank_gate_bits(r, bits, global_js)]
             dest = r
-            for jj, j in enumerate(global_js):
+            for j in global_js:
                 bit_pos = bits[j] - l
-                dest &= ~(1 << bit_pos)
-                dest |= ((out_global_bits >> jj) & 1) << bit_pos
-            dest_of_src[r] = dest
-            if k_l:
+                dest = dest & ~(1 << bit_pos) | ((out_global >> j) & 1) << bit_pos
+            source_of_dest[dest] = r
+            if r not in owned:
+                continue
+            if local_js:
                 shard = self.storage.get(r)
                 apply_gate(shard, sub, local_bits)
                 self._sync(shard)
-            elif not np.isclose(phases[xg], 1.0):
+            elif not np.isclose(sub[0, 0], 1.0):
                 shard = self.storage.get(r)
-                shard *= phases[xg]
+                shard *= sub[0, 0]
                 self._sync(shard)
-        # Relabel shards: new rank d holds old shard src with dest[src]==d.
-        permutation = np.empty(self.num_ranks, dtype=np.int64)
-        for src, dest in dest_of_src.items():
-            permutation[dest] = src
-        self.storage.permute_shards(permutation)
+        self.storage.permute_shards(source_of_dest)
         self.stats.record_rank_renumbering()
-        if k_l:
-            self.kernel_cost.record(self.num_qubits, k_l)
+        if local_js:
+            self.kernel_cost.record(self.num_qubits, len(local_js))
         if tel.active:
             end = tel.tracer.now()
             tel.tracer.add_span(
@@ -543,7 +555,7 @@ class DistributedState:
         the Sec. 3.5 "absorbed into the next gate matrix" optimization.
         """
         l = self.local_qubits
-        bits = [self.bit_of_qubit[q] for q in op.qubits]
+        bits = self.layout.bits(op.qubits)
         if any(b >= l for b in bits):
             raise NeedsSwapError(
                 f"absorbed cluster touches global qubits "
@@ -561,7 +573,7 @@ class DistributedState:
         with tel.tracer.span(
             "kernel.absorbed_cluster", kind="kernel", k=len(bits)
         ):
-            for r in range(self.num_ranks):
+            for r in self.storage.local_ranks:
                 rank_bits = {
                     q: (r >> (self.bit_of_qubit[q] - l)) & 1
                     for q in rank_qubits
@@ -586,27 +598,12 @@ class DistributedState:
     # ------------------------------------------------------------------
     # Swaps (Sec. 3.4)
     # ------------------------------------------------------------------
-    def _permute_global_bits(self, new_bit_of_qubit: dict[int, int]) -> None:
-        """Rearrange which global bit each global qubit occupies (free)."""
-        l, g = self.local_qubits, self.global_qubits
-        old = {q: self.bit_of_qubit[q] for q in self.global_qubit_set()}
-        if set(new_bit_of_qubit) != set(old):
-            raise ValueError("must reassign exactly the current global qubits")
-        if sorted(new_bit_of_qubit.values()) != sorted(old.values()):
-            raise ValueError("new positions must permute the global bits")
-        if all(new_bit_of_qubit[q] == old[q] for q in old):
-            return
-        r_new = np.arange(1 << g, dtype=np.int64)
-        r_old = np.zeros_like(r_new)
-        for q, new_bit in new_bit_of_qubit.items():
-            r_old |= ((r_new >> (new_bit - l)) & 1) << (old[q] - l)
-        self.storage.permute_shards(r_old)
-        for q, new_bit in new_bit_of_qubit.items():
-            self.bit_of_qubit[q] = new_bit
-        self.stats.record_rank_renumbering()
-
     def _swap_local_bits(self, bit_a: int, bit_b: int) -> None:
-        """Swap two local bits via a SWAP kernel on every shard."""
+        """Swap two local bits via a SWAP kernel on every shard.
+
+        The reference the composed :meth:`_apply_local_bit_permutation` is
+        tested against.
+        """
         l = self.local_qubits
         if not (bit_a < l and bit_b < l):
             raise ValueError("both bits must be local")
@@ -615,15 +612,14 @@ class DistributedState:
         with self.telemetry.tracer.span(
             "comm.staging_swap", kind="staging", bit_a=bit_a, bit_b=bit_b
         ):
-            for r in range(self.num_ranks):
+            for r in self.storage.local_ranks:
                 shard = self.storage.get(r)
                 apply_gate(
                     shard, SWAP_MATRIX, (bit_a, bit_b),
                     strategy="indexed", chunk_size=self.chunk_size,
                 )
                 self._sync(shard)
-        qa, qb = self._qubit_at_bit(bit_a), self._qubit_at_bit(bit_b)
-        self.bit_of_qubit[qa], self.bit_of_qubit[qb] = bit_b, bit_a
+        self.layout = self.layout.swap_bits(bit_a, bit_b)
         self.stats.record_local_swap()
         self.kernel_cost.record(self.num_qubits, 2)
 
@@ -632,8 +628,8 @@ class DistributedState:
     ) -> None:
         """Apply a chain of local-bit swaps as ONE transposed copy per shard.
 
-        Composes *transpositions* (already reflected in ``bit_of_qubit``
-        by the caller) into a single axis permutation of the shard viewed
+        Composes *transpositions* (the caller adopts the layout they lead
+        to) into a single axis permutation of the shard viewed
         one axis per run of bits that move together, and applies it with
         one strided ``np.copyto`` per rank — bit-exact with the per-swap
         SWAP kernels it replaces (a pure index shuffle touches no
@@ -668,7 +664,7 @@ class DistributedState:
         ):
             buf = np.empty_like(self.storage.get(0))
             permuted = buf.reshape([shape[a] for a in axes])
-            for r in range(self.num_ranks):
+            for r in self.storage.local_ranks:
                 shard = self.storage.get(r)
                 np.copyto(permuted, shard.reshape(shape).transpose(axes))
                 shard[:] = buf
@@ -680,52 +676,22 @@ class DistributedState:
     def swap_global_set(self, new_global_qubits: Iterable[int]) -> None:
         """Global-to-local swap so that exactly *new_global_qubits* are global.
 
-        Implements the Sec. 3.4 scheme: a free rank renumbering aligns the
-        incoming qubits on the lowest global bits, local SWAP kernels move
-        the outgoing qubits to the highest local bits, then one q-qubit
-        group-local all-to-all (Fig. 3) exchanges the two bit ranges.
+        Executes the Sec. 3.4 recipe :meth:`QubitLayout.plan_swap` returns:
+        the free rank renumbering, the staging swaps of local bits, one
+        q-qubit group-local all-to-all (Fig. 3).  The layout is adopted in
+        two steps so it matches the amplitudes whenever the exchange can
+        fail: a retried swap redoes the exchange alone.
         """
-        new_global = {int(q) for q in new_global_qubits}
-        if len(new_global) != self.global_qubits:
-            raise ValueError(
-                f"need exactly {self.global_qubits} global qubits, got "
-                f"{len(new_global)}"
-            )
-        for q in new_global:
-            if not 0 <= q < self.num_qubits:
-                raise ValueError(f"qubit {q} out of range")
-        cur_global = self.global_qubit_set()
-        incoming = sorted(cur_global - new_global)  # become local
-        outgoing = sorted(new_global - cur_global)  # become global
-        q = len(incoming)
+        step = self.layout.plan_swap(new_global_qubits)
+        q = step.q
         if q == 0:
             return
-        if q > self.local_qubits:
-            raise ValueError("cannot swap more qubits than are local")
-        l = self.local_qubits
+        if step.rank_source is not None:
+            self.storage.permute_shards(step.rank_source)
+            self.stats.record_rank_renumbering()
+        self._apply_local_bit_permutation(step.transpositions)
+        self.layout = step.staged
 
-        # 1. Free renumbering: incoming qubits to global bits l..l+q-1,
-        #    remaining globals packed (order-preserving) above them.
-        staying = sorted(cur_global & new_global, key=lambda qq: self.bit_of_qubit[qq])
-        new_positions = {qq: l + i for i, qq in enumerate(incoming)}
-        new_positions.update({qq: l + q + i for i, qq in enumerate(staying)})
-        self._permute_global_bits(new_positions)
-
-        # 2. Local swaps: outgoing qubits to local bits l-q..l-1, composed
-        #    into one permutation gather per shard instead of one SWAP
-        #    kernel per transposition.
-        transpositions: list[tuple[int, int]] = []
-        for i, qq in enumerate(outgoing):
-            target = l - q + i
-            current = self.bit_of_qubit[qq]
-            if current != target:
-                transpositions.append((current, target))
-                other = self._qubit_at_bit(target)
-                self.bit_of_qubit[qq] = target
-                self.bit_of_qubit[other] = current
-        self._apply_local_bit_permutation(transpositions)
-
-        # 3. One communication step: group-local all-to-alls.
         tel = self.telemetry
         num_groups = 1 << (self.global_qubits - q)
         group_size = 1 << q
@@ -753,7 +719,7 @@ class DistributedState:
                 # One lane copy per rank: every rank participates in the
                 # collective for the same interval, shipping its
                 # off-diagonal blocks.
-                for r in range(self.num_ranks):
+                for r in self.storage.local_ranks:
                     tracer.add_span(
                         "comm.alltoall",
                         kind="comm",
@@ -762,14 +728,7 @@ class DistributedState:
                         rank=r,
                         bytes=moved_per_rank,
                     )
-
-        # 4. The bit ranges swapped contents: update the layout.
-        for qubit in range(self.num_qubits):
-            bit = self.bit_of_qubit[qubit]
-            if l - q <= bit < l:
-                self.bit_of_qubit[qubit] = bit + q
-            elif l <= bit < l + q:
-                self.bit_of_qubit[qubit] = bit - q
+        self.layout = step.after
 
     def make_local(self, qubits: Iterable[int]) -> None:
         """Ensure every qubit in *qubits* is local, evicting others.
@@ -788,7 +747,7 @@ class DistributedState:
             )
         victims_pool = sorted(
             (q for q in self.local_qubit_set() if q not in qubits),
-            key=lambda q: self.bit_of_qubit[q],
+            key=self.bit_position,
         )
         victims = victims_pool[: len(needed)]
         new_global = (self.global_qubit_set() - set(needed)) | set(victims)
@@ -796,12 +755,10 @@ class DistributedState:
 
     def swap_all_global_to_local(self) -> None:
         """Turn every global qubit local in one world all-to-all (Fig. 3)."""
-        l, g = self.local_qubits, self.global_qubits
+        g = self.global_qubits
         if g == 0:
             return
-        victims = sorted(
-            self.local_qubit_set(), key=lambda q: self.bit_of_qubit[q]
-        )[:g]
+        victims = sorted(self.local_qubit_set(), key=self.bit_position)[:g]
         self.swap_global_set(set(victims))
 
     # ------------------------------------------------------------------

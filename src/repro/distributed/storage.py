@@ -1,10 +1,14 @@
 """Shard storage backends for the distributed state.
 
-A "node" owns one shard of ``2**l`` amplitudes.  Two backends implement the
-same interface:
+A "node" owns one shard of ``2**l`` amplitudes.  Three backends implement
+the same interface:
 
 * :class:`InMemoryShards` — one numpy array per rank, all in process
   memory; the stand-in for MPI ranks with DRAM-resident state.
+* :class:`SharedMemoryShards` — the same, as views into one shared block
+  that several worker processes run the same program over, each owning a
+  contiguous block of ranks (``local_ranks``) and meeting at a barrier
+  inside the two collectives.
 * :class:`DiskShards` — one raw file per rank accessed through cached
   ``np.memmap`` handles; the SSD-backed mode the paper's outlook
   describes (feasible because the whole circuit needs only two
@@ -46,17 +50,24 @@ from __future__ import annotations
 import abc
 import os
 import threading
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from repro.util.validation import check_power_of_two
 
-__all__ = ["ShardStorage", "InMemoryShards", "DiskShards"]
+__all__ = ["ShardStorage", "InMemoryShards", "SharedMemoryShards", "DiskShards"]
 
 #: Read-ahead request size: large enough to amortise syscalls, small
 #: enough that one request never dominates the worker's queue.
 _READ_AHEAD_STEP = 1 << 20
+
+#: Largest shard kept back to back with its neighbours in one array: the
+#: size up to which malloc would carve each from the heap anyway (glibc's
+#: mmap threshold), and a dense sweep of one costs little more than the
+#: ~10 us it takes to dispatch it.
+_BLOCK_SHARD_BYTES = 1 << 17
 
 #: Staging budget of the in-memory block exchange (two tiles of blocks):
 #: half of the 2 MiB L2, so a tile is still cached when it is written back.
@@ -90,6 +101,21 @@ class ShardStorage(abc.ABC):
         shuffle here.
         """
 
+    @property
+    def local_ranks(self) -> range:
+        """The ranks this process computes on (all of them in process)."""
+        return range(self.num_shards)
+
+    def local_block(self) -> np.ndarray | None:
+        """Every local rank's amplitudes as one array, or ``None``.
+
+        Whole shards back to back, ``len(local_ranks) * shard_size``
+        amplitudes in no particular rank order: for a sweep that does the
+        same to every shard and so need not tell them apart.  ``None``
+        when the local shards do not sit side by side in memory.
+        """
+        return None
+
     # -- pipelining hooks (no-ops for memory-resident backends) --------
     def sync(self, shard: np.ndarray) -> None:
         """Flush *shard* to the backing store (no-op in memory)."""
@@ -109,6 +135,10 @@ class ShardStorage(abc.ABC):
         """Block until all scheduled background I/O completed (no-op here)."""
 
     # ------------------------------------------------------------------
+    def _check_permutation(self, permutation) -> None:
+        if sorted(permutation) != list(range(self.num_shards)):
+            raise ValueError("permutation must be a bijection over ranks")
+
     def _check_exchange_args(self, swap_qubits: int) -> tuple[int, int, int]:
         group = 1 << swap_qubits
         if group > self.num_shards:
@@ -128,7 +158,16 @@ class ShardStorage(abc.ABC):
 
 
 class InMemoryShards(ShardStorage):
-    """All shards live in process memory as one array per rank."""
+    """All shards live in process memory.
+
+    Shards of up to :data:`_BLOCK_SHARD_BYTES` are views into one array,
+    back to back, so a sweep that treats every shard alike takes them all
+    at once (:meth:`local_block`) instead of dispatching ``2**g`` times.
+    Larger ones are one array each, mapped and returned to the system
+    one by one: dispatch is noise next to their sweep, and one allocation
+    of the whole state fragments the heap of a long-lived process (it
+    tripled the spread of the job service's peak RSS).
+    """
 
     def __init__(
         self, num_shards: int, shard_size: int, dtype=np.complex128
@@ -138,9 +177,23 @@ class InMemoryShards(ShardStorage):
         self.num_shards = num_shards
         self.shard_size = shard_size
         self.dtype = np.dtype(dtype)
-        self._shards = [
-            np.zeros(shard_size, dtype=self.dtype) for _ in range(num_shards)
-        ]
+        self._block = self._allocate()
+        if self._block is None:
+            self._shards = [
+                np.zeros(shard_size, dtype=self.dtype)
+                for _ in range(num_shards)
+            ]
+        else:
+            self._shards = list(self._block.reshape(num_shards, shard_size))
+
+    def _allocate(self) -> np.ndarray | None:
+        """The array holding every shard, or ``None`` for one array each."""
+        if self.shard_bytes > _BLOCK_SHARD_BYTES:
+            return None
+        return np.zeros(self.num_shards * self.shard_size, dtype=self.dtype)
+
+    def local_block(self) -> np.ndarray | None:
+        return self._block
 
     def get(self, rank: int) -> np.ndarray:
         return self._shards[rank]
@@ -148,7 +201,7 @@ class InMemoryShards(ShardStorage):
     def set(self, rank: int, data: np.ndarray) -> None:
         if data.shape != (self.shard_size,):
             raise ValueError(f"shard must have shape ({self.shard_size},)")
-        self._shards[rank] = np.ascontiguousarray(data, dtype=self.dtype)
+        self._shards[rank][:] = data
 
     def exchange_blocks(self, swap_qubits: int) -> None:
         # shard[s] block t <-> shard[t] block s within each group: the
@@ -170,31 +223,139 @@ class InMemoryShards(ShardStorage):
         stage_a = np.empty((tile, tile, block), dtype=self.dtype)
         stage_b = np.empty_like(stage_a)
         steps = range(tile)
+        rows_base = None
+        for base, i, j in self._exchange_tiles(group, tile):
+            if base != rows_base:
+                rows_base = base
+                rows = [
+                    shard.reshape(group, block)
+                    for shard in self._shards[base:base + group]
+                ]
+            if i == j:
+                for a in steps:
+                    stage_a[a] = rows[i + a][i:i + tile]
+                for a in steps:
+                    rows[i + a][i:i + tile] = stage_a[:, a]
+                continue
+            for a in steps:
+                stage_a[a] = rows[i + a][j:j + tile]
+            for b in steps:
+                stage_b[b] = rows[j + b][i:i + tile]
+            for a in steps:
+                rows[i + a][j:j + tile] = stage_b[:, a]
+            for b in steps:
+                rows[j + b][i:i + tile] = stage_a[:, b]
+
+    def _exchange_tiles(self, group: int, tile: int):
+        """Every ``(group base, tile row i, tile column j >= i)`` of one
+        exchange.  Each names a set of blocks no other tile touches (the
+        tile and its mirror image), so tiles can run in any order.  A
+        diagonal tile of one block stays put and is not listed."""
         for base in range(0, self.num_shards, group):
-            rows = [
-                shard.reshape(group, block)
-                for shard in self._shards[base:base + group]
-            ]
             for i in range(0, group, tile):
-                if tile > 1:  # a diagonal tile of one block stays put
-                    for a in steps:
-                        stage_a[a] = rows[i + a][i:i + tile]
-                    for a in steps:
-                        rows[i + a][i:i + tile] = stage_a[:, a]
-                for j in range(i + tile, group, tile):
-                    for a in steps:
-                        stage_a[a] = rows[i + a][j:j + tile]
-                    for b in steps:
-                        stage_b[b] = rows[j + b][i:i + tile]
-                    for a in steps:
-                        rows[i + a][j:j + tile] = stage_b[:, a]
-                    for b in steps:
-                        rows[j + b][i:i + tile] = stage_a[:, b]
+                for j in range(i if tile > 1 else i + tile, group, tile):
+                    yield base, i, j
 
     def permute_shards(self, permutation: np.ndarray) -> None:
-        if sorted(permutation) != list(range(self.num_shards)):
-            raise ValueError("permutation must be a bijection over ranks")
+        self._check_permutation(permutation)
         self._shards = [self._shards[int(p)] for p in permutation]
+
+
+class SharedMemoryShards(InMemoryShards):
+    """One worker's attachment to shards that live in one shared block.
+
+    *buffer* (a ``multiprocessing.shared_memory`` block's ``buf``) holds
+    the whole state once, ``num_shards`` slots of ``shard_size``
+    amplitudes; every worker process holds its own attachment over it,
+    naming which of *num_workers* it is, and runs the same program.
+    Worker ``w`` owns the contiguous ranks ``local_ranks`` and writes no
+    other shard outside the two collectives, which are the only places
+    workers meet:
+
+    * :meth:`permute_shards` relabels rank -> slot in every worker
+      identically (a pointer shuffle, as in the parent), then waits on
+      *barrier*: the wait orders every worker's kernel writes to the slots
+      it owned before the relabel ahead of any access by those slots' new
+      owners.
+    * :meth:`exchange_blocks` is the parent's tiled in-place block
+      transpose with the disjoint tiles dealt round-robin to the workers,
+      between two waits: the first orders all kernel writes (the staging
+      swaps included) ahead of any block move, the second orders all block
+      moves ahead of any kernel on the exchanged shards.  No scratch copy
+      of the state exists.
+
+    With the defaults an attachment is alone in its world: it owns every
+    rank and its barrier has one party.  A worker that fails must
+    ``abort()`` the barrier so its peers leave their waits with
+    ``BrokenBarrierError``.
+    """
+
+    def __init__(
+        self,
+        num_shards: int,
+        shard_size: int,
+        *,
+        buffer,
+        barrier=None,
+        worker: int = 0,
+        num_workers: int = 1,
+        dtype=np.complex128,
+    ) -> None:
+        if not 0 <= worker < num_workers <= num_shards:
+            raise ValueError(
+                f"need 0 <= worker < num_workers <= {num_shards}, got "
+                f"worker {worker} of {num_workers}"
+            )
+        self._buffer = buffer
+        self._barrier = barrier if barrier is not None else threading.Barrier(1)
+        self._worker, self._num_workers = worker, num_workers
+        self._slots = list(range(num_shards))
+        super().__init__(num_shards, shard_size, dtype=dtype)
+
+    def _allocate(self) -> np.ndarray:
+        # Not np.frombuffer: that pins the buffer, and a shared block must
+        # be closable while attachments (or a traceback holding one) live.
+        return np.ndarray(
+            (self.num_shards * self.shard_size,),
+            dtype=self.dtype,
+            buffer=self._buffer,
+        )
+
+    @property
+    def local_ranks(self) -> range:
+        w, count, ranks = self._worker, self._num_workers, self.num_shards
+        return range(w * ranks // count, (w + 1) * ranks // count)
+
+    def local_block(self) -> np.ndarray | None:
+        # A worker's ranks are scattered over the slots once relabeled.
+        return self._block if self._num_workers == 1 else None
+
+    @property
+    def slot_of_rank(self) -> tuple[int, ...]:
+        """Which slot of the block each rank's shard currently occupies."""
+        return tuple(self._slots)
+
+    def relabel(self, slot_of_rank) -> None:
+        """Adopt a rank -> slot labelling (e.g. the one a worker ended with)."""
+        slots = self._block.reshape(self.num_shards, self.shard_size)
+        self._slots = [int(slot) for slot in slot_of_rank]
+        self._shards = [slots[slot] for slot in self._slots]
+
+    def permute_shards(self, permutation: np.ndarray) -> None:
+        super().permute_shards(permutation)
+        self._slots = [self._slots[int(p)] for p in permutation]
+        self._barrier.wait()
+
+    def exchange_blocks(self, swap_qubits: int) -> None:
+        self._barrier.wait()
+        super().exchange_blocks(swap_qubits)
+        self._barrier.wait()
+
+    def _exchange_tiles(self, group: int, tile: int):
+        return islice(
+            super()._exchange_tiles(group, tile),
+            self._worker, None, self._num_workers,
+        )
 
 
 class DiskShards(ShardStorage):
@@ -487,8 +648,7 @@ class DiskShards(ShardStorage):
         )
 
     def permute_shards(self, permutation: np.ndarray) -> None:
-        if sorted(permutation) != list(range(self.num_shards)):
-            raise ValueError("permutation must be a bijection over ranks")
+        self._check_permutation(permutation)
         self._file_of_rank = [self._file_of_rank[int(p)] for p in permutation]
 
     def close(self) -> None:

@@ -17,18 +17,14 @@ when a finalized trace is frozen, not re-summed per property access.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
-from repro.distributed.state import DistributedState
-from repro.scheduling.program import ClusterOp, GateOp, Schedule, SwapOp
-from repro.telemetry.runtime import Telemetry
+from repro.scheduling.program import ClusterOp, GateOp, SwapOp
 
 __all__ = [
     "OP_EVENT_KINDS",
     "TraceEvent",
     "ExecutionTrace",
-    "trace_schedule_execution",
 ]
 
 #: Span kinds that surface as flat :class:`TraceEvent`s.  Spans of any
@@ -196,34 +192,3 @@ def _classify(op) -> tuple[str, str]:
     if isinstance(op, ClusterOp):
         return "cluster", f"k={op.num_qubits} ({op.num_gates} gates)"
     return "absorbed", f"k={op.num_qubits} (+{op.num_gates - op.cluster.num_gates} diag)"
-
-
-def trace_schedule_execution(
-    state: DistributedState,
-    schedule: Schedule,
-    *,
-    telemetry: Telemetry | None = None,
-) -> ExecutionTrace:
-    """Execute *schedule* on *state*, timing every operation.
-
-    .. deprecated::
-        Thin shim over :class:`repro.runtime.ExecutionEngine` with a
-        :class:`~repro.runtime.TracingLayer`; build that stack directly.
-
-    With no *telemetry* a private span tracer records just the op-level
-    spans; pass a live :class:`~repro.telemetry.runtime.Telemetry` to
-    also collect the nested kernel/comm spans and stream metrics (the
-    bundle is attached to *state* for the duration of the call).
-    """
-    warnings.warn(
-        "trace_schedule_execution is deprecated; run the schedule through "
-        "repro.runtime.ExecutionEngine with a TracingLayer",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.runtime import ExecutionEngine, TracingLayer
-
-    engine = ExecutionEngine(  # lint: allow-engine-direct
-        schedule, use_plan=False, layers=[TracingLayer(telemetry)]
-    )
-    return engine.run(state=state).trace

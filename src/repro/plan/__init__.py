@@ -37,7 +37,6 @@ most once per config — the config object is the entire cache key).
 """
 
 from repro.plan.config import DEFAULT_FUSION_KMAX, PlanConfig
-from repro.plan.executor import execute_plan
 from repro.plan.program import (
     CompiledProgram,
     PlanOp,
@@ -53,6 +52,5 @@ __all__ = [
     "PlanOp",
     "SourceEvent",
     "compile_program",
-    "execute_plan",
     "plan_for",
 ]

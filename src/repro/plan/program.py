@@ -161,10 +161,18 @@ class CompiledProgram:
         return sum(op.num_sources for op in self.ops)
 
     def execute(self, state, *, telemetry=None):
-        """Run the program on *state*; see :func:`repro.plan.execute_plan`."""
-        from repro.plan.executor import execute_plan
+        """Run the program on *state* through the runtime engine.
 
-        return execute_plan(self, state, telemetry=telemetry)
+        Returns the op-level :class:`ExecutionTrace` when *telemetry* is
+        an active bundle (its signature equals an unplanned traced run's:
+        fused ops emit zero-length spans for the sources folded in), else
+        ``None`` — the engine's bare loop, one pre-resolved call per op.
+        """
+        from repro.runtime import ExecutionEngine, TracingLayer
+
+        traced = telemetry is not None and telemetry.active
+        layers = [TracingLayer(telemetry)] if traced else ()
+        return ExecutionEngine(self, layers=layers).run(state=state).trace  # lint: allow-engine-direct
 
     def summary(self) -> dict:
         """Counters for display (``repro simulate --plan-stats``)."""

@@ -5,10 +5,10 @@ or raw schedules; every cross-cutting concern — tracing, shard
 sanitizing, fault injection, integrity verification, checkpointing — is
 a :class:`RuntimeLayer` composed onto that loop, and a
 :class:`RetryPolicy` turns the same loop into the fault-tolerant
-executor.  The legacy per-feature entry points
-(``trace_schedule_execution``, ``run_sanitized``,
-``run_with_checkpoints``, ``ResilientExecutor``) are deprecation shims
-over engine + layer stacks built here.
+executor.  The front doors (``DistributedSimulator.run_schedule``,
+``CompiledProgram.execute``, ``CheckpointManager.resume``,
+``ResilientExecutor``, the multi-process runner's workers) all build an
+engine plus the matching layer stack.
 """
 
 from repro.runtime.engine import (

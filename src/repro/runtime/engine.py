@@ -1,16 +1,16 @@
 """The one canonical execution loop.
 
 Every way this codebase runs a schedule — plain, plan-compiled, traced,
-sanitized, fault-injected, checkpointed, resilient — used to be its own
-executor with its own copy of the op loop.  :class:`ExecutionEngine`
-replaces them all: it replays a :class:`~repro.plan.CompiledProgram` (or
-the raw :class:`~repro.scheduling.Schedule` op stream with
-``use_plan=False``) through a single loop, and every cross-cutting
-concern is a :class:`~repro.runtime.layers.RuntimeLayer` composed onto
-that loop.  The legacy entry points (``run_schedule``,
-``trace_schedule_execution``, ``run_sanitized``,
-``run_with_checkpoints``, ``ResilientExecutor``) are thin shims that
-build an engine plus the matching layer stack.
+sanitized, fault-injected, checkpointed, resilient, multi-process — goes
+through :class:`ExecutionEngine`: it replays a
+:class:`~repro.plan.CompiledProgram` (or the raw
+:class:`~repro.scheduling.Schedule` op stream with ``use_plan=False``)
+through a single loop, and every cross-cutting concern is a
+:class:`~repro.runtime.layers.RuntimeLayer` composed onto that loop.
+The front doors (``run_schedule``, ``CompiledProgram.execute``,
+``CheckpointManager.resume``, ``ResilientExecutor``) build an engine plus
+the matching layer stack; ``MultiprocessRunner`` runs this same loop in
+every worker process over a shared-memory shard backend.
 
 Hook order is onion-style: ``before_op`` runs in stack order,
 ``after_op`` / ``on_run_end`` in reverse stack order, so the first layer
@@ -372,12 +372,7 @@ class ExecutionEngine:
                 "engine has no schedule and no state_factory; pass "
                 "run(state=...)"
             )
-        return DistributedState(
-            schedule.num_qubits,
-            schedule.local_qubits,
-            init=getattr(schedule, "initial_state", "zero"),
-            initial_global_qubits=schedule.initial_global_qubits or None,
-        )
+        return DistributedState.for_schedule(schedule)
 
     def _acquire_state(self, ctx, explicit_state, start_index):
         """State + starting unit for this pass (checkpoint > explicit > fresh)."""

@@ -90,7 +90,7 @@ class RuntimeLayer:
 
 
 class TracingLayer(RuntimeLayer):
-    """Op-level span recording; subsumes ``trace_schedule_execution``.
+    """Op-level span recording.
 
     One span per op *attempt*: a successful attempt keeps the op's
     kind/label; under a retry policy a transient failure mutates into a
@@ -101,12 +101,12 @@ class TracingLayer(RuntimeLayer):
     original schedule op, and the trace ``signature()`` is bit-for-bit
     identical between planned, raw and resilient executions.
 
-    ``mode="schedule"`` mirrors the legacy tracer: ``stage`` span
-    attributes and ``op.seconds`` histograms.  ``mode="resilient"``
-    mirrors the legacy supervisor spans (neither).  ``trace_scope``
+    ``mode="schedule"`` records ``stage`` span attributes and
+    ``op.seconds`` histograms; ``mode="resilient"`` (the
+    ``ResilientExecutor`` stack) records neither.  ``trace_scope``
     selects the spans the result trace is built from: ``"all"`` (the
-    tracer's full history, legacy ``trace_schedule_execution``) or
-    ``"run"`` (this run only, legacy ``ResilientExecutor``).
+    tracer's full history) or ``"run"`` (this run only, what
+    ``ResilientExecutor`` reports).
     """
 
     def __init__(
@@ -255,9 +255,9 @@ class FlightRecorderLayer(RuntimeLayer):
 class SanitizerLayer(RuntimeLayer):
     """Drives a :class:`repro.staticcheck.ShardSanitizer` at op bounds.
 
-    Subsumes ``run_sanitized``: the sanitizer is attached to the pass's
-    state on run start (reset first, so latches clear across restarts
-    while findings accumulate) and scanned before/after every op.
+    The sanitizer is attached to the pass's state on run start (reset
+    first, so latches clear across restarts while findings accumulate)
+    and scanned before/after every op.
     """
 
     def __init__(self, sanitizer) -> None:
@@ -360,17 +360,17 @@ class IntegrityLayer(RuntimeLayer):
 
 
 class CheckpointLayer(RuntimeLayer):
-    """Periodic checkpointing; subsumes ``run_with_checkpoints``.
+    """Periodic checkpointing.
 
     Saves whenever the count of completed source ops crosses an
-    ``every`` boundary (for single-source units that is exactly the
-    legacy ``(index + 1) % every == 0``; fused plan units checkpoint at
-    the unit boundary that crosses it).  ``resume=True`` makes the layer
+    ``every`` boundary (for single-source units that is exactly
+    ``(index + 1) % every == 0``; fused plan units checkpoint at the
+    unit boundary that crosses it).  ``resume=True`` makes the layer
     provide the checkpointed state on (re)starts; ``state_factory``
     rebuilds the state the checkpoint loads into, which is how custom
-    storage backends survive a restart.  ``fail_after`` injects the
-    legacy test failure: checkpoint-then-raise after that many ops of
-    the current pass.
+    storage backends survive a restart.  ``fail_after`` injects a test
+    failure: checkpoint-then-raise after that many ops of the current
+    pass.
     """
 
     def __init__(

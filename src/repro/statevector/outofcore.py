@@ -55,40 +55,19 @@ class OutOfCoreStateVector(DistributedState):
         storage = DiskShards(
             1 << (num_qubits - local_qubits), 1 << local_qubits, directory
         )
-        if init is None:
-            # Bypass DistributedState init by initialising to zero-state
-            # semantics first, then restoring nothing — instead we call the
-            # parent with "zero" and immediately reload is wasteful; so we
-            # replicate the minimal parent setup inline.
-            self.num_qubits = num_qubits
-            self.local_qubits = local_qubits
-            self.global_qubits = num_qubits - local_qubits
-            self.storage = storage
-            self.bit_of_qubit = list(range(num_qubits))
-            from repro.distributed.comm import CommStats
-            from repro.kernels.cost import KernelCostModel
-
-            from repro.kernels import DEFAULT_CHUNK
-            from repro.telemetry.runtime import NULL_TELEMETRY
-
-            self.chunk_size = DEFAULT_CHUNK
-            self.stats = CommStats()
-            self.kernel_cost = KernelCostModel()
-            self.telemetry = NULL_TELEMETRY
-            if initial_global_qubits is not None:
-                raise ValueError(
-                    "initial_global_qubits requires init='zero'/'plus' — "
-                    "with init=None the on-disk layout is whatever the "
-                    "previous session left"
-                )
-        else:
-            super().__init__(
-                num_qubits,
-                local_qubits,
-                storage=storage,
-                init=init,
-                initial_global_qubits=initial_global_qubits,
+        if init is None and initial_global_qubits is not None:
+            raise ValueError(
+                "initial_global_qubits requires init='zero'/'plus' — "
+                "with init=None the on-disk layout is whatever the "
+                "previous session left"
             )
+        super().__init__(
+            num_qubits,
+            local_qubits,
+            storage=storage,
+            init=init,
+            initial_global_qubits=initial_global_qubits,
+        )
         self.directory = Path(directory)
 
     def close(self) -> None:
@@ -101,12 +80,5 @@ class OutOfCoreStateVector(DistributedState):
     ) -> "OutOfCoreStateVector":
         """Spill an in-memory state vector to disk shards."""
         out = cls(state.num_qubits, local_qubits, directory)
-        import numpy as np
-
-        offsets = np.arange(1 << local_qubits, dtype=np.int64)
-        for r in range(out.num_ranks):
-            phys = (r << local_qubits) | offsets
-            shard = out.storage.get(r)
-            shard[:] = state.data[phys]
-            out._sync(shard)
+        out._scatter(state)
         return out

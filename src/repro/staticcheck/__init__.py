@@ -53,7 +53,6 @@ from repro.staticcheck.sanitizer import (
     SanitizerConfig,
     SanitizerReport,
     ShardSanitizer,
-    run_sanitized,
 )
 from repro.staticcheck.schedule_checker import check_mapping, check_schedule
 
@@ -82,7 +81,6 @@ __all__ = [
     "lint_paths",
     "predict_comm_stats",
     "run_lint",
-    "run_sanitized",
     "verify_schedule",
 ]
 

@@ -1,11 +1,11 @@
 """Symbolic verification of the induced communication plan.
 
 A schedule's communication behaviour is fully determined before any
-amplitude exists: replaying the op stream over abstract per-rank layout
-bookkeeping (the same replicated evolution
-:class:`repro.distributed.multiproc._WorkerLayout` performs) yields, for
-every virtual rank, the exact sequence of collectives it will join —
-group membership, element counts, direction.  qHiPSTER-class simulators
+amplitude exists: replaying the op stream over the
+:class:`~repro.distributed.layout.QubitLayout` transitions (the very
+recipe ``DistributedState`` executes on amplitudes) yields, for every
+virtual rank, the exact sequence of collectives it will join — group
+membership, element counts, direction.  qHiPSTER-class simulators
 die precisely here: one rank enters an all-to-all with a different group
 or count than its peers and the job corrupts data or hangs.
 
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.distributed.layout import QubitLayout
 from repro.scheduling.program import GateOp, Schedule, SwapOp
 from repro.staticcheck.diagnostics import CheckReport, Severity
 
@@ -96,63 +97,22 @@ class BarrierOp:
 
 
 # ----------------------------------------------------------------------
-# Plan derivation (mirrors the executors' layout evolution)
+# Plan derivation (replays the executors' layout transitions)
 # ----------------------------------------------------------------------
-class _Layout:
-    """Replicated layout bookkeeping, one logical instance per rank."""
-
-    def __init__(self, num_qubits: int, local_qubits: int, initial_global):
-        self.n = num_qubits
-        self.l = local_qubits
-        self.g = num_qubits - local_qubits
-        self.bit_of_qubit = list(range(num_qubits))
-        if initial_global:
-            global_sorted = sorted(initial_global)
-            local_sorted = [
-                q for q in range(num_qubits) if q not in set(global_sorted)
-            ]
-            for bit, q in enumerate(local_sorted + global_sorted):
-                self.bit_of_qubit[q] = bit
-
-    def global_set(self) -> set[int]:
-        return {
-            q for q in range(self.n) if self.bit_of_qubit[q] >= self.l
-        }
-
-    def apply_swap(self, new_global: set[int]) -> int:
-        """Evolve through a swap; returns q (0 when the swap is a no-op)."""
-        cur_global = self.global_set()
-        incoming = sorted(cur_global - new_global)
-        outgoing = sorted(new_global - cur_global)
-        q = len(incoming)
-        if q == 0:
-            return 0
-        l = self.l
-        staying = sorted(
-            cur_global & new_global, key=lambda qq: self.bit_of_qubit[qq]
-        )
-        new_positions = {qq: l + i for i, qq in enumerate(incoming)}
-        new_positions.update(
-            {qq: l + q + i for i, qq in enumerate(staying)}
-        )
-        for qq, new_bit in new_positions.items():
-            self.bit_of_qubit[qq] = new_bit
-        # Local staging swaps only permute local bits; the q-qubit block
-        # exchange then swaps the two bit ranges.
-        for i, qq in enumerate(outgoing):
-            target = l - q + i
-            current = self.bit_of_qubit[qq]
-            if current != target:
-                holder = self.bit_of_qubit.index(target)
-                self.bit_of_qubit[holder] = current
-                self.bit_of_qubit[qq] = target
-        for qubit in range(self.n):
-            bit = self.bit_of_qubit[qubit]
-            if l - q <= bit < l:
-                self.bit_of_qubit[qubit] = bit + q
-            elif l <= bit < l + q:
-                self.bit_of_qubit[qubit] = bit - q
-        return q
+def _replay(schedule: Schedule):
+    """``(op_index, op, layout before it, its SwapStep or None)`` per op."""
+    layout = QubitLayout.initial(
+        schedule.num_qubits,
+        schedule.local_qubits,
+        schedule.initial_global_qubits or None,
+    )
+    for op_index, op in enumerate(schedule.operations()):
+        step = None
+        if isinstance(op, SwapOp):
+            step = layout.plan_swap(op.new_global_qubits)
+        yield op_index, op, layout, step
+        if step is not None:
+            layout = step.after
 
 
 def comm_plan_for_schedule(
@@ -160,25 +120,21 @@ def comm_plan_for_schedule(
 ) -> list[list[CollectiveOp]]:
     """Per-rank abstract comm programs induced by *schedule*.
 
-    Every rank's program is derived independently from its own replica of
-    the layout bookkeeping — exactly how the multiprocess executor works —
-    so a scheduler bug that makes replicas diverge shows up as program
-    disagreement, which :func:`check_collectives` flags.
+    Every rank posts what the one layout evolution says it must — the
+    SPMD execution model, where each process derives the collectives from
+    its own replica of the same layout — so corrupting one rank's program
+    shows up as disagreement, which :func:`check_collectives` flags.
     """
-    n, l = schedule.num_qubits, schedule.local_qubits
-    g = n - l
-    num_ranks = 1 << g
+    l = schedule.local_qubits
+    num_ranks = 1 << (schedule.num_qubits - l)
     if shard_bytes is None:
         shard_bytes = (1 << l) * 16  # complex128 amplitudes
     programs: list[list[CollectiveOp]] = [[] for _ in range(num_ranks)]
-    initial_global = sorted(schedule.initial_global_qubits)
-    layout = _Layout(n, l, initial_global)
-    for op_index, op in enumerate(schedule.operations()):
-        if isinstance(op, SwapOp):
-            q = layout.apply_swap(set(op.new_global_qubits))
-            if q == 0:
+    for op_index, op, layout, step in _replay(schedule):
+        if step is not None:
+            if step.q == 0:
                 continue
-            group_size = 1 << q
+            group_size = 1 << step.q
             moved = shard_bytes * (group_size - 1) // group_size
             for rank in range(num_ranks):
                 base = (rank // group_size) * group_size
@@ -193,11 +149,10 @@ def comm_plan_for_schedule(
                 )
         elif isinstance(op, GateOp):
             gate = op.gate
-            bits = [layout.bit_of_qubit[q] for q in gate.qubits]
             if (
                 not gate.is_diagonal
                 and gate.is_monomial
-                and any(b >= l for b in bits)
+                and not all(layout.is_local(q) for q in gate.qubits)
             ):
                 # Rank renumbering: free on the wire, but every rank must
                 # agree it happens (it relabels who owns which shard).
@@ -231,15 +186,11 @@ def predict_comm_stats(
     steps = 0
     calls = 0
     total_bytes = 0
-    layout = _Layout(n, l, sorted(schedule.initial_global_qubits))
-    for op in schedule.operations():
-        if not isinstance(op, SwapOp):
+    for _, _, _, step in _replay(schedule):
+        if step is None or step.q == 0:
             continue
-        q = layout.apply_swap(set(op.new_global_qubits))
-        if q == 0:
-            continue
-        group_size = 1 << q
-        num_groups = 1 << (g - q)
+        group_size = 1 << step.q
+        num_groups = 1 << (g - step.q)
         moved_per_rank = shard_bytes * (group_size - 1) // group_size
         steps += 1
         calls += num_groups

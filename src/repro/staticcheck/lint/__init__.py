@@ -1,11 +1,10 @@
 """Pluggable lint framework for the repro codebase.
 
-Subsumes the old monolithic ``tools/repro_lint.py``: every check is now
-a :class:`~repro.staticcheck.lint.core.LintRule` module under
-:mod:`repro.staticcheck.lint.rules`, registered by name, with a
+Every check is a :class:`~repro.staticcheck.lint.core.LintRule` module
+under :mod:`repro.staticcheck.lint.rules`, registered by name, with a
 severity, per-line/per-file suppression and baseline grandfathering.
-``repro lint`` is the CLI; ``tools/repro_lint.py`` remains as a thin
-shim over :func:`lint_paths` for CI compatibility.
+``repro lint`` is the CLI; :func:`lint_file` / :func:`lint_paths` are the
+library entry points.
 
 See ``docs/architecture.md`` ("Lint framework") for the rule catalogue
 and the baseline workflow.

@@ -1,13 +1,10 @@
 """The lint framework core: findings, rules, registry, engine.
 
-Everything the ``repro lint`` CLI, the :mod:`tools.repro_lint` shim and
-the rule modules share lives here:
+Everything the ``repro lint`` CLI and the rule modules share lives here:
 
 * :class:`LintFinding` — one finding, pinned to ``path:line`` with a
   rule name, a severity (:data:`SEVERITIES`: error / warning /
-  advisory), a message and an optional fix hint.  The ``check``
-  property aliases ``rule`` for compatibility with the pre-framework
-  ``tools/repro_lint.py`` API.
+  advisory), a message and an optional fix hint.
 * :class:`ModuleContext` — one parsed file handed to rules: source,
   split lines, AST, normalized path and a best-effort dotted module
   name (used by the lock-order rule to build stable lock identities).
@@ -74,13 +71,8 @@ class LintFinding:
     #: True when a loaded baseline grandfathers this finding.
     baselined: bool = False
 
-    @property
-    def check(self) -> str:
-        """Legacy alias for :attr:`rule` (pre-framework shim API)."""
-        return self.rule
-
     def format(self) -> str:
-        """One-line human-readable rendering (legacy-compatible)."""
+        """One-line human-readable rendering."""
         line = f"{self.path}:{self.line}: [{self.rule}] {self.message}"
         if self.baselined:
             line += "  (baselined)"
@@ -435,11 +427,7 @@ def run_lint(
 
 
 def lint_file(path, *, rules: list[LintRule] | None = None) -> list[LintFinding]:
-    """Lint one file; returns suppression-filtered findings.
-
-    The legacy entry point :mod:`tools.repro_lint` re-exports (no
-    baseline handling — the shim predates baselines).
-    """
+    """Lint one file; returns suppression-filtered findings (no baseline)."""
     return run_lint([Path(path)], rules=rules).findings
 
 

@@ -2,10 +2,10 @@
 
 Importing this package registers every built-in rule with the framework
 registry (each module applies :func:`repro.staticcheck.lint.register`
-at import).  Five rules are ports of the pre-framework
-``tools/repro_lint.py`` checks; four are concurrency rules aimed at
-the service layer's async/thread mix; ``metric-name`` guards the
-observability plane's naming convention.
+at import).  Five rules guard repo idioms (defaults, float equality,
+views, the one op loop, engine construction); four are concurrency rules
+aimed at the service layer's async/thread mix; ``metric-name`` guards
+the observability plane's naming convention.
 
 ==================== ======== =============================================
 rule                 severity what it catches

@@ -1,11 +1,14 @@
 """op-loop: a hand-rolled schedule executor.
 
 A ``for ... in schedule.operations(...)`` loop whose body calls
-``op.execute(...)`` is a private execution loop.  The repo once had six
-of them; they are unified in :class:`repro.runtime.ExecutionEngine`,
-which owns tracing, layering and cache warm-up.  The canonical loop
-itself lives under ``repro/runtime`` (exempt); everything else must go
-through the engine so the six-parallel-executors problem cannot
+``op.execute(...)`` is a private execution loop.  The repo once had
+seven of them — the last, the multi-process runner, dispatched kernels
+per op itself; all are unified in :class:`repro.runtime.ExecutionEngine`,
+which owns tracing, layering and retries, and nothing under ``src/``
+outside ``repro/runtime`` applies a kernel per schedule op any more
+(multi-process runs are that same engine in every worker).  The
+canonical loop itself lives under ``repro/runtime`` (exempt); everything
+else must go through the engine so the parallel-executors problem cannot
 silently regrow.
 """
 

@@ -1,8 +1,9 @@
 """Runtime shard sanitizers (``simulate --sanitize``).
 
 Static checks prove the *plan* is sound; the sanitizer watches the
-*execution*: an ASan-style wrapper around schedule execution that, at
-every op boundary,
+*execution*: an ASan-style checker that
+:class:`repro.runtime.SanitizerLayer` drives around schedule execution
+and that, at every op boundary,
 
 * scans every shard for NaN/Inf amplitudes (a kernel bug or corrupted
   matrix poisons the state long before the final norm reveals it),
@@ -22,7 +23,6 @@ read-only: it never mutates the state and adds no communication.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +34,6 @@ __all__ = [
     "SanitizerConfig",
     "SanitizerReport",
     "ShardSanitizer",
-    "run_sanitized",
 ]
 
 _E = Severity.ERROR
@@ -95,8 +94,8 @@ class ShardSanitizer:
     """Stateful runtime checker driven at op boundaries.
 
     Call :meth:`before_op` right before executing op *i* and
-    :meth:`after_op` right after it; :meth:`run_sanitized` and the
-    resilience supervisor do this for you.  The sanitizer keeps the last
+    :meth:`after_op` right after it; :class:`repro.runtime.SanitizerLayer`
+    does this for you on the execution engine.  The sanitizer keeps the last
     known-good checksums and the initial norm, so it must observe the
     state once (:meth:`attach`) before the first op.
     """
@@ -262,63 +261,3 @@ class ShardSanitizer:
         self.before_op(state, op_index)
         self.after_op(state, op_index)
         return self.report.findings[already:]
-
-
-def run_sanitized(
-    schedule,
-    *,
-    state: DistributedState | None = None,
-    config: SanitizerConfig | None = None,
-    corrupt_during: dict | None = None,
-    corrupt_after: dict | None = None,
-) -> tuple[DistributedState, SanitizerReport]:
-    """Execute *schedule* with the sanitizer armed; returns state+report.
-
-    .. deprecated::
-        Thin shim over :class:`repro.runtime.ExecutionEngine` with a
-        :class:`~repro.runtime.SanitizerLayer`; build that stack
-        directly.
-
-    ``corrupt_during`` maps op_index -> callable(state) invoked right
-    after that op executes but before its post-op scan — modelling damage
-    *inside* the op (detected by the same index).  ``corrupt_after`` maps
-    op_index -> callable(state) invoked after the post-op scan recorded
-    checksums — modelling at-rest damage *between* ops (detected by the
-    checksum pass before op ``op_index + 1``).  Both exist for fault
-    drills and tests; production runs pass neither.
-    """
-    warnings.warn(
-        "run_sanitized is deprecated; run the schedule through "
-        "repro.runtime.ExecutionEngine with a SanitizerLayer",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.runtime import ExecutionEngine, SanitizerLayer
-
-    sanitizer = ShardSanitizer(config)
-    # Stack order puts the drills on either side of the sanitizer's
-    # post-op scan: after_op runs in reverse stack order, so
-    # corrupt_during fires before the scan and corrupt_after once the
-    # scan has recorded its checksums.
-    layers = [
-        _corruption_drill(corrupt_after),
-        SanitizerLayer(sanitizer),
-        _corruption_drill(corrupt_during),
-    ]
-    engine = ExecutionEngine(schedule, use_plan=False, layers=layers)  # lint: allow-engine-direct
-    result = engine.run(state=state)
-    return result.state, sanitizer.report
-
-
-def _corruption_drill(corruptions: dict | None):
-    """A layer firing ``corruptions[op_index](state)`` after that op."""
-    from repro.runtime import CallbackLayer
-
-    table = corruptions or {}
-
-    def fire(ctx, unit):
-        hook = table.get(unit.op_index)
-        if hook is not None:
-            hook(ctx.state)
-
-    return CallbackLayer(after_op=fire)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.circuit import generate_supremacy_circuit
 from repro.distributed.checkpoint import CheckpointManager
+from repro.runtime import CheckpointLayer, ExecutionEngine
 from repro.scheduling import SchedulerConfig, schedule_circuit
 from repro.statevector import Simulator
 
@@ -17,11 +18,21 @@ def workload():
     return n, l, sched, ref
 
 
+def run_checkpointed(
+    mgr, sched, *, every=8, fail_after=None, state=None, start_index=0
+):
+    """Execute *sched*, checkpointing into *mgr* every *every* ops;
+    ``fail_after`` aborts (RuntimeError) after that many ops of the pass."""
+    layer = CheckpointLayer(mgr, every=every, fail_after=fail_after)
+    engine = ExecutionEngine(sched, use_plan=False, layers=[layer])  # lint: allow-engine-direct
+    return engine.run(state=state, start_index=start_index).state
+
+
 class TestCheckpointManager:
     def test_run_without_failure(self, tmp_path, workload):
         n, l, sched, ref = workload
         mgr = CheckpointManager(tmp_path)
-        state = mgr.run_with_checkpoints(sched, every=4)
+        state = run_checkpointed(mgr, sched, every=4)
         assert state.to_statevector().allclose(ref, atol=1e-9)
         assert mgr.has_checkpoint()
 
@@ -30,18 +41,18 @@ class TestCheckpointManager:
         n, l, sched, ref = workload
         mgr = CheckpointManager(tmp_path)
         with pytest.raises(RuntimeError, match="injected failure"):
-            mgr.run_with_checkpoints(sched, every=3, fail_after=5)
+            run_checkpointed(mgr, sched, every=3, fail_after=5)
         state = mgr.resume(sched, every=3)
         assert state.to_statevector().allclose(ref, atol=1e-9)
 
     def test_resume_restores_statistics(self, tmp_path, workload):
         n, l, sched, ref = workload
         mgr = CheckpointManager(tmp_path)
-        clean = CheckpointManager(tmp_path / "clean").run_with_checkpoints(
-            sched, every=0
+        clean = run_checkpointed(
+            CheckpointManager(tmp_path / "clean"), sched, every=0
         )
         with pytest.raises(RuntimeError):
-            mgr.run_with_checkpoints(sched, every=2, fail_after=4)
+            run_checkpointed(mgr, sched, every=2, fail_after=4)
         resumed = mgr.resume(sched)
         assert resumed.stats.alltoall_steps == clean.stats.alltoall_steps
         assert resumed.kernel_cost.total_calls == clean.kernel_cost.total_calls
@@ -52,7 +63,7 @@ class TestCheckpointManager:
         mgr = CheckpointManager(tmp_path)
         with pytest.raises(RuntimeError):
             # Fail right after the first swap so the layout is non-trivial.
-            mgr.run_with_checkpoints(sched, every=1, fail_after=3)
+            run_checkpointed(mgr, sched, every=1, fail_after=3)
         state, next_op = mgr.load()
         assert sorted(state.bit_of_qubit) == list(range(n))
         assert next_op == 3
@@ -70,14 +81,14 @@ class TestCheckpointManager:
 
         n, l, sched, _ = workload
         num_ops = len(list(sched.operations()))
-        reference = CheckpointManager(
-            tmp_path / "ref"
-        ).run_with_checkpoints(sched, every=0)
+        reference = run_checkpointed(
+            CheckpointManager(tmp_path / "ref"), sched, every=0
+        )
         ref_data = reference.to_statevector().data
         for stop in range(num_ops):
             mgr = CheckpointManager(tmp_path / f"stop{stop}")
             with pytest.raises(RuntimeError, match="injected failure"):
-                mgr.run_with_checkpoints(sched, every=1, fail_after=stop)
+                run_checkpointed(mgr, sched, every=1, fail_after=stop)
             _, next_op = mgr.load()
             assert next_op == stop
             resumed = mgr.resume(sched, every=1)
@@ -90,12 +101,15 @@ class TestCheckpointManager:
         n, l, sched, ref = workload
         mgr = CheckpointManager(tmp_path)
         with pytest.raises(RuntimeError):
-            mgr.run_with_checkpoints(sched, every=2, fail_after=2)
+            run_checkpointed(mgr, sched, every=2, fail_after=2)
         state, first_stop = mgr.load()
         assert first_stop < len(list(sched.operations()))
         # Second crash, two ops further along.
         with pytest.raises(RuntimeError):
-            mgr._execute(sched, state, first_stop, every=2, fail_after=2)
+            run_checkpointed(
+                mgr, sched, every=2, fail_after=2,
+                state=state, start_index=first_stop,
+            )
         state2, second_stop = mgr.load()
         assert second_stop > first_stop
         final = mgr.resume(sched, every=2)

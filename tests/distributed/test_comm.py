@@ -78,15 +78,13 @@ class TestCommStats:
 
 
 class TestCommEvent:
-    def test_dict_access_shim_warns(self):
+    def test_attribute_access_only(self):
         s = CommStats()
         s.record_alltoall(num_groups=2, group_size=2, shard_bytes=32)
-        with pytest.warns(DeprecationWarning):
-            assert s.events[0]["kind"] == "alltoall"
-        with pytest.warns(DeprecationWarning):
-            assert s.events[0].get("bytes") == s.bytes_on_network
-        with pytest.warns(DeprecationWarning):
-            assert s.events[0].get("missing", 42) == 42
+        event = s.events[0]
+        assert not hasattr(event, "__getitem__") and not hasattr(event, "get")
+        with pytest.raises(TypeError):
+            event["kind"]
 
     def test_to_dict(self):
         s = CommStats()

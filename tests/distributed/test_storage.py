@@ -3,14 +3,21 @@
 import numpy as np
 import pytest
 
-from repro.distributed import DiskShards, InMemoryShards
+import threading
+
+from repro.distributed import DiskShards, InMemoryShards, SharedMemoryShards
 
 
-@pytest.fixture(params=["memory", "disk"])
+@pytest.fixture(params=["memory", "shared", "disk"])
 def storage_factory(request, tmp_path):
     def make(num_shards=4, shard_size=8):
         if request.param == "memory":
             return InMemoryShards(num_shards, shard_size)
+        if request.param == "shared":
+            return SharedMemoryShards(
+                num_shards, shard_size,
+                buffer=bytearray(num_shards * shard_size * 16),
+            )
         return DiskShards(num_shards, shard_size, tmp_path)
 
     return make
@@ -119,6 +126,131 @@ class TestShardStorage:
     def test_permute_validates(self, storage_factory):
         with pytest.raises(ValueError):
             storage_factory().permute_shards(np.array([0, 0, 1, 2]))
+
+
+class TestSharedMemoryShards:
+    """The collectives split over in-process "workers" (one attachment
+    per thread, meeting at a ``threading.Barrier``) equal the in-memory
+    backend on the same data."""
+
+    @staticmethod
+    def _filled(ranks, size):
+        rng = np.random.default_rng(ranks + size)
+        return rng.normal(size=(ranks, size)) + 1j * rng.normal(size=(ranks, size))
+
+    @staticmethod
+    def _run_workers(ranks, size, data, workers, collective):
+        buffer = bytearray(ranks * size * 16)
+        barrier = threading.Barrier(workers)
+        attachments = [
+            SharedMemoryShards(
+                ranks, size, buffer=buffer, barrier=barrier,
+                worker=w, num_workers=workers,
+            )
+            for w in range(workers)
+        ]
+        for r in range(ranks):
+            attachments[0].set(r, data[r])
+        errors = []
+
+        def body(shards):
+            try:
+                collective(shards)
+            except BaseException as exc:  # surfaced below
+                barrier.abort()
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=body, args=(a,), daemon=True)
+            for a in attachments
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert errors == []
+        return attachments
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize(
+        "ranks,size,swap_qubits",
+        [(8, 16, 1), (8, 16, 3), (64, 32, 5), (1024, 1024, 10)],
+    )
+    def test_exchange_equals_in_memory(self, ranks, size, swap_qubits, workers):
+        data = self._filled(ranks, size)
+        want = InMemoryShards(ranks, size)
+        for r in range(ranks):
+            want.set(r, data[r])
+        want.exchange_blocks(swap_qubits)
+        got = self._run_workers(
+            ranks, size, data, workers,
+            lambda shards: shards.exchange_blocks(swap_qubits),
+        )
+        for r in range(ranks):
+            assert np.array_equal(got[0].get(r), want.get(r)), r
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_permute_then_exchange_equals_in_memory(self, workers):
+        ranks, size = 16, 8
+        data = self._filled(ranks, size)
+        permutation = np.random.default_rng(3).permutation(ranks)
+        want = InMemoryShards(ranks, size)
+        for r in range(ranks):
+            want.set(r, data[r])
+        want.permute_shards(permutation)
+        want.exchange_blocks(2)
+
+        def collective(shards):
+            shards.permute_shards(permutation)
+            shards.exchange_blocks(2)
+
+        got = self._run_workers(ranks, size, data, workers, collective)
+        for attachment in got:  # every worker relabelled identically
+            assert attachment.slot_of_rank == got[0].slot_of_rank
+            for r in range(ranks):
+                assert np.array_equal(attachment.get(r), want.get(r)), r
+
+    def test_workers_partition_the_ranks(self):
+        buffer = bytearray(8 * 4 * 16)
+        owned = [
+            list(
+                SharedMemoryShards(
+                    8, 4, buffer=buffer, worker=w, num_workers=3
+                ).local_ranks
+            )
+            for w in range(3)
+        ]
+        assert sorted(r for block in owned for r in block) == list(range(8))
+        assert all(block == list(range(block[0], block[-1] + 1)) for block in owned)
+        assert list(InMemoryShards(8, 4).local_ranks) == list(range(8))
+
+    def test_local_block(self, tmp_path):
+        """One array over every local shard where they sit side by side."""
+        memory = InMemoryShards(4, 8)
+        memory.permute_shards(np.array([2, 0, 3, 1]))
+        block = memory.local_block()
+        assert block.shape == (4 * 8,)
+        block[:] = np.arange(32)
+        assert sorted(memory.get(r)[0].real for r in range(4)) == [0, 8, 16, 24]
+        # Past 128 KiB a shard is an array of its own (steady heap use).
+        assert InMemoryShards(2, 1 << 13).local_block() is not None
+        assert InMemoryShards(2, 1 << 14).local_block() is None
+        buffer = bytearray(4 * 8 * 16)
+        alone = SharedMemoryShards(4, 8, buffer=buffer)
+        assert np.shares_memory(alone.local_block(), alone.get(3))
+        # A worker's ranks scatter over the slots once relabeled.
+        shared = SharedMemoryShards(4, 8, buffer=buffer, worker=1, num_workers=2)
+        assert shared.local_block() is None
+        assert DiskShards(4, 8, tmp_path).local_block() is None
+
+    def test_set_writes_through_to_the_block(self):
+        buffer = bytearray(2 * 4 * 16)
+        shards = SharedMemoryShards(2, 4, buffer=buffer)
+        shards.set(1, np.full(4, 2 + 1j))
+        assert np.array_equal(
+            np.frombuffer(buffer, dtype=np.complex128)[4:], np.full(4, 2 + 1j)
+        )
 
 
 class TestDiskSpecific:

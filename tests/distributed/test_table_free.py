@@ -1,7 +1,8 @@
 """The distributed state's table-free paths.
 
-* traced (per-rank spans) and untraced runs execute the *same* per-shard
-  kernel, so every op leaves bit-identical shards either way;
+* an untraced run sweeps all shards of the in-memory backend as one
+  block, a run with per-rank spans goes shard by shard; both do the same
+  arithmetic, so every op leaves bit-identical shards either way;
 * the staging swap's single transposed copy equals the chain of SWAP
   kernels it replaces, bit for bit.
 """
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.circuit import generate_supremacy_circuit
-from repro.distributed import DistributedState
+from repro.distributed import DistributedState, SharedMemoryShards
 from repro.distributed.checkpoint import CheckpointManager
 from repro.gates import random_unitary
 from repro.plan import plan_for
@@ -59,6 +60,44 @@ class TestTracedEqualsUntraced:
         for state in (plain, traced):
             state._apply_local(None, (2, 7), diagonal=True, diag=diag)
         assert _same_shards(plain, traced)
+
+    def test_tensor_phase_factor_bit_identical(self):
+        """Past 16 local qubits the phase factor is a broadcast tensor."""
+        n, l = 18, 17
+        diag = np.exp(1j * np.linspace(0, 3, 4))
+        # In-memory shards this large are separate arrays; one attachment
+        # to a shared block still sweeps them as one.
+        shared = SharedMemoryShards(2, 1 << l, buffer=bytearray(16 << n))
+        assert shared.local_block() is not None
+        plain = _random_state(n, l, 6, storage=shared)
+        traced = _random_state(n, l, 6, telemetry=Telemetry.enabled(per_rank=True))
+        for state in (plain, traced):
+            state._apply_local(None, (3, 16), diagonal=True, diag=diag)
+        assert _same_shards(plain, traced)
+
+    def test_reference_strategy_goes_rank_by_rank(self, monkeypatch):
+        """The tensordot kernel's GEMM shape follows the vector's length,
+        and its rounding with it: no block sweep for it."""
+        n, l = 12, 10
+        bits = (0, 1, 2, 3, 4, 5, 6, 8, 9)  # past SWEEP_MAX_QUBITS
+        u = random_unitary(len(bits), 2)
+        plain = _random_state(n, l, 7)
+        traced = _random_state(n, l, 7, telemetry=Telemetry.enabled(per_rank=True))
+        monkeypatch.setattr(plain.storage, "local_block", None)  # not called
+        for state in (plain, traced):
+            state._apply_local(u, bits, diagonal=False)
+        assert _same_shards(plain, traced)
+
+    def test_block_sweep_is_what_the_untraced_run_does(self, monkeypatch):
+        """Guards the comparisons above: without a block the untraced run
+        goes rank by rank too, and still lands on the same bits."""
+        bits, u = (9, 3, 7, 1), random_unitary(4, 1)
+        block, ranked = _random_state(13, 10, 4), _random_state(13, 10, 4)
+        assert block.storage.local_block().size == 1 << 13
+        monkeypatch.setattr(ranked.storage, "local_block", lambda: None)
+        for state in (block, ranked):
+            state._apply_local(u, bits, diagonal=False, chunk_size=16)
+        assert _same_shards(block, ranked)
 
     @pytest.mark.parametrize("seed", [0, 3, 8])
     def test_every_plan_op_bit_identical(self, seed):

@@ -4,9 +4,15 @@ import pytest
 
 from repro.circuit import generate_supremacy_circuit
 from repro.distributed import DistributedState
-from repro.distributed.tracing import trace_schedule_execution
+from repro.runtime import ExecutionEngine, TracingLayer
 from repro.scheduling import SchedulerConfig, schedule_circuit
 from repro.statevector import Simulator
+
+
+def traced(state, sched):
+    """Execute *sched* op by op on *state*; returns the op-level trace."""
+    engine = ExecutionEngine(sched, use_plan=False, layers=[TracingLayer()])  # lint: allow-engine-direct
+    return engine.run(state=state).trace
 
 
 @pytest.fixture(scope="module")
@@ -18,7 +24,7 @@ def traced_run():
         n, l, init=sched.initial_state,
         initial_global_qubits=sched.initial_global_qubits or None,
     )
-    trace = trace_schedule_execution(state, sched)
+    trace = traced(state, sched)
     return circ, sched, state, trace
 
 
@@ -127,6 +133,6 @@ class TestTracing:
             n, l, init=sched.initial_state,
             initial_global_qubits=sched.initial_global_qubits or None,
         )
-        trace = trace_schedule_execution(state, sched)
+        trace = traced(state, sched)
         if sched.num_absorbed_gates:
             assert any(e.kind == "absorbed" for e in trace.events)

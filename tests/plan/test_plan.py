@@ -7,9 +7,9 @@ import pytest
 
 from repro.circuit import generate_supremacy_circuit
 from repro.distributed import DistributedSimulator, DistributedState
-from repro.distributed.tracing import trace_schedule_execution
 from repro.kernels import GATHER_CACHE, apply_gate_reference
 from repro.plan import CompiledProgram, PlanOp, compile_program, plan_for
+from repro.runtime import ExecutionEngine, TracingLayer
 from repro.scheduling import SchedulerConfig, schedule_circuit
 from repro.telemetry import Telemetry
 
@@ -155,18 +155,19 @@ class TestExecutionCorrectness:
 
 class TestTraceParity:
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_signature_matches_legacy_tracer(self, seed):
+    def test_signature_matches_unplanned_trace(self, seed):
         """Plan execution emits the same ExecutionTrace signature as the
-        op-by-op trace_schedule_execution path, fusion included."""
+        op-by-op (``use_plan=False``) traced run, fusion included."""
         _, schedule = _small_case(seed)
         plan = plan_for(schedule)
         telemetry = Telemetry.enabled()
         trace = plan.execute(_state_for(schedule), telemetry=telemetry)
 
-        legacy = trace_schedule_execution(
-            _state_for(schedule), schedule, telemetry=Telemetry.enabled()
-        )
-        assert trace.signature() == legacy.signature()
+        unplanned = ExecutionEngine(  # lint: allow-engine-direct
+            schedule, use_plan=False,
+            layers=[TracingLayer(Telemetry.enabled())],
+        ).run(state=_state_for(schedule)).trace
+        assert trace.signature() == unplanned.signature()
 
     def test_traced_run_through_simulator(self):
         _, schedule = _small_case(1)

@@ -1,4 +1,4 @@
-"""The lint framework itself: registry, severities, outputs, CLI, shim."""
+"""The lint framework itself: registry, severities, outputs, CLI."""
 
 from __future__ import annotations
 
@@ -215,25 +215,3 @@ class TestCli:
         out = capsys.readouterr().out
         for name in EXPECTED_RULES:
             assert name in out
-
-
-class TestShimCompat:
-    def test_shim_reexports_framework(self, tmp_path):
-        import importlib
-        import sys
-        from pathlib import Path
-
-        repo = Path(__file__).resolve().parents[2]
-        sys.path.insert(0, str(repo / "tools"))
-        try:
-            shim = importlib.import_module("repro_lint")
-        finally:
-            sys.path.pop(0)
-        path = tmp_path / "bad.py"
-        path.write_text("def f(a=[]):\n    return a\n", encoding="utf-8")
-        findings = shim.lint_file(path)
-        assert len(findings) == 1
-        # Legacy API surface: .check alias and the old format() shape.
-        assert findings[0].check == "mutable-default"
-        assert findings[0].format().startswith(f"{path}:1: [mutable-default]")
-        assert shim.lint_paths([tmp_path]) == findings

@@ -155,6 +155,64 @@ class TestOpLoop:
         """
         assert lint_snippet(tmp_path, code, "op-loop") == []
 
+    def test_flags_nested_execute(self, tmp_path):
+        code = """
+        def run(schedule, state):
+            for index, op in enumerate(schedule.operations()):
+                if index > 0:
+                    op.execute(state)
+        """
+        found = lint_snippet(tmp_path, code, "op-loop")
+        assert [f.rule for f in found] == ["op-loop"]
+
+    def test_layout_replay_is_fine(self, tmp_path):
+        code = """
+        def replay(schedule, layout):
+            for op in schedule.operations():
+                update_layout(op, layout)
+        """
+        assert lint_snippet(tmp_path, code, "op-loop") == []
+
+    def test_execute_over_plain_iterable_is_fine(self, tmp_path):
+        # Only loops over schedule.operations() are executor-shaped.
+        code = """
+        def run(ops, state):
+            for op in ops:
+                op.execute(state)
+        """
+        assert lint_snippet(tmp_path, code, "op-loop") == []
+
+    def test_suppressible_inline(self, tmp_path):
+        source = OP_LOOP.replace(
+            "for op in schedule.operations():",
+            "for op in schedule.operations():  # lint: allow-op-loop",
+        )
+        assert lint_snippet(tmp_path, source, "op-loop") == []
+
+    def test_multiproc_runner_dispatches_no_kernels(self):
+        """The multi-process runner is the engine, not an eighth op loop:
+        it imports no kernel and no schedule op class to dispatch on."""
+        import ast
+        from pathlib import Path
+
+        path = (
+            Path(__file__).resolve().parents[2]
+            / "src/repro/distributed/multiproc.py"
+        )
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules, names = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                modules.add(node.module)
+                names.update(alias.name for alias in node.names)
+        assert not [m for m in modules if m.startswith("repro.kernels")]
+        assert not names & {
+            "SwapOp", "GateOp", "ClusterOp",
+            "apply_gate", "apply_diagonal_gate",
+        }
+
 
 ENGINE_DIRECT = """
 def run(schedule):
@@ -178,6 +236,21 @@ class TestEngineDirect:
             tmp_path, ENGINE_DIRECT, "engine-direct", subdir=subdir
         )
         assert found == []
+
+    def test_flags_attribute_construction(self, tmp_path):
+        code = """
+        def run(plan):
+            return runtime.ExecutionEngine(plan, layers=[]).run()
+        """
+        found = lint_snippet(tmp_path, code, "engine-direct")
+        assert [f.rule for f in found] == ["engine-direct"]
+
+    def test_suppressible_inline(self, tmp_path):
+        source = ENGINE_DIRECT.replace(
+            "ExecutionEngine(schedule).run()",
+            "ExecutionEngine(schedule).run()  # lint: allow-engine-direct",
+        )
+        assert lint_snippet(tmp_path, source, "engine-direct") == []
 
 
 # ----------------------------------------------------------------------

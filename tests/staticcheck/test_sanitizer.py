@@ -5,12 +5,9 @@ import pytest
 
 from repro.circuit import generate_supremacy_circuit
 from repro.distributed import DistributedSimulator
+from repro.runtime import CallbackLayer, ExecutionEngine, SanitizerLayer
 from repro.scheduling import SchedulerConfig, schedule_circuit
-from repro.staticcheck import (
-    SanitizerConfig,
-    ShardSanitizer,
-    run_sanitized,
-)
+from repro.staticcheck import SanitizerConfig, ShardSanitizer
 
 
 def make_schedule(n=9, l=6, *, depth=8, seed=2):
@@ -18,6 +15,41 @@ def make_schedule(n=9, l=6, *, depth=8, seed=2):
     return schedule_circuit(
         circ, SchedulerConfig(local_qubits=l, kmax=4, seed=seed)
     )
+
+
+def _drill(corruptions):
+    """A layer firing ``corruptions[op_index](state)`` after that op."""
+    table = corruptions or {}
+
+    def fire(ctx, unit):
+        hook = table.get(unit.op_index)
+        if hook is not None:
+            hook(ctx.state)
+
+    return CallbackLayer(after_op=fire)
+
+
+def sanitized_run(
+    schedule, *, config=None, corrupt_during=None, corrupt_after=None
+):
+    """Execute *schedule* with the sanitizer armed; returns state+report.
+
+    ``corrupt_during`` maps op_index -> callable(state) invoked right
+    after that op executes but before its post-op scan — damage *inside*
+    the op, detected at the same index.  ``corrupt_after`` fires once the
+    scan has recorded its checksums — at-rest damage *between* ops,
+    detected by the checksum pass before op ``op_index + 1``.  after_op
+    runs in reverse stack order, which puts the drills on either side of
+    the sanitizer's scan.
+    """
+    sanitizer = ShardSanitizer(config)
+    layers = [
+        _drill(corrupt_after),
+        SanitizerLayer(sanitizer),
+        _drill(corrupt_during),
+    ]
+    engine = ExecutionEngine(schedule, use_plan=False, layers=layers)  # lint: allow-engine-direct
+    return engine.run().state, sanitizer.report
 
 
 def poison_nan(rank=0, index=0):
@@ -41,7 +73,7 @@ def flip_amplitude(rank=0, index=3, delta=0.5):
 class TestCleanRuns:
     def test_clean_run_has_no_findings(self):
         sched = make_schedule()
-        state, report = run_sanitized(sched)
+        state, report = sanitized_run(sched)
         assert report.passed, report.format()
         assert report.ops_checked == len(list(sched.operations()))
         assert report.norm_trace and all(
@@ -53,7 +85,7 @@ class TestCleanRuns:
         plain = DistributedSimulator(
             sched.num_qubits, sched.local_qubits
         ).run_schedule(sched).state
-        sanitized, report = run_sanitized(sched)
+        sanitized, report = sanitized_run(sched)
         assert report.passed
         assert plain.to_statevector().allclose(
             sanitized.to_statevector(), atol=1e-12
@@ -64,7 +96,7 @@ class TestNaNDetection:
     @pytest.mark.parametrize("op_index", [0, 2, 5])
     def test_nan_pinned_to_exact_op_index(self, op_index):
         sched = make_schedule()
-        _, report = run_sanitized(
+        _, report = sanitized_run(
             sched, corrupt_during={op_index: poison_nan()}
         )
         nan_findings = [
@@ -79,7 +111,7 @@ class TestNaNDetection:
         each rank must be reported only when it *first* turns non-finite
         — one corruption, one finding per poisoned rank, not one per op."""
         sched = make_schedule()
-        _, report = run_sanitized(sched, corrupt_during={2: poison_nan()})
+        _, report = sanitized_run(sched, corrupt_during={2: poison_nan()})
         nan_findings = [
             f for f in report.findings if f.category == "nan"
         ]
@@ -97,7 +129,7 @@ class TestNaNDetection:
 
     def test_nan_detection_can_be_disabled(self):
         sched = make_schedule()
-        _, report = run_sanitized(
+        _, report = sanitized_run(
             sched,
             config=SanitizerConfig(
                 check_nan=False, check_norm=False, check_checksums=False
@@ -113,7 +145,7 @@ class TestChecksumDivergence:
         guarding op k+1 — the op that would consume the bad shard."""
         sched = make_schedule()
         k = 1
-        _, report = run_sanitized(
+        _, report = sanitized_run(
             sched, corrupt_after={k: flip_amplitude(rank=1)}
         )
         checksum_findings = [
@@ -125,7 +157,7 @@ class TestChecksumDivergence:
 
     def test_one_corruption_reports_once(self):
         sched = make_schedule()
-        _, report = run_sanitized(
+        _, report = sanitized_run(
             sched, corrupt_after={1: flip_amplitude(rank=0)}
         )
         checksum_findings = [
@@ -137,7 +169,7 @@ class TestChecksumDivergence:
 class TestNormTracking:
     def test_norm_drift_detected_and_pinned(self):
         sched = make_schedule()
-        _, report = run_sanitized(
+        _, report = sanitized_run(
             sched, corrupt_during={3: flip_amplitude(delta=0.25)}
         )
         norm_findings = [
@@ -148,7 +180,7 @@ class TestNormTracking:
 
     def test_norm_drift_reported_once_not_every_op(self):
         sched = make_schedule()
-        _, report = run_sanitized(
+        _, report = sanitized_run(
             sched, corrupt_during={0: flip_amplitude(delta=0.25)}
         )
         norm_findings = [
@@ -192,14 +224,14 @@ class TestSupervisorHook:
 class TestReportFormatting:
     def test_format_mentions_counts(self):
         sched = make_schedule()
-        _, report = run_sanitized(sched)
+        _, report = sanitized_run(sched)
         text = report.format()
         assert "op(s) checked" in text
         assert "0 finding(s)" in text
 
     def test_as_check_report_roundtrip(self):
         sched = make_schedule()
-        _, report = run_sanitized(
+        _, report = sanitized_run(
             sched, corrupt_during={1: poison_nan()}
         )
         check = report.as_check_report()
