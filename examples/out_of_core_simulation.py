@@ -3,9 +3,9 @@
 The paper observes that two all-to-alls per circuit make it feasible to
 keep the state vector on solid-state drives instead of DRAM.  This
 example runs a complete scheduled supremacy-circuit simulation with the
-amplitudes living in disk shard files, with block exchanges streaming
-through bounded memory, and verifies the result against an in-memory
-reference.
+amplitudes living in disk shard files — every file streamed through RAM
+once per stage, block exchanges in bounded memory — and verifies the
+result against an in-memory reference.
 
 Run:  python examples/out_of_core_simulation.py
 """
@@ -33,8 +33,9 @@ def main() -> None:
         f"{schedule.num_clusters} clusters"
     )
 
-    with tempfile.TemporaryDirectory(prefix="repro_ssd_") as tmp:
-        storage = DiskShards(1 << (n - l), 1 << l, tmp)
+    with tempfile.TemporaryDirectory(prefix="repro_ssd_") as tmp, DiskShards(
+        1 << (n - l), 1 << l, tmp
+    ) as storage:
         shard_files = sorted(Path(tmp).glob("shard_*.dat"))
         total_bytes = sum(f.stat().st_size for f in shard_files)
         print(
@@ -47,6 +48,12 @@ def main() -> None:
         print(
             f"executed from disk: {result.comm.alltoall_steps} all-to-all "
             f"passes over the files, entropy {distributed_entropy(result.state):.4f}"
+        )
+        io = storage.io_stats
+        print(
+            f"stage-major: {io['flushes']} stage flushes, {io['shard_loads']} "
+            f"shard loads and {io['shard_stores']} stores for "
+            f"{len(list(schedule.operations()))} ops on {len(shard_files)} shards"
         )
 
         reference = Simulator(n).run(circuit).state

@@ -48,6 +48,7 @@ import argparse
 import math
 import os
 import sys
+from contextlib import ExitStack
 
 __all__ = ["main", "build_parser"]
 
@@ -438,6 +439,13 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    # Deferred DiskShards sweeps live in memory until the storage is
+    # closed, so it is closed however the run ends.
+    with ExitStack() as cleanup:
+        return _simulate(args, cleanup)
+
+
+def _simulate(args, cleanup: ExitStack) -> int:
     from repro.analysis import porter_thomas_entropy_nats, shannon_entropy
     from repro.circuit import generate_supremacy_circuit
     from repro.statevector import Simulator, sample_counts
@@ -481,10 +489,12 @@ def _cmd_simulate(args) -> int:
             from repro.distributed import DiskShards
             from repro.distributed.state import DistributedState
 
-            storage = DiskShards(
-                1 << (args.qubits - args.local_qubits),
-                1 << args.local_qubits,
-                args.storage_dir,
+            storage = cleanup.enter_context(
+                DiskShards(
+                    1 << (args.qubits - args.local_qubits),
+                    1 << args.local_qubits,
+                    args.storage_dir,
+                )
             )
 
             def state_factory():
@@ -644,8 +654,13 @@ def _cmd_simulate(args) -> int:
                 for key, value in GATHER_CACHE.stats().items():
                     shown = f"{value:.4f}" if key == "hit_rate" else value
                     print(f"  {key:>20}: {shown}")
-        if storage is not None:
-            storage.close()
+                if storage is not None:
+                    print("shard storage I/O:")
+                    for key in (
+                        "flushes", "shard_loads", "shard_stores",
+                        "bytes_read", "bytes_written",
+                    ):
+                        print(f"  {key:>20}: {storage.io_stats[key]}")
     else:
         run = Simulator(args.qubits).run(circuit)
         state = run.state

@@ -32,6 +32,7 @@ from repro.distributed.state import DistributedState, NeedsSwapError
 from repro.distributed.storage import (
     DiskShards,
     InMemoryShards,
+    ShardIOError,
     ShardStorage,
     SharedMemoryShards,
 )
@@ -44,6 +45,7 @@ __all__ = [
     "InMemoryShards",
     "NeedsSwapError",
     "QubitLayout",
+    "ShardIOError",
     "ShardStorage",
     "SharedMemoryShards",
 ]

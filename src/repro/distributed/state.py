@@ -8,15 +8,17 @@ maps every *logical* qubit to its current physical bit; this class moves
 the amplitudes the way the layout's transitions say and then adopts the
 layout they return.
 
-Per-rank loops cover ``storage.local_ranks`` — every rank for the
-in-process backends, one worker's block of ranks when several processes
-run this same code over a :class:`~repro.distributed.storage.SharedMemoryShards`.
+Writes go through ``storage.sweep`` (deferred by ``DiskShards`` until a
+read or run end flushes it), which covers ``storage.local_ranks`` — every
+rank in process, one worker's block of ranks when several processes run
+this same code over a :class:`~repro.distributed.storage.SharedMemoryShards`.
 """
 
 from __future__ import annotations
 
 import time
 import zlib
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,6 +47,10 @@ __all__ = ["DistributedState", "NeedsSwapError"]
 
 class NeedsSwapError(RuntimeError):
     """Raised when a gate requires a global-to-local swap first."""
+
+
+def _scale(shard: np.ndarray, phase: complex) -> None:
+    shard *= phase
 
 
 class DistributedState:
@@ -123,6 +129,7 @@ class DistributedState:
         recorded.  Detaching restores the shared no-op bundle.
         """
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        self.storage.telemetry = self.telemetry
         registry = self.telemetry.metrics
         self.stats.bind_metrics(registry if registry.enabled else None)
 
@@ -133,22 +140,26 @@ class DistributedState:
         if init not in ("zero", "plus"):
             raise ValueError(f"unknown init {init!r}")
         amp = 2.0 ** (-self.num_qubits / 2) if init == "plus" else 0
-        for r in self.storage.local_ranks:
-            shard = self.storage.get(r)
+
+        def fill(shard, first):
             shard[:] = amp
-            if r == 0 and init == "zero":
+            if first:
                 shard[0] = 1.0
-            self._sync(shard)
+
+        self.storage.sweep(
+            lambda r: partial(fill, first=init == "zero" and r == 0),
+            label=f"init {init}",
+            overwrites=True,
+        )
 
     @property
     def num_ranks(self) -> int:
         """Number of virtual nodes (``2**g``)."""
         return self.storage.num_shards
 
-    def _sync(self, shard: np.ndarray) -> None:
-        # Delegated so a pipelined DiskShards can turn the synchronous
-        # per-op msync into a scheduled background fsync.
-        self.storage.sync(shard)
+    def flush(self) -> None:
+        """Run every sweep the storage deferred (run end, before reads)."""
+        self.storage.flush()
 
     @classmethod
     def for_schedule(cls, schedule, **kwargs) -> "DistributedState":
@@ -183,9 +194,7 @@ class DistributedState:
         # Identity layout: rank r's shard is the r-th contiguous slice.
         size = 1 << self.local_qubits
         for r in range(self.num_ranks):
-            shard = self.storage.get(r)
-            shard[:] = state.data[r * size:(r + 1) * size]
-            self._sync(shard)
+            self.storage.set(r, state.data[r * size:(r + 1) * size])
 
     def to_statevector(self) -> StateVector:
         """Gather all shards into a logical-order state vector."""
@@ -320,24 +329,25 @@ class DistributedState:
                     strategy=strategy, chunk_size=chunk_size,
                 )
 
+        def traced(shard, rank):
+            # Timed where it runs: in the op's span or the stage flush's.
+            t0 = tracer.now()
+            kernel(shard)
+            tracer.add_span(
+                "kernel.apply", kind="kernel",
+                start=t0, end=tracer.now(), rank=rank, k=k,
+            )
+
         def sweep():
             if block is not None:
                 kernel(block)
                 return
-            for r in self.storage.local_ranks:
-                t0 = tracer.now() if per_rank else 0.0
-                shard = self.storage.get(r)
-                kernel(shard)
-                self._sync(shard)
-                if per_rank:
-                    tracer.add_span(
-                        "kernel.apply",
-                        kind="kernel",
-                        start=t0,
-                        end=tracer.now(),
-                        rank=r,
-                        k=k,
-                    )
+            self.storage.sweep(
+                (lambda r: partial(traced, rank=r))
+                if per_rank else (lambda r: kernel),
+                label=f"{'diagonal' if diagonal else strategy} "
+                f"k={k} bits={list(bits)}",
+            )
 
         if tel.active:
             with tracer.span(
@@ -431,29 +441,31 @@ class DistributedState:
             local_patterns = scatter_bits(
                 np.arange(1 << len(local_js), dtype=np.int64), local_js
             )
-        # One memoized phase factor per value of the gate's global bits,
-        # resolved once — not once per rank.
-        factors: dict[int, np.ndarray] = {}
+        # One kernel (and memoized phase factor) per value of the gate's
+        # global bits, resolved once — not once per rank.
+        kernels: dict[int, object] = {}
+
+        def kernel_of_rank(r):
+            xg = self._rank_gate_bits(r, bits, global_js)
+            if xg not in kernels and local_js:
+                factor = GATHER_CACHE.diagonal_factor(
+                    self.local_qubits, local_bits,
+                    np.asarray(
+                        diag[local_patterns | xg], dtype=self.storage.dtype
+                    ),
+                )
+                kernels[xg] = partial(apply_diagonal_factor, factor=factor)
+            elif xg not in kernels:
+                kernels[xg] = partial(_scale, phase=diag[xg])
+            return kernels[xg]
+
         with tel.tracer.span(
             "kernel.diagonal_global", kind="kernel", k=len(bits)
         ):
-            for r in self.storage.local_ranks:
-                xg = self._rank_gate_bits(r, bits, global_js)
-                shard = self.storage.get(r)
-                if local_js:
-                    factor = factors.get(xg)
-                    if factor is None:
-                        factor = factors[xg] = GATHER_CACHE.diagonal_factor(
-                            self.local_qubits, local_bits,
-                            np.asarray(
-                                diag[local_patterns | xg],
-                                dtype=self.storage.dtype,
-                            ),
-                        )
-                    apply_diagonal_factor(shard, factor)
-                else:
-                    shard *= diag[xg]
-                self._sync(shard)
+            self.storage.sweep(
+                kernel_of_rank,
+                label=f"diagonal_global k={len(bits)} bits={list(bits)}",
+            )
         self.kernel_cost.record(self.num_qubits, len(bits), diagonal=True)
         if tel.active:
             tel.metrics.histogram(
@@ -502,14 +514,14 @@ class DistributedState:
         """Monomial gate on global qubits: local update + rank renumbering.
 
         The relabeling covers every rank (each process relabels all of
-        them identically); kernels run on the owned ranks only.
+        them identically); the sweep runs kernels on the owned ranks only.
         """
         tel = self.telemetry
         start = tel.tracer.now() if tel.active else 0.0
         local_js, global_js = self._split_gate_bits(bits)
         local_bits = [bits[j] for j in local_js]
         l = self.local_qubits
-        owned = self.storage.local_ranks
+        kernels = {}
         # New rank d holds the shard of the old rank whose destination is d.
         source_of_dest = np.empty(self.num_ranks, dtype=np.int64)
         for r in range(self.num_ranks):
@@ -519,16 +531,14 @@ class DistributedState:
                 bit_pos = bits[j] - l
                 dest = dest & ~(1 << bit_pos) | ((out_global >> j) & 1) << bit_pos
             source_of_dest[dest] = r
-            if r not in owned:
-                continue
             if local_js:
-                shard = self.storage.get(r)
-                apply_gate(shard, sub, local_bits)
-                self._sync(shard)
+                kernels[r] = partial(apply_gate, matrix=sub, qubits=local_bits)
             elif not np.isclose(sub[0, 0], 1.0):
-                shard = self.storage.get(r)
-                shard *= sub[0, 0]
-                self._sync(shard)
+                kernels[r] = partial(_scale, phase=sub[0, 0])
+        self.storage.sweep(
+            kernels.get,
+            label=f"monomial_global k={len(bits)} bits={list(bits)}",
+        )
         self.storage.permute_shards(source_of_dest)
         self.stats.record_rank_renumbering()
         if local_js:
@@ -570,25 +580,29 @@ class DistributedState:
         tel = self.telemetry
         start = time.perf_counter() if tel.active else 0.0
         diagonal = None
+        rank_bit = {q: self.bit_of_qubit[q] - l for q in rank_qubits}
+
+        def kernel_of_rank(r):
+            nonlocal diagonal
+            matrix = op.matrix_for_rank(
+                {q: (r >> bit) & 1 for q, bit in rank_bit.items()}
+            )
+            if diagonal is None:
+                # Absorbed phases never change the cluster's sparsity
+                # pattern, so one scan covers every rank's matrix.
+                diagonal = matrix_is_diagonal(matrix)
+            return partial(
+                apply_gate, matrix=matrix, qubits=bits,
+                diagonal=diagonal, chunk_size=self.chunk_size,
+            )
+
         with tel.tracer.span(
             "kernel.absorbed_cluster", kind="kernel", k=len(bits)
         ):
-            for r in self.storage.local_ranks:
-                rank_bits = {
-                    q: (r >> (self.bit_of_qubit[q] - l)) & 1
-                    for q in rank_qubits
-                }
-                matrix = op.matrix_for_rank(rank_bits)
-                if diagonal is None:
-                    # Absorbed phases never change the cluster's sparsity
-                    # pattern, so one scan covers every rank's matrix.
-                    diagonal = matrix_is_diagonal(matrix)
-                shard = self.storage.get(r)
-                apply_gate(
-                    shard, matrix, bits,
-                    diagonal=diagonal, chunk_size=self.chunk_size,
-                )
-                self._sync(shard)
+            self.storage.sweep(
+                kernel_of_rank,
+                label=f"absorbed_cluster k={len(bits)} bits={list(bits)}",
+            )
         self.kernel_cost.record(self.num_qubits, len(bits))
         if tel.active:
             tel.metrics.histogram(
@@ -612,13 +626,13 @@ class DistributedState:
         with self.telemetry.tracer.span(
             "comm.staging_swap", kind="staging", bit_a=bit_a, bit_b=bit_b
         ):
-            for r in self.storage.local_ranks:
-                shard = self.storage.get(r)
-                apply_gate(
-                    shard, SWAP_MATRIX, (bit_a, bit_b),
-                    strategy="indexed", chunk_size=self.chunk_size,
-                )
-                self._sync(shard)
+            kernel = partial(
+                apply_gate, matrix=SWAP_MATRIX, qubits=(bit_a, bit_b),
+                strategy="indexed", chunk_size=self.chunk_size,
+            )
+            self.storage.sweep(
+                lambda r: kernel, label=f"staging_swap bits={[bit_a, bit_b]}"
+            )
         self.layout = self.layout.swap_bits(bit_a, bit_b)
         self.stats.record_local_swap()
         self.kernel_cost.record(self.num_qubits, 2)
@@ -662,13 +676,17 @@ class DistributedState:
         with self.telemetry.tracer.span(
             "comm.staging_swap", kind="staging", swaps=len(transpositions)
         ):
-            buf = np.empty_like(self.storage.get(0))
+            buf = np.empty(1 << l, dtype=self.storage.dtype)
             permuted = buf.reshape([shape[a] for a in axes])
-            for r in self.storage.local_ranks:
-                shard = self.storage.get(r)
+
+            def kernel(shard):
                 np.copyto(permuted, shard.reshape(shape).transpose(axes))
                 shard[:] = buf
-                self._sync(shard)
+
+            self.storage.sweep(
+                lambda r: kernel,
+                label=f"staging_swap transpositions={list(transpositions)}",
+            )
         for _ in transpositions:
             self.stats.record_local_swap()
             self.kernel_cost.record(self.num_qubits, 2)
@@ -766,7 +784,7 @@ class DistributedState:
     # ------------------------------------------------------------------
     def shard_checksum(self, rank: int) -> int:
         """CRC32 of one shard's raw bytes (cheap end-to-end integrity)."""
-        return zlib.crc32(np.ascontiguousarray(self.storage.get(rank)).tobytes())
+        return zlib.crc32(np.ascontiguousarray(self.storage.get(rank)))
 
     def shard_checksums(self) -> list[int]:
         """Per-rank CRC32 checksums of every shard.
@@ -783,7 +801,7 @@ class DistributedState:
         total = 0.0
         for r in range(self.num_ranks):
             shard = self.storage.get(r)
-            total += float(np.sum(np.abs(shard) ** 2))
+            total += float(np.vdot(shard, shard).real)
         return float(np.sqrt(total))
 
     def __repr__(self) -> str:

@@ -9,40 +9,38 @@ the same interface:
   that several worker processes run the same program over, each owning a
   contiguous block of ranks (``local_ranks``) and meeting at a barrier
   inside the two collectives.
-* :class:`DiskShards` — one raw file per rank accessed through cached
-  ``np.memmap`` handles; the SSD-backed mode the paper's outlook
+* :class:`DiskShards` — one raw file per rank, streamed through RAM with
+  ``preadv``/``pwrite``; the SSD-backed mode the paper's outlook
   describes (feasible because the whole circuit needs only two
-  all-to-alls).  Block exchanges run with bounded memory.
+  all-to-alls).  Sweeps and block exchanges run with bounded memory.
 
 The key collective is :meth:`ShardStorage.exchange_blocks` — the q-qubit
 global-to-local swap of Fig. 3: within every group of ``2**q`` consecutive
 ranks, rank ``h*2**q + s`` sends its ``b``-th block to rank ``h*2**q + b``,
 which stores it as its ``s``-th block.
 
-Pipelined mode
---------------
-:meth:`ShardStorage.arm_pipeline` hands the backend a background
-executor (the pipeline layer's single worker).  While armed,
-:class:`DiskShards` overlaps its blocking I/O with the main thread's
-compute:
+Loop order
+----------
+Every writer in :class:`~repro.distributed.state.DistributedState` hands
+its per-rank kernels to :meth:`ShardStorage.sweep`.  The memory-resident
+backends run them on the spot; :class:`DiskShards` *defers* them, keyed
+by file, and its stage flush streams every file through a RAM buffer
+once: ``preadv`` the shard, run all its pending kernels in order,
+``pwrite`` it back — one read and one write per shard per *stage*, not
+per op.  Whatever needs amplitudes (``get``, ``exchange_blocks``,
+``drain``, ``close``) flushes first, so every reader sees every enqueued
+op (a layer that reads after each op degrades the run to op-major);
+``set`` replaces a shard and drops what was pending on it.  A store lands
+in the page cache: nothing is durable per op, :meth:`DiskShards.drain`
+(run end under a pipeline layer, ``close()``) is where files are fsynced.
 
-* :meth:`sync` schedules an fd-level ``os.fsync`` on the executor
-  instead of a synchronous whole-mapping ``msync`` — ``os.fsync``
-  releases the GIL, so the writeback runs while the next kernel computes
-  (``mmap.flush`` would hold the GIL and serialize);
-* :meth:`get`/:meth:`prefetch` issue page-cache read-ahead of upcoming
-  shards;
-* :meth:`exchange_blocks` double-buffers: the block copies of pair
-  ``i+1`` are read in the background while pair ``i``'s swapped blocks
-  are written, and per-pair flushes collapse into one deferred fsync per
-  file.
-
-None of this changes any byte of any shard — page-cache coherence makes
-reads through the shared mappings see every write immediately, and
-fsync placement only affects *durability* timing, which
-:meth:`drain` (called by the layer's cleanup and by :meth:`close`)
-re-establishes at run boundaries.  Pipelined and serial runs are
-bit-exact.
+:meth:`ShardStorage.arm_pipeline` hands the backend the pipeline layer's
+single worker.  While armed, the flush loads the next ``depth - 1`` files
+on it while the main thread computes on the current one, and stores the
+previous one behind it (at most ``depth + 1`` shard-sized buffers), and
+an exchange reads the next block pair while the current one is written.
+Kernels always run on the main thread, in enqueue order: pipelined and
+serial runs are bit-exact.
 """
 
 from __future__ import annotations
@@ -50,18 +48,24 @@ from __future__ import annotations
 import abc
 import os
 import threading
+import time
+from collections import deque
+from concurrent.futures import Future, wait
 from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
+from repro.telemetry.runtime import NULL_TELEMETRY
 from repro.util.validation import check_power_of_two
 
-__all__ = ["ShardStorage", "InMemoryShards", "SharedMemoryShards", "DiskShards"]
-
-#: Read-ahead request size: large enough to amortise syscalls, small
-#: enough that one request never dominates the worker's queue.
-_READ_AHEAD_STEP = 1 << 20
+__all__ = [
+    "ShardStorage",
+    "InMemoryShards",
+    "SharedMemoryShards",
+    "DiskShards",
+    "ShardIOError",
+]
 
 #: Largest shard kept back to back with its neighbours in one array: the
 #: size up to which malloc would carve each from the heap anyway (glibc's
@@ -80,6 +84,8 @@ class ShardStorage(abc.ABC):
     num_shards: int
     shard_size: int
     dtype: np.dtype
+    #: The owning state's bundle (``use_telemetry`` sets it).
+    telemetry = NULL_TELEMETRY
 
     @abc.abstractmethod
     def get(self, rank: int) -> np.ndarray:
@@ -116,23 +122,34 @@ class ShardStorage(abc.ABC):
         """
         return None
 
+    def sweep(self, kernel_of_rank, *, label: str = "", overwrites=False) -> None:
+        """Apply ``kernel_of_rank(r)`` in place to every local rank's shard
+        (``None``: leave that shard alone) — the one way amplitudes are
+        written outside the collectives.
+
+        Run here and now; a backend whose shards are not resident may
+        defer the kernels until :meth:`flush`.  *label* names the op (kind,
+        k, bits) for the error of a kernel that fails later than its op;
+        *overwrites* promises that every kernel replaces its whole shard
+        without reading it.
+        """
+        for rank in self.local_ranks:
+            kernel = kernel_of_rank(rank)
+            if kernel is not None:
+                kernel(self.get(rank))
+
+    def flush(self) -> None:
+        """Run every deferred sweep (nothing is ever deferred here)."""
+
     # -- pipelining hooks (no-ops for memory-resident backends) --------
-    def sync(self, shard: np.ndarray) -> None:
-        """Flush *shard* to the backing store (no-op in memory)."""
-        if isinstance(shard, np.memmap):
-            shard.flush()
-
-    def prefetch(self, ranks) -> None:
-        """Hint that *ranks* will be read soon (no-op by default)."""
-
-    def arm_pipeline(self, executor, *, depth: int = 1) -> None:
+    def arm_pipeline(self, executor, *, depth: int = 1, observer=None) -> None:
         """Enable background I/O overlap using *executor* (no-op here)."""
 
     def disarm_pipeline(self) -> None:
-        """Quiesce and disable background I/O overlap (no-op here)."""
+        """Disable background I/O overlap, free its buffers (no-op here)."""
 
     def drain(self) -> None:
-        """Block until all scheduled background I/O completed (no-op here)."""
+        """Make everything written so far durable (no-op here)."""
 
     # ------------------------------------------------------------------
     def _check_permutation(self, permutation) -> None:
@@ -358,19 +375,43 @@ class SharedMemoryShards(InMemoryShards):
         )
 
 
+class ShardIOError(OSError):
+    """A shard file could not be opened, or a read or write of one failed
+    or came up short; the message names rank, file, offset and byte counts."""
+
+
+def _preadv(fd: int, view: memoryview, offset: int) -> int:
+    return os.preadv(fd, [view], offset)
+
+
+def _run_now(fn, *args) -> Future:
+    """``Executor.submit`` on the calling thread (the unarmed pipeline)."""
+    future: Future = Future()
+    try:
+        future.set_result(fn(*args))
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
+
+
 class DiskShards(ShardStorage):
-    """Shards stored as one raw file per rank, accessed via memmap.
+    """Shards stored as one raw file per rank, streamed through RAM.
 
-    ``exchange_blocks`` swaps blocks pairwise so peak memory is two blocks
-    regardless of state size — this is what makes SSD-resident simulation
-    of states exceeding RAM practical.
+    Stage-major: :meth:`sweep` only appends kernels to a per-file pending
+    list and :meth:`flush` runs them, each file loaded and stored once
+    however many ops are pending (module docstring: flush-before-read,
+    durability).  Peak memory is one shard-sized buffer (``depth + 1``
+    armed) plus four blocks in ``exchange_blocks``, whatever the state
+    size — what makes SSD-resident states exceeding RAM practical.
 
-    Memmap handles are opened once per file and cached; ``close()``
-    releases them (idempotent — handles reopen lazily on the next
-    access).  In pipelined mode (:meth:`arm_pipeline`) shard syncs and
-    exchange flushes run as background fd-level fsyncs and upcoming
-    shards are read ahead; see the module docstring for the overlap and
-    bit-exactness arguments.
+    :meth:`get` hands out cached ``np.memmap`` handles; ``close()``
+    flushes, fsyncs and releases handles, fds and buffers (idempotent —
+    everything reopens lazily).  Pending work lives in memory until then,
+    hence the context manager.  ``io_stats`` counts stage ``flushes``,
+    the ``shard_loads`` / ``shard_stores`` they did, ``bytes_read`` /
+    ``bytes_written`` (exchanges included), ``sync_flushes`` (fsyncs, all
+    synchronous, at drain; ``async_syncs`` stays 0), ``read_aheads``
+    (shards) and ``exchange_prefetched_pairs`` loaded ahead by the worker.
     """
 
     def __init__(
@@ -391,278 +432,342 @@ class DiskShards(ShardStorage):
         # permute_shards is a pure relabeling (no file I/O), mirroring how
         # MPI rank renumbering moves no data.
         self._file_of_rank = list(range(num_shards))
-        #: file index -> cached writable memmap (created lazily).
+        #: file index -> cached writable memmap for readers (lazy).
         self._handles: dict[int, np.memmap] = {}
-        #: id(memmap) -> file index, for sync() routing.
-        self._file_of_mm: dict[int, int] = {}
-        #: file index -> O_RDWR fd for GIL-free fsync/pread.
+        #: file index -> O_RDWR fd; opened on the main thread only, the
+        #: worker indexes this cache and never mutates it.
         self._fds: dict[int, int] = {}
-        #: (executor, depth) while armed, else None.
-        self._pipeline: tuple[object, int] | None = None
-        self._io_lock = threading.Lock()
-        #: file indexes with writes awaiting a background fsync.
-        self._dirty: set[int] = set()
-        self._flusher = None
-        #: file index -> in-flight read-ahead future.
-        self._reads_inflight: dict[int, object] = {}
-        #: Background-I/O counters (reported by the pipeline bench).
-        self.io_stats = {
-            "sync_flushes": 0,
-            "async_syncs": 0,
-            "read_aheads": 0,
-            "exchange_prefetched_pairs": 0,
-        }
+        #: (executor, depth, observer) while armed, else None.
+        self._pipeline: tuple | None = None
+        #: file index -> deferred ``(kernel, label, rank)``, oldest first;
+        #: by file, so a relabel leaves pending work where it is.
+        self._pending: dict[int, list[tuple]] = {}
+        #: files whose oldest pending kernel overwrites the shard (no load).
+        self._unread: set[int] = set()
+        #: files written since the last drain.
+        self._written: set[int] = set()
+        #: shard-sized staging buffers not in use (all of them at rest).
+        self._buffers: list[np.ndarray] = []
+        self.io_stats = dict.fromkeys(
+            ("flushes", "shard_loads", "shard_stores", "bytes_read",
+             "bytes_written", "sync_flushes", "async_syncs", "read_aheads",
+             "exchange_prefetched_pairs"),
+            0,
+        )
         for f in range(num_shards):
             path = self._path(f)
             if not path.exists() or path.stat().st_size != self.shard_bytes:
-                mm = np.memmap(path, dtype=self.dtype, mode="w+", shape=(shard_size,))
-                mm[:] = 0
-                mm.flush()
-                del mm
+                with open(path, "wb") as handle:  # sparse zeros
+                    handle.truncate(self.shard_bytes)
+
+    def __enter__(self) -> "DiskShards":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def _path(self, file_index: int) -> Path:
         return self.directory / f"shard_{file_index:06d}.dat"
 
-    def _handle(self, file_index: int) -> np.memmap:
-        """The cached writable mapping of one file (opened on first use).
+    # -- file access ---------------------------------------------------
+    def _io_error(self, file_index: int, what: str) -> ShardIOError:
+        rank = self._file_of_rank.index(file_index)
+        return ShardIOError(f"rank {rank} ({self._path(file_index)}): {what}")
 
-        Main-thread only: background tasks touch files exclusively
-        through :meth:`_fd`, so this cache needs no lock.
-        """
+    def _fd(self, file_index: int) -> int:
+        """The file's cached fd (main thread: opens it on first use)."""
+        fd = self._fds.get(file_index)
+        if fd is None:
+            try:
+                fd = os.open(self._path(file_index), os.O_RDWR)
+            except OSError as exc:
+                raise self._io_error(file_index, f"cannot open: {exc}") from exc
+            self._fds[file_index] = fd
+        return fd
+
+    def _transfer(self, call, file_index: int, data: np.ndarray, offset: int):
+        """``preadv``/``pwrite`` all of *data* at *offset* of an opened
+        file, or raise :class:`ShardIOError` (either thread)."""
+        view = memoryview(data.view(np.uint8))
+        fd, done, verb = self._fds[file_index], 0, call.__name__.lstrip("_")
+        try:
+            while done < len(view):
+                count = call(fd, view[done:], offset + done)
+                if count <= 0:
+                    break
+                done += count
+        except OSError as exc:
+            raise self._io_error(
+                file_index, f"{verb} at offset {offset + done}: {exc}"
+            ) from exc
+        if done != len(view):
+            raise self._io_error(
+                file_index,
+                f"short {verb} at offset {offset}: expected {len(view)} "
+                f"bytes, got {done}",
+            )
+
+    def _load(self, file_index: int, buffer: np.ndarray) -> bool:
+        """Read a whole shard, unless its first kernel overwrites it."""
+        if file_index in self._unread:
+            return False
+        self._transfer(_preadv, file_index, buffer, 0)
+        return True
+
+    # ------------------------------------------------------------------
+    def get(self, rank: int) -> np.ndarray:
+        """The rank's file as a writable memmap, every pending op applied
+        (page-cache coherent with the fd I/O of later sweeps)."""
+        self.flush()
+        file_index = self._file_of_rank[rank]
         mm = self._handles.get(file_index)
         if mm is None:
-            mm = np.memmap(
+            mm = self._handles[file_index] = np.memmap(
                 self._path(file_index),
                 dtype=self.dtype,
                 mode="r+",
                 shape=(self.shard_size,),
             )
-            self._handles[file_index] = mm
-            self._file_of_mm[id(mm)] = file_index
-        return mm
-
-    def _fd(self, file_index: int) -> int:
-        """A plain fd for the file, for fsync/pread off the main thread."""
-        with self._io_lock:
-            fd = self._fds.get(file_index)
-            if fd is None:
-                fd = os.open(self._path(file_index), os.O_RDWR)
-                self._fds[file_index] = fd
-            return fd
-
-    def _open(self, rank: int) -> np.memmap:
-        return self._handle(self._file_of_rank[rank])
-
-    # ------------------------------------------------------------------
-    def get(self, rank: int) -> np.ndarray:
-        mm = self._open(rank)
-        if self._pipeline is not None and rank + 1 < self.num_shards:
-            depth = self._pipeline[1]
-            self.prefetch(range(rank + 1, min(rank + 1 + depth, self.num_shards)))
         return mm
 
     def set(self, rank: int, data: np.ndarray) -> None:
         if data.shape != (self.shard_size,):
             raise ValueError(f"shard must have shape ({self.shard_size},)")
-        mm = self._open(rank)
-        mm[:] = data
-        self.sync(mm)
+        file_index = self._file_of_rank[rank]
+        # Replaced whole: what was pending on it (possibly left by a failed
+        # attempt) must not run on the new data.
+        self._pending.pop(file_index, None)
+        self._unread.discard(file_index)
+        self._fd(file_index)
+        data = np.ascontiguousarray(data, dtype=self.dtype)
+        self._transfer(os.pwrite, file_index, data, 0)
+        self._written.add(file_index)
+        self.io_stats["bytes_written"] += data.nbytes
 
-    def sync(self, shard: np.ndarray) -> None:
-        """Flush one shard: synchronous msync, or a scheduled background
-        fsync while the pipeline is armed (durability is re-established
-        by :meth:`drain`; page-cache coherence keeps reads exact either
-        way)."""
-        file_index = self._file_of_mm.get(id(shard))
-        if file_index is None:
-            # Not one of our cached handles (e.g. a foreign memmap).
-            if isinstance(shard, np.memmap):
-                shard.flush()
-            return
-        if self._pipeline is None:
-            shard.flush()
-            with self._io_lock:
-                self.io_stats["sync_flushes"] += 1
-            return
-        self._schedule_fsync(file_index)
-
-    # -- background machinery ------------------------------------------
-    def _schedule_fsync(self, file_index: int) -> None:
-        executor = self._pipeline[0]
-        with self._io_lock:
-            self._dirty.add(file_index)
-            self.io_stats["async_syncs"] += 1
-            if self._flusher is None or self._flusher.done():
-                self._flusher = executor.submit(self._flush_dirty)
-
-    def _flush_dirty(self) -> None:
-        while True:
-            with self._io_lock:
-                if not self._dirty:
-                    return
-                file_index = self._dirty.pop()
-            os.fsync(self._fd(file_index))
-
-    def _read_ahead(self, file_index: int) -> None:
-        try:
-            fd = self._fd(file_index)
-            offset, remaining = 0, self.shard_bytes
-            while remaining > 0:
-                n = len(os.pread(fd, min(_READ_AHEAD_STEP, remaining), offset))
-                if n == 0:
-                    break
-                offset += n
-                remaining -= n
-            with self._io_lock:
-                self.io_stats["read_aheads"] += 1
-        finally:
-            with self._io_lock:
-                self._reads_inflight.pop(file_index, None)
-
-    def prefetch(self, ranks) -> None:
-        """Schedule page-cache read-ahead of *ranks* (armed mode only)."""
-        if self._pipeline is None:
-            return
-        executor = self._pipeline[0]
-        for rank in ranks:
-            if not 0 <= rank < self.num_shards:
+    # -- deferred sweeps -----------------------------------------------
+    def sweep(self, kernel_of_rank, *, label: str = "", overwrites=False) -> None:
+        """Defer the kernels to the stage flush (:meth:`flush`)."""
+        for rank, file_index in enumerate(self._file_of_rank):
+            kernel = kernel_of_rank(rank)
+            if kernel is None:
                 continue
-            file_index = self._file_of_rank[rank]
-            with self._io_lock:
-                if file_index in self._reads_inflight:
-                    continue
-                # Submit under the lock: the task's self-removal in its
-                # finally block takes the same lock, so the entry is
-                # always present before it can be popped.
-                self._reads_inflight[file_index] = executor.submit(
-                    self._read_ahead, file_index
-                )
+            if overwrites:
+                self._pending[file_index] = []
+                self._unread.add(file_index)
+            self._pending.setdefault(file_index, []).append(
+                (kernel, label, rank)
+            )
 
-    def arm_pipeline(self, executor, *, depth: int = 1) -> None:
-        """Route syncs/reads through *executor* until disarmed."""
+    def flush(self) -> None:
+        """The stage flush: every file with pending kernels goes through
+        RAM once — load, run its kernels in order, store.
+
+        A kernel that raises is re-raised with a note naming its op, rank
+        and file; that file and the ones after it are not written and keep
+        their pending lists.
+        """
+        if not self._pending:
+            return
+        files = sorted(self._pending)
+        stats, tel = self.io_stats, self.telemetry
+        start = time.perf_counter()
+        loads, stores = stats["shard_loads"], stats["shard_stores"]
+        with tel.tracer.span(
+            "storage.stage_flush",
+            kind="storage",
+            files=len(files),
+            kernels=sum(map(len, self._pending.values())),
+        ) as span:
+            try:
+                self._stream(files)
+            finally:
+                read = (stats["shard_loads"] - loads) * self.shard_bytes
+                written = (stats["shard_stores"] - stores) * self.shard_bytes
+                stats["bytes_read"] += read
+                stats["bytes_written"] += written
+                if span is not None:
+                    span.attrs.update(bytes_read=read, bytes_written=written)
+        stats["flushes"] += 1
+        if tel.active:
+            tel.metrics.histogram("storage.flush.seconds").observe(
+                time.perf_counter() - start
+            )
+            tel.metrics.counter("storage.read.bytes").inc(read)
+            tel.metrics.counter("storage.write.bytes").inc(written)
+
+    def _stream(self, files: list[int]) -> None:
+        """Load, compute, store each of *files*; armed, the worker loads
+        up to ``depth - 1`` files ahead and stores one behind."""
+        executor, depth, observer = self._pipeline or (None, 1, None)
+        submit = executor.submit if executor else _run_now
+        stats = self.io_stats
+        for file_index in files:
+            self._fd(file_index)
+        ahead: deque = deque()  # (buffer, load future) of the next files
+        behind = None  # (file, buffer, store future) of the previous one
+        issued = 0  # files[:issued] have a load issued
+        buffer = None  # the one this thread computes on
+
+        def issue(via, file_index):
+            spare = self._buffers.pop() if self._buffers else np.empty(
+                self.shard_size, dtype=self.dtype
+            )
+            ahead.append((spare, via(self._load, file_index, spare)))
+
+        def retire():
+            nonlocal behind
+            (file_index, spare, future), behind = behind, None
+            self._buffers.append(spare)  # the worker is done with it
+            future.result()
+            del self._pending[file_index]
+            self._unread.discard(file_index)
+            self._written.add(file_index)
+            stats["shard_stores"] += 1
+
+        try:
+            for i, file_index in enumerate(files):
+                if not ahead:  # nothing read ahead: load it here
+                    issue(_run_now, file_index)
+                    issued = i + 1
+                buffer, future = ahead.popleft()
+                if not future.done():
+                    waited = time.perf_counter()
+                    wait([future])
+                    observer("load_stall", file_index, time.perf_counter() - waited)
+                stats["shard_loads"] += future.result()
+                while executor and issued < min(i + depth, len(files)):
+                    stats["read_aheads"] += files[issued] not in self._unread
+                    issue(submit, files[issued])
+                    issued += 1
+                for kernel, label, rank in self._pending[file_index]:
+                    try:
+                        kernel(buffer)
+                    except Exception as exc:
+                        exc.add_note(
+                            f"in deferred op {label!r} on rank {rank} "
+                            f"({self._path(file_index)}), run by the stage flush"
+                        )
+                        raise
+                if behind is not None:
+                    retire()
+                behind = (
+                    file_index, buffer,
+                    submit(self._transfer, os.pwrite, file_index, buffer, 0),
+                )
+                buffer = None
+                if executor is None:
+                    retire()
+                else:
+                    observer("store_behind", file_index, 0.0)
+        finally:
+            # Nothing may still run on the worker, or hold a buffer, once
+            # this returns (only a failure leaves loads in flight).
+            wait([future for _, future in ahead])
+            self._buffers.extend(spare for spare, _ in ahead)
+            if buffer is not None:
+                self._buffers.append(buffer)
+            if behind is not None:
+                retire()
+
+    # -- pipelining ----------------------------------------------------
+    def arm_pipeline(
+        self, executor, *, depth: int = 1, observer=lambda *event: None
+    ) -> None:
+        """Overlap flush and exchange I/O on *executor* until disarmed.
+
+        ``observer(event, file_index, seconds)`` hears of every
+        ``"load_stall"`` (the main thread waited *seconds* for a
+        read-ahead) and ``"store_behind"`` (a store handed to the worker).
+        """
         if depth < 1:
             raise ValueError(f"depth must be >= 1, got {depth}")
-        self._pipeline = (executor, int(depth))
+        self._pipeline = (executor, int(depth), observer)
 
     def disarm_pipeline(self) -> None:
-        """Wait out background I/O, then return to synchronous mode."""
-        if self._pipeline is None:
-            return
-        self.drain()
-        with self._io_lock:
-            reads = [f for f in self._reads_inflight.values() if f is not None]
-        for future in reads:
-            future.result()
+        """Back to one-buffer synchronous I/O; frees the staging buffers.
+        Nothing is in flight between calls, so there is nothing to wait
+        for, and pending kernels stay pending."""
         self._pipeline = None
+        self._buffers.clear()
 
     def drain(self) -> None:
-        """Block until every scheduled background flush reached the disk."""
-        while True:
-            with self._io_lock:
-                flusher = self._flusher
-            if flusher is not None:
-                flusher.result()
-            with self._io_lock:
-                if self._dirty:
-                    if self._pipeline is not None:
-                        self._flusher = self._pipeline[0].submit(
-                            self._flush_dirty
-                        )
-                        continue
-                    leftovers = sorted(self._dirty)
-                    self._dirty.clear()
-                elif self._flusher is None or self._flusher.done():
-                    return
-                else:
-                    continue
-            for file_index in leftovers:
-                os.fsync(self._fd(file_index))
+        """The durability point: flush, then fsync every file written
+        since the last drain."""
+        self.flush()
+        for file_index in sorted(self._written):
+            os.fsync(self._fd(file_index))
+        self.io_stats["sync_flushes"] += len(self._written)
+        self._written.clear()
 
     # ------------------------------------------------------------------
     def exchange_blocks(self, swap_qubits: int) -> None:
-        group, block, num_groups = self._check_exchange_args(swap_qubits)
-        if self._pipeline is None:
-            for g in range(num_groups):
-                base = g * group
-                for s in range(group):
-                    mm_s = self._open(base + s)
-                    for b in range(s + 1, group):
-                        mm_b = self._open(base + b)
-                        tmp = np.array(mm_s[b * block : (b + 1) * block])
-                        mm_s[b * block : (b + 1) * block] = mm_b[s * block : (s + 1) * block]
-                        mm_b[s * block : (s + 1) * block] = tmp
-                        mm_b.flush()
-                    mm_s.flush()
-            return
-        self._exchange_blocks_pipelined(group, block, num_groups)
+        """Pairwise block swap on the fds; armed, the worker reads pair
+        ``i+1`` while pair ``i`` is written.
 
-    def _exchange_blocks_pipelined(
-        self, group: int, block: int, num_groups: int
-    ) -> None:
-        """Double-buffered exchange: read pair ``i+1`` while writing pair
-        ``i``, one deferred fsync per file instead of one msync per pair.
-
-        Safe because each ``(file, block-range)`` slot is read once and
-        written once, by its unique pair — prefetching a later pair's
-        reads can never observe an earlier pair's unwritten data, and
-        the mapping/pread views are page-cache coherent.
+        Each ``(file, block)`` slot is read once and written once, by its
+        unique pair, so a pair read early never sees another pair's write.
         """
-        executor = self._pipeline[0]
+        group, block, num_groups = self._check_exchange_args(swap_qubits)
+        self.flush()
+        files = self._file_of_rank
         pairs = [
-            (g * group + s, g * group + b, s, b)
+            (files[g * group + s], files[g * group + b], s, b)
             for g in range(num_groups)
             for s in range(group)
             for b in range(s + 1, group)
         ]
         if not pairs:
             return
-        # Pre-open every handle on the main thread: the background reader
-        # only indexes the caches, it never mutates them.
-        for rank in range(self.num_shards):
-            self._open(rank)
-        touched: set[int] = set()
-        nxt = executor.submit(self._read_pair, pairs[0], block)
-        for i, (s_rank, b_rank, s, b) in enumerate(pairs):
-            from_s, from_b = nxt.result()
-            if i + 1 < len(pairs):
-                nxt = executor.submit(self._read_pair, pairs[i + 1], block)
-                with self._io_lock:
-                    self.io_stats["exchange_prefetched_pairs"] += 1
-            mm_s = self._handles[self._file_of_rank[s_rank]]
-            mm_b = self._handles[self._file_of_rank[b_rank]]
-            mm_s[b * block : (b + 1) * block] = from_b
-            mm_b[s * block : (s + 1) * block] = from_s
-            touched.add(self._file_of_rank[s_rank])
-            touched.add(self._file_of_rank[b_rank])
-        for file_index in sorted(touched):
-            self._schedule_fsync(file_index)
+        for file_index in files:
+            self._fd(file_index)
+        executor = self._pipeline[0] if self._pipeline else None
+        submit = executor.submit if executor else _run_now
+        # Two pairs of block buffers, used alternately.
+        bufs = [
+            [np.empty(block, dtype=self.dtype) for _ in range(2)]
+            for _ in range(2)
+        ]
+        nxt = submit(self._read_pair, pairs[0], bufs[0])
+        try:
+            for i, (file_s, file_b, s, b) in enumerate(pairs):
+                from_s, from_b = nxt.result()
+                if i + 1 < len(pairs):
+                    nxt = submit(self._read_pair, pairs[i + 1], bufs[(i + 1) % 2])
+                self._transfer(os.pwrite, file_s, from_b, b * from_b.nbytes)
+                self._transfer(os.pwrite, file_b, from_s, s * from_s.nbytes)
+        finally:
+            wait([nxt])
+        self._written.update(files)
+        moved = 2 * len(pairs) * block * self.dtype.itemsize
+        self.io_stats["bytes_read"] += moved
+        self.io_stats["bytes_written"] += moved
+        if executor:
+            self.io_stats["exchange_prefetched_pairs"] += len(pairs) - 1
 
-    def _read_pair(self, pair: tuple[int, int, int, int], block: int):
-        """Copy out the two blocks pair ``(s, b)`` will swap (worker side)."""
-        s_rank, b_rank, s, b = pair
-        mm_s = self._handles[self._file_of_rank[s_rank]]
-        mm_b = self._handles[self._file_of_rank[b_rank]]
-        return (
-            np.array(mm_s[b * block : (b + 1) * block]),
-            np.array(mm_b[s * block : (s + 1) * block]),
-        )
+    def _read_pair(self, pair: tuple[int, int, int, int], out):
+        """Fill *out* with the two blocks pair ``(s, b)`` swaps."""
+        file_s, file_b, s, b = pair
+        self._transfer(_preadv, file_s, out[0], b * out[0].nbytes)
+        self._transfer(_preadv, file_b, out[1], s * out[1].nbytes)
+        return out
 
     def permute_shards(self, permutation: np.ndarray) -> None:
         self._check_permutation(permutation)
         self._file_of_rank = [self._file_of_rank[int(p)] for p in permutation]
 
     def close(self) -> None:
-        """Flush and release cached handles and fds (idempotent).
+        """Flush, fsync, and release handles, fds and buffers (idempotent).
 
         The next access transparently reopens, so ``close()`` is a
         resource release, not an end-of-life marker.
         """
-        self.disarm_pipeline()
-        for mm in self._handles.values():
-            mm.flush()
-        self._handles.clear()
-        self._file_of_mm.clear()
-        with self._io_lock:
+        try:
+            self.drain()
+        finally:
+            self.disarm_pipeline()
+            for mm in self._handles.values():
+                mm.flush()
+            self._handles.clear()
             fds, self._fds = list(self._fds.values()), {}
-        for fd in fds:
-            os.close(fd)
+            for fd in fds:
+                os.close(fd)

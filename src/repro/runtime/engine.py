@@ -531,6 +531,9 @@ class ExecutionEngine:
                     ctx.state = state
                     for unit in units[start_unit:]:
                         unit.run(state)
+                    # A returned run is a finished run: whatever the
+                    # storage deferred happens inside the root span.
+                    state.flush()
                     return EngineResult(
                         state,
                         time.perf_counter() - wall_start,
@@ -566,6 +569,7 @@ class ExecutionEngine:
                                 if unit.is_swap:
                                     for layer in layers:
                                         layer.on_swap(ctx, unit, moved)
+                            state.flush()
                             for layer in reversed(layers):
                                 layer.on_run_end(ctx)
                             done = True

@@ -71,8 +71,16 @@ class OutOfCoreStateVector(DistributedState):
         self.directory = Path(directory)
 
     def close(self) -> None:
-        """Release the underlying shard files' handles (idempotent)."""
+        """Run whatever is still pending, make it durable and release the
+        shard files (idempotent).  Gates applied since the last read live
+        in memory until then — hence the context manager."""
         self.storage.close()
+
+    def __enter__(self) -> "OutOfCoreStateVector":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     @classmethod
     def from_statevector_on_disk(

@@ -302,7 +302,7 @@ class TestDiskShardsHandles:
 
 
 class TestDiskShardsPipelined:
-    """Armed mode: background fsync/read-ahead, bit-exact exchanges."""
+    """Armed mode: double-buffered flush and exchange, bit-exact."""
 
     def test_armed_exchange_matches_serial(self, tmp_path):
         from concurrent.futures import ThreadPoolExecutor
@@ -328,38 +328,61 @@ class TestDiskShardsPipelined:
         serial.close()
         armed.close()
 
-    def test_armed_sync_defers_until_drain(self, tmp_path):
+    def test_drain_is_the_durability_point(self, tmp_path):
+        """One synchronous fsync per file written since the last drain,
+        armed or not; nothing is fsynced per op or in the background."""
         from concurrent.futures import ThreadPoolExecutor
 
         st = DiskShards(4, 8, tmp_path)
         with ThreadPoolExecutor(max_workers=1) as pool:
             st.arm_pipeline(pool, depth=1)
             st.set(0, np.arange(8, dtype=np.complex128))
+            st.sweep(lambda r: _double)
+            assert st.io_stats["sync_flushes"] == 0
             st.drain()
             st.disarm_pipeline()
-        assert st.io_stats["async_syncs"] >= 1
-        assert st.io_stats["sync_flushes"] == 0
-        # Disarmed again: syncs are synchronous msyncs once more.
+        assert st.io_stats["sync_flushes"] == 4
+        st.drain()  # nothing written since
+        assert st.io_stats["sync_flushes"] == 4
         st.set(1, np.arange(8, dtype=np.complex128))
-        assert st.io_stats["sync_flushes"] == 1
         st.close()
+        assert st.io_stats["sync_flushes"] == 5
+        assert st.io_stats["async_syncs"] == 0
 
-    def test_prefetch_counts_read_aheads(self, tmp_path):
+    @pytest.mark.parametrize("depth", [1, 2, 3, 8])
+    def test_armed_flush_overlaps_within_its_buffer_budget(self, tmp_path, depth):
         from concurrent.futures import ThreadPoolExecutor
 
-        st = DiskShards(4, 8, tmp_path)
+        st = DiskShards(8, 16, tmp_path)
+        for r in range(8):
+            st.set(r, np.full(16, r + 1, dtype=np.complex128))
+        events = []
         with ThreadPoolExecutor(max_workers=1) as pool:
-            st.arm_pipeline(pool, depth=2)
-            st.prefetch([1, 2, 99])  # out-of-range ranks are ignored
+            st.arm_pipeline(pool, depth=depth, observer=lambda *e: events.append(e))
+            st.sweep(lambda r: _double)
+            st.flush()
+            assert 1 <= len(st._buffers) <= depth + 1
             st.disarm_pipeline()
-        assert st.io_stats["read_aheads"] == 2
+        assert not st._buffers
+        assert st.io_stats["shard_loads"] == st.io_stats["shard_stores"] == 8
+        # File 0 is loaded by the main thread, and with depth 1 all are.
+        assert st.io_stats["read_aheads"] == (7 if depth > 1 else 0)
+        assert [e[1] for e in events if e[0] == "store_behind"] == list(range(8))
+        stalls = [e for e in events if e[0] == "load_stall"]
+        assert len(stalls) + 8 == len(events)
+        assert all(0 < f < 8 and s >= 0 for _, f, s in stalls)
+        for r in range(8):
+            assert np.array_equal(st.get(r), np.full(16, 2 * (r + 1)))
         st.close()
 
-    def test_prefetch_without_arming_is_noop(self, tmp_path):
+    def test_unarmed_flush_holds_one_buffer_until_close(self, tmp_path):
         st = DiskShards(4, 8, tmp_path)
-        st.prefetch([0, 1])
+        st.sweep(lambda r: _double)
+        st.flush()
+        assert len(st._buffers) == 1
         assert st.io_stats["read_aheads"] == 0
         st.close()
+        assert not st._buffers
 
     def test_arm_depth_validated(self, tmp_path):
         st = DiskShards(2, 4, tmp_path)
@@ -370,7 +393,10 @@ class TestDiskShardsPipelined:
     def test_in_memory_hooks_are_noops(self):
         st = InMemoryShards(2, 4)
         st.arm_pipeline(object(), depth=3)
-        st.prefetch([0])
+        st.flush()
         st.drain()
         st.disarm_pipeline()
-        st.sync(st.get(0))
+
+
+def _double(shard):
+    shard *= 2

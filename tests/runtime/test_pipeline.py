@@ -12,6 +12,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.distributed.state import DistributedState
 from repro.kernels.tables import GATHER_CACHE
 from repro.runtime import (
     CheckpointLayer,
@@ -200,9 +201,48 @@ class TestPipelineDiskOverlap:
         layer = PipelineLayer(depth=2)
         ExecutionEngine(schedule, layers=[layer]).run(state=state)
         io_stats = state.storage.io_stats
-        assert io_stats["async_syncs"] > 0
+        assert io_stats["read_aheads"] > 0
         assert io_stats["exchange_prefetched_pairs"] > 0
-        # Disarmed and drained by finalize: storage is back to serial mode.
+        # on_run_end drained: every file written was fsynced, synchronously.
+        assert io_stats["sync_flushes"] >= state.num_ranks
+        assert io_stats["async_syncs"] == 0
+        stats = layer.stats()
+        assert stats["stores_behind"] == io_stats["shard_stores"]
+        assert stats["load_stall_seconds"] >= 0.0
+        # Disarmed by finalize: serial mode again, staging buffers freed.
         assert state.storage._pipeline is None
+        assert not state.storage._buffers
         state.close()
+        assert _no_pipeline_threads()
+
+    def test_load_stalls_become_ring_events(self, tmp_path, schedule):
+        """A read-ahead the main thread has to wait for is recorded."""
+        import time
+
+        from repro.distributed import DiskShards
+
+        class SlowLoads(DiskShards):
+            def _load(self, file_index, buffer):
+                time.sleep(0.002)
+                return super()._load(file_index, buffer)
+
+        storage = SlowLoads(1 << (N - L), 1 << L, tmp_path / "shards")
+        recorder = FlightRecorder(capacity=512)
+        layer = PipelineLayer(depth=2, recorder=recorder)
+        with storage:
+            ExecutionEngine(
+                schedule,
+                layers=[layer],
+                state_factory=lambda: DistributedState.for_schedule(
+                    schedule, storage=storage
+                ),
+            ).run()
+        stalls = [
+            e for e in recorder.snapshot(kinds=("pipeline",))
+            if e["event"] == "load_stall"
+        ]
+        assert stalls
+        assert layer.stats()["load_stall_seconds"] == pytest.approx(
+            sum(e["seconds"] for e in stalls)
+        )
         assert _no_pipeline_threads()
