@@ -1,11 +1,14 @@
 """Table 1: gate clustering for depth-25 supremacy circuits.
 
 Regenerates the cluster counts for 30/36/42/45 qubits and kmax 3/4/5
-with 30 local qubits, and times the scheduling pre-computation (the
-paper quotes "less than 3 seconds using Python" per instance).
+with 30 local qubits, and times the scheduling pre-computation per
+(shape, kmax) (the paper quotes "less than 3 seconds using Python" per
+instance).
 """
 
 from __future__ import annotations
+
+import time
 
 from repro.circuit import circuit_stats, generate_supremacy_circuit
 from repro.scheduling import SchedulerConfig, schedule_circuit
@@ -26,17 +29,19 @@ def bench_table1_clusters(benchmark, report_writer):
     rows = [
         f"{'qubits':>6} {'gates':>6} {'(paper)':>8} "
         f"{'k3':>5} {'(p)':>5} {'k4':>5} {'(p)':>5} {'k5':>5} {'(p)':>5} "
-        f"{'gates/cluster(k5)':>18}"
+        f"{'gates/cluster(k5)':>18} {'s(k3)':>6} {'s(k4)':>6} {'s(k5)':>6}"
     ]
     for nq in (30, 36, 42, 45):
         circuit = generate_supremacy_circuit(nq, 25, seed=0)
         total = circuit_stats(circuit).total_gates
-        clusters = {}
+        clusters, seconds = {}, {}
         gpc = 0.0
         for kmax in (3, 4, 5):
+            start = time.perf_counter()
             sched = schedule_circuit(
                 circuit, SchedulerConfig(local_qubits=30, kmax=kmax, seed=1)
             )
+            seconds[kmax] = time.perf_counter() - start
             clusters[kmax] = sched.num_clusters
             if kmax == 5:
                 gpc = sched.gates_per_cluster()
@@ -45,7 +50,8 @@ def bench_table1_clusters(benchmark, report_writer):
             f"{clusters[3]:>5} {PAPER[(nq, 3)]:>5} "
             f"{clusters[4]:>5} {PAPER[(nq, 4)]:>5} "
             f"{clusters[5]:>5} {PAPER[(nq, 5)]:>5} "
-            f"{gpc:>18.2f}"
+            f"{gpc:>18.2f} "
+            f"{seconds[3]:>6.2f} {seconds[4]:>6.2f} {seconds[5]:>6.2f}"
         )
         # Shape assertions: monotone in kmax, >kmax gates merged on average.
         assert clusters[3] > clusters[4] > clusters[5]

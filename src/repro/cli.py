@@ -326,6 +326,7 @@ def _cmd_generate(args) -> int:
 def _cmd_schedule(args) -> int:
     from repro.circuit import circuit_from_text, generate_supremacy_circuit
     from repro.scheduling import SchedulerConfig, schedule_circuit
+    from repro.telemetry import Telemetry
 
     if args.circuit:
         with open(args.circuit, encoding="utf-8") as fh:
@@ -335,6 +336,7 @@ def _cmd_schedule(args) -> int:
     else:
         print("error: provide --circuit or --qubits", file=sys.stderr)
         return 2
+    telemetry = Telemetry.spans_only(per_rank=False)
     schedule = schedule_circuit(
         circuit,
         SchedulerConfig(
@@ -342,9 +344,20 @@ def _cmd_schedule(args) -> int:
             kmax=args.kmax,
             absorb_diagonals=args.absorb,
         ),
+        telemetry=telemetry,
     )
     for key, value in schedule.summary().items():
         print(f"{key:>22}: {value}")
+    # Where the time went, from the scheduler's own phase spans.
+    root, *spans = telemetry.tracer.spans
+    print(f"{'wall seconds':>22}: {root.seconds:.3f}")
+    for span in spans:
+        if span.parent_id == root.span_id:
+            counts = "".join(f"  {k}={v}" for k, v in span.attrs.items())
+            print(
+                f"{span.name:>22}: {span.seconds:.3f} s "
+                f"({span.seconds / max(root.seconds, 1e-9):.0%}){counts}"
+            )
     if args.save:
         from repro.io import save_schedule_json
 

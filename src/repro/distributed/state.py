@@ -44,6 +44,10 @@ from repro.util.bits import extract_bits, scatter_bits
 
 __all__ = ["DistributedState", "NeedsSwapError"]
 
+#: Logical qubits per chunk of :meth:`DistributedState.logical_chunks`
+#: (1 MiB of complex128): bounds the transient of a streamed digest.
+_CHUNK_QUBITS = 16
+
 
 class NeedsSwapError(RuntimeError):
     """Raised when a gate requires a global-to-local swap first."""
@@ -198,17 +202,39 @@ class DistributedState:
 
     def to_statevector(self) -> StateVector:
         """Gather all shards into a logical-order state vector."""
+        out = np.empty(1 << self.num_qubits, dtype=self.storage.dtype)
+        start = 0
+        for chunk in self.logical_chunks():
+            out[start:start + chunk.size] = chunk
+            start += chunk.size
+        return StateVector(self.num_qubits, out)
+
+    def logical_chunks(self):
+        """Yield the amplitudes in logical order, ``2**16`` at a time.
+
+        The one logical-to-physical gather (:meth:`to_statevector` joins
+        the chunks): a digest of the whole state needs no state-sized
+        copy.  One buffer is reused, so each chunk is overwritten by the
+        next.
+        """
         n, l = self.num_qubits, self.local_qubits
-        out = np.empty(1 << n, dtype=self.storage.dtype)
-        offsets = np.arange(1 << l, dtype=np.int64)
+        c = min(_CHUNK_QUBITS, n)
         positions = self.layout.bit_of_qubit
-        for r in range(self.num_ranks):
-            phys = (r << l) | offsets
-            logical = extract_bits(phys, positions)
-            # extract_bits gathers bit positions[q] into result bit q: the
-            # logical index of each physical amplitude.
-            out[logical] = self.storage.get(r)
-        return StateVector(n, out)
+        offset_mask = (1 << l) - 1
+        # Physical index of each in-chunk logical index; a chunk's own
+        # number lands on the remaining, disjoint bit positions.
+        inner = scatter_bits(np.arange(1 << c, dtype=np.int64), positions[:c])
+        parts = []  # (rank bits, chunk slots, in-shard offsets) per rank
+        for rank_bits in np.unique(inner >> l):
+            slots = np.flatnonzero(inner >> l == rank_bits)
+            parts.append((int(rank_bits), slots, inner[slots] & offset_mask))
+        out = np.empty(1 << c, dtype=self.storage.dtype)
+        for chunk in range(1 << (n - c)):
+            base = scatter_bits(chunk, positions[c:])
+            for rank_bits, slots, offsets in parts:
+                shard = self.storage.get(rank_bits | base >> l)
+                out[slots] = shard[offsets | (base & offset_mask)]
+            yield out
 
     # ------------------------------------------------------------------
     # Layout queries

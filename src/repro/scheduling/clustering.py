@@ -12,15 +12,22 @@ blocked and no later gate touching them may join the cluster.  The
 paper's "small local search" is implemented per cluster: several seed
 gates propose qubit sets, each grown by absorption lookahead and then
 improved by a first-improvement hill climb exchanging one cluster qubit
-at a time; the candidate absorbing the most gates wins.
+at a time; the candidate absorbing the most gates wins.  Qubit sets are
+int bitmasks and, the pending list being fixed within one cluster step,
+that step's scans are memoised by their allowed mask (:class:`_ClusterStep`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import reduce
+from itertools import islice
+from operator import or_
 from typing import Sequence
 
 from repro.gates.gate import Gate
 from repro.scheduling.program import ClusterOp, GateOp, gate_specializable_under
+from repro.util.bits import bit_mask, mask_bits
 from repro.util.rng import ensure_rng
 
 __all__ = ["cluster_stage_gates"]
@@ -34,98 +41,95 @@ _HORIZON = 96
 _SCAN_LIMIT = 192
 
 
-def _scan_with_set(
-    gates: Sequence[Gate],
-    order: Sequence[int],
-    global_qubits: frozenset[int],
-    allowed: frozenset[int],
-) -> list[int]:
-    """Collect, in order, the gates fitting entirely inside *allowed*.
+class _ClusterStep:
+    """The search for one cluster, over a pending list that stays fixed.
 
-    Applies the blocking rule: skipped gates (global, oversize, or
-    touching blocked qubits) block their qubits for the rest of the scan.
-    Returns positions (into *order*) of the cluster's gates.
+    Qubit sets are int masks (:func:`~repro.util.bits.bit_mask`).  The
+    masks of the scan window and of the lookahead horizon are taken once,
+    and every scan is memoised by its allowed mask: the seeds, trials and
+    exchanges of one step re-scan many of the same sets.  The RNG draws
+    from sorted lists (ties before ``rng.integers``, outside qubits
+    before ``rng.shuffle``): that order fixes every schedule, which
+    ``tests/scheduling/data/schedule_digests.json`` pins.
     """
-    cluster: list[int] = []
-    blocked: set[int] = set()
-    for pos in order[:_SCAN_LIMIT]:
-        qubits = gates[pos].qubits
-        if any(q in blocked for q in qubits):
-            blocked.update(qubits)
-            continue
-        if all(q in allowed for q in qubits):
-            cluster.append(pos)
-        else:
-            blocked.update(qubits)
-            if allowed <= blocked:
-                break  # every cluster qubit is blocked: nothing more fits
-    return cluster
 
+    def __init__(
+        self,
+        masks: Sequence[int],
+        remaining: Sequence[int],
+        global_mask: int,
+        counts: Counter,
+    ) -> None:
+        #: ``(position, qubit mask)`` of the gates a scan may walk.
+        self.window = [(pos, masks[pos]) for pos in remaining[:_SCAN_LIMIT]]
+        #: Masks of the local gates in the lookahead window.
+        self.horizon = [
+            masks[pos] for pos in remaining[:_HORIZON]
+            if not masks[pos] & global_mask
+        ]
+        self.horizon_qubits = reduce(or_, self.horizon, 0)
+        self.memo: dict[int, list[int]] = {}
+        self.counts = counts
 
-def _grow_lookahead(
-    gates: Sequence[Gate],
-    order: Sequence[int],
-    global_qubits: frozenset[int],
-    base: set[int],
-    kmax: int,
-    rng,
-) -> set[int]:
-    """Grow *base* to ``kmax`` qubits by absorption-count lookahead."""
-    horizon = []
-    for pos in order[:_HORIZON]:
-        qubits = gates[pos].qubits
-        if not any(q in global_qubits for q in qubits):
-            horizon.append(qubits)
-    qubit_set = set(base)
-    while len(qubit_set) < kmax:
-        scores: dict[int, int] = {}
-        for qubits in horizon:
-            outside = [q for q in qubits if q not in qubit_set]
-            if len(outside) == 1:
-                scores[outside[0]] = scores.get(outside[0], 0) + 1
-        if not scores:
-            break
-        best = max(scores.values())
-        ties = sorted(q for q, s in scores.items() if s == best)
-        qubit_set.add(int(ties[int(rng.integers(len(ties)))]))
-    return qubit_set
+    def scan(self, allowed: int) -> list[int]:
+        """Positions, in order, of the gates fitting entirely in *allowed*.
 
+        Applies the blocking rule: skipped gates (global, oversize, or
+        touching blocked qubits) block their qubits for the rest of the
+        scan.  The list is shared through the memo: read only.
+        """
+        cluster = self.memo.get(allowed)
+        if cluster is not None:
+            self.counts["scan_memo_hits"] += 1
+            return cluster
+        self.counts["scans"] += 1
+        cluster = []
+        blocked = 0
+        for pos, mask in self.window:
+            if mask & blocked or mask & ~allowed:
+                blocked |= mask
+                if not allowed & ~blocked:
+                    break  # every cluster qubit is blocked: nothing more fits
+            else:
+                cluster.append(pos)
+        self.memo[allowed] = cluster
+        return cluster
 
-def _hill_climb_set(
-    gates: Sequence[Gate],
-    order: Sequence[int],
-    global_qubits: frozenset[int],
-    qubit_set: set[int],
-    kmax: int,
-    rng,
-) -> tuple[list[int], set[int]]:
-    """Improve a candidate qubit set by single-qubit exchanges."""
-    horizon_qubits: set[int] = set()
-    for pos in order[:_HORIZON]:
-        qubits = gates[pos].qubits
-        if not any(q in global_qubits for q in qubits):
-            horizon_qubits.update(qubits)
-    best_cluster = _scan_with_set(gates, order, global_qubits, frozenset(qubit_set))
-    best_size = len(best_cluster)
-    improved = True
-    while improved:
-        improved = False
-        outside = sorted(horizon_qubits - qubit_set)
-        rng.shuffle(outside)
-        for q_out in sorted(qubit_set):
-            for q_in in outside:
-                if q_in in qubit_set:
-                    continue
-                trial = (qubit_set - {q_out}) | {q_in}
-                cand = _scan_with_set(gates, order, global_qubits, frozenset(trial))
-                if len(cand) > best_size:
-                    qubit_set = trial
-                    best_cluster, best_size = cand, len(cand)
-                    improved = True
-                    break
-            if improved:
+    def grow(self, qubit_set: int, kmax: int, rng) -> int:
+        """Grow *qubit_set* to ``kmax`` qubits by absorption-count lookahead."""
+        while qubit_set.bit_count() < kmax:
+            scores: dict[int, int] = {}
+            for mask in self.horizon:
+                outside = mask & ~qubit_set
+                if outside and not outside & (outside - 1):  # one qubit
+                    q = outside.bit_length() - 1
+                    scores[q] = scores.get(q, 0) + 1
+            if not scores:
                 break
-    return best_cluster, qubit_set
+            best = max(scores.values())
+            ties = sorted(q for q, s in scores.items() if s == best)
+            qubit_set |= 1 << ties[int(rng.integers(len(ties)))]
+        return qubit_set
+
+    def climb(self, qubit_set: int, rng) -> tuple[list[int], int]:
+        """Improve *qubit_set* by first-improvement single-qubit exchanges."""
+        best_cluster = self.scan(qubit_set)
+        improved = True
+        while improved:
+            improved = False
+            outside = mask_bits(self.horizon_qubits & ~qubit_set)
+            rng.shuffle(outside)
+            for q_out in mask_bits(qubit_set):
+                for q_in in outside:
+                    trial = (qubit_set & ~(1 << q_out)) | (1 << q_in)
+                    cand = self.scan(trial)
+                    if len(cand) > len(best_cluster):
+                        qubit_set, best_cluster = trial, cand
+                        improved = True
+                        break
+                if improved:
+                    break
+        return best_cluster, qubit_set
 
 
 def _cluster_qubit_order(
@@ -147,6 +151,7 @@ def cluster_stage_gates(
     *,
     trials: int = 3,
     seed: int = 0,
+    stats: Counter | None = None,
 ) -> list:
     """Partition a stage's gate sequence into ordered ops.
 
@@ -165,11 +170,16 @@ def cluster_stage_gates(
     trials:
         Randomised lookahead growths per seed gate (the "small local
         search" of Sec. 3.6.1).
+    stats:
+        A counter the call adds its work to: ``scans`` (blocking scans
+        run) and ``scan_memo_hits`` (scans answered by the step's memo).
     """
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
-    for gate in gates:
-        if any(q in global_qubits for q in gate.qubits):
+    global_mask = bit_mask(global_qubits)
+    masks = [bit_mask(gate.qubits) for gate in gates]
+    for gate, mask in zip(gates, masks):
+        if mask & global_mask:
             if not gate_specializable_under(gate, global_qubits):
                 raise ValueError(
                     f"stage gate {gate!r} touches global qubits but is not "
@@ -177,39 +187,31 @@ def cluster_stage_gates(
                 )
         elif gate.num_qubits > kmax:
             raise ValueError(f"gate {gate!r} is larger than kmax={kmax}")
+    counts = Counter() if stats is None else stats
     rng = ensure_rng(seed)
     remaining = list(range(len(gates)))
     ops: list = []
     while remaining:
         first = remaining[0]
-        if any(q in global_qubits for q in gates[first].qubits):
+        if masks[first] & global_mask:
             ops.append(GateOp(gates[first]))
             remaining.pop(0)
             continue
-        # Seed gates: the first few distinct local gates.
-        seeds: list[int] = []
-        for pos in remaining:
-            if any(q in global_qubits for q in gates[pos].qubits):
-                continue
-            seeds.append(pos)
-            if len(seeds) >= _SEED_GATES:
-                break
+        step = _ClusterStep(masks, remaining, global_mask, counts)
+        # Seed gates: the first few local gates.
+        seeds = islice(
+            (pos for pos in remaining if not masks[pos] & global_mask),
+            _SEED_GATES,
+        )
         best_cluster: list[int] = []
-        best_set: set[int] = set()
+        best_set = 0
         for seed_pos in seeds:
-            base = set(gates[seed_pos].qubits)
-            if len(base) > kmax:
-                continue
             for _ in range(max(1, trials)):
-                grown = _grow_lookahead(
-                    gates, remaining, global_qubits, base, kmax, rng
-                )
-                cluster, improved_set = _hill_climb_set(
-                    gates, remaining, global_qubits, grown, kmax, rng
-                )
+                grown = step.grow(masks[seed_pos], kmax, rng)
+                cluster, improved_set = step.climb(grown, rng)
                 if len(cluster) > len(best_cluster) or (
                     len(cluster) == len(best_cluster)
-                    and len(improved_set) < len(best_set)
+                    and improved_set.bit_count() < best_set.bit_count()
                 ):
                     best_cluster, best_set = cluster, improved_set
         if not best_cluster:

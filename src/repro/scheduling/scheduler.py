@@ -8,6 +8,7 @@ its output can be reused for every instance of the same circuit shape.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from repro.circuit.circuit import Circuit
@@ -110,6 +111,7 @@ def _adjust_swap_points(
     stage_data: list[tuple[frozenset[int], list[Gate]]],
     kmax: int,
     config: SchedulerConfig,
+    counts: Counter,
 ) -> list[tuple[frozenset[int], list[Gate], list]]:
     """Step 3: migrate trailing clusters across swap points when cheaper.
 
@@ -117,13 +119,18 @@ def _adjust_swap_points(
     stage into the next stage (i.e. performing the swap earlier).  The
     move is legal when every migrated gate remains executable under the
     next stage's global set; it is kept when the total cluster count does
-    not increase.
+    not increase.  Every clustering adds its scan counts to *counts*.
     """
+
+    def cluster(gates, global_set, stage_index):
+        return cluster_stage_gates(
+            gates, global_set, kmax, trials=config.cluster_trials,
+            seed=config.seed + stage_index, stats=counts,
+        )
+
     clustered: list[tuple[frozenset[int], list[Gate], list]] = []
     for i, (global_set, gates) in enumerate(stage_data):
-        ops = cluster_stage_gates(
-            gates, global_set, kmax, trials=config.cluster_trials, seed=config.seed + i
-        )
+        ops = cluster(gates, global_set, i)
         clustered.append((global_set, list(gates), ops))
 
     if not config.adjust_swaps:
@@ -168,14 +175,8 @@ def _adjust_swap_points(
             if not new_gates_next:
                 break  # never empty a stage
             new_gates_i = gates_i + list(leading.gates)
-            new_ops_i = cluster_stage_gates(
-                new_gates_i, global_i, kmax,
-                trials=config.cluster_trials, seed=config.seed + i,
-            )
-            new_ops_next = cluster_stage_gates(
-                new_gates_next, global_next, kmax,
-                trials=config.cluster_trials, seed=config.seed + i + 1,
-            )
+            new_ops_i = cluster(new_gates_i, global_i, i)
+            new_ops_next = cluster(new_gates_next, global_next, i + 1)
             old_total = _count_clusters(ops_i) + _count_clusters(ops_next)
             new_total = _count_clusters(new_ops_i) + _count_clusters(new_ops_next)
             if new_total < old_total:
@@ -224,14 +225,8 @@ def _adjust_swap_points(
                 else:
                     new_gates_i.append(g)
             new_gates_next = list(trailing.gates) + gates_next
-            new_ops_i = cluster_stage_gates(
-                new_gates_i, global_i, kmax,
-                trials=config.cluster_trials, seed=config.seed + i,
-            )
-            new_ops_next = cluster_stage_gates(
-                new_gates_next, global_next, kmax,
-                trials=config.cluster_trials, seed=config.seed + i + 1,
-            )
+            new_ops_i = cluster(new_gates_i, global_i, i)
+            new_ops_next = cluster(new_gates_next, global_next, i + 1)
             old_total = _count_clusters(ops_i) + _count_clusters(ops_next)
             new_total = _count_clusters(new_ops_i) + _count_clusters(new_ops_next)
             if new_total < old_total and new_gates_i:
@@ -264,7 +259,9 @@ def schedule_circuit(
     circuit it covers; ``Schedule.initial_state`` says how the state must
     be initialised (``"plus"`` when the H layer was absorbed).  An active
     *telemetry* bundle records one ``schedule``-kind span per pipeline
-    phase plus summary gauges (stages, swaps, clusters).
+    phase plus summary gauges (stages, swaps, clusters); the
+    ``find_stages`` span carries the search's ``evaluations`` and
+    ``cluster_and_adjust`` its ``scans`` and ``scan_memo_hits``.
     """
     if config.local_qubits > circuit.num_qubits:
         raise ValueError(
@@ -291,7 +288,7 @@ def schedule_circuit(
 
             work = drop_final_diagonal_gates(work)
 
-        with tracer.span("find_stages", kind="schedule"):
+        with tracer.span("find_stages", kind="schedule") as span:
             plan = find_stages(
                 work,
                 config.local_qubits,
@@ -301,12 +298,19 @@ def schedule_circuit(
                 restarts=config.stage_restarts,
                 neighbor_samples=config.neighbor_samples,
             )
+            if span is not None:
+                span.attrs["evaluations"] = plan.evaluations
         stage_data = [
             (global_set, [work.gates[i] for i in gate_ids])
             for global_set, gate_ids in plan.stages
         ]
-        with tracer.span("cluster_and_adjust", kind="schedule"):
-            clustered = _adjust_swap_points(stage_data, config.kmax, config)
+        with tracer.span("cluster_and_adjust", kind="schedule") as span:
+            counts = Counter(scans=0, scan_memo_hits=0)
+            clustered = _adjust_swap_points(
+                stage_data, config.kmax, config, counts
+            )
+            if span is not None:
+                span.attrs.update(counts)
 
         if config.absorb_diagonals:
             from repro.scheduling.absorption import absorb_diagonals

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.circuit.circuit import Circuit
+from repro.util.bits import bit_mask
 from repro.util.rng import ensure_rng
 
 __all__ = ["StagePlan", "find_stages"]
@@ -35,6 +34,8 @@ class StagePlan:
     num_qubits: int
     local_qubits: int
     stages: list[tuple[frozenset[int], list[int]]] = field(default_factory=list)
+    #: Executable-set evaluations the search spent (``max_executable`` calls).
+    evaluations: int = 0
 
     @property
     def num_swaps(self) -> int:
@@ -55,7 +56,11 @@ class StagePlan:
 
 
 class _CircuitView:
-    """Preprocessed circuit arrays for fast stage evaluation."""
+    """Preprocessed circuit arrays for fast stage evaluation.
+
+    Qubit sets are int bitmasks (:func:`~repro.util.bits.bit_mask`), so
+    whether a gate may run under a global set is one ``&``.
+    """
 
     def __init__(
         self, circuit: Circuit, *, specialize: bool, worst_case_dense: bool
@@ -73,20 +78,40 @@ class _CircuitView:
                 # structural multi-qubit CZs always specialize.
                 ok = gate.num_qubits >= 2 or not worst_case_dense
             self.anywhere.append(ok)
+        self.masks = [bit_mask(qubits) for qubits in self.qubits_of]
+        #: Per gate, the qubits it needs local (0 when it runs anywhere).
+        self.needs_local = [
+            0 if ok else mask for mask, ok in zip(self.masks, self.anywhere)
+        ]
         self.per_qubit: list[list[int]] = [[] for _ in range(self.num_qubits)]
-        #: position of each gate within per_qubit[first_qubit], for fast
-        #: "already executed?" checks.
-        self.anchor: list[tuple[int, int]] = []
+        #: Per gate, ``(qubit, position in per_qubit[qubit])`` for each of
+        #: its qubits: gate ``gid`` is next on qubit ``q`` iff
+        #: ``fronts[q]`` equals that position.
+        self.slots: list[tuple[tuple[int, int], ...]] = []
         for gid, qubits in enumerate(self.qubits_of):
-            q0 = qubits[0]
-            self.anchor.append((q0, len(self.per_qubit[q0])))
+            self.slots.append(
+                tuple((q, len(self.per_qubit[q])) for q in qubits)
+            )
             for q in qubits:
                 self.per_qubit[q].append(gid)
+        #: ``next_local[q][i]``: position of the first gate at or after
+        #: ``i`` in ``per_qubit[q]`` that needs ``q`` local (the list's
+        #: length when none does).
+        self.next_local: list[list[int]] = []
+        for gids in self.per_qubit:
+            nxt = [len(gids)] * (len(gids) + 1)
+            for i in range(len(gids) - 1, -1, -1):
+                nxt[i] = nxt[i + 1] if self.anywhere[gids[i]] else i
+            self.next_local.append(nxt)
         self.num_gates = len(self.qubits_of)
+        #: ``max_executable`` calls so far: the stage search's unit of work.
+        self.evaluations = 0
+        self._pending_key: tuple[int, ...] | None = None
+        self._pending: list[int] = []
 
     def gate_remaining(self, gid: int, fronts: list[int]) -> bool:
         """True when gate *gid* has not yet been executed."""
-        q0, pos = self.anchor[gid]
+        q0, pos = self.slots[gid][0]
         return fronts[q0] <= pos
 
     def interaction_adjacency(self, fronts: list[int]) -> dict[int, set[int]]:
@@ -103,61 +128,48 @@ class _CircuitView:
 
     # ------------------------------------------------------------------
     def max_executable(
-        self, fronts: list[int], is_global: np.ndarray
+        self, fronts: list[int], global_mask: int
     ) -> tuple[list[int], list[int]]:
-        """Greedily execute every gate runnable under *is_global*.
+        """Execute every gate runnable under the global set *global_mask*.
 
         ``fronts[q]`` is the index into ``per_qubit[q]`` of the next
-        pending gate on qubit ``q``.  Returns the executed gate ids
-        (unsorted) and the advanced fronts.  Kahn-style worklist — O(gates)
-        per call, the inner loop of the whole scheduler.
+        pending gate on qubit ``q``.  One pass over the pending gates in
+        circuit order: a gate runs unless it needs a global qubit local
+        or one of its qubits is *stuck* (an earlier pending gate on it
+        did not run), which yields the largest set that keeps per-qubit
+        order.  Returns the executed gate ids (ascending) and the
+        advanced fronts; O(pending gates) per call, the inner loop of the
+        stage search.
         """
-        fronts = list(fronts)
-        per_qubit = self.per_qubit
-        qubits_of = self.qubits_of
-        anywhere = self.anywhere
+        self.evaluations += 1
+        key = tuple(fronts)
+        if key != self._pending_key:
+            self._pending_key = key
+            self._pending = [
+                gid for gid in range(self.num_gates)
+                if self.gate_remaining(gid, fronts)
+            ]
+        fronts = [len(gids) for gids in self.per_qubit]
+        masks, needs_local, slots = self.masks, self.needs_local, self.slots
         executed: list[int] = []
-        queue: list[int] = []
-        for q in range(self.num_qubits):
-            f = fronts[q]
-            if f < len(per_qubit[q]):
-                queue.append(per_qubit[q][f])
-        while queue:
-            gid = queue.pop()
-            qubits = qubits_of[gid]
-            ready = True
-            for q in qubits:
-                pq = per_qubit[q]
-                if fronts[q] >= len(pq) or pq[fronts[q]] != gid:
-                    ready = False
-                    break
-            if not ready:
-                continue
-            if not anywhere[gid]:
-                blocked = False
-                for q in qubits:
-                    if is_global[q]:
-                        blocked = True
-                        break
-                if blocked:
-                    continue
-            executed.append(gid)
-            for q in qubits:
-                fronts[q] += 1
-                pq = per_qubit[q]
-                if fronts[q] < len(pq):
-                    queue.append(pq[fronts[q]])
+        stuck = 0
+        for gid in self._pending:
+            mask = masks[gid]
+            if mask & stuck or needs_local[gid] & global_mask:
+                for q, pos in slots[gid]:
+                    if not stuck >> q & 1:
+                        fronts[q] = pos
+                stuck |= mask
+            else:
+                executed.append(gid)
         return executed, fronts
 
     def qubits_needing_local(self, fronts: list[int]) -> set[int]:
         """Qubits with a remaining gate that requires them to be local."""
-        needing: set[int] = set()
-        for q in range(self.num_qubits):
-            for gid in self.per_qubit[q][fronts[q] :]:
-                if not self.anywhere[gid]:
-                    needing.add(q)
-                    break
-        return needing
+        return {
+            q for q, f in enumerate(fronts)
+            if self.next_local[q][f] < len(self.per_qubit[q])
+        }
 
     def first_block_distance(self, fronts: list[int]) -> list[float]:
         """Per qubit: #pending gates before its first locality-requiring one.
@@ -166,14 +178,12 @@ class _CircuitView:
         qubits to keep global.
         """
         dist: list[float] = []
-        for q in range(self.num_qubits):
-            pending = self.per_qubit[q][fronts[q] :]
-            d = float("inf")
-            for i, gid in enumerate(pending):
-                if not self.anywhere[gid]:
-                    d = float(i)
-                    break
-            dist.append(d)
+        for q, f in enumerate(fronts):
+            first = self.next_local[q][f]
+            dist.append(
+                float(first - f) if first < len(self.per_qubit[q])
+                else float("inf")
+            )
         return dist
 
     def remaining(self, fronts: list[int]) -> int:
@@ -270,13 +280,6 @@ def _candidate_seeds(
     return seeds
 
 
-def _mask(num_qubits: int, global_set) -> np.ndarray:
-    mask = np.zeros(num_qubits, dtype=bool)
-    for q in global_set:
-        mask[q] = True
-    return mask
-
-
 def _hill_climb(
     view: _CircuitView,
     fronts: list[int],
@@ -296,13 +299,14 @@ def _hill_climb(
     """
     n = view.num_qubits
 
-    def score(mask: np.ndarray) -> tuple[tuple[int, int], list[int], list[int]]:
+    def score(mask: int) -> tuple[tuple[int, int], list[int], list[int]]:
         cand_exec, cand_fronts = view.max_executable(fronts, mask)
         finishes = int(len(view.qubits_needing_local(cand_fronts)) <= local_qubits)
         return (finishes, len(cand_exec)), cand_exec, cand_fronts
 
+    # `current` stays a set: iterating it orders `pairs`, hence the shuffle.
     current = set(global_set)
-    mask = _mask(n, current)
+    mask = bit_mask(current)
     best_key, executed, new_fronts = score(mask)
     for _ in range(max_passes):
         improved = False
@@ -312,16 +316,15 @@ def _hill_climb(
         for go, li in pairs[:neighbor_samples]:
             if go not in current or li in current:
                 continue  # stale after an accepted move
-            mask[go], mask[li] = False, True
-            cand_key, cand_exec, cand_fronts = score(mask)
+            exchange = (1 << go) | (1 << li)
+            cand_key, cand_exec, cand_fronts = score(mask ^ exchange)
             if cand_key > best_key:
                 current.discard(go)
                 current.add(li)
+                mask ^= exchange
                 best_key = cand_key
                 executed, new_fronts = cand_exec, cand_fronts
                 improved = True
-            else:
-                mask[go], mask[li] = True, False
         if not improved:
             break
     return current, executed, new_fronts
@@ -356,8 +359,9 @@ def find_stages(
     rng = ensure_rng(seed)
 
     if g == 0:
-        executed, fronts = view.max_executable(fronts, np.zeros(n, dtype=bool))
+        executed, fronts = view.max_executable(fronts, 0)
         plan.stages.append((frozenset(), sorted(executed)))
+        plan.evaluations = view.evaluations
         return plan
 
     if view.max_gate_local_requirement() > plan.local_qubits:
@@ -374,7 +378,7 @@ def find_stages(
                 key=lambda q: len(view.per_qubit[q]) - fronts[q],
             )
             final_global = frozenset(candidates[:g])
-            executed, fronts = view.max_executable(fronts, _mask(n, final_global))
+            executed, fronts = view.max_executable(fronts, bit_mask(final_global))
             plan.stages.append((final_global, sorted(executed)))
             if view.remaining(fronts) != 0:
                 raise AssertionError("completion stage failed to drain circuit")
@@ -407,4 +411,5 @@ def find_stages(
             )
         plan.stages.append((frozenset(chosen_set), sorted(executed)))
 
+    plan.evaluations = view.evaluations
     return plan

@@ -26,6 +26,7 @@ import threading
 from dataclasses import dataclass, field
 
 from repro.circuit import Circuit
+from repro.distributed import DistributedState
 
 __all__ = [
     "Job",
@@ -107,9 +108,22 @@ class JobSpec:
         return (*self.plan_key(), self.shots, self.seed)
 
 
-def state_fingerprint(statevector) -> str:
-    """sha256 hex digest of the final state's amplitude bytes."""
-    return hashlib.sha256(statevector.data.tobytes()).hexdigest()
+def state_fingerprint(state) -> str:
+    """sha256 hex digest of the final state's amplitude bytes, logical order.
+
+    *state* is a :class:`~repro.statevector.StateVector`, whose buffer is
+    hashed in place, or a :class:`~repro.distributed.DistributedState`,
+    whose shards are streamed in bounded chunks: the same digest without
+    gathering (and copying) the whole state.
+    """
+    digest = hashlib.sha256()
+    if isinstance(state, DistributedState):
+        chunks = state.logical_chunks()
+    else:
+        chunks = (state.data,)  # always C-contiguous
+    for chunk in chunks:
+        digest.update(chunk)
+    return digest.hexdigest()
 
 
 def signature_digest(signature) -> str:

@@ -88,14 +88,18 @@ def execute_job(job: Job, recorder=None) -> JobResult:
         root_attrs=root_attrs,
     )
     run = engine.run()
-    statevector = run.state.to_statevector()
+    # Hashed straight from the shards: only sampling needs the whole
+    # state gathered into one vector.
+    fingerprint = state_fingerprint(run.state)
     samples = None
     if spec.shots:
-        samples = sample_counts(statevector, spec.shots, seed=spec.seed)
+        samples = sample_counts(
+            run.state.to_statevector(), spec.shots, seed=spec.seed
+        )
     signature = run.trace.signature()
     return JobResult(
         status=JobStatus.COMPLETED,
-        fingerprint=state_fingerprint(statevector),
+        fingerprint=fingerprint,
         signature=signature,
         signature_digest=signature_digest(signature),
         wall_seconds=time.perf_counter() - start,

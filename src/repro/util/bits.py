@@ -24,6 +24,8 @@ __all__ = [
     "scatter_bits",
     "insert_zero_bits",
     "expand_index",
+    "bit_mask",
+    "mask_bits",
     "set_bits",
     "clear_bits",
 ]
@@ -112,12 +114,31 @@ def expand_index(
     return base | scatter_bits(x, list(positions))
 
 
-def set_bits(indices: np.ndarray | int, positions: Iterable[int]) -> np.ndarray | int:
-    """Return *indices* with the bits at *positions* set to 1."""
+def bit_mask(positions: Iterable[int]) -> int:
+    """The Python int with exactly the bits at *positions* set.
+
+    The scheduler's qubit sets: membership, union and difference are one
+    ``&``/``|``/``& ~`` each.
+    """
     mask = 0
     for pos in positions:
         mask |= 1 << pos
-    result = np.asarray(indices) | mask
+    return mask
+
+
+def mask_bits(mask: int) -> list[int]:
+    """The set bit positions of *mask*, ascending (inverse of :func:`bit_mask`)."""
+    positions = []
+    while mask:
+        low = mask & -mask
+        positions.append(low.bit_length() - 1)
+        mask ^= low
+    return positions
+
+
+def set_bits(indices: np.ndarray | int, positions: Iterable[int]) -> np.ndarray | int:
+    """Return *indices* with the bits at *positions* set to 1."""
+    result = np.asarray(indices) | bit_mask(positions)
     if np.isscalar(indices):
         return int(result)
     return result
@@ -125,10 +146,7 @@ def set_bits(indices: np.ndarray | int, positions: Iterable[int]) -> np.ndarray 
 
 def clear_bits(indices: np.ndarray | int, positions: Iterable[int]) -> np.ndarray | int:
     """Return *indices* with the bits at *positions* cleared to 0."""
-    mask = 0
-    for pos in positions:
-        mask |= 1 << pos
-    result = np.asarray(indices) & ~mask
+    result = np.asarray(indices) & ~bit_mask(positions)
     if np.isscalar(indices):
         return int(result)
     return result

@@ -45,6 +45,10 @@ class TestSchedule:
         out = capsys.readouterr().out
         assert "num_swaps" in out
         assert "num_clusters" in out
+        # Where the time went, from the scheduler's own spans.
+        for phase in ("wall seconds", "find_stages", "cluster_and_adjust",
+                      "validate", "evaluations=", "scans=", "scan_memo_hits="):
+            assert phase in out
 
     def test_save_json(self, tmp_path, capsys):
         path = tmp_path / "sched.json"

@@ -5,6 +5,8 @@ Each test cites the claim it checks.  These are the repository's
 the full paper-vs-measured tables.
 """
 
+import time
+
 import pytest
 
 from repro.circuit import circuit_stats, generate_supremacy_circuit
@@ -112,6 +114,25 @@ class TestTable1:
             counts[kmax] = sched.num_clusters
             assert abs(sched.num_clusters - expected) / expected < 0.30
         assert counts[3] > counts[5]
+
+    @pytest.mark.slow
+    def test_45q_schedules_in_under_3_seconds(self):
+        """Sec. 3.6.1: the pre-computation for the 45-qubit depth-25
+        circuit takes "less than 3 seconds" (l = 30, kmax 4), here with
+        the committed Table 1 count of 82 clusters.
+
+        The time bound is only meaningful on an otherwise idle host
+        (about 1 s on one core of a 2-vCPU x86 VM): a slow first run
+        is retried once and the faster of the two runs is checked."""
+        circ = generate_supremacy_circuit(45, 25, seed=0)
+        config = SchedulerConfig(local_qubits=30, kmax=4, seed=1)
+        times = []
+        while len(times) < 2 and (not times or times[0] >= 3.0):
+            start = time.perf_counter()
+            sched = schedule_circuit(circ, config)
+            times.append(time.perf_counter() - start)
+            assert sched.num_clusters == 82
+        assert min(times) < 3.0, f"runs took {times} s"
 
 
 @pytest.mark.slow

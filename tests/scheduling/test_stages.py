@@ -6,7 +6,8 @@ import pytest
 from repro.circuit import Circuit, generate_supremacy_circuit
 from repro.gates import Gate
 from repro.scheduling import find_stages
-from repro.scheduling.stages import _CircuitView, _mask
+from repro.scheduling.stages import _CircuitView
+from repro.util.bits import bit_mask
 
 
 class TestCircuitView:
@@ -29,21 +30,21 @@ class TestCircuitView:
     def test_max_executable_all_local(self):
         c = Circuit(3, [Gate("h", (0,)), Gate("cz", (0, 1)), Gate("h", (1,))])
         view = _CircuitView(c, specialize=True, worst_case_dense=True)
-        executed, fronts = view.max_executable([0, 0, 0], np.zeros(3, dtype=bool))
+        executed, fronts = view.max_executable([0, 0, 0], 0)
         assert sorted(executed) == [0, 1, 2]
         assert view.remaining(fronts) == 0
 
     def test_max_executable_blocks_on_global_dense(self):
         c = Circuit(2, [Gate("h", (0,)), Gate("cz", (0, 1)), Gate("h", (0,))])
         view = _CircuitView(c, specialize=True, worst_case_dense=True)
-        executed, _ = view.max_executable([0, 0], _mask(2, {0}))
+        executed, _ = view.max_executable([0, 0], bit_mask({0}))
         # h(0) blocked immediately; cz blocked behind it.
         assert executed == []
 
     def test_max_executable_cz_passes_through_global(self):
         c = Circuit(2, [Gate("cz", (0, 1)), Gate("h", (1,))])
         view = _CircuitView(c, specialize=True, worst_case_dense=True)
-        executed, _ = view.max_executable([0, 0], _mask(2, {0}))
+        executed, _ = view.max_executable([0, 0], bit_mask({0}))
         assert sorted(executed) == [0, 1]
 
     def test_qubits_needing_local(self):

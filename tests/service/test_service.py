@@ -511,3 +511,64 @@ class TestPipelinedJobs:
         }
         assert _spec_from_wire(wire).pipeline is False
         assert _spec_from_wire({**wire, "pipeline": True}).pipeline is True
+
+
+class TestFingerprint:
+    @pytest.mark.parametrize("qubits,local_qubits", [(10, 6), (13, 9)])
+    def test_streamed_digest_equals_gathered(
+        self, qubits, local_qubits, monkeypatch
+    ):
+        """Hashing the shards chunk by chunk gives the digest of the
+        gathered state's bytes, whatever the layout (after swaps global
+        qubits sit at low logical positions, so a chunk spans ranks) and
+        whatever the chunk size."""
+        import hashlib
+
+        import numpy as np
+
+        import repro.distributed.state as state_module
+        from repro.circuit import generate_supremacy_circuit
+        from repro.distributed import DistributedSimulator
+        from repro.scheduling import SchedulerConfig, schedule_circuit
+        from repro.service import state_fingerprint
+        from repro.util.bits import extract_bits
+
+        circuit = generate_supremacy_circuit(qubits, 12, seed=3)
+        schedule = schedule_circuit(
+            circuit, SchedulerConfig(local_qubits=local_qubits, kmax=4, seed=1)
+        )
+        assert schedule.num_swaps >= 1
+        state = DistributedSimulator(qubits, local_qubits).run_schedule(
+            schedule
+        ).state
+        # Oracle: scatter each rank's shard to the logical index of every
+        # physical amplitude.
+        expected = np.empty(1 << qubits, dtype=state.storage.dtype)
+        offsets = np.arange(1 << local_qubits, dtype=np.int64)
+        for r in range(state.num_ranks):
+            logical = extract_bits(
+                (r << local_qubits) | offsets, state.bit_of_qubit
+            )
+            expected[logical] = state.storage.get(r)
+        want = hashlib.sha256(expected.tobytes()).hexdigest()
+        for chunk_qubits in (1, 4, qubits + 3):
+            monkeypatch.setattr(state_module, "_CHUNK_QUBITS", chunk_qubits)
+            gathered = state.to_statevector()
+            assert np.array_equal(gathered.data, expected)
+            assert state_fingerprint(state) == want
+            assert state_fingerprint(gathered) == want
+
+    def test_job_fingerprint_is_gathered_state_digest(self, make_spec):
+        """execute_job hashes the shards; the result is the digest of the
+        state vector a bare engine run gathers."""
+        import hashlib
+
+        spec = make_spec(shots=8, use_result_cache=False)
+        entry = PlanCache().get(spec)
+        result = execute_job(Job(job_id="fp", spec=spec, plan_entry=entry))
+        run = ExecutionEngine(entry.program).run()  # lint: allow-engine-direct
+        want = hashlib.sha256(
+            run.state.to_statevector().data.tobytes()
+        ).hexdigest()
+        assert result.fingerprint == want
+        assert sum(result.samples.values()) == 8
