@@ -1,20 +1,10 @@
-"""Cluster-refusion benchmarks: batched multi-op kernels vs op-by-op.
+"""Cluster-refusion benchmark: batched multi-op kernels vs op-by-op.
 
-Two measurements:
-
-* **Fusion on/off ratio** — a fusion-friendly workload (long runs of
-  adjacent dense 2-qubit clusters on one local window, scheduled with a
-  small cluster ``kmax`` so the plan compiler's refusion pass is the
-  only thing that can merge them) executed under ``fusion_kmax=6`` vs
-  ``fusion_kmax=0``.  The ratio is the headline number of Fusion v2 and
-  is gated at >= 1.3x.
-* **Joint autotune** — :func:`repro.codegen.tune_plan` searches fusion
-  depth x kernel strategy x chunk size on the headline 18-qubit
-  schedule.  The winner label (``plan[kmax=... strategy=... chunk=...]``)
-  is persisted in ``BENCH_fusion.json``, where
-  :data:`repro.plan.DEFAULT_FUSION_KMAX` reads the ``kmax=`` field back
-  at import time — the same mechanism that sources
-  :data:`repro.kernels.DEFAULT_CHUNK` from the kernels-autotune record.
+A fusion-friendly workload (long runs of adjacent dense 2-qubit
+clusters on one local window, scheduled with a small cluster ``kmax`` so
+the plan compiler's refusion pass is the only thing that can merge
+them) executed under ``fusion_kmax=6`` vs ``fusion_kmax=0``.  The ratio
+is the headline number of Fusion v2 and is gated at >= 1.3x.
 """
 
 from __future__ import annotations
@@ -24,14 +14,11 @@ import time
 import numpy as np
 import pytest
 
-from repro.circuit import Circuit, generate_supremacy_circuit
-from repro.codegen import tune_plan
+from repro.circuit import Circuit
 from repro.distributed import DistributedState
 from repro.gates.gate import Gate
 from repro.plan import PlanConfig, compile_program
 from repro.scheduling import SchedulerConfig, schedule_circuit
-
-_N, _DEPTH, _L = 18, 16, 14
 
 #: Fusion-friendly workload shape: a smaller split keeps the bench fast
 #: while leaving plenty of dense work per kernel sweep.
@@ -84,7 +71,6 @@ def _best_execution_seconds(schedule, config, *, repeats: int = 3) -> float:
 
 
 def bench_fusion(benchmark, report_writer, bench_record):
-    # --- fusion on/off ratio on the fusion-friendly workload ----------
     circuit = _fusion_friendly_circuit()
     schedule = schedule_circuit(
         circuit, SchedulerConfig(local_qubits=_FL, kmax=2, seed=1)
@@ -114,18 +100,6 @@ def bench_fusion(benchmark, report_writer, bench_record):
         f"unfused {unfused_seconds * 1e3:.2f} ms)"
     )
 
-    # --- joint autotune on the headline schedule ----------------------
-    headline = schedule_circuit(
-        generate_supremacy_circuit(_N, _DEPTH, seed=0),
-        SchedulerConfig(local_qubits=_L, kmax=4, seed=1),
-    )
-    tuned = tune_plan(
-        headline,
-        lambda: _fresh_state(headline),
-        fusion_candidates=(0, 4, 6, 8),
-        repeats=7,
-    )
-
     rows = [
         f"fusion-friendly workload: {len(circuit)} dense 2q gates, "
         f"{_FN} qubits (l={_FL}), cluster kmax=2",
@@ -134,11 +108,6 @@ def bench_fusion(benchmark, report_writer, bench_record):
         f"  unfused (fusion_kmax=0): {len(unfused_plan.ops)} plan ops, "
         f"{unfused_seconds * 1e3:.2f} ms",
         f"  on/off ratio: {ratio:.2f}x (gate: >= 1.3x)",
-        f"headline joint autotune ({_N}q depth-{_DEPTH}):",
-    ] + [
-        f"  {label}: {seconds * 1e3:.2f} ms"
-        + ("   <-- winner" if label == tuned.strategy else "")
-        for label, seconds in sorted(tuned.timings.items())
     ]
     report_writer("fusion", rows)
     bench_record(
@@ -157,8 +126,6 @@ def bench_fusion(benchmark, report_writer, bench_record):
             "fused_plan_ops": len(fused_plan.ops),
             "unfused_plan_ops": len(unfused_plan.ops),
             "refused_away_ops": fused_plan.counts["refused_away_ops"],
-            "winner": tuned.strategy,
-            "winner_seconds": tuned.seconds_per_call,
         },
     )
 

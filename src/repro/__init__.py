@@ -4,8 +4,9 @@
 A distributed state-vector quantum-circuit simulator with the paper's
 full optimization stack:
 
-* tuned/generated k-qubit gate kernels (:mod:`repro.kernels`,
-  :mod:`repro.codegen`),
+* k-qubit gate kernels built per op from the target bit positions
+  (:mod:`repro.kernels`) and a plan compiler that fuses and resolves
+  them once per schedule (:mod:`repro.plan`),
 * node-level parallel execution (:mod:`repro.parallel`),
 * a (simulated-) MPI multi-node layer with global-to-local swaps and
   global-gate specialization (:mod:`repro.distributed`),

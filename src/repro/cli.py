@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="K",
                      help="widest qubit union the plan compiler may refuse "
                           "adjacent ops into one batched kernel over "
-                          "(default: autotuned; 0 disables refusion)")
+                          "(default: 8; 0 disables refusion)")
     sim.add_argument("--plan-stats", action="store_true",
                      help="print the compiled execution plan summary and "
                      "kernel-table cache statistics after a plain "

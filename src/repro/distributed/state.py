@@ -29,7 +29,6 @@ from repro.distributed.storage import InMemoryShards, ShardStorage
 from repro.gates.gate import Gate
 from repro.gates.matrices import SWAP_MATRIX
 from repro.kernels import (
-    DEFAULT_CHUNK,
     SWEEP_MAX_QUBITS,
     DenseSweep,
     apply_diagonal_factor,
@@ -76,9 +75,6 @@ class DistributedState:
         adopt the storage's contents as found (a reopened
         :class:`DiskShards` directory, a worker attaching to amplitudes
         its coordinator initialised).
-    chunk_size:
-        Block size of the indexed kernel on every shard; defaults to the
-        autotuned :data:`repro.kernels.DEFAULT_CHUNK`.
     """
 
     def __init__(
@@ -91,7 +87,6 @@ class DistributedState:
         initial_global_qubits: Iterable[int] | None = None,
         single_precision: bool = False,
         telemetry: Telemetry | None = None,
-        chunk_size: int | None = None,
     ) -> None:
         #: where every logical qubit currently sits (replaced, never edited).
         self.layout = QubitLayout.initial(
@@ -117,7 +112,6 @@ class DistributedState:
         ):
             raise ValueError("storage dimensions inconsistent with qubit split")
         self.storage = storage
-        self.chunk_size = int(chunk_size) if chunk_size is not None else DEFAULT_CHUNK
         self.stats = CommStats()
         self.kernel_cost = KernelCostModel()
         self.telemetry = NULL_TELEMETRY
@@ -303,13 +297,12 @@ class DistributedState:
         diagonal: bool,
         strategy: str | None = None,
         diag: np.ndarray | None = None,
-        chunk_size: int | None = None,
     ) -> None:
         """Run one kernel on every shard, resolving decisions exactly once.
 
         Either *matrix* or (for the diagonal path) *diag* must be given.
-        *strategy*/*chunk_size* let a compiled plan hand down pre-resolved
-        choices; otherwise they are derived here.  Everything an op needs
+        *strategy* lets a compiled plan hand down its pre-resolved
+        choice; otherwise it is derived here.  Everything an op needs
         — the memoized phase factor, the dense sweep descriptor — is
         built once for all ``2**g`` ranks, and every way of running it
         (one sweep over a block of shards, rank by rank, traced or not)
@@ -322,8 +315,6 @@ class DistributedState:
         per_rank = tel.active and tracer.enabled and tracer.per_rank
         if not diagonal and strategy is None:
             strategy = "indexed" if k <= SWEEP_MAX_QUBITS else "reference"
-        if chunk_size is None:
-            chunk_size = self.chunk_size
         # The op treats every shard alike, so a backend that keeps the
         # local shards side by side gets one sweep over all of them: the
         # targets are bits of that longer vector just the same.  Rank by
@@ -331,7 +322,7 @@ class DistributedState:
         # for the tensordot kernel, whose GEMM shape (and with it the
         # rounding) would follow the length of the vector.
         block = None
-        if not per_rank and (diagonal or strategy in ("indexed", "fused")):
+        if not per_rank and (diagonal or strategy == "indexed"):
             block = self.storage.local_block()
         if diagonal:
             if diag is None:
@@ -342,18 +333,13 @@ class DistributedState:
 
             def kernel(shard):
                 apply_diagonal_factor(shard.reshape(-1, 1 << l), factor)
-        elif strategy in ("indexed", "fused"):
+        elif strategy == "indexed":
             width = l if block is None else block.size.bit_length() - 1
-            kernel = DenseSweep(
-                width, matrix, bits, self.storage.dtype, chunk_size
-            ).bind()
+            kernel = DenseSweep(width, matrix, bits, self.storage.dtype).bind()
         else:
 
             def kernel(shard):
-                apply_gate(
-                    shard, matrix, bits,
-                    strategy=strategy, chunk_size=chunk_size,
-                )
+                apply_gate(shard, matrix, bits, strategy=strategy)
 
         def traced(shard, rank):
             # Timed where it runs: in the op's span or the stage flush's.
@@ -396,13 +382,12 @@ class DistributedState:
         qubits: Sequence[int],
         *,
         strategy: str,
-        chunk_size: int | None = None,
         diag: np.ndarray | None = None,
     ) -> None:
         """Apply a dense (or pre-extracted diagonal) op with a fixed plan.
 
-        Entry point for :class:`repro.plan.CompiledProgram`: the strategy,
-        chunk size and (for ``"diagonal"``) the extracted diagonal were
+        Entry point for :class:`repro.plan.CompiledProgram`: the strategy
+        and (for ``"diagonal"``) the extracted diagonal were
         resolved at compile time, so nothing is re-derived per rank or per
         call.  All target qubits must currently be local.
         """
@@ -415,10 +400,7 @@ class DistributedState:
         if strategy == "diagonal":
             self._apply_local(matrix, bits, diagonal=True, diag=diag)
         else:
-            self._apply_local(
-                matrix, bits, diagonal=False,
-                strategy=strategy, chunk_size=chunk_size,
-            )
+            self._apply_local(matrix, bits, diagonal=False, strategy=strategy)
 
     def apply_diagonal(self, diag: np.ndarray, qubits: Sequence[int]) -> None:
         """Apply a diagonal operator given only its ``2**k`` diagonal.
@@ -618,8 +600,7 @@ class DistributedState:
                 # pattern, so one scan covers every rank's matrix.
                 diagonal = matrix_is_diagonal(matrix)
             return partial(
-                apply_gate, matrix=matrix, qubits=bits,
-                diagonal=diagonal, chunk_size=self.chunk_size,
+                apply_gate, matrix=matrix, qubits=bits, diagonal=diagonal
             )
 
         with tel.tracer.span(
@@ -654,7 +635,7 @@ class DistributedState:
         ):
             kernel = partial(
                 apply_gate, matrix=SWAP_MATRIX, qubits=(bit_a, bit_b),
-                strategy="indexed", chunk_size=self.chunk_size,
+                strategy="indexed",
             )
             self.storage.sweep(
                 lambda r: kernel, label=f"staging_swap bits={[bit_a, bit_b]}"

@@ -11,8 +11,11 @@ Several strategies are provided, mirroring the paper's optimization steps:
   substring and multiply the ``2**k`` amplitudes of each ``c`` by the
   gate, in place.  The addresses come from the target bit positions
   (strided views, one periodic in-window index), never from stored
-  tables; blocking over ``c`` (register/MCDRAM blocking stand-in) via
-  ``chunk_size``.  One descriptor serves every shard of an op.
+  tables; blocking over ``c`` (register/MCDRAM blocking stand-in),
+  :func:`chunk_for` substrings per block unless ``chunk_size`` says
+  otherwise.  One descriptor serves every shard of an op.  Its real-GEMM
+  operand for small gates is the paper's ``(mR, mR)`` / ``(-mI, mI)``
+  FMA trick.
 * :func:`apply_diagonal_gate` — fast path for diagonal gates
   (CZ, T, Z, S): one complex multiply per amplitude, no gather.
 * :func:`apply_gate` — dispatcher choosing a strategy per gate structure.
@@ -32,6 +35,7 @@ from repro.kernels.apply import (
     apply_gate_naive,
     apply_gate_reference,
     apply_gate_two_vector,
+    chunk_for,
     matrix_is_diagonal,
 )
 from repro.kernels.cost import KernelCostModel, kernel_cost
@@ -51,6 +55,7 @@ __all__ = [
     "apply_gate_naive",
     "apply_gate_reference",
     "apply_gate_two_vector",
+    "chunk_for",
     "kernel_cost",
     "matrix_is_diagonal",
 ]

@@ -2,7 +2,7 @@
 
 A :class:`~repro.scheduling.Schedule` describes *what* to run; every
 kernel decision — diagonal vs indexed vs reference strategy, the
-extracted diagonals, fusion, the chunk size — is re-derivable from it,
+extracted diagonals, fusion — is re-derivable from it,
 and the pre-plan executor re-derived all of it on every shard of every
 rank.  :func:`compile_program` resolves those
 decisions exactly once through a staged pass pipeline
@@ -13,10 +13,9 @@ decisions exactly once through a staged pass pipeline
 Each pass consumes and produces a typed stream of frozen
 :class:`PlanOp`\\ s that every rank replays:
 
-* dense cluster ops carry their fused matrix, pre-resolved strategy and
-  the autotuned chunk size (the kernel's addresses come from the bit
-  layout at run time — :class:`repro.kernels.DenseSweep` — so a plan
-  holds no tables);
+* dense cluster ops carry their fused matrix and pre-resolved strategy
+  (the kernel's addresses come from the bit layout at run time —
+  :class:`repro.kernels.DenseSweep` — so a plan holds no tables);
 * the *refuse* pass merges adjacent dense/diagonal ops whose qubit
   union stays within ``PlanConfig.fusion_kmax`` into one multi-op
   kernel (``exec_kind="fused_kernel"``), executed by the same dense
@@ -31,7 +30,8 @@ Execution preserves the op-level
 fused diagonal or fused kernel emits its first source op's span for the
 real work plus zero-length spans for the ops folded into it.
 
-All compile options live in a frozen :class:`PlanConfig`; use
+The one compile option, the refusion width, lives in a frozen
+:class:`PlanConfig`; use
 :func:`plan_for` to get the memoized plan of a schedule (compiled at
 most once per config — the config object is the entire cache key).
 """

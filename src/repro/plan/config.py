@@ -1,119 +1,51 @@
 """Frozen compile options: the single memoization key for plans.
 
-Every knob the pass pipeline consults lives in :class:`PlanConfig`, and
-the *config itself* is the cache key — for :func:`repro.plan.plan_for`,
-for the service :class:`~repro.service.cache.PlanCache` and for the
-``--plan-stats`` payload.  Two callers asking for different fusion
-widths (or chunk sizes, or strategies) can therefore never silently
-share one compiled plan, which was exactly the bug with the old
-``(chunk_size, fuse_diagonals)``-only key.
-
-``fusion_kmax`` defaults to the autotuned value persisted in
-``benchmarks/results/BENCH_fusion.json`` (the same mechanism that backs
-:data:`repro.kernels.DEFAULT_CHUNK` from the kernels-autotune record),
-falling back to :data:`_FALLBACK_FUSION_KMAX` when no record exists.
+The one compile option of the pass pipeline lives in :class:`PlanConfig`,
+and the *config itself* is the cache key — for
+:func:`repro.plan.plan_for`, for the service
+:class:`~repro.service.cache.PlanCache` and for the ``--plan-stats``
+payload.  Two callers asking for different fusion widths can therefore
+never silently share one compiled plan.
 """
 
 from __future__ import annotations
 
-import json
-import re
 from dataclasses import dataclass
-from pathlib import Path
-
-from repro.kernels import DEFAULT_CHUNK
 
 __all__ = ["PlanConfig", "DEFAULT_FUSION_KMAX"]
 
-#: Refusion width when no autotune record is available.  6 keeps every
-#: fused union within the indexed kernel's sweet spot on this host
-#: class; 0 disables cluster refusion entirely.
-_FALLBACK_FUSION_KMAX = 6
-
-
-def _autotuned_default_fusion_kmax() -> int:
-    """Read the winning fusion width from the checked-in bench record.
-
-    ``benchmarks/results/BENCH_fusion.json`` names its winner e.g.
-    ``"plan[kmax=6 strategy=auto chunk=4096]"``; any failure falls back
-    to :data:`_FALLBACK_FUSION_KMAX` so plan compilation never depends
-    on the benchmark tree being present.
-    """
-    record = (
-        Path(__file__).resolve().parents[3]
-        / "benchmarks"
-        / "results"
-        / "BENCH_fusion.json"
-    )
-    try:
-        winner = json.loads(record.read_text())["metrics"]["winner"]
-        match = re.search(r"kmax=(\d+)", str(winner))
-        if match:
-            return int(match.group(1))
-    except (OSError, ValueError, KeyError, TypeError):
-        pass
-    return _FALLBACK_FUSION_KMAX
-
-
-#: Default refusion width.  Sourced from the fusion benchmark record so
-#: the shipped default tracks what actually wins on this host class.
-DEFAULT_FUSION_KMAX = _autotuned_default_fusion_kmax()
+#: Default refusion width.  On the 18-qubit depth-16 supremacy schedule
+#: (l = 14, kmax 4) widths 0/4/6/8 ran within 4 % of each other (29.7 -
+#: 30.9 ms per run on the reference host); 8 is kept because it compiles
+#: the fewest plan ops.
+DEFAULT_FUSION_KMAX = 8
 
 
 @dataclass(frozen=True)
 class PlanConfig:
-    """Every compile option of the pass pipeline, normalized and frozen.
+    """The compile option of the pass pipeline, normalized and frozen.
 
-    Instances are hashable and normalized at construction (``None``
-    chunk/fusion widths resolve to the autotuned defaults), so equal
-    configurations always compare — and key caches — equal.
-
-    * ``chunk_size`` — blocking chunk of the indexed/fused kernels
-      (``None`` → :data:`repro.kernels.DEFAULT_CHUNK`).
-    * ``fuse_diagonals`` — collapse runs of consecutive diagonal ops
-      into one per-amplitude multiply.
-    * ``max_fused_qubits`` — widest qubit union a *diagonal* run may
-      fuse to (a ``2**u`` table is built).
     * ``fusion_kmax`` — widest qubit union general cluster refusion may
-      build a dense fused unitary for (``None`` → the autotuned
+      build a dense fused unitary for (``None`` →
       :data:`DEFAULT_FUSION_KMAX`; 0 disables refusion).  Distinct from
       the scheduler's ``kmax``: the scheduler bounds what one *cluster*
       may contain, refusion bounds what adjacent *plan ops* may merge
       into.
-    * ``kernel_strategy`` — force every dense kernel onto one strategy
-      (``"indexed"`` / ``"reference"``); ``None`` lets the specialize
-      pass choose per op.
+
+    Instances are hashable and ``None`` resolves at construction, so
+    equal configurations always compare — and key caches — equal.
     """
 
-    chunk_size: int | None = None
-    fuse_diagonals: bool = True
-    max_fused_qubits: int = 10
     fusion_kmax: int | None = None
-    kernel_strategy: str | None = None
 
     def __post_init__(self) -> None:
-        chunk = self.chunk_size
-        object.__setattr__(
-            self, "chunk_size", DEFAULT_CHUNK if chunk is None else int(chunk)
-        )
         kmax = self.fusion_kmax
         object.__setattr__(
             self,
             "fusion_kmax",
             DEFAULT_FUSION_KMAX if kmax is None else int(kmax),
         )
-        if self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
         if self.fusion_kmax < 0:
             raise ValueError(
                 f"fusion_kmax must be >= 0, got {self.fusion_kmax}"
-            )
-        if self.max_fused_qubits < 1:
-            raise ValueError(
-                f"max_fused_qubits must be >= 1, got {self.max_fused_qubits}"
-            )
-        if self.kernel_strategy not in (None, "indexed", "reference"):
-            raise ValueError(
-                f"kernel_strategy must be None|indexed|reference, got "
-                f"{self.kernel_strategy!r}"
             )

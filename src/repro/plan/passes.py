@@ -15,8 +15,8 @@ input (the ``plan-pass-mutation`` lint rule enforces this).  The stages:
   ``config.fusion_kmax`` merge into one batched multi-op kernel
   (``exec_kind="fused_kernel"``) when the measured cost model says the
   single fused sweep beats the separate sweeps.
-* :func:`specialize_pass` — resolve kernel strategy and blocking chunk
-  for every dense op (including fused groups).
+* :func:`specialize_pass` — resolve the kernel strategy of every dense
+  op (including fused groups) from its width.
 * :func:`finalize_pass` — freeze and validate the stream (source
   ordering, per-kind field invariants).
 
@@ -49,13 +49,12 @@ __all__ = [
     "finalize_pass",
 ]
 
-#: Width of the gate ``DEFAULT_CHUNK`` is autotuned on
-#: (``benchmarks/bench_kernels_micro.py``): the scheduler's cluster
-#: width, which is what most dense plan ops are.
-_TUNED_GATE_QUBITS = 4
+#: Widest qubit union a run of diagonals is fused to (its ``2**u``
+#: diagonal is built at compile time).
+_MAX_FUSED_QUBITS = 10
 
 #: Measured microseconds for one k-qubit dense sweep
-#: (:class:`repro.kernels.DenseSweep`, plan-default chunk) over all
+#: (:class:`repro.kernels.DenseSweep`, default chunk) over all
 #: virtual ranks of the headline shard shape (l=14, 16 ranks), taken
 #: *cold* (300 MiB streamed between samples), 1 BLAS thread, median over
 #: 8 random target sets x 5 samples, two runs averaged — every sweep
@@ -219,21 +218,21 @@ def _lift_diag(diag, qubits, union) -> np.ndarray:
     return np.asarray(diag)[idx]
 
 
-def _fuse_diagonal_run(run, max_fused_qubits):
+def _fuse_diagonal_run(run):
     """Collapse a run of consecutive diagonal plan ops into one multiply.
 
     Diagonal operators commute, so the fused diagonal over the qubit
     union is their elementwise product in any order; one broadcast
     multiply then replaces ``len(run)`` state sweeps.  Runs whose union
-    exceeds *max_fused_qubits* (a ``2**u`` table would get large) are
-    left as-is.
+    exceeds :data:`_MAX_FUSED_QUBITS` (a ``2**u`` table would get large)
+    are left as-is.
     """
     from repro.plan.program import PlanOp
 
     if len(run) < 2:
         return list(run)
     union_t = tuple(dict.fromkeys(q for op in run for q in op.qubits))
-    if len(union_t) > max_fused_qubits:
+    if len(union_t) > _MAX_FUSED_QUBITS:
         return list(run)
     combined = np.ones(1 << len(union_t), dtype=np.complex128)
     for op in run:
@@ -250,7 +249,7 @@ def _fuse_diagonal_run(run, max_fused_qubits):
     ]
 
 
-def _fuse_diagonal_runs(ops, ctx: PassContext):
+def _fuse_diagonal_runs(ops):
     """Sweep 1 of refusion: merge maximal runs of consecutive diagonals."""
     out: list = []
     run: list = []
@@ -258,10 +257,10 @@ def _fuse_diagonal_runs(ops, ctx: PassContext):
         if op.exec_kind == "diagonal":
             run.append(op)
             continue
-        out.extend(_fuse_diagonal_run(run, ctx.config.max_fused_qubits))
+        out.extend(_fuse_diagonal_run(run))
         run = []
         out.append(op)
-    out.extend(_fuse_diagonal_run(run, ctx.config.max_fused_qubits))
+    out.extend(_fuse_diagonal_run(run))
     return out
 
 
@@ -377,46 +376,32 @@ def _refuse_clusters(ops, ctx: PassContext):
 
 def refuse_pass(ops, ctx: PassContext):
     """The fusion stage: diagonal-run fusion, then cluster refusion."""
-    stream = list(ops)
-    if ctx.config.fuse_diagonals:
-        stream = _fuse_diagonal_runs(stream, ctx)
+    stream = _fuse_diagonal_runs(ops)
     if ctx.config.fusion_kmax >= 2:
         stream = _refuse_clusters(stream, ctx)
     return tuple(stream)
 
 
 # ----------------------------------------------------------------------
-# specialize: resolve strategy + chunk for every dense op
+# specialize: resolve the strategy of every dense op
 # ----------------------------------------------------------------------
 def specialize_pass(ops, ctx: PassContext):
-    """Fix kernel strategy and blocking chunk for dense plan ops."""
-    from repro.kernels import DEFAULT_CHUNK, SWEEP_MAX_QUBITS
+    """Fix the kernel strategy of dense plan ops from their width alone.
 
-    config = ctx.config
+    ``"indexed"`` (the dense sweep) up to
+    :data:`repro.kernels.SWEEP_MAX_QUBITS`, ``"reference"`` (tensordot)
+    beyond; a fused group is run like any dense op over its union.
+    """
+    from repro.kernels import SWEEP_MAX_QUBITS
 
-    def _chunk_for(k: int) -> int:
-        # The autotuned default is measured on a _TUNED_GATE_QUBITS-wide
-        # gate; what it really fixes is the panel (chunk * 2**k
-        # amplitudes), so other widths scale the chunk to keep it.  An
-        # explicitly pinned (non-default) chunk is honored verbatim.
-        if config.chunk_size != DEFAULT_CHUNK:
-            return config.chunk_size
-        return max(1, (DEFAULT_CHUNK << _TUNED_GATE_QUBITS) >> k)
+    def strategy(op) -> str:
+        return "indexed" if len(op.qubits) <= SWEEP_MAX_QUBITS else "reference"
 
-    out: list = []
-    for op in ops:
-        if op.exec_kind not in ("kernel", "fused_kernel"):
-            out.append(op)
-            continue
-        k = len(op.qubits)
-        if op.exec_kind == "kernel" and config.kernel_strategy:
-            strategy = config.kernel_strategy
-        elif k > SWEEP_MAX_QUBITS:
-            strategy = "reference"
-        else:
-            strategy = "indexed" if op.exec_kind == "kernel" else "fused"
-        out.append(replace(op, strategy=strategy, chunk_size=_chunk_for(k)))
-    return tuple(out)
+    return tuple(
+        replace(op, strategy=strategy(op))
+        if op.exec_kind in ("kernel", "fused_kernel") else op
+        for op in ops
+    )
 
 
 # ----------------------------------------------------------------------

@@ -54,12 +54,14 @@ class PlanOp:
 
     ``exec_kind`` selects the executor path:
 
-    * ``"kernel"`` — dense op: *matrix*, *strategy* and *chunk_size* are
-      fixed; the sweep's addresses come from the run-time bit layout.
+    * ``"kernel"`` — dense op: *matrix* and *strategy* (``"indexed"``,
+      the dense sweep, or ``"reference"``, tensordot, past
+      :data:`repro.kernels.SWEEP_MAX_QUBITS`) are fixed; the sweep's
+      addresses come from the run-time bit layout and its chunk from
+      :func:`repro.kernels.chunk_for`.
     * ``"fused_kernel"`` — several adjacent dense/diagonal schedule ops
-      refused into one multi-op kernel over the qubit union (strategy
-      ``"fused"``: the same :class:`repro.kernels.DenseSweep` as a plain
-      dense op, over the union).
+      refused into one multi-op kernel over the qubit union, run exactly
+      like a ``"kernel"`` op over the union.
     * ``"diagonal"`` — one diagonal op: *diag* is the extracted ``2**k``
       diagonal (local or global qubits; no communication either way).
     * ``"fused_diagonal"`` — several consecutive diagonal schedule ops
@@ -80,7 +82,6 @@ class PlanOp:
     matrix: np.ndarray | None = None
     diag: np.ndarray | None = None
     strategy: str | None = None
-    chunk_size: int | None = None
     source_op: object | None = None
 
     @property
@@ -146,16 +147,6 @@ class CompiledProgram:
     counts: dict = field(default_factory=dict)
 
     @property
-    def chunk_size(self) -> int:
-        """Blocking chunk every dense op was resolved with."""
-        return self.config.chunk_size
-
-    @property
-    def fuse_diagonals(self) -> bool:
-        """Whether diagonal-run fusion was enabled."""
-        return self.config.fuse_diagonals
-
-    @property
     def num_source_ops(self) -> int:
         """Ops in the original schedule stream."""
         return sum(op.num_sources for op in self.ops)
@@ -179,65 +170,29 @@ class CompiledProgram:
         return {
             "num_source_ops": self.num_source_ops,
             "num_plan_ops": len(self.ops),
-            "chunk_size": self.config.chunk_size,
             "fusion_kmax": self.config.fusion_kmax,
-            "max_fused_qubits": self.config.max_fused_qubits,
             "compile_seconds": round(self.compile_seconds, 6),
             **self.counts,
         }
 
 
-def _resolve_config(
-    config: PlanConfig | None,
-    *,
-    chunk_size=None,
-    fuse_diagonals=True,
-    max_fused_qubits=10,
-    fusion_kmax=None,
-    kernel_strategy=None,
-) -> PlanConfig:
-    if config is not None:
-        if not isinstance(config, PlanConfig):
-            raise TypeError(
-                f"config must be a PlanConfig, got {type(config).__name__}"
-            )
-        return config
-    return PlanConfig(
-        chunk_size=chunk_size,
-        fuse_diagonals=fuse_diagonals,
-        max_fused_qubits=max_fused_qubits,
-        fusion_kmax=fusion_kmax,
-        kernel_strategy=kernel_strategy,
-    )
-
-
 def compile_program(
-    schedule: Schedule,
-    config: PlanConfig | None = None,
-    *,
-    chunk_size: int | None = None,
-    fuse_diagonals: bool = True,
-    max_fused_qubits: int = 10,
-    fusion_kmax: int | None = None,
-    kernel_strategy: str | None = None,
+    schedule: Schedule, config: PlanConfig | None = None
 ) -> CompiledProgram:
     """Lower *schedule* into a :class:`CompiledProgram`.
 
     Every per-call decision of the old executor — diagonality scans,
-    strategy choice, diagonal extraction, fusion, chunk size — happens
-    here, once, in the pass pipeline.  Pass a :class:`PlanConfig` (or
-    the equivalent keyword options; a given *config* wins over them).
+    strategy choice, diagonal extraction, fusion — happens here, once,
+    in the pass pipeline (``None`` compiles under ``PlanConfig()``).
     """
-    resolved = _resolve_config(
-        config,
-        chunk_size=chunk_size,
-        fuse_diagonals=fuse_diagonals,
-        max_fused_qubits=max_fused_qubits,
-        fusion_kmax=fusion_kmax,
-        kernel_strategy=kernel_strategy,
-    )
+    if config is None:
+        config = PlanConfig()
+    elif not isinstance(config, PlanConfig):
+        raise TypeError(
+            f"config must be a PlanConfig, got {type(config).__name__}"
+        )
     t0 = time.perf_counter()
-    ctx = PassContext.for_schedule(schedule, resolved)
+    ctx = PassContext.for_schedule(schedule, config)
     # Called by name so the lock-order lint can follow compile -> refuse
     # -> GATHER_CACHE (lift tables) under the plan lock.
     ops: tuple[PlanOp, ...] = lower_pass((), ctx)
@@ -247,7 +202,7 @@ def compile_program(
     program = CompiledProgram(
         schedule=schedule,
         ops=ops,
-        config=resolved,
+        config=config,
         compile_seconds=0.0,
         counts=_counts_of(ops),
     )
@@ -256,33 +211,19 @@ def compile_program(
 
 
 def plan_for(
-    schedule: Schedule,
-    config: PlanConfig | None = None,
-    *,
-    chunk_size: int | None = None,
-    fuse_diagonals: bool = True,
-    max_fused_qubits: int = 10,
-    fusion_kmax: int | None = None,
-    kernel_strategy: str | None = None,
+    schedule: Schedule, config: PlanConfig | None = None
 ) -> CompiledProgram:
     """The memoized compiled plan of *schedule*.
 
     Compiled at most once per :class:`PlanConfig` — the frozen config is
-    the *entire* cache key, so every compile option participates and two
-    callers asking for different fusion widths never share a plan — and
-    cached on the schedule instance, so every rank, repeat run and
-    benchmark round shares one compilation.  Thread-safe: the service
-    layer shares schedules across concurrent requests, so a miss
-    double-checks under a lock and exactly one thread compiles each key.
+    the *entire* cache key, so two callers asking for different fusion
+    widths never share a plan — and cached on the schedule instance, so
+    every rank, repeat run and benchmark round shares one compilation.
+    Thread-safe: the service layer shares schedules across concurrent
+    requests, so a miss double-checks under a lock and exactly one
+    thread compiles each key.
     """
-    key = _resolve_config(
-        config,
-        chunk_size=chunk_size,
-        fuse_diagonals=fuse_diagonals,
-        max_fused_qubits=max_fused_qubits,
-        fusion_kmax=fusion_kmax,
-        kernel_strategy=kernel_strategy,
-    )
+    key = PlanConfig() if config is None else config
     cache = getattr(schedule, "_compiled_plans", None)
     if cache is not None:
         plan = cache.get(key)

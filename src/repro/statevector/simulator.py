@@ -36,8 +36,9 @@ class Simulator:
     initial_state:
         ``"zero"`` (``|0...0>``) or ``"plus"`` (uniform superposition — the
         Sec. 3.6 shortcut replacing the initial Hadamard layer).
-    strategy / chunk_size:
-        Kernel strategy passed through to :func:`repro.kernels.apply_gate`.
+    strategy:
+        Kernel strategy passed through to :func:`repro.kernels.apply_gate`
+        (``"naive"`` / ``"reference"`` pick the slow oracles).
     single_precision:
         Use complex64 amplitudes (Sec. 5: enables one more qubit for the
         same memory).
@@ -49,12 +50,10 @@ class Simulator:
         *,
         initial_state: str = "zero",
         strategy: str = "auto",
-        chunk_size: int | None = None,
         single_precision: bool = False,
     ) -> None:
         self.num_qubits = num_qubits
         self.strategy = strategy
-        self.chunk_size = chunk_size
         self._initial_state = initial_state
         self._single_precision = single_precision
 
@@ -87,7 +86,7 @@ class Simulator:
         cost = KernelCostModel()
         start = time.perf_counter()
         for gate in circuit:
-            state.apply_gate(gate, strategy=self.strategy, chunk_size=self.chunk_size)
+            state.apply_gate(gate, strategy=self.strategy)
             cost.record(
                 self.num_qubits, gate.num_qubits, diagonal=gate.is_diagonal
             )

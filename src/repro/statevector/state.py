@@ -57,17 +57,9 @@ class StateVector:
     # ------------------------------------------------------------------
     # Gate application
     # ------------------------------------------------------------------
-    def apply_gate(
-        self,
-        gate: Gate,
-        *,
-        strategy: str = "auto",
-        chunk_size: int | None = None,
-    ) -> "StateVector":
+    def apply_gate(self, gate: Gate, *, strategy: str = "auto") -> "StateVector":
         """Apply *gate* in place. Returns self for chaining."""
-        apply_gate(
-            self.data, gate.matrix, gate.qubits, strategy=strategy, chunk_size=chunk_size
-        )
+        apply_gate(self.data, gate.matrix, gate.qubits, strategy=strategy)
         return self
 
     def apply_circuit(self, gates, **kwargs) -> "StateVector":

@@ -210,11 +210,15 @@ def check_collectives(
 ) -> CheckReport:
     """Lockstep-match per-rank comm programs; flag every disagreement.
 
-    Processes collectives in rank-program order: repeatedly take the
-    lowest-ranked unfinished rank's next op and require every member of
-    its group to post a matching op (same kind, same group, same byte
-    count) as *their* next op.  Any deviation is a
-    ``collective-mismatch`` error pinned to the offending rank.
+    Fires collectives the way ranks would enter them: repeatedly the
+    lowest rank whose next op can fire — every member of its group,
+    itself included, posts a matching op (same kind, same group, same
+    byte count) as *their* next op — advances the whole group.  Only when
+    no group can fire does the lowest unfinished rank lead, and each
+    deviation of its group from its op is a ``collective-mismatch``
+    error pinned to the offending rank.  (Leading with the lowest rank
+    unconditionally would match ranks 0-1's world-wide op against ranks
+    2-3's still-pending group-local one.)
     """
     report = CheckReport(checks_run=["collectives"])
     heads = [0] * len(programs)
@@ -222,12 +226,35 @@ def check_collectives(
     def finished(rank: int) -> bool:
         return heads[rank] >= len(programs[rank])
 
-    while len(report.findings) < max_findings:
-        leader = next(
-            (r for r in range(len(programs)) if not finished(r)), None
+    def matches(member: int, op) -> bool:
+        if not 0 <= member < len(programs) or finished(member):
+            return False
+        peer = programs[member][heads[member]]
+        return (
+            isinstance(peer, CollectiveOp)
+            and peer.kind == op.kind
+            and peer.group == op.group
+            and peer.bytes_sent == op.bytes_sent
         )
-        if leader is None:
+
+    def can_fire(rank: int) -> bool:
+        op = programs[rank][heads[rank]]
+        return (
+            isinstance(op, CollectiveOp)
+            and rank in op.group
+            and all(matches(member, op) for member in op.group)
+        )
+
+    while len(report.findings) < max_findings:
+        pending = [r for r in range(len(programs)) if not finished(r)]
+        if not pending:
             break
+        ready = next((r for r in pending if can_fire(r)), None)
+        if ready is not None:
+            for member in programs[ready][heads[ready]].group:
+                heads[member] += 1
+            continue
+        leader = pending[0]
         op = programs[leader][heads[leader]]
         if not isinstance(op, CollectiveOp):
             report.add(
@@ -292,16 +319,8 @@ def check_collectives(
                 ok = False
         # Advance every member that posted a matching head so one bad
         # rank does not cascade into phantom findings downstream.
-        for member in set(op.group) | {leader}:
-            if 0 <= member < len(programs) and not finished(member):
-                peer = programs[member][heads[member]]
-                if (
-                    isinstance(peer, CollectiveOp)
-                    and peer.kind == op.kind
-                    and peer.group == op.group
-                    and peer.bytes_sent == op.bytes_sent
-                ):
-                    heads[member] += 1
+        for member in [m for m in set(op.group) | {leader} if matches(m, op)]:
+            heads[member] += 1
         if not ok and all(
             finished(r) or r in op.group for r in range(len(programs))
         ):

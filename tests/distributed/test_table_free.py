@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.kernels.apply
 from repro.circuit import generate_supremacy_circuit
 from repro.distributed import DistributedState, SharedMemoryShards
 from repro.distributed.checkpoint import CheckpointManager
@@ -39,17 +40,23 @@ def _random_state(n, l, seed, **kwargs) -> DistributedState:
     return state
 
 
+@pytest.fixture()
+def small_chunks(monkeypatch):
+    """Many blocks per shard: a 4-qubit sweep gets 16 ``c`` per block."""
+    monkeypatch.setattr(repro.kernels.apply, "DEFAULT_CHUNK", 16)
+
+
 class TestTracedEqualsUntraced:
     @pytest.mark.parametrize(
         "bits", [(0, 1, 2), (9, 3, 7, 1), (8, 9), (5,), (2, 4, 5, 8, 0, 9)]
     )
-    def test_dense_op_bit_identical(self, bits):
+    def test_dense_op_bit_identical(self, bits, small_chunks):
         n, l = 13, 10
         u = random_unitary(len(bits), 1)
         plain = _random_state(n, l, 4)
         traced = _random_state(n, l, 4, telemetry=Telemetry.enabled(per_rank=True))
         for state in (plain, traced):
-            state._apply_local(u, bits, diagonal=False, chunk_size=16)
+            state._apply_local(u, bits, diagonal=False)
         assert _same_shards(plain, traced)
 
     def test_diagonal_op_bit_identical(self):
@@ -88,7 +95,9 @@ class TestTracedEqualsUntraced:
             state._apply_local(u, bits, diagonal=False)
         assert _same_shards(plain, traced)
 
-    def test_block_sweep_is_what_the_untraced_run_does(self, monkeypatch):
+    def test_block_sweep_is_what_the_untraced_run_does(
+        self, monkeypatch, small_chunks
+    ):
         """Guards the comparisons above: without a block the untraced run
         goes rank by rank too, and still lands on the same bits."""
         bits, u = (9, 3, 7, 1), random_unitary(4, 1)
@@ -96,7 +105,7 @@ class TestTracedEqualsUntraced:
         assert block.storage.local_block().size == 1 << 13
         monkeypatch.setattr(ranked.storage, "local_block", lambda: None)
         for state in (block, ranked):
-            state._apply_local(u, bits, diagonal=False, chunk_size=16)
+            state._apply_local(u, bits, diagonal=False)
         assert _same_shards(block, ranked)
 
     @pytest.mark.parametrize("seed", [0, 3, 8])

@@ -17,12 +17,18 @@ from hypothesis import strategies as st
 
 from repro.gates import random_unitary
 from repro.kernels import (
+    DEFAULT_CHUNK,
     DenseSweep,
     apply_gate_indexed,
     apply_gate_naive,
     apply_gate_reference,
+    chunk_for,
 )
-from repro.kernels.apply import _WINDOW_MAX_BITS, _window_index
+from repro.kernels.apply import (
+    _WINDOW_MAX_BITS,
+    _real_gemm_operand,
+    _window_index,
+)
 from repro.util.rng import random_statevector
 
 N = 16
@@ -189,6 +195,27 @@ class TestDescriptor:
             rows = index.reshape(-1, 1 << k)
             mask = sum(1 << p for p in pos)
             assert np.all((rows & ~mask) == (rows[:, :1] & ~mask))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_real_gemm_operand_is_the_complex_product(self, k):
+        """The paper's (mR, mR) / (-mI, mI) pre-computation: one real
+        GEMM over the float view gives the complex panel product."""
+        rng = np.random.default_rng(k)
+        m = random_unitary(k, k)
+        panel = rng.standard_normal((5, 2 << k)).view(np.complex128)
+        real = panel.view(np.float64) @ _real_gemm_operand(m)
+        assert np.allclose(real.view(np.complex128), panel @ m, atol=1e-12)
+
+    def test_default_chunk_keeps_the_panel_size(self):
+        assert chunk_for(4) == DEFAULT_CHUNK == 1024
+        assert [chunk_for(k) for k in (1, 2, 8)] == [8192, 4096, 64]
+        for qubits in ((14,), (1, 2, 13, 14), tuple(range(10, 16))):
+            k = len(qubits)
+            u = random_unitary(k, k)
+            default = DenseSweep(N, u, qubits, np.complex128)
+            pinned = DenseSweep(N, u, qubits, np.complex128, chunk_for(k))
+            assert default.num_blocks == pinned.num_blocks
+            assert default.num_blocks == (1 << (N - k)) // chunk_for(k)
 
     def test_matrix_shape_validated(self):
         with pytest.raises(ValueError, match="does not act on"):

@@ -3,8 +3,8 @@
 Covers the pass-pipeline refactor's new surface:
 
 * the frozen :class:`~repro.plan.PlanConfig` as the *single* memoization
-  key (regression for the old ``(chunk_size, fuse_diagonals)``-only key,
-  which silently collided plans differing in any other option);
+  key (regression for an old key that left the fusion width out and
+  silently collided plans differing in it);
 * fused-vs-unfused execution equivalence over 20 seeds, fingerprint
   determinism per config, and ``ExecutionTrace.signature()`` parity —
   fused kernels emit one (zero-length) trace event per original
@@ -23,7 +23,7 @@ import pytest
 
 from repro.circuit import generate_supremacy_circuit
 from repro.distributed import DistributedState
-from repro.plan import PlanConfig, compile_program, plan_for
+from repro.plan import DEFAULT_FUSION_KMAX, PlanConfig, compile_program, plan_for
 from repro.runtime import (
     CheckpointLayer,
     ExecutionEngine,
@@ -87,26 +87,24 @@ def _fingerprint(state) -> str:
 
 class TestPlanConfigKey:
     def test_every_option_participates_in_the_key(self):
-        """Regression: the old cache key was (chunk_size, fuse_diagonals)
-        only, so plans differing in any other option collided."""
+        """Regression: an old cache key left the fusion width out, so
+        plans compiled under different widths collided."""
         _, schedule = _case(0)
         base = plan_for(schedule, PlanConfig())
         assert plan_for(schedule, PlanConfig()) is base
-        for other in (
-            PlanConfig(fusion_kmax=0),
-            PlanConfig(max_fused_qubits=2),
-            PlanConfig(kernel_strategy="reference"),
-            PlanConfig(chunk_size=64),
-            PlanConfig(fuse_diagonals=False),
-        ):
-            if other == PlanConfig():
-                continue  # defaults may coincide on some hosts
-            assert plan_for(schedule, other) is not base, other
+        plans = {id(base)}
+        for kmax in (0, 4, 6):
+            assert kmax != DEFAULT_FUSION_KMAX
+            plans.add(id(plan_for(schedule, PlanConfig(fusion_kmax=kmax))))
+        assert len(plans) == 4
 
-    def test_kwargs_form_still_memoizes(self):
+    def test_equal_configs_share_one_plan(self):
         _, schedule = _case(1)
-        assert plan_for(schedule, fusion_kmax=2) is plan_for(
+        assert plan_for(schedule, PlanConfig(fusion_kmax=2)) is plan_for(
             schedule, PlanConfig(fusion_kmax=2)
+        )
+        assert plan_for(schedule) is plan_for(
+            schedule, PlanConfig(fusion_kmax=DEFAULT_FUSION_KMAX)
         )
 
     def test_plan_compiled_under_its_config(self):
@@ -133,7 +131,7 @@ class TestPlanConfigKey:
     def test_invalid_config_type_rejected(self):
         _, schedule = _case(4)
         with pytest.raises(TypeError):
-            compile_program(schedule, {"chunk_size": 64})
+            compile_program(schedule, {"fusion_kmax": 4})
 
 
 class TestFusedVsUnfused:

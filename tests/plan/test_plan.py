@@ -5,10 +5,24 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.circuit import generate_supremacy_circuit
+from repro.circuit import Circuit, generate_supremacy_circuit
 from repro.distributed import DistributedSimulator, DistributedState
-from repro.kernels import GATHER_CACHE, apply_gate_reference
-from repro.plan import CompiledProgram, PlanOp, compile_program, plan_for
+from repro.gates import Gate
+from repro.kernels import GATHER_CACHE, SWEEP_MAX_QUBITS, apply_gate_reference
+from repro.plan import (
+    CompiledProgram,
+    PlanConfig,
+    PlanOp,
+    compile_program,
+    plan_for,
+)
+from repro.plan.passes import (
+    PassContext,
+    finalize_pass,
+    lower_pass,
+    specialize_pass,
+)
+from repro.plan.program import _counts_of
 from repro.runtime import ExecutionEngine, TracingLayer
 from repro.scheduling import SchedulerConfig, schedule_circuit
 from repro.telemetry import Telemetry
@@ -32,6 +46,16 @@ def _state_for(schedule, *, telemetry=None):
         init=getattr(schedule, "initial_state", "zero"),
         initial_global_qubits=schedule.initial_global_qubits or None,
         telemetry=telemetry,
+    )
+
+
+def _unfused_program(schedule) -> CompiledProgram:
+    """The plan without its refuse pass: one plan op per schedule op."""
+    ctx = PassContext.for_schedule(schedule, PlanConfig())
+    ops = finalize_pass(specialize_pass(lower_pass((), ctx), ctx), ctx)
+    return CompiledProgram(
+        schedule=schedule, ops=ops, config=ctx.config, compile_seconds=0.0,
+        counts=_counts_of(ops),
     )
 
 
@@ -66,14 +90,14 @@ class TestCompile:
         kernel_ops = [op for op in plan.ops if op.exec_kind == "kernel"]
         assert kernel_ops
         for op in kernel_ops:
-            assert op.strategy in {"indexed", "reference"}
-            assert op.chunk_size is not None
+            wide = len(op.qubits) > SWEEP_MAX_QUBITS
+            assert op.strategy == ("reference" if wide else "indexed")
             assert op.matrix is not None
 
     def test_fusion_merges_consecutive_diagonals(self):
         _, schedule = _small_case(2)
-        fused = compile_program(schedule, fuse_diagonals=True)
-        unfused = compile_program(schedule, fuse_diagonals=False)
+        fused = compile_program(schedule)
+        unfused = _unfused_program(schedule)
         assert unfused.counts["fused_diagonal_ops"] == 0
         assert unfused.counts["fused_away_ops"] == 0
         assert len(fused.ops) <= len(unfused.ops)
@@ -83,7 +107,23 @@ class TestCompile:
     def test_plan_for_memoizes_per_schedule(self):
         _, schedule = _small_case(3)
         assert plan_for(schedule) is plan_for(schedule)
-        assert plan_for(schedule) is not plan_for(schedule, fuse_diagonals=False)
+        assert plan_for(schedule) is not plan_for(
+            schedule, PlanConfig(fusion_kmax=0)
+        )
+
+    @pytest.mark.parametrize("width, fused", [(10, 1), (12, 0)])
+    def test_diagonal_runs_fuse_up_to_ten_qubits(self, width, fused):
+        circuit = Circuit(width)
+        for q in range(0, width, 2):
+            circuit.append(Gate("cz", (q, q + 1)))
+        for q in range(width):
+            circuit.append(Gate("t", (q,)))
+        schedule = schedule_circuit(
+            circuit, SchedulerConfig(local_qubits=width, kmax=2, seed=1)
+        )
+        plan = compile_program(schedule, PlanConfig(fusion_kmax=0))
+        assert plan.counts["diagonal_ops"] == (0 if fused else len(plan.ops))
+        assert plan.counts["fused_diagonal_ops"] == fused
 
     def test_summary_reports_counters(self):
         _, schedule = _small_case(4)
@@ -91,7 +131,7 @@ class TestCompile:
         summary = plan.summary()
         assert summary["num_plan_ops"] == len(plan.ops)
         assert summary["num_source_ops"] == plan.num_source_ops
-        assert summary["chunk_size"] == plan.chunk_size
+        assert summary["fusion_kmax"] == plan.config.fusion_kmax
 
 
 class TestExecutionCorrectness:
@@ -107,13 +147,11 @@ class TestExecutionCorrectness:
 
     @pytest.mark.parametrize("seed", [0, 7, 13])
     def test_unfused_plan_bit_exact_vs_direct_execution(self, seed):
-        """With all fusion off the plan replays the exact same kernel
+        """Without the refuse pass the plan replays the exact same kernel
         calls as op.execute, so amplitudes are bit-identical."""
         _, schedule = _small_case(seed)
         state = _state_for(schedule)
-        compile_program(
-            schedule, fuse_diagonals=False, fusion_kmax=0
-        ).execute(state)
+        _unfused_program(schedule).execute(state)
 
         ref = DistributedSimulator(_N, _L).run_schedule(schedule, use_plan=False)
         assert np.array_equal(
@@ -124,9 +162,9 @@ class TestExecutionCorrectness:
     def test_fused_plan_matches_unfused(self, seed):
         _, schedule = _small_case(seed)
         a = _state_for(schedule)
-        compile_program(schedule, fuse_diagonals=True).execute(a)
+        compile_program(schedule).execute(a)
         b = _state_for(schedule)
-        compile_program(schedule, fuse_diagonals=False).execute(b)
+        _unfused_program(schedule).execute(b)
         assert np.allclose(
             a.to_statevector().data, b.to_statevector().data, atol=1e-12
         )

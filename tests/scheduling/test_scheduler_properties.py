@@ -124,7 +124,5 @@ class TestSchedulerOnArbitraryCircuits:
             for stage in sched.stages for op in stage.ops
             if isinstance(op, ClusterOp)
         )
-        # Structural passes only: the comm-plan replay flags some small
-        # g = 2 schedules (n=5, l=3, kmax=2, seed=0) whatever the clusterer.
-        report = verify_schedule(sched, check_comm=False)
+        report = verify_schedule(sched)
         assert report.clean, report.format()

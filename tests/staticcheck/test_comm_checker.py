@@ -17,6 +17,8 @@ from repro.staticcheck import (
     predict_comm_stats,
 )
 
+from tests.conftest import random_circuit
+
 
 def make_schedule(n=10, l=7, *, depth=10, seed=1, **cfg):
     circ = generate_supremacy_circuit(n, depth, seed=seed)
@@ -135,6 +137,37 @@ class TestCollectiveMatcher:
         ]
         report = check_collectives(programs)
         assert "collective-mismatch" in report.categories()
+
+    def test_group_local_then_world_collectives_are_clean(self):
+        """Regression: ranks 0-1 finish a group-local all-to-all and post
+        the next world-wide one while ranks 2-3 still owe theirs.  The
+        matcher used to lead with rank 0 regardless and report "rank 2
+        disagrees on group membership"; the deadlock checker, which
+        fires whichever group is ready, always found the plan clean."""
+        sched = schedule_circuit(
+            random_circuit(5, 30, seed=0),
+            SchedulerConfig(
+                local_qubits=3, kmax=2, seed=0, skip_initial_hadamards=False
+            ),
+        )
+        programs = comm_plan_for_schedule(sched)
+        groups = {op.group for program in programs for op in program}
+        assert {(0, 1), (2, 3), (0, 1, 2, 3)} <= groups
+        assert check_collectives(programs).clean
+        assert check_deadlock(programs).clean
+
+    def test_ready_group_fires_before_a_mismatch_is_reported(self):
+        world = CollectiveOp("alltoall", (0, 1, 2, 3), 64, 1)
+        programs = [
+            [CollectiveOp("alltoall", (0, 1), 64, 0), world],
+            [CollectiveOp("alltoall", (0, 1), 64, 0), world],
+            [CollectiveOp("alltoall", (2, 3), 64, 0), world],
+            [CollectiveOp("alltoall", (2, 3), 64, 0), world],
+        ]
+        assert check_collectives(programs).clean
+        programs[3][1] = CollectiveOp("alltoall", (0, 1, 2, 3), 32, 1)
+        report = check_collectives(programs)
+        assert [f.rank for f in report.errors] == [3]
 
     def test_finding_cap_bounds_cascades(self):
         # Two ranks that disagree on every one of 100 collectives must

@@ -18,8 +18,8 @@ This tool checks every record against that schema and, when the
 previous generation is present (``BENCH_<name>.json.prev``, kept by the
 fixture), diffs the headline numbers.  For most benches regressions are
 *warnings* — host timings in CI containers are noisy — but the guarded
-benches in :data:`FAIL_ON_REGRESSION` (the headline kernel and
-end-to-end numbers) FAIL the check when they slow down by more than
+benches in :data:`FAIL_ON_REGRESSION` (the end-to-end, runtime,
+pipeline, fusion and plan-compile numbers) FAIL the check when they slow down by more than
 :data:`REGRESSION_THRESHOLD`.
 
 Usage::
@@ -45,7 +45,6 @@ REGRESSION_THRESHOLD = 0.25
 
 #: Benches whose >threshold slowdowns are ERRORS (exit 1), not warnings.
 FAIL_ON_REGRESSION = {
-    "kernels_autotune",
     "end_to_end",
     "runtime_overhead",
     "pipeline",
@@ -60,7 +59,6 @@ KNOWN_BENCHES = {
     "end_to_end",
     "exposition_overhead",
     "fusion",
-    "kernels_autotune",
     "lint_runtime",
     "pipeline",
     "plan_compile",
