@@ -7,7 +7,8 @@ full optimization stack:
 * k-qubit gate kernels built per op from the target bit positions
   (:mod:`repro.kernels`) and a plan compiler that fuses and resolves
   them once per schedule (:mod:`repro.plan`),
-* node-level parallel execution (:mod:`repro.parallel`),
+* node-level parallel execution: large sweeps split across the CPUs
+  by the sweep pool of :mod:`repro.kernels`,
 * a (simulated-) MPI multi-node layer with global-to-local swaps and
   global-gate specialization (:mod:`repro.distributed`),
 * the circuit scheduler: stage finding, gate clustering, swap-point

@@ -16,6 +16,7 @@ this same code over a :class:`~repro.distributed.storage.SharedMemoryShards`.
 
 from __future__ import annotations
 
+import threading
 import time
 import zlib
 from functools import partial
@@ -34,7 +35,7 @@ from repro.kernels import (
     apply_diagonal_factor,
     apply_gate,
 )
-from repro.kernels.apply import matrix_is_diagonal
+from repro.kernels.apply import matrix_is_diagonal, split_sweep
 from repro.kernels.tables import GATHER_CACHE
 from repro.kernels.cost import KernelCostModel
 from repro.statevector.state import StateVector
@@ -317,13 +318,16 @@ class DistributedState:
             strategy = "indexed" if k <= SWEEP_MAX_QUBITS else "reference"
         # The op treats every shard alike, so a backend that keeps the
         # local shards side by side gets one sweep over all of them: the
-        # targets are bits of that longer vector just the same.  Rank by
-        # rank otherwise, whenever each rank is to get its own span, and
-        # for the tensordot kernel, whose GEMM shape (and with it the
-        # rounding) would follow the length of the vector.
-        block = None
+        # targets are bits of that longer vector just the same.  That
+        # block, or else each resident shard, goes to the sweep pool in
+        # pieces.  Through the storage, rank by rank, otherwise: per-rank
+        # spans, shards not resident, and the tensordot kernel, whose GEMM
+        # shape (and with it the rounding) would follow the vector's length.
+        block = arrays = None
         if not per_rank and (diagonal or strategy == "indexed"):
             block = self.storage.local_block()
+            arrays = [block] if block is not None else self.storage.resident_shards()
+        width = l if block is None else block.size.bit_length() - 1
         if diagonal:
             if diag is None:
                 diag = np.diagonal(matrix)
@@ -331,11 +335,14 @@ class DistributedState:
                 l, bits, np.asarray(diag, dtype=self.storage.dtype)
             )
 
-            def kernel(shard):
-                apply_diagonal_factor(shard.reshape(-1, 1 << l), factor)
+            def kernel(array, start=0, stop=None):  # its shards start..stop-1
+                apply_diagonal_factor(array.reshape(-1, 1 << l)[start:stop], factor)
+
+            part, units = kernel, 1 << (width - l)
         elif strategy == "indexed":
-            width = l if block is None else block.size.bit_length() - 1
-            kernel = DenseSweep(width, matrix, bits, self.storage.dtype).bind()
+            dense = DenseSweep(width, matrix, bits, self.storage.dtype)
+            part, units = dense.apply, dense.num_blocks
+            kernel = dense.bind() if arrays is None else None
         else:
 
             def kernel(shard):
@@ -351,8 +358,8 @@ class DistributedState:
             )
 
         def sweep():
-            if block is not None:
-                kernel(block)
+            if arrays is not None:
+                split_sweep(part, arrays, units)
                 return
             self.storage.sweep(
                 (lambda r: partial(traced, rank=r))
@@ -683,12 +690,14 @@ class DistributedState:
         with self.telemetry.tracer.span(
             "comm.staging_swap", kind="staging", swaps=len(transpositions)
         ):
-            buf = np.empty(1 << l, dtype=self.storage.dtype)
-            permuted = buf.reshape([shape[a] for a in axes])
+            buffers = threading.local()  # one per thread the sweep runs on
 
             def kernel(shard):
-                np.copyto(permuted, shard.reshape(shape).transpose(axes))
-                shard[:] = buf
+                if not hasattr(buffers, "buf"):
+                    buffers.buf = np.empty(1 << l, dtype=self.storage.dtype)
+                    buffers.permuted = buffers.buf.reshape([shape[a] for a in axes])
+                np.copyto(buffers.permuted, shard.reshape(shape).transpose(axes))
+                shard[:] = buffers.buf
 
             self.storage.sweep(
                 lambda r: kernel,

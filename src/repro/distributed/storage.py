@@ -23,7 +23,8 @@ Loop order
 ----------
 Every writer in :class:`~repro.distributed.state.DistributedState` hands
 its per-rank kernels to :meth:`ShardStorage.sweep`.  The memory-resident
-backends run them on the spot; :class:`DiskShards` *defers* them, keyed
+backends run them on the spot (large shards on every CPU, through the
+sweep pool of :mod:`repro.kernels`); :class:`DiskShards` *defers* them, keyed
 by file, and its stage flush streams every file through a RAM buffer
 once: ``preadv`` the shard, run all its pending kernels in order,
 ``pwrite`` it back — one read and one write per shard per *stage*, not
@@ -56,6 +57,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.kernels.apply import run_split
 from repro.telemetry.runtime import NULL_TELEMETRY
 from repro.util.validation import check_power_of_two
 
@@ -122,21 +124,35 @@ class ShardStorage(abc.ABC):
         """
         return None
 
+    def resident_shards(self) -> list[np.ndarray] | None:
+        """Every local rank's shard, for a sweep that may write them from
+        several threads at once; ``None`` when this backend's sweeps stay
+        on the calling thread."""
+        return None
+
     def sweep(self, kernel_of_rank, *, label: str = "", overwrites=False) -> None:
         """Apply ``kernel_of_rank(r)`` in place to every local rank's shard
         (``None``: leave that shard alone) — the one way amplitudes are
         written outside the collectives.
 
-        Run here and now; a backend whose shards are not resident may
-        defer the kernels until :meth:`flush`.  *label* names the op (kind,
-        k, bits) for the error of a kernel that fails later than its op;
-        *overwrites* promises that every kernel replaces its whole shard
-        without reading it.
+        Run here and now — :meth:`resident_shards` of at least
+        :data:`~repro.kernels.apply.SPLIT_MIN_AMPLITUDES` through the sweep
+        pool, unless per-rank spans must nest on this thread; a backend
+        whose shards are not resident may defer the kernels until
+        :meth:`flush`.  *label* names the op (kind, k, bits) for the error
+        of a kernel that fails later than its op; *overwrites* promises
+        that every kernel replaces its whole shard without reading it.
         """
-        for rank in self.local_ranks:
-            kernel = kernel_of_rank(rank)
-            if kernel is not None:
-                kernel(self.get(rank))
+        tracer = self.telemetry.tracer
+        pooled = self.resident_shards() is not None and not (
+            tracer.enabled and tracer.per_rank
+        )
+        run_split(
+            lambda job: job[0](job[1]),
+            ((kernel, self.get(rank)) for rank in self.local_ranks
+             if (kernel := kernel_of_rank(rank)) is not None),
+            self.shard_size if pooled else 0,
+        )
 
     def flush(self) -> None:
         """Run every deferred sweep (nothing is ever deferred here)."""
@@ -211,6 +227,12 @@ class InMemoryShards(ShardStorage):
 
     def local_block(self) -> np.ndarray | None:
         return self._block
+
+    def resident_shards(self) -> list[np.ndarray] | None:
+        # A worker owning some of the ranks shares the cores with its peers.
+        if len(self.local_ranks) < self.num_shards:
+            return None
+        return self._shards
 
     def get(self, rank: int) -> np.ndarray:
         return self._shards[rank]

@@ -19,6 +19,10 @@ Several strategies are provided, mirroring the paper's optimization steps:
 * :func:`apply_diagonal_gate` — fast path for diagonal gates
   (CZ, T, Z, S): one complex multiply per amplitude, no gather.
 * :func:`apply_gate` — dispatcher choosing a strategy per gate structure.
+* :func:`~repro.kernels.apply.split_sweep` /
+  :func:`~repro.kernels.apply.run_split` — the sweep pool (the paper's
+  OpenMP layer, Sec. 3.3): disjoint pieces of one large sweep on every
+  CPU, bit-identical to the serial sweep, BLAS pinned to one thread.
 
 All in-place kernels mutate ``state`` and also return it, so call sites can
 chain or ignore the return value.

@@ -12,12 +12,19 @@ cached) for targets inside it, no copy at all for bottom-contiguous
 targets — and then sweeps cache-sized blocks through reused per-thread
 panels with ``np.copyto`` / ``np.take(..., out=)`` /
 ``np.matmul(..., out=)``.  Nothing the sweep needs grows with the shard.
+
+Large sweeps run on every CPU: one process-wide pool (:func:`run_split`)
+takes disjoint pieces of them, each through its own thread's panels, so
+pooled and serial results agree bit for bit.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Sequence
 
 import numpy as np
@@ -32,10 +39,12 @@ from repro.util.bits import (
     expand_index,
     scatter_bits,
 )
+from repro.util.executors import register_executor
 from repro.util.validation import check_qubit_indices
 
 __all__ = [
     "DenseSweep",
+    "SPLIT_MIN_AMPLITUDES",
     "SWEEP_MAX_QUBITS",
     "apply_gate_naive",
     "apply_gate_reference",
@@ -44,8 +53,11 @@ __all__ = [
     "apply_diagonal_gate",
     "apply_diagonal_factor",
     "apply_gate",
+    "blas_threads",
     "chunk_for",
     "matrix_is_diagonal",
+    "run_split",
+    "split_sweep",
 ]
 
 #: Number of ``c`` substrings per block of a 4-qubit dense sweep: a
@@ -91,6 +103,113 @@ def _panels(amplitudes: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
             np.empty(amplitudes, dtype=dtype),
         )
     return pair[0][:amplitudes], pair[1][:amplitudes]
+
+
+#: Fewest amplitudes every piece of a split sweep gets, or the sweep runs
+#: serially.  Measured on the reference host (2 vCPUs, 1 BLAS thread;
+#: ``benchmarks/bench_sweep_pool.py``, two runs), one array split in two,
+#: pooled / serial time by piece size: a k = 4 sweep 0.76-1.20 at 2**16-
+#: 2**17, 0.71-0.86 at 2**18-2**19, 0.56-0.82 at 2**20; a two-qubit phase
+#: multiply 1.35-4.4 up to 2**17, 0.88-1.04 at 2**18, 0.72-0.95 at 2**19,
+#: 0.57-0.72 at 2**20.  2**20 is past both crossovers in every run, and
+#: above every shard of the job service's workloads, whose executor
+#: threads already own the cores.
+SPLIT_MIN_AMPLITUDES = 1 << 20
+
+_CPUS = len(os.sched_getaffinity(0))
+#: The sweep pool: ``None`` until first use, ``False`` when sweeps stay
+#: serial (one CPU, or no way to pin BLAS to one thread).
+_pool = None
+_pool_lock = threading.Lock()
+_pool_thread = threading.local()
+
+
+def _forget_pool() -> None:
+    """A forked child has none of its parent's threads: start afresh."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _openblas(action: str):
+    """``openblas_<action>_num_threads`` of the OpenBLAS numpy loaded, or
+    ``None`` (found by path in this process's memory map)."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
+    except OSError:
+        paths = []
+    names = [f"{prefix}openblas_{action}_num_threads{suffix}"
+             for prefix, suffix in (("scipy_", "64_"), ("", "64_"), ("", ""))]
+    return next((getattr(lib, name) for lib in map(ctypes.CDLL, paths)
+                 for name in names if hasattr(lib, name)), None)
+
+
+def blas_threads() -> int | None:
+    """Threads the OpenBLAS numpy loaded may use (``None``: not found)."""
+    getter = _openblas("get")
+    return None if getter is None else int(getter())
+
+
+def _sweep_pool() -> ThreadPoolExecutor | None:
+    """The process-wide sweep pool, one thread per CPU; ``None`` when
+    sweeps stay serial.  Starting it pins BLAS to one thread: the pieces'
+    GEMMs already fill the CPUs, BLAS threads would compete for them."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            pin = _openblas("set") if _CPUS > 1 else None
+            _pool = pin is not None and ThreadPoolExecutor(
+                _CPUS, thread_name_prefix="repro-sweep",
+                initializer=lambda: setattr(_pool_thread, "marked", True),
+            )
+            if _pool:
+                pin(1)
+                register_executor(_pool)
+        return _pool or None
+
+
+def run_split(work, items, amplitudes: int) -> None:
+    """``work(item)`` for every item, on the sweep pool when each item
+    holds at least :data:`SPLIT_MIN_AMPLITUDES` (*amplitudes*: the
+    smallest one's) and there are two or more; inline otherwise, and
+    always when called from a pool thread, so nesting cannot deadlock.
+    Items must touch disjoint amplitudes.  Returns once every item is
+    done; the first failure is re-raised.
+    """
+    pool = None
+    if amplitudes >= SPLIT_MIN_AMPLITUDES and not hasattr(_pool_thread, "marked"):
+        items = list(items)
+        pool = _sweep_pool() if len(items) > 1 else None
+    if pool is None:
+        for item in items:
+            work(item)
+        return
+    futures = [pool.submit(work, item) for item in items]
+    wait(futures)
+    for future in futures:
+        future.result()
+
+
+def split_sweep(run, arrays: Sequence[np.ndarray], units: int) -> None:
+    """``run(array, start, stop)`` over units ``0..units-1`` of every one
+    of *arrays* (all of one size), through :func:`run_split`.
+
+    Each array is cut into as many unit ranges as it takes to give every
+    CPU a piece, none smaller than :data:`SPLIT_MIN_AMPLITUDES`; a unit
+    is what *run* sweeps as one (a :class:`DenseSweep` block, a row).
+    """
+    size = arrays[0].size
+    parts = max(1, min(-(-_CPUS // len(arrays)), units,
+                       size // SPLIT_MIN_AMPLITUDES))
+    run_split(
+        lambda item: run(*item),
+        [(array, i * units // parts, (i + 1) * units // parts)
+         for array in arrays for i in range(parts)],
+        units // parts * size // units,
+    )
 
 
 def _num_qubits_of(state: np.ndarray) -> int:
