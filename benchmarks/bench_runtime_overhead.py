@@ -1,24 +1,22 @@
-"""Runtime-engine overhead: empty layer stack vs the pre-refactor loop.
+"""Runtime-engine overhead: empty layer stack vs a bare plan loop.
 
-The six legacy executors were unified onto one canonical op loop
-(:class:`repro.runtime.ExecutionEngine`); ``run_schedule`` and friends
-now go through it.  The engine's fast path (no layers, no policy) must
-therefore cost essentially nothing over the hand-rolled loops it
-replaced.  This bench replays the same 20-qubit schedule through
+Every schedule run goes through one canonical op loop
+(:class:`repro.runtime.ExecutionEngine`) replaying the compiled plan.
+The engine's fast path (no layers, no policy) must therefore cost
+essentially nothing over a hand-rolled loop.  This bench replays the
+same 20-qubit plan through
 
-* the pre-refactor hot paths (the bare ``op.execute`` /
-  ``_run_op`` loops, reproduced here verbatim), and
+* the bare ``_run_op`` loop over the plan's ops, and
 * the engine with an empty layer stack,
 
-for both the raw op stream and the compiled plan, and asserts the
-overhead factor stays within the ISSUE's <= 1.05x target.
+and asserts the overhead factor stays near its <= 1.05x target.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.distributed.checkpoint import CheckpointManager
+from repro.distributed import DistributedState
 from repro.plan import plan_for
 from repro.plan.executor import _run_op
 from repro.runtime import ExecutionEngine
@@ -33,30 +31,18 @@ def _timed(fn) -> float:
 def bench_runtime_overhead(benchmark, report_writer, bench_record, schedule_cache):
     n, depth, l = 20, 16, 16
     _, sched = schedule_cache(n, l, depth=depth, seed=0)
-    ops = list(sched.operations())
     plan = plan_for(sched)
-    fresh = lambda: CheckpointManager.initial_state_for(sched)  # noqa: E731
 
-    def legacy_raw():
-        state = fresh()
-        for op in ops:  # lint: allow-op-loop  (this IS the legacy baseline)
-            op.execute(state)
-
-    def legacy_plan():
-        state = fresh()
+    def bare_plan():
+        state = DistributedState.for_schedule(sched)
         for plan_op in plan.ops:
             _run_op(plan_op, state)
-
-    def engine_raw():
-        ExecutionEngine(sched, use_plan=False).run()  # lint: allow-engine-direct
 
     def engine_plan():
         ExecutionEngine(plan).run()  # lint: allow-engine-direct
 
     variants = {
-        "legacy raw loop": legacy_raw,
-        "engine raw": engine_raw,
-        "legacy plan loop": legacy_plan,
+        "bare plan loop": bare_plan,
         "engine plan": engine_plan,
     }
     for fn in variants.values():
@@ -68,18 +54,15 @@ def bench_runtime_overhead(benchmark, report_writer, bench_record, schedule_cach
         for name, fn in variants.items():
             seconds[name] = min(seconds[name], _timed(fn))
 
-    raw_ratio = seconds["engine raw"] / seconds["legacy raw loop"]
-    plan_ratio = seconds["engine plan"] / seconds["legacy plan loop"]
+    plan_ratio = seconds["engine plan"] / seconds["bare plan loop"]
     rows = [
         f"{n}-qubit depth-{depth} schedule, {1 << (n - l)} virtual ranks, "
-        f"{len(ops)} ops / {len(plan.ops)} plan ops (best of 3):",
+        f"{plan.num_source_ops} ops / {len(plan.ops)} plan ops (best of 5):",
         "",
-        f"{'variant':>18}  {'wall s':>8}  {'vs legacy':>9}",
+        f"{'variant':>18}  {'wall s':>8}  {'vs bare':>9}",
     ]
+    base = seconds["bare plan loop"]
     for name, wall in seconds.items():
-        base = seconds[
-            "legacy raw loop" if "raw" in name else "legacy plan loop"
-        ]
         rows.append(f"{name:>18}  {wall:>8.3f}  {wall / base:>8.2f}x")
     rows += [
         "",
@@ -95,20 +78,16 @@ def bench_runtime_overhead(benchmark, report_writer, bench_record, schedule_cach
             "qubits": n,
             "depth": depth,
             "local_qubits": l,
-            "ops": len(ops),
+            "ops": plan.num_source_ops,
             "plan_ops": len(plan.ops),
         },
-        metrics={
-            "overhead.raw": raw_ratio,
-            "overhead.plan": plan_ratio,
-        },
+        metrics={"overhead.plan": plan_ratio},
     )
 
     # Target is <= 1.05x (recorded above; bench_check guards the record
     # against generation-to-generation regressions).  The hard assert
     # carries noise headroom — same convention as the telemetry bench —
     # and only trips on a structural regression in the fast path.
-    assert raw_ratio <= 1.15, f"engine raw overhead {raw_ratio:.3f}x > 1.15x"
     assert plan_ratio <= 1.15, (
         f"engine plan overhead {plan_ratio:.3f}x > 1.15x"
     )

@@ -36,10 +36,13 @@ SIGTERM.  ``submit`` mints a ``trace_id`` on the wire so one id
 correlates client output, server spans, flight-recorder records and
 metrics.
 
-``simulate --sanitize`` arms the runtime shard sanitizer (NaN/Inf, norm
-conservation, checksum divergence); ``simulate --strict`` refuses to
-execute a schedule whose static check reports errors; ``simulate
---trace/--metrics`` records spans/metrics during a plain distributed run.
+``simulate`` builds one runtime layer stack from its flags and runs it
+through ``run_schedule``: ``--pipeline`` overlaps shard I/O,
+``--checkpoint-dir`` checkpoints (and resumes), ``--sanitize`` arms the
+runtime shard sanitizer (NaN/Inf, norm conservation, checksum
+divergence) and ``--trace/--metrics`` record spans/metrics; any subset
+composes.  ``simulate --strict`` refuses to execute a schedule whose
+static check reports errors.
 """
 
 from __future__ import annotations
@@ -104,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
                      "to execute on any static-check error")
     sim.add_argument("--trace", type=str, metavar="FILE",
                      help="record telemetry spans and write a Chrome-trace "
-                     "JSON here (plain distributed runs only)")
+                     "JSON here (distributed only)")
     sim.add_argument("--fusion-kmax", type=int, default=None,
                      metavar="K",
                      help="widest qubit union the plan compiler may refuse "
@@ -112,17 +115,18 @@ def build_parser() -> argparse.ArgumentParser:
                           "(default: 8; 0 disables refusion)")
     sim.add_argument("--plan-stats", action="store_true",
                      help="print the compiled execution plan summary and "
-                     "kernel-table cache statistics after a plain "
-                     "distributed run")
+                     "kernel-table cache statistics after the run "
+                     "(distributed only)")
     sim.add_argument("--metrics", action="store_true",
                      help="collect and print the metrics registry "
-                     "(plain distributed runs only)")
+                     "(distributed only)")
     sim.add_argument("--pipeline", action="store_true",
-                     help="overlap compute with background table prefetch "
-                     "and shard I/O (composes with --sanitize, --trace, "
-                     "--checkpoint-dir; biggest win with --storage-dir)")
+                     help="overlap compute with shard I/O on a background "
+                     "worker (composes with every other flag; pays off "
+                     "with --storage-dir)")
     sim.add_argument("--pipeline-depth", type=int, default=2,
-                     help="ops of lookahead prefetch (with --pipeline)")
+                     help="shards in flight: the one computed on plus "
+                     "depth-1 read ahead (with --pipeline)")
     sim.add_argument("--storage-dir", type=str,
                      help="out-of-core run: keep the state in DiskShards "
                      "files under this directory")
@@ -481,13 +485,6 @@ def _simulate(args, cleanup: ExitStack) -> int:
         print("error: --trace/--metrics/--plan-stats need a distributed run "
               "(--local-qubits)", file=sys.stderr)
         return 2
-    if (args.trace or args.metrics or args.plan_stats) and (
-        args.sanitize or args.checkpoint_dir
-    ):
-        print("error: --trace/--metrics/--plan-stats apply to plain "
-              "distributed runs (not --sanitize/--checkpoint-dir); use "
-              "`repro trace` for a fully instrumented run", file=sys.stderr)
-        return 2
     circuit = generate_supremacy_circuit(args.qubits, args.depth, seed=args.seed)
     if args.local_qubits:
         from repro.distributed import DistributedSimulator
@@ -513,11 +510,6 @@ def _simulate(args, cleanup: ExitStack) -> int:
             def state_factory():
                 return DistributedState.for_schedule(schedule, storage=storage)
 
-        pipeline_layers = []
-        if args.pipeline:
-            from repro.runtime import PipelineLayer
-
-            pipeline_layers = [PipelineLayer(depth=args.pipeline_depth)]
         if args.strict:
             from repro.staticcheck import verify_schedule
 
@@ -528,27 +520,77 @@ def _simulate(args, cleanup: ExitStack) -> int:
                       file=sys.stderr)
                 return 1
             print(f"static check: PASS ({len(report.checks_run)} passes)")
+        # One layer stack from the flags, outermost first.
+        layers = []
+        if args.pipeline:
+            from repro.runtime import PipelineLayer
+
+            layers.append(PipelineLayer(depth=args.pipeline_depth))
+        resuming = False
+        if args.checkpoint_dir:
+            from repro.distributed.checkpoint import CheckpointManager
+            from repro.runtime import CheckpointLayer
+
+            mgr = CheckpointManager(args.checkpoint_dir)
+            resuming = mgr.has_checkpoint()
+            layers.append(
+                CheckpointLayer(
+                    mgr,
+                    every=args.checkpoint_every,
+                    resume=True,
+                    state_factory=state_factory,
+                )
+            )
+        sanitizer = None
         if args.sanitize:
-            from repro.runtime import ExecutionEngine, SanitizerLayer
+            from repro.runtime import SanitizerLayer
             from repro.staticcheck import ShardSanitizer
-            from repro.util.locktrack import LOCK_TRACKER
 
             sanitizer = ShardSanitizer()
-            engine = ExecutionEngine(  # lint: allow-engine-direct
-                schedule,
-                use_plan=False,
-                layers=pipeline_layers + [SanitizerLayer(sanitizer)],
-                state_factory=state_factory,
-            )
+            layers.append(SanitizerLayer(sanitizer))
+        telemetry = None
+        if args.trace:
+            from repro.telemetry import Telemetry
+
+            telemetry = Telemetry.enabled()
+        elif args.metrics:
+            from repro.telemetry import MetricsRegistry, Telemetry
+
+            telemetry = Telemetry(metrics=MetricsRegistry(enabled=True))
+        plan_config = None
+        if args.fusion_kmax is not None:
+            from repro.plan import PlanConfig
+
+            plan_config = PlanConfig(fusion_kmax=args.fusion_kmax)
+        from repro.util.locktrack import LOCK_TRACKER
+
+        track_locks = args.sanitize or args.metrics
+        if track_locks:
             LOCK_TRACKER.reset()
+            if args.metrics:
+                # Lock contention rides the same registry as
+                # lock.acquire.count{name=} / lock.wait.seconds{name=}.
+                LOCK_TRACKER.bind_metrics(telemetry.metrics)
             LOCK_TRACKER.enable()
-            try:
-                dist_state = engine.run().state
-            finally:
+        try:
+            result = DistributedSimulator(
+                args.qubits,
+                args.local_qubits,
+                storage=storage,
+                telemetry=telemetry,
+            ).run_schedule(schedule, plan_config=plan_config, layers=layers)
+        finally:
+            if track_locks:
                 LOCK_TRACKER.disable()
-            san_report = sanitizer.report
-            state = dist_state.to_statevector()
-            print(san_report.format())
+                LOCK_TRACKER.bind_metrics(None)
+        state = result.state.to_statevector()
+        if args.checkpoint_dir:
+            if resuming:
+                print(f"resumed checkpoint from {args.checkpoint_dir}")
+            print(f"checkpointed every {args.checkpoint_every} ops "
+                  f"to {args.checkpoint_dir}")
+        if sanitizer is not None:
+            print(sanitizer.report.format())
             lock_stats = LOCK_TRACKER.stats()
             if lock_stats["acquire_counts"]:
                 print("lock acquisitions:")
@@ -560,120 +602,43 @@ def _simulate(args, cleanup: ExitStack) -> int:
                           f"{wait:.6f}s waiting")
                 for a, b in lock_stats["edges"]:
                     print(f"  order: {a} -> {b}")
-            print(
-                f"distributed run: {dist_state.stats.alltoall_steps} "
-                f"all-to-all steps (sanitized)"
-            )
-            if not san_report.passed:
-                return 1
-        elif args.checkpoint_dir:
-            from repro.distributed.checkpoint import CheckpointManager
+        print(
+            f"distributed run: {result.comm.alltoall_steps} "
+            f"all-to-all steps, "
+            f"{result.kernel_cost.total_calls} kernel calls"
+            + (" (sanitized)" if sanitizer is not None else "")
+        )
+        if args.trace:
+            from repro.telemetry import write_chrome_trace
 
-            mgr = CheckpointManager(args.checkpoint_dir)
-            resuming = mgr.has_checkpoint()
-            if resuming and not (args.pipeline or args.storage_dir):
-                _, next_op = mgr.load()
-                dist_state = mgr.resume(schedule, every=args.checkpoint_every)
-                print(f"resumed checkpoint at op {next_op} "
-                      f"from {args.checkpoint_dir}")
-            else:
-                from repro.runtime import CheckpointLayer, ExecutionEngine
+            write_chrome_trace(args.trace, telemetry.tracer.spans)
+            print(f"wrote {len(telemetry.tracer.spans)} spans "
+                  f"to {args.trace}")
+        if args.metrics:
+            print(telemetry.metrics.format())
+        if args.plan_stats:
+            from repro.kernels import GATHER_CACHE
+            from repro.plan import plan_for
 
-                ckpt = CheckpointLayer(
-                    mgr,
-                    every=args.checkpoint_every,
-                    resume=resuming,
-                    state_factory=state_factory,
-                )
-                dist_state = ExecutionEngine(  # lint: allow-engine-direct
-                    schedule,
-                    use_plan=False,
-                    layers=pipeline_layers + [ckpt],
-                    state_factory=state_factory,
-                ).run().state
-                if resuming:
-                    print(f"resumed checkpoint from {args.checkpoint_dir}")
-                print(f"checkpointed every {args.checkpoint_every} ops "
-                      f"to {args.checkpoint_dir}")
-            state = dist_state.to_statevector()
-            print(
-                f"distributed run: {dist_state.stats.alltoall_steps} "
-                f"all-to-all steps, "
-                f"{dist_state.kernel_cost.total_calls} kernel calls"
-            )
-        else:
-            telemetry = None
-            if args.trace or args.metrics:
-                from repro.telemetry import Telemetry
-
-                if args.trace:
-                    telemetry = Telemetry.enabled()
-                else:
-                    from repro.telemetry import MetricsRegistry
-
-                    telemetry = Telemetry(
-                        metrics=MetricsRegistry(enabled=True)
-                    )
-                if args.metrics:
-                    # Lock contention rides the same registry as
-                    # lock.acquire.count{name=} / lock.wait.seconds{name=}.
-                    from repro.util.locktrack import LOCK_TRACKER
-
-                    LOCK_TRACKER.reset()
-                    LOCK_TRACKER.bind_metrics(telemetry.metrics)
-                    LOCK_TRACKER.enable()
-            plan_config = None
-            if args.fusion_kmax is not None:
-                from repro.plan import PlanConfig
-
-                plan_config = PlanConfig(fusion_kmax=args.fusion_kmax)
-            result = DistributedSimulator(
-                args.qubits,
-                args.local_qubits,
-                storage=storage,
-                telemetry=telemetry,
-            ).run_schedule(
-                schedule, plan_config=plan_config, layers=pipeline_layers
-            )
-            state = result.state.to_statevector()
-            print(
-                f"distributed run: {result.comm.alltoall_steps} "
-                f"all-to-all steps, "
-                f"{result.kernel_cost.total_calls} kernel calls"
-            )
-            if args.trace:
-                from repro.telemetry import write_chrome_trace
-
-                write_chrome_trace(args.trace, telemetry.tracer.spans)
-                print(f"wrote {len(telemetry.tracer.spans)} spans "
-                      f"to {args.trace}")
-            if args.metrics:
-                from repro.util.locktrack import LOCK_TRACKER
-
-                LOCK_TRACKER.disable()
-                LOCK_TRACKER.bind_metrics(None)
-                print(telemetry.metrics.format())
-            if args.plan_stats:
-                from repro.kernels import GATHER_CACHE
-                from repro.plan import plan_for
-
-                # Same config as the run above: plan_for memoizes on the
-                # frozen PlanConfig, so this reuses the executed plan.
-                print("compiled plan:")
-                summary = plan_for(schedule, plan_config).summary()
-                for key, value in summary.items():
-                    print(f"  {key:>20}: {value}")
-                print("kernel-table cache:")
-                for key, value in GATHER_CACHE.stats().items():
-                    shown = f"{value:.4f}" if key == "hit_rate" else value
-                    print(f"  {key:>20}: {shown}")
-                if storage is not None:
-                    print("shard storage I/O:")
-                    for key in (
-                        "flushes", "shard_loads", "shard_stores",
-                        "bytes_read", "bytes_written",
-                    ):
-                        print(f"  {key:>20}: {storage.io_stats[key]}")
+            # Same config as the run above: plan_for memoizes on the
+            # frozen PlanConfig, so this reuses the executed plan.
+            print("compiled plan:")
+            summary = plan_for(schedule, plan_config).summary()
+            for key, value in summary.items():
+                print(f"  {key:>20}: {value}")
+            print("kernel-table cache:")
+            for key, value in GATHER_CACHE.stats().items():
+                shown = f"{value:.4f}" if key == "hit_rate" else value
+                print(f"  {key:>20}: {shown}")
+            if storage is not None:
+                print("shard storage I/O:")
+                for key in (
+                    "flushes", "shard_loads", "shard_stores",
+                    "bytes_read", "bytes_written",
+                ):
+                    print(f"  {key:>20}: {storage.io_stats[key]}")
+        if sanitizer is not None and not sanitizer.report.passed:
+            return 1
     else:
         run = Simulator(args.qubits).run(circuit)
         state = run.state

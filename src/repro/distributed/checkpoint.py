@@ -12,8 +12,8 @@ everything needed to resume a schedule mid-program:
 
 Periodic checkpointing during execution is a
 :class:`~repro.runtime.CheckpointLayer` on the
-:class:`~repro.runtime.ExecutionEngine`; :meth:`CheckpointManager.resume`
-continues after a (simulated or real) failure.
+:class:`~repro.runtime.ExecutionEngine`; the same layer with
+``resume=True`` continues after a (simulated or real) failure.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from repro.distributed.comm import CommStats
 from repro.distributed.layout import QubitLayout
 from repro.distributed.state import DistributedState
 from repro.kernels.cost import KernelCostModel
-from repro.scheduling.program import Schedule
 
 __all__ = ["CheckpointManager"]
 
@@ -53,11 +52,6 @@ class CheckpointManager:
         self._meta_path.unlink(missing_ok=True)
         for path in self.directory.glob("ckpt_shard_*.npy"):
             path.unlink()
-
-    @staticmethod
-    def initial_state_for(schedule: Schedule) -> DistributedState:
-        """The fresh state a schedule starts from (shared restart path)."""
-        return DistributedState.for_schedule(schedule)
 
     def save(self, state: DistributedState, next_op_index: int) -> int:
         """Write a checkpoint (atomically: meta file last); returns bytes."""
@@ -136,14 +130,3 @@ class CheckpointManager:
         }
         state.kernel_cost = cost
         return state, int(meta["next_op_index"])
-
-    # ------------------------------------------------------------------
-    def resume(self, schedule: Schedule, *, every: int = 8) -> DistributedState:
-        """Continue a checkpointed run to completion."""
-        from repro.runtime import CheckpointLayer, ExecutionEngine
-
-        state, next_op = self.load()
-        engine = ExecutionEngine(  # lint: allow-engine-direct
-            schedule, use_plan=False, layers=[CheckpointLayer(self, every=every)]
-        )
-        return engine.run(state=state, start_index=next_op).state

@@ -125,7 +125,6 @@ class DistributedSimulator:
         schedule,
         *,
         state: DistributedState | None = None,
-        use_plan: bool = True,
         plan_config=None,
         layers=(),
     ) -> DistributedRunResult:
@@ -138,20 +137,20 @@ class DistributedSimulator:
         schedule's ``initial_state`` ("plus" when the Hadamard layer was
         absorbed) overrides the simulator default.
 
-        By default the schedule is lowered (once, memoized on the
-        schedule) to a :class:`repro.plan.CompiledProgram` and that plan
-        is executed — pre-resolved strategies, cached phase factors,
-        fused diagonal runs and refused multi-op kernels.  A
+        The schedule is lowered (once, memoized on the schedule) to a
+        :class:`repro.plan.CompiledProgram` and that plan is executed —
+        pre-resolved strategies, cached phase factors, fused diagonal
+        runs and refused multi-op kernels.  A
         :class:`repro.plan.PlanConfig` passed as *plan_config* selects
         (and memoizes under) a specific compile configuration, e.g. a
-        non-default ``fusion_kmax``.  ``use_plan=False`` keeps the
-        original op-by-op interpreter.
+        non-default ``fusion_kmax``.
 
         With an active telemetry bundle the result carries the op-level
-        trace; planned and unplanned runs produce identical trace
-        signatures.  Extra *layers* (e.g. a
-        :class:`~repro.runtime.PipelineLayer`) are appended after the
-        tracing layer.
+        trace, whose signature does not depend on the fusion settings.
+        Extra *layers* (a :class:`~repro.runtime.PipelineLayer`, a
+        :class:`~repro.runtime.CheckpointLayer`, a
+        :class:`~repro.runtime.SanitizerLayer`, ...) are appended after
+        the tracing layer.
         """
         if state is None:
             state = self._state_for(schedule)
@@ -161,7 +160,7 @@ class DistributedSimulator:
         stack = [TracingLayer(self.telemetry)] if traced else []
         stack.extend(layers)
         engine = ExecutionEngine(  # lint: allow-engine-direct
-            schedule, use_plan=use_plan, plan_config=plan_config, layers=stack
+            schedule, plan_config=plan_config, layers=stack
         )
         result = engine.run(state=state)
         return DistributedRunResult(

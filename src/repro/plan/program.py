@@ -155,7 +155,7 @@ class CompiledProgram:
         """Run the program on *state* through the runtime engine.
 
         Returns the op-level :class:`ExecutionTrace` when *telemetry* is
-        an active bundle (its signature equals an unplanned traced run's:
+        an active bundle (one event per schedule op, whatever the fusion:
         fused ops emit zero-length spans for the sources folded in), else
         ``None`` — the engine's bare loop, one pre-resolved call per op.
         """

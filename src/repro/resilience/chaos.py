@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from repro.distributed.checkpoint import CheckpointManager
+from repro.distributed.simulator import DistributedSimulator
 from repro.resilience.faults import (
     FaultPlan,
     FaultSpec,
@@ -202,10 +203,9 @@ def default_scenarios() -> list[ChaosScenario]:
 
 def _reference_amplitudes(schedule: Schedule) -> np.ndarray:
     """Fault-free final state of the schedule, in logical order."""
-    from repro.runtime import ExecutionEngine
-
-    state = CheckpointManager.initial_state_for(schedule)
-    result = ExecutionEngine(schedule, use_plan=False).run(state=state)  # lint: allow-engine-direct
+    result = DistributedSimulator(
+        schedule.num_qubits, schedule.local_qubits
+    ).run_schedule(schedule)
     return result.state.to_statevector().data.copy()
 
 

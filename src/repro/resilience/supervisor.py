@@ -135,12 +135,12 @@ class ResilientExecutor:
         in-memory initial state; pass a factory closing over a custom
         :class:`~repro.distributed.ShardStorage` backend to carry it
         across restarts.
-    use_plan:
-        Execute through the schedule's compiled plan instead of the raw
-        op stream.  Off by default: with diagonal fusion, plan-unit
-        boundaries differ from raw op boundaries, which shifts
-        checkpoint indices and trace signatures relative to historical
-        resilient runs.
+
+    The run replays the schedule's compiled plan (``plan_for(schedule)``),
+    the same program ``run_schedule`` executes, so a recovered state
+    equals a plain run's byte for byte.  Checkpoints land at plan-unit
+    boundaries: a unit of fused ops is checkpointed after it completes,
+    at the first boundary past each ``checkpoint_every`` multiple.
     """
 
     def __init__(
@@ -156,7 +156,6 @@ class ResilientExecutor:
         sanitizer=None,
         telemetry: Telemetry | None = None,
         state_factory=None,
-        use_plan: bool = False,
     ) -> None:
         if verify not in ("swap", "every", "never"):
             raise ValueError(f"verify must be swap|every|never, got {verify!r}")
@@ -168,9 +167,8 @@ class ResilientExecutor:
         self.verify = verify
         self._sleep = sleep
         self.sanitizer = sanitizer
-        self.use_plan = use_plan
         self._state_factory = state_factory or (
-            lambda: CheckpointManager.initial_state_for(self.schedule)
+            lambda: DistributedState.for_schedule(self.schedule)
         )
         # The trace is a view over spans, so a live tracer is mandatory:
         # use the caller's when it is collecting, else a private one.
@@ -190,7 +188,6 @@ class ResilientExecutor:
                 self.manager,
                 every=self.checkpoint_every,
                 resume=True,
-                skip_last=True,
                 state_factory=self._state_factory,
             ),
         ]
@@ -203,7 +200,6 @@ class ResilientExecutor:
         num_ops = len(list(self.schedule.operations()))
         return ExecutionEngine(  # lint: allow-engine-direct
             self.schedule,
-            use_plan=self.use_plan,
             layers=layers,
             policy=self.policy,
             state_factory=self._state_factory,

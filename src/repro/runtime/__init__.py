@@ -1,14 +1,13 @@
 """The composable execution engine.
 
-One canonical op loop (:class:`ExecutionEngine`) replays compiled plans
-or raw schedules; every cross-cutting concern — tracing, shard
-sanitizing, fault injection, integrity verification, checkpointing — is
-a :class:`RuntimeLayer` composed onto that loop, and a
+One canonical op loop (:class:`ExecutionEngine`) replays compiled
+plans; every cross-cutting concern — tracing, shard sanitizing, fault
+injection, integrity verification, checkpointing and resuming — is a
+:class:`RuntimeLayer` composed onto that loop, and a
 :class:`RetryPolicy` turns the same loop into the fault-tolerant
 executor.  The front doors (``DistributedSimulator.run_schedule``,
-``CompiledProgram.execute``, ``CheckpointManager.resume``,
-``ResilientExecutor``, the multi-process runner's workers) all build an
-engine plus the matching layer stack.
+``CompiledProgram.execute``, ``ResilientExecutor``, the multi-process
+runner's workers) all build an engine plus the matching layer stack.
 """
 
 from repro.runtime.engine import (

@@ -1,14 +1,12 @@
 """The one canonical execution loop.
 
-Every way this codebase runs a schedule — plain, plan-compiled, traced,
-sanitized, fault-injected, checkpointed, resilient, multi-process — goes
-through :class:`ExecutionEngine`: it replays a
-:class:`~repro.plan.CompiledProgram` (or the raw
-:class:`~repro.scheduling.Schedule` op stream with ``use_plan=False``)
-through a single loop, and every cross-cutting concern is a
-:class:`~repro.runtime.layers.RuntimeLayer` composed onto that loop.
-The front doors (``run_schedule``, ``CompiledProgram.execute``,
-``CheckpointManager.resume``, ``ResilientExecutor``) build an engine plus
+Every way this codebase runs a schedule — plain, traced, sanitized,
+fault-injected, checkpointed, resilient, multi-process — goes through
+:class:`ExecutionEngine`: it replays the schedule's
+:class:`~repro.plan.CompiledProgram` through a single loop, and every
+cross-cutting concern is a :class:`~repro.runtime.layers.RuntimeLayer`
+composed onto that loop.  The front doors (``run_schedule``,
+``CompiledProgram.execute``, ``ResilientExecutor``) build an engine plus
 the matching layer stack; ``MultiprocessRunner`` runs this same loop in
 every worker process over a shared-memory shard backend.
 
@@ -30,7 +28,7 @@ from functools import partial
 
 from repro.distributed.comm import CommStats
 from repro.distributed.state import DistributedState
-from repro.distributed.tracing import ExecutionTrace, _classify
+from repro.distributed.tracing import ExecutionTrace
 from repro.runtime.policy import RecoveryReport, RetryPolicy
 from repro.telemetry.runtime import NULL_TELEMETRY, Telemetry
 
@@ -45,10 +43,10 @@ __all__ = [
 class ExecUnit:
     """One step of the canonical loop.
 
-    Wraps either a raw schedule op (one source, ``run`` is the op's
-    bound ``execute``) or a plan op (possibly covering several fused
-    source ops).  ``op_index`` is the first covered position in the
-    schedule's op stream; ``kind``/``label``/``stage`` match what the
+    Wraps a plan op (possibly covering several fused source ops) or, in
+    the naive :meth:`ExecutionEngine.for_circuit` mode, one circuit
+    gate.  ``op_index`` is the first covered position in the schedule's
+    op stream; ``kind``/``label``/``stage`` match what the
     tracing layer records for it.
     """
 
@@ -88,9 +86,9 @@ class ExecUnit:
         self.num_sources = num_sources
         self.is_swap = is_swap
         self.run = run
-        # The pre-resolved PlanOp this unit replays (None for raw
-        # schedule / circuit units) — what the pipeline layer's lookahead
-        # prefetch reads its kernel shapes from.
+        # The pre-resolved PlanOp this unit replays (None for circuit
+        # units) — what the pipeline layer's lookahead prefetch reads its
+        # kernel shapes from.
         self.plan_op = plan_op
 
     def __repr__(self):  # pragma: no cover - debugging aid
@@ -113,12 +111,10 @@ class ExecutionContext:
         "state",
         "restarts",
         "pass_index",
-        "ops_this_pass",
         "bytes_at_ckpt",
         "seconds_since_ckpt",
         "productive_seconds",
         "total_source_ops",
-        "from_plan",
         "span_base",
     )
 
@@ -132,12 +128,10 @@ class ExecutionContext:
         self.state = None
         self.restarts = 0
         self.pass_index = 0
-        self.ops_this_pass = 0
         self.bytes_at_ckpt = 0
         self.seconds_since_ckpt = 0.0
         self.productive_seconds = 0.0
         self.total_source_ops = engine.total_source_ops
-        self.from_plan = engine.from_plan
         self.span_base = 0
 
     @property
@@ -159,29 +153,6 @@ class EngineResult:
     wall_seconds: float
     trace: ExecutionTrace | None
     report: RecoveryReport
-
-
-def _units_from_schedule(schedule) -> list[ExecUnit]:
-    units: list[ExecUnit] = []
-    stage = 0
-    for index, op in enumerate(schedule.operations()):
-        kind, label = _classify(op)
-        if kind == "swap":
-            stage += 1
-        units.append(
-            ExecUnit(
-                index=len(units),
-                op_index=index,
-                kind=kind,
-                label=label,
-                stage=stage,
-                sources=None,
-                num_sources=1,
-                is_swap=kind == "swap",
-                run=op.execute,
-            )
-        )
-    return units
 
 
 def _units_from_plan(plan) -> list[ExecUnit]:
@@ -208,15 +179,17 @@ def _units_from_plan(plan) -> list[ExecUnit]:
 
 
 class ExecutionEngine:
-    """Replays a compiled program (or raw schedule) through one loop.
+    """Replays a compiled program through one loop.
 
     Parameters
     ----------
     program:
         A :class:`~repro.scheduling.Schedule` or a
         :class:`~repro.plan.CompiledProgram`.  Schedules are lowered to
-        their memoized plan unless ``use_plan=False`` keeps the raw
-        op-by-op stream (bit-exact with the pre-plan interpreter).
+        their memoized plan, ``plan_for(schedule, plan_config)``.
+    plan_config:
+        The :class:`~repro.plan.PlanConfig` a schedule is compiled under
+        (``None``: the default configuration).
     layers:
         The :class:`~repro.runtime.layers.RuntimeLayer` stack, outermost
         first.  ``before_op`` runs in stack order, ``after_op`` /
@@ -244,7 +217,6 @@ class ExecutionEngine:
         self,
         program=None,
         *,
-        use_plan: bool = True,
         plan_config=None,
         layers=(),
         policy: RetryPolicy | None = None,
@@ -264,23 +236,14 @@ class ExecutionEngine:
         if program is None:
             self._schedule = None
             self._units = []
-            self.from_plan = False
         elif hasattr(program, "operations"):  # a Schedule
-            self._schedule = program
-            if use_plan:
-                from repro.plan import plan_for
+            from repro.plan import plan_for
 
-                self._units = _units_from_plan(
-                    plan_for(program, plan_config)
-                )
-                self.from_plan = True
-            else:
-                self._units = _units_from_schedule(program)
-                self.from_plan = False
+            self._schedule = program
+            self._units = _units_from_plan(plan_for(program, plan_config))
         elif hasattr(program, "ops"):  # a CompiledProgram
             self._schedule = program.schedule
             self._units = _units_from_plan(program)
-            self.from_plan = True
         else:
             raise TypeError(
                 f"program must be a Schedule or CompiledProgram, got "
@@ -358,8 +321,7 @@ class ExecutionEngine:
         if unit_index is None:
             raise ValueError(
                 f"op index {source_index} falls inside a fused plan op; "
-                f"resume the raw schedule (use_plan=False) or checkpoint "
-                f"at plan-unit boundaries"
+                f"a run resumes only at plan-unit boundaries"
             )
         return unit_index
 
@@ -374,24 +336,17 @@ class ExecutionEngine:
             )
         return DistributedState.for_schedule(schedule)
 
-    def _acquire_state(self, ctx, explicit_state, start_index):
+    def _acquire_state(self, ctx, explicit_state):
         """State + starting unit for this pass (checkpoint > explicit > fresh)."""
-        if ctx.pass_index == 0 and explicit_state is not None:
-            # An explicitly passed state wins on the first pass only;
-            # after a fatal fault it may be torn, so restarts re-acquire.
-            for layer in self._layers:
-                provided = layer.provide_state(ctx)
-                if provided is not None:
-                    return provided[0], self._unit_index_for(provided[1])
-            return explicit_state, self._unit_index_for(start_index)
         for layer in self._layers:
             provided = layer.provide_state(ctx)
             if provided is not None:
                 return provided[0], self._unit_index_for(provided[1])
-        first = ctx.pass_index == 0
-        return self._default_state(), self._unit_index_for(
-            start_index if first else 0
-        )
+        # An explicitly passed state wins on the first pass only; after
+        # a fatal fault it may be torn, so restarts start fresh.
+        if ctx.pass_index == 0 and explicit_state is not None:
+            return explicit_state, 0
+        return self._default_state(), 0
 
     # ------------------------------------------------------------------
     def _run_guarded(self, ctx, unit) -> None:
@@ -488,7 +443,7 @@ class ExecutionEngine:
         raise AssertionError("unreachable")  # pragma: no cover
 
     # ------------------------------------------------------------------
-    def run(self, *, state=None, start_index: int = 0) -> EngineResult:
+    def run(self, *, state=None) -> EngineResult:
         """Execute to completion; raises a typed error past the budget."""
         units = self._units
         policy = self._policy
@@ -526,7 +481,7 @@ class ExecutionEngine:
                 if not layers and policy is None:
                     # Fast path: the bare loop, nothing per-op but the call.
                     state, start_unit = self._acquire_state(
-                        ctx, explicit_state, start_index
+                        ctx, explicit_state
                     )
                     ctx.state = state
                     for unit in units[start_unit:]:
@@ -542,7 +497,7 @@ class ExecutionEngine:
                     )
                 while True:
                     state, start_unit = self._acquire_state(
-                        ctx, explicit_state, start_index
+                        ctx, explicit_state
                     )
                     ctx.state = state
                     previous_bundle = state.telemetry
@@ -556,9 +511,7 @@ class ExecutionEngine:
                         ctx.bytes_at_ckpt = state.stats.bytes_on_network
                         ctx.seconds_since_ckpt = 0.0
                         try:
-                            for ui in range(start_unit, len(units)):
-                                unit = units[ui]
-                                ctx.ops_this_pass = ui - start_unit
+                            for unit in units[start_unit:]:
                                 for layer in layers:
                                     layer.before_op(ctx, unit)
                                 seconds, moved = self._dispatch(ctx, unit)

@@ -98,8 +98,8 @@ class TracingLayer(RuntimeLayer):
     excluded from the op-event view — the run-level ``fatal:`` event
     records the latter).  Fused plan ops additionally emit zero-length
     spans for their folded sources so traces keep exactly one event per
-    original schedule op, and the trace ``signature()`` is bit-for-bit
-    identical between planned, raw and resilient executions.
+    original schedule op, and the trace ``signature()`` is identical
+    across fusion settings and between plain and resilient executions.
 
     ``mode="schedule"`` records ``stage`` span attributes and
     ``op.seconds`` histograms; ``mode="resilient"`` (the
@@ -132,7 +132,7 @@ class TracingLayer(RuntimeLayer):
         self._span_cm = None
 
     def on_run_start(self, ctx) -> None:
-        if ctx.from_plan and not self._cache_bound:
+        if not self._cache_bound:
             # Mirror the shared kernel cache's counters into the
             # bundle's metrics for the duration of the run.
             GATHER_CACHE.bind_metrics(self.telemetry.metrics)
@@ -283,11 +283,12 @@ class SanitizerLayer(RuntimeLayer):
 class FaultLayer(RuntimeLayer):
     """Arms a :class:`repro.resilience.FaultInjector` around each op.
 
-    ``before_op`` fires stall / corrupt-at-rest / crash-before faults;
-    ``attempt_context`` arms the exchange guard (transient and crash-mid
-    faults) around every individual attempt, so retries re-arm it.  The
-    injector is *not* reset across restarts — remaining firings persist,
-    which is what lets a ``times=1`` crash pass on replay.
+    ``before_op`` fires stall / corrupt-at-rest / crash-before faults,
+    those of every source op a fused unit covers at the start of that
+    unit; ``attempt_context`` arms the exchange guard (transient and
+    crash-mid faults) around every individual attempt, so retries re-arm
+    it.  The injector is *not* reset across restarts — remaining firings
+    persist, which is what lets a ``times=1`` crash pass on replay.
     """
 
     def __init__(self, injector, *, sleep=time.sleep) -> None:
@@ -299,10 +300,12 @@ class FaultLayer(RuntimeLayer):
         self._sleep = sleep
 
     def before_op(self, ctx, unit) -> None:
-        stall = self.injector.on_op_start(unit.op_index, ctx.state)
-        if stall:
-            ctx.report.stall_seconds += stall
-            self._sleep(stall)
+        # A fused unit starts the faults of every source op it covers.
+        for source in unit.sources or (unit,):
+            stall = self.injector.on_op_start(source.op_index, ctx.state)
+            if stall:
+                ctx.report.stall_seconds += stall
+                self._sleep(stall)
 
     def attempt_context(self, ctx, unit):
         return self.injector.exchange_guard(unit.op_index, ctx.state)
@@ -368,9 +371,9 @@ class CheckpointLayer(RuntimeLayer):
     unit boundary that crosses it).  ``resume=True`` makes the layer
     provide the checkpointed state on (re)starts; ``state_factory``
     rebuilds the state the checkpoint loads into, which is how custom
-    storage backends survive a restart.  ``fail_after`` injects a test
-    failure: checkpoint-then-raise after that many ops of the current
-    pass.
+    storage backends survive a restart.  The finished run is always
+    checkpointed (once, by ``on_run_end``), so resuming a completed
+    directory is a no-op.
     """
 
     def __init__(
@@ -380,9 +383,6 @@ class CheckpointLayer(RuntimeLayer):
         every: int = 8,
         resume: bool = False,
         state_factory=None,
-        skip_last: bool = False,
-        final_save: bool = True,
-        fail_after: int | None = None,
     ) -> None:
         if not hasattr(manager, "save"):  # a directory path
             manager = CheckpointManager(manager)
@@ -390,22 +390,11 @@ class CheckpointLayer(RuntimeLayer):
         self.every = every
         self.resume = resume
         self.state_factory = state_factory
-        self.skip_last = skip_last
-        self.final_save = final_save
-        self.fail_after = fail_after
 
     def provide_state(self, ctx):
         if not self.resume or not self.manager.has_checkpoint():
             return None
         return self.manager.load(state_factory=self.state_factory)
-
-    def before_op(self, ctx, unit) -> None:
-        if self.fail_after is not None and ctx.ops_this_pass >= self.fail_after:
-            self.manager.save(ctx.state, unit.op_index)
-            raise RuntimeError(
-                f"injected failure before op {unit.op_index} "
-                f"(checkpoint saved)"
-            )
 
     def after_op(self, ctx, unit) -> None:
         if not self.every:
@@ -413,13 +402,11 @@ class CheckpointLayer(RuntimeLayer):
         done = unit.op_index + unit.num_sources
         if (done // self.every) <= (done - unit.num_sources) // self.every:
             return
-        if self.skip_last and done >= ctx.total_source_ops:
-            return
-        self._save(ctx, done)
+        if done < ctx.total_source_ops:  # the run end saves the last one
+            self._save(ctx, done)
 
     def on_run_end(self, ctx) -> None:
-        if self.final_save:
-            self._save(ctx, ctx.total_source_ops)
+        self._save(ctx, ctx.total_source_ops)
 
     def _save(self, ctx, next_op: int) -> None:
         ctx.report.checkpoint_bytes += self.manager.save(ctx.state, next_op)

@@ -47,10 +47,6 @@ class ClusterOp:
         """Number of original gates merged into this cluster."""
         return len(self.gates)
 
-    def execute(self, state) -> None:
-        """Apply the fused unitary to a distributed or local state."""
-        state.apply_gate(self.fused)
-
 
 @dataclass(frozen=True)
 class GateOp:

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
@@ -141,6 +142,42 @@ class TestSimulate:
         ckpt = str(tmp_path / "ckpt")
         assert main(base + ["--checkpoint-dir", ckpt]) == 0
         assert "checkpointed" in capsys.readouterr().out
+
+    def test_sanitized_checkpointed_run_equals_plain_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """--sanitize --checkpoint-dir --fusion-kmax build one layer stack:
+        the run checkpoints, honours the plan config, and ends on the
+        plain run's state byte for byte."""
+        from repro.distributed import DistributedSimulator
+        from repro.distributed.checkpoint import CheckpointManager
+
+        finals = []
+        run_schedule = DistributedSimulator.run_schedule
+
+        def recording(self, *args, **kwargs):
+            assert kwargs["plan_config"].fusion_kmax == 0
+            result = run_schedule(self, *args, **kwargs)
+            finals.append(result.state.to_statevector().data.copy())
+            return result
+
+        monkeypatch.setattr(DistributedSimulator, "run_schedule", recording)
+        base = [
+            "simulate", "--qubits", "10", "--depth", "8",
+            "--local-qubits", "7", "--fusion-kmax", "0",
+        ]
+        assert main(base) == 0
+        plain = capsys.readouterr().out
+        ckpt = tmp_path / "ckpt"
+        assert main(base + ["--sanitize", "--checkpoint-dir", str(ckpt)]) == 0
+        out = capsys.readouterr().out
+        assert "checkpointed every 8 ops" in out
+        assert "0 finding(s)" in out
+        assert out.splitlines()[-1] == plain.splitlines()[-1]
+        state, _ = CheckpointManager(ckpt).load()
+        assert len(finals) == 2
+        assert np.array_equal(finals[0], finals[1])
+        assert np.array_equal(state.to_statevector().data, finals[0])
 
     def test_pipeline_requires_distributed_run(self, capsys):
         assert main(["simulate", "--qubits", "8", "--pipeline"]) == 2
@@ -316,12 +353,16 @@ class TestSimulateTelemetry:
         assert main(["simulate", "--qubits", "10", "--metrics"]) == 2
         assert "--local-qubits" in capsys.readouterr().err
 
-    def test_incompatible_with_sanitize(self, capsys):
+    def test_composes_with_sanitize(self, capsys):
         code = main(
             [
                 "simulate", "--qubits", "10", "--local-qubits", "8",
-                "--metrics", "--sanitize",
+                "--metrics", "--sanitize", "--plan-stats",
             ]
         )
-        assert code == 2
-        assert "repro trace" in capsys.readouterr().err
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "0 finding(s)" in out
+        assert "comm.bytes_on_network" in out
+        assert "lock.acquire.count" in out
+        assert "compiled plan:" in out

@@ -1,36 +1,62 @@
 """Tests for checkpoint/restart of distributed runs."""
 
+import numpy as np
 import pytest
 
 from repro.circuit import generate_supremacy_circuit
+from repro.distributed import DiskShards, DistributedSimulator, DistributedState
 from repro.distributed.checkpoint import CheckpointManager
-from repro.runtime import CheckpointLayer, ExecutionEngine
+from repro.plan import plan_for
+from repro.resilience import FaultPlan, FaultSpec, RankCrashError, swap_op_indices
+from repro.runtime import (
+    CallbackLayer,
+    CheckpointLayer,
+    ExecutionEngine,
+    FaultLayer,
+)
 from repro.scheduling import SchedulerConfig, schedule_circuit
 from repro.statevector import Simulator
+
+N, L = 10, 7
+
+
+class Killed(RuntimeError):
+    """The injected node failure."""
 
 
 @pytest.fixture
 def workload():
-    n, l = 10, 7
-    circ = generate_supremacy_circuit(n, 10, seed=9)
-    sched = schedule_circuit(circ, SchedulerConfig(local_qubits=l, kmax=4, seed=2))
-    ref = Simulator(n).run(circ).state
-    return n, l, sched, ref
+    circ = generate_supremacy_circuit(N, 10, seed=9)
+    sched = schedule_circuit(circ, SchedulerConfig(local_qubits=L, kmax=4, seed=2))
+    ref = Simulator(N).run(circ).state
+    return sched, ref
 
 
-def run_checkpointed(
-    mgr, sched, *, every=8, fail_after=None, state=None, start_index=0
-):
-    """Execute *sched*, checkpointing into *mgr* every *every* ops;
-    ``fail_after`` aborts (RuntimeError) after that many ops of the pass."""
-    layer = CheckpointLayer(mgr, every=every, fail_after=fail_after)
-    engine = ExecutionEngine(sched, use_plan=False, layers=[layer])  # lint: allow-engine-direct
-    return engine.run(state=state, start_index=start_index).state
+def run_checkpointed(mgr, sched, *, every=8, kill_before=None, resume=False):
+    """Run *sched*, checkpointing into *mgr* every *every* ops.
+
+    ``kill_before`` raises :class:`Killed` before the plan unit of that
+    index; ``resume`` continues from the checkpoint in *mgr*.
+    """
+    layers = [CheckpointLayer(mgr, every=every, resume=resume)]
+    if kill_before is not None:
+
+        def before_op(ctx, unit):
+            if unit.index == kill_before:
+                raise Killed(f"killed before op {unit.op_index}")
+
+        layers.append(CallbackLayer(before_op=before_op))
+    return DistributedSimulator(N, L).run_schedule(sched, layers=layers).state
+
+
+def first_op_of(sched, unit_index):
+    """Schedule-op index at which plan unit *unit_index* starts."""
+    return plan_for(sched).ops[unit_index].sources[0].op_index
 
 
 class TestCheckpointManager:
     def test_run_without_failure(self, tmp_path, workload):
-        n, l, sched, ref = workload
+        sched, ref = workload
         mgr = CheckpointManager(tmp_path)
         state = run_checkpointed(mgr, sched, every=4)
         assert state.to_statevector().allclose(ref, atol=1e-9)
@@ -38,79 +64,145 @@ class TestCheckpointManager:
 
     def test_failure_then_resume(self, tmp_path, workload):
         """The headline property: kill mid-run, resume, identical result."""
-        n, l, sched, ref = workload
+        sched, ref = workload
         mgr = CheckpointManager(tmp_path)
-        with pytest.raises(RuntimeError, match="injected failure"):
-            run_checkpointed(mgr, sched, every=3, fail_after=5)
-        state = mgr.resume(sched, every=3)
+        with pytest.raises(Killed):
+            run_checkpointed(mgr, sched, every=3, kill_before=5)
+        state = run_checkpointed(mgr, sched, every=3, resume=True)
         assert state.to_statevector().allclose(ref, atol=1e-9)
 
     def test_resume_restores_statistics(self, tmp_path, workload):
-        n, l, sched, ref = workload
+        sched, _ = workload
         mgr = CheckpointManager(tmp_path)
         clean = run_checkpointed(
             CheckpointManager(tmp_path / "clean"), sched, every=0
         )
-        with pytest.raises(RuntimeError):
-            run_checkpointed(mgr, sched, every=2, fail_after=4)
-        resumed = mgr.resume(sched)
+        with pytest.raises(Killed):
+            run_checkpointed(mgr, sched, every=2, kill_before=4)
+        resumed = run_checkpointed(mgr, sched, resume=True)
         assert resumed.stats.alltoall_steps == clean.stats.alltoall_steps
         assert resumed.kernel_cost.total_calls == clean.kernel_cost.total_calls
         assert resumed.kernel_cost.total_flops == clean.kernel_cost.total_flops
 
     def test_checkpoint_roundtrip_preserves_layout(self, tmp_path, workload):
-        n, l, sched, _ = workload
+        sched, _ = workload
         mgr = CheckpointManager(tmp_path)
-        with pytest.raises(RuntimeError):
-            # Fail right after the first swap so the layout is non-trivial.
-            run_checkpointed(mgr, sched, every=1, fail_after=3)
+        # Fail right after the first swap so the layout is non-trivial.
+        swap_unit = next(
+            i
+            for i, op in enumerate(plan_for(sched).ops)
+            if op.exec_kind == "swap"
+        )
+        with pytest.raises(Killed):
+            run_checkpointed(mgr, sched, every=1, kill_before=swap_unit + 1)
         state, next_op = mgr.load()
-        assert sorted(state.bit_of_qubit) == list(range(n))
-        assert next_op == 3
+        assert sorted(state.bit_of_qubit) == list(range(N))
+        assert next_op == first_op_of(sched, swap_unit + 1)
 
     def test_load_without_checkpoint(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             CheckpointManager(tmp_path).load()
 
     def test_resume_from_every_op_index(self, tmp_path, workload):
-        """Mid-program coverage: kill before *every* op, resume, and
-        demand the final state is bit-exact — not merely close — since
-        the replay runs identical kernels on identical checkpointed
-        amplitudes."""
-        import numpy as np
-
-        n, l, sched, _ = workload
-        num_ops = len(list(sched.operations()))
-        reference = run_checkpointed(
-            CheckpointManager(tmp_path / "ref"), sched, every=0
-        )
+        """Mid-program coverage: kill before *every* plan unit, resume,
+        and demand the final state is bit-exact — not merely close —
+        since the replay runs identical kernels on identical
+        checkpointed amplitudes."""
+        sched, _ = workload
+        reference = DistributedSimulator(N, L).run_schedule(sched).state
         ref_data = reference.to_statevector().data
-        for stop in range(num_ops):
+        for stop in range(len(plan_for(sched).ops)):
             mgr = CheckpointManager(tmp_path / f"stop{stop}")
-            with pytest.raises(RuntimeError, match="injected failure"):
-                run_checkpointed(mgr, sched, every=1, fail_after=stop)
-            _, next_op = mgr.load()
-            assert next_op == stop
-            resumed = mgr.resume(sched, every=1)
+            with pytest.raises(Killed):
+                run_checkpointed(mgr, sched, every=1, kill_before=stop)
+            if stop == 0:
+                assert not mgr.has_checkpoint()
+            else:
+                _, next_op = mgr.load()
+                assert next_op == first_op_of(sched, stop)
+            resumed = run_checkpointed(mgr, sched, every=1, resume=True)
             assert np.array_equal(
                 resumed.to_statevector().data, ref_data
-            ), f"resume from op {stop} not bit-exact"
+            ), f"resume before unit {stop} not bit-exact"
 
     def test_multiple_failures(self, tmp_path, workload):
         """Crash-loop resilience: fail, resume-and-fail-again, finish."""
-        n, l, sched, ref = workload
+        sched, ref = workload
         mgr = CheckpointManager(tmp_path)
-        with pytest.raises(RuntimeError):
-            run_checkpointed(mgr, sched, every=2, fail_after=2)
-        state, first_stop = mgr.load()
+        with pytest.raises(Killed):
+            run_checkpointed(mgr, sched, every=2, kill_before=2)
+        _, first_stop = mgr.load()
         assert first_stop < len(list(sched.operations()))
-        # Second crash, two ops further along.
-        with pytest.raises(RuntimeError):
-            run_checkpointed(
-                mgr, sched, every=2, fail_after=2,
-                state=state, start_index=first_stop,
-            )
-        state2, second_stop = mgr.load()
+        # Second crash, two units further along.
+        with pytest.raises(Killed):
+            run_checkpointed(mgr, sched, every=2, kill_before=4, resume=True)
+        _, second_stop = mgr.load()
         assert second_stop > first_stop
-        final = mgr.resume(sched, every=2)
+        final = run_checkpointed(mgr, sched, every=2, resume=True)
         assert final.to_statevector().allclose(ref, atol=1e-9)
+
+    def test_folded_checkpoint_index_fails_loudly(self, tmp_path, workload):
+        """A checkpoint at an op the plan folds into a fused unit cannot
+        be resumed; the error names the index."""
+        sched, _ = workload
+        fused = next(op for op in plan_for(sched).ops if op.num_sources > 1)
+        folded = fused.sources[1].op_index
+        mgr = CheckpointManager(tmp_path)
+        mgr.save(DistributedState.for_schedule(sched), folded)
+        with pytest.raises(ValueError, match=f"op index {folded} falls inside"):
+            run_checkpointed(mgr, sched, resume=True)
+
+
+@pytest.mark.parametrize("backend", ["memory", "disk"])
+def test_crashed_plan_run_resumes_in_fresh_engine(tmp_path, workload, backend):
+    """A plan run crashes mid-schedule; a fresh engine resumes it from the
+    checkpoint and ends byte for byte on the uninterrupted run_schedule."""
+    sched, _ = workload
+    uninterrupted = DistributedSimulator(N, L).run_schedule(sched).state
+    stores = []
+
+    def fresh_state():
+        storage = None
+        if backend == "disk":
+            storage = DiskShards(
+                1 << (N - L), 1 << L, tmp_path / f"shards{len(stores)}"
+            )
+            stores.append(storage)
+        return DistributedState.for_schedule(sched, storage=storage)
+
+    mgr = CheckpointManager(tmp_path / "ckpt")
+    crash = FaultPlan(
+        faults=(FaultSpec(op_index=swap_op_indices(sched)[-1], kind="crash"),)
+    )
+    with pytest.raises(RankCrashError):
+        ExecutionEngine(
+            sched,
+            layers=[CheckpointLayer(mgr, every=2), FaultLayer(crash)],
+            state_factory=fresh_state,
+        ).run()
+    assert mgr.has_checkpoint()
+    _, next_op = mgr.load()
+    assert 0 < next_op < len(list(sched.operations()))
+
+    resumed = ExecutionEngine(
+        sched,
+        layers=[
+            CheckpointLayer(
+                mgr, every=2, resume=True, state_factory=fresh_state
+            )
+        ],
+        state_factory=fresh_state,
+    ).run().state
+    try:
+        if backend == "disk":
+            assert resumed.storage is stores[-1]
+        assert np.array_equal(
+            resumed.to_statevector().data,
+            uninterrupted.to_statevector().data,
+        )
+        assert resumed.stats.bytes_on_network == (
+            uninterrupted.stats.bytes_on_network
+        )
+    finally:
+        for storage in stores:
+            storage.close()

@@ -15,7 +15,6 @@ import pytest
 import repro.kernels.apply
 from repro.circuit import generate_supremacy_circuit
 from repro.distributed import DistributedState, SharedMemoryShards
-from repro.distributed.checkpoint import CheckpointManager
 from repro.gates import random_unitary
 from repro.plan import plan_for
 from repro.plan.executor import _run_op
@@ -115,8 +114,8 @@ class TestTracedEqualsUntraced:
         schedule = schedule_circuit(
             circuit, SchedulerConfig(local_qubits=8, kmax=4, seed=seed + 1)
         )
-        plain = CheckpointManager.initial_state_for(schedule)
-        traced = CheckpointManager.initial_state_for(schedule)
+        plain = DistributedState.for_schedule(schedule)
+        traced = DistributedState.for_schedule(schedule)
         traced.use_telemetry(Telemetry.enabled(per_rank=True))
         for index, op in enumerate(plan_for(schedule).ops):
             _run_op(op, plain)

@@ -10,8 +10,8 @@ from repro.statevector import Simulator
 
 
 def traced(state, sched):
-    """Execute *sched* op by op on *state*; returns the op-level trace."""
-    engine = ExecutionEngine(sched, use_plan=False, layers=[TracingLayer()])  # lint: allow-engine-direct
+    """Execute *sched* on *state*; returns the op-level trace."""
+    engine = ExecutionEngine(sched, layers=[TracingLayer()])  # lint: allow-engine-direct
     return engine.run(state=state).trace
 
 

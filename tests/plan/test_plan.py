@@ -24,7 +24,7 @@ from repro.plan.passes import (
 )
 from repro.plan.program import _counts_of
 from repro.runtime import ExecutionEngine, TracingLayer
-from repro.scheduling import SchedulerConfig, schedule_circuit
+from repro.scheduling import GateOp, SchedulerConfig, SwapOp, schedule_circuit
 from repro.telemetry import Telemetry
 
 _N, _L = 8, 5
@@ -147,15 +147,22 @@ class TestExecutionCorrectness:
 
     @pytest.mark.parametrize("seed", [0, 7, 13])
     def test_unfused_plan_bit_exact_vs_direct_execution(self, seed):
-        """Without the refuse pass the plan replays the exact same kernel
-        calls as op.execute, so amplitudes are bit-identical."""
+        """Without the refuse pass the plan, run through the engine,
+        makes the exact kernel calls of applying every schedule op's gate
+        straight through the state, so amplitudes are bit-identical."""
         _, schedule = _small_case(seed)
-        state = _state_for(schedule)
-        _unfused_program(schedule).execute(state)
+        ref = ExecutionEngine(_unfused_program(schedule)).run().state  # lint: allow-engine-direct
 
-        ref = DistributedSimulator(_N, _L).run_schedule(schedule, use_plan=False)
+        direct = _state_for(schedule)
+        for op in schedule.operations():
+            if isinstance(op, SwapOp):
+                direct.swap_global_set(op.new_global_qubits)
+            elif isinstance(op, GateOp):
+                direct.apply_gate(op.gate)
+            else:
+                direct.apply_gate(op.fused)
         assert np.array_equal(
-            state.to_statevector().data, ref.state.to_statevector().data
+            direct.to_statevector().data, ref.to_statevector().data
         )
 
     @pytest.mark.parametrize("seed", [0, 5, 11])
@@ -193,19 +200,21 @@ class TestExecutionCorrectness:
 
 class TestTraceParity:
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_signature_matches_unplanned_trace(self, seed):
-        """Plan execution emits the same ExecutionTrace signature as the
-        op-by-op (``use_plan=False``) traced run, fusion included."""
+    def test_signature_matches_unfused_trace(self, seed):
+        """The fused plan emits the same ExecutionTrace signature as the
+        unfused one (one plan op per schedule op): folded sources keep
+        their zero-length events."""
         _, schedule = _small_case(seed)
         plan = plan_for(schedule)
+        assert len(plan.ops) < plan.num_source_ops
         telemetry = Telemetry.enabled()
         trace = plan.execute(_state_for(schedule), telemetry=telemetry)
 
-        unplanned = ExecutionEngine(  # lint: allow-engine-direct
-            schedule, use_plan=False,
+        unfused = ExecutionEngine(  # lint: allow-engine-direct
+            _unfused_program(schedule),
             layers=[TracingLayer(Telemetry.enabled())],
         ).run(state=_state_for(schedule)).trace
-        assert trace.signature() == unplanned.signature()
+        assert trace.signature() == unfused.signature()
 
     def test_traced_run_through_simulator(self):
         _, schedule = _small_case(1)

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.circuit import generate_supremacy_circuit
-from repro.distributed.checkpoint import CheckpointManager
-from repro.runtime import ExecutionEngine
+from repro.distributed import DistributedSimulator
 from repro.scheduling import SchedulerConfig, schedule_circuit
 
 
@@ -21,7 +20,6 @@ def chaos_schedule():
 
 @pytest.fixture(scope="package")
 def chaos_reference(chaos_schedule):
-    """Fault-free final amplitudes of the shared schedule."""
-    state = CheckpointManager.initial_state_for(chaos_schedule)
-    result = ExecutionEngine(chaos_schedule, use_plan=False).run(state=state)  # lint: allow-engine-direct
+    """Fault-free final amplitudes of the shared schedule's plan run."""
+    result = DistributedSimulator(12, 10).run_schedule(chaos_schedule)
     return result.state.to_statevector().data.copy()

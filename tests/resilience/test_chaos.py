@@ -3,10 +3,12 @@
 import pytest
 
 from repro.resilience import (
+    RetryPolicy,
     default_scenarios,
     format_chaos_suite,
     format_recovery_report,
     run_chaos_suite,
+    swap_op_indices,
 )
 
 
@@ -50,11 +52,19 @@ class TestChaosSuite:
         assert budget.passed
         assert "RestartBudgetExceededError" in budget.error
 
-    def test_faults_actually_fired(self, suite):
+    def test_faults_actually_fired(self, suite, chaos_schedule):
+        """Every planned fault shows up in the run's report."""
+        swaps = swap_op_indices(chaos_schedule)
         for r in suite.results:
             if r.name in ("fault-free-control", "restart-budget-exhausted"):
                 continue
             assert r.report.faults_injected, r.name
+            plan = r.scenario.build_plan(chaos_schedule, swaps, RetryPolicy())
+            fired = {
+                (f["op_index"], f["kind"]) for f in r.report.faults_injected
+            }
+            planned = {(f.op_index, f.kind) for f in plan.faults}
+            assert fired == planned, r.name
 
     def test_report_renders(self, suite):
         text = format_chaos_suite(suite)

@@ -1,15 +1,19 @@
 """Tests for the deterministic fault plan / injector."""
 
+import numpy as np
 import pytest
 
-from repro.distributed import DistributedState
+from repro.distributed import DistributedSimulator, DistributedState
+from repro.plan import plan_for
 from repro.resilience import (
     FaultInjector,
     FaultPlan,
     FaultSpec,
     RankCrashError,
+    ResilientExecutor,
     TransientCommError,
 )
+from repro.runtime import FaultLayer
 
 
 class TestFaultSpec:
@@ -151,3 +155,57 @@ class TestFaultInjector:
             with pytest.raises(RankCrashError):
                 state.storage.exchange_blocks(1)
         assert state.stats.bytes_on_network > 0
+
+
+class TestFaultsAtFoldedOps:
+    """A fault planned at an op the plan folds into a fused unit fires at
+    the start of that unit (it used to be skipped silently)."""
+
+    @pytest.fixture
+    def folded(self, chaos_schedule):
+        fused = next(
+            op for op in plan_for(chaos_schedule).ops if op.num_sources > 1
+        )
+        return fused.sources[-1].op_index
+
+    @pytest.mark.parametrize("kind", ["corrupt", "stall"])
+    def test_fault_fires_inside_fused_unit(self, chaos_schedule, folded, kind):
+        injector = FaultInjector(
+            FaultPlan(
+                seed=5,
+                faults=(
+                    FaultSpec(op_index=folded, kind=kind, stall_seconds=0.5),
+                ),
+            )
+        )
+        DistributedSimulator(12, 10).run_schedule(
+            chaos_schedule, layers=[FaultLayer(injector, sleep=lambda s: None)]
+        )
+        assert [e["op_index"] for e in injector.log] == [folded]
+        assert injector.log[0]["kind"] == kind
+
+    def test_crash_fires_inside_fused_unit(self, chaos_schedule, folded):
+        plan = FaultPlan(faults=(FaultSpec(op_index=folded, kind="crash"),))
+        with pytest.raises(RankCrashError, match=f"before op {folded}"):
+            DistributedSimulator(12, 10).run_schedule(
+                chaos_schedule, layers=[FaultLayer(plan)]
+            )
+
+    def test_corruption_detected_and_recovered(
+        self, tmp_path, chaos_schedule, chaos_reference, folded
+    ):
+        plan = FaultPlan(
+            seed=13, faults=(FaultSpec(op_index=folded, kind="corrupt"),)
+        )
+        result = ResilientExecutor(
+            chaos_schedule, tmp_path, plan=plan, verify="every",
+            sleep=lambda s: None,
+        ).run()
+        assert [f["op_index"] for f in result.report.faults_injected] == [
+            folded
+        ]
+        assert result.report.corruption_detections == 1
+        assert result.report.restarts == 1
+        assert np.array_equal(
+            result.state.to_statevector().data, chaos_reference
+        )

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.circuit import generate_supremacy_circuit
-from repro.distributed.checkpoint import CheckpointManager
-from repro.runtime import ExecutionEngine
+from repro.distributed import DistributedSimulator
 from repro.scheduling import SchedulerConfig, schedule_circuit
 
 N, L = 8, 5
@@ -20,11 +19,6 @@ def small_schedule(seed, *, depth=8):
     return schedule
 
 
-def initial_state(schedule):
-    """A fresh state initialised exactly as the engine's default."""
-    return CheckpointManager.initial_state_for(schedule)
-
-
 @pytest.fixture(scope="package")
 def schedule():
     """The shared small schedule most tests run."""
@@ -33,6 +27,6 @@ def schedule():
 
 @pytest.fixture(scope="package")
 def reference(schedule):
-    """Fault-free raw-op final amplitudes of the shared schedule."""
-    result = ExecutionEngine(schedule, use_plan=False).run()
+    """Fault-free final amplitudes of the shared schedule's plan run."""
+    result = DistributedSimulator(N, L).run_schedule(schedule)
     return result.state.to_statevector().data.copy()

@@ -1,9 +1,10 @@
 """Composition-matrix tests for the runtime engine.
 
-Every subset of {plan, trace, sanitize, faults, checkpoint} must produce
-identical final amplitudes, and every traced combination must produce an
-identical ``ExecutionTrace.signature()`` (modulo the extra ``fault``
-events injected combinations add).
+Every subset of {trace, sanitize, faults, checkpoint} must produce final
+amplitudes identical, byte for byte, to the bare plan run, and every
+traced combination must produce an identical
+``ExecutionTrace.signature()`` (modulo the extra ``fault`` events
+injected combinations add).
 """
 
 import itertools
@@ -11,6 +12,7 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.plan import PlanConfig
 from repro.resilience import FaultPlan, FaultSpec, swap_op_indices
 from repro.runtime import (
     CheckpointLayer,
@@ -38,7 +40,6 @@ def _run_combo(
     schedule,
     ckpt_dir,
     *,
-    use_plan,
     trace,
     sanitize,
     faults,
@@ -58,7 +59,6 @@ def _run_combo(
         layers.append(SanitizerLayer(ShardSanitizer()))
     engine = ExecutionEngine(
         schedule,
-        use_plan=use_plan,
         layers=layers,
         policy=RetryPolicy() if faults else None,
         sleep=no_sleep,
@@ -66,19 +66,16 @@ def _run_combo(
     return engine.run()
 
 
-_MATRIX = list(itertools.product([False, True], repeat=5))
+_MATRIX = list(itertools.product([False, True], repeat=4))
 
 
 class TestCompositionMatrix:
-    @pytest.mark.parametrize(
-        "use_plan,trace,sanitize,faults,checkpoint", _MATRIX
-    )
+    @pytest.mark.parametrize("trace,sanitize,faults,checkpoint", _MATRIX)
     def test_subset_matches_reference(
         self,
         tmp_path,
         schedule,
         reference,
-        use_plan,
         trace,
         sanitize,
         faults,
@@ -87,36 +84,24 @@ class TestCompositionMatrix:
         result = _run_combo(
             schedule,
             tmp_path / "ckpt",
-            use_plan=use_plan,
             trace=trace,
             sanitize=sanitize,
             faults=faults,
             checkpoint=checkpoint,
         )
         amps = result.state.to_statevector().data
-        # Raw-op combos are bit-exact with the raw reference; planned
-        # combos reorder float ops (fused diagonals) so are allclose,
-        # and bit-exact against the bare planned run.
-        if use_plan:
-            assert np.allclose(amps, reference)
-            bare = ExecutionEngine(schedule, use_plan=True).run()
-            assert np.array_equal(
-                amps, bare.state.to_statevector().data
-            )
-        else:
-            assert np.array_equal(amps, reference)
+        assert np.array_equal(amps, reference)
 
     def test_traced_signatures_identical_across_matrix(
         self, tmp_path, schedule
     ):
         base = None
-        for i, (use_plan, sanitize, faults, checkpoint) in enumerate(
-            itertools.product([False, True], repeat=4)
+        for i, (sanitize, faults, checkpoint) in enumerate(
+            itertools.product([False, True], repeat=3)
         ):
             result = _run_combo(
                 schedule,
                 tmp_path / f"ckpt-{i}",
-                use_plan=use_plan,
                 trace=True,
                 sanitize=sanitize,
                 faults=faults,
@@ -140,7 +125,6 @@ class TestCompositionMatrix:
             _run_combo(
                 schedule,
                 tmp_path / f"ckpt-{i}",
-                use_plan=False,
                 trace=True,
                 sanitize=False,
                 faults=True,
@@ -152,9 +136,8 @@ class TestCompositionMatrix:
 
 
 class TestCrashRecoveryComposition:
-    @pytest.mark.parametrize("use_plan", [False, True])
     def test_crash_with_checkpoint_resume_is_bit_exact(
-        self, tmp_path, schedule, use_plan, reference
+        self, tmp_path, schedule, reference
     ):
         no_sleep = lambda _s: None  # noqa: E731
         swap = swap_op_indices(schedule)[-1]
@@ -164,7 +147,6 @@ class TestCrashRecoveryComposition:
         telemetry = Telemetry.enabled()
         engine = ExecutionEngine(
             schedule,
-            use_plan=use_plan,
             layers=[
                 TracingLayer(telemetry, mode="resilient", trace_scope="run"),
                 CheckpointLayer(tmp_path / "ckpt", every=2, resume=True),
@@ -176,12 +158,7 @@ class TestCrashRecoveryComposition:
         )
         result = engine.run()
         assert result.report.restarts == 1
-        bare = ExecutionEngine(schedule, use_plan=use_plan).run()
-        assert np.array_equal(
-            result.state.to_statevector().data,
-            bare.state.to_statevector().data,
-        )
-        assert np.allclose(result.state.to_statevector().data, reference)
+        assert np.array_equal(result.state.to_statevector().data, reference)
         assert any(e.kind == "fault" for e in result.trace.events)
 
 
@@ -191,10 +168,9 @@ class TestSeedSweep:
         """Property sweep: the full layer stack never changes the math."""
         no_sleep = lambda _s: None  # noqa: E731
         schedule = small_schedule(seed)
-        bare = ExecutionEngine(schedule, use_plan=True).run()
+        bare = ExecutionEngine(schedule).run()
         stacked = ExecutionEngine(
             schedule,
-            use_plan=True,
             layers=[
                 TracingLayer(Telemetry.enabled()),
                 CheckpointLayer(tmp_path / "ckpt", every=4),
@@ -208,11 +184,12 @@ class TestSeedSweep:
             stacked.state.to_statevector().data,
             bare.state.to_statevector().data,
         )
-        # And the traced signature matches a plain traced raw run, op
-        # for op, once the injected fault events are filtered out.
+        # And the traced signature matches a plain traced run of the
+        # unfused plan, op for op, once the injected fault events are
+        # filtered out.
         traced = ExecutionEngine(
             schedule,
-            use_plan=False,
+            plan_config=PlanConfig(fusion_kmax=0),
             layers=[TracingLayer(Telemetry.enabled())],
         ).run()
         stacked_ops = [

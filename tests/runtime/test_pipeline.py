@@ -14,6 +14,7 @@ import pytest
 
 from repro.distributed.state import DistributedState
 from repro.kernels.tables import GATHER_CACHE
+from repro.plan import PlanConfig
 from repro.runtime import (
     CheckpointLayer,
     ExecutionEngine,
@@ -38,12 +39,12 @@ def _run_piped(
     schedule,
     ckpt_dir,
     *,
-    use_plan,
     trace,
     sanitize,
     checkpoint,
     state=None,
     depth=2,
+    plan_config=None,
 ):
     """One engine run with a pipeline layer plus the requested subset."""
     layers = []
@@ -55,7 +56,7 @@ def _run_piped(
         layers.append(CheckpointLayer(ckpt_dir, every=3))
     if sanitize:
         layers.append(SanitizerLayer(ShardSanitizer()))
-    engine = ExecutionEngine(schedule, use_plan=use_plan, layers=layers)
+    engine = ExecutionEngine(schedule, plan_config=plan_config, layers=layers)
     return engine.run(state=state)
 
 
@@ -63,26 +64,26 @@ class TestPipelineComposition:
     """ISSUE acceptance: --pipeline composes with every other layer."""
 
     @pytest.mark.parametrize(
-        "use_plan,trace,sanitize,checkpoint",
+        "refuse,trace,sanitize,checkpoint",
         list(itertools.product([False, True], repeat=4)),
     )
     def test_matches_reference(
-        self, tmp_path, schedule, reference, use_plan, trace, sanitize, checkpoint
+        self, tmp_path, schedule, reference, refuse, trace, sanitize, checkpoint
     ):
+        # Both plan configurations: refusion on (the default) and off.
+        config = None if refuse else PlanConfig(fusion_kmax=0)
         result = _run_piped(
             schedule,
             tmp_path / "ckpt",
-            use_plan=use_plan,
             trace=trace,
             sanitize=sanitize,
             checkpoint=checkpoint,
+            plan_config=config,
         )
         amps = result.state.to_statevector().data
-        if use_plan:
-            assert np.allclose(amps, reference)
-            bare = ExecutionEngine(schedule, use_plan=True).run()
-            assert np.array_equal(amps, bare.state.to_statevector().data)
-        else:
+        bare = ExecutionEngine(schedule, plan_config=config).run()
+        assert np.array_equal(amps, bare.state.to_statevector().data)
+        if refuse:
             assert np.array_equal(amps, reference)
         assert _no_pipeline_threads()
 
@@ -93,7 +94,6 @@ class TestPipelineComposition:
         piped = _run_piped(
             schedule,
             tmp_path / "ckpt",
-            use_plan=True,
             trace=True,
             sanitize=False,
             checkpoint=False,
@@ -106,7 +106,7 @@ class TestPipelineComposition:
         def counters(pipelined):
             GATHER_CACHE.clear()
             layers = [PipelineLayer(depth=3)] if pipelined else []
-            ExecutionEngine(schedule, use_plan=True, layers=layers).run()
+            ExecutionEngine(schedule, layers=layers).run()
             stats = GATHER_CACHE.stats()
             return stats["hits"], stats["misses"], stats["bytes_saved"]
 

@@ -66,7 +66,7 @@ class TestLoadStateFactory:
     def test_load_into_custom_vessel(self, tmp_path, schedule, reference):
         mgr = CheckpointManager(tmp_path / "ckpt")
         sim = DistributedSimulator(N, L)
-        run = sim.run_schedule(schedule, use_plan=False)
+        run = sim.run_schedule(schedule)
         mgr.save(run.state, next_op_index=7)
 
         storage = _disk_storage(tmp_path)

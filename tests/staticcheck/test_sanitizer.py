@@ -5,6 +5,7 @@ import pytest
 
 from repro.circuit import generate_supremacy_circuit
 from repro.distributed import DistributedSimulator
+from repro.plan import plan_for
 from repro.runtime import CallbackLayer, ExecutionEngine, SanitizerLayer
 from repro.scheduling import SchedulerConfig, schedule_circuit
 from repro.staticcheck import SanitizerConfig, ShardSanitizer
@@ -15,6 +16,11 @@ def make_schedule(n=9, l=6, *, depth=8, seed=2):
     return schedule_circuit(
         circ, SchedulerConfig(local_qubits=l, kmax=4, seed=seed)
     )
+
+
+def unit_starts(schedule):
+    """The op index each plan unit starts at: where findings are pinned."""
+    return [op.sources[0].op_index for op in plan_for(schedule).ops]
 
 
 def _drill(corruptions):
@@ -48,7 +54,7 @@ def sanitized_run(
         SanitizerLayer(sanitizer),
         _drill(corrupt_during),
     ]
-    engine = ExecutionEngine(schedule, use_plan=False, layers=layers)  # lint: allow-engine-direct
+    engine = ExecutionEngine(schedule, layers=layers)  # lint: allow-engine-direct
     return engine.run().state, sanitizer.report
 
 
@@ -75,7 +81,7 @@ class TestCleanRuns:
         sched = make_schedule()
         state, report = sanitized_run(sched)
         assert report.passed, report.format()
-        assert report.ops_checked == len(list(sched.operations()))
+        assert report.ops_checked == len(unit_starts(sched))
         assert report.norm_trace and all(
             abs(x - 1.0) < 1e-9 for x in report.norm_trace
         )
@@ -87,15 +93,16 @@ class TestCleanRuns:
         ).run_schedule(sched).state
         sanitized, report = sanitized_run(sched)
         assert report.passed
-        assert plain.to_statevector().allclose(
-            sanitized.to_statevector(), atol=1e-12
+        assert np.array_equal(
+            plain.to_statevector().data, sanitized.to_statevector().data
         )
 
 
 class TestNaNDetection:
-    @pytest.mark.parametrize("op_index", [0, 2, 5])
-    def test_nan_pinned_to_exact_op_index(self, op_index):
+    @pytest.mark.parametrize("unit", [0, 2, 5])
+    def test_nan_pinned_to_exact_op_index(self, unit):
         sched = make_schedule()
+        op_index = unit_starts(sched)[unit]
         _, report = sanitized_run(
             sched, corrupt_during={op_index: poison_nan()}
         )
@@ -111,7 +118,8 @@ class TestNaNDetection:
         each rank must be reported only when it *first* turns non-finite
         — one corruption, one finding per poisoned rank, not one per op."""
         sched = make_schedule()
-        _, report = sanitized_run(sched, corrupt_during={2: poison_nan()})
+        k = unit_starts(sched)[2]
+        _, report = sanitized_run(sched, corrupt_during={k: poison_nan()})
         nan_findings = [
             f for f in report.findings if f.category == "nan"
         ]
@@ -120,7 +128,7 @@ class TestNaNDetection:
             per_rank.setdefault(f.rank, []).append(f)
         for rank, hits in per_rank.items():
             assert len(hits) == 1, report.format()
-        assert per_rank[0][0].op_index == 2
+        assert per_rank[0][0].op_index == k
         # The non-finite norm latches too: one norm finding total.
         norm_findings = [
             f for f in report.findings if f.category == "norm"
@@ -134,31 +142,32 @@ class TestNaNDetection:
             config=SanitizerConfig(
                 check_nan=False, check_norm=False, check_checksums=False
             ),
-            corrupt_during={1: poison_nan()},
+            corrupt_during={unit_starts(sched)[1]: poison_nan()},
         )
         assert report.passed
 
 
 class TestChecksumDivergence:
     def test_divergence_pinned_to_next_op_index(self):
-        """Corruption at rest after op k is caught by the checksum pass
-        guarding op k+1 — the op that would consume the bad shard."""
+        """Corruption at rest after unit k is caught by the checksum pass
+        guarding unit k+1 — the one that would consume the bad shard."""
         sched = make_schedule()
+        starts = unit_starts(sched)
         k = 1
         _, report = sanitized_run(
-            sched, corrupt_after={k: flip_amplitude(rank=1)}
+            sched, corrupt_after={starts[k]: flip_amplitude(rank=1)}
         )
         checksum_findings = [
             f for f in report.findings if f.category == "checksum"
         ]
         assert checksum_findings, report.format()
-        assert checksum_findings[0].op_index == k + 1
+        assert checksum_findings[0].op_index == starts[k + 1]
         assert checksum_findings[0].rank == 1
 
     def test_one_corruption_reports_once(self):
         sched = make_schedule()
         _, report = sanitized_run(
-            sched, corrupt_after={1: flip_amplitude(rank=0)}
+            sched, corrupt_after={unit_starts(sched)[1]: flip_amplitude(rank=0)}
         )
         checksum_findings = [
             f for f in report.findings if f.category == "checksum"
@@ -169,14 +178,15 @@ class TestChecksumDivergence:
 class TestNormTracking:
     def test_norm_drift_detected_and_pinned(self):
         sched = make_schedule()
+        k = unit_starts(sched)[3]
         _, report = sanitized_run(
-            sched, corrupt_during={3: flip_amplitude(delta=0.25)}
+            sched, corrupt_during={k: flip_amplitude(delta=0.25)}
         )
         norm_findings = [
             f for f in report.findings if f.category == "norm"
         ]
         assert norm_findings, report.format()
-        assert norm_findings[0].op_index == 3
+        assert norm_findings[0].op_index == k
 
     def test_norm_drift_reported_once_not_every_op(self):
         sched = make_schedule()
@@ -197,13 +207,11 @@ class TestSupervisorHook:
         result = sim.run_resilient(
             sched, tmp_path / "ckpt", sanitizer=sanitizer
         )
-        assert sanitizer.report.ops_checked == len(
-            list(sched.operations())
-        )
+        assert sanitizer.report.ops_checked == len(unit_starts(sched))
         assert sanitizer.report.passed, sanitizer.report.format()
         plain = sim.run_schedule(sched).state
-        assert plain.to_statevector().allclose(
-            result.state.to_statevector(), atol=1e-12
+        assert np.array_equal(
+            plain.to_statevector().data, result.state.to_statevector().data
         )
 
     def test_check_state_one_shot(self):
@@ -232,7 +240,7 @@ class TestReportFormatting:
     def test_as_check_report_roundtrip(self):
         sched = make_schedule()
         _, report = sanitized_run(
-            sched, corrupt_during={1: poison_nan()}
+            sched, corrupt_during={unit_starts(sched)[1]: poison_nan()}
         )
         check = report.as_check_report()
         assert not check.passed
