@@ -55,7 +55,7 @@ def bench_pipeline(
         layers = [TracingLayer(Telemetry.enabled())]
         if variant == "armed":
             layers.append(PipelineLayer(depth=PIPELINE_DEPTH))
-        engine = ExecutionEngine(  # lint: allow-engine-direct
+        engine = ExecutionEngine(
             sched, layers=layers
         )
         start = time.perf_counter()

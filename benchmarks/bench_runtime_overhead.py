@@ -39,7 +39,7 @@ def bench_runtime_overhead(benchmark, report_writer, bench_record, schedule_cach
             _run_op(plan_op, state)
 
     def engine_plan():
-        ExecutionEngine(plan).run()  # lint: allow-engine-direct
+        ExecutionEngine(plan).run()
 
     variants = {
         "bare plan loop": bare_plan,

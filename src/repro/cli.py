@@ -10,9 +10,6 @@ Subcommands:
   via ``--checkpoint-dir`` / ``--checkpoint-every``;
 * ``check`` — statically verify a schedule (structure, specialization,
   coverage, unitarity, comm plan) and print a ranked findings report;
-* ``lint`` — run the source lint framework
-  (:mod:`repro.staticcheck.lint`) over the tree: nine rules, per-rule
-  severity, baseline grandfathering, text/JSON/SARIF output;
 * ``project`` — price a configuration on the Cori II models and print a
   Table-2-style profile;
 * ``chaos`` — run the fault-injection scenario sweep (or a custom
@@ -150,31 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="skip comm-plan derivation and verification")
     chk.add_argument("--strict", action="store_true",
                      help="also fail (exit 1) on warnings")
-
-    lnt = sub.add_parser(
-        "lint", help="lint the source tree with the repro rule catalogue"
-    )
-    lnt.add_argument("paths", nargs="*", default=["src"],
-                     help="files/directories to lint (default: src)")
-    lnt.add_argument("--format", choices=["text", "json", "sarif"],
-                     default="text", help="output format")
-    lnt.add_argument("--rule", action="append", default=None,
-                     metavar="NAME",
-                     help="run only this rule (repeatable)")
-    lnt.add_argument("--baseline", type=str,
-                     default="tools/lint_baseline.json",
-                     help="baseline file grandfathering known findings")
-    lnt.add_argument("--no-baseline", action="store_true",
-                     help="ignore the baseline file")
-    lnt.add_argument("--update-baseline", action="store_true",
-                     help="rewrite the baseline from the current findings "
-                     "and exit 0")
-    lnt.add_argument("--strict", action="store_true",
-                     help="also fail (exit 1) on non-baselined warnings")
-    lnt.add_argument("--show-baselined", action="store_true",
-                     help="also print baselined findings (text format)")
-    lnt.add_argument("--list-rules", action="store_true",
-                     help="print the rule catalogue and exit")
 
     proj = sub.add_parser("project", help="project onto Cori II (Table 2 style)")
     proj.add_argument("--qubits", type=int, required=True)
@@ -411,48 +383,6 @@ def _cmd_check(args) -> int:
     if args.strict and report.warnings:
         return 1
     return 0
-
-
-def _cmd_lint(args) -> int:
-    from repro.staticcheck.lint import (
-        Baseline,
-        default_rules,
-        registered_rules,
-        render_json,
-        render_sarif,
-        render_text,
-        run_lint,
-        write_baseline,
-    )
-
-    if args.list_rules:
-        for name, cls in sorted(registered_rules().items()):
-            print(f"{name:<20} {cls.severity:<9} {cls.description}")
-        return 0
-    try:
-        rules = default_rules(args.rule)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    baseline = None
-    if not args.no_baseline and not args.update_baseline:
-        try:
-            baseline = Baseline.load(args.baseline)
-        except (ValueError, KeyError) as exc:
-            print(f"error: bad baseline: {exc}", file=sys.stderr)
-            return 2
-    report = run_lint(args.paths, rules=rules, baseline=baseline)
-    if args.update_baseline:
-        count = write_baseline(args.baseline, report.findings)
-        print(f"wrote {count} finding(s) to {args.baseline}")
-        return 0
-    if args.format == "json":
-        print(render_json(report))
-    elif args.format == "sarif":
-        print(render_sarif(report))
-    else:
-        print(render_text(report, show_baselined=args.show_baselined))
-    return report.exit_code(strict=args.strict)
 
 
 def _cmd_simulate(args) -> int:
@@ -1114,7 +1044,6 @@ def main(argv=None) -> int:
         "generate": _cmd_generate,
         "schedule": _cmd_schedule,
         "check": _cmd_check,
-        "lint": _cmd_lint,
         "simulate": _cmd_simulate,
         "project": _cmd_project,
         "experiments": _cmd_experiments,

@@ -3,7 +3,8 @@
 Each pass is a pure function ``(ops, ctx) -> ops`` over a typed op
 stream (a tuple of frozen :class:`~repro.plan.program.PlanOp`): it
 consumes one immutable stream and produces a new one, never mutating its
-input (the ``plan-pass-mutation`` lint rule enforces this).  The stages:
+input (the ``plan-pass-mutation`` test in
+``tests/staticcheck/test_source_invariants.py`` enforces this).  The stages:
 
 * :func:`lower_pass` — classify every schedule op into a plan op:
   diagonal extraction, swap/passthrough delegation, dense kernels.  No

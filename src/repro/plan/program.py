@@ -193,7 +193,7 @@ def compile_program(
         )
     t0 = time.perf_counter()
     ctx = PassContext.for_schedule(schedule, config)
-    # Called by name so the lock-order lint can follow compile -> refuse
+    # Called by name so the static lock graph can follow compile -> refuse
     # -> GATHER_CACHE (lift tables) under the plan lock.
     ops: tuple[PlanOp, ...] = lower_pass((), ctx)
     ops = refuse_pass(ops, ctx)

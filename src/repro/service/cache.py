@@ -102,9 +102,9 @@ class PlanCache(_LruMixin):
         Compile-once: concurrent misses on one key serialise on the
         cache lock and all but the first return the winner's entry.
         The cache key is ``(*spec.plan_key(), config)`` with the frozen
-        :class:`~repro.plan.PlanConfig` carrying *every* compile option
-        — two requests differing in any option (fusion width, chunk
-        size, strategy, …) never share an entry.
+        :class:`~repro.plan.PlanConfig` carrying the one compile option,
+        ``fusion_kmax``: two requests with different fusion widths never
+        share an entry.
         """
         config = config if config is not None else PlanConfig()
         key = (*spec.plan_key(), config)

@@ -57,6 +57,11 @@ from repro.telemetry.recorder import FlightRecorder
 
 __all__ = ["ServiceConfig", "SimulationService", "request", "serve"]
 
+#: Longest request line :func:`serve` reads (asyncio's default stream
+#: limit); a longer one is answered with an error and the connection
+#: closed.
+MAX_FRAME_BYTES = 2**16
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -534,7 +539,9 @@ def _job_view(job: Job) -> dict:
     return view
 
 
-async def _handle_message(service: SimulationService, message: dict) -> dict:
+async def _handle_message(service: SimulationService, message) -> dict:
+    if not isinstance(message, dict):
+        return {"ok": False, "error": "request must be a JSON object"}
     op = message.get("op")
     if op == "submit":
         # Circuit parsing is CPU work proportional to the wire payload;
@@ -571,9 +578,20 @@ async def serve(
     """Start the JSON-lines TCP front end for a started *service*."""
 
     async def handle(reader, writer):
+        async def reply(response: dict) -> None:
+            writer.write(json.dumps(response).encode() + b"\n")
+            await writer.drain()
+
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:  # the line overran MAX_FRAME_BYTES
+                    await reply({
+                        "ok": False,
+                        "error": f"frame exceeds {MAX_FRAME_BYTES} bytes",
+                    })
+                    break
                 if not line:
                     break
                 try:
@@ -584,12 +602,11 @@ async def serve(
                         "ok": False,
                         "error": f"{type(exc).__name__}: {exc}",
                     }
-                writer.write(json.dumps(response).encode() + b"\n")
-                await writer.drain()
+                await reply(response)
         finally:
             writer.close()
 
-    return await asyncio.start_server(handle, host, port)
+    return await asyncio.start_server(handle, host, port, limit=MAX_FRAME_BYTES)
 
 
 def request(host: str, port: int, message: dict, *, timeout: float = 300.0) -> dict:
@@ -602,4 +619,8 @@ def request(host: str, port: int, message: dict, *, timeout: float = 300.0) -> d
             if not chunk:
                 break
             buf += chunk
+    if not buf:
+        raise ConnectionError(
+            f"{host}:{port} closed the connection without a reply"
+        )
     return json.loads(buf)

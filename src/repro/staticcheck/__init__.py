@@ -13,10 +13,10 @@ Layered like an analyzer stack:
 3. :mod:`~repro.staticcheck.sanitizer` — opt-in runtime mode wrapping
    execution with NaN/Inf, norm-conservation and shard-checksum checks.
 4. :mod:`~repro.staticcheck.diagnostics` — the shared findings model.
-5. :mod:`~repro.staticcheck.lint` — the pluggable *source* lint
-   framework (nine AST rules, severities, suppression, baselines)
-   behind ``repro lint``; its lock-order rule pairs with the runtime
-   :data:`~repro.util.locktrack.LOCK_TRACKER`.
+
+Invariants of the *source* itself (one op loop, lock order, no blocking
+calls on the event loop, ...) are tier-1 tests over the AST in
+``tests/staticcheck/test_source_invariants.py``.
 
 :func:`verify_schedule` is the one-call entry point the ``repro check``
 CLI and ``simulate --strict`` use.
@@ -42,13 +42,6 @@ from repro.staticcheck.diagnostics import (
     Severity,
     StaticCheckError,
 )
-from repro.staticcheck.lint import (
-    LintFinding,
-    LintReport,
-    LintRule,
-    lint_paths,
-    run_lint,
-)
 from repro.staticcheck.sanitizer import (
     SanitizerConfig,
     SanitizerReport,
@@ -62,9 +55,6 @@ __all__ = [
     "CheckReport",
     "CollectiveOp",
     "Finding",
-    "LintFinding",
-    "LintReport",
-    "LintRule",
     "RecvOp",
     "SanitizerConfig",
     "SanitizerReport",
@@ -78,9 +68,7 @@ __all__ = [
     "check_mapping",
     "check_schedule",
     "comm_plan_for_schedule",
-    "lint_paths",
     "predict_comm_stats",
-    "run_lint",
     "verify_schedule",
 ]
 

@@ -8,10 +8,11 @@ guarantees:
 * an ``atexit`` hook shuts down every executor that is still alive at
   interpreter exit, so a crashed run can never block exit on a
   non-daemon worker;
-* the ``daemon-thread-leak`` lint rule recognises
+* the ``daemon-thread-leak`` source invariant
+  (``tests/staticcheck/test_source_invariants.py``) recognises
   :func:`register_executor` as a cleanup registration, the same way it
   recognises ``atexit.register`` — owners that both register *and*
-  shut down in ``finalize`` stay lint-clean without suppressions.
+  shut down in ``finalize`` pass it without an allow comment.
 
 The registry holds strong references only until :func:`unregister_executor`
 (the normal path: the owner shuts the pool down itself and unregisters);

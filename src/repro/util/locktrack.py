@@ -1,7 +1,8 @@
 """Runtime lock instrumentation: acquisition order, counts and wait time.
 
-The static lock-order rule (:mod:`repro.staticcheck.lint.rules.lock_order`)
-derives the *possible* lock-acquisition graph from nested ``with`` blocks;
+The lock-order source invariant (``build_lock_graph`` in
+``tests/staticcheck/test_source_invariants.py``) derives the *possible*
+lock-acquisition graph from nested ``with`` blocks;
 this module records the graph a process *actually* walked.  Every shared
 lock in the concurrent layer (the service caches, the kernel cache,
 ``plan_for``'s compile lock) is a :class:`TrackedLock` — a named wrapper
@@ -13,7 +14,7 @@ process-wide :data:`LOCK_TRACKER` is enabled, records
   ``lock.acquire.count{name=}`` / ``lock.wait.seconds{name=}``), and
 * the set of ordered pairs ``(held, acquired)`` — an edge for every lock
   already held by the acquiring thread, i.e. exactly the transitive
-  nesting edges the static rule predicts.
+  nesting edges the static graph predicts.
 
 Tracking is off by default and the disabled fast path is one attribute
 check, so wrapped locks cost nothing in production.  Arm it with

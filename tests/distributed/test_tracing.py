@@ -11,7 +11,7 @@ from repro.statevector import Simulator
 
 def traced(state, sched):
     """Execute *sched* on *state*; returns the op-level trace."""
-    engine = ExecutionEngine(sched, layers=[TracingLayer()])  # lint: allow-engine-direct
+    engine = ExecutionEngine(sched, layers=[TracingLayer()])
     return engine.run(state=state).trace
 
 

@@ -206,7 +206,7 @@ class TestFusedComposition:
         return state.to_statevector().data
 
     def _run(self, schedule, layers):
-        engine = ExecutionEngine(  # lint: allow-engine-direct
+        engine = ExecutionEngine(
             schedule, plan_config=_FUSED, layers=layers
         )
         return engine.run()

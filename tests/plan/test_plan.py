@@ -151,7 +151,7 @@ class TestExecutionCorrectness:
         makes the exact kernel calls of applying every schedule op's gate
         straight through the state, so amplitudes are bit-identical."""
         _, schedule = _small_case(seed)
-        ref = ExecutionEngine(_unfused_program(schedule)).run().state  # lint: allow-engine-direct
+        ref = ExecutionEngine(_unfused_program(schedule)).run().state
 
         direct = _state_for(schedule)
         for op in schedule.operations():
@@ -210,7 +210,7 @@ class TestTraceParity:
         telemetry = Telemetry.enabled()
         trace = plan.execute(_state_for(schedule), telemetry=telemetry)
 
-        unfused = ExecutionEngine(  # lint: allow-engine-direct
+        unfused = ExecutionEngine(
             _unfused_program(schedule),
             layers=[TracingLayer(Telemetry.enabled())],
         ).run(state=_state_for(schedule)).trace

@@ -403,7 +403,7 @@ class TestCancelLayer:
                 _TripAfter(job, 3),
                 CancelLayer(job),
             ],
-        )  # lint: allow-engine-direct
+        )
         with pytest.raises(JobCancelled, match="tripped"):
             engine.run()
         assert job.cancel_reason == "tripped"
@@ -566,7 +566,7 @@ class TestFingerprint:
         spec = make_spec(shots=8, use_result_cache=False)
         entry = PlanCache().get(spec)
         result = execute_job(Job(job_id="fp", spec=spec, plan_entry=entry))
-        run = ExecutionEngine(entry.program).run()  # lint: allow-engine-direct
+        run = ExecutionEngine(entry.program).run()
         want = hashlib.sha256(
             run.state.to_statevector().data.tobytes()
         ).hexdigest()

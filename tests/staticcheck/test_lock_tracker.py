@@ -3,9 +3,10 @@
 The headline test runs a 12-job concurrent service stress load with
 :data:`~repro.util.locktrack.LOCK_TRACKER` armed and asserts that every
 ``(held, acquired)`` pair the process actually walked is predicted by
-the static lock-order graph the lint rule builds over the same modules
-— i.e. the static analysis is a sound over-approximation of runtime
-nesting on this workload, and their union stays acyclic.
+the static lock-order graph (:func:`build_lock_graph` in
+``test_source_invariants.py``) built over the same modules — i.e. the
+static analysis is a sound over-approximation of runtime nesting on
+this workload, and their union stays acyclic.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import pytest
 
 from repro.circuit import generate_supremacy_circuit
 from repro.service import JobSpec, ServiceConfig, SimulationService
-from repro.staticcheck.lint.rules.lock_order import build_lock_graph
 from repro.telemetry import MetricsRegistry
 from repro.util.locktrack import LOCK_TRACKER, LockTracker, TrackedLock
+from tests.staticcheck.test_source_invariants import build_lock_graph
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -161,12 +162,14 @@ def _acyclic(edges) -> bool:
 
 
 class TestStaticRuntimeCrossCheck:
-    """The lock-order rule's graph must cover what the service walks."""
+    """The static lock graph must cover what the service walks."""
 
     CONCURRENT_MODULES = [
         REPO / "src" / "repro" / "service",
         REPO / "src" / "repro" / "kernels" / "tables.py",
         REPO / "src" / "repro" / "plan",
+        REPO / "src" / "repro" / "kernels" / "apply.py",
+        REPO / "src" / "repro" / "util" / "executors.py",
     ]
 
     @pytest.fixture(scope="class")
@@ -179,12 +182,19 @@ class TestStaticRuntimeCrossCheck:
             "repro.service.cache.ResultCache._lock",
             "repro.kernels.tables.GatherTableCache._lock",
             "repro.plan.program._PLAN_FOR_LOCK",
+            "repro.kernels.apply._pool_lock",
+            "repro.util.executors._registry_lock",
         } <= static_graph.nodes
         # The compile-under-cache-lock nesting is the one cross-module
         # edge the concurrent layer is allowed.
         assert (
             "repro.service.cache.PlanCache._lock",
             "repro.plan.program._PLAN_FOR_LOCK",
+        ) in static_graph.edge_set()
+        # Starting the sweep pool registers it under the pool lock.
+        assert (
+            "repro.kernels.apply._pool_lock",
+            "repro.util.executors._registry_lock",
         ) in static_graph.edge_set()
 
     def test_static_graph_is_acyclic(self, static_graph):

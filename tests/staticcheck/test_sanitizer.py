@@ -54,7 +54,7 @@ def sanitized_run(
         SanitizerLayer(sanitizer),
         _drill(corrupt_during),
     ]
-    engine = ExecutionEngine(schedule, layers=layers)  # lint: allow-engine-direct
+    engine = ExecutionEngine(schedule, layers=layers)
     return engine.run().state, sanitizer.report
 
 

@@ -1,5 +1,4 @@
 """Prometheus text-format exposition: escaping, ordering, edge cases."""
-# lint: skip-file=metric-name -- throwaway instrument names in fixtures
 
 from __future__ import annotations
 

@@ -1,5 +1,4 @@
 """ExpositionServer HTTP plane: /metrics, /healthz, /statusz."""
-# lint: skip-file=metric-name -- throwaway instrument names in fixtures
 
 from __future__ import annotations
 

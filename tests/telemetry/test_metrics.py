@@ -1,5 +1,4 @@
 """MetricsRegistry unit tests: instruments, labels, snapshots."""
-# lint: skip-file=metric-name -- throwaway one-letter instrument names
 
 from __future__ import annotations
 

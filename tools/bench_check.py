@@ -59,7 +59,6 @@ KNOWN_BENCHES = {
     "end_to_end",
     "exposition_overhead",
     "fusion",
-    "lint_runtime",
     "pipeline",
     "plan_compile",
     "recovery_overhead",
