@@ -8,8 +8,9 @@ Subcommands:
 * ``simulate`` — run a circuit (single-node or distributed) and report
   entropy / sample counts; distributed runs can checkpoint and resume
   via ``--checkpoint-dir`` / ``--checkpoint-every``;
-* ``check`` — statically verify a schedule (structure, specialization,
-  coverage, unitarity, comm plan) and print a ranked findings report;
+* ``check`` — statically verify a schedule (structure, swaps, clusters,
+  specialization, coverage, unitarity) and print a ranked findings
+  report;
 * ``project`` — price a configuration on the Cori II models and print a
   Table-2-style profile;
 * ``chaos`` — run the fault-injection scenario sweep (or a custom
@@ -129,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
                      "files under this directory")
 
     chk = sub.add_parser(
-        "check", help="statically verify a schedule and its comm plan"
+        "check", help="statically verify a schedule"
     )
     chk.add_argument("--schedule", type=str,
                      help="schedule JSON file (default: schedule a "
@@ -143,8 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="absorb diagonal gates into cluster matrices")
     chk.add_argument("--no-unitarity", action="store_true",
                      help="skip the (dense) fused-matrix unitarity pass")
-    chk.add_argument("--no-comm", action="store_true",
-                     help="skip comm-plan derivation and verification")
     chk.add_argument("--strict", action="store_true",
                      help="also fail (exit 1) on warnings")
 
@@ -265,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
                      "when omitted; threads through spans, flight-recorder "
                      "records and the response)")
     sbm.add_argument("--pipeline", action="store_true",
-                     help="run the job with pipelined lookahead prefetch")
+                     help="run the job with a PipelineLayer (shard I/O "
+                     "overlapped with compute on a background worker)")
 
     top = sub.add_parser(
         "top", help="live per-tenant view of a serving `repro serve`"
@@ -372,11 +372,7 @@ def _cmd_check(args) -> int:
         print("error: provide --schedule or --qubits with --local-qubits",
               file=sys.stderr)
         return 2
-    report = verify_schedule(
-        schedule,
-        check_unitarity=not args.no_unitarity,
-        check_comm=not args.no_comm,
-    )
+    report = verify_schedule(schedule, check_unitarity=not args.no_unitarity)
     print(report.format())
     if not report.passed:
         return 1

@@ -8,8 +8,7 @@ only place the global-to-local swap of Sec. 3.4 / Fig. 3 is spelled out:
 :meth:`QubitLayout.plan_swap` returns the whole recipe as data — a free
 rank renumbering, staging swaps of local bits, one group-local
 all-to-all, and the layout that results.  ``DistributedState`` executes
-that recipe on amplitudes; ``staticcheck.comm_checker`` and the
-checkpoint code only read it.
+that recipe on amplitudes; the checkpoint code only stores the layout.
 
 Layouts are frozen: every transition returns a new object.
 """

@@ -73,8 +73,7 @@ class DistributedState:
     init:
         ``"zero"``, ``"plus"`` (uniform superposition), or ``None`` to
         adopt the storage's contents as found (a reopened
-        :class:`DiskShards` directory, a worker attaching to amplitudes
-        its coordinator initialised).
+        :class:`DiskShards` directory).
     """
 
     def __init__(

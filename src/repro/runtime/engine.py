@@ -59,7 +59,6 @@ class ExecUnit:
         "num_sources",
         "is_swap",
         "run",
-        "plan_op",
     )
 
     def __init__(
@@ -74,7 +73,6 @@ class ExecUnit:
         num_sources,
         is_swap,
         run,
-        plan_op=None,
     ):
         self.index = index
         self.op_index = op_index
@@ -85,10 +83,6 @@ class ExecUnit:
         self.num_sources = num_sources
         self.is_swap = is_swap
         self.run = run
-        # The pre-resolved PlanOp this unit replays (None for circuit
-        # units) — what the pipeline layer's lookahead prefetch reads its
-        # kernel shapes from.
-        self.plan_op = plan_op
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return (
@@ -171,7 +165,6 @@ def _units_from_plan(plan) -> list[ExecUnit]:
                 num_sources=plan_op.num_sources,
                 is_swap=first.kind == "swap",
                 run=partial(_run_op, plan_op),
-                plan_op=plan_op,
             )
         )
     return units

@@ -93,10 +93,10 @@ class JobSpec:
     #: wire); the service mints one when absent.  Deliberately excluded
     #: from plan_key/result_key — trace identity never splits caches.
     trace_id: str | None = None
-    #: Execute with a :class:`~repro.runtime.PipelineLayer` (lookahead
-    #: table prefetch).  Excluded from plan_key/result_key: pipelined and
-    #: serial runs are bit-identical, so their results may share a cache
-    #: entry.
+    #: Execute with a :class:`~repro.runtime.PipelineLayer` (shard I/O
+    #: overlapped with compute).  Excluded from plan_key/result_key:
+    #: pipelined and serial runs are bit-identical, so their results may
+    #: share a cache entry.
     pipeline: bool = False
 
     def plan_key(self) -> tuple:

@@ -28,7 +28,7 @@ __all__ = [
 class Severity:
     """Severity levels, most severe first (used as sort keys)."""
 
-    ERROR = "error"  # the schedule/plan will compute wrong answers or hang
+    ERROR = "error"  # the schedule/run will compute wrong answers
     WARNING = "warning"  # legal but wasteful or suspicious
     INFO = "info"  # observations (counters, predictions)
 
@@ -45,11 +45,8 @@ CATEGORIES = (
     "specialization",  # specialized gate not diagonal/monomial-separable
     "coverage",  # circuit gates dropped or duplicated
     "gate-order",  # per-qubit gate order violated
-    "mapping",  # qubit->bit mapping not a bijection
     "unitarity",  # fused cluster matrix not unitary
-    "collective-mismatch",  # ranks disagree on a collective's shape
-    "byte-conservation",  # plan bytes disagree with CommStats prediction
-    "deadlock",  # wait-for cycle / stranded rank
+    "byte-conservation",  # CommStats disagree with the schedule's prediction
     "nan",  # NaN/Inf amplitudes (sanitizer)
     "norm",  # norm drift beyond tolerance (sanitizer)
     "checksum",  # shard checksum divergence (sanitizer)

@@ -5,11 +5,11 @@ the layout contract the distributed executor assumes (Sec. 3.4-3.6 of the
 paper): clusters fit in ``kmax`` and touch only stage-local qubits,
 specialized gates really specialize under the stage's global set, swap
 points are feasible, the original circuit is covered exactly once in a
-legal order, the qubit->bit mapping is a bijection, and every fused
-cluster matrix is unitary.  :func:`check_schedule` verifies all of that
-*without executing anything* and reports violations as
-:class:`~repro.staticcheck.diagnostics.Finding`s instead of raising, so a
-single run surfaces every problem at once.
+legal order, and every fused cluster matrix is unitary.
+:func:`verify_schedule` checks all of that *without executing anything*
+and reports violations as :class:`~repro.staticcheck.diagnostics.Finding`s
+instead of raising, so a single run surfaces every problem at once — on
+malformed schedules too, which is what it exists to reject.
 
 This subsumes ``Schedule.validate()`` (which raises on first violation)
 — the checker is the diagnostic front end, ``validate()`` the cheap
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.scheduling.mapping import cluster_bit_mapping
 from repro.scheduling.program import (
     ClusterOp,
     GateOp,
@@ -29,7 +28,7 @@ from repro.scheduling.program import (
 )
 from repro.staticcheck.diagnostics import CheckReport, Severity
 
-__all__ = ["check_mapping", "check_schedule"]
+__all__ = ["verify_schedule"]
 
 _W = Severity.WARNING
 _E = Severity.ERROR
@@ -289,60 +288,6 @@ def _check_gate_order(schedule: Schedule, scheduled_gates, report) -> None:
             )
 
 
-def check_mapping(
-    mapping: dict[int, int], num_qubits: int, report: CheckReport | None = None
-) -> CheckReport:
-    """Verify a qubit->bit-location mapping is a bijection on the range.
-
-    Used standalone on any mapping (e.g. one loaded from disk) and by
-    :func:`check_schedule` on the mapping induced by the schedule's
-    clusters.
-    """
-    if report is None:
-        report = CheckReport(checks_run=["mapping"])
-    domain = sorted(mapping)
-    expected = list(range(num_qubits))
-    if domain != expected:
-        report.add(
-            _E, "mapping",
-            f"mapping domain {domain} != qubits {expected}",
-            hint="every qubit needs exactly one bit location",
-        )
-        return report
-    values = sorted(mapping.values())
-    if values != expected:
-        seen: set[int] = set()
-        dups = sorted({b for b in mapping.values() if b in seen or seen.add(b)})
-        report.add(
-            _E, "mapping",
-            f"mapping is not a bijection: bit locations {values} "
-            + (f"(duplicates {dups})" if dups else ""),
-            hint="two qubits share a bit location (or one is out of "
-            "range); kernels would read the wrong amplitude pairs",
-        )
-    return report
-
-
-def _check_schedule_mapping(schedule: Schedule, report: CheckReport) -> None:
-    clusters = [
-        op.qubits
-        for stage in schedule.stages
-        for op in stage.ops
-        if _is_cluster_like(op)
-    ]
-    if not clusters:
-        return
-    # The mapping operates on the local bit-location space; restrict to
-    # schedules where cluster qubits fit it (guaranteed when locality
-    # holds, which earlier passes verify).
-    if any(
-        q >= schedule.num_qubits for qubits in clusters for q in qubits
-    ):
-        return  # out-of-range clusters already reported
-    mapping = cluster_bit_mapping(clusters, schedule.num_qubits)
-    check_mapping(mapping, schedule.num_qubits, report)
-
-
 def _check_unitarity(
     schedule: Schedule, report: CheckReport, tol: float
 ) -> None:
@@ -376,7 +321,7 @@ def _check_unitarity(
 
 
 # ----------------------------------------------------------------------
-def check_schedule(
+def verify_schedule(
     schedule: Schedule,
     *,
     unitary_tol: float = 1e-9,
@@ -398,8 +343,7 @@ def check_schedule(
     """
     report = CheckReport(
         checks_run=[
-            "structure", "swaps", "clusters", "specialization",
-            "coverage", "mapping",
+            "structure", "swaps", "clusters", "specialization", "coverage",
         ]
     )
     _check_structure(schedule, report)
@@ -407,7 +351,6 @@ def check_schedule(
     _check_clusters(schedule, report)
     _check_specialization(schedule, report)
     _check_coverage(schedule, report)
-    _check_schedule_mapping(schedule, report)
     if check_unitarity:
         report.checks_run.append("unitarity")
         _check_unitarity(schedule, report, unitary_tol)

@@ -49,12 +49,12 @@ class TestPlanSwap:
             assert (resumed.q, resumed.after) == (step.q, step.after)
             assert np.array_equal(state.to_statevector().data, sv.data)
 
-        # The checker replays the same rule: its prediction is the run's
-        # counters (a schedule of empty stages, one swap between each).
+        # The checker's prediction from the stage global sets alone is the
+        # run's counters (a schedule of empty stages, one swap between each).
         identity_globals = frozenset(range(l, n))
         stages = [Stage(g, []) for g in [identity_globals, *global_sets]]
         schedule = Schedule(circuit=Circuit(n, []), local_qubits=l, stages=stages)
-        predicted = predict_comm_stats(schedule)
+        predicted = predict_comm_stats(schedule, state.storage.shard_bytes)
         for key, value in predicted.items():
             assert getattr(state.stats, key) == value, key
 

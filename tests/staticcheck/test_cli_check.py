@@ -49,6 +49,32 @@ class TestCheckCommand:
         assert "FAIL" in out
         assert "coverage" in out
 
+    def test_unbalanced_swap_file_fails_without_traceback(
+        self, tmp_path, capsys
+    ):
+        import json
+
+        circ = generate_supremacy_circuit(10, 10, seed=1)
+        sched = schedule_circuit(
+            circ, SchedulerConfig(local_qubits=7, kmax=4, seed=1)
+        )
+        assert len(sched.stages) >= 2
+        path = tmp_path / "sched.json"
+        save_schedule_json(sched, path)
+        blob = json.loads(path.read_text())
+        # Stage 1 keeps one global qubit too few: the swap into it is
+        # unbalanced and no executor could run it.
+        blob["stages"][1]["global_qubits"] = blob["stages"][1][
+            "global_qubits"
+        ][:-1]
+        path.write_text(json.dumps(blob))
+        rc = main(["check", "--schedule", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "FAIL" in captured.out
+        assert "swap" in captured.out and "structure" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
     def test_missing_inputs_is_usage_error(self, capsys):
         assert main(["check"]) == 2
         assert "provide --schedule" in capsys.readouterr().err
@@ -60,11 +86,10 @@ class TestCheckCommand:
     def test_no_comm_and_no_unitarity_flags(self, capsys):
         rc = main(
             ["check", "--qubits", "9", "--local-qubits", "6",
-             "--kmax", "4", "--no-comm", "--no-unitarity"]
+             "--kmax", "4", "--no-unitarity"]
         )
         out = capsys.readouterr().out
         assert rc == 0
-        assert "collectives" not in out
         assert "unitarity" not in out
 
 

@@ -71,11 +71,11 @@ class TestCheckReport:
     def test_raise_if_failed(self):
         report = CheckReport()
         report.raise_if_failed()  # no error findings: no raise
-        report.add(Severity.ERROR, "deadlock", "stuck")
+        report.add(Severity.ERROR, "coverage", "gate dropped")
         with pytest.raises(StaticCheckError) as err:
             report.raise_if_failed()
         assert err.value.report is report
-        assert "deadlock" in str(err.value)
+        assert "coverage" in str(err.value)
 
     def test_format_verdict_lines(self):
         clean = CheckReport(checks_run=["structure"])

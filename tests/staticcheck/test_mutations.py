@@ -1,15 +1,14 @@
 """Mutation tests: every corruption is caught *as the right bug*.
 
 The acceptance bar for the static checker: programmatically corrupt a
-valid scheduler-produced schedule (or its comm plan) in distinct ways
-and assert each mutation yields a finding with the matching diagnostic
-category, while the unmutated schedule passes with zero findings.
+valid scheduler-produced schedule (or a run's comm counters) in distinct
+ways and assert each mutation yields a finding with the matching
+diagnostic category — never an exception, however malformed the
+schedule — while the unmutated schedule passes with zero findings.
 """
 
 import copy
 import types
-
-import numpy as np
 
 from repro.circuit import generate_supremacy_circuit
 from repro.scheduling import (
@@ -19,15 +18,7 @@ from repro.scheduling import (
     schedule_circuit,
 )
 from repro.gates import Gate
-from repro.staticcheck import (
-    CollectiveOp,
-    check_collectives,
-    check_comm_stats,
-    check_mapping,
-    check_schedule,
-    comm_plan_for_schedule,
-    verify_schedule,
-)
+from repro.staticcheck import check_comm_stats, verify_schedule
 
 
 def make_schedule(n=10, depth=10, *, l=7, kmax=4, seed=1, **cfg):
@@ -75,7 +66,7 @@ class TestScheduleMutations:
         extra = tuple(local[: sched.kmax + 1 - op.num_qubits])
         assert extra, "need spare local qubits to widen into"
         bad.stages[i].ops[j] = ClusterOp(op.qubits + extra, op.gates)
-        report = check_schedule(bad)
+        report = verify_schedule(bad)
         assert "cluster-width" in report.categories(), report.format()
         assert not report.passed
 
@@ -86,7 +77,7 @@ class TestScheduleMutations:
         i, j, op = first_cluster(bad)
         gq = min(bad.stages[i].global_qubits)
         bad.stages[i].ops[j] = ClusterOp(op.qubits + (gq,), op.gates)
-        report = check_schedule(bad)
+        report = verify_schedule(bad)
         assert "cluster-locality" in report.categories(), report.format()
         assert not report.passed
 
@@ -97,7 +88,7 @@ class TestScheduleMutations:
         bad = mutate(sched)
         shrunk = frozenset(sorted(bad.stages[1].global_qubits)[:-1])
         bad.stages[1].global_qubits = shrunk
-        report = check_schedule(bad)
+        report = verify_schedule(bad)
         assert "swap" in report.categories(), report.format()
         assert not report.passed
 
@@ -107,7 +98,7 @@ class TestScheduleMutations:
         assert len(sched.stages) >= 2
         bad = mutate(sched)
         bad.stages[1].global_qubits = bad.stages[0].global_qubits
-        report = check_schedule(bad)
+        report = verify_schedule(bad)
         swap_findings = [
             f for f in report.findings if f.category == "swap"
         ]
@@ -123,7 +114,7 @@ class TestScheduleMutations:
         )
         gq = min(bad.stages[i].global_qubits)
         bad.stages[i].ops.append(GateOp(Gate("h", (gq,))))
-        report = check_schedule(bad)
+        report = verify_schedule(bad)
         assert "specialization" in report.categories(), report.format()
         assert not report.passed
 
@@ -133,7 +124,7 @@ class TestScheduleMutations:
         bad = mutate(sched)
         i, j, _ = first_cluster(bad)
         del bad.stages[i].ops[j]
-        report = check_schedule(bad)
+        report = verify_schedule(bad)
         assert "coverage" in report.categories(), report.format()
         assert any("dropped" in f.message for f in report.errors)
 
@@ -143,7 +134,7 @@ class TestScheduleMutations:
         bad = mutate(sched)
         i, j, op = first_cluster(bad)
         bad.stages[i].ops.insert(j, op)
-        report = check_schedule(bad)
+        report = verify_schedule(bad)
         assert "coverage" in report.categories(), report.format()
         assert any("more" in f.message for f in report.errors)
 
@@ -159,7 +150,7 @@ class TestScheduleMutations:
                 bad.stages[i].ops[j] = ClusterOp(
                     op.qubits, tuple(reversed(op.gates))
                 )
-                report = check_schedule(bad, check_unitarity=False)
+                report = verify_schedule(bad, check_unitarity=False)
                 if "gate-order" in report.categories():
                     detected = True
                     break
@@ -167,25 +158,7 @@ class TestScheduleMutations:
                 break
         assert detected, "no cluster reversal was caught as gate-order"
 
-    # -- mutation 9: non-bijective mapping ------------------------------
-    def test_mapping_collision_caught(self):
-        sched = make_schedule()
-        from repro.scheduling import cluster_bit_mapping
-
-        clusters = [
-            op.qubits
-            for stage in sched.stages
-            for op in stage.ops
-            if isinstance(op, ClusterOp)
-        ]
-        mapping = cluster_bit_mapping(clusters, sched.num_qubits)
-        assert check_mapping(mapping, sched.num_qubits).clean
-        mapping[0] = mapping[1]  # two qubits share one bit location
-        report = check_mapping(mapping, sched.num_qubits)
-        assert "mapping" in report.categories(), report.format()
-        assert not report.passed
-
-    # -- mutation 10: non-unitary fused matrix --------------------------
+    # -- mutation 9: non-unitary fused matrix ---------------------------
     def test_nonunitary_fused_matrix_caught(self):
         sched = make_schedule()
         bad = mutate(sched)
@@ -198,11 +171,11 @@ class TestScheduleMutations:
             matrix=op.fused.matrix * 1.01
         )
         bad.stages[i].ops[j] = corrupt
-        report = check_schedule(bad)
+        report = verify_schedule(bad)
         assert "unitarity" in report.categories(), report.format()
         assert not report.passed
 
-    # -- mutation 11: wrong-size stage global set (structure) -----------
+    # -- mutation 10: wrong-size stage global set (structure) -----------
     def test_oversized_global_set_caught_as_structure(self):
         sched = make_schedule()
         bad = mutate(sched)
@@ -211,50 +184,26 @@ class TestScheduleMutations:
             set(range(sched.num_qubits)) - stage.global_qubits
         )
         bad.stages[0].global_qubits = stage.global_qubits | {extra}
-        report = check_schedule(bad)
+        report = verify_schedule(bad)
         assert "structure" in report.categories(), report.format()
         assert not report.passed
 
+    # -- mutation 11: global qubit that does not exist (structure) ------
+    def test_out_of_range_global_qubit_caught_as_structure(self):
+        sched = make_schedule()
+        assert len(sched.stages) >= 2, "need a swap into the bad set"
+        bad = mutate(sched)
+        globals_ = bad.stages[1].global_qubits
+        bad.stages[1].global_qubits = (globals_ - {max(globals_)}) | {
+            sched.num_qubits
+        }
+        report = verify_schedule(bad)
+        assert "structure" in report.categories(), report.format()
+        assert any("out-of-range" in f.message for f in report.errors)
+
 
 class TestCommPlanMutations:
-    # -- mutation 12: one rank ships a different byte count -------------
-    def test_byte_count_disagreement_caught(self):
-        sched = make_schedule()
-        programs = comm_plan_for_schedule(sched)
-        assert check_collectives(programs).clean
-        victim = next(r for r, p in enumerate(programs) if p)
-        op = programs[victim][0]
-        programs[victim][0] = CollectiveOp(
-            op.kind, op.group, op.bytes_sent // 2, op.op_index
-        )
-        report = check_collectives(programs)
-        assert "collective-mismatch" in report.categories(), report.format()
-        assert any(f.rank is not None for f in report.errors)
-
-    # -- mutation 13: one rank joins the wrong group --------------------
-    def test_group_membership_disagreement_caught(self):
-        sched = make_schedule()
-        programs = comm_plan_for_schedule(sched)
-        victim = next(r for r, p in enumerate(programs) if p)
-        op = programs[victim][0]
-        wrong = tuple(sorted(set(op.group) ^ {op.group[0], op.group[-1] + 1}))
-        programs[victim][0] = CollectiveOp(
-            op.kind, wrong, op.bytes_sent, op.op_index
-        )
-        report = check_collectives(programs)
-        assert "collective-mismatch" in report.categories(), report.format()
-
-    # -- mutation 14: a rank that never shows up ------------------------
-    def test_missing_collective_caught(self):
-        sched = make_schedule()
-        programs = comm_plan_for_schedule(sched)
-        victim = next(r for r, p in enumerate(programs) if p)
-        programs[victim] = []
-        report = check_collectives(programs)
-        assert "collective-mismatch" in report.categories(), report.format()
-        assert any("exhausted" in f.message for f in report.errors)
-
-    # -- mutation 15: stats that double-count bytes ---------------------
+    # -- mutation 12: stats that double-count bytes ---------------------
     def test_inflated_comm_stats_caught_as_byte_conservation(self):
         sched = make_schedule()
         from repro.distributed import DistributedSimulator
@@ -262,9 +211,10 @@ class TestCommPlanMutations:
         state = DistributedSimulator(
             sched.num_qubits, sched.local_qubits
         ).run_schedule(sched).state
-        assert check_comm_stats(sched, state.stats).clean
+        shard_bytes = state.storage.shard_bytes
+        assert check_comm_stats(sched, state.stats, shard_bytes).clean
         state.stats.bytes_on_network += 4096  # a retry double-counted
-        report = check_comm_stats(sched, state.stats)
+        report = check_comm_stats(sched, state.stats, shard_bytes)
         assert "byte-conservation" in report.categories(), report.format()
         assert not report.passed
 
