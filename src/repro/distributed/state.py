@@ -33,8 +33,10 @@ from repro.kernels import (
     DenseSweep,
     apply_diagonal_factor,
     apply_gate,
+    apply_gate_reference,
 )
 from repro.kernels.apply import matrix_is_diagonal, split_sweep
+from repro.kernels.blocks import BlockGate
 from repro.kernels.tables import GATHER_CACHE
 from repro.kernels.cost import KernelCostModel
 from repro.statevector.state import StateVector
@@ -299,7 +301,9 @@ class DistributedState:
     ) -> None:
         """Run one kernel on every shard, resolving decisions exactly once.
 
-        Either *matrix* or (for the diagonal path) *diag* must be given.
+        Either *matrix* (an array or a
+        :class:`~repro.kernels.blocks.BlockGate`) or (for the diagonal
+        path) *diag* must be given.
         *strategy* lets a compiled plan hand down its pre-resolved
         choice; otherwise it is derived here.  Everything an op needs
         — the memoized phase factor, the dense sweep descriptor — is
@@ -307,7 +311,7 @@ class DistributedState:
         (one sweep over a block of shards, rank by rank, traced or not)
         does the same arithmetic on every amplitude, bit for bit.
         """
-        k = len(bits)
+        k = m = len(bits)
         l = self.local_qubits
         tel = self.telemetry
         tracer = tel.tracer
@@ -342,8 +346,10 @@ class DistributedState:
             # ``apply`` binds the panels of the thread that runs it: a
             # deferred kernel may run on a pool thread.
             kernel = part = dense.apply
-            units = dense.num_blocks
+            units, m = dense.num_blocks, dense.dense_bits
         else:
+            if isinstance(matrix, BlockGate):
+                matrix = matrix.dense()
 
             def kernel(shard):
                 apply_gate(shard, matrix, bits, strategy=strategy)
@@ -378,7 +384,9 @@ class DistributedState:
             tel.metrics.histogram("kernel.apply.seconds", k=k).observe(elapsed)
         else:
             sweep()
-        self.kernel_cost.record(self.num_qubits, k, diagonal=diagonal)
+        # A structured op does 2**m multiply-adds per amplitude, m its
+        # dense width.
+        self.kernel_cost.record(self.num_qubits, m, diagonal=diagonal)
 
     # ------------------------------------------------------------------
     # Plan-facing entry points (pre-resolved kernel decisions)
@@ -421,6 +429,25 @@ class DistributedState:
             self._apply_local(None, bits, diagonal=True, diag=np.asarray(diag))
         else:
             self._apply_diagonal_global(np.asarray(diag), bits)
+
+    def _local_kernel(self, matrix, bits, *, diagonal: bool | None = None):
+        """One shard kernel for a gate on local *bits*, resolved once for
+        every rank that applies it: what :func:`repro.kernels.apply_gate`
+        would pick, with its phase factor or sweep descriptor built here
+        instead of per call."""
+        if diagonal is None:
+            diagonal = matrix_is_diagonal(matrix)
+        if diagonal:
+            factor = GATHER_CACHE.diagonal_factor(
+                self.local_qubits, bits,
+                np.asarray(np.diagonal(matrix), dtype=self.storage.dtype),
+            )
+            return partial(apply_diagonal_factor, factor=factor)
+        if len(bits) <= SWEEP_MAX_QUBITS:
+            return DenseSweep(
+                self.local_qubits, matrix, bits, self.storage.dtype
+            ).apply
+        return partial(apply_gate_reference, matrix=matrix, qubits=bits)
 
     def _split_gate_bits(
         self, bits: Sequence[int]
@@ -537,19 +564,25 @@ class DistributedState:
         local_bits = [bits[j] for j in local_js]
         l = self.local_qubits
         kernels = {}
+        # One kernel per value of the gate's global bits, resolved once.
+        by_value = {
+            xg: self._local_kernel(sub, local_bits) if local_js
+            else None if np.isclose(sub[0, 0], 1.0)
+            else partial(_scale, phase=sub[0, 0])
+            for xg, (sub, _) in actions.items()
+        }
         # New rank d holds the shard of the old rank whose destination is d.
         source_of_dest = np.empty(self.num_ranks, dtype=np.int64)
         for r in range(self.num_ranks):
-            sub, out_global = actions[self._rank_gate_bits(r, bits, global_js)]
+            xg = self._rank_gate_bits(r, bits, global_js)
+            out_global = actions[xg][1]
             dest = r
             for j in global_js:
                 bit_pos = bits[j] - l
                 dest = dest & ~(1 << bit_pos) | ((out_global >> j) & 1) << bit_pos
             source_of_dest[dest] = r
-            if local_js:
-                kernels[r] = partial(apply_gate, matrix=sub, qubits=local_bits)
-            elif not np.isclose(sub[0, 0], 1.0):
-                kernels[r] = partial(_scale, phase=sub[0, 0])
+            if by_value[xg] is not None:
+                kernels[r] = by_value[xg]
         self.storage.sweep(
             kernels.get,
             label=f"monomial_global k={len(bits)} bits={list(bits)}",
@@ -596,19 +629,22 @@ class DistributedState:
         start = time.perf_counter() if tel.active else 0.0
         diagonal = None
         rank_bit = {q: self.bit_of_qubit[q] - l for q in rank_qubits}
+        # One kernel per value of the rank bits the absorbed gates read.
+        kernels: dict[tuple, object] = {}
 
         def kernel_of_rank(r):
             nonlocal diagonal
-            matrix = op.matrix_for_rank(
-                {q: (r >> bit) & 1 for q, bit in rank_bit.items()}
-            )
-            if diagonal is None:
-                # Absorbed phases never change the cluster's sparsity
-                # pattern, so one scan covers every rank's matrix.
-                diagonal = matrix_is_diagonal(matrix)
-            return partial(
-                apply_gate, matrix=matrix, qubits=bits, diagonal=diagonal
-            )
+            values = tuple((r >> bit) & 1 for bit in rank_bit.values())
+            if values not in kernels:
+                matrix = op.matrix_for_rank(dict(zip(rank_bit, values)))
+                if diagonal is None:
+                    # Absorbed phases never change the cluster's sparsity
+                    # pattern, so one scan covers every rank's matrix.
+                    diagonal = matrix_is_diagonal(matrix)
+                kernels[values] = self._local_kernel(
+                    matrix, bits, diagonal=diagonal
+                )
+            return kernels[values]
 
         with tel.tracer.span(
             "kernel.absorbed_cluster", kind="kernel", k=len(bits)

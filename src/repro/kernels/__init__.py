@@ -15,7 +15,9 @@ Several strategies are provided, mirroring the paper's optimization steps:
   :func:`chunk_for` substrings per block unless ``chunk_size`` says
   otherwise.  One descriptor serves every shard of an op.  Its real-GEMM
   operand for small gates is the paper's ``(mR, mR)`` / ``(-mI, mI)``
-  FMA trick.
+  FMA trick.  A gate exactly block-diagonal in some bits
+  (:class:`~repro.kernels.blocks.BlockGate`) runs as one small gate
+  per value of those bits.
 * :func:`apply_diagonal_gate` — fast path for diagonal gates
   (CZ, T, Z, S): one complex multiply per amplitude, no gather.
 * :func:`apply_gate` — dispatcher choosing a strategy per gate structure.

@@ -29,6 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.kernels.blocks import BlockGate
 from repro.kernels.tables import (
     GATHER_CACHE,
     GatherTableCache,
@@ -36,7 +37,6 @@ from repro.kernels.tables import (
 )
 from repro.util.bits import (
     bit_length_of_power_of_two,
-    expand_index,
     scatter_bits,
 )
 from repro.util.executors import register_executor
@@ -341,19 +341,55 @@ def _real_gemm_operand(matrix_t: np.ndarray) -> np.ndarray:
     return w
 
 
-def _window_index(positions: Sequence[int], w: int) -> np.ndarray:
+def _window_index(
+    positions: Sequence[int], w: int, controls: Sequence[int] = ()
+) -> np.ndarray:
     """In-window source offsets that bring the target bits together.
 
     Entry ``j = c << k | x`` is the offset, inside a window of ``2**w``
     amplitudes, whose bits at the (sorted) target *positions* spell ``x``
     and whose other bits spell ``c`` — so gathering a window through it
-    yields rows of ``2**k`` amplitudes ready for ``panel @ M.T``.  Every
-    window of a shard uses this one index (it is periodic), which is why
-    it is rebuilt per op and never stored.
+    yields rows of ``2**k`` amplitudes ready for ``panel @ M.T``.  The
+    in-window *controls* (sorted) are the low bits of ``c``, so a panel
+    viewed as ``(-1, 2**d, 2**k)`` has one control value per middle
+    index.  Every window of a shard uses this one index (it is
+    periodic), which is why it is rebuilt per op and never stored.
     """
-    k = len(positions)
+    k, d = len(positions), len(controls)
+    free = [p for p in range(w) if p not in positions and p not in controls]
     j = np.arange(1 << w, dtype=np.intp)
-    return expand_index(j >> k, j & ((1 << k) - 1), positions)
+    return (
+        scatter_bits(j & ((1 << k) - 1), positions)
+        | scatter_bits((j >> k) & ((1 << d) - 1), controls)
+        | scatter_bits(j >> (k + d), free)
+    )
+
+
+def _axes_above(low: int, n: int, controls: Sequence[int]):
+    """Axes of bits ``low..n-1`` of a shard view, top bit first, with a
+    size-2 axis per control: ``(shape, indices of the control axes)``."""
+    edges = sorted({low, n}.union(controls, (p + 1 for p in controls)))
+    shape = [1 << (hi - lo) for lo, hi in zip(edges[-2::-1], edges[:0:-1])]
+    lows = edges[-2::-1]
+    return shape, [i for i, lo in enumerate(lows) if lo in controls]
+
+
+def _outer_blocks(shape, control_axes, mats, batch: int):
+    """``(index, matrix)`` per block: the view index of each block of
+    the looped axes *shape*, and the matrix (or the ``2**batch`` stack of
+    them) its control axes' values pick from *mats*.
+
+    Control axes are top bit first and the controls of *mats* ascending,
+    so the last control axis is the lowest looped control.
+    """
+    out = []
+    for index in np.ndindex(*shape):
+        value = 0
+        for axis in control_axes:
+            value = value << 1 | index[axis]
+        lo = value << batch
+        out.append((index, mats[lo] if not batch else mats[lo:lo + (1 << batch)]))
+    return out
 
 
 class DenseSweep:
@@ -361,34 +397,46 @@ class DenseSweep:
 
     Built once per op from the target bit positions of a ``2**n`` shard
     and applied to any number of shards (:meth:`apply`): every rank of a
-    distributed state, a single state vector, one worker's shard.  The
-    gate matrix is permuted once so its bit ``j`` is the ``j``-th lowest
-    target; each block of ``chunk_size`` index substrings ``c`` (default
-    :func:`chunk_for`; rounded down to a power of two) then takes three
-    steps through one of two address schemes, chosen from the highest
-    target bit alone:
+    distributed state, a single state vector, one worker's shard.
+
+    The gate may be a matrix or a :class:`~repro.kernels.blocks.BlockGate`;
+    a matrix is scanned for *controls*, the bits it is exactly
+    block-diagonal in (:func:`~repro.kernels.blocks.control_bits`).  The
+    sweep runs the op as ``2**d`` blocks of a ``2**m`` gate (``m = k -
+    d``): only the ``m`` target bits are gathered into the panel, a
+    control above the panel's contiguous run is an outer loop axis whose
+    value picks the block, and a control inside it is a batch axis of
+    the panel's GEMMs.  Per amplitude that is ``2**m`` multiply-adds
+    instead of ``2**k``; with no controls (``d = 0``) the sweep is the
+    plain dense one.  Each block of ``chunk_size`` index substrings
+    ``c`` (default :func:`chunk_for` of ``m``; rounded down to a power of
+    two) then takes three steps through one of two address schemes,
+    chosen from the highest target bit alone:
 
     * **window** (every target below bit :data:`_WINDOW_MAX_BITS`): the
-      shard is a stack of windows ``reshape(-1, 2**w)``; one ``np.take``
-      through the periodic in-window index gathers each ``c``'s
-      amplitudes into a row, ``panel @ M.T`` multiplies (a real GEMM for
-      small gates), and the inverse index writes back.  Targets that are
-      the bottom ``k`` bits already *are* such rows and skip both takes.
+      shard is a stack of windows ``(..., rows, 2**w)``, ``w`` reaching
+      the highest gate bit below that limit; one ``np.take`` through the
+      periodic in-window index gathers each ``c``'s amplitudes into a
+      row, ``panel @ M.T`` multiplies (a real GEMM for small gates; one
+      GEMM per in-window control value, over every ``2**d``-th row), and
+      the inverse index writes back.  Targets that are the bottom ``m``
+      bits already *are* such rows and skip both takes.
     * **slab** (some target above the window): the shard is viewed as
-      ``reshape(hi, 2, .., 2, lo)`` with one size-2 axis per target, and
-      one transposed ``np.copyto`` brings the block's ``2**k`` slabs
-      into a contiguous ``(2**k, chunk)`` panel; ``M @ panel``
-      multiplies and the mirror-image copy writes back.
+      ``reshape(hi, 2, .., 2, lo)`` with one size-2 axis per target and
+      control, and one transposed ``np.copyto`` brings the block's
+      ``2**m`` slabs into a contiguous ``(2**m, chunk)`` panel; ``M @
+      panel`` multiplies and the mirror-image copy writes back.
 
     The panels are per-thread buffers reused across calls, so the
     steady-state sweep allocates nothing, and nothing it uses grows with
-    the shard.
+    the shard: the panel holds ``DEFAULT_CHUNK << 4`` amplitudes whatever
+    ``d`` is.
     """
 
     def __init__(
         self,
         n: int,
-        matrix: np.ndarray,
+        matrix,
         qubits: Sequence[int],
         dtype,
         chunk_size: int | None = None,
@@ -396,72 +444,110 @@ class DenseSweep:
         qubits = check_qubit_indices(qubits, n)
         k = len(qubits)
         dtype = np.dtype(dtype)
-        matrix = np.asarray(matrix, dtype=dtype)
-        if k == 0 or matrix.shape != (1 << k, 1 << k):
-            raise ValueError(
-                f"matrix of shape {matrix.shape} does not act on "
-                f"{k} qubit(s)"
+        gate = matrix
+        if not isinstance(gate, BlockGate):
+            matrix = np.asarray(matrix)
+            if k == 0 or matrix.shape != (1 << k, 1 << k):
+                raise ValueError(
+                    f"matrix of shape {matrix.shape} does not act on "
+                    f"{k} qubit(s)"
+                )
+            gate = BlockGate.of(matrix)
+        elif gate.num_bits != k:
+            raise ValueError(f"{gate.num_bits}-bit gate on {k} qubit(s)")
+        if len(gate.controls) == k:
+            # All controls (a diagonal): the lowest-placed bit is the target.
+            lowest = min(range(k), key=qubits.__getitem__)
+            gate = BlockGate.split(
+                gate.dense(), [j for j in gate.controls if j != lowest]
             )
-        # Sorted positions; matrix bit j = j-th lowest target.
-        order = sorted(range(k), key=qubits.__getitem__)
-        pos = [qubits[j] for j in order]
-        unsorted = scatter_bits(np.arange(1 << k), order)
-        matrix = matrix[np.ix_(unsorted, unsorted)]
+        # Targets and controls by ascending position: block row bit i is
+        # the i-th lowest target, block index bit i the i-th lowest control.
+        t_order = sorted(gate.targets, key=qubits.__getitem__)
+        c_order = sorted(gate.controls, key=qubits.__getitem__)
+        pos = [qubits[j] for j in t_order]
+        ctl = [qubits[j] for j in c_order]
+        m, d = len(pos), len(ctl)
+        t_perm = scatter_bits(
+            np.arange(1 << m), [gate.targets.index(j) for j in t_order]
+        )
+        c_perm = scatter_bits(
+            np.arange(1 << d), [gate.controls.index(j) for j in c_order]
+        )
+        blocks = np.asarray(gate.blocks, dtype=dtype)[
+            c_perm[:, None, None], t_perm[None, :, None], t_perm[None, None, :]
+        ]
+        #: The sweep's dense width and control count.
+        self.dense_bits, self.controls = m, d
 
-        total_c = 1 << (n - k)
+        total_c = 1 << (n - m)
         if chunk_size is None:
-            chunk_size = chunk_for(k)
+            chunk_size = chunk_for(m)
         chunk = min(int(chunk_size), total_c)
         cbits = max(chunk, 1).bit_length() - 1
         self._dtype = dtype
         self._index = self._inverse = self._real = self._perm = None
         self._windowed = pos[-1] < _WINDOW_MAX_BITS
         if self._windowed:
-            w = pos[-1] + 1
-            windows = 1 << (n - w)
-            rows = min(1 << max(0, cbits - (w - k)), windows)
-            self._shape = (windows // rows, rows, 1 << w)
-            self._outer = [(i,) for i in range(windows // rows)]
-            self._block_shape = (rows, 1 << w)
-            self._block_size = rows << w
-            self._gemm_shape = (-1, 1 << k)
-            if pos != list(range(k)):
-                self._index = _window_index(pos, w)
+            # The window reaches the highest gate bit below its limit, so
+            # a control above it leaves blocks of 2**12 amplitudes or more.
+            w = 1 + max(p for p in pos + ctl if p < _WINDOW_MAX_BITS)
+            inner = [p for p in ctl if p < w]
+            outer = ctl[len(inner):]
+            rb = min(max(0, cbits - (w - m)), (outer[0] if outer else n) - w)
+            shape, ctl_axes = _axes_above(w + rb, n, outer)
+            self._shape = (*shape, 1 << rb, 1 << w)
+            self._block_shape = (1 << rb, 1 << w)
+            self._block_size = 1 << (rb + w)
+            self._gemm_shape = (-1, 1 << len(inner), 1 << m)
+            if w > m:
+                self._index = _window_index(pos, w, inner)
                 self._inverse = np.empty_like(self._index)
                 self._inverse[self._index] = np.arange(1 << w)
-            self._matrix = np.ascontiguousarray(matrix.T)
-            if k <= _REAL_GEMM_MAX_QUBITS and dtype.kind == "c":
-                self._real = self._matrix.real.dtype
-                self._matrix = _real_gemm_operand(self._matrix)
+            mats = np.ascontiguousarray(blocks.transpose(0, 2, 1))
+            if m <= _REAL_GEMM_MAX_QUBITS and dtype.kind == "c":
+                self._real = mats.real.dtype
+                mats = np.stack([_real_gemm_operand(b) for b in mats])
+            self._outer = _outer_blocks(shape, ctl_axes, mats, len(inner))
             return
         # Slab scheme.  Axes of the shard view, top bit first: a size-2
-        # axis per target; the non-target runs between them, split where
-        # the block's ``cbits`` lowest non-target bits end.
+        # axis per target and per control; the other runs between them,
+        # split where the block's ``cbits`` lowest non-target bits end.
         b, left = 0, cbits
         while left:
             left -= b not in pos
             b += 1
-        edges = sorted({0, b, n}.union(pos, (p + 1 for p in pos)))
+        cut = {0, b, n}.union(pos, ctl, (p + 1 for p in pos), (p + 1 for p in ctl))
+        edges = sorted(cut)
         shape, kinds = [], []
         for lo, hi in zip(edges[-2::-1], edges[:0:-1]):
             shape.append(1 << (hi - lo))
-            kinds.append("x" if lo in pos else "in" if hi <= b else "out")
+            kinds.append(
+                "x" if lo in pos else
+                ("batch" if hi <= b else "ctl") if lo in ctl else
+                "in" if hi <= b else "out"
+            )
         axes = {kind: [i for i, a in enumerate(kinds) if a == kind]
-                for kind in ("out", "x", "in")}
+                for kind in ("out", "ctl", "batch", "x", "in")}
         # The panel's own axis order is free, and numpy's copy loop runs
         # over its innermost axis: put the longest non-target run there.
         # (With the shard's order a gate on bits 1-2 copies 2-amplitude
         # runs: 48 ms per k=4 sweep of a 2**22 shard instead of 33.)
         axes["in"].sort(key=shape.__getitem__)
+        looped = sorted(axes["out"] + axes["ctl"])
         self._shape = tuple(shape)
-        self._perm = (*axes["out"], *axes["x"], *axes["in"])
-        self._outer = list(np.ndindex(*(shape[i] for i in axes["out"])))
+        self._perm = (*looped, *axes["batch"], *axes["x"], *axes["in"])
+        batch = len(axes["batch"])
         self._block_shape = (
-            *(2,) * k, *(shape[i] for i in axes["in"])
+            *(2,) * (batch + m), *(shape[i] for i in axes["in"])
         )
         self._block_size = math.prod(self._block_shape)
-        self._gemm_shape = (1 << k, -1)
-        self._matrix = np.ascontiguousarray(matrix)
+        self._gemm_shape = (1 << batch, 1 << m, -1) if batch else (1 << m, -1)
+        self._outer = _outer_blocks(
+            [shape[i] for i in looped],
+            [looped.index(i) for i in axes["ctl"]],
+            np.ascontiguousarray(blocks), batch,
+        )
 
     @property
     def num_blocks(self) -> int:
@@ -480,14 +566,14 @@ class DenseSweep:
             buf.reshape(self._block_shape)
             for buf in _panels(self._block_size, self._dtype)
         )
-        shape, perm, matrix = self._shape, self._perm, self._matrix
+        shape, perm = self._shape, self._perm
         gemm_shape, blocks = self._gemm_shape, self._outer[start:stop]
         if not self._windowed:
             panel, product = a.reshape(gemm_shape), b.reshape(gemm_shape)
 
             def run(shard: np.ndarray) -> np.ndarray:
                 view = shard.reshape(shape).transpose(perm)
-                for outer in blocks:
+                for outer, matrix in blocks:
                     block = view[outer]
                     np.copyto(a, block)
                     np.matmul(matrix, panel, out=product)
@@ -499,24 +585,30 @@ class DenseSweep:
         panel, product = b.reshape(gemm_shape), a.reshape(gemm_shape)
         if real is not None:
             panel, product = panel.view(real), product.view(real)
+        # One GEMM per in-window control value, over every 2**d-th row of
+        # the panel (a strided operand BLAS takes as is).
+        pairs = [(panel[:, c], product[:, c]) for c in range(gemm_shape[1])]
+        if len(pairs) == 1:
+            blocks = [(outer, (matrix,)) for outer, matrix in blocks]
 
         def run(shard: np.ndarray) -> np.ndarray:
             view = shard.reshape(shape)
-            for outer in blocks:
+            for outer, matrices in blocks:
                 block = view[outer]
                 if index is None:
                     # Bottom-contiguous targets: the shard's rows are
                     # the panel.
-                    rows = block.reshape(gemm_shape)
+                    rows = block.reshape(-1, gemm_shape[-1])
                     if real is not None:
                         rows = rows.view(real)
-                    np.matmul(rows, matrix, out=product)
+                    np.matmul(rows, matrices[0], out=pairs[0][1])
                     np.copyto(block, a)
                 else:
                     # (The method, not ``np.take``: its Python wrapper is a
                     # tenth of a sweep over a 2**11-amplitude shard.)
                     block.take(index, axis=-1, out=b, mode="clip")
-                    np.matmul(panel, matrix, out=product)
+                    for (rows, out), matrix in zip(pairs, matrices):
+                        np.matmul(rows, matrix, out=out)
                     a.take(inverse, axis=-1, out=block, mode="clip")
             return shard
 

@@ -13,9 +13,11 @@ decisions exactly once through a staged pass pipeline
 Each pass consumes and produces a typed stream of frozen
 :class:`PlanOp`\\ s that every rank replays:
 
-* dense cluster ops carry their fused matrix and pre-resolved strategy
-  (the kernel's addresses come from the bit layout at run time —
-  :class:`repro.kernels.DenseSweep` — so a plan holds no tables);
+* dense cluster ops carry their fused gate as blocks over the qubits
+  it is block-diagonal in (:class:`repro.kernels.blocks.BlockGate`) and
+  a pre-resolved strategy (the kernel's addresses come from the bit
+  layout at run time — :class:`repro.kernels.DenseSweep` — so a plan
+  holds no tables);
 * the *refuse* pass merges adjacent dense/diagonal ops whose qubit
   union stays within ``PlanConfig.fusion_kmax`` into one multi-op
   kernel (``exec_kind="fused_kernel"``), executed by the same dense

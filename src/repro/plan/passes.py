@@ -14,20 +14,22 @@ input (the ``plan-pass-mutation`` test in
   then performs general cluster refusion (Fusion v2): adjacent dense and
   diagonal plan ops whose qubit union stays within
   ``config.fusion_kmax`` merge into one batched multi-op kernel
-  (``exec_kind="fused_kernel"``) when the measured cost model says the
-  single fused sweep beats the separate sweeps.
+  (``exec_kind="fused_kernel"``) where the cost table says fewer, wider
+  sweeps beat the separate ones.
 * :func:`specialize_pass` — resolve the kernel strategy of every dense
   op (including fused groups) from its width.
 * :func:`finalize_pass` — freeze and validate the stream (source
   ordering, per-kind field invariants).
 
-The cost model is calibrated against the dense sweep
-(:class:`repro.kernels.DenseSweep`) on the reference host:
-one k-qubit dense sweep over all ranks costs roughly
-``_KERNEL_COST_US[k]`` microseconds and a diagonal sweep
-``_DIAG_COST_US``; a merge is accepted only when the fused sweep is
-predicted no slower than the sweeps it replaces, so refusion can only
-help (larger ``fusion_kmax`` admits strictly more merge opportunities).
+Dense ops carry their gate as a :class:`~repro.kernels.blocks.BlockGate`:
+blocks over the *controls*, the qubits only diagonals touch.  The dense
+sweep (:class:`repro.kernels.DenseSweep`) runs such an op at the cost of
+its dense width ``m``, not its qubit count, so the cost model prices a
+sweep by ``m``, its control count and the schedule's shard size, from
+one table measured on the reference host (:data:`_SWEEP_NS`), and each
+run of absorbable ops is cut into the groups of least predicted total
+cost.  Both the merged controls and the price come from bit masks; only
+a chosen group's blocks are multiplied out.
 """
 
 from __future__ import annotations
@@ -37,10 +39,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.distributed.tracing import _classify
-from repro.gates.fusion import lift_gate_matrix
+from repro.kernels.blocks import BlockGate, block_index
 from repro.kernels.tables import GATHER_CACHE
 from repro.plan.config import PlanConfig
 from repro.scheduling.program import ClusterOp, GateOp, Schedule, SwapOp
+from repro.util.bits import bit_mask
 
 __all__ = [
     "PassContext",
@@ -54,37 +57,31 @@ __all__ = [
 #: diagonal is built at compile time).
 _MAX_FUSED_QUBITS = 10
 
-#: Measured microseconds for one k-qubit dense sweep
-#: (:class:`repro.kernels.DenseSweep`, default chunk) over all
-#: virtual ranks of the headline shard shape (l=14, 16 ranks), taken
-#: *cold* (300 MiB streamed between samples), 1 BLAS thread, median over
-#: 8 random target sets x 5 samples, two runs averaged — every sweep
-#: pays a fixed state-streaming component (~1.2 ms for 16 x 256 KB
-#: shards) on top of the ``2**k`` matmul term, which is why fewer, wider
-#: sweeps win well past the point where raw FLOP counts would say
-#: otherwise.  Beyond the measured range the matmul term dominates (k=8
-#: measured 10.6k, k=9 21.3k) and the cost is extrapolated by doubling.
-_KERNEL_COST_US = {
-    1: 1400.0,
-    2: 1700.0,
-    3: 1750.0,
-    4: 2350.0,
-    5: 2600.0,
-    6: 3700.0,
-    7: 5700.0,
+#: Measured nanoseconds per amplitude of one sweep on the reference host
+#: (2 vCPUs, 1 BLAS thread; ``python benchmarks/bench_kernels_micro.py``
+#: re-measures it), by log2 of the swept shard — one warm ``2**14`` or
+#: ``2**18`` shard, four ``2**22`` shards streamed from DRAM: the
+#: diagonal multiply; the dense sweep of ``m = 1..8`` target bits (median
+#: over 12 random placements, made non-decreasing in ``m``); and what each
+#: control bit adds (median over ``d = 1..3``).  A shard is priced by the
+#: nearest measured row.
+_SWEEP_NS = {
+    14: (0.75, (6.2, 6.2, 6.7, 10.3, 14.2, 21.2, 36.8, 66.6), 1.2),
+    18: (2.1, (6.2, 6.2, 6.2, 9.6, 12.7, 17.8, 38.5, 69.5), 1.0),
+    22: (3.3, (6.0, 6.0, 8.8, 12.5, 14.2, 22.6, 31.6, 59.0), 0.3),
 }
 
-#: Measured microseconds for one diagonal (per-amplitude multiply) sweep
-#: on the same shape and harness (640-740 us).
-_DIAG_COST_US = 700.0
 
-
-def _kernel_cost(k: int) -> float:
-    """Predicted cost of one k-qubit dense sweep (µs over all ranks)."""
-    if k in _KERNEL_COST_US:
-        return _KERNEL_COST_US[k]
-    top = max(_KERNEL_COST_US)
-    return _KERNEL_COST_US[top] * (1 << (k - top))
+def _sweep_cost(local_qubits: int, m: int, d: int = 0) -> float:
+    """Predicted ns per amplitude of one sweep of a ``2**local_qubits``
+    shard: a diagonal (``m = 0``) or ``2**d`` blocks of an ``m``-bit gate."""
+    row = min(_SWEEP_NS, key=lambda bits: abs(bits - local_qubits))
+    diagonal, dense, per_control = _SWEEP_NS[row]
+    if m == 0:
+        return diagonal
+    if m > len(dense):
+        return dense[-1] * (1 << (m - len(dense))) + d * per_control
+    return dense[m - 1] + d * per_control
 
 
 @dataclass(frozen=True)
@@ -158,7 +155,7 @@ def lower_pass(ops, ctx: PassContext):
                 lowered.append(
                     PlanOp(
                         exec_kind="kernel", sources=(source,), stage=stage,
-                        qubits=gate.qubits, matrix=gate.matrix,
+                        qubits=gate.qubits, gate=BlockGate.of(gate.matrix),
                     )
                 )
             else:
@@ -185,7 +182,7 @@ def lower_pass(ops, ctx: PassContext):
                 lowered.append(
                     PlanOp(
                         exec_kind="kernel", sources=(source,), stage=stage,
-                        qubits=op.qubits, matrix=fused_gate.matrix,
+                        qubits=op.qubits, gate=BlockGate.of(fused_gate.matrix),
                     )
                 )
             continue
@@ -265,11 +262,12 @@ def _fuse_diagonal_runs(ops):
     return out
 
 
-def _op_cost(op) -> float:
-    """Predicted standalone cost of one plan op (µs over all ranks)."""
+def _targets(op) -> frozenset:
+    """Qubits *op* acts on densely: none for a diagonal, the non-control
+    qubits of a dense op."""
     if op.exec_kind in ("diagonal", "fused_diagonal"):
-        return _DIAG_COST_US
-    return _kernel_cost(len(op.qubits))
+        return frozenset()
+    return frozenset(op.qubits[j] for j in op.gate.targets)
 
 
 def _absorbable(op, ctx: PassContext) -> bool:
@@ -292,86 +290,128 @@ def _fuse_cluster_group(group):
     """One ``fused_kernel`` plan op from adjacent dense/diagonal members.
 
     The fused unitary is the in-order product of every member lifted to
-    the qubit union: dense members embed via
-    :func:`repro.gates.fusion.lift_gate_matrix`, diagonal members scale
-    the accumulated rows.  ``sources`` concatenates every member's
+    the qubit union, kept as blocks: its controls are the union qubits
+    no member acts on densely (bit masks decide, no product is looked
+    at), and block ``c`` is the product of every member restricted to
+    control value ``c`` — a ``2**m``-row product per block, never the
+    ``2**u x 2**u`` one.  ``sources`` concatenates every member's
     sources in op-stream order, so traces keep one event per original
     schedule op.
     """
     from repro.plan.program import PlanOp
 
     union = tuple(dict.fromkeys(q for op in group for q in op.qubits))
-    u = len(union)
     pos_of = {q: p for p, q in enumerate(union)}
-    fused = np.eye(1 << u, dtype=np.complex128)
+    dense = frozenset().union(*map(_targets, group))
+    targets = [p for p, q in enumerate(union) if q in dense]
+    controls = [p for p, q in enumerate(union) if q not in dense]
+    # Union index of row r of block c, and its bits, for reading each
+    # member's bits: value(b) is the number the union bits b spell.
+    index = block_index(len(union), tuple(controls))
+    rows = index[0]
+    bit_of = (index[..., None] >> np.arange(len(union))) & 1
+    weights = 1 << np.arange(len(union))
+
+    def value(bits):
+        return bit_of[..., bits] @ weights[:len(bits)]
+
+    # Diagonals ahead of the first dense member scale its columns.
+    blocks = scale = None
     for op in group:
+        bits = [pos_of[q] for q in op.qubits]
         if op.exec_kind in ("diagonal", "fused_diagonal"):
-            lifted = _lift_diag(
-                np.asarray(op.diag, dtype=np.complex128), op.qubits, union
-            )
-            fused = lifted[:, None] * fused
+            diag = np.asarray(op.diag, dtype=np.complex128)[value(bits)]
+            if blocks is None:
+                scale = diag if scale is None else scale * diag
+            else:
+                blocks = diag[:, :, None] * blocks
+            continue
+        gate = op.gate
+        # Rows r and s of a block meet in the member's block cm when they
+        # agree off its targets; its entry is the member's (tm(r), tm(s)).
+        own = [bits[j] for j in gate.targets]
+        cm = value([bits[j] for j in gate.controls])
+        tm = value(own)[0]
+        lifted = gate.blocks[cm[:, :, None], tm[:, None], tm[None, :]]
+        if len(own) < len(targets):
+            off = rows & ~bit_mask(own)
+            lifted = np.where(off[:, None] == off[None, :], lifted, 0)
+        if blocks is None:
+            blocks = lifted if scale is None else lifted * scale[:, None, :]
         else:
-            fused = (
-                lift_gate_matrix(
-                    op.matrix, [pos_of[q] for q in op.qubits], u
-                )
-                @ fused
-            )
+            blocks = lifted @ blocks
     return PlanOp(
         exec_kind="fused_kernel",
         sources=tuple(src for op in group for src in op.sources),
         stage=group[0].stage,
         qubits=union,
-        matrix=fused,
+        gate=BlockGate(len(union), tuple(controls), blocks),
     )
 
 
-def _refuse_clusters(ops, ctx: PassContext):
-    """Sweep 2 of refusion: greedy cost-guided merging of adjacent ops.
+def _refuse_run(run, kmax: int, l: int) -> list:
+    """The cheapest cut of a run of absorbable ops into fused groups.
 
-    Walks the stream keeping one open group.  An absorbable op joins the
-    group when the merged union stays within ``config.fusion_kmax`` and
-    the predicted fused sweep is no slower than the group's current cost
-    plus the op's standalone cost; otherwise the group is flushed.  A
-    flushed group of two or more members becomes one ``fused_kernel``.
+    Each group is a contiguous slice whose qubit union stays within
+    *kmax* and leaves some qubit acted on densely (a single op is always
+    a group).  It costs one sweep, priced by its dense width and control
+    count (:func:`_sweep_cost`), both read off bit masks: qubits only
+    diagonals touch stay controls and cost a merge next to nothing.  A
+    dynamic program over the cut points minimises the run's summed cost,
+    so a merge that only pays off with the ops after it is still taken;
+    ties go to the longer group.
     """
-    kmax = ctx.config.fusion_kmax
+    masks = [
+        (sum(1 << q for q in op.qubits), sum(1 << q for q in _targets(op)))
+        for op in run
+    ]
+    best = [0.0] + [float("inf")] * len(run)
+    start = [0] * (len(run) + 1)
+    for stop in range(1, len(run) + 1):
+        union = dense = 0
+        for first in range(stop - 1, -1, -1):
+            union |= masks[first][0]
+            dense |= masks[first][1]
+            u, m = union.bit_count(), dense.bit_count()
+            if first < stop - 1 and u > kmax:
+                break
+            if first < stop - 1 and not m:
+                continue
+            cost = best[first] + _sweep_cost(l, m, u - m)
+            if cost <= best[stop]:
+                best[stop], start[stop] = cost, first
+    groups, stop = [], len(run)
+    while stop:
+        groups.append(run[start[stop]:stop])
+        stop = start[stop]
+    return [
+        group[0] if len(group) == 1 else _fuse_cluster_group(group)
+        for group in reversed(groups)
+    ]
+
+
+def _refuse_clusters(ops, ctx: PassContext):
+    """Sweep 2 of refusion: cost-guided merging of adjacent ops.
+
+    Cuts every maximal run of absorbable ops into the groups
+    :func:`_refuse_run` finds cheapest; a group of two or more members
+    becomes one ``fused_kernel``.  The union of a group stays within
+    ``config.fusion_kmax`` and below the shard's qubit count: over every
+    local bit a fused op would be a one-row GEMM per shard, which rounds
+    differently from the same op swept over all shards as one block.
+    """
+    l = ctx.schedule.local_qubits
+    kmax = min(ctx.config.fusion_kmax, l - 1)
     out: list = []
-    group: list = []
-    group_union: tuple = ()
-    group_cost = 0.0
-
-    def flush() -> None:
-        nonlocal group, group_union, group_cost
-        if len(group) <= 1:
-            out.extend(group)
-        else:
-            out.append(_fuse_cluster_group(group))
-        group = []
-        group_union = ()
-        group_cost = 0.0
-
+    run: list = []
     for op in ops:
-        if not _absorbable(op, ctx):
-            flush()
-            out.append(op)
+        if _absorbable(op, ctx):
+            run.append(op)
             continue
-        merged_union = tuple(dict.fromkeys(group_union + tuple(op.qubits)))
-        merged_cost = _kernel_cost(len(merged_union))
-        if (
-            group
-            and len(merged_union) <= kmax
-            and merged_cost <= group_cost + _op_cost(op)
-        ):
-            group.append(op)
-            group_union = merged_union
-            group_cost = merged_cost
-        else:
-            flush()
-            group = [op]
-            group_union = tuple(op.qubits)
-            group_cost = _op_cost(op)
-    flush()
+        out.extend(_refuse_run(run, kmax, l))
+        out.append(op)
+        run = []
+    out.extend(_refuse_run(run, kmax, l))
     return out
 
 
@@ -418,9 +458,9 @@ def finalize_pass(ops, ctx: PassContext):
     last_index = -1
     for op in ops:
         if op.exec_kind in ("kernel", "fused_kernel"):
-            if op.matrix is None or op.strategy is None:
+            if op.gate is None or op.strategy is None:
                 raise ValueError(
-                    f"{op.exec_kind} op missing matrix/strategy: {op!r}"
+                    f"{op.exec_kind} op missing gate/strategy: {op!r}"
                 )
         elif op.exec_kind in ("diagonal", "fused_diagonal"):
             if op.diag is None:

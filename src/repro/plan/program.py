@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.kernels.blocks import BlockGate
 from repro.plan.config import PlanConfig
 from repro.plan.passes import (
     PassContext,
@@ -54,14 +55,17 @@ class PlanOp:
 
     ``exec_kind`` selects the executor path:
 
-    * ``"kernel"`` — dense op: *matrix* and *strategy* (``"indexed"``,
-      the dense sweep, or ``"reference"``, tensordot, past
-      :data:`repro.kernels.SWEEP_MAX_QUBITS`) are fixed; the sweep's
+    * ``"kernel"`` — dense op: *gate* (a
+      :class:`~repro.kernels.blocks.BlockGate`: the matrix as blocks
+      over the qubits it is block-diagonal in) and *strategy*
+      (``"indexed"``, the dense sweep, or ``"reference"``, tensordot,
+      past :data:`repro.kernels.SWEEP_MAX_QUBITS`) are fixed; the sweep's
       addresses come from the run-time bit layout and its chunk from
       :func:`repro.kernels.chunk_for`.
     * ``"fused_kernel"`` — several adjacent dense/diagonal schedule ops
       refused into one multi-op kernel over the qubit union, run exactly
-      like a ``"kernel"`` op over the union.
+      like a ``"kernel"`` op over the union; its blocks are composed
+      block by block from its members.
     * ``"diagonal"`` — one diagonal op: *diag* is the extracted ``2**k``
       diagonal (local or global qubits; no communication either way).
     * ``"fused_diagonal"`` — several consecutive diagonal schedule ops
@@ -79,7 +83,7 @@ class PlanOp:
     sources: tuple[SourceEvent, ...]
     stage: int
     qubits: tuple[int, ...] = ()
-    matrix: np.ndarray | None = None
+    gate: BlockGate | None = None
     diag: np.ndarray | None = None
     strategy: str | None = None
     source_op: object | None = None
@@ -100,7 +104,8 @@ def _counts_of(ops: tuple[PlanOp, ...]) -> dict:
     ``fused_away_ops`` counts sources folded into surviving fused
     *diagonal* ops; ``refused_away_ops`` counts sources folded into
     fused *kernel* ops (including diagonals first fused into a run that
-    a fused kernel then absorbed).
+    a fused kernel then absorbed).  ``structured_ops`` counts the dense
+    ops with controls and ``control_qubits`` their controls in total.
     """
     counts = {
         "kernel_ops": 0,
@@ -111,8 +116,13 @@ def _counts_of(ops: tuple[PlanOp, ...]) -> dict:
         "refused_away_ops": 0,
         "passthrough_ops": 0,
         "swap_ops": 0,
+        "structured_ops": 0,
+        "control_qubits": 0,
     }
     for op in ops:
+        if op.gate is not None and op.gate.controls:
+            counts["structured_ops"] += 1
+            counts["control_qubits"] += len(op.gate.controls)
         if op.exec_kind == "kernel":
             counts["kernel_ops"] += 1
         elif op.exec_kind == "fused_kernel":

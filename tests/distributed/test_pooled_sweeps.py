@@ -31,6 +31,7 @@ import repro.distributed.storage as storage_module
 from repro.distributed import DiskShards, DistributedState, InMemoryShards
 from repro.gates import Gate, random_unitary
 from repro.kernels.apply import run_split
+from repro.kernels.blocks import BlockGate
 from repro.plan import plan_for
 from repro.runtime import ExecutionEngine, PipelineLayer, TracingLayer
 from repro.scheduling import SchedulerConfig, schedule_circuit
@@ -40,7 +41,8 @@ from repro.util.executors import unregister_executor
 from repro.util.rng import random_statevector
 
 SERIAL = 1 << 62
-OPS = ("dense", "diagonal", "diagonal_global", "monomial_global", "local_swap")
+OPS = ("dense", "structured", "diagonal", "diagonal_global", "monomial_global",
+       "local_swap")
 
 
 def _state(n, l, seed, per_rank) -> DistributedState:
@@ -59,6 +61,11 @@ def _apply(state, op, bits, seed) -> None:
     top = state.num_qubits - 1  # a global qubit (identity layout)
     if op == "dense":
         state._apply_local(random_unitary(k, rng), bits, diagonal=False)
+    elif op == "structured":
+        controls = tuple(sorted(rng.permutation(k)[:rng.integers(0, k)].tolist()))
+        blocks = np.stack([random_unitary(k - len(controls), rng)
+                           for _ in range(1 << len(controls))])
+        state._apply_local(BlockGate(k, controls, blocks), bits, diagonal=False)
     elif op == "diagonal":
         diag = np.exp(1j * rng.uniform(0, 6, 1 << k))
         state._apply_local(None, bits, diagonal=True, diag=diag)
@@ -126,6 +133,53 @@ class TestPooledEqualsSerial:
         state = DistributedState(6, 4, init="zero")
         assert seen == {1 << 4}
         assert state.storage.get(0)[0] == 1 and state.norm() == 1
+
+
+class TestOnePlanEveryWay:
+    """One plan with structured ops ends in the same bytes serial, pooled,
+    per rank under tracing, as one local block or shard by shard, and
+    deferred on ``DiskShards``."""
+
+    N, L = 12, 7
+
+    @pytest.fixture(scope="class")
+    def schedule(self):
+        return schedule_circuit(
+            generate_supremacy_circuit(self.N, 16, seed=4),
+            SchedulerConfig(local_qubits=self.L, kmax=4, seed=1),
+        )
+
+    def _run(self, schedule, monkeypatch, *, threshold, block=True,
+             per_rank=False, disk=None):
+        monkeypatch.setattr(kernels, "SPLIT_MIN_AMPLITUDES", threshold)
+        storage = None
+        if disk is not None:
+            storage = DiskShards(1 << (self.N - self.L), 1 << self.L, disk)
+        state = DistributedState.for_schedule(schedule, storage=storage)
+        if not block:
+            state.storage.local_block = lambda: None
+        layers = [TracingLayer(Telemetry.enabled(per_rank=True))] if per_rank else []
+        ExecutionEngine(
+            schedule, layers=layers, state_factory=lambda: state
+        ).run()
+        data = state.to_statevector().data.tobytes()
+        if disk is not None:
+            storage.close()
+        return data
+
+    def test_bit_identical(self, schedule, tmp_path, monkeypatch):
+        assert plan_for(schedule).summary()["structured_ops"]
+        want = self._run(schedule, monkeypatch, threshold=SERIAL)
+        runs = {
+            "pooled block": dict(threshold=1),
+            "serial shards": dict(threshold=SERIAL, block=False),
+            "pooled shards": dict(threshold=1, block=False),
+            "per-rank traced": dict(threshold=SERIAL, per_rank=True),
+            "disk serial": dict(threshold=SERIAL, disk=tmp_path / "serial"),
+            "disk pooled": dict(threshold=1, disk=tmp_path / "pooled"),
+        }
+        for name, how in runs.items():
+            assert self._run(schedule, monkeypatch, **how) == want, name
 
 
 class TestConcurrency:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.distributed import DistributedState, NeedsSwapError
 from repro.gates import Gate, random_unitary
+from repro.kernels import kernel_cost
 from repro.statevector import StateVector
 from repro.util.rng import random_statevector
 
@@ -61,6 +62,22 @@ class TestLocalGates:
         d.apply_gate(Gate("h", (0,)))
         assert d.kernel_cost.total_calls == 1
 
+    def test_structured_op_costs_its_dense_width(self):
+        """A CZ-heavy 4-qubit cluster is 8 blocks of a 1-qubit gate: it is
+        charged 2 multiply-adds per amplitude, not 16."""
+        d, sv = dist_from_random()
+        matrix = np.eye(16, dtype=complex)
+        for c in range(8):  # bit 3 is the target, bits 0-2 controls
+            phase = np.exp(0.3j * c)
+            rows = [c, c | 8]
+            matrix[np.ix_(rows, rows)] = phase * random_unitary(1, c)
+        gate = Gate("cluster", (0, 2, 3, 4), matrix)
+        d.apply_gate(gate)
+        sv.apply_gate(gate)
+        assert d.to_statevector().allclose(sv, atol=1e-12)
+        assert d.kernel_cost.calls_by_k == {1: 1}
+        assert d.kernel_cost.total_flops == kernel_cost(8, 1).flops
+
 
 class TestDiagonalSpecialization:
     @pytest.mark.parametrize(
@@ -99,6 +116,26 @@ class TestMonomialSpecialization:
         sv.apply_gate(gate)
         assert d.to_statevector().allclose(sv, atol=1e-12)
         assert d.stats.alltoall_steps == 0
+
+    def test_one_descriptor_per_global_value(self, monkeypatch):
+        """A global-control CNOT on 8 ranks builds one kernel per value of
+        its global bit (X or identity), not one per rank."""
+        import repro.distributed.state as state_module
+
+        built = []
+        real = state_module.DistributedState._local_kernel
+
+        def spy(self, matrix, bits, **kwargs):
+            built.append(bits)
+            return real(self, matrix, bits, **kwargs)
+
+        monkeypatch.setattr(state_module.DistributedState, "_local_kernel", spy)
+        d, sv = dist_from_random()
+        gate = Gate("cnot", (7, 2))
+        d.apply_gate(gate)
+        sv.apply_gate(gate)
+        assert d.to_statevector().allclose(sv, atol=1e-12)
+        assert len(built) == 2
 
     def test_cnot_local_control_global_target_needs_swap(self):
         d, _ = dist_from_random()

@@ -5,7 +5,8 @@ runs of one or two amplitudes) and the periodic window with its
 bottom-contiguous shortcut — are checked against the
 explicit-loop oracle (small n) and the tensordot kernel (n <= 16), over
 gate widths 1..8, every blocking regime, both complex dtypes, a memmap
-shard and non-sorted qubit orders.
+shard and non-sorted qubit orders.  Block-diagonal gates run as blocks
+over their controls; those are checked over every control placement.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from repro.kernels.apply import (
     _real_gemm_operand,
     _window_index,
 )
+from repro.kernels.blocks import BlockGate, control_bits
 from repro.util.rng import random_statevector
 
 N = 16
@@ -224,3 +226,106 @@ class TestDescriptor:
     def test_qubits_validated(self):
         with pytest.raises(ValueError, match="out of range"):
             DenseSweep(3, np.eye(2), (3,), np.complex128)
+
+
+def _block_gate(k, controls, rng):
+    """A random k-bit gate block-diagonal in the gate bits *controls*."""
+    m = k - len(controls)
+    blocks = np.stack([random_unitary(m, rng) for _ in range(1 << len(controls))])
+    return BlockGate(k, tuple(sorted(controls)), blocks)
+
+
+#: Control placements at n = 16: (qubits, gate bits that are controls).
+#: The window reaches the highest gate bit below 12; the slab block's
+#: contiguous run is its lowest non-target bits.
+CONTROL_PLACEMENTS = {
+    "below-window": ((0, 1, 5, 9), (0, 1)),
+    "inside-window": ((2, 4, 7, 10), (1, 2)),
+    "window-all-but-top": ((3, 5, 6, 11), (0, 1, 2)),
+    "above-window": ((1, 3, 12, 15), (2, 3)),
+    "window-and-above": ((2, 6, 9, 14), (0, 3)),
+    "inside-slab-run": ((0, 2, 13, 14), (0, 1)),
+    "above-slab-run": ((1, 12, 13, 15), (1, 3)),
+    "slab-mixed": ((3, 8, 12, 15, 14, 0), (0, 1, 4)),
+    "crowded-window": ((0, 1, 2, 3), (0, 1, 2)),
+    "control-at-bit-0": ((0, 13), (0,)),
+    "all-controls": ((4, 9, 14), (0, 1, 2)),
+}
+
+
+class TestBlockGates:
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    @pytest.mark.parametrize("name", CONTROL_PLACEMENTS)
+    def test_placements_against_reference(self, name, dtype):
+        qubits, controls = CONTROL_PLACEMENTS[name]
+        gate = _block_gate(len(qubits), controls, np.random.default_rng(7))
+        s0 = _random_state(N, 3, dtype)
+        expected = s0.astype(np.complex128)
+        apply_gate_reference(expected, gate.dense(), qubits)
+        atol = 1e-12 if dtype == np.complex128 else 1e-5
+        for chunk in _chunks(N, len(qubits) - len(controls)):
+            for source in (gate, gate.dense()):
+                out = s0.copy()
+                DenseSweep(N, source, qubits, dtype, chunk).apply(out)
+                assert np.allclose(out, expected, atol=atol), (name, chunk)
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_every_width_and_control_count(self, k):
+        rng = np.random.default_rng(k)
+        for d in range(k + 1):
+            qubits = tuple(int(q) for q in rng.permutation(N)[:k])
+            controls = tuple(int(j) for j in rng.permutation(k)[:d])
+            gate = _block_gate(k, controls, rng)
+            s0 = _random_state(N, d)
+            expected = s0.copy()
+            apply_gate_reference(expected, gate.dense(), qubits)
+            out = s0.copy()
+            DenseSweep(N, gate, qubits, np.complex128, 64).apply(out)
+            assert np.allclose(out, expected, atol=1e-12), (qubits, controls)
+
+    @pytest.mark.parametrize("name", ["inside-window", "slab-mixed", "above-slab-run"])
+    def test_block_ranges_partition_the_sweep(self, name):
+        qubits, controls = CONTROL_PLACEMENTS[name]
+        gate = _block_gate(len(qubits), controls, np.random.default_rng(2))
+        sweep = DenseSweep(N, gate, qubits, np.complex128, 16)
+        s0 = _random_state(N, 4)
+        whole = sweep.apply(s0.copy())
+        pieces = s0.copy()
+        third = sweep.num_blocks // 3
+        for start, stop in ((third, 2 * third), (2 * third, None), (0, third)):
+            sweep.apply(pieces, start, stop)
+        assert np.array_equal(pieces, whole)
+
+    def test_controls_are_found_exactly(self):
+        rng = np.random.default_rng(0)
+        for k in range(1, 7):
+            for d in range(k + 1):
+                controls = tuple(sorted(int(j) for j in rng.permutation(k)[:d]))
+                gate = _block_gate(k, controls, rng)
+                matrix = gate.dense()
+                assert control_bits(matrix) == controls
+                again = BlockGate.of(matrix)
+                assert again.controls == controls
+                assert np.array_equal(again.dense(), matrix)
+
+    def test_dense_width_and_controls(self):
+        """Every control is kept, in the window or above it; a gate that
+        is all controls keeps one target."""
+        rng = np.random.default_rng(1)
+        for name, (m, d) in (("crowded-window", (1, 3)), ("slab-mixed", (3, 3)),
+                             ("all-controls", (1, 2))):
+            qubits, controls = CONTROL_PLACEMENTS[name]
+            gate = _block_gate(len(qubits), controls, rng)
+            sweep = DenseSweep(N, gate, qubits, np.complex128)
+            assert (sweep.dense_bits, sweep.controls) == (m, d), name
+
+    def test_window_index_groups_rows_by_control(self):
+        pos, controls, w = [1, 4], [0, 6], 8
+        index = _window_index(pos, w, controls)
+        assert np.array_equal(np.sort(index), np.arange(1 << w))
+        # Viewed as (rows, 2**d, 2**k), the middle index spells the
+        # controls' values.
+        for value in range(4):
+            rows = index.reshape(-1, 4, 4)[:, value]
+            assert np.all((rows & 1) == (value & 1))
+            assert np.all((rows >> 6 & 1) == (value >> 1))

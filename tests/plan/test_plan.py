@@ -92,7 +92,7 @@ class TestCompile:
         for op in kernel_ops:
             wide = len(op.qubits) > SWEEP_MAX_QUBITS
             assert op.strategy == ("reference" if wide else "indexed")
-            assert op.matrix is not None
+            assert op.gate is not None
 
     def test_fusion_merges_consecutive_diagonals(self):
         _, schedule = _small_case(2)

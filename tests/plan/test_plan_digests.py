@@ -4,11 +4,11 @@
 ``tests/scheduling/data/schedule_digests.json`` (the engine workloads,
 the ``service_mix`` cold sizes and the scheduler variants) and per plan
 configuration, the sha256 of everything a plan op decides: its
-``exec_kind``, stage, qubits and sources, the bytes of its matrix and
-diagonal, whether it runs the dense sweep or the tensordot kernel, and
-the blocking chunk the sweep runs with.  A change to where kernel or
-plan settings come from must leave every digest equal.  A change meant
-to alter plans rewrites the digests with
+``exec_kind``, stage, qubits and sources, its controls and the bytes of
+its blocks and diagonal, whether it runs the dense sweep or the
+tensordot kernel, and the blocking chunk the sweep runs with.  A change
+to where kernel or plan settings come from must leave every digest
+equal.  A change meant to alter plans rewrites the digests with
 ``PYTHONPATH=src python -m tests.plan.test_plan_digests``.
 """
 
@@ -45,7 +45,7 @@ def _kernel_of(op) -> tuple[str | None, int | None]:
     if op.exec_kind not in ("kernel", "fused_kernel"):
         return None, None
     if op.strategy == "indexed":
-        return "sweep", chunk_for(len(op.qubits))
+        return "sweep", chunk_for(len(op.gate.targets))
     return "tensordot", None
 
 
@@ -55,10 +55,12 @@ def plan_digest(program) -> str:
     for op in program.ops:
         sources = [(s.op_index, s.kind, s.label) for s in op.sources]
         kernel, chunk = _kernel_of(op)
+        controls = None if op.gate is None else op.gate.controls
         h.update(repr((
             op.exec_kind, op.stage, tuple(op.qubits), sources, kernel, chunk,
+            controls,
         )).encode())
-        for array in (op.matrix, op.diag):
+        for array in (None if op.gate is None else op.gate.blocks, op.diag):
             if array is None:
                 h.update(b"-")
             else:
