@@ -5,9 +5,8 @@ long ``compile_program`` takes on the headline 18-qubit depth-16
 schedule (compilation is a one-off cost amortised over every rank and
 rerun; with the table-free dense kernel it builds nothing shard-sized),
 and what executing that plan leaves in the kernel cache — phase factors
-and lift tables only, no entry that grows with the shard (flat phase
-factors stop at 2**16 amplitudes = 1 MiB), and nothing new on a second
-run.
+only, no entry that grows with the shard (flat phase factors stop at
+2**16 amplitudes = 1 MiB), and nothing new on a second run.
 """
 
 from __future__ import annotations
@@ -59,9 +58,9 @@ def bench_plan_compile(benchmark, schedule, report_writer, bench_record):
         f">= {_COMPILE_SECONDS_GATE * 1e3:.0f} ms"
     )
 
-    # Execute the plan from a cold cache: only diagonal factors and lift
-    # tables may appear, none larger than the shard-independent cap; a
-    # second run must be fully warm (zero new misses).
+    # Execute the plan from a cold cache: only diagonal factors may
+    # appear, none larger than the shard-independent cap; a second run
+    # must be fully warm (zero new misses).
     GATHER_CACHE.clear()
     sim = DistributedSimulator(_N, _L)
     result = sim.run_schedule(schedule)
@@ -72,7 +71,7 @@ def bench_plan_compile(benchmark, schedule, report_writer, bench_record):
     largest = max(
         (nbytes for _, nbytes in GATHER_CACHE._entries.values()), default=0
     )
-    assert set(families) <= {"diag", "lift"}, families
+    assert set(families) <= {"diag"}, families
     assert largest <= _CACHE_ENTRY_BYTES_CAP, (
         f"a cache entry of {largest} B exceeds the shard-independent "
         f"cap ({_CACHE_ENTRY_BYTES_CAP} B)"
@@ -89,10 +88,8 @@ def bench_plan_compile(benchmark, schedule, report_writer, bench_record):
         f"  kernel={counts['kernel_ops']} "
         f"fused_kernel={counts['fused_kernel_ops']} "
         f"(refused away {counts['refused_away_ops']}) "
-        f"diagonal={counts['diagonal_ops']} "
-        f"fused_diagonal={counts['fused_diagonal_ops']} "
-        f"(fused away {counts['fused_away_ops']}) "
-        f"swap={counts['swap_ops']} passthrough={counts['passthrough_ops']}",
+        f"swap={counts['swap_ops']} passthrough={counts['passthrough_ops']}; "
+        f"{counts['structured_ops']} with controls",
         f"kernel cache after a cold run: {stats['entries']} entries "
         f"({'/'.join(families)}), {stats['bytes_cached'] / 1e3:.1f} kB, "
         f"largest {largest} B (cap {_CACHE_ENTRY_BYTES_CAP} B); "
@@ -106,7 +103,6 @@ def bench_plan_compile(benchmark, schedule, report_writer, bench_record):
         metrics={
             "plan_ops": len(plan.ops),
             "source_ops": plan.num_source_ops,
-            "fused_away_ops": counts["fused_away_ops"],
             "fused_kernel_ops": counts["fused_kernel_ops"],
             "refused_away_ops": counts["refused_away_ops"],
             "cache_hits": hits,

@@ -80,8 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     sch.add_argument("--seed", type=int, default=0)
     sch.add_argument("--local-qubits", type=int, required=True)
     sch.add_argument("--kmax", type=int, default=5)
-    sch.add_argument("--absorb", action="store_true",
-                     help="absorb diagonal gates into cluster matrices")
     sch.add_argument("--save", type=str, help="write the schedule JSON here")
 
     sim = sub.add_parser("simulate", help="simulate a circuit")
@@ -140,8 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--seed", type=int, default=0)
     chk.add_argument("--local-qubits", type=int)
     chk.add_argument("--kmax", type=int, default=5)
-    chk.add_argument("--absorb", action="store_true",
-                     help="absorb diagonal gates into cluster matrices")
     chk.add_argument("--no-unitarity", action="store_true",
                      help="skip the (dense) fused-matrix unitarity pass")
     chk.add_argument("--strict", action="store_true",
@@ -196,8 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     trc.add_argument("--seed", type=int, default=0)
     trc.add_argument("--local-qubits", type=int, required=True)
     trc.add_argument("--kmax", type=int, default=4)
-    trc.add_argument("--absorb", action="store_true",
-                     help="absorb diagonal gates into cluster matrices")
     trc.add_argument("--jsonl", type=str, metavar="FILE",
                      help="also write the span event stream as JSONL")
     trc.add_argument("--flamegraph", action="store_true",
@@ -315,11 +309,7 @@ def _cmd_schedule(args) -> int:
     telemetry = Telemetry.spans_only(per_rank=False)
     schedule = schedule_circuit(
         circuit,
-        SchedulerConfig(
-            local_qubits=args.local_qubits,
-            kmax=args.kmax,
-            absorb_diagonals=args.absorb,
-        ),
+        SchedulerConfig(local_qubits=args.local_qubits, kmax=args.kmax),
         telemetry=telemetry,
     )
     for key, value in schedule.summary().items():
@@ -362,11 +352,7 @@ def _cmd_check(args) -> int:
         )
         schedule = schedule_circuit(
             circuit,
-            SchedulerConfig(
-                local_qubits=args.local_qubits,
-                kmax=args.kmax,
-                absorb_diagonals=args.absorb,
-            ),
+            SchedulerConfig(local_qubits=args.local_qubits, kmax=args.kmax),
         )
     else:
         print("error: provide --schedule or --qubits with --local-qubits",
@@ -755,11 +741,7 @@ def _cmd_trace(args) -> int:
     )
     schedule = schedule_circuit(
         circuit,
-        SchedulerConfig(
-            local_qubits=args.local_qubits,
-            kmax=args.kmax,
-            absorb_diagonals=args.absorb,
-        ),
+        SchedulerConfig(local_qubits=args.local_qubits, kmax=args.kmax),
         telemetry=telemetry,
     )
     try:

@@ -35,7 +35,7 @@ from repro.kernels import (
     apply_gate,
     apply_gate_reference,
 )
-from repro.kernels.apply import matrix_is_diagonal, split_sweep
+from repro.kernels.apply import _axes_above, split_sweep
 from repro.kernels.blocks import BlockGate
 from repro.kernels.tables import GATHER_CACHE
 from repro.kernels.cost import KernelCostModel
@@ -261,18 +261,19 @@ class DistributedState:
     def apply_gate(self, gate: Gate, *, auto_swap: bool = False) -> None:
         """Apply *gate*, using specialization for global qubits (Sec. 3.5).
 
-        Dispatch order: all-local kernel, diagonal fast path, monomial
-        (rank-renumbering) fast path; otherwise a swap is needed — taken
-        automatically when ``auto_swap`` is set, else raising
-        :class:`NeedsSwapError`.
+        A gate on local qubits, or a diagonal one anywhere (its global
+        qubits are controls each rank's number fixes), is one sweep
+        (:meth:`apply_compiled`); a monomial gate on global qubits
+        renumbers ranks; otherwise a swap is needed — taken automatically
+        when ``auto_swap`` is set, else raising :class:`NeedsSwapError`.
         """
         bits = self.layout.bits(gate.qubits)
         l = self.local_qubits
-        if all(b < l for b in bits):
-            self._apply_local(gate.matrix, bits, diagonal=gate.is_diagonal)
-            return
         if gate.is_diagonal:
-            self._apply_diagonal_global(np.diagonal(gate.matrix), bits)
+            self._sweep(BlockGate.diagonal(np.diagonal(gate.matrix)), bits)
+            return
+        if all(b < l for b in bits):
+            self._sweep(BlockGate.of(gate.matrix), bits)
             return
         actions = None
         if gate.is_monomial:
@@ -290,74 +291,92 @@ class DistributedState:
             "specializable; perform a global-to-local swap first"
         )
 
-    def _apply_local(
+    def apply_compiled(
         self,
-        matrix: np.ndarray | None,
-        bits: Sequence[int],
+        gate: BlockGate,
+        qubits: Sequence[int],
         *,
-        diagonal: bool,
         strategy: str | None = None,
-        diag: np.ndarray | None = None,
     ) -> None:
-        """Run one kernel on every shard, resolving decisions exactly once.
+        """Apply a plan op's gate on logical *qubits* as one sweep.
 
-        Either *matrix* (an array or a
-        :class:`~repro.kernels.blocks.BlockGate`) or (for the diagonal
-        path) *diag* must be given.
-        *strategy* lets a compiled plan hand down its pre-resolved
-        choice; otherwise it is derived here.  Everything an op needs
-        — the memoized phase factor, the dense sweep descriptor — is
-        built once for all ``2**g`` ranks, and every way of running it
-        (one sweep over a block of shards, rank by rank, traced or not)
-        does the same arithmetic on every amplitude, bit for bit.
+        Entry point for :class:`repro.plan.CompiledProgram` — every op
+        but swaps and rank relabels: the gate's targets must be local,
+        its controls may be global (a specialized diagonal absorbed into
+        the op, Sec. 3.5).  *strategy* (``"diagonal"``, ``"indexed"`` or
+        ``"reference"``) was resolved at compile time.
         """
-        k = m = len(bits)
+        self._sweep(gate, self.layout.bits(qubits), strategy)
+
+    def _sweep(
+        self,
+        gate: BlockGate,
+        bits: Sequence[int],
+        strategy: str | None = None,
+    ) -> None:
+        """Run *gate* on physical *bits* over every shard, in one sweep.
+
+        Targets must be local bits; a control on a global bit holds, on
+        every rank, the value the rank number spells.  The op's kernel —
+        the memoized phase factor, the dense sweep descriptor — is built
+        once (once per value of its global controls when ranks go one by
+        one), and every way of running it (one sweep over a block of
+        shards, rank by rank, traced or not) does the same arithmetic on
+        every amplitude, bit for bit.
+        """
         l = self.local_qubits
+        if any(bits[j] >= l for j in gate.targets):
+            raise NeedsSwapError(
+                f"op acts densely on global bits "
+                f"{[bits[j] for j in gate.targets if bits[j] >= l]}"
+            )
+        k, m = len(bits), len(gate.targets)
+        if strategy is None:
+            strategy = (
+                "diagonal" if not m
+                else "indexed" if k <= SWEEP_MAX_QUBITS else "reference"
+            )
         tel = self.telemetry
         tracer = tel.tracer
         per_rank = tel.active and tracer.enabled and tracer.per_rank
-        if not diagonal and strategy is None:
-            strategy = "indexed" if k <= SWEEP_MAX_QUBITS else "reference"
-        # The op treats every shard alike, so a backend that keeps the
-        # local shards side by side gets one sweep over all of them: the
-        # targets are bits of that longer vector just the same.  That
-        # block, or else each resident shard, goes to the sweep pool in
-        # pieces.  Through the storage, rank by rank, otherwise: per-rank
-        # spans, shards not resident, and the tensordot kernel, whose GEMM
-        # shape (and with it the rounding) would follow the vector's length.
-        block = arrays = None
-        if not per_rank and (diagonal or strategy == "indexed"):
+        ranked = [j for j in gate.controls if bits[j] >= l]
+        # A backend that keeps the shards side by side, in rank order,
+        # gets one sweep over all of them: a target is a bit of that
+        # longer vector just the same, and a global control one of its
+        # top bits.  That block, or else each resident shard (when no
+        # control tells ranks apart), goes to the sweep pool in pieces.
+        # Through the storage, rank by rank, otherwise: per-rank spans,
+        # shards not resident, and the tensordot kernel, whose GEMM shape
+        # (and with it the rounding) would follow the vector's length.
+        arrays = None
+        if not per_rank and strategy != "reference":
             block = self.storage.local_block()
-            arrays = [block] if block is not None else self.storage.resident_shards()
-        width = l if block is None else block.size.bit_length() - 1
-        if diagonal:
-            if diag is None:
-                diag = np.diagonal(matrix)
-            factor = GATHER_CACHE.diagonal_factor(
-                l, bits, np.asarray(diag, dtype=self.storage.dtype)
+            if block is not None:
+                arrays = [block]
+            elif not ranked:
+                arrays = self.storage.resident_shards()
+        if arrays is not None:
+            part, units = self._local_kernel(
+                gate, bits, strategy=strategy,
+                width=arrays[0].size.bit_length() - 1,
             )
-
-            def kernel(array, start=0, stop=None):  # its shards start..stop-1
-                apply_diagonal_factor(array.reshape(-1, 1 << l)[start:stop], factor)
-
-            part, units = kernel, 1 << (width - l)
-        elif strategy == "indexed":
-            dense = DenseSweep(width, matrix, bits, self.storage.dtype)
-            # ``apply`` binds the panels of the thread that runs it: a
-            # deferred kernel may run on a pool thread.
-            kernel = part = dense.apply
-            units, m = dense.num_blocks, dense.dense_bits
         else:
-            if isinstance(matrix, BlockGate):
-                matrix = matrix.dense()
+            kept = [b for b in bits if b < l]
+            kernels: dict[tuple, object] = {}
 
-            def kernel(shard):
-                apply_gate(shard, matrix, bits, strategy=strategy)
+            def kernel_of_rank(rank):
+                fixed = {j: rank >> (bits[j] - l) & 1 for j in ranked}
+                key = tuple(fixed.values())
+                if key not in kernels:
+                    kernels[key] = self._local_kernel(
+                        gate.restrict(fixed), kept, strategy=strategy
+                    )[0]
+                return kernels[key]
 
         def traced(shard, rank):
             # Timed where it runs: in the op's span or the stage flush's.
             t0 = tracer.now()
-            kernel(shard)
+            kernel_of_rank(rank)(shard)
             tracer.add_span(
                 "kernel.apply", kind="kernel",
                 start=t0, end=tracer.now(), rank=rank, k=k,
@@ -369,14 +388,13 @@ class DistributedState:
                 return
             self.storage.sweep(
                 (lambda r: partial(traced, rank=r))
-                if per_rank else (lambda r: kernel),
-                label=f"{'diagonal' if diagonal else strategy} "
-                f"k={k} bits={list(bits)}",
+                if per_rank else kernel_of_rank,
+                label=f"{strategy} k={k} bits={list(bits)}",
             )
 
         if tel.active:
             with tracer.span(
-                "kernel.apply", kind="kernel", k=k, diagonal=diagonal
+                "kernel.apply", kind="kernel", k=k, diagonal=not m
             ):
                 start = time.perf_counter()
                 sweep()
@@ -384,70 +402,77 @@ class DistributedState:
             tel.metrics.histogram("kernel.apply.seconds", k=k).observe(elapsed)
         else:
             sweep()
-        # A structured op does 2**m multiply-adds per amplitude, m its
-        # dense width.
-        self.kernel_cost.record(self.num_qubits, m, diagonal=diagonal)
+        # An op does 2**m multiply-adds per amplitude, m its dense width
+        # (one multiply for a phase, m = 0).
+        self.kernel_cost.record(self.num_qubits, m, diagonal=not m)
 
-    # ------------------------------------------------------------------
-    # Plan-facing entry points (pre-resolved kernel decisions)
-    # ------------------------------------------------------------------
-    def apply_compiled(
+    def _local_kernel(
         self,
-        matrix: np.ndarray,
-        qubits: Sequence[int],
+        gate: BlockGate,
+        bits: Sequence[int],
         *,
-        strategy: str,
-        diag: np.ndarray | None = None,
-    ) -> None:
-        """Apply a dense (or pre-extracted diagonal) op with a fixed plan.
-
-        Entry point for :class:`repro.plan.CompiledProgram`: the strategy
-        and (for ``"diagonal"``) the extracted diagonal were
-        resolved at compile time, so nothing is re-derived per rank or per
-        call.  All target qubits must currently be local.
-        """
-        bits = self.layout.bits(qubits)
-        if any(b >= self.local_qubits for b in bits):
-            raise NeedsSwapError(
-                f"compiled op touches global qubits "
-                f"{[q for q in qubits if not self.is_local(q)]}"
+        strategy: str | None = None,
+        width: int | None = None,
+    ):
+        """``(part, units)`` for *gate* on *bits* of a ``2**width`` array
+        (default: one shard): ``part(array, start=0, stop=None)`` sweeps
+        units ``start..stop-1`` of it, built once for every array it runs
+        on.  Bits from ``l`` up (the block of all shards, in rank order)
+        must be controls; a phase multiply takes one factor over the
+        local bits per value of those."""
+        l = self.local_qubits
+        width = l if width is None else width
+        if strategy is None:
+            strategy = "diagonal" if not gate.targets else "indexed"
+        if strategy == "indexed":
+            dense = DenseSweep(width, gate, bits, self.storage.dtype)
+            # ``apply`` binds the panels of the thread that runs it: a
+            # deferred kernel may run on a pool thread.
+            return dense.apply, dense.num_blocks
+        if strategy == "reference":
+            return partial(
+                apply_gate_reference, matrix=gate.dense(), qubits=bits
+            ), 1
+        kept = [j for j, b in enumerate(bits) if b < l]
+        ranked = [j for j, b in enumerate(bits) if b >= l]
+        factors = [
+            GATHER_CACHE.diagonal_factor(
+                l, [bits[j] for j in kept],
+                np.asarray(
+                    gate.restrict(
+                        {j: value >> i & 1 for i, j in enumerate(ranked)}
+                    ).blocks[:, 0, 0],
+                    dtype=self.storage.dtype,
+                ),
             )
-        if strategy == "diagonal":
-            self._apply_local(matrix, bits, diagonal=True, diag=diag)
-        else:
-            self._apply_local(matrix, bits, diagonal=False, strategy=strategy)
+            for value in range(1 << len(ranked))
+        ]
+        if not ranked:
+            rows = 1 << (width - l)
 
-    def apply_diagonal(self, diag: np.ndarray, qubits: Sequence[int]) -> None:
-        """Apply a diagonal operator given only its ``2**k`` diagonal.
+            def part(array, start=0, stop=None):  # shards start..stop-1
+                apply_diagonal_factor(
+                    array.reshape(rows, -1)[start:stop], factors[0]
+                )
 
-        Dispatches to the local broadcast-multiply when every target qubit
-        is local, and to the Sec. 3.5 rank-conditional specialization when
-        some are global — no communication either way.
-        """
-        bits = self.layout.bits(qubits)
-        if all(b < self.local_qubits for b in bits):
-            self._apply_local(None, bits, diagonal=True, diag=np.asarray(diag))
-        else:
-            self._apply_diagonal_global(np.asarray(diag), bits)
+            return part, rows
+        # One unit per value of the global controls: the shards whose
+        # rank bits spell it, a view with one size-2 axis per such bit.
+        shape, axes = _axes_above(l, width, [bits[j] for j in ranked])
+        axis_of = dict(zip(sorted(ranked, key=lambda j: -bits[j]), axes))
+        views = []
+        for value in range(len(factors)):
+            index = [slice(None)] * len(shape)
+            for i, j in enumerate(ranked):
+                index[axis_of[j]] = value >> i & 1
+            views.append(tuple(index))
 
-    def _local_kernel(self, matrix, bits, *, diagonal: bool | None = None):
-        """One shard kernel for a gate on local *bits*, resolved once for
-        every rank that applies it: what :func:`repro.kernels.apply_gate`
-        would pick, with its phase factor or sweep descriptor built here
-        instead of per call."""
-        if diagonal is None:
-            diagonal = matrix_is_diagonal(matrix)
-        if diagonal:
-            factor = GATHER_CACHE.diagonal_factor(
-                self.local_qubits, bits,
-                np.asarray(np.diagonal(matrix), dtype=self.storage.dtype),
-            )
-            return partial(apply_diagonal_factor, factor=factor)
-        if len(bits) <= SWEEP_MAX_QUBITS:
-            return DenseSweep(
-                self.local_qubits, matrix, bits, self.storage.dtype
-            ).apply
-        return partial(apply_gate_reference, matrix=matrix, qubits=bits)
+        def part(array, start=0, stop=None):  # control values start..stop-1
+            view = array.reshape(*shape, 1 << l)
+            for value in range(len(factors))[start:stop]:
+                apply_diagonal_factor(view[views[value]], factors[value])
+
+        return part, len(factors)
 
     def _split_gate_bits(
         self, bits: Sequence[int]
@@ -465,54 +490,6 @@ class DistributedState:
         for j in global_js:
             xg |= ((rank >> (bits[j] - l)) & 1) << j
         return xg
-
-    def _apply_diagonal_global(self, diag: np.ndarray, bits: Sequence[int]) -> None:
-        """Diagonal gate touching global qubits: per-rank phases, no comm.
-
-        A CZ on two global qubits becomes a conditional global phase; a CZ
-        with one global qubit becomes a rank-conditional local Z; a T gate
-        becomes a rank-conditional phase — exactly the cases of Sec. 3.5.
-        """
-        tel = self.telemetry
-        start = time.perf_counter() if tel.active else 0.0
-        local_js, global_js = self._split_gate_bits(bits)
-        local_bits = [bits[j] for j in local_js]
-        if local_js:
-            # Gate-basis index of every local pattern with global bits 0:
-            # OR-ing a rank's xg in selects its sub-diagonal in one gather.
-            local_patterns = scatter_bits(
-                np.arange(1 << len(local_js), dtype=np.int64), local_js
-            )
-        # One kernel (and memoized phase factor) per value of the gate's
-        # global bits, resolved once — not once per rank.
-        kernels: dict[int, object] = {}
-
-        def kernel_of_rank(r):
-            xg = self._rank_gate_bits(r, bits, global_js)
-            if xg not in kernels and local_js:
-                factor = GATHER_CACHE.diagonal_factor(
-                    self.local_qubits, local_bits,
-                    np.asarray(
-                        diag[local_patterns | xg], dtype=self.storage.dtype
-                    ),
-                )
-                kernels[xg] = partial(apply_diagonal_factor, factor=factor)
-            elif xg not in kernels:
-                kernels[xg] = partial(_scale, phase=diag[xg])
-            return kernels[xg]
-
-        with tel.tracer.span(
-            "kernel.diagonal_global", kind="kernel", k=len(bits)
-        ):
-            self.storage.sweep(
-                kernel_of_rank,
-                label=f"diagonal_global k={len(bits)} bits={list(bits)}",
-            )
-        self.kernel_cost.record(self.num_qubits, len(bits), diagonal=True)
-        if tel.active:
-            tel.metrics.histogram(
-                "kernel.specialized.seconds", kind="diagonal"
-            ).observe(time.perf_counter() - start)
 
     def _monomial_rank_actions(
         self, gate: Gate, bits: Sequence[int]
@@ -566,7 +543,8 @@ class DistributedState:
         kernels = {}
         # One kernel per value of the gate's global bits, resolved once.
         by_value = {
-            xg: self._local_kernel(sub, local_bits) if local_js
+            xg: self._local_kernel(BlockGate.of(sub), local_bits)[0]
+            if local_js
             else None if np.isclose(sub[0, 0], 1.0)
             else partial(_scale, phase=sub[0, 0])
             for xg, (sub, _) in actions.items()
@@ -603,61 +581,6 @@ class DistributedState:
             tel.metrics.histogram(
                 "kernel.specialized.seconds", kind="monomial"
             ).observe(end - start)
-
-    def apply_rank_conditional_cluster(self, op) -> None:
-        """Apply an absorbed cluster: per-rank fused matrix, one kernel.
-
-        *op* is a :class:`repro.scheduling.absorption.AbsorbedClusterOp`;
-        its cluster qubits must be local and the absorbed diagonals'
-        remaining qubits global.  The diagonal gates cost no extra sweep —
-        the Sec. 3.5 "absorbed into the next gate matrix" optimization.
-        """
-        l = self.local_qubits
-        bits = self.layout.bits(op.qubits)
-        if any(b >= l for b in bits):
-            raise NeedsSwapError(
-                f"absorbed cluster touches global qubits "
-                f"{[q for q in op.qubits if not self.is_local(q)]}"
-            )
-        rank_qubits = sorted(op.global_qubits_used())
-        for q in rank_qubits:
-            if self.is_local(q):
-                raise ValueError(
-                    f"absorbed diagonal expects qubit {q} to be global"
-                )
-        tel = self.telemetry
-        start = time.perf_counter() if tel.active else 0.0
-        diagonal = None
-        rank_bit = {q: self.bit_of_qubit[q] - l for q in rank_qubits}
-        # One kernel per value of the rank bits the absorbed gates read.
-        kernels: dict[tuple, object] = {}
-
-        def kernel_of_rank(r):
-            nonlocal diagonal
-            values = tuple((r >> bit) & 1 for bit in rank_bit.values())
-            if values not in kernels:
-                matrix = op.matrix_for_rank(dict(zip(rank_bit, values)))
-                if diagonal is None:
-                    # Absorbed phases never change the cluster's sparsity
-                    # pattern, so one scan covers every rank's matrix.
-                    diagonal = matrix_is_diagonal(matrix)
-                kernels[values] = self._local_kernel(
-                    matrix, bits, diagonal=diagonal
-                )
-            return kernels[values]
-
-        with tel.tracer.span(
-            "kernel.absorbed_cluster", kind="kernel", k=len(bits)
-        ):
-            self.storage.sweep(
-                kernel_of_rank,
-                label=f"absorbed_cluster k={len(bits)} bits={list(bits)}",
-            )
-        self.kernel_cost.record(self.num_qubits, len(bits))
-        if tel.active:
-            tel.metrics.histogram(
-                "kernel.apply.seconds", k=len(bits)
-            ).observe(time.perf_counter() - start)
 
     # ------------------------------------------------------------------
     # Swaps (Sec. 3.4)

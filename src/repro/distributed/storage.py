@@ -115,10 +115,11 @@ class ShardStorage(abc.ABC):
     def local_block(self) -> np.ndarray | None:
         """Every rank's amplitudes as one array, or ``None``.
 
-        Whole shards back to back, ``num_shards * shard_size`` amplitudes
-        in no particular rank order: for a sweep that does the same to
-        every shard and so need not tell them apart.  ``None`` when the
-        shards do not sit side by side in memory.
+        Whole shards back to back in rank order, ``num_shards *
+        shard_size`` amplitudes: bit ``l + i`` of an index into it is bit
+        ``i`` of the rank, so one sweep over it may tell ranks apart by
+        those bits.  ``None`` when the shards do not sit side by side in
+        memory.
         """
         return None
 
@@ -191,8 +192,8 @@ class InMemoryShards(ShardStorage):
     """All shards live in process memory.
 
     Shards of up to :data:`_BLOCK_SHARD_BYTES` are views into one array,
-    back to back, so a sweep that treats every shard alike takes them all
-    at once (:meth:`local_block`) instead of dispatching ``2**g`` times.
+    back to back in rank order, so a sweep takes them all at once
+    (:meth:`local_block`) instead of dispatching ``2**g`` times.
     Larger ones are one array each, mapped and returned to the system
     one by one: dispatch is noise next to their sweep, and one allocation
     of the whole state fragments the heap of a long-lived process (it
@@ -306,7 +307,23 @@ class InMemoryShards(ShardStorage):
 
     def permute_shards(self, permutation: np.ndarray) -> None:
         self._check_permutation(permutation)
-        self._shards = [self._shards[int(p)] for p in permutation]
+        if self._block is None:
+            self._shards = [self._shards[int(p)] for p in permutation]
+            return
+        # The block stays in rank order: shards move along the cycles of
+        # the permutation, one shard of scratch.
+        scratch = np.empty(self.shard_size, dtype=self.dtype)
+        moved = [False] * self.num_shards
+        for first in range(self.num_shards):
+            if moved[first] or permutation[first] == first:
+                continue
+            scratch[:] = self._shards[first]
+            rank = first
+            while (source := int(permutation[rank])) != first:
+                self._shards[rank][:] = self._shards[source]
+                moved[rank], rank = True, source
+            self._shards[rank][:] = scratch
+            moved[rank] = True
 
 
 class ShardIOError(OSError):

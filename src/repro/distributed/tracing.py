@@ -31,7 +31,7 @@ __all__ = [
 #: other kind (``run``, ``kernel``, ``comm``, ``schedule``, per-rank lane
 #: copies, aborted attempts...) stay in the span tree only.
 OP_EVENT_KINDS = frozenset(
-    {"cluster", "specialized", "swap", "absorbed", "fault"}
+    {"cluster", "specialized", "swap", "fault"}
 )
 
 
@@ -47,7 +47,7 @@ class TraceEvent:
     """
 
     index: int
-    kind: str  # "cluster" | "specialized" | "swap" | "absorbed" | "fault"
+    kind: str  # "cluster" | "specialized" | "swap" | "fault"
     label: str
     seconds: float
     bytes_moved: int | None = None
@@ -191,4 +191,4 @@ def _classify(op) -> tuple[str, str]:
         return "specialized", f"{op.gate.name}{op.gate.qubits}"
     if isinstance(op, ClusterOp):
         return "cluster", f"k={op.num_qubits} ({op.num_gates} gates)"
-    return "absorbed", f"k={op.num_qubits} (+{op.num_gates - op.cluster.num_gates} diag)"
+    raise TypeError(f"not a schedule op: {type(op).__name__}")

@@ -15,7 +15,6 @@ import numpy as np
 from repro.circuit.circuit import Circuit
 from repro.gates.gate import Gate
 from repro.gates.matrices import gate_matrix
-from repro.scheduling.absorption import AbsorbedClusterOp
 from repro.scheduling.program import ClusterOp, GateOp, Schedule, Stage
 
 __all__ = [
@@ -86,13 +85,6 @@ def _op_to_obj(op) -> dict:
             "qubits": list(op.qubits),
             "gates": [_gate_to_obj(g) for g in op.gates],
         }
-    if isinstance(op, AbsorbedClusterOp):
-        return {
-            "kind": "absorbed",
-            "cluster": _op_to_obj(op.cluster),
-            "pre": [_gate_to_obj(g) for g in op.pre_diagonals],
-            "post": [_gate_to_obj(g) for g in op.post_diagonals],
-        }
     raise TypeError(f"cannot serialize op of type {type(op).__name__}")
 
 
@@ -104,12 +96,6 @@ def _op_from_obj(obj: dict):
         return ClusterOp(
             qubits=tuple(obj["qubits"]),
             gates=tuple(_gate_from_obj(o) for o in obj["gates"]),
-        )
-    if kind == "absorbed":
-        return AbsorbedClusterOp(
-            cluster=_op_from_obj(obj["cluster"]),
-            pre_diagonals=tuple(_gate_from_obj(o) for o in obj["pre"]),
-            post_diagonals=tuple(_gate_from_obj(o) for o in obj["post"]),
         )
     raise ValueError(f"unknown op kind {kind!r}")
 

@@ -652,12 +652,13 @@ def apply_diagonal_factor(state: np.ndarray, factor: np.ndarray) -> np.ndarray:
     The factor is either a flat ``2**n`` vector — one contiguous SIMD
     multiply — or, for states too large to expand, a broadcastable
     tensor over the ``(2,)*n`` view.  *state* may also be a stack of
-    states, one ``2**n`` row each: every row gets the factor.
+    states (any view whose last axis is a ``2**n`` row): every row gets
+    the factor.
     """
     if factor.ndim == 1:
         state *= factor
     else:
-        psi = state.reshape((-1,) + (2,) * factor.ndim)
+        psi = state.reshape(state.shape[:-1] + (2,) * factor.ndim)
         psi *= factor
     return state
 

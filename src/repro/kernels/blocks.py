@@ -78,6 +78,13 @@ class BlockGate:
         return cls.split(matrix, control_bits(matrix))
 
     @classmethod
+    def diagonal(cls, diag: np.ndarray) -> "BlockGate":
+        """The diagonal gate *diag*: every bit a control, ``1 x 1`` blocks."""
+        diag = np.asarray(diag)
+        k = diag.shape[0].bit_length() - 1
+        return cls(k, tuple(range(k)), diag.reshape(-1, 1, 1))
+
+    @classmethod
     def split(cls, matrix: np.ndarray, controls: Sequence[int]) -> "BlockGate":
         """The blocks of *matrix* over *controls* (which it must be
         block-diagonal in; entries off the blocks are dropped)."""
@@ -93,6 +100,20 @@ class BlockGate:
     def targets(self) -> tuple[int, ...]:
         """Gate bits the blocks act on (ascending)."""
         return tuple(j for j in range(self.num_bits) if j not in self.controls)
+
+    def restrict(self, fixed: dict[int, int]) -> "BlockGate":
+        """The gate on the other bits while the controls in *fixed* (gate
+        bit -> value) hold their values: the blocks those values pick,
+        over the remaining bits renumbered in order.  What one rank runs
+        of a gate whose controls its rank number spells."""
+        free = [i for i, j in enumerate(self.controls) if j not in fixed]
+        value = sum(fixed[j] << i for i, j in enumerate(self.controls) if j in fixed)
+        rest = [j for j in range(self.num_bits) if j not in fixed]
+        return BlockGate(
+            len(rest),
+            tuple(rest.index(self.controls[i]) for i in free),
+            self.blocks[scatter_bits(np.arange(1 << len(free)), free) | value],
+        )
 
     def dense(self) -> np.ndarray:
         """The full ``2**k x 2**k`` matrix (zero off the blocks)."""

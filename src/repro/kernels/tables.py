@@ -1,18 +1,16 @@
-"""Memoized kernel lookup tables: diagonal factors and lift indices.
+"""Memoized kernel lookup tables: diagonal factors.
 
 The paper's single-core wins come from precomputing everything the kernel
 needs before touching the state (Sec. 3.2-3.4).  The dense kernel needs
 nothing precomputed that grows with the shard — its addresses come from
 bit positions (:class:`repro.kernels.apply.DenseSweep`) — so the small
-LRU cache here holds only the two families that are worth keeping:
-
-* **diagonal factor tensors** — the per-amplitude phase factor of the
-  diagonal fast path, keyed on ``(n, qubits, diag bytes)``.  Supremacy
-  circuits repeat the same CZ layers dozens of times and every virtual
-  rank applies the same op to an identically-shaped shard, so one factor
-  serves ``2**g`` ranks times every repetition of the layer.
-* **lift index tables** — the ``2**u`` bit-extraction indices the plan
-  compiler uses to lift a diagonal onto a fused qubit union.
+LRU cache here holds only the one family worth keeping: the
+**diagonal factor tensors**, the per-amplitude phase factor of the phase
+multiply, keyed on ``(n, qubits, diag bytes)``.  Supremacy circuits
+repeat the same CZ layers dozens of times and every virtual rank applies
+the same op to an identically-shaped shard, so one factor serves ``2**g``
+ranks times every repetition of the layer.  (The plan compiler composes
+fused ops from bit masks and block indices: it needs no tables.)
 
 Cache hits and misses are counted (and optionally mirrored into a
 :class:`~repro.telemetry.metrics.MetricsRegistry` as ``plan.cache.hits``
@@ -82,7 +80,7 @@ def _build_diagonal_tensor(
 
 
 class GatherTableCache:
-    """LRU cache of diagonal factor tensors and lift index tables.
+    """LRU cache of diagonal factor tensors.
 
     (The dense kernel has no tables — "gather" survives only in the
     name, by which ``--plan-stats``, ``/statusz`` and the repo benchmark
@@ -185,33 +183,6 @@ class GatherTableCache:
             factor.setflags(write=False)
             self._insert(key, factor, factor.nbytes)
             return factor
-
-    def lift_index_table(
-        self, union_qubits: int, positions: Sequence[int]
-    ) -> np.ndarray:
-        """Bit-extraction indices for lifting a diagonal into a union space.
-
-        Entry ``x`` of the returned ``2**union_qubits`` array is the
-        compact index formed by the bits of ``x`` at *positions* — i.e.
-        ``diag[table]`` is the diagonal lifted onto the fused union.
-        Memoized on ``(union size, positions)`` so repeated fusions of
-        the same qubit sets (every CZ layer of a supremacy circuit)
-        share one table.
-        """
-        from repro.util.bits import extract_bits
-
-        positions = tuple(int(p) for p in positions)
-        key = ("lift", int(union_qubits), positions)
-        with self._lock:
-            entry = self._lookup(key)
-            if entry is not None:
-                return entry[0]
-            table = extract_bits(
-                np.arange(1 << union_qubits, dtype=np.int64), positions
-            )
-            table.setflags(write=False)
-            self._insert(key, table, table.nbytes)
-            return table
 
     # ------------------------------------------------------------------
     @property

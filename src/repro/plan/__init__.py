@@ -1,8 +1,8 @@
 """Compiled execution plans (pass-based plan compiler + kernel-plan cache).
 
 A :class:`~repro.scheduling.Schedule` describes *what* to run; every
-kernel decision — diagonal vs indexed vs reference strategy, the
-extracted diagonals, fusion — is re-derivable from it,
+kernel decision — phase multiply vs dense sweep vs reference strategy,
+fusion — is re-derivable from it,
 and the pre-plan executor re-derived all of it on every shard of every
 rank.  :func:`compile_program` resolves those
 decisions exactly once through a staged pass pipeline
@@ -13,24 +13,25 @@ decisions exactly once through a staged pass pipeline
 Each pass consumes and produces a typed stream of frozen
 :class:`PlanOp`\\ s that every rank replays:
 
-* dense cluster ops carry their fused gate as blocks over the qubits
-  it is block-diagonal in (:class:`repro.kernels.blocks.BlockGate`) and
-  a pre-resolved strategy (the kernel's addresses come from the bit
-  layout at run time — :class:`repro.kernels.DenseSweep` — so a plan
-  holds no tables);
-* the *refuse* pass merges adjacent dense/diagonal ops whose qubit
-  union stays within ``PlanConfig.fusion_kmax`` into one multi-op
-  kernel (``exec_kind="fused_kernel"``), executed by the same dense
-  sweep over the union;
-* diagonal ops carry their extracted ``2**k`` diagonal, and consecutive
-  runs of them are fused into a single per-amplitude multiply;
-* swaps and rank-conditional ops pass through to the distributed state
-  unchanged.
+* every gate or cluster op carries its gate as blocks over the qubits
+  it is block-diagonal in (:class:`repro.kernels.blocks.BlockGate`; a
+  diagonal is all such qubits, and a qubit global in the op's stage is
+  always one) and a pre-resolved strategy (the kernel's addresses come
+  from the bit layout at run time — :class:`repro.kernels.DenseSweep`
+  — so a plan holds no tables);
+* the *refuse* pass merges adjacent ops whose qubit union stays within
+  ``PlanConfig.fusion_kmax`` into one multi-op kernel
+  (``exec_kind="fused_kernel"``) where the cost table says so, executed
+  like any op over the union: specialized diagonals on global qubits
+  are absorbed into the sweep next to them (Sec. 3.5), and a run of
+  diagonals becomes one phase multiply;
+* swaps and rank relabels (monomial gates on global qubits) pass
+  through to the distributed state unchanged.
 
 Execution preserves the op-level
 :meth:`~repro.distributed.tracing.ExecutionTrace.signature` exactly: a
-fused diagonal or fused kernel emits its first source op's span for the
-real work plus zero-length spans for the ops folded into it.
+fused kernel emits its first source op's span for the real work plus
+zero-length spans for the ops folded into it.
 
 The one compile option, the refusion width, lives in a frozen
 :class:`PlanConfig`; use

@@ -6,43 +6,47 @@ consumes one immutable stream and produces a new one, never mutating its
 input (the ``plan-pass-mutation`` test in
 ``tests/staticcheck/test_source_invariants.py`` enforces this).  The stages:
 
-* :func:`lower_pass` — classify every schedule op into a plan op:
-  diagonal extraction, swap/passthrough delegation, dense kernels.  No
-  fusion and no strategy decisions happen here.
-* :func:`refuse_pass` — the fusion stage.  First collapses runs of
-  consecutive diagonal ops into one per-amplitude multiply (Fusion v1),
-  then performs general cluster refusion (Fusion v2): adjacent dense and
-  diagonal plan ops whose qubit union stays within
-  ``config.fusion_kmax`` merge into one batched multi-op kernel
-  (``exec_kind="fused_kernel"``) where the cost table says fewer, wider
-  sweeps beat the separate ones.
-* :func:`specialize_pass` — resolve the kernel strategy of every dense
-  op (including fused groups) from its width.
+* :func:`lower_pass` — one plan op per schedule op: swaps, monomial
+  gates on global qubits (a rank relabel, ``passthrough``), and a
+  ``kernel`` op for every other gate and cluster.  No fusion and no
+  strategy decisions happen here.
+* :func:`refuse_pass` — the fusion stage: every run of kernel ops
+  between swaps and passthroughs is cut into the groups of least
+  predicted cost, and a group of two or more becomes one multi-op
+  kernel (``exec_kind="fused_kernel"``) over its qubit union, at most
+  ``config.fusion_kmax`` wide.
+* :func:`specialize_pass` — resolve the kernel strategy of every op
+  from its dense width and size.
 * :func:`finalize_pass` — freeze and validate the stream (source
   ordering, per-kind field invariants).
 
-Dense ops carry their gate as a :class:`~repro.kernels.blocks.BlockGate`:
-blocks over the *controls*, the qubits only diagonals touch.  The dense
-sweep (:class:`repro.kernels.DenseSweep`) runs such an op at the cost of
-its dense width ``m``, not its qubit count, so the cost model prices a
-sweep by ``m``, its control count and the schedule's shard size, from
-one table measured on the reference host (:data:`_SWEEP_NS`), and each
-run of absorbable ops is cut into the groups of least predicted total
-cost.  Both the merged controls and the price come from bit masks; only
-a chosen group's blocks are multiplied out.
+Kernel ops carry their gate as a :class:`~repro.kernels.blocks.BlockGate`:
+blocks over the *controls*, the qubits only diagonals touch.  A diagonal
+is all controls (dense width ``m = 0``), so a specialized diagonal on
+stage-global qubits is a kernel op like any other: its global qubits are
+controls whose values each rank's number spells, and a group it joins
+keeps them as controls — no member acts on a global qubit densely.  That
+is Sec. 3.5's "absorbed into the next gate matrix", decided here for
+every plan.  The sweep (:class:`repro.kernels.DenseSweep`) runs an op at
+the cost of ``m``, not its qubit count, so the cost model prices a sweep
+by ``m``, its count of local controls (a global one costs nothing) and
+the schedule's shard size, from one table measured on the reference host
+(:data:`_SWEEP_NS`); an all-control group is one phase multiply.  Both the merged controls and
+the price come from bit masks; only a chosen group's blocks are
+multiplied out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import groupby
 
 import numpy as np
 
 from repro.distributed.tracing import _classify
 from repro.kernels.blocks import BlockGate, block_index
-from repro.kernels.tables import GATHER_CACHE
 from repro.plan.config import PlanConfig
-from repro.scheduling.program import ClusterOp, GateOp, Schedule, SwapOp
+from repro.scheduling.program import GateOp, Schedule, SwapOp
 from repro.util.bits import bit_mask
 
 __all__ = [
@@ -52,10 +56,6 @@ __all__ = [
     "specialize_pass",
     "finalize_pass",
 ]
-
-#: Widest qubit union a run of diagonals is fused to (its ``2**u``
-#: diagonal is built at compile time).
-_MAX_FUSED_QUBITS = 10
 
 #: Measured nanoseconds per amplitude of one sweep on the reference host
 #: (2 vCPUs, 1 BLAS thread; ``python benchmarks/bench_kernels_micro.py``
@@ -119,8 +119,11 @@ def lower_pass(ops, ctx: PassContext):
     """Classify every schedule op into exactly one plan op.
 
     The input stream is empty (lowering is the source pass); the output
-    carries one plan op per schedule op, with diagonals extracted but
-    not yet fused and kernel strategies not yet resolved.
+    carries one plan op per schedule op, with kernel strategies not yet
+    resolved.  A gate or cluster becomes a ``kernel`` op — a diagonal on
+    stage-global qubits too, those qubits being controls of its gate —
+    except a non-diagonal (monomial) gate on global qubits: it relabels
+    ranks, which the state does (``passthrough``).
     """
     from repro.plan.program import PlanOp, SourceEvent
 
@@ -128,10 +131,9 @@ def lower_pass(ops, ctx: PassContext):
     stage = 0
     for index, op in enumerate(ctx.schedule.operations()):
         kind, label = _classify(op)
-        if kind == "swap":
-            stage += 1
         source = SourceEvent(op_index=index, kind=kind, label=label)
         if isinstance(op, SwapOp):
+            stage += 1
             lowered.append(
                 PlanOp(
                     exec_kind="swap", sources=(source,), stage=stage,
@@ -139,151 +141,34 @@ def lower_pass(ops, ctx: PassContext):
                 )
             )
             continue
-        if isinstance(op, GateOp):
-            gate = op.gate
-            if gate.is_diagonal:
-                lowered.append(
-                    PlanOp(
-                        exec_kind="diagonal", sources=(source,), stage=stage,
-                        qubits=gate.qubits, diag=np.diagonal(gate.matrix),
-                    )
+        if isinstance(op, GateOp) and not op.gate.is_diagonal and (
+            set(op.gate.qubits) & ctx.globals_of_stage(stage)
+        ):
+            lowered.append(
+                PlanOp(
+                    exec_kind="passthrough", sources=(source,), stage=stage,
+                    source_op=op,
                 )
-            elif not (set(gate.qubits) & ctx.globals_of_stage(stage)):
-                # A dense gate on stage-local qubits runs as an ordinary
-                # local kernel — lowering it as one (instead of a
-                # passthrough) makes it absorbable by refusion.
-                lowered.append(
-                    PlanOp(
-                        exec_kind="kernel", sources=(source,), stage=stage,
-                        qubits=gate.qubits, gate=BlockGate.of(gate.matrix),
-                    )
-                )
-            else:
-                # Monomial specialization on global qubits: the rank
-                # renumbering logic stays with the state.
-                lowered.append(
-                    PlanOp(
-                        exec_kind="passthrough", sources=(source,),
-                        stage=stage, source_op=op,
-                    )
-                )
+            )
             continue
-        if isinstance(op, ClusterOp):
-            fused_gate = op.fused
-            if fused_gate.is_diagonal:
-                lowered.append(
-                    PlanOp(
-                        exec_kind="diagonal", sources=(source,), stage=stage,
-                        qubits=op.qubits,
-                        diag=np.diagonal(fused_gate.matrix),
-                    )
-                )
-            else:
-                lowered.append(
-                    PlanOp(
-                        exec_kind="kernel", sources=(source,), stage=stage,
-                        qubits=op.qubits, gate=BlockGate.of(fused_gate.matrix),
-                    )
-                )
-            continue
-        # AbsorbedClusterOp (or any future op type): per-rank matrices
-        # are built at execution time, so it passes through unchanged.
+        gate = op.gate if isinstance(op, GateOp) else op.fused
         lowered.append(
             PlanOp(
-                exec_kind="passthrough", sources=(source,), stage=stage,
-                source_op=op,
+                exec_kind="kernel", sources=(source,), stage=stage,
+                qubits=gate.qubits,
+                gate=BlockGate.diagonal(np.diagonal(gate.matrix))
+                if gate.is_diagonal else BlockGate.of(gate.matrix),
             )
         )
     return tuple(lowered)
 
 
 # ----------------------------------------------------------------------
-# refuse: diagonal-run fusion + general cluster refusion
+# refuse: cost-guided cluster refusion
 # ----------------------------------------------------------------------
-def _lift_diag(diag, qubits, union) -> np.ndarray:
-    """Expand a ``2**k`` diagonal over *qubits* to the *union* space.
-
-    The ``2**u`` index table depends only on the bit positions of
-    *qubits* within *union*, so it is memoized through
-    :data:`~repro.kernels.tables.GATHER_CACHE` — repeated fusions of the
-    same qubit sets (every CZ layer of a supremacy circuit) stop
-    recomputing it.
-    """
-    pos_of = {q: p for p, q in enumerate(union)}
-    idx = GATHER_CACHE.lift_index_table(
-        len(union), tuple(pos_of[q] for q in qubits)
-    )
-    return np.asarray(diag)[idx]
-
-
-def _fuse_diagonal_run(run):
-    """Collapse a run of consecutive diagonal plan ops into one multiply.
-
-    Diagonal operators commute, so the fused diagonal over the qubit
-    union is their elementwise product in any order; one broadcast
-    multiply then replaces ``len(run)`` state sweeps.  Runs whose union
-    exceeds :data:`_MAX_FUSED_QUBITS` (a ``2**u`` table would get large)
-    are left as-is.
-    """
-    from repro.plan.program import PlanOp
-
-    if len(run) < 2:
-        return list(run)
-    union_t = tuple(dict.fromkeys(q for op in run for q in op.qubits))
-    if len(union_t) > _MAX_FUSED_QUBITS:
-        return list(run)
-    combined = np.ones(1 << len(union_t), dtype=np.complex128)
-    for op in run:
-        combined *= _lift_diag(op.diag, op.qubits, union_t)
-    sources = tuple(src for op in run for src in op.sources)
-    return [
-        PlanOp(
-            exec_kind="fused_diagonal",
-            sources=sources,
-            stage=run[0].stage,
-            qubits=union_t,
-            diag=combined,
-        )
-    ]
-
-
-def _fuse_diagonal_runs(ops):
-    """Sweep 1 of refusion: merge maximal runs of consecutive diagonals."""
-    out: list = []
-    run: list = []
-    for op in ops:
-        if op.exec_kind == "diagonal":
-            run.append(op)
-            continue
-        out.extend(_fuse_diagonal_run(run))
-        run = []
-        out.append(op)
-    out.extend(_fuse_diagonal_run(run))
-    return out
-
-
 def _targets(op) -> frozenset:
-    """Qubits *op* acts on densely: none for a diagonal, the non-control
-    qubits of a dense op."""
-    if op.exec_kind in ("diagonal", "fused_diagonal"):
-        return frozenset()
+    """Qubits *op* acts on densely: the non-control qubits of its gate."""
     return frozenset(op.qubits[j] for j in op.gate.targets)
-
-
-def _absorbable(op, ctx: PassContext) -> bool:
-    """Can *op* join a fused dense group?
-
-    Dense kernels always can (their qubits are stage-local by scheduler
-    construction).  Diagonals can when every qubit is stage-local — a
-    diagonal touching global qubits runs rank-conditionally and cannot
-    be lifted into a local dense kernel, so it is a fusion barrier, as
-    are swaps and passthroughs.
-    """
-    if op.exec_kind == "kernel":
-        return True
-    if op.exec_kind in ("diagonal", "fused_diagonal"):
-        return not (set(op.qubits) & ctx.globals_of_stage(op.stage))
-    return False
 
 
 def _fuse_cluster_group(group):
@@ -315,18 +200,19 @@ def _fuse_cluster_group(group):
     def value(bits):
         return bit_of[..., bits] @ weights[:len(bits)]
 
-    # Diagonals ahead of the first dense member scale its columns.
+    # Diagonals ahead of the first dense member scale its columns; a
+    # group of diagonals alone is their product, one 1 x 1 block each.
     blocks = scale = None
     for op in group:
         bits = [pos_of[q] for q in op.qubits]
-        if op.exec_kind in ("diagonal", "fused_diagonal"):
-            diag = np.asarray(op.diag, dtype=np.complex128)[value(bits)]
+        gate = op.gate
+        if not gate.targets:
+            diag = gate.blocks[:, 0, 0][value(bits)]
             if blocks is None:
                 scale = diag if scale is None else scale * diag
             else:
                 blocks = diag[:, :, None] * blocks
             continue
-        gate = op.gate
         # Rows r and s of a block meet in the member's block cm when they
         # agree off its targets; its entry is the member's (tm(r), tm(s)).
         own = [bits[j] for j in gate.targets]
@@ -345,25 +231,29 @@ def _fuse_cluster_group(group):
         sources=tuple(src for op in group for src in op.sources),
         stage=group[0].stage,
         qubits=union,
-        gate=BlockGate(len(union), tuple(controls), blocks),
+        gate=BlockGate(
+            len(union), tuple(controls),
+            scale[:, :, None] if blocks is None else blocks,
+        ),
     )
 
 
-def _refuse_run(run, kmax: int, l: int) -> list:
-    """The cheapest cut of a run of absorbable ops into fused groups.
+def _refuse_run(run, kmax: int, l: int, global_mask: int) -> list:
+    """The cheapest cut of a run of kernel ops into fused groups.
 
     Each group is a contiguous slice whose qubit union stays within
-    *kmax* and leaves some qubit acted on densely (a single op is always
-    a group).  It costs one sweep, priced by its dense width and control
-    count (:func:`_sweep_cost`), both read off bit masks: qubits only
-    diagonals touch stay controls and cost a merge next to nothing.  A
+    *kmax* (a single op is always a group).  It costs one sweep, priced
+    by its dense width and local control count (:func:`_sweep_cost`),
+    both read off bit masks: qubits only diagonals touch stay controls
+    and cost a merge next to nothing, a global one (in *global_mask*)
+    nothing at all — a rank runs only the blocks its number picks — and
+    a group of diagonals alone (``m = 0``) is one phase multiply.  A
     dynamic program over the cut points minimises the run's summed cost,
     so a merge that only pays off with the ops after it is still taken;
     ties go to the longer group.
     """
     masks = [
-        (sum(1 << q for q in op.qubits), sum(1 << q for q in _targets(op)))
-        for op in run
+        (bit_mask(op.qubits), bit_mask(_targets(op))) for op in run
     ]
     best = [0.0] + [float("inf")] * len(run)
     start = [0] * (len(run) + 1)
@@ -375,9 +265,8 @@ def _refuse_run(run, kmax: int, l: int) -> list:
             u, m = union.bit_count(), dense.bit_count()
             if first < stop - 1 and u > kmax:
                 break
-            if first < stop - 1 and not m:
-                continue
-            cost = best[first] + _sweep_cost(l, m, u - m)
+            d = u - m - (union & global_mask).bit_count()
+            cost = best[first] + _sweep_cost(l, m, d)
             if cost <= best[stop]:
                 best[stop], start[stop] = cost, first
     groups, stop = [], len(run)
@@ -390,52 +279,47 @@ def _refuse_run(run, kmax: int, l: int) -> list:
     ]
 
 
-def _refuse_clusters(ops, ctx: PassContext):
-    """Sweep 2 of refusion: cost-guided merging of adjacent ops.
+def refuse_pass(ops, ctx: PassContext):
+    """The fusion stage: cost-guided merging of adjacent kernel ops.
 
-    Cuts every maximal run of absorbable ops into the groups
-    :func:`_refuse_run` finds cheapest; a group of two or more members
-    becomes one ``fused_kernel``.  The union of a group stays within
-    ``config.fusion_kmax`` and below the shard's qubit count: over every
-    local bit a fused op would be a one-row GEMM per shard, which rounds
-    differently from the same op swept over all shards as one block.
+    Cuts every maximal run of kernel ops (swaps and passthroughs end
+    one) into the groups :func:`_refuse_run` finds cheapest; a group of
+    two or more members becomes one ``fused_kernel``.  The union of a
+    group stays within ``config.fusion_kmax`` (refusion is off below 2)
+    and below the shard's qubit count: over every local bit a fused op
+    would be a one-row GEMM per shard, which rounds differently from the
+    same op swept over all shards as one block.
     """
+    if ctx.config.fusion_kmax < 2:
+        return tuple(ops)
     l = ctx.schedule.local_qubits
     kmax = min(ctx.config.fusion_kmax, l - 1)
     out: list = []
-    run: list = []
-    for op in ops:
-        if _absorbable(op, ctx):
-            run.append(op)
-            continue
-        out.extend(_refuse_run(run, kmax, l))
-        out.append(op)
-        run = []
-    out.extend(_refuse_run(run, kmax, l))
-    return out
-
-
-def refuse_pass(ops, ctx: PassContext):
-    """The fusion stage: diagonal-run fusion, then cluster refusion."""
-    stream = _fuse_diagonal_runs(ops)
-    if ctx.config.fusion_kmax >= 2:
-        stream = _refuse_clusters(stream, ctx)
-    return tuple(stream)
+    for is_run, group in groupby(ops, key=lambda op: op.exec_kind == "kernel"):
+        group = list(group)
+        if is_run:  # within one stage: a swap ends every run
+            global_mask = bit_mask(ctx.globals_of_stage(group[0].stage))
+            group = _refuse_run(group, kmax, l, global_mask)
+        out.extend(group)
+    return tuple(out)
 
 
 # ----------------------------------------------------------------------
-# specialize: resolve the strategy of every dense op
+# specialize: resolve the strategy of every kernel op
 # ----------------------------------------------------------------------
 def specialize_pass(ops, ctx: PassContext):
-    """Fix the kernel strategy of dense plan ops from their width alone.
+    """Fix the kernel strategy of every kernel op from its gate alone.
 
+    ``"diagonal"`` (the phase multiply) for an all-control gate,
     ``"indexed"`` (the dense sweep) up to
-    :data:`repro.kernels.SWEEP_MAX_QUBITS`, ``"reference"`` (tensordot)
-    beyond; a fused group is run like any dense op over its union.
+    :data:`repro.kernels.SWEEP_MAX_QUBITS` qubits, ``"reference"``
+    (tensordot) beyond; a fused group is run like any op over its union.
     """
     from repro.kernels import SWEEP_MAX_QUBITS
 
     def strategy(op) -> str:
+        if not op.gate.targets:
+            return "diagonal"
         return "indexed" if len(op.qubits) <= SWEEP_MAX_QUBITS else "reference"
 
     return tuple(
@@ -462,9 +346,6 @@ def finalize_pass(ops, ctx: PassContext):
                 raise ValueError(
                     f"{op.exec_kind} op missing gate/strategy: {op!r}"
                 )
-        elif op.exec_kind in ("diagonal", "fused_diagonal"):
-            if op.diag is None:
-                raise ValueError(f"diagonal op missing diag: {op!r}")
         elif op.exec_kind in ("swap", "passthrough"):
             if op.source_op is None:
                 raise ValueError(f"{op.exec_kind} op missing source_op: {op!r}")

@@ -17,8 +17,6 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.kernels.blocks import BlockGate
 from repro.plan.config import PlanConfig
 from repro.plan.passes import (
@@ -55,28 +53,26 @@ class PlanOp:
 
     ``exec_kind`` selects the executor path:
 
-    * ``"kernel"`` — dense op: *gate* (a
+    * ``"kernel"`` — one schedule gate or cluster: *gate* (a
       :class:`~repro.kernels.blocks.BlockGate`: the matrix as blocks
-      over the qubits it is block-diagonal in) and *strategy*
-      (``"indexed"``, the dense sweep, or ``"reference"``, tensordot,
-      past :data:`repro.kernels.SWEEP_MAX_QUBITS`) are fixed; the sweep's
-      addresses come from the run-time bit layout and its chunk from
-      :func:`repro.kernels.chunk_for`.
-    * ``"fused_kernel"`` — several adjacent dense/diagonal schedule ops
-      refused into one multi-op kernel over the qubit union, run exactly
-      like a ``"kernel"`` op over the union; its blocks are composed
-      block by block from its members.
-    * ``"diagonal"`` — one diagonal op: *diag* is the extracted ``2**k``
-      diagonal (local or global qubits; no communication either way).
-    * ``"fused_diagonal"`` — several consecutive diagonal schedule ops
-      collapsed into one per-amplitude multiply over the qubit union.
+      over the qubits it is block-diagonal in, every qubit for a
+      diagonal) and *strategy* (``"diagonal"``, the phase multiply of an
+      all-control gate; ``"indexed"``, the dense sweep; or
+      ``"reference"``, tensordot, past
+      :data:`repro.kernels.SWEEP_MAX_QUBITS`) are fixed.  Qubits global
+      in the op's stage are controls — each rank runs the blocks its
+      rank number picks; the sweep's addresses come from the run-time
+      bit layout and its chunk from :func:`repro.kernels.chunk_for`.
+    * ``"fused_kernel"`` — several adjacent kernel ops refused into one
+      over the qubit union, run exactly like a ``"kernel"`` op; its
+      blocks are composed block by block from its members.
     * ``"swap"`` / ``"passthrough"`` — delegated to *source_op* verbatim
-      (global-to-local swaps, monomial specializations, rank-conditional
-      absorbed clusters).
+      (global-to-local swaps; monomial gates on global qubits, which
+      relabel ranks).
 
     ``sources`` lists the covered schedule ops in op-stream order — one
-    entry except for fused diagonals and fused kernels — so executed
-    traces keep exactly one event per original op.
+    entry except for fused kernels — so executed traces keep exactly one
+    event per original op.
     """
 
     exec_kind: str
@@ -84,13 +80,12 @@ class PlanOp:
     stage: int
     qubits: tuple[int, ...] = ()
     gate: BlockGate | None = None
-    diag: np.ndarray | None = None
     strategy: str | None = None
     source_op: object | None = None
 
     @property
     def num_sources(self) -> int:
-        """Schedule ops covered (>1 only for fused diagonals/kernels)."""
+        """Schedule ops covered (>1 only for fused kernels)."""
         return len(self.sources)
 
 
@@ -99,20 +94,15 @@ def _counts_of(ops: tuple[PlanOp, ...]) -> dict:
 
     The reconciliation identity the tests pin down::
 
-        num_source_ops == len(ops) + fused_away_ops + refused_away_ops
+        num_source_ops == len(ops) + refused_away_ops
 
-    ``fused_away_ops`` counts sources folded into surviving fused
-    *diagonal* ops; ``refused_away_ops`` counts sources folded into
-    fused *kernel* ops (including diagonals first fused into a run that
-    a fused kernel then absorbed).  ``structured_ops`` counts the dense
-    ops with controls and ``control_qubits`` their controls in total.
+    ``refused_away_ops`` counts sources folded into fused kernel ops.
+    ``structured_ops`` counts the kernel ops with controls and
+    ``control_qubits`` their controls in total.
     """
     counts = {
         "kernel_ops": 0,
         "fused_kernel_ops": 0,
-        "diagonal_ops": 0,
-        "fused_diagonal_ops": 0,
-        "fused_away_ops": 0,
         "refused_away_ops": 0,
         "passthrough_ops": 0,
         "swap_ops": 0,
@@ -128,11 +118,6 @@ def _counts_of(ops: tuple[PlanOp, ...]) -> dict:
         elif op.exec_kind == "fused_kernel":
             counts["fused_kernel_ops"] += 1
             counts["refused_away_ops"] += op.num_sources - 1
-        elif op.exec_kind == "diagonal":
-            counts["diagonal_ops"] += 1
-        elif op.exec_kind == "fused_diagonal":
-            counts["fused_diagonal_ops"] += 1
-            counts["fused_away_ops"] += op.num_sources - 1
         elif op.exec_kind == "swap":
             counts["swap_ops"] += 1
         else:
@@ -203,8 +188,6 @@ def compile_program(
         )
     t0 = time.perf_counter()
     ctx = PassContext.for_schedule(schedule, config)
-    # Called by name so the static lock graph can follow compile -> refuse
-    # -> GATHER_CACHE (lift tables) under the plan lock.
     ops: tuple[PlanOp, ...] = lower_pass((), ctx)
     ops = refuse_pass(ops, ctx)
     ops = specialize_pass(ops, ctx)

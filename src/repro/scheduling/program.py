@@ -111,22 +111,11 @@ def gate_specializable_under(gate: Gate, global_qubits) -> bool:
     return True
 
 
-def _is_cluster_like(op) -> bool:
-    """True for ClusterOp and AbsorbedClusterOp (lazy import, no cycle)."""
-    if isinstance(op, ClusterOp):
-        return True
-    from repro.scheduling.absorption import AbsorbedClusterOp
-
-    return isinstance(op, AbsorbedClusterOp)
-
-
 def _op_gates(op) -> list[Gate]:
     """The original circuit gates an op covers, in application order."""
     if isinstance(op, ClusterOp):
         return list(op.gates)
-    if isinstance(op, GateOp):
-        return [op.gate]
-    return op.gates_in_order()  # AbsorbedClusterOp
+    return [op.gate]
 
 
 @dataclass
@@ -138,8 +127,8 @@ class Stage:
 
     @property
     def cluster_ops(self) -> list:
-        """The fused-kernel operations of this stage (plain or absorbed)."""
-        return [op for op in self.ops if _is_cluster_like(op)]
+        """The fused-kernel operations of this stage."""
+        return [op for op in self.ops if isinstance(op, ClusterOp)]
 
     @property
     def num_clusters(self) -> int:
@@ -184,29 +173,12 @@ class Schedule:
 
     @property
     def num_specialized_gates(self) -> int:
-        """Gates executed via global specialization rather than kernels.
-
-        Absorbed diagonals (folded into cluster matrices) count too —
-        they are specialized gates that additionally cost zero sweeps.
-        """
-        total = 0
-        for stage in self.stages:
-            for op in stage.ops:
-                if isinstance(op, GateOp):
-                    total += 1
-                elif not isinstance(op, ClusterOp) and _is_cluster_like(op):
-                    total += len(op.pre_diagonals) + len(op.post_diagonals)
-        return total
-
-    @property
-    def num_absorbed_gates(self) -> int:
-        """Diagonal gates folded into cluster matrices (zero sweeps)."""
-        total = 0
-        for stage in self.stages:
-            for op in stage.ops:
-                if not isinstance(op, (ClusterOp, GateOp)) and _is_cluster_like(op):
-                    total += len(op.pre_diagonals) + len(op.post_diagonals)
-        return total
+        """Gates executed via global specialization rather than clusters
+        (the plan compiler may still absorb them into a neighbouring
+        sweep)."""
+        return sum(
+            isinstance(op, GateOp) for stage in self.stages for op in stage.ops
+        )
 
     @property
     def initial_global_qubits(self) -> frozenset[int]:
@@ -221,13 +193,14 @@ class Schedule:
             op.num_qubits
             for stage in self.stages
             for op in stage.ops
-            if _is_cluster_like(op)
+            if isinstance(op, ClusterOp)
         ]
 
     def gates_per_cluster(self) -> float:
         """Average original gates merged per cluster."""
         clusters = [
-            op for stage in self.stages for op in stage.ops if _is_cluster_like(op)
+            op for stage in self.stages for op in stage.ops
+            if isinstance(op, ClusterOp)
         ]
         if not clusters:
             return 0.0
@@ -241,13 +214,7 @@ class Schedule:
             yield from stage.ops
 
     def scheduled_gates(self) -> list[Gate]:
-        """All original gates in scheduled execution order.
-
-        Absorbed diagonals are emitted adjacent to their host cluster,
-        which may reorder them relative to other *diagonal* gates on
-        shared qubits — a commuting, physically identical reordering
-        that :meth:`validate` accounts for.
-        """
+        """All original gates in scheduled execution order."""
         out: list[Gate] = []
         for stage in self.stages:
             for op in stage.ops:
@@ -259,11 +226,10 @@ class Schedule:
 
         * every circuit gate appears exactly once,
         * per-qubit gate order is preserved (up to reorderings of
-          mutually commuting diagonal gates, which absorption performs),
+          mutually commuting diagonal gates),
         * cluster sizes respect ``kmax`` (when set),
         * every cluster touches only stage-local qubits,
-        * specialized ops touching global qubits are diagonal or monomial,
-        * absorbed diagonals' non-cluster qubits are stage-global.
+        * specialized ops touching global qubits are diagonal or monomial.
         """
         rescheduled = Circuit(self.num_qubits, self.scheduled_gates())
         if len(rescheduled) != len(self.circuit):
@@ -292,19 +258,6 @@ class Schedule:
                     raise AssertionError(
                         f"cluster touches global qubits {sorted(overlap)}"
                     )
-                if not isinstance(op, ClusterOp):  # AbsorbedClusterOp
-                    member = set(op.qubits)
-                    for gate in list(op.pre_diagonals) + list(op.post_diagonals):
-                        if not gate.is_diagonal:
-                            raise AssertionError(
-                                f"absorbed gate {gate!r} is not diagonal"
-                            )
-                        outside = set(gate.qubits) - member
-                        if outside - stage.global_qubits:
-                            raise AssertionError(
-                                f"absorbed diagonal {gate!r} has local qubits "
-                                f"outside its host cluster"
-                            )
 
     def summary(self) -> dict:
         """Human-readable summary counters."""
@@ -316,7 +269,6 @@ class Schedule:
             "num_swaps": self.num_swaps,
             "num_clusters": self.num_clusters,
             "num_specialized_gates": self.num_specialized_gates,
-            "num_absorbed_gates": self.num_absorbed_gates,
             "gates_per_cluster": round(self.gates_per_cluster(), 2),
             "kmax": self.kmax,
         }

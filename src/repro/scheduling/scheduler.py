@@ -50,10 +50,6 @@ class SchedulerConfig:
     adjust_swaps:
         Step 3: try to move each swap earlier to kill trailing small
         clusters, when this does not increase the swap count.
-    absorb_diagonals:
-        Fold specialized diagonal gates into neighbouring cluster
-        matrices as rank-conditional factors (Sec. 3.5's "absorbed into
-        the next gate matrix"), removing their state sweeps entirely.
     seed / stage_restarts / neighbor_samples / cluster_trials:
         Search-effort knobs for the stochastic parts.
     """
@@ -65,7 +61,6 @@ class SchedulerConfig:
     skip_initial_hadamards: bool = True
     drop_final_diagonals: bool = False
     adjust_swaps: bool = True
-    absorb_diagonals: bool = False
     seed: int = 0
     stage_restarts: int = 3
     neighbor_samples: int = 150
@@ -311,15 +306,6 @@ def schedule_circuit(
             )
             if span is not None:
                 span.attrs.update(counts)
-
-        if config.absorb_diagonals:
-            from repro.scheduling.absorption import absorb_diagonals
-
-            with tracer.span("absorb_diagonals", kind="schedule"):
-                clustered = [
-                    (gs, gates, absorb_diagonals(ops, gs))
-                    for gs, gates, ops in clustered
-                ]
 
         stages = [Stage(global_qubits=gs, ops=ops) for gs, _, ops in clustered]
         schedule = Schedule(

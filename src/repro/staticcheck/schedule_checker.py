@@ -34,21 +34,11 @@ _W = Severity.WARNING
 _E = Severity.ERROR
 
 
-def _is_cluster_like(op) -> bool:
-    if isinstance(op, ClusterOp):
-        return True
-    from repro.scheduling.absorption import AbsorbedClusterOp
-
-    return isinstance(op, AbsorbedClusterOp)
-
-
 def _op_gates(op) -> list:
     if isinstance(op, ClusterOp):
         return list(op.gates)
     if isinstance(op, GateOp):
         return [op.gate]
-    if hasattr(op, "gates_in_order"):
-        return op.gates_in_order()
     return []
 
 
@@ -134,7 +124,7 @@ def _check_clusters(schedule: Schedule, report: CheckReport) -> None:
         for j, op in enumerate(stage.ops):
             if isinstance(op, GateOp):
                 continue
-            if not _is_cluster_like(op):
+            if not isinstance(op, ClusterOp):
                 report.add(
                     _E, "structure",
                     f"unknown op type {type(op).__name__} in stage op list",
@@ -191,33 +181,6 @@ def _check_specialization(schedule: Schedule, report: CheckReport) -> None:
                         "global action is local-independent run without "
                         "communication (Sec. 3.5); schedule a swap or "
                         "cluster the gate locally",
-                    )
-                continue
-            if isinstance(op, ClusterOp) or not _is_cluster_like(op):
-                continue
-            # AbsorbedClusterOp: folded diagonals must really be diagonal
-            # and their non-member qubits stage-global.
-            member = set(op.qubits)
-            for gate in list(op.pre_diagonals) + list(op.post_diagonals):
-                if not gate.is_diagonal:
-                    report.add(
-                        _E, "specialization",
-                        f"absorbed gate {gate.name!r} is not diagonal",
-                        stage=i, op_index=j,
-                        hint="only diagonal gates may be folded into a "
-                        "cluster as rank-conditional factors",
-                    )
-                outside = set(gate.qubits) - member
-                stray = sorted(outside - stage.global_qubits)
-                if stray:
-                    report.add(
-                        _E, "specialization",
-                        f"absorbed diagonal {gate.name!r} has local qubits "
-                        f"{stray} outside its host cluster",
-                        stage=i, op_index=j,
-                        hint="an absorbed diagonal's local qubits must all "
-                        "be cluster members; its remaining qubits must be "
-                        "stage-global (their bits come from the rank id)",
                     )
 
 
@@ -284,7 +247,7 @@ def _check_gate_order(schedule: Schedule, scheduled_gates, report) -> None:
                 f"per-qubit gate order violated on qubit {q}",
                 hint="non-commuting gates on a qubit must execute in "
                 "circuit order; only mutually-commuting diagonal gates "
-                "may be reordered (absorption does this legally)",
+                "may be reordered",
             )
 
 
@@ -293,10 +256,9 @@ def _check_unitarity(
 ) -> None:
     for i, stage in enumerate(schedule.stages):
         for j, op in enumerate(stage.ops):
-            if not _is_cluster_like(op):
+            if not isinstance(op, ClusterOp):
                 continue
-            fused = op.fused if isinstance(op, ClusterOp) else op.cluster.fused
-            matrix = np.asarray(fused.matrix)
+            matrix = np.asarray(op.fused.matrix)
             dim = 1 << op.num_qubits
             if matrix.shape != (dim, dim):
                 report.add(

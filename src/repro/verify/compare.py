@@ -108,10 +108,13 @@ def cross_validate(
     """Run *circuit* through every backend and compare against reference.
 
     Backends: in-process distributed (per-gate), in-process distributed
-    (scheduled), scheduled with absorption.  Returns one report per
-    backend; raises AssertionError when any disagrees beyond *atol*.
+    (scheduled, its plan refused — specialized diagonals absorbed into
+    neighbouring sweeps), and the same schedule unfused.  Returns one
+    report per backend; raises AssertionError when any disagrees beyond
+    *atol*.
     """
     from repro.distributed import DistributedSimulator
+    from repro.plan import PlanConfig
     from repro.scheduling import SchedulerConfig, schedule_circuit
     from repro.statevector import Simulator
 
@@ -124,18 +127,21 @@ def cross_validate(
         reference, per_gate.state.to_statevector()
     )
 
-    for label, absorb in (("scheduled", False), ("scheduled-absorbed", True)):
-        sched = schedule_circuit(
-            circuit,
-            SchedulerConfig(
-                local_qubits=local_qubits,
-                kmax=kmax,
-                seed=seed,
-                skip_initial_hadamards=False,
-                absorb_diagonals=absorb,
-            ),
+    sched = schedule_circuit(
+        circuit,
+        SchedulerConfig(
+            local_qubits=local_qubits,
+            kmax=kmax,
+            seed=seed,
+            skip_initial_hadamards=False,
+        ),
+    )
+    for label, config in (
+        ("scheduled", None), ("scheduled-unfused", PlanConfig(fusion_kmax=0)),
+    ):
+        run = DistributedSimulator(n, local_qubits).run_schedule(
+            sched, plan_config=config
         )
-        run = DistributedSimulator(n, local_qubits).run_schedule(sched)
         reports[label] = compare_states(reference, run.state.to_statevector())
 
     for label, report in reports.items():

@@ -1,9 +1,10 @@
 """The distributed state on the sweep pool: same bits, no hangs.
 
-Every in-memory write — the dense and diagonal ops of ``_apply_local``
-over the local block or the resident shards, and whatever goes through
-``ShardStorage.sweep`` (init, global diagonals, monomial renumbering,
-local bit swaps) — must leave the same bytes pooled as forced serial,
+Every in-memory write — the sweeps of ``DistributedState._sweep`` over
+the local block or the resident shards (global controls included), and
+whatever goes through ``ShardStorage.sweep`` (init, ops rank by rank,
+monomial renumbering, local bit swaps) — must leave the same bytes
+pooled as forced serial,
 and so must ``DiskShards``' stage flush, which hands whole files to the
 pool.  Forcing either side patches ``SPLIT_MIN_AMPLITUDES``.
 """
@@ -30,7 +31,7 @@ import repro.distributed.state as state_module
 import repro.distributed.storage as storage_module
 from repro.distributed import DiskShards, DistributedState, InMemoryShards
 from repro.gates import Gate, random_unitary
-from repro.kernels.apply import run_split
+from repro.kernels.apply import apply_gate_naive, run_split
 from repro.kernels.blocks import BlockGate
 from repro.plan import plan_for
 from repro.runtime import ExecutionEngine, PipelineLayer, TracingLayer
@@ -41,8 +42,8 @@ from repro.util.executors import unregister_executor
 from repro.util.rng import random_statevector
 
 SERIAL = 1 << 62
-OPS = ("dense", "structured", "diagonal", "diagonal_global", "monomial_global",
-       "local_swap")
+OPS = ("dense", "structured", "diagonal", "global_controls", "diagonal_global",
+       "monomial_global", "local_swap")
 
 
 def _state(n, l, seed, per_rank) -> DistributedState:
@@ -55,20 +56,38 @@ def _state(n, l, seed, per_rank) -> DistributedState:
     return state
 
 
+def _global_control_gate(state, bits, rng, m=None):
+    """A gate on local *bits* plus one or two global bits, those always
+    controls, with *m* (default: ``0..k``) target bits among *bits*:
+    ``(gate, bits)``."""
+    l, n, k = state.local_qubits, state.num_qubits, len(bits)
+    ranked = rng.permutation(range(l, n))[:rng.integers(1, min(2, n - l) + 1)]
+    bits = (*bits, *map(int, ranked))
+    targets = rng.permutation(k)[:rng.integers(0, k + 1) if m is None else m]
+    controls = tuple(j for j in range(len(bits)) if j not in targets)
+    m, d = len(bits) - len(controls), len(controls)
+    if m:
+        blocks = np.stack([random_unitary(m, rng) for _ in range(1 << d)])
+    else:
+        blocks = np.exp(1j * rng.uniform(0, 6, (1 << d, 1, 1)))
+    return BlockGate(len(bits), controls, blocks), bits
+
+
 def _apply(state, op, bits, seed) -> None:
     l, k = state.local_qubits, len(bits)
     rng = np.random.default_rng(seed)
     top = state.num_qubits - 1  # a global qubit (identity layout)
     if op == "dense":
-        state._apply_local(random_unitary(k, rng), bits, diagonal=False)
+        state._sweep(BlockGate.of(random_unitary(k, rng)), bits)
     elif op == "structured":
         controls = tuple(sorted(rng.permutation(k)[:rng.integers(0, k)].tolist()))
         blocks = np.stack([random_unitary(k - len(controls), rng)
                            for _ in range(1 << len(controls))])
-        state._apply_local(BlockGate(k, controls, blocks), bits, diagonal=False)
+        state._sweep(BlockGate(k, controls, blocks), bits)
     elif op == "diagonal":
-        diag = np.exp(1j * rng.uniform(0, 6, 1 << k))
-        state._apply_local(None, bits, diagonal=True, diag=diag)
+        state._sweep(BlockGate.diagonal(np.exp(1j * rng.uniform(0, 6, 1 << k))), bits)
+    elif op == "global_controls":
+        state._sweep(*_global_control_gate(state, bits, rng))
     elif op == "diagonal_global":
         state.apply_gate(Gate("cz", (bits[0], top)))
     elif op == "monomial_global":
@@ -133,6 +152,76 @@ class TestPooledEqualsSerial:
         state = DistributedState(6, 4, init="zero")
         assert seen == {1 << 4}
         assert state.storage.get(0)[0] == 1 and state.norm() == 1
+
+
+class TestGlobalControls:
+    """An op whose gate has controls on global bits leaves the same bytes
+    every way it runs — one block serial or pooled, shard by shard, rank
+    by rank under per-rank tracing, deferred on ``DiskShards`` — and they
+    are, rank by rank, the blocks that rank's control values pick."""
+
+    N, L = 9, 5
+
+    def _run(self, gate, bits, monkeypatch, *, threshold, block=True,
+             per_rank=False, disk=None):
+        monkeypatch.setattr(kernels, "SPLIT_MIN_AMPLITUDES", threshold)
+        storage = None
+        if disk is not None:
+            storage = DiskShards(1 << (self.N - self.L), 1 << self.L, disk)
+        telemetry = Telemetry.enabled(per_rank=True) if per_rank else None
+        state = _state(self.N, self.L, 11, not block)
+        if storage is not None or telemetry is not None:
+            amps = [state.storage.get(r).copy() for r in range(state.num_ranks)]
+            state = DistributedState(
+                self.N, self.L, storage=storage, telemetry=telemetry
+            )
+            for rank, shard in enumerate(amps):
+                state.storage.set(rank, shard)
+        state._sweep(gate, bits)
+        shards = [np.array(state.storage.get(r)) for r in range(state.num_ranks)]
+        if storage is not None:
+            storage.close()
+        return shards
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_way_bit_identical(self, m, seed, tmp_path, monkeypatch):
+        rng = np.random.default_rng(seed)
+        local = tuple(int(b) for b in rng.permutation(self.L)[:3])
+        state = _state(self.N, self.L, 11, False)
+        gate, bits = _global_control_gate(state, local, rng, m)
+        assert len(gate.targets) == m and any(b >= self.L for b in bits)
+        want = self._run(gate, bits, monkeypatch, threshold=SERIAL)
+        runs = {
+            "pooled block": dict(threshold=1),
+            "serial shards": dict(threshold=SERIAL, block=False),
+            "pooled shards": dict(threshold=1, block=False),
+            "per-rank traced": dict(threshold=SERIAL, per_rank=True),
+            "disk serial": dict(threshold=SERIAL, disk=tmp_path / "serial"),
+            "disk pooled": dict(threshold=1, disk=tmp_path / "pooled"),
+        }
+        for name, how in runs.items():
+            got = self._run(gate, bits, monkeypatch, **how)
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want], name
+        # Rank by rank: the dense gate its control values restrict it to.
+        ranked = [j for j, b in enumerate(bits) if b >= self.L]
+        kept = [b for b in bits if b < self.L]
+        for rank, shard in enumerate(want):
+            fixed = {j: rank >> (bits[j] - self.L) & 1 for j in ranked}
+            expected = state.storage.get(rank).copy()
+            apply_gate_naive(expected, gate.restrict(fixed).dense(), kept)
+            assert np.allclose(shard, expected, atol=1e-12), rank
+
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_block_takes_no_per_rank_dispatch(self, m, monkeypatch):
+        state = _state(self.N, self.L, 11, False)
+        gate, bits = _global_control_gate(state, (0, 2, 4), np.random.default_rng(m), m)
+
+        def per_rank(*args, **kwargs):
+            raise AssertionError("rank-by-rank sweep on block storage")
+
+        monkeypatch.setattr(state.storage, "sweep", per_rank)
+        state._sweep(gate, bits)
 
 
 class TestOnePlanEveryWay:
@@ -323,18 +412,27 @@ class TestPooledStageFlush:
 
     def test_pooled_equals_serial(self, schedule, tmp_path, monkeypatch):
         seen = set()
-        for name in ("_apply_diagonal_global", "_apply_local_bit_permutation"):
-            real = getattr(DistributedState, name)
+        sweep, permute = (DistributedState._sweep,
+                          DistributedState._apply_local_bit_permutation)
 
-            def spy(self, *args, _real=real, _name=name, **kwargs):
-                seen.add(_name)
-                return _real(self, *args, **kwargs)
+        def sweep_spy(self, gate, bits, *args):
+            if any(bits[j] >= self.local_qubits for j in gate.controls):
+                seen.add("global controls")
+            return sweep(self, gate, bits, *args)
 
-            monkeypatch.setattr(DistributedState, name, spy)
+        def permute_spy(self, *args):
+            seen.add("bit permutation")
+            return permute(self, *args)
+
+        monkeypatch.setattr(DistributedState, "_sweep", sweep_spy)
+        monkeypatch.setattr(
+            DistributedState, "_apply_local_bit_permutation", permute_spy
+        )
         serial = _disk_run(schedule, tmp_path / "serial", SERIAL, monkeypatch)
         pooled = _disk_run(schedule, tmp_path / "pooled", 1, monkeypatch)
         # The schedule has what the flush must carry: swaps (with local
-        # bit permutations), overwrite-init, global diagonals, fused kernels.
+        # bit permutations), overwrite-init, ops with global controls,
+        # fused kernels.
         assert schedule.num_swaps == 2 and len(seen) == 2
         assert plan_for(schedule).summary()["fused_kernel_ops"]
         for got, want in zip(pooled[0], serial[0]):
@@ -438,14 +536,13 @@ def _add_one(shard):
 
 class TestThreadNeutralKernels:
     def test_deferred_dense_kernel_runs_on_two_threads(self, tmp_path):
-        """The kernel ``_apply_local`` defers binds its panels on the
-        thread that runs it: two threads on two shards at once give the
-        serial bytes."""
+        """The kernel ``_sweep`` defers binds its panels on the thread
+        that runs it: two threads on two shards at once give the serial
+        bytes."""
         n, l = 17, 16
         with DiskShards(2, 1 << l, tmp_path) as disk:
             state = DistributedState(n, l, storage=disk, init=None)
-            state._apply_local(random_unitary(4, 3), (1, 5, 9, 14),
-                               diagonal=False)
+            state._sweep(BlockGate.of(random_unitary(4, 3)), (1, 5, 9, 14))
             ((kernel, _, _),) = disk._pending[0]
             disk._pending.clear()
         amps = random_statevector(n, 5)

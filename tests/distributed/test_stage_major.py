@@ -29,7 +29,7 @@ from repro.distributed import (
 )
 from repro.distributed.checkpoint import CheckpointManager
 from repro.gates import Gate
-from repro.plan import PlanConfig
+from repro.plan import PlanConfig, plan_for
 from repro.resilience import FaultPlan, FaultSpec
 from repro.runtime import (
     CheckpointLayer,
@@ -46,13 +46,10 @@ from repro.telemetry import Telemetry
 from repro.telemetry.spans import verify_nesting
 
 
-def _schedule(n, l, kmax, seed, *, depth=10, absorb=False):
+def _schedule(n, l, kmax, seed, *, depth=10):
     circuit = generate_supremacy_circuit(n, depth, seed=seed)
     return schedule_circuit(
-        circuit,
-        SchedulerConfig(
-            local_qubits=l, kmax=kmax, seed=seed + 1, absorb_diagonals=absorb
-        ),
+        circuit, SchedulerConfig(local_qubits=l, kmax=kmax, seed=seed + 1)
     )
 
 
@@ -275,9 +272,12 @@ class NoGetShards(DiskShards):
 class TestEveryWriterGoesThroughSweep:
     def test_full_schedule_never_calls_get(self, tmp_path):
         n, l = 9, 5
-        schedule = _schedule(n, l, 4, 2, depth=14, absorb=True)
-        kinds = {u.kind for u in ExecutionEngine(schedule).units}
-        assert {"swap", "absorbed"} <= kinds
+        schedule = _schedule(n, l, 4, 2, depth=14)
+        assert schedule.num_swaps and any(
+            {op.qubits[j] for j in op.gate.controls}
+            & schedule.stages[op.stage].global_qubits
+            for op in plan_for(schedule).ops if op.gate is not None
+        )
         reference = ExecutionEngine(schedule).run().state.to_statevector()
         with NoGetShards(1 << (n - l), 1 << l, tmp_path) as disk:
             disk.forbid_get = True

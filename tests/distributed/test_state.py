@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.distributed import DistributedState, NeedsSwapError
+from repro.circuit import generate_supremacy_circuit
+from repro.distributed import DistributedSimulator, DistributedState, NeedsSwapError
 from repro.gates import Gate, random_unitary
 from repro.kernels import kernel_cost
+from repro.kernels.blocks import BlockGate
+from repro.plan import plan_for
+from repro.scheduling import SchedulerConfig, schedule_circuit
 from repro.statevector import StateVector
 from repro.util.rng import random_statevector
 
@@ -97,6 +101,58 @@ class TestDiagonalSpecialization:
         assert d.to_statevector().allclose(sv, atol=1e-12)
         assert d.stats.alltoall_steps == 0
         assert d.stats.rank_renumberings == 0
+
+
+class TestGlobalControls:
+    @pytest.mark.parametrize("n,l", [(8, 5), (17, 14)], ids=["block", "arrays"])
+    @pytest.mark.parametrize("relabel", ["renumbering-swap", "monomial-x"])
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_after_rank_relabel(self, n, l, relabel, m):
+        """A swap that renumbers ranks and an X on a global qubit both
+        relabel the shards; an op with global controls afterwards still
+        gives each rank the blocks its own rank bits pick."""
+        d, sv = dist_from_random(n, l, seed=3)
+        assert (d.storage.local_block() is not None) == (l == 5)
+        if relabel == "renumbering-swap":
+            d.swap_global_set({0, l, l + 1})
+            assert d.stats.rank_renumberings == 1
+        else:
+            d.apply_gate(Gate("x", (l,)))
+            sv.apply_gate(Gate("x", (l,)))
+        qubits = (1, 2, *sorted(d.global_qubit_set())[:2])
+        rng = np.random.default_rng(m)
+        if m:
+            blocks = np.stack([random_unitary(2, rng) for _ in range(4)])
+            gate = BlockGate(4, (2, 3), blocks)
+        else:
+            gate = BlockGate.diagonal(np.exp(1j * rng.uniform(0, 6, 16)))
+        d.apply_compiled(gate, qubits)
+        sv.apply_gate(Gate("fused", qubits, gate.dense()))
+        assert d.to_statevector().allclose(sv, atol=1e-12)
+
+    def test_global_target_needs_swap(self):
+        d, _ = dist_from_random()
+        with pytest.raises(NeedsSwapError):
+            d.apply_compiled(BlockGate.of(random_unitary(2, 0)), (1, 6))
+
+    def test_one_kernel_call_per_plan_sweep(self):
+        """128 ranks: a plan op is charged once, at its dense width, however
+        many ranks or control values it runs for."""
+        schedule = schedule_circuit(
+            generate_supremacy_circuit(14, 16, seed=2),
+            SchedulerConfig(local_qubits=7, kmax=4, seed=1),
+        )
+        plan = plan_for(schedule)
+        sweeps = [op for op in plan.ops if op.gate is not None]
+        assert any(
+            set(op.qubits) & schedule.stages[op.stage].global_qubits
+            for op in sweeps
+        )
+        run = DistributedSimulator(14, 7).run_schedule(schedule)
+        cost, stats = run.kernel_cost, run.state.stats
+        assert cost.total_calls == len(sweeps) + stats.local_swap_kernels
+        widths = [len(op.gate.targets) for op in sweeps] + [2] * stats.local_swap_kernels
+        assert cost.calls_by_k == {m: widths.count(m) for m in set(widths)}
 
 
 class TestMonomialSpecialization:

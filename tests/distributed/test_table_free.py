@@ -15,10 +15,12 @@ import pytest
 import repro.kernels.apply
 from repro.circuit import generate_supremacy_circuit
 from repro.distributed import DistributedState, InMemoryShards
-from repro.gates import random_unitary
+from repro.gates import Gate, random_unitary
+from repro.kernels.blocks import BlockGate
 from repro.plan import plan_for
 from repro.plan.executor import _run_op
 from repro.scheduling import SchedulerConfig, schedule_circuit
+from repro.statevector import StateVector
 from repro.telemetry import Telemetry
 from repro.util.rng import random_statevector
 
@@ -62,7 +64,7 @@ class TestTracedEqualsUntraced:
         plain = _random_state(n, l, 4)
         traced = _random_state(n, l, 4, telemetry=Telemetry.enabled(per_rank=True))
         for state in (plain, traced):
-            state._apply_local(u, bits, diagonal=False)
+            state._sweep(BlockGate.of(u), bits)
         assert _same_shards(plain, traced)
 
     def test_diagonal_op_bit_identical(self):
@@ -71,7 +73,7 @@ class TestTracedEqualsUntraced:
         plain = _random_state(n, l, 5)
         traced = _random_state(n, l, 5, telemetry=Telemetry.enabled(per_rank=True))
         for state in (plain, traced):
-            state._apply_local(None, (2, 7), diagonal=True, diag=diag)
+            state._sweep(BlockGate.diagonal(diag), (2, 7))
         assert _same_shards(plain, traced)
 
     def test_tensor_phase_factor_bit_identical(self):
@@ -85,8 +87,22 @@ class TestTracedEqualsUntraced:
         plain = _random_state(n, l, 6, storage=block)
         traced = _random_state(n, l, 6, telemetry=Telemetry.enabled(per_rank=True))
         for state in (plain, traced):
-            state._apply_local(None, (3, 16), diagonal=True, diag=diag)
+            state._sweep(BlockGate.diagonal(diag), (3, 16))
         assert _same_shards(plain, traced)
+
+    def test_tensor_phase_factor_with_global_control(self):
+        """A broadcast-tensor factor over a block, one per value of a
+        global control bit."""
+        n, l = 19, 17
+        diag = np.exp(1j * np.linspace(0, 3, 8))
+        plain = _random_state(n, l, 6, storage=_OneBlock(4, 1 << l))
+        traced = _random_state(n, l, 6, telemetry=Telemetry.enabled(per_rank=True))
+        for state in (plain, traced):
+            state._sweep(BlockGate.diagonal(diag), (3, 18, 16))
+        assert _same_shards(plain, traced)
+        want = StateVector(n, random_statevector(n, 6))
+        want.apply_gate(Gate("d", (3, 18, 16), np.diag(diag)))
+        assert plain.to_statevector().allclose(want, atol=1e-12)
 
     def test_reference_strategy_goes_rank_by_rank(self, monkeypatch):
         """The tensordot kernel's GEMM shape follows the vector's length,
@@ -98,7 +114,7 @@ class TestTracedEqualsUntraced:
         traced = _random_state(n, l, 7, telemetry=Telemetry.enabled(per_rank=True))
         monkeypatch.setattr(plain.storage, "local_block", None)  # not called
         for state in (plain, traced):
-            state._apply_local(u, bits, diagonal=False)
+            state._sweep(BlockGate.of(u), bits)
         assert _same_shards(plain, traced)
 
     def test_block_sweep_is_what_the_untraced_run_does(
@@ -111,7 +127,7 @@ class TestTracedEqualsUntraced:
         assert block.storage.local_block().size == 1 << 13
         monkeypatch.setattr(ranked.storage, "local_block", lambda: None)
         for state in (block, ranked):
-            state._apply_local(u, bits, diagonal=False)
+            state._sweep(BlockGate.of(u), bits)
         assert _same_shards(block, ranked)
 
     @pytest.mark.parametrize("seed", [0, 3, 8])

@@ -4,6 +4,7 @@ import pytest
 
 from repro.circuit import generate_supremacy_circuit
 from repro.distributed import DistributedState
+from repro.plan import plan_for
 from repro.runtime import ExecutionEngine, TracingLayer
 from repro.scheduling import SchedulerConfig, schedule_circuit
 from repro.statevector import Simulator
@@ -100,7 +101,7 @@ class TestTracing:
         assert len(trace.spans) > len(list(sched.operations()))
         op_spans = [
             s for s in trace.spans
-            if s.kind in {"cluster", "specialized", "swap", "absorbed"}
+            if s.kind in {"cluster", "specialized", "swap"}
         ]
         assert len(op_spans) == len(trace.events)
 
@@ -123,16 +124,21 @@ class TestTracing:
         assert trace.frozen
 
     def test_absorbed_ops_classified(self):
+        """A specialized diagonal the plan absorbed into a fused sweep
+        still has its own event, of its own kind."""
         n, l = 10, 7
         circ = generate_supremacy_circuit(n, 10, seed=5)
-        sched = schedule_circuit(
-            circ,
-            SchedulerConfig(local_qubits=l, seed=1, absorb_diagonals=True),
-        )
+        sched = schedule_circuit(circ, SchedulerConfig(local_qubits=l, seed=1))
+        absorbed = {
+            s.op_index for op in plan_for(sched).ops if op.num_sources > 1
+            for s in op.sources if s.kind == "specialized"
+        }
+        assert absorbed
         state = DistributedState(
             n, l, init=sched.initial_state,
             initial_global_qubits=sched.initial_global_qubits or None,
         )
         trace = traced(state, sched)
-        if sched.num_absorbed_gates:
-            assert any(e.kind == "absorbed" for e in trace.events)
+        kinds = {e.op_index: e.kind for e in trace.events}
+        assert {kinds[i] for i in absorbed} == {"specialized"}
+        assert sorted(kinds) == list(range(len(list(sched.operations()))))

@@ -2,8 +2,10 @@
 
 One schedule, five executions: single-node reference, in-process
 distributed (RAM shards), in-process distributed (disk shards, flushed
-on this thread and on the sweep pool), and the absorbed-diagonal variant.
-All must agree bit-for-bit (up to fp addition order).
+on this thread and on the sweep pool), and the plan without refusion,
+which leaves the specialized diagonals the default plan absorbs as
+sweeps of their own.  All must agree bit-for-bit (up to fp addition
+order).
 """
 
 import numpy as np
@@ -18,6 +20,7 @@ from repro import (
     generate_supremacy_circuit,
     schedule_circuit,
 )
+from repro.plan import PlanConfig, plan_for
 
 
 @pytest.fixture(scope="module")
@@ -57,12 +60,13 @@ class TestCrossBackend:
             assert pooled > 0
 
     def test_absorbed_variant(self, workload):
-        n, l, circuit, reference, _ = workload
-        schedule = schedule_circuit(
-            circuit,
-            SchedulerConfig(local_qubits=l, kmax=4, seed=5, absorb_diagonals=True),
+        n, l, _, reference, schedule = workload
+        assert any(
+            op.num_sources > 1 and "specialized" in {s.kind for s in op.sources}
+            for op in plan_for(schedule).ops
         )
-        run = DistributedSimulator(n, l).run_schedule(schedule)
+        unfused = PlanConfig(fusion_kmax=0)
+        run = DistributedSimulator(n, l).run_schedule(schedule, plan_config=unfused)
         assert run.state.to_statevector().allclose(reference, atol=1e-9)
 
     def test_backends_agree_exactly(self, workload, tmp_path):

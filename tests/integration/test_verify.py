@@ -65,7 +65,7 @@ class TestCrossValidate:
         circ = generate_supremacy_circuit(10, 8, seed=6)
         reports = cross_validate(circ, 7, seed=1)
         assert set(reports) == {
-            "distributed-per-gate", "scheduled", "scheduled-absorbed",
+            "distributed-per-gate", "scheduled", "scheduled-unfused",
         }
         for report in reports.values():
             assert report.ok(atol=1e-9)

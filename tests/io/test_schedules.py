@@ -34,12 +34,15 @@ class TestCircuitJson:
 
 
 class TestScheduleJson:
-    @pytest.mark.parametrize("absorb", [False, True])
-    def test_schedule_roundtrip_executes_identically(self, tmp_path, absorb):
+    @pytest.mark.parametrize("specialize", [False, True])
+    def test_schedule_roundtrip_executes_identically(self, tmp_path, specialize):
         n, l = 12, 8
         circ = generate_supremacy_circuit(n, 10, seed=2)
         sched = schedule_circuit(
-            circ, SchedulerConfig(local_qubits=l, seed=1, absorb_diagonals=absorb)
+            circ,
+            SchedulerConfig(
+                local_qubits=l, seed=1, specialize_global_diagonal=specialize
+            ),
         )
         save_schedule_json(sched, tmp_path / "sched.json")
         loaded = load_schedule_json(tmp_path / "sched.json")

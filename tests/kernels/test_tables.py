@@ -1,4 +1,4 @@
-"""Tests for the memoized diagonal-factor / lift-table cache."""
+"""Tests for the memoized diagonal-factor cache."""
 
 from __future__ import annotations
 
@@ -7,21 +7,17 @@ import pytest
 
 from repro.kernels import GATHER_CACHE, GatherTableCache, apply_gate_indexed
 from repro.telemetry import MetricsRegistry
-from repro.util.bits import extract_bits
+
+#: A Z gate's diagonal: the factor of bit q is -1 where that bit is set.
+_Z = np.array([1.0, -1.0], dtype=np.complex128)
 
 
 def _lift(cache: GatherTableCache, bit: int) -> np.ndarray:
-    """One distinct cache key per *bit* (a 2**6-entry lift table)."""
-    return cache.lift_index_table(6, (bit,))
+    """One distinct cache key per *bit* (a 2**6-entry phase factor)."""
+    return cache.diagonal_factor(6, (bit,), _Z)
 
 
-class TestLiftTables:
-    def test_table_matches_bit_extraction(self):
-        cache = GatherTableCache()
-        table = cache.lift_index_table(6, (1, 4))
-        expected = extract_bits(np.arange(1 << 6, dtype=np.int64), (1, 4))
-        assert np.array_equal(table, expected)
-
+class TestCounters:
     def test_hit_and_miss_counters(self):
         cache = GatherTableCache()
         _lift(cache, 2)
@@ -83,7 +79,7 @@ class TestLRUEviction:
     def test_bytes_cached_shrinks_on_eviction(self):
         cache = GatherTableCache(capacity=1)
         _lift(cache, 0)
-        second = cache.lift_index_table(8, (0, 1))
+        second = cache.diagonal_factor(8, (0, 1), np.ones(4, dtype=complex))
         assert len(cache) == 1
         assert cache.bytes_cached == second.nbytes
 
@@ -151,12 +147,13 @@ class TestDenseKernelIsTableFree:
             apply_gate_indexed(state, u, qubits, chunk_size=1024)
         assert GATHER_CACHE.stats()["bytes_cached"] < 1 << 20
         families = {key[0] for key in GATHER_CACHE._entries}
-        assert families <= {"diag", "lift"}
+        assert families <= {"diag"}
 
     def test_cache_has_no_gather_families(self):
         for name in (
             "gather_tables", "gather_tables_t", "gather_inverse",
             "bit_permutation", "warm_gather_tables", "warm_diagonal_factor",
+            "lift_index_table",
         ):
             assert not hasattr(GatherTableCache, name)
 
@@ -196,7 +193,7 @@ class TestThreadSafety:
         cache = GatherTableCache(capacity=8)
         errors = []
         barrier = threading.Barrier(8)
-        arange = np.arange(1 << 6, dtype=np.int64)
+        arange = np.arange(1 << 6)
 
         def worker(seed: int) -> None:
             try:
@@ -204,8 +201,8 @@ class TestThreadSafety:
                 for i in range(50):
                     q = (seed + i) % 6
                     table = _lift(cache, q)
-                    if not np.array_equal(table, extract_bits(arange, (q,))):
-                        raise AssertionError(f"corrupt table for bit {q}")
+                    if not np.array_equal(table, _Z[arange >> q & 1]):
+                        raise AssertionError(f"corrupt factor for bit {q}")
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 

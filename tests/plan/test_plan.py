@@ -77,12 +77,15 @@ class TestCompile:
         assert plan.num_source_ops == sum(op.num_sources for op in plan.ops)
         c = plan.counts
         assert len(plan.ops) == (
-            c["kernel_ops"] + c["fused_kernel_ops"] + c["diagonal_ops"]
-            + c["fused_diagonal_ops"] + c["swap_ops"] + c["passthrough_ops"]
+            c["kernel_ops"] + c["fused_kernel_ops"] + c["swap_ops"]
+            + c["passthrough_ops"]
         )
-        assert plan.num_source_ops == (
-            len(plan.ops) + c["fused_away_ops"] + c["refused_away_ops"]
-        )
+        assert plan.num_source_ops == len(plan.ops) + c["refused_away_ops"]
+        # Passthrough is left for monomial gates on global qubits only.
+        for op in plan.ops:
+            if op.exec_kind == "passthrough":
+                assert isinstance(op.source_op, GateOp)
+                assert not op.source_op.gate.is_diagonal
 
     def test_strategy_resolved_at_compile_time(self):
         _, schedule = _small_case(1)
@@ -91,18 +94,25 @@ class TestCompile:
         assert kernel_ops
         for op in kernel_ops:
             wide = len(op.qubits) > SWEEP_MAX_QUBITS
-            assert op.strategy == ("reference" if wide else "indexed")
-            assert op.gate is not None
+            assert op.strategy == (
+                "diagonal" if not op.gate.targets
+                else "reference" if wide else "indexed"
+            )
 
     def test_fusion_merges_consecutive_diagonals(self):
+        """Adjacent diagonals in one stage end up in one phase multiply
+        (or inside a dense sweep) unless their union is too wide."""
         _, schedule = _small_case(2)
         fused = compile_program(schedule)
         unfused = _unfused_program(schedule)
-        assert unfused.counts["fused_diagonal_ops"] == 0
-        assert unfused.counts["fused_away_ops"] == 0
-        assert len(fused.ops) <= len(unfused.ops)
-        if fused.counts["fused_diagonal_ops"]:
-            assert fused.counts["fused_away_ops"] > 0
+        assert unfused.counts["refused_away_ops"] == 0
+        assert len(fused.ops) < len(unfused.ops)
+        kmax = min(fused.config.fusion_kmax, _L - 1)
+        for a, b in zip(fused.ops, fused.ops[1:]):
+            if a.gate is None or b.gate is None or a.stage != b.stage:
+                continue
+            if not (a.gate.targets or b.gate.targets):
+                assert len(set(a.qubits) | set(b.qubits)) > kmax
 
     def test_plan_for_memoizes_per_schedule(self):
         _, schedule = _small_case(3)
@@ -113,17 +123,19 @@ class TestCompile:
 
     @pytest.mark.parametrize("width, fused", [(10, 1), (12, 0)])
     def test_diagonal_runs_fuse_up_to_ten_qubits(self, width, fused):
-        circuit = Circuit(width)
+        """Under ``fusion_kmax=10`` a run of diagonals over ten qubits is
+        one phase multiply, over twelve it is cut."""
+        circuit = Circuit(width + 1)  # an idle qubit: l - 1 >= width
         for q in range(0, width, 2):
             circuit.append(Gate("cz", (q, q + 1)))
         for q in range(width):
             circuit.append(Gate("t", (q,)))
         schedule = schedule_circuit(
-            circuit, SchedulerConfig(local_qubits=width, kmax=2, seed=1)
+            circuit, SchedulerConfig(local_qubits=width + 1, kmax=2, seed=1)
         )
-        plan = compile_program(schedule, PlanConfig(fusion_kmax=0))
-        assert plan.counts["diagonal_ops"] == (0 if fused else len(plan.ops))
-        assert plan.counts["fused_diagonal_ops"] == fused
+        plan = compile_program(schedule, PlanConfig(fusion_kmax=10))
+        assert {op.strategy for op in plan.ops} == {"diagonal"}
+        assert (len(plan.ops) == 1) == bool(fused)
 
     def test_summary_reports_counters(self):
         _, schedule = _small_case(4)

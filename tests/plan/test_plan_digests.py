@@ -5,7 +5,7 @@
 the ``service_mix`` cold sizes and the scheduler variants) and per plan
 configuration, the sha256 of everything a plan op decides: its
 ``exec_kind``, stage, qubits and sources, its controls and the bytes of
-its blocks and diagonal, whether it runs the dense sweep or the
+its blocks, whether it runs the phase multiply, the dense sweep or the
 tensordot kernel, and the blocking chunk the sweep runs with.  A change
 to where kernel or plan settings come from must leave every digest
 equal.  A change meant to alter plans rewrites the digests with
@@ -41,9 +41,11 @@ CONFIGS = {"default": {}, "unfused": {"fusion_kmax": 0}}
 
 
 def _kernel_of(op) -> tuple[str | None, int | None]:
-    """(kernel, chunk) a dense plan op runs with; (None, None) otherwise."""
+    """(kernel, chunk) a kernel plan op runs with; (None, None) otherwise."""
     if op.exec_kind not in ("kernel", "fused_kernel"):
         return None, None
+    if op.strategy == "diagonal":
+        return "phase", None
     if op.strategy == "indexed":
         return "sweep", chunk_for(len(op.gate.targets))
     return "tensordot", None
@@ -60,13 +62,12 @@ def plan_digest(program) -> str:
             op.exec_kind, op.stage, tuple(op.qubits), sources, kernel, chunk,
             controls,
         )).encode())
-        for array in (None if op.gate is None else op.gate.blocks, op.diag):
-            if array is None:
-                h.update(b"-")
-            else:
-                array = np.ascontiguousarray(array)
-                h.update(f"{array.dtype.str}{array.shape}".encode())
-                h.update(array.tobytes())
+        if op.gate is None:
+            h.update(b"-")
+        else:
+            blocks = np.ascontiguousarray(op.gate.blocks)
+            h.update(f"{blocks.dtype.str}{blocks.shape}".encode())
+            h.update(blocks.tobytes())
     return h.hexdigest()
 
 

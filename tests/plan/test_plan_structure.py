@@ -1,8 +1,8 @@
 """The structure law of compiled plans.
 
-A dense plan op stores its gate as blocks over its controls — the qubits
-only diagonals touch — and a fused op composes those blocks from its
-members without forming the product.  For every case pinned in
+A kernel plan op stores its gate as blocks over its controls — the
+qubits only diagonals touch, global ones included — and a fused op
+composes those blocks from its members without forming the product.  For every case pinned in
 ``data/plan_digests.json``, each fused op's blocks must reassemble to
 the in-order product of its members lifted with
 :func:`repro.gates.fusion.lift_gate_matrix`, and that product must be
@@ -30,13 +30,6 @@ def _schedule(name):
     return schedule_circuit(circuit, SchedulerConfig(**case["config"]))
 
 
-def _member_matrix(op) -> np.ndarray:
-    """A one-source plan op's matrix over its own qubits."""
-    if op.gate is not None:
-        return op.gate.dense()
-    return np.diag(np.asarray(op.diag, dtype=np.complex128))
-
-
 def _off_block(matrix, bit) -> np.ndarray:
     """Entries whose row and column differ in *bit*."""
     rows = np.arange(matrix.shape[0])
@@ -58,7 +51,7 @@ def test_fused_blocks_are_the_lifted_product(name):
         for source in op.sources:
             member = by_source[source.op_index]
             product = lift_gate_matrix(
-                _member_matrix(member), [pos_of[q] for q in member.qubits], u
+                member.gate.dense(), [pos_of[q] for q in member.qubits], u
             ) @ product
         assert np.allclose(op.gate.dense(), product, rtol=0, atol=1e-12)
         for bit in op.gate.controls:

@@ -17,6 +17,7 @@ from repro.circuit import (
     random_brickwork_circuit,
 )
 from repro.distributed import DistributedSimulator
+from repro.plan import PlanConfig
 from repro.scheduling import ClusterOp, SchedulerConfig, schedule_circuit
 from repro.staticcheck import verify_schedule
 from repro.statevector import Simulator
@@ -32,7 +33,7 @@ class TestSchedulerOnArbitraryCircuits:
         st.integers(10, 30),
         st.booleans(),
     )
-    def test_random_soups(self, seed, n, num_gates, absorb):
+    def test_random_soups(self, seed, n, num_gates, unfused):
         circ = random_circuit(n, num_gates, seed=seed)
         l = max(4, n - 3)  # config rejects kmax=4 > local_qubits
         ref = Simulator(n).run(circ).state
@@ -43,11 +44,12 @@ class TestSchedulerOnArbitraryCircuits:
                 kmax=4,
                 seed=seed,
                 skip_initial_hadamards=False,
-                absorb_diagonals=absorb,
             ),
         )
         sched.validate()
-        run = DistributedSimulator(n, l).run_schedule(sched)
+        run = DistributedSimulator(n, l).run_schedule(
+            sched, plan_config=PlanConfig(fusion_kmax=0) if unfused else None
+        )
         assert run.state.to_statevector().allclose(ref, atol=1e-9)
 
     @settings(max_examples=8, deadline=None)

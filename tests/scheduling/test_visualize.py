@@ -5,11 +5,10 @@ from repro.scheduling import SchedulerConfig, schedule_circuit
 from repro.scheduling.visualize import render_schedule, schedule_table
 
 
-def make_schedule(absorb=False):
+def make_schedule():
     circ = generate_supremacy_circuit(12, 10, seed=4)
     return schedule_circuit(
-        circ,
-        SchedulerConfig(local_qubits=8, kmax=4, seed=0, absorb_diagonals=absorb),
+        circ, SchedulerConfig(local_qubits=8, kmax=4, seed=0)
     )
 
 
@@ -36,11 +35,6 @@ class TestRenderSchedule:
     def test_width_cap(self):
         text = render_schedule(make_schedule(), max_width=40)
         assert all(len(line) <= 40 for line in text.splitlines())
-
-    def test_absorbed_schedule_renders(self):
-        # AbsorbedClusterOps are cluster-like and must render as clusters.
-        text = render_schedule(make_schedule(absorb=True))
-        assert "[A]" in text
 
 
 class TestScheduleTable:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.circuit import generate_supremacy_circuit
 from repro.distributed import DistributedSimulator
+from repro.plan import PlanConfig
 from repro.scheduling import SchedulerConfig, schedule_circuit
 from repro.staticcheck import check_comm_stats, predict_comm_stats
 
@@ -24,19 +25,22 @@ class TestPlanDerivation:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize(
-        "absorb, single_precision",
+        "unfused, single_precision",
         [(False, False), (True, False), (False, True)],
         ids=["False", "True", "complex64"],
     )
-    def test_prediction_matches_real_run(self, seed, absorb, single_precision):
+    def test_prediction_matches_real_run(self, seed, unfused, single_precision):
         """The byte/step prediction equals what an actual distributed
         execution records — byte conservation, exactly, at the run's
-        amplitude width."""
-        sched = make_schedule(seed=seed, absorb_diagonals=absorb)
+        amplitude width, whether or not the plan absorbs specialized
+        diagonals into neighbouring sweeps."""
+        sched = make_schedule(seed=seed)
         state = DistributedSimulator(
             sched.num_qubits, sched.local_qubits,
             single_precision=single_precision,
-        ).run_schedule(sched).state
+        ).run_schedule(
+            sched, plan_config=PlanConfig(fusion_kmax=0) if unfused else None
+        ).state
         report = check_comm_stats(
             sched, state.stats, state.storage.shard_bytes
         )

@@ -16,7 +16,6 @@ SEEDS = list(range(20))
 VARIANTS = {
     "default": {},
     "specialize-off": {"specialize_global_diagonal": False},
-    "absorb": {"absorb_diagonals": True},
     "no-h-strip": {"skip_initial_hadamards": False},
     "kmax3": {"kmax": 3},
 }
