@@ -139,8 +139,9 @@ class DistributedSimulator:
 
         The schedule is lowered (once, memoized on the schedule) to a
         :class:`repro.plan.CompiledProgram` and that plan is executed —
-        pre-resolved strategies, cached phase factors and refused
-        multi-op kernels, specialized diagonals absorbed into them.  A
+        each op's gate split into blocks once, cached phase factors and
+        refused multi-op kernels, specialized diagonals absorbed into
+        them.  A
         :class:`repro.plan.PlanConfig` passed as *plan_config* selects
         (and memoizes under) a specific compile configuration, e.g. a
         non-default ``fusion_kmax``.

@@ -32,16 +32,16 @@ from repro.kernels import (
     SWEEP_MAX_QUBITS,
     DenseSweep,
     apply_diagonal_factor,
-    apply_gate,
+    apply_gate_indexed,
     apply_gate_reference,
 )
 from repro.kernels.apply import _axes_above, split_sweep
-from repro.kernels.blocks import BlockGate
+from repro.kernels.blocks import BlockGate, rank_split
 from repro.kernels.tables import GATHER_CACHE
 from repro.kernels.cost import KernelCostModel
 from repro.statevector.state import StateVector
 from repro.telemetry.runtime import NULL_TELEMETRY, Telemetry
-from repro.util.bits import extract_bits, scatter_bits
+from repro.util.bits import bit_mask, extract_bits, scatter_bits
 
 __all__ = ["DistributedState", "NeedsSwapError"]
 
@@ -52,10 +52,6 @@ _CHUNK_QUBITS = 16
 
 class NeedsSwapError(RuntimeError):
     """Raised when a gate requires a global-to-local swap first."""
-
-
-def _scale(shard: np.ndarray, phase: complex) -> None:
-    shard *= phase
 
 
 class DistributedState:
@@ -261,68 +257,66 @@ class DistributedState:
     def apply_gate(self, gate: Gate, *, auto_swap: bool = False) -> None:
         """Apply *gate*, using specialization for global qubits (Sec. 3.5).
 
-        A gate on local qubits, or a diagonal one anywhere (its global
-        qubits are controls each rank's number fixes), is one sweep
-        (:meth:`apply_compiled`); a monomial gate on global qubits
-        renumbers ranks; otherwise a swap is needed — taken automatically
-        when ``auto_swap`` is set, else raising :class:`NeedsSwapError`.
+        :func:`~repro.kernels.blocks.rank_split` says how: its blocks run
+        as one sweep (:meth:`_sweep`; a global qubit is a control each
+        rank's number fixes), then the ranks are renumbered as its
+        relabel says (a monomial gate such as X on a global qubit).  A
+        gate it cannot split needs a swap — taken automatically when
+        ``auto_swap`` is set, else raising :class:`NeedsSwapError`.
         """
         bits = self.layout.bits(gate.qubits)
         l = self.local_qubits
-        if gate.is_diagonal:
-            self._sweep(BlockGate.diagonal(np.diagonal(gate.matrix)), bits)
-            return
-        if all(b < l for b in bits):
-            self._sweep(BlockGate.of(gate.matrix), bits)
-            return
-        actions = None
-        if gate.is_monomial:
-            actions = self._monomial_rank_actions(gate, bits)
-        if actions is not None:
-            self._apply_monomial_global(bits, actions)
-            return
-        if auto_swap:
+        ranked = [j for j, b in enumerate(bits) if b >= l]
+        split = rank_split(gate, ranked)
+        if split is None:
+            if not auto_swap:
+                raise NeedsSwapError(
+                    f"gate {gate!r} touches global qubits "
+                    f"{[q for q in gate.qubits if not self.is_local(q)]} and "
+                    "is not specializable; perform a global-to-local swap first"
+                )
             self.make_local(gate.qubits)
             self.apply_gate(gate)
             return
-        raise NeedsSwapError(
-            f"gate {gate!r} touches global qubits "
-            f"{[q for q in gate.qubits if not self.is_local(q)]} and is not "
-            "specializable; perform a global-to-local swap first"
-        )
+        blocks, relabel = split
+        # X, SWAP or CNOT between global qubits only renumber ranks.
+        if not (blocks.blocks == np.eye(1 << len(blocks.targets))).all():
+            self._sweep(blocks, bits)
+        if (relabel != np.arange(relabel.size)).any():
+            # Each rank ran the block its old number picked; now its shard
+            # moves to the rank its relabelled bits spell.
+            positions = [bits[j] - l for j in ranked]
+            ranks = np.arange(self.num_ranks)
+            dest = ranks & ~bit_mask(positions) | scatter_bits(
+                relabel[extract_bits(ranks, positions)], positions
+            )
+            source_of_dest = np.empty_like(ranks)
+            source_of_dest[dest] = ranks
+            self.storage.permute_shards(source_of_dest)
+            self.stats.record_rank_renumbering()
 
-    def apply_compiled(
-        self,
-        gate: BlockGate,
-        qubits: Sequence[int],
-        *,
-        strategy: str | None = None,
-    ) -> None:
+    def apply_compiled(self, gate: BlockGate, qubits: Sequence[int]) -> None:
         """Apply a plan op's gate on logical *qubits* as one sweep.
 
         Entry point for :class:`repro.plan.CompiledProgram` — every op
         but swaps and rank relabels: the gate's targets must be local,
         its controls may be global (a specialized diagonal absorbed into
-        the op, Sec. 3.5).  *strategy* (``"diagonal"``, ``"indexed"`` or
-        ``"reference"``) was resolved at compile time.
+        the op, Sec. 3.5).
         """
-        self._sweep(gate, self.layout.bits(qubits), strategy)
+        self._sweep(gate, self.layout.bits(qubits))
 
-    def _sweep(
-        self,
-        gate: BlockGate,
-        bits: Sequence[int],
-        strategy: str | None = None,
-    ) -> None:
+    def _sweep(self, gate: BlockGate, bits: Sequence[int]) -> None:
         """Run *gate* on physical *bits* over every shard, in one sweep.
 
         Targets must be local bits; a control on a global bit holds, on
-        every rank, the value the rank number spells.  The op's kernel —
-        the memoized phase factor, the dense sweep descriptor — is built
-        once (once per value of its global controls when ranks go one by
-        one), and every way of running it (one sweep over a block of
-        shards, rank by rank, traced or not) does the same arithmetic on
-        every amplitude, bit for bit.
+        every rank, the value the rank number spells.  The kernel follows
+        from the gate: the phase multiply when it has no targets, the
+        dense sweep (:class:`~repro.kernels.DenseSweep`) up to
+        :data:`~repro.kernels.SWEEP_MAX_QUBITS` bits, and tensordot, rank
+        by rank, beyond.  It is built once (once per value of its global
+        controls when ranks go one by one), and every way of running it
+        (one sweep over a block of shards, rank by rank, traced or not)
+        does the same arithmetic on every amplitude, bit for bit.
         """
         l = self.local_qubits
         if any(bits[j] >= l for j in gate.targets):
@@ -331,11 +325,7 @@ class DistributedState:
                 f"{[bits[j] for j in gate.targets if bits[j] >= l]}"
             )
         k, m = len(bits), len(gate.targets)
-        if strategy is None:
-            strategy = (
-                "diagonal" if not m
-                else "indexed" if k <= SWEEP_MAX_QUBITS else "reference"
-            )
+        tensordot = m > 0 and k > SWEEP_MAX_QUBITS
         tel = self.telemetry
         tracer = tel.tracer
         per_rank = tel.active and tracer.enabled and tracer.per_rank
@@ -349,7 +339,7 @@ class DistributedState:
         # shards not resident, and the tensordot kernel, whose GEMM shape
         # (and with it the rounding) would follow the vector's length.
         arrays = None
-        if not per_rank and strategy != "reference":
+        if not per_rank and not tensordot:
             block = self.storage.local_block()
             if block is not None:
                 arrays = [block]
@@ -357,8 +347,7 @@ class DistributedState:
                 arrays = self.storage.resident_shards()
         if arrays is not None:
             part, units = self._local_kernel(
-                gate, bits, strategy=strategy,
-                width=arrays[0].size.bit_length() - 1,
+                gate, bits, width=arrays[0].size.bit_length() - 1
             )
         else:
             kept = [b for b in bits if b < l]
@@ -368,9 +357,10 @@ class DistributedState:
                 fixed = {j: rank >> (bits[j] - l) & 1 for j in ranked}
                 key = tuple(fixed.values())
                 if key not in kernels:
-                    kernels[key] = self._local_kernel(
-                        gate.restrict(fixed), kept, strategy=strategy
-                    )[0]
+                    local = gate.restrict(fixed)
+                    kernels[key] = partial(
+                        apply_gate_reference, matrix=local.dense(), qubits=kept
+                    ) if tensordot else self._local_kernel(local, kept)[0]
                 return kernels[key]
 
         def traced(shard, rank):
@@ -389,7 +379,7 @@ class DistributedState:
             self.storage.sweep(
                 (lambda r: partial(traced, rank=r))
                 if per_rank else kernel_of_rank,
-                label=f"{strategy} k={k} bits={list(bits)}",
+                label=f"op k={k} m={m} bits={list(bits)}",
             )
 
         if tel.active:
@@ -407,12 +397,7 @@ class DistributedState:
         self.kernel_cost.record(self.num_qubits, m, diagonal=not m)
 
     def _local_kernel(
-        self,
-        gate: BlockGate,
-        bits: Sequence[int],
-        *,
-        strategy: str | None = None,
-        width: int | None = None,
+        self, gate: BlockGate, bits: Sequence[int], *, width: int | None = None
     ):
         """``(part, units)`` for *gate* on *bits* of a ``2**width`` array
         (default: one shard): ``part(array, start=0, stop=None)`` sweeps
@@ -422,17 +407,11 @@ class DistributedState:
         local bits per value of those."""
         l = self.local_qubits
         width = l if width is None else width
-        if strategy is None:
-            strategy = "diagonal" if not gate.targets else "indexed"
-        if strategy == "indexed":
+        if gate.targets:
             dense = DenseSweep(width, gate, bits, self.storage.dtype)
             # ``apply`` binds the panels of the thread that runs it: a
             # deferred kernel may run on a pool thread.
             return dense.apply, dense.num_blocks
-        if strategy == "reference":
-            return partial(
-                apply_gate_reference, matrix=gate.dense(), qubits=bits
-            ), 1
         kept = [j for j, b in enumerate(bits) if b < l]
         ranked = [j for j, b in enumerate(bits) if b >= l]
         factors = [
@@ -474,114 +453,6 @@ class DistributedState:
 
         return part, len(factors)
 
-    def _split_gate_bits(
-        self, bits: Sequence[int]
-    ) -> tuple[list[int], list[int]]:
-        """Indices *within the gate* of local vs global qubits."""
-        l = self.local_qubits
-        local_js = [j for j, b in enumerate(bits) if b < l]
-        global_js = [j for j, b in enumerate(bits) if b >= l]
-        return local_js, global_js
-
-    def _rank_gate_bits(self, rank: int, bits: Sequence[int], global_js) -> int:
-        """Gate-basis value contributed by the rank's global bits."""
-        l = self.local_qubits
-        xg = 0
-        for j in global_js:
-            xg |= ((rank >> (bits[j] - l)) & 1) << j
-        return xg
-
-    def _monomial_rank_actions(
-        self, gate: Gate, bits: Sequence[int]
-    ) -> dict[int, tuple[np.ndarray, int]] | None:
-        """What a monomial gate does to a rank, per value of its global bits.
-
-        Maps each gate-basis value ``xg`` of the gate's global bits to the
-        local sub-matrix ``M[xl_out, xl_in]`` such a rank applies and the
-        gate-basis value its global bits take afterwards.  ``None`` when
-        that value would depend on local data: CNOT with a *global*
-        control and local target is fine (each rank applies X or not);
-        with a *local* control and global target the destination rank
-        differs amplitude by amplitude, so the gate needs a swap.
-        """
-        perm = gate.basis_permutation
-        phases = gate.basis_phases
-        assert perm is not None and phases is not None
-        local_js, global_js = self._split_gate_bits(bits)
-        dim = 1 << len(local_js)
-        global_mask = sum(1 << j for j in global_js)
-        actions = {}
-        for pattern in range(1 << len(global_js)):
-            xg = int(scatter_bits(pattern, global_js))
-            sub = np.zeros((dim, dim), dtype=np.complex128)
-            outputs = set()
-            for xl in range(dim):
-                x = xg | int(scatter_bits(xl, local_js))
-                out = int(perm[x])
-                sub[extract_bits(out, local_js), xl] = phases[x]
-                outputs.add(out & global_mask)
-            if len(outputs) != 1:
-                return None
-            actions[xg] = (sub, outputs.pop())
-        return actions
-
-    def _apply_monomial_global(
-        self,
-        bits: Sequence[int],
-        actions: dict[int, tuple[np.ndarray, int]],
-    ) -> None:
-        """Monomial gate on global qubits: local update + rank renumbering.
-
-        The relabeling covers every rank (each process relabels all of
-        them identically); the sweep runs kernels on the owned ranks only.
-        """
-        tel = self.telemetry
-        start = tel.tracer.now() if tel.active else 0.0
-        local_js, global_js = self._split_gate_bits(bits)
-        local_bits = [bits[j] for j in local_js]
-        l = self.local_qubits
-        kernels = {}
-        # One kernel per value of the gate's global bits, resolved once.
-        by_value = {
-            xg: self._local_kernel(BlockGate.of(sub), local_bits)[0]
-            if local_js
-            else None if np.isclose(sub[0, 0], 1.0)
-            else partial(_scale, phase=sub[0, 0])
-            for xg, (sub, _) in actions.items()
-        }
-        # New rank d holds the shard of the old rank whose destination is d.
-        source_of_dest = np.empty(self.num_ranks, dtype=np.int64)
-        for r in range(self.num_ranks):
-            xg = self._rank_gate_bits(r, bits, global_js)
-            out_global = actions[xg][1]
-            dest = r
-            for j in global_js:
-                bit_pos = bits[j] - l
-                dest = dest & ~(1 << bit_pos) | ((out_global >> j) & 1) << bit_pos
-            source_of_dest[dest] = r
-            if by_value[xg] is not None:
-                kernels[r] = by_value[xg]
-        self.storage.sweep(
-            kernels.get,
-            label=f"monomial_global k={len(bits)} bits={list(bits)}",
-        )
-        self.storage.permute_shards(source_of_dest)
-        self.stats.record_rank_renumbering()
-        if local_js:
-            self.kernel_cost.record(self.num_qubits, len(local_js))
-        if tel.active:
-            end = tel.tracer.now()
-            tel.tracer.add_span(
-                "kernel.monomial_global",
-                kind="kernel",
-                start=start,
-                end=end,
-                k=len(bits),
-            )
-            tel.metrics.histogram(
-                "kernel.specialized.seconds", kind="monomial"
-            ).observe(end - start)
-
     # ------------------------------------------------------------------
     # Swaps (Sec. 3.4)
     # ------------------------------------------------------------------
@@ -600,8 +471,7 @@ class DistributedState:
             "comm.staging_swap", kind="staging", bit_a=bit_a, bit_b=bit_b
         ):
             kernel = partial(
-                apply_gate, matrix=SWAP_MATRIX, qubits=(bit_a, bit_b),
-                strategy="indexed",
+                apply_gate_indexed, matrix=SWAP_MATRIX, qubits=(bit_a, bit_b)
             )
             self.storage.sweep(
                 lambda r: kernel, label=f"staging_swap bits={[bit_a, bit_b]}"

@@ -23,9 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.util.bits import scatter_bits
+from repro.util.bits import bit_mask, extract_bits, scatter_bits
 
-__all__ = ["BlockGate", "block_index", "control_bits"]
+__all__ = ["BlockGate", "block_index", "control_bits", "rank_split"]
 
 
 def control_bits(matrix: np.ndarray) -> tuple[int, ...]:
@@ -122,3 +122,43 @@ class BlockGate:
         matrix = np.zeros((dim, dim), dtype=self.blocks.dtype)
         matrix[index[:, :, None], index[:, None, :]] = self.blocks
         return matrix
+
+
+def rank_split(gate, global_bits: Sequence[int]) -> tuple[BlockGate, np.ndarray] | None:
+    """How *gate* runs while its *global_bits* (gate bits) live in the
+    rank number — Sec. 3.5's rule — or ``None`` when it needs a swap.
+
+    Returns ``(blocks, relabel)``.  *blocks* holds every global bit as a
+    control: block ``c`` is what a rank whose global bits spell ``c``
+    applies to its shard.  ``relabel[c]`` is the value those bits spell
+    afterwards (bit ``i`` of a value is the ``i``-th lowest global bit),
+    so the shards move to their new ranks after the blocks ran.  A
+    diagonal gate relabels nothing; a monomial one (a permutation with
+    phases) qualifies when where its global bits go depends on their
+    own values alone — CNOT with a global control and a local target
+    relabels nothing, X on a global qubit only relabels, CNOT with a
+    local control and a global target needs a swap — and so does no
+    other gate on a global bit.
+    """
+    global_bits = sorted(global_bits)
+    identity = np.arange(1 << len(global_bits))
+    if gate.is_diagonal:
+        return BlockGate.diagonal(np.diagonal(gate.matrix)), identity
+    if not global_bits:
+        return BlockGate.of(gate.matrix), identity
+    perm = gate.basis_permutation
+    if perm is None:
+        return None
+    mask = bit_mask(global_bits)
+    columns = np.arange(perm.size)
+    old, new = columns & mask, perm & mask
+    moved = np.empty_like(perm)
+    moved[old] = new
+    if (moved[old] != new).any():
+        return None
+    # The gate with its relabel undone: each column's one entry on the
+    # row that keeps the column's global bits, so those are controls.
+    unmoved = np.zeros_like(gate.matrix)
+    unmoved[perm & ~mask | old, columns] = gate.matrix[perm, columns]
+    relabel = extract_bits(moved[scatter_bits(identity, global_bits)], global_bits)
+    return BlockGate.of(unmoved), relabel

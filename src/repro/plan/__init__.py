@@ -1,14 +1,13 @@
 """Compiled execution plans (pass-based plan compiler + kernel-plan cache).
 
 A :class:`~repro.scheduling.Schedule` describes *what* to run; every
-kernel decision — phase multiply vs dense sweep vs reference strategy,
-fusion — is re-derivable from it,
-and the pre-plan executor re-derived all of it on every shard of every
-rank.  :func:`compile_program` resolves those
+plan decision — each op's block structure, rank relabels, fusion — is
+re-derivable from it, and the pre-plan executor re-derived all of it on
+every shard of every rank.  :func:`compile_program` resolves those
 decisions exactly once through a staged pass pipeline
 (:mod:`repro.plan.passes`)::
 
-    lower  ->  refuse  ->  specialize  ->  finalize
+    lower  ->  refuse  ->  finalize
 
 Each pass consumes and produces a typed stream of frozen
 :class:`PlanOp`\\ s that every rank replays:
@@ -16,17 +15,17 @@ Each pass consumes and produces a typed stream of frozen
 * every gate or cluster op carries its gate as blocks over the qubits
   it is block-diagonal in (:class:`repro.kernels.blocks.BlockGate`; a
   diagonal is all such qubits, and a qubit global in the op's stage is
-  always one) and a pre-resolved strategy (the kernel's addresses come
-  from the bit layout at run time — :class:`repro.kernels.DenseSweep`
-  — so a plan holds no tables);
+  always one); the state picks the kernel from that gate, and its
+  addresses come from the bit layout at run time
+  (:class:`repro.kernels.DenseSweep`), so a plan holds no tables;
 * the *refuse* pass merges adjacent ops whose qubit union stays within
   ``PlanConfig.fusion_kmax`` into one multi-op kernel
   (``exec_kind="fused_kernel"``) where the cost table says so, executed
   like any op over the union: specialized diagonals on global qubits
   are absorbed into the sweep next to them (Sec. 3.5), and a run of
   diagonals becomes one phase multiply;
-* swaps and rank relabels (monomial gates on global qubits) pass
-  through to the distributed state unchanged.
+* swaps and rank relabels (monomial gates that renumber ranks, such as
+  X on a global qubit) pass through to the distributed state unchanged.
 
 Execution preserves the op-level
 :meth:`~repro.distributed.tracing.ExecutionTrace.signature` exactly: a

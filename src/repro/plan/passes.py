@@ -1,4 +1,4 @@
-"""The plan compiler's pass pipeline: lower → refuse → specialize → finalize.
+"""The plan compiler's pass pipeline: lower → refuse → finalize.
 
 Each pass is a pure function ``(ops, ctx) -> ops`` over a typed op
 stream (a tuple of frozen :class:`~repro.plan.program.PlanOp`): it
@@ -6,45 +6,46 @@ consumes one immutable stream and produces a new one, never mutating its
 input (the ``plan-pass-mutation`` test in
 ``tests/staticcheck/test_source_invariants.py`` enforces this).  The stages:
 
-* :func:`lower_pass` — one plan op per schedule op: swaps, monomial
-  gates on global qubits (a rank relabel, ``passthrough``), and a
-  ``kernel`` op for every other gate and cluster.  No fusion and no
-  strategy decisions happen here.
+* :func:`lower_pass` — one plan op per schedule op: swaps, gates that
+  renumber ranks (``passthrough``), and a ``kernel`` op for every other
+  gate and cluster.  No fusion happens here.
 * :func:`refuse_pass` — the fusion stage: every run of kernel ops
   between swaps and passthroughs is cut into the groups of least
   predicted cost, and a group of two or more becomes one multi-op
   kernel (``exec_kind="fused_kernel"``) over its qubit union, at most
   ``config.fusion_kmax`` wide.
-* :func:`specialize_pass` — resolve the kernel strategy of every op
-  from its dense width and size.
 * :func:`finalize_pass` — freeze and validate the stream (source
   ordering, per-kind field invariants).
 
-Kernel ops carry their gate as a :class:`~repro.kernels.blocks.BlockGate`:
-blocks over the *controls*, the qubits only diagonals touch.  A diagonal
-is all controls (dense width ``m = 0``), so a specialized diagonal on
-stage-global qubits is a kernel op like any other: its global qubits are
-controls whose values each rank's number spells, and a group it joins
-keeps them as controls — no member acts on a global qubit densely.  That
-is Sec. 3.5's "absorbed into the next gate matrix", decided here for
-every plan.  The sweep (:class:`repro.kernels.DenseSweep`) runs an op at
-the cost of ``m``, not its qubit count, so the cost model prices a sweep
-by ``m``, its count of local controls (a global one costs nothing) and
-the schedule's shard size, from one table measured on the reference host
-(:data:`_SWEEP_NS`); an all-control group is one phase multiply.  Both the merged controls and
-the price come from bit masks; only a chosen group's blocks are
-multiplied out.
+Kernel ops carry their gate as a :class:`~repro.kernels.blocks.BlockGate`
+from :func:`~repro.kernels.blocks.rank_split`: blocks over the
+*controls*, the qubits only diagonals touch, and every qubit global in
+the op's stage.  A diagonal is all controls (dense width ``m = 0``), so a
+specialized diagonal on stage-global qubits is a kernel op like any
+other, and so is a monomial gate that leaves the rank numbers as they
+are (CNOT with a global control): each rank runs the blocks its number
+spells, and a group such an op joins keeps those qubits as controls —
+no member acts on a global qubit densely.  That is Sec. 3.5's "absorbed
+into the next gate matrix", decided here for every plan.  The sweep
+(:class:`repro.kernels.DenseSweep`) runs an op at the cost of ``m``, not
+its qubit count, so the cost model prices a sweep by ``m``, its count of
+local controls (a global one costs nothing) and the schedule's shard
+size, from one table measured on the reference host (:data:`_SWEEP_NS`);
+an all-control group is one phase multiply.  Both the merged controls
+and the price come from bit masks; only a chosen group's blocks are
+multiplied out.  The state picks each op's kernel from its gate when it
+runs it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
 
 from repro.distributed.tracing import _classify
-from repro.kernels.blocks import BlockGate, block_index
+from repro.kernels.blocks import BlockGate, block_index, rank_split
 from repro.plan.config import PlanConfig
 from repro.scheduling.program import GateOp, Schedule, SwapOp
 from repro.util.bits import bit_mask
@@ -53,7 +54,6 @@ __all__ = [
     "PassContext",
     "lower_pass",
     "refuse_pass",
-    "specialize_pass",
     "finalize_pass",
 ]
 
@@ -119,11 +119,10 @@ def lower_pass(ops, ctx: PassContext):
     """Classify every schedule op into exactly one plan op.
 
     The input stream is empty (lowering is the source pass); the output
-    carries one plan op per schedule op, with kernel strategies not yet
-    resolved.  A gate or cluster becomes a ``kernel`` op — a diagonal on
-    stage-global qubits too, those qubits being controls of its gate —
-    except a non-diagonal (monomial) gate on global qubits: it relabels
-    ranks, which the state does (``passthrough``).
+    carries one plan op per schedule op.  A gate or cluster becomes a
+    ``kernel`` op over the blocks :func:`rank_split` gives it under its
+    stage's global qubits, unless it renumbers ranks (X on a global
+    qubit), which the state does (``passthrough``).
     """
     from repro.plan.program import PlanOp, SourceEvent
 
@@ -141,9 +140,12 @@ def lower_pass(ops, ctx: PassContext):
                 )
             )
             continue
-        if isinstance(op, GateOp) and not op.gate.is_diagonal and (
-            set(op.gate.qubits) & ctx.globals_of_stage(stage)
-        ):
+        gate = op.gate if isinstance(op, GateOp) else op.fused
+        global_qubits = ctx.globals_of_stage(stage)
+        split = rank_split(
+            gate, [j for j, q in enumerate(gate.qubits) if q in global_qubits]
+        )
+        if split is None or (split[1] != np.arange(split[1].size)).any():
             lowered.append(
                 PlanOp(
                     exec_kind="passthrough", sources=(source,), stage=stage,
@@ -151,13 +153,10 @@ def lower_pass(ops, ctx: PassContext):
                 )
             )
             continue
-        gate = op.gate if isinstance(op, GateOp) else op.fused
         lowered.append(
             PlanOp(
                 exec_kind="kernel", sources=(source,), stage=stage,
-                qubits=gate.qubits,
-                gate=BlockGate.diagonal(np.diagonal(gate.matrix))
-                if gate.is_diagonal else BlockGate.of(gate.matrix),
+                qubits=gate.qubits, gate=split[0],
             )
         )
     return tuple(lowered)
@@ -305,31 +304,6 @@ def refuse_pass(ops, ctx: PassContext):
 
 
 # ----------------------------------------------------------------------
-# specialize: resolve the strategy of every kernel op
-# ----------------------------------------------------------------------
-def specialize_pass(ops, ctx: PassContext):
-    """Fix the kernel strategy of every kernel op from its gate alone.
-
-    ``"diagonal"`` (the phase multiply) for an all-control gate,
-    ``"indexed"`` (the dense sweep) up to
-    :data:`repro.kernels.SWEEP_MAX_QUBITS` qubits, ``"reference"``
-    (tensordot) beyond; a fused group is run like any op over its union.
-    """
-    from repro.kernels import SWEEP_MAX_QUBITS
-
-    def strategy(op) -> str:
-        if not op.gate.targets:
-            return "diagonal"
-        return "indexed" if len(op.qubits) <= SWEEP_MAX_QUBITS else "reference"
-
-    return tuple(
-        replace(op, strategy=strategy(op))
-        if op.exec_kind in ("kernel", "fused_kernel") else op
-        for op in ops
-    )
-
-
-# ----------------------------------------------------------------------
 # finalize: freeze + validate the stream
 # ----------------------------------------------------------------------
 def finalize_pass(ops, ctx: PassContext):
@@ -342,10 +316,8 @@ def finalize_pass(ops, ctx: PassContext):
     last_index = -1
     for op in ops:
         if op.exec_kind in ("kernel", "fused_kernel"):
-            if op.gate is None or op.strategy is None:
-                raise ValueError(
-                    f"{op.exec_kind} op missing gate/strategy: {op!r}"
-                )
+            if op.gate is None:
+                raise ValueError(f"{op.exec_kind} op missing gate: {op!r}")
         elif op.exec_kind in ("swap", "passthrough"):
             if op.source_op is None:
                 raise ValueError(f"{op.exec_kind} op missing source_op: {op!r}")

@@ -2,7 +2,7 @@
 
 Compilation is a staged pass pipeline (see :mod:`repro.plan.passes`)::
 
-    lower  ->  refuse  ->  specialize  ->  finalize
+    lower  ->  refuse  ->  finalize
 
 Every pass consumes and produces a typed stream of frozen
 :class:`PlanOp`; compile options live in a frozen
@@ -24,7 +24,6 @@ from repro.plan.passes import (
     finalize_pass,
     lower_pass,
     refuse_pass,
-    specialize_pass,
 )
 from repro.scheduling.program import Schedule
 from repro.util.locktrack import TrackedLock
@@ -56,19 +55,19 @@ class PlanOp:
     * ``"kernel"`` — one schedule gate or cluster: *gate* (a
       :class:`~repro.kernels.blocks.BlockGate`: the matrix as blocks
       over the qubits it is block-diagonal in, every qubit for a
-      diagonal) and *strategy* (``"diagonal"``, the phase multiply of an
-      all-control gate; ``"indexed"``, the dense sweep; or
-      ``"reference"``, tensordot, past
-      :data:`repro.kernels.SWEEP_MAX_QUBITS`) are fixed.  Qubits global
-      in the op's stage are controls — each rank runs the blocks its
-      rank number picks; the sweep's addresses come from the run-time
-      bit layout and its chunk from :func:`repro.kernels.chunk_for`.
+      diagonal) is fixed.  Qubits global in the op's stage are controls
+      — each rank runs the blocks its rank number picks.  The state
+      picks the kernel from the gate (the phase multiply when it has no
+      targets, the dense sweep up to
+      :data:`repro.kernels.SWEEP_MAX_QUBITS` qubits, tensordot beyond);
+      the sweep's addresses come from the run-time bit layout and its
+      chunk from :func:`repro.kernels.chunk_for`.
     * ``"fused_kernel"`` — several adjacent kernel ops refused into one
       over the qubit union, run exactly like a ``"kernel"`` op; its
       blocks are composed block by block from its members.
     * ``"swap"`` / ``"passthrough"`` — delegated to *source_op* verbatim
-      (global-to-local swaps; monomial gates on global qubits, which
-      relabel ranks).
+      (global-to-local swaps; monomial gates that renumber ranks, such as
+      X on a global qubit).
 
     ``sources`` lists the covered schedule ops in op-stream order — one
     entry except for fused kernels — so executed traces keep exactly one
@@ -80,7 +79,6 @@ class PlanOp:
     stage: int
     qubits: tuple[int, ...] = ()
     gate: BlockGate | None = None
-    strategy: str | None = None
     source_op: object | None = None
 
     @property
@@ -177,7 +175,7 @@ def compile_program(
     """Lower *schedule* into a :class:`CompiledProgram`.
 
     Every per-call decision of the old executor — diagonality scans,
-    strategy choice, diagonal extraction, fusion — happens here, once,
+    block structure, diagonal extraction, fusion — happens here, once,
     in the pass pipeline (``None`` compiles under ``PlanConfig()``).
     """
     if config is None:
@@ -190,7 +188,6 @@ def compile_program(
     ctx = PassContext.for_schedule(schedule, config)
     ops: tuple[PlanOp, ...] = lower_pass((), ctx)
     ops = refuse_pass(ops, ctx)
-    ops = specialize_pass(ops, ctx)
     ops = finalize_pass(ops, ctx)
     program = CompiledProgram(
         schedule=schedule,

@@ -16,6 +16,7 @@ from typing import Iterator
 from repro.circuit.circuit import Circuit
 from repro.gates.fusion import fuse_gates
 from repro.gates.gate import Gate
+from repro.kernels.blocks import rank_split
 
 __all__ = ["ClusterOp", "GateOp", "SwapOp", "Stage", "Schedule"]
 
@@ -75,40 +76,11 @@ class SwapOp:
 
 
 def gate_specializable_under(gate: Gate, global_qubits) -> bool:
-    """True when *gate* executes without communication under this layout.
-
-    Diagonal gates always specialize.  Monomial gates specialize only
-    when their action on the global qubits is independent of the local
-    qubits (e.g. CNOT with a *global* control yes; CNOT with a local
-    control and global target no) — the exact rank-separability rule the
-    distributed state enforces at execution time.
-    """
-    global_qubits = set(global_qubits)
-    if not any(q in global_qubits for q in gate.qubits):
-        return True
-    if gate.is_diagonal:
-        return True
-    if not gate.is_monomial:
-        return False
-    perm = gate.basis_permutation
-    local_js = [j for j, q in enumerate(gate.qubits) if q not in global_qubits]
-    global_js = [j for j, q in enumerate(gate.qubits) if q in global_qubits]
-    for xg_pattern in range(1 << len(global_js)):
-        seen: set[int] = set()
-        for xl_pattern in range(1 << len(local_js)):
-            x = 0
-            for jj, j in enumerate(global_js):
-                x |= ((xg_pattern >> jj) & 1) << j
-            for jj, j in enumerate(local_js):
-                x |= ((xl_pattern >> jj) & 1) << j
-            out = int(perm[x])
-            out_global = 0
-            for jj, j in enumerate(global_js):
-                out_global |= ((out >> j) & 1) << jj
-            seen.add(out_global)
-        if len(seen) != 1:
-            return False
-    return True
+    """True when *gate* executes without communication under this layout:
+    :func:`~repro.kernels.blocks.rank_split` (Sec. 3.5's rule, the one
+    the distributed state runs the gate by) finds each rank its action."""
+    global_bits = [j for j, q in enumerate(gate.qubits) if q in global_qubits]
+    return rank_split(gate, global_bits) is not None
 
 
 def _op_gates(op) -> list[Gate]:
@@ -222,42 +194,15 @@ class Schedule:
         return out
 
     def validate(self) -> None:
-        """Check structural invariants; raises on violation.
+        """Raise :class:`AssertionError` on the first error
+        :func:`~repro.staticcheck.verify_schedule` finds (coverage, gate
+        order, ``kmax``, locality, specialization, stage shape; fused
+        matrices are not built)."""
+        from repro.staticcheck.schedule_checker import verify_schedule
 
-        * every circuit gate appears exactly once,
-        * per-qubit gate order is preserved (up to reorderings of
-          mutually commuting diagonal gates),
-        * cluster sizes respect ``kmax`` (when set),
-        * every cluster touches only stage-local qubits,
-        * specialized ops touching global qubits are diagonal or monomial.
-        """
-        rescheduled = Circuit(self.num_qubits, self.scheduled_gates())
-        if len(rescheduled) != len(self.circuit):
-            raise AssertionError(
-                f"schedule covers {len(rescheduled)} gates, circuit has "
-                f"{len(self.circuit)}"
-            )
-        if not _order_equivalent(self.circuit, rescheduled):
-            raise AssertionError("schedule violates per-qubit gate order")
-        for stage in self.stages:
-            if len(stage.global_qubits) != self.num_qubits - self.local_qubits:
-                raise AssertionError("stage global set has wrong size")
-            for op in stage.ops:
-                if isinstance(op, GateOp):
-                    if not gate_specializable_under(op.gate, stage.global_qubits):
-                        raise AssertionError(
-                            f"non-specializable gate {op.gate!r} on global qubits"
-                        )
-                    continue
-                if self.kmax is not None and op.num_qubits > self.kmax:
-                    raise AssertionError(
-                        f"cluster of size {op.num_qubits} exceeds kmax={self.kmax}"
-                    )
-                overlap = set(op.qubits) & stage.global_qubits
-                if overlap:
-                    raise AssertionError(
-                        f"cluster touches global qubits {sorted(overlap)}"
-                    )
+        errors = verify_schedule(self, check_unitarity=False).errors
+        if errors:
+            raise AssertionError(errors[0].message)
 
     def summary(self) -> dict:
         """Human-readable summary counters."""
@@ -273,35 +218,3 @@ class Schedule:
             "kmax": self.kmax,
         }
 
-
-def _order_equivalent(original: Circuit, rescheduled: Circuit) -> bool:
-    """Per-qubit order equality, up to commuting-diagonal reorderings.
-
-    Diagonal gates commute with each other, so on every qubit the two
-    sequences must have identical *dense* gates in identical relative
-    positions, with equal multisets of diagonal gates between consecutive
-    dense anchors.
-    """
-
-    def canonical(circ: Circuit) -> list[list]:
-        per_qubit: list[list] = [[] for _ in range(circ.num_qubits)]
-        for gate in circ:
-            key = (gate.name, gate.qubits, gate.matrix.tobytes())
-            for q in gate.qubits:
-                per_qubit[q].append((gate.is_diagonal, key))
-        canon: list[list] = []
-        for seq in per_qubit:
-            blocks: list = []
-            run: list = []
-            for is_diag, key in seq:
-                if is_diag:
-                    run.append(key)
-                else:
-                    blocks.append(tuple(sorted(run)))
-                    blocks.append(key)
-                    run = []
-            blocks.append(tuple(sorted(run)))
-            canon.append(blocks)
-        return canon
-
-    return canonical(original) == canonical(rescheduled)

@@ -14,7 +14,12 @@ from dataclasses import dataclass, replace
 from repro.circuit.circuit import Circuit
 from repro.gates.gate import Gate
 from repro.scheduling.clustering import cluster_stage_gates
-from repro.scheduling.program import ClusterOp, Schedule, Stage
+from repro.scheduling.program import (
+    ClusterOp,
+    Schedule,
+    Stage,
+    gate_specializable_under,
+)
 from repro.scheduling.stages import find_stages
 from repro.telemetry.runtime import NULL_TELEMETRY, Telemetry
 
@@ -108,13 +113,16 @@ def _adjust_swap_points(
     config: SchedulerConfig,
     counts: Counter,
 ) -> list[tuple[frozenset[int], list[Gate], list]]:
-    """Step 3: migrate trailing clusters across swap points when cheaper.
+    """Step 3: migrate boundary clusters across swap points when cheaper.
 
-    For each stage boundary, repeatedly try moving the last cluster of the
-    stage into the next stage (i.e. performing the swap earlier).  The
-    move is legal when every migrated gate remains executable under the
-    next stage's global set; it is kept when the total cluster count does
-    not increase.  Every clustering adds its scan counts to *counts*.
+    At each stage boundary, repeatedly try moving the first cluster of
+    the next stage back into this one (performing the swap later), then,
+    over every boundary again, the last cluster of a stage forward into
+    the next (performing it earlier).  A move is legal when no op between
+    the cluster and the boundary shares its qubits, every migrated gate
+    runs under the receiving stage's global set and the giving stage
+    keeps a gate; it is kept when the total cluster count drops.  Every
+    clustering adds its scan counts to *counts*.
     """
 
     def cluster(gates, global_set, stage_index):
@@ -131,111 +139,60 @@ def _adjust_swap_points(
     if not config.adjust_swaps:
         return clustered
 
-    # Backward migration: a leading cluster of stage s+1 whose gates are
-    # all executable under stage s's global set can move into stage s,
-    # where it may fuse with s's trailing clusters.
-    for i in range(len(clustered) - 1):
-        while True:
-            global_i, gates_i, ops_i = clustered[i]
-            global_next, gates_next, ops_next = clustered[i + 1]
-            leading = None
-            for op in ops_next:
-                if isinstance(op, ClusterOp):
-                    leading = op
-                    break
-            if leading is None:
-                break
-            # Gates before `leading` in stage s+1 sharing its qubits
-            # would be reordered: disallow.
-            blocked = set()
-            for op in ops_next:
-                if op is leading:
-                    break
-                blocked.update(
-                    op.qubits if isinstance(op, ClusterOp) else op.gate.qubits
-                )
-            if blocked & set(leading.qubits):
-                break
-            if not all(_executable_under(g, global_i) for g in leading.gates):
-                break
-            to_remove = list(leading.gates)
-            new_gates_next = []
-            for g in gates_next:
-                for k, pending in enumerate(to_remove):
-                    if pending is g:
-                        to_remove.pop(k)
-                        break
-                else:
-                    new_gates_next.append(g)
-            if not new_gates_next:
-                break  # never empty a stage
-            new_gates_i = gates_i + list(leading.gates)
-            new_ops_i = cluster(new_gates_i, global_i, i)
-            new_ops_next = cluster(new_gates_next, global_next, i + 1)
-            old_total = _count_clusters(ops_i) + _count_clusters(ops_next)
-            new_total = _count_clusters(new_ops_i) + _count_clusters(new_ops_next)
-            if new_total < old_total:
-                clustered[i] = (global_i, new_gates_i, new_ops_i)
-                clustered[i + 1] = (global_next, new_gates_next, new_ops_next)
-            else:
-                break
-
-    for i in range(len(clustered) - 1):
-        while True:
-            global_i, gates_i, ops_i = clustered[i]
-            global_next, gates_next, ops_next = clustered[i + 1]
-            trailing = None
-            trailing_pos = -1
-            for pos in range(len(ops_i) - 1, -1, -1):
-                if isinstance(ops_i[pos], ClusterOp):
-                    trailing = ops_i[pos]
-                    trailing_pos = pos
-                    break
-            if trailing is None:
-                break
-            # Ops after the trailing cluster (specialized GateOps) must
-            # not touch its qubits: the move would reorder shared-qubit
-            # gates across them.
-            tail_conflict = any(
-                set(op.gate.qubits) & set(trailing.qubits)
-                for op in ops_i[trailing_pos + 1 :]
-                if hasattr(op, "gate")
-            )
-            if tail_conflict:
-                break
-            movable = all(
-                _executable_under(g, global_next) for g in trailing.gates
-            )
-            if not movable:
-                break
-            # Remove exactly the trailing cluster's gate occurrences
-            # (positional, robust to repeated identical Gate objects).
-            to_remove = list(trailing.gates)
-            new_gates_i = []
-            for g in gates_i:
-                for k, pending in enumerate(to_remove):
-                    if pending is g:
-                        to_remove.pop(k)
-                        break
-                else:
-                    new_gates_i.append(g)
-            new_gates_next = list(trailing.gates) + gates_next
-            new_ops_i = cluster(new_gates_i, global_i, i)
-            new_ops_next = cluster(new_gates_next, global_next, i + 1)
-            old_total = _count_clusters(ops_i) + _count_clusters(ops_next)
-            new_total = _count_clusters(new_ops_i) + _count_clusters(new_ops_next)
-            if new_total < old_total and new_gates_i:
-                clustered[i] = (global_i, new_gates_i, new_ops_i)
-                clustered[i + 1] = (global_next, new_gates_next, new_ops_next)
-            else:
-                break
+    for forward in (False, True):
+        for i in range(len(clustered) - 1):
+            while _migrate(clustered, i, forward, cluster):
+                pass
     return clustered
 
 
-def _executable_under(gate: Gate, global_set: frozenset[int]) -> bool:
-    from repro.scheduling.program import gate_specializable_under
-
-    return gate_specializable_under(gate, global_set)
+def _migrate(clustered, i: int, forward: bool, cluster) -> bool:
+    """Move the cluster next to the boundary after stage *i* across it —
+    stage ``i``'s last one *forward*, else stage ``i + 1``'s first —
+    when legal and fewer clusters result; whether it moved."""
+    giver, taker = (i, i + 1) if forward else (i + 1, i)
+    global_give, gates_give, ops_give = clustered[giver]
+    global_take, gates_take, ops_take = clustered[taker]
+    positions = [p for p, op in enumerate(ops_give) if isinstance(op, ClusterOp)]
+    if not positions:
+        return False
+    pos = positions[-1] if forward else positions[0]
+    moved = ops_give[pos]
+    # Ops between the cluster and the boundary sharing its qubits would
+    # be reordered across it.
+    between = ops_give[pos + 1:] if forward else ops_give[:pos]
+    if any(
+        set(op.qubits if isinstance(op, ClusterOp) else op.gate.qubits)
+        & set(moved.qubits)
+        for op in between
+    ):
+        return False
+    if not all(gate_specializable_under(g, global_take) for g in moved.gates):
+        return False
+    # Remove exactly the cluster's gate occurrences (positional, robust
+    # to repeated identical Gate objects).
+    to_remove = list(moved.gates)
+    new_give = []
+    for g in gates_give:
+        for k, pending in enumerate(to_remove):
+            if pending is g:
+                to_remove.pop(k)
+                break
+        else:
+            new_give.append(g)
+    if not new_give:
+        return False  # never empty a stage
+    new_take = (
+        list(moved.gates) + gates_take if forward else gates_take + list(moved.gates)
+    )
+    new_ops_give = cluster(new_give, global_give, giver)
+    new_ops_take = cluster(new_take, global_take, taker)
+    old_total = _count_clusters(ops_give) + _count_clusters(ops_take)
+    if _count_clusters(new_ops_give) + _count_clusters(new_ops_take) >= old_total:
+        return False
+    clustered[giver] = (global_give, new_give, new_ops_give)
+    clustered[taker] = (global_take, new_take, new_ops_take)
+    return True
 
 
 def _count_clusters(ops) -> int:

@@ -11,9 +11,8 @@ and reports violations as :class:`~repro.staticcheck.diagnostics.Finding`s
 instead of raising, so a single run surfaces every problem at once — on
 malformed schedules too, which is what it exists to reject.
 
-This subsumes ``Schedule.validate()`` (which raises on first violation)
-— the checker is the diagnostic front end, ``validate()`` the cheap
-internal assertion.
+``Schedule.validate()`` raises the first error this finds (unitarity
+aside): the checker is the one implementation of these rules.
 """
 
 from __future__ import annotations
@@ -174,8 +173,8 @@ def _check_specialization(schedule: Schedule, report: CheckReport) -> None:
                     report.add(
                         _E, "specialization",
                         f"gate {op.gate.name!r} on qubits {op.gate.qubits} "
-                        "is declared specialized but is neither diagonal "
-                        "nor rank-separable monomial under this global set",
+                        "is declared specialized but is not specializable "
+                        "under this global set",
                         stage=i, op_index=j,
                         hint="only diagonal gates and monomial gates whose "
                         "global action is local-independent run without "
@@ -195,8 +194,8 @@ def _check_coverage(schedule: Schedule, report: CheckReport) -> None:
     for key, count in missing.items():
         report.add(
             _E, "coverage",
-            f"gate {key[0]!r} on qubits {key[1]} dropped from the "
-            f"schedule ({count}x)",
+            f"gate {key[0]!r} on qubits {key[1]} dropped: the schedule "
+            f"covers it {count}x less often than the circuit",
             hint="every circuit gate must appear in exactly one cluster "
             "or specialized op",
         )

@@ -37,6 +37,7 @@ from repro.plan import plan_for
 from repro.runtime import ExecutionEngine, PipelineLayer, TracingLayer
 from repro.scheduling import SchedulerConfig, schedule_circuit
 from repro.service import JobSpec, ServiceConfig, SimulationService
+from repro.statevector import StateVector
 from repro.telemetry import Telemetry
 from repro.util.executors import unregister_executor
 from repro.util.rng import random_statevector
@@ -91,11 +92,22 @@ def _apply(state, op, bits, seed) -> None:
     elif op == "diagonal_global":
         state.apply_gate(Gate("cz", (bits[0], top)))
     elif op == "monomial_global":
-        state.apply_gate(Gate("cnot", (top, bits[0])))
-        state.apply_gate(Gate("x", (l,)))
+        _monomial_globals(state, bits[0])
     else:
         state._apply_local_bit_permutation(list(zip(bits, bits[1:])))
         state._swap_local_bits(bits[0], bits[-1])
+
+
+def _monomial_globals(state, local) -> None:
+    """Monomial gates on global qubits: CNOT with a global control (one
+    sweep, no relabel), X (a relabel only), Y (phases +-i, then a
+    relabel) and, given two global qubits, SWAP of them (a relabel)."""
+    l, top = state.local_qubits, state.num_qubits - 1
+    state.apply_gate(Gate("cnot", (top, local)))
+    state.apply_gate(Gate("x", (l,)))
+    state.apply_gate(Gate("y", (top,)))
+    if top > l:
+        state.apply_gate(Gate("swap", (l, top)))
 
 
 def _run(threshold, n, l, per_rank, op, bits, seed) -> list[np.ndarray]:
@@ -162,7 +174,7 @@ class TestGlobalControls:
 
     N, L = 9, 5
 
-    def _run(self, gate, bits, monkeypatch, *, threshold, block=True,
+    def _run(self, apply, monkeypatch, *, threshold, block=True,
              per_rank=False, disk=None):
         monkeypatch.setattr(kernels, "SPLIT_MIN_AMPLITUDES", threshold)
         storage = None
@@ -177,7 +189,7 @@ class TestGlobalControls:
             )
             for rank, shard in enumerate(amps):
                 state.storage.set(rank, shard)
-        state._sweep(gate, bits)
+        apply(state)
         shards = [np.array(state.storage.get(r)) for r in range(state.num_ranks)]
         if storage is not None:
             storage.close()
@@ -191,7 +203,21 @@ class TestGlobalControls:
         state = _state(self.N, self.L, 11, False)
         gate, bits = _global_control_gate(state, local, rng, m)
         assert len(gate.targets) == m and any(b >= self.L for b in bits)
-        want = self._run(gate, bits, monkeypatch, threshold=SERIAL)
+        want = self._every_way(
+            lambda state: state._sweep(gate, bits), tmp_path, monkeypatch
+        )
+        # Rank by rank: the dense gate its control values restrict it to.
+        ranked = [j for j, b in enumerate(bits) if b >= self.L]
+        kept = [b for b in bits if b < self.L]
+        for rank, shard in enumerate(want):
+            fixed = {j: rank >> (bits[j] - self.L) & 1 for j in ranked}
+            expected = state.storage.get(rank).copy()
+            apply_gate_naive(expected, gate.restrict(fixed).dense(), kept)
+            assert np.allclose(shard, expected, atol=1e-12), rank
+
+    def _every_way(self, apply, tmp_path, monkeypatch) -> list[np.ndarray]:
+        """The shards *apply* leaves, the same bytes every way it runs."""
+        want = self._run(apply, monkeypatch, threshold=SERIAL)
         runs = {
             "pooled block": dict(threshold=1),
             "serial shards": dict(threshold=SERIAL, block=False),
@@ -201,16 +227,22 @@ class TestGlobalControls:
             "disk pooled": dict(threshold=1, disk=tmp_path / "pooled"),
         }
         for name, how in runs.items():
-            got = self._run(gate, bits, monkeypatch, **how)
+            got = self._run(apply, monkeypatch, **how)
             assert [g.tobytes() for g in got] == [w.tobytes() for w in want], name
-        # Rank by rank: the dense gate its control values restrict it to.
-        ranked = [j for j, b in enumerate(bits) if b >= self.L]
-        kept = [b for b in bits if b < self.L]
-        for rank, shard in enumerate(want):
-            fixed = {j: rank >> (bits[j] - self.L) & 1 for j in ranked}
-            expected = state.storage.get(rank).copy()
-            apply_gate_naive(expected, gate.restrict(fixed).dense(), kept)
-            assert np.allclose(shard, expected, atol=1e-12), rank
+        return want
+
+    def test_monomial_globals_every_way(self, tmp_path, monkeypatch):
+        """Monomial gates on global qubits, relabels included, leave the
+        same bytes every way, and the single-node simulator's state."""
+        want = self._every_way(
+            lambda state: _monomial_globals(state, 2), tmp_path, monkeypatch
+        )
+        sv = StateVector(self.N, random_statevector(self.N, 11))
+        for gate in [Gate("cnot", (8, 2)), Gate("x", (5,)), Gate("y", (8,)),
+                     Gate("swap", (5, 8))]:
+            sv.apply_gate(gate)
+        # Relabels move shards, not qubits: the layout is still the identity.
+        assert np.allclose(np.concatenate(want), sv.data, atol=1e-12)
 
     @pytest.mark.parametrize("m", [0, 2])
     def test_block_takes_no_per_rank_dispatch(self, m, monkeypatch):

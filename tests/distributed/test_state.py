@@ -174,24 +174,37 @@ class TestMonomialSpecialization:
         assert d.stats.alltoall_steps == 0
 
     def test_one_descriptor_per_global_value(self, monkeypatch):
-        """A global-control CNOT on 8 ranks builds one kernel per value of
-        its global bit (X or identity), not one per rank."""
+        """A global-control CNOT on 8 ranks is one sweep of dense width 1:
+        one descriptor over the block of shards, whose top bit picks X or
+        the identity, with no rank-by-rank dispatch; on separate arrays
+        one descriptor per value of its global bit, not one per rank."""
         import repro.distributed.state as state_module
 
         built = []
         real = state_module.DistributedState._local_kernel
 
-        def spy(self, matrix, bits, **kwargs):
+        def spy(self, gate, bits, **kwargs):
             built.append(bits)
-            return real(self, matrix, bits, **kwargs)
+            return real(self, gate, bits, **kwargs)
+
+        def per_rank(*args, **kwargs):
+            raise AssertionError("rank-by-rank sweep on block storage")
 
         monkeypatch.setattr(state_module.DistributedState, "_local_kernel", spy)
-        d, sv = dist_from_random()
-        gate = Gate("cnot", (7, 2))
-        d.apply_gate(gate)
-        sv.apply_gate(gate)
-        assert d.to_statevector().allclose(sv, atol=1e-12)
-        assert len(built) == 2
+        for block, descriptors in [(True, 1), (False, 2)]:
+            built.clear()
+            d, sv = dist_from_random()
+            if block:
+                monkeypatch.setattr(d.storage, "sweep", per_rank)
+            else:
+                monkeypatch.setattr(d.storage, "local_block", lambda: None)
+            gate = Gate("cnot", (7, 2))
+            d.apply_gate(gate)
+            sv.apply_gate(gate)
+            assert d.to_statevector().allclose(sv, atol=1e-12)
+            assert len(built) == descriptors
+            assert d.kernel_cost.calls_by_k == {1: 1}
+            assert d.stats.rank_renumberings == 0
 
     def test_cnot_local_control_global_target_needs_swap(self):
         d, _ = dist_from_random()

@@ -16,12 +16,7 @@ from repro.plan import (
     compile_program,
     plan_for,
 )
-from repro.plan.passes import (
-    PassContext,
-    finalize_pass,
-    lower_pass,
-    specialize_pass,
-)
+from repro.plan.passes import PassContext, finalize_pass, lower_pass
 from repro.plan.program import _counts_of
 from repro.runtime import ExecutionEngine, TracingLayer
 from repro.scheduling import GateOp, SchedulerConfig, SwapOp, schedule_circuit
@@ -52,7 +47,7 @@ def _state_for(schedule, *, telemetry=None):
 def _unfused_program(schedule) -> CompiledProgram:
     """The plan without its refuse pass: one plan op per schedule op."""
     ctx = PassContext.for_schedule(schedule, PlanConfig())
-    ops = finalize_pass(specialize_pass(lower_pass((), ctx), ctx), ctx)
+    ops = finalize_pass(lower_pass((), ctx), ctx)
     return CompiledProgram(
         schedule=schedule, ops=ops, config=ctx.config, compile_seconds=0.0,
         counts=_counts_of(ops),
@@ -81,23 +76,25 @@ class TestCompile:
             + c["passthrough_ops"]
         )
         assert plan.num_source_ops == len(plan.ops) + c["refused_away_ops"]
-        # Passthrough is left for monomial gates on global qubits only.
+        # Passthrough is left for gates that renumber ranks only.
         for op in plan.ops:
             if op.exec_kind == "passthrough":
                 assert isinstance(op.source_op, GateOp)
                 assert not op.source_op.gate.is_diagonal
 
     def test_strategy_resolved_at_compile_time(self):
+        """A kernel op's gate alone fixes its kernel: the run takes the
+        phase multiply exactly for the all-control gates, and every gate
+        stays within the dense sweep's width."""
         _, schedule = _small_case(1)
         plan = compile_program(schedule)
-        kernel_ops = [op for op in plan.ops if op.exec_kind == "kernel"]
-        assert kernel_ops
-        for op in kernel_ops:
-            wide = len(op.qubits) > SWEEP_MAX_QUBITS
-            assert op.strategy == (
-                "diagonal" if not op.gate.targets
-                else "reference" if wide else "indexed"
-            )
+        sweeps = [op for op in plan.ops if op.gate is not None]
+        assert any(op.exec_kind == "kernel" for op in sweeps)
+        assert all(len(op.qubits) <= SWEEP_MAX_QUBITS for op in sweeps)
+        run = DistributedSimulator(_N, _L).run_schedule(schedule)
+        assert run.kernel_cost.diagonal_calls == sum(
+            not op.gate.targets for op in sweeps
+        )
 
     def test_fusion_merges_consecutive_diagonals(self):
         """Adjacent diagonals in one stage end up in one phase multiply
@@ -134,7 +131,7 @@ class TestCompile:
             circuit, SchedulerConfig(local_qubits=width + 1, kmax=2, seed=1)
         )
         plan = compile_program(schedule, PlanConfig(fusion_kmax=10))
-        assert {op.strategy for op in plan.ops} == {"diagonal"}
+        assert not any(op.gate.targets for op in plan.ops)
         assert (len(plan.ops) == 1) == bool(fused)
 
     def test_summary_reports_counters(self):

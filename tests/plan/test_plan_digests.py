@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from repro.circuit import generate_supremacy_circuit
-from repro.kernels.apply import chunk_for
+from repro.kernels.apply import SWEEP_MAX_QUBITS, chunk_for
 from repro.plan import PlanConfig, compile_program
 from repro.scheduling import SchedulerConfig, schedule_circuit
 
@@ -41,12 +41,13 @@ CONFIGS = {"default": {}, "unfused": {"fusion_kmax": 0}}
 
 
 def _kernel_of(op) -> tuple[str | None, int | None]:
-    """(kernel, chunk) a kernel plan op runs with; (None, None) otherwise."""
+    """(kernel, chunk) a kernel plan op runs with, from its gate and qubit
+    count; (None, None) otherwise."""
     if op.exec_kind not in ("kernel", "fused_kernel"):
         return None, None
-    if op.strategy == "diagonal":
+    if not op.gate.targets:
         return "phase", None
-    if op.strategy == "indexed":
+    if len(op.qubits) <= SWEEP_MAX_QUBITS:
         return "sweep", chunk_for(len(op.gate.targets))
     return "tensordot", None
 

@@ -17,7 +17,7 @@ import pytest
 from repro.circuit import generate_supremacy_circuit
 from repro.gates.fusion import lift_gate_matrix
 from repro.plan import PlanConfig, compile_program
-from repro.plan.passes import PassContext, finalize_pass, lower_pass, specialize_pass
+from repro.plan.passes import PassContext, finalize_pass, lower_pass
 from repro.scheduling import SchedulerConfig, schedule_circuit
 from tests.plan.test_plan_digests import SCHEDULE_CASES, _cases
 
@@ -41,7 +41,7 @@ def test_fused_blocks_are_the_lifted_product(name):
     schedule = _schedule(name)
     plan = compile_program(schedule, PlanConfig())
     ctx = PassContext.for_schedule(schedule, PlanConfig())
-    unfused = finalize_pass(specialize_pass(lower_pass((), ctx), ctx), ctx)
+    unfused = finalize_pass(lower_pass((), ctx), ctx)
     by_source = {op.sources[0].op_index: op for op in unfused}
     fused = [op for op in plan.ops if op.exec_kind == "fused_kernel"]
     for op in fused:

@@ -72,7 +72,7 @@ class TestAbsorbDiagonalsPass:
             config=PlanConfig(fusion_kmax=3),
         )
         assert [op.exec_kind for op in plan.ops] == ["kernel", "kernel"]
-        assert plan.ops[0].strategy == "diagonal"
+        assert not plan.ops[0].gate.targets  # the phase multiply
         assert _controls(plan.ops[0]) == {2, 5}
 
     def test_trailing_diagonal_folds_backward(self):
@@ -93,6 +93,34 @@ class TestAbsorbDiagonalsPass:
             "kernel", "passthrough", "kernel",
         ]
         assert plan.ops[0].sources[0].label == f"t{t_gate.qubits}"
+
+    def test_monomial_without_relabel_is_a_kernel_op(self):
+        """CNOT with a global control and a local target renumbers no
+        rank: between two clusters it lowers to a kernel op whose global
+        qubit is a control, and the plan, fused or not, has no
+        passthrough and gives the single-node simulator's state."""
+        ops = [
+            ClusterOp((0, 1), (Gate("h", (0,)), Gate("cnot", (0, 1)))),
+            GateOp(Gate("cnot", (5, 1))),
+            ClusterOp((1, 2), (Gate("h", (1,)), Gate("cz", (1, 2)))),
+        ]
+        gates = [g for op in ops for g in (
+            op.gates if isinstance(op, ClusterOp) else (op.gate,))]
+        want = Simulator(6).run(
+            Circuit(6, gates), state=StateVector(6, random_statevector(6, 2))
+        ).state
+        for config in (PlanConfig(fusion_kmax=0), None):
+            plan = _plan(ops, config=config)
+            assert plan.counts["passthrough_ops"] == 0
+            if config is not None:
+                assert [op.exec_kind for op in plan.ops] == ["kernel"] * 3
+                assert _controls(plan.ops[1]) == {5}
+                assert len(plan.ops[1].gate.targets) == 1
+            state = DistributedState.from_statevector(
+                StateVector(6, random_statevector(6, 2)), 5
+            )
+            plan.execute(state)
+            assert state.to_statevector().allclose(want, atol=1e-12)
 
     def test_covers_all_gates(self):
         circ = generate_supremacy_circuit(12, 10, seed=0)
