@@ -1,8 +1,8 @@
 """Runtime-engine overhead: empty layer stack vs a bare plan loop.
 
 Every schedule run goes through one canonical op loop
-(:class:`repro.runtime.ExecutionEngine`) replaying the compiled plan.
-The engine's fast path (no layers, no policy) must therefore cost
+(:class:`repro.runtime.ExecutionEngine`) replaying the compiled plan,
+with or without layers.  With an empty stack it must therefore cost
 essentially nothing over a hand-rolled loop.  This bench replays the
 same 20-qubit plan through
 
@@ -66,9 +66,9 @@ def bench_runtime_overhead(benchmark, report_writer, bench_record, schedule_cach
         rows.append(f"{name:>18}  {wall:>8.3f}  {wall / base:>8.2f}x")
     rows += [
         "",
-        "the engine's empty-stack fast path adds one unit dispatch per op",
+        "the engine with an empty stack adds one unit dispatch per op",
         "against O(state) kernels; anything beyond a few percent means a",
-        "per-op allocation or layer check leaked into the fast path",
+        "per-op allocation or layer check leaked into the op loop",
     ]
     report_writer("runtime_overhead", rows)
     bench_record(
@@ -87,7 +87,7 @@ def bench_runtime_overhead(benchmark, report_writer, bench_record, schedule_cach
     # Target is <= 1.05x (recorded above; bench_check guards the record
     # against generation-to-generation regressions).  The hard assert
     # carries noise headroom — same convention as the telemetry bench —
-    # and only trips on a structural regression in the fast path.
+    # and only trips on a structural regression in the op loop.
     assert plan_ratio <= 1.15, (
         f"engine plan overhead {plan_ratio:.3f}x > 1.15x"
     )

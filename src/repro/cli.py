@@ -16,7 +16,7 @@ Subcommands:
 * ``chaos`` — run the fault-injection scenario sweep (or a custom
   fault-plan JSON) and print the recovery report;
 * ``trace`` — run a schedule with full telemetry and export a
-  Chrome-trace/Perfetto JSON (one lane per rank), plus the
+  Chrome-trace/Perfetto JSON (one driver lane), plus the
   predicted-vs-actual performance report;
 * ``serve`` — run the multi-tenant simulation job service on a local
   TCP socket (admission control, weighted-fair queueing, cross-request
@@ -274,6 +274,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _schedule(circuit, telemetry=None, **config):
+    """*circuit* scheduled under ``SchedulerConfig(**config)``, or
+    ``None`` after one ``error:`` line when the split cannot hold it
+    (``kmax`` above the local qubits, more local qubits than the circuit
+    has): a usage error, exit 2."""
+    from repro.scheduling import SchedulerConfig, schedule_circuit
+
+    try:
+        return schedule_circuit(
+            circuit, SchedulerConfig(**config), telemetry=telemetry
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_generate(args) -> int:
     from repro.circuit import circuit_to_text, generate_supremacy_circuit
 
@@ -295,7 +311,6 @@ def _cmd_generate(args) -> int:
 
 def _cmd_schedule(args) -> int:
     from repro.circuit import circuit_from_text, generate_supremacy_circuit
-    from repro.scheduling import SchedulerConfig, schedule_circuit
     from repro.telemetry import Telemetry
 
     if args.circuit:
@@ -306,12 +321,12 @@ def _cmd_schedule(args) -> int:
     else:
         print("error: provide --circuit or --qubits", file=sys.stderr)
         return 2
-    telemetry = Telemetry.spans_only(per_rank=False)
-    schedule = schedule_circuit(
-        circuit,
-        SchedulerConfig(local_qubits=args.local_qubits, kmax=args.kmax),
-        telemetry=telemetry,
+    telemetry = Telemetry.spans_only()
+    schedule = _schedule(
+        circuit, telemetry, local_qubits=args.local_qubits, kmax=args.kmax
     )
+    if schedule is None:
+        return 2
     for key, value in schedule.summary().items():
         print(f"{key:>22}: {value}")
     # Where the time went, from the scheduler's own phase spans.
@@ -345,15 +360,15 @@ def _cmd_check(args) -> int:
             return 2
     elif args.qubits and args.local_qubits:
         from repro.circuit import generate_supremacy_circuit
-        from repro.scheduling import SchedulerConfig, schedule_circuit
 
         circuit = generate_supremacy_circuit(
             args.qubits, args.depth, seed=args.seed
         )
-        schedule = schedule_circuit(
-            circuit,
-            SchedulerConfig(local_qubits=args.local_qubits, kmax=args.kmax),
+        schedule = _schedule(
+            circuit, local_qubits=args.local_qubits, kmax=args.kmax
         )
+        if schedule is None:
+            return 2
     else:
         print("error: provide --schedule or --qubits with --local-qubits",
               file=sys.stderr)
@@ -400,11 +415,10 @@ def _simulate(args, cleanup: ExitStack) -> int:
     circuit = generate_supremacy_circuit(args.qubits, args.depth, seed=args.seed)
     if args.local_qubits:
         from repro.distributed import DistributedSimulator
-        from repro.scheduling import SchedulerConfig, schedule_circuit
 
-        schedule = schedule_circuit(
-            circuit, SchedulerConfig(local_qubits=args.local_qubits)
-        )
+        schedule = _schedule(circuit, local_qubits=args.local_qubits)
+        if schedule is None:
+            return 2
         storage = None
         state_factory = None
         if args.storage_dir:
@@ -659,7 +673,6 @@ def _cmd_chaos(args) -> int:
         run_scenario,
     )
     from repro.resilience.chaos import ChaosSuiteResult
-    from repro.scheduling import SchedulerConfig, schedule_circuit
 
     g = args.qubits - args.local_qubits
     if g < 1:
@@ -674,10 +687,11 @@ def _cmd_chaos(args) -> int:
             print(f"error: bad fault plan {args.plan}: {exc}", file=sys.stderr)
             return 2
     circuit = generate_supremacy_circuit(args.qubits, args.depth, seed=args.seed)
-    schedule = schedule_circuit(
-        circuit,
-        SchedulerConfig(local_qubits=args.local_qubits, kmax=args.kmax, seed=1),
+    schedule = _schedule(
+        circuit, local_qubits=args.local_qubits, kmax=args.kmax, seed=1
     )
+    if schedule is None:
+        return 2
     policy = RetryPolicy(
         max_retries=args.max_retries, max_restarts=args.max_restarts
     )
@@ -715,7 +729,6 @@ def _cmd_chaos(args) -> int:
 def _cmd_trace(args) -> int:
     from repro.circuit import generate_supremacy_circuit
     from repro.distributed import DistributedSimulator
-    from repro.scheduling import SchedulerConfig, schedule_circuit
     from repro.telemetry import (
         Telemetry,
         format_flamegraph,
@@ -726,24 +739,20 @@ def _cmd_trace(args) -> int:
 
     from repro.util.locktrack import LOCK_TRACKER
 
-    g = args.qubits - args.local_qubits
-    if g < 0:
-        print("error: --local-qubits exceeds --qubits", file=sys.stderr)
-        return 2
     telemetry = Telemetry.enabled()
+    circuit = generate_supremacy_circuit(
+        args.qubits, args.depth, seed=args.seed
+    )
+    schedule = _schedule(
+        circuit, telemetry, local_qubits=args.local_qubits, kmax=args.kmax
+    )
+    if schedule is None:
+        return 2
     # Lock contention joins the perf report through the same registry
     # (lock.acquire.count{name=} / lock.wait.seconds{name=}).
     LOCK_TRACKER.reset()
     LOCK_TRACKER.bind_metrics(telemetry.metrics)
     LOCK_TRACKER.enable()
-    circuit = generate_supremacy_circuit(
-        args.qubits, args.depth, seed=args.seed
-    )
-    schedule = schedule_circuit(
-        circuit,
-        SchedulerConfig(local_qubits=args.local_qubits, kmax=args.kmax),
-        telemetry=telemetry,
-    )
     try:
         result = DistributedSimulator(
             args.qubits, args.local_qubits, telemetry=telemetry
@@ -753,7 +762,7 @@ def _cmd_trace(args) -> int:
         LOCK_TRACKER.bind_metrics(None)
     spans = telemetry.tracer.spans
     write_chrome_trace(args.output, spans)
-    print(f"wrote {len(spans)} spans ({1 << g} rank lanes) to {args.output}")
+    print(f"wrote {len(spans)} spans to {args.output}")
     if args.jsonl:
         write_jsonl(args.jsonl, spans)
         print(f"wrote span records to {args.jsonl}")

@@ -315,8 +315,9 @@ class DistributedState:
         :data:`~repro.kernels.SWEEP_MAX_QUBITS` bits, and tensordot, rank
         by rank, beyond.  It is built once (once per value of its global
         controls when ranks go one by one), and every way of running it
-        (one sweep over a block of shards, rank by rank, traced or not)
-        does the same arithmetic on every amplitude, bit for bit.
+        (one sweep over a block of shards, or rank by rank) does the same
+        arithmetic on every amplitude, bit for bit.  Telemetry only times
+        the sweep; it never picks the way.
         """
         l = self.local_qubits
         if any(bits[j] >= l for j in gate.targets):
@@ -326,20 +327,17 @@ class DistributedState:
             )
         k, m = len(bits), len(gate.targets)
         tensordot = m > 0 and k > SWEEP_MAX_QUBITS
-        tel = self.telemetry
-        tracer = tel.tracer
-        per_rank = tel.active and tracer.enabled and tracer.per_rank
         ranked = [j for j in gate.controls if bits[j] >= l]
         # A backend that keeps the shards side by side, in rank order,
         # gets one sweep over all of them: a target is a bit of that
         # longer vector just the same, and a global control one of its
         # top bits.  That block, or else each resident shard (when no
         # control tells ranks apart), goes to the sweep pool in pieces.
-        # Through the storage, rank by rank, otherwise: per-rank spans,
-        # shards not resident, and the tensordot kernel, whose GEMM shape
-        # (and with it the rounding) would follow the vector's length.
+        # Through the storage, rank by rank, otherwise: shards not
+        # resident, and the tensordot kernel, whose GEMM shape (and with
+        # it the rounding) would follow the vector's length.
         arrays = None
-        if not per_rank and not tensordot:
+        if not tensordot:
             block = self.storage.local_block()
             if block is not None:
                 arrays = [block]
@@ -349,6 +347,7 @@ class DistributedState:
             part, units = self._local_kernel(
                 gate, bits, width=arrays[0].size.bit_length() - 1
             )
+            sweep = partial(split_sweep, part, arrays, units)
         else:
             kept = [b for b in bits if b < l]
             kernels: dict[tuple, object] = {}
@@ -363,27 +362,15 @@ class DistributedState:
                     ) if tensordot else self._local_kernel(local, kept)[0]
                 return kernels[key]
 
-        def traced(shard, rank):
-            # Timed where it runs: in the op's span or the stage flush's.
-            t0 = tracer.now()
-            kernel_of_rank(rank)(shard)
-            tracer.add_span(
-                "kernel.apply", kind="kernel",
-                start=t0, end=tracer.now(), rank=rank, k=k,
-            )
-
-        def sweep():
-            if arrays is not None:
-                split_sweep(part, arrays, units)
-                return
-            self.storage.sweep(
-                (lambda r: partial(traced, rank=r))
-                if per_rank else kernel_of_rank,
+            sweep = partial(
+                self.storage.sweep,
+                kernel_of_rank,
                 label=f"op k={k} m={m} bits={list(bits)}",
             )
 
+        tel = self.telemetry
         if tel.active:
-            with tracer.span(
+            with tel.tracer.span(
                 "kernel.apply", kind="kernel", k=k, diagonal=not m
             ):
                 start = time.perf_counter()
@@ -565,13 +552,11 @@ class DistributedState:
         self._apply_local_bit_permutation(step.transpositions)
         self.layout = step.staged
 
-        tel = self.telemetry
         num_groups = 1 << (self.global_qubits - q)
         group_size = 1 << q
         shard_bytes = self.storage.shard_bytes
         moved_per_rank = shard_bytes * (group_size - 1) // group_size
-        start = tel.tracer.now() if tel.active else 0.0
-        with tel.tracer.span(
+        with self.telemetry.tracer.span(
             "comm.alltoall",
             kind="comm",
             q=q,
@@ -585,22 +570,6 @@ class DistributedState:
             group_size=group_size,
             shard_bytes=shard_bytes,
         )
-        if tel.active:
-            tracer = tel.tracer
-            end = tracer.now()
-            if tracer.enabled and tracer.per_rank:
-                # One lane copy per rank: every rank participates in the
-                # collective for the same interval, shipping its
-                # off-diagonal blocks.
-                for r in range(self.num_ranks):
-                    tracer.add_span(
-                        "comm.alltoall",
-                        kind="comm",
-                        start=start,
-                        end=end,
-                        rank=r,
-                        bytes=moved_per_rank,
-                    )
         self.layout = step.after
 
     def make_local(self, qubits: Iterable[int]) -> None:

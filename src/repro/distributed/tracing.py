@@ -28,8 +28,8 @@ __all__ = [
 ]
 
 #: Span kinds that surface as flat :class:`TraceEvent`s.  Spans of any
-#: other kind (``run``, ``kernel``, ``comm``, ``schedule``, per-rank lane
-#: copies, aborted attempts...) stay in the span tree only.
+#: other kind (``run``, ``kernel``, ``comm``, ``schedule``, ``storage``,
+#: aborted attempts...) stay in the span tree only.
 OP_EVENT_KINDS = frozenset(
     {"cluster", "specialized", "swap", "fault"}
 )
@@ -75,8 +75,8 @@ class ExecutionTrace:
         """Build the flat op-event view over a tracer's span list.
 
         Only spans whose ``kind`` is in :data:`OP_EVENT_KINDS` become
-        events, in recording order — internal kernel/comm spans, run
-        roots and per-rank lane copies are skipped.  Swap events pick up
+        events, in recording order — internal kernel/comm/storage spans
+        and run roots are skipped.  Swap events pick up
         ``bytes_moved`` from the span's ``bytes`` attribute.
         """
         trace = cls(spans=list(spans))

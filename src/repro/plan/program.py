@@ -150,7 +150,7 @@ class CompiledProgram:
         Returns the op-level :class:`ExecutionTrace` when *telemetry* is
         an active bundle (one event per schedule op, whatever the fusion:
         fused ops emit zero-length spans for the sources folded in), else
-        ``None`` — the engine's bare loop, one pre-resolved call per op.
+        ``None`` (the engine then runs with no layers).
         """
         from repro.runtime import ExecutionEngine, TracingLayer
 

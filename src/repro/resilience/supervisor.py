@@ -175,7 +175,7 @@ class ResilientExecutor:
         if telemetry is not None and telemetry.tracer.enabled:
             tracer = telemetry.tracer
         else:
-            tracer = Tracer(enabled=True, per_rank=False)
+            tracer = Tracer(enabled=True)
         metrics = telemetry.metrics if telemetry is not None else NULL_METRICS
         self.telemetry = Telemetry(tracer=tracer, metrics=metrics)
 

@@ -470,23 +470,6 @@ class ExecutionEngine:
             with tracer.span(
                 self._root_span, kind="run", **self._root_attrs
             ) as run_span:
-                if not layers and policy is None:
-                    # Fast path: the bare loop, nothing per-op but the call.
-                    state, start_unit = self._acquire_state(
-                        ctx, explicit_state
-                    )
-                    ctx.state = state
-                    for unit in units[start_unit:]:
-                        unit.run(state)
-                    # A returned run is a finished run: whatever the
-                    # storage deferred happens inside the root span.
-                    state.flush()
-                    return EngineResult(
-                        state,
-                        time.perf_counter() - wall_start,
-                        None,
-                        report,
-                    )
                 while True:
                     state, start_unit = self._acquire_state(
                         ctx, explicit_state
@@ -514,6 +497,8 @@ class ExecutionEngine:
                                 if unit.is_swap:
                                     for layer in layers:
                                         layer.on_swap(ctx, unit, moved)
+                            # A returned run is a finished run: what the
+                            # storage deferred runs inside the root span.
                             state.flush()
                             for layer in reversed(layers):
                                 layer.on_run_end(ctx)

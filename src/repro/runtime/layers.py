@@ -123,7 +123,7 @@ class TracingLayer(RuntimeLayer):
                 f"trace_scope must be all|run, got {trace_scope!r}"
             )
         if telemetry is None or not telemetry.active:
-            telemetry = Telemetry.spans_only(per_rank=False)
+            telemetry = Telemetry.spans_only()
         self.telemetry = telemetry
         self.trace_scope = trace_scope
         self._full = mode == "schedule"

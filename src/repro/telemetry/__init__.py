@@ -11,8 +11,8 @@ repo's equivalent layer:
 * :mod:`repro.telemetry.metrics` — a :class:`MetricsRegistry` of named
   counters/gauges/histograms (``comm.bytes_on_network``,
   ``kernel.apply.seconds{k=4}``, ``sanitizer.findings``, ...);
-* :mod:`repro.telemetry.export` — Chrome-trace/Perfetto JSON (one lane
-  per rank), a JSONL event stream and a flamegraph-style text summary;
+* :mod:`repro.telemetry.export` — Chrome-trace/Perfetto JSON (one driver
+  lane), a JSONL event stream and a flamegraph-style text summary;
 * :mod:`repro.telemetry.report` — the predicted-vs-actual join of a
   run's spans against the :mod:`repro.perfmodel` timeline predictions;
 * :mod:`repro.telemetry.exposition` — Prometheus text-format 0.0.4
@@ -27,7 +27,9 @@ repo's equivalent layer:
 Everything is disabled by default: components accept ``telemetry=None``
 and fall back to :data:`NULL_TELEMETRY`, whose tracer and registry are
 shared no-ops.  Opt in with ``Telemetry.enabled()`` (or the CLI's
-``repro trace`` / ``simulate --trace/--metrics``).
+``repro trace`` / ``simulate --trace/--metrics``).  Turning it on only
+observes: a traced run executes the same kernels, on the same threads,
+as an untraced one.
 """
 
 from repro.telemetry.export import (

@@ -2,10 +2,10 @@
 
 The Chrome-trace exporter emits the ``traceEvents`` JSON object format
 (``ph: "X"`` complete events with microsecond timestamps) that both
-``chrome://tracing`` and Perfetto load directly.  Lanes: every span with
-``rank=None`` lands on the driver lane (tid 0); a span with ``rank=r``
-lands on lane ``r + 1`` labelled ``rank r`` — so a distributed run shows
-one swimlane per virtual node with the all-to-alls lined up across them.
+``chrome://tracing`` and Perfetto load directly, every span on one
+driver lane (tid 0).  A span times what the calling thread ran, or
+waited for while the sweep pool ran it; the ranks one sweep covers get
+no spans of their own.
 
 The JSONL exporter writes one self-contained JSON object per span (for
 ad-hoc jq/pandas analysis); the flamegraph formatter renders the span
@@ -65,25 +65,9 @@ def chrome_trace(
             "args": {"name": "driver"},
         },
     ]
-    named_ranks: set[int] = set()
     for span in spans:
         if not span.finished:
             continue
-        if span.rank is None:
-            tid = _DRIVER_TID
-        else:
-            tid = span.rank + 1
-            if span.rank not in named_ranks:
-                named_ranks.add(span.rank)
-                events.append(
-                    {
-                        "ph": "M",
-                        "pid": 0,
-                        "tid": tid,
-                        "name": "thread_name",
-                        "args": {"name": f"rank {span.rank}"},
-                    }
-                )
         args = {"span_id": span.span_id}
         if span.parent_id is not None:
             args["parent_id"] = span.parent_id
@@ -93,7 +77,7 @@ def chrome_trace(
             {
                 "ph": "X",
                 "pid": 0,
-                "tid": tid,
+                "tid": _DRIVER_TID,
                 "ts": span.start * 1e6,
                 "dur": span.seconds * 1e6,
                 "name": span.name,
@@ -128,7 +112,6 @@ def span_records(spans: list[Span]) -> list[dict]:
                 "start": span.start,
                 "end": span.end,
                 "seconds": span.seconds,
-                "rank": span.rank,
                 "attrs": _json_safe(span.attrs),
             }
         )
@@ -153,11 +136,9 @@ def format_flamegraph(
     Same-named siblings merge into one row (with a call count), so a
     thousand ``kernel.apply`` spans under one stage collapse to one line.
     Rows shallower in the tree come first; each row shows inclusive
-    seconds, the share of its root, and a proportional bar.  Per-rank
-    lane copies (``rank`` set) are skipped — they duplicate their
-    parent's wall time on other lanes.
+    seconds, the share of its root, and a proportional bar.
     """
-    finished = [s for s in spans if s.finished and s.rank is None]
+    finished = [s for s in spans if s.finished]
     if not finished:
         return "(no spans)"
     children: dict[int | None, dict[str, list[Span]]] = {}

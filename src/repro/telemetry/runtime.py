@@ -29,17 +29,17 @@ class Telemetry:
     metrics: MetricsRegistry = field(default_factory=lambda: NULL_METRICS)
 
     @classmethod
-    def enabled(cls, *, per_rank: bool = True) -> "Telemetry":
+    def enabled(cls) -> "Telemetry":
         """A fresh, fully armed bundle (spans + metrics)."""
         return cls(
-            tracer=Tracer(enabled=True, per_rank=per_rank),
+            tracer=Tracer(enabled=True),
             metrics=MetricsRegistry(enabled=True),
         )
 
     @classmethod
-    def spans_only(cls, *, per_rank: bool = True) -> "Telemetry":
+    def spans_only(cls) -> "Telemetry":
         """Tracing without metrics (the middle overhead tier)."""
-        return cls(tracer=Tracer(enabled=True, per_rank=per_rank))
+        return cls(tracer=Tracer(enabled=True))
 
     @classmethod
     def disabled(cls) -> "Telemetry":

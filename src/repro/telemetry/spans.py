@@ -2,17 +2,17 @@
 
 A :class:`Span` is one timed region of a run — an executed schedule op, a
 kernel sweep over the shards, one group-local all-to-all — with a name, a
-``kind`` (the event category exporters group by), optional ``rank`` (the
-virtual node it ran on) and free-form attributes.  Spans nest: the
-:class:`Tracer` keeps a stack, so a kernel span opened while an op span
-is active becomes its child, and the whole run folds into a tree that the
-Chrome-trace exporter and the flamegraph summary render directly.
+``kind`` (the event category exporters group by) and free-form
+attributes.  Spans nest: the :class:`Tracer` keeps a stack, so a kernel
+span opened while an op span is active becomes its child, and the whole
+run folds into a tree that the Chrome-trace exporter and the flamegraph
+summary render directly.
 
 Two invariants hold for every tracer-produced tree (and are enforced by
 :func:`verify_nesting`, which the tests drive):
 
 * a child span lies inside its parent's ``[start, end]`` interval;
-* sibling spans never overlap (execution here is sequential per lane).
+* sibling spans never overlap (execution here is sequential).
 
 Tracing is **disabled by default** everywhere it is threaded through:
 ``Tracer(enabled=False)`` hands out one shared no-op context manager, so
@@ -33,8 +33,7 @@ class Span:
 
     ``start``/``end`` are seconds relative to the owning tracer's epoch
     (``end is None`` while the span is still open).  ``parent_id`` links
-    the nesting tree; ``rank`` selects the exporter lane (``None`` means
-    the driver lane).
+    the nesting tree.
     """
 
     span_id: int
@@ -43,7 +42,6 @@ class Span:
     start: float = 0.0
     end: float | None = None
     parent_id: int | None = None
-    rank: int | None = None
     attrs: dict = field(default_factory=dict)
 
     @property
@@ -96,12 +94,8 @@ class Tracer:
     ----------
     enabled:
         When False every :meth:`span` call returns the shared no-op
-        context manager and nothing is recorded.
-    per_rank:
-        Whether instrumented code should additionally emit per-rank child
-        spans (one exporter lane per virtual node).  Purely advisory —
-        the tracer records whatever it is given; hot loops consult this
-        flag before fanning out.
+        context manager and nothing is recorded.  Whether it records
+        never changes what the instrumented code runs.
     clock:
         Injectable monotonic clock (tests pass a fake for exact timing).
     """
@@ -110,11 +104,9 @@ class Tracer:
         self,
         *,
         enabled: bool = True,
-        per_rank: bool = True,
         clock=time.perf_counter,
     ) -> None:
         self.enabled = enabled
-        self.per_rank = per_rank
         self._clock = clock
         self.epoch = clock()
         self.spans: list[Span] = []
@@ -134,7 +126,7 @@ class Tracer:
         """The innermost open span, if any."""
         return self._stack[-1] if self._stack else None
 
-    def span(self, name: str, *, kind: str = "", rank: int | None = None, **attrs):
+    def span(self, name: str, *, kind: str = "", **attrs):
         """Open a child span of the current span; use as a context manager."""
         if not self.enabled:
             return NULL_SPAN_CONTEXT
@@ -145,7 +137,6 @@ class Tracer:
             kind=kind,
             start=self._now(),
             parent_id=parent,
-            rank=rank,
             attrs=dict(attrs),
         )
         self._next_id += 1
@@ -164,16 +155,12 @@ class Tracer:
             if top.end is None:
                 top.end = span.end
 
-    def event(
-        self, name: str, *, kind: str = "", rank: int | None = None, **attrs
-    ) -> Span | None:
+    def event(self, name: str, *, kind: str = "", **attrs) -> Span | None:
         """Record an instantaneous (zero-duration) span."""
         if not self.enabled:
             return None
         now = self._now()
-        return self.add_span(
-            name, kind=kind, start=now, end=now, rank=rank, **attrs
-        )
+        return self.add_span(name, kind=kind, start=now, end=now, **attrs)
 
     def add_span(
         self,
@@ -182,11 +169,10 @@ class Tracer:
         kind: str = "",
         start: float,
         end: float,
-        rank: int | None = None,
         parent_id: int | None = None,
         **attrs,
     ) -> Span | None:
-        """Append an already-timed span (e.g. one lane copy per rank).
+        """Append an already-timed span (e.g. a fused op's folded sources).
 
         The parent defaults to the currently open span.  Times are in
         tracer-epoch seconds, exactly as :attr:`Span.start` stores them.
@@ -202,7 +188,6 @@ class Tracer:
             start=start,
             end=end,
             parent_id=parent_id,
-            rank=rank,
             attrs=dict(attrs),
         )
         self._next_id += 1
@@ -220,12 +205,9 @@ def verify_nesting(
     """Check the span-tree invariants; returns violation descriptions.
 
     * every child's interval lies inside its parent's (child ⊆ parent);
-    * siblings *on the same lane* (same ``rank``) never overlap.
+    * siblings never overlap.
 
-    Per-rank lane copies added via :meth:`Tracer.add_span` legitimately
-    share one wall interval across different ranks, which is why the
-    sibling check is per-lane.  An empty return value means the tree is
-    well formed.
+    An empty return value means the tree is well formed.
     """
     problems: list[str] = []
     by_id = {s.span_id: s for s in spans}
@@ -254,16 +236,12 @@ def verify_nesting(
                 f"[{parent.start:.9f}, {parent.end:.9f}]"
             )
     for siblings in children.values():
-        lanes: dict[int | None, list[Span]] = {}
-        for span in siblings:
-            lanes.setdefault(span.rank, []).append(span)
-        for lane in lanes.values():
-            lane.sort(key=lambda s: (s.start, s.span_id))
-            for prev, cur in zip(lane, lane[1:]):
-                if prev.end is not None and cur.start < prev.end - tolerance:
-                    problems.append(
-                        f"siblings overlap: {prev.span_id} ({prev.name}) ends "
-                        f"{prev.end:.9f}, {cur.span_id} ({cur.name}) starts "
-                        f"{cur.start:.9f}"
-                    )
+        siblings.sort(key=lambda s: (s.start, s.span_id))
+        for prev, cur in zip(siblings, siblings[1:]):
+            if prev.end is not None and cur.start < prev.end - tolerance:
+                problems.append(
+                    f"siblings overlap: {prev.span_id} ({prev.name}) ends "
+                    f"{prev.end:.9f}, {cur.span_id} ({cur.name}) starts "
+                    f"{cur.start:.9f}"
+                )
     return problems

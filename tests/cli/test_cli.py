@@ -284,7 +284,7 @@ class TestTrace:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "rank lanes" in out
+        assert f"spans to {out_path}" in out
         assert "predicted vs actual" in out
         assert "no deviations beyond tolerance" in out
         data = json.loads(out_path.read_text())
@@ -293,8 +293,7 @@ class TestTrace:
             for e in data["traceEvents"]
             if e["ph"] == "M" and e["name"] == "thread_name"
         }
-        # driver + one lane per virtual rank
-        assert lanes == {"driver"} | {f"rank {r}" for r in range(4)}
+        assert lanes == {"driver"}
         assert any(e["ph"] == "X" for e in data["traceEvents"])
 
     def test_jsonl_and_flamegraph(self, tmp_path, capsys):
@@ -320,6 +319,35 @@ class TestTrace:
         )
         assert code == 2
         assert "exceeds" in capsys.readouterr().err
+
+
+class TestSplitErrors:
+    """A qubit split the scheduler cannot take is a usage error: one
+    ``error:`` line and exit 2, from every command that schedules."""
+
+    @pytest.mark.parametrize(
+        "argv, says",
+        [
+            # simulate has no --kmax: the scheduler's default 5 > l = 4
+            (["simulate", "--qubits", "12", "--local-qubits", "4"], "kmax=5"),
+            (["trace", "t.json", "--qubits", "8", "--local-qubits", "3"],
+             "kmax=4"),
+            (["simulate", "--qubits", "10", "--local-qubits", "12"],
+             "local_qubits=12"),
+            (["check", "--qubits", "12", "--local-qubits", "4"], "kmax=5"),
+            (["schedule", "--qubits", "10", "--local-qubits", "4"], "kmax=5"),
+        ],
+        ids=["simulate-kmax", "trace-kmax", "simulate-local", "check-kmax",
+             "schedule-kmax"],
+    )
+    def test_one_error_line_exit_2(self, argv, says, tmp_path, monkeypatch,
+                                   capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert says in err
+        assert not (tmp_path / "t.json").exists()
 
 
 class TestSimulateTelemetry:

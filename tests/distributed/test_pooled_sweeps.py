@@ -47,12 +47,12 @@ OPS = ("dense", "structured", "diagonal", "global_controls", "diagonal_global",
        "monomial_global", "local_swap")
 
 
-def _state(n, l, seed, per_rank) -> DistributedState:
+def _state(n, l, seed, by_shard) -> DistributedState:
     state = DistributedState(n, l, init="plus")
     amps = random_statevector(n, seed)
     for r in range(state.num_ranks):
         state.storage.get(r)[:] = amps[r << l:(r + 1) << l]
-    if per_rank:
+    if by_shard:
         state.storage.local_block = lambda: None
     return state
 
@@ -110,11 +110,11 @@ def _monomial_globals(state, local) -> None:
         state.apply_gate(Gate("swap", (l, top)))
 
 
-def _run(threshold, n, l, per_rank, op, bits, seed) -> list[np.ndarray]:
+def _run(threshold, n, l, by_shard, op, bits, seed) -> list[np.ndarray]:
     saved = kernels.SPLIT_MIN_AMPLITUDES
     kernels.SPLIT_MIN_AMPLITUDES = threshold
     try:
-        state = _state(n, l, seed, per_rank)
+        state = _state(n, l, seed, by_shard)
         _apply(state, op, bits, seed)
     finally:
         kernels.SPLIT_MIN_AMPLITUDES = saved
@@ -139,15 +139,15 @@ class TestPooledEqualsSerial:
         st.integers(2, 3),
         st.integers(0, 1000),
     )
-    def test_byte_for_byte(self, case, op, per_rank, cpus, seed):
+    def test_byte_for_byte(self, case, op, by_shard, cpus, seed):
         n, l, bits = case
         saved = kernels._CPUS
         kernels._CPUS = cpus
         try:
-            pooled = _run(1, n, l, per_rank, op, bits, seed)
+            pooled = _run(1, n, l, by_shard, op, bits, seed)
         finally:
             kernels._CPUS = saved
-        serial = _run(SERIAL, n, l, per_rank, op, bits, seed)
+        serial = _run(SERIAL, n, l, by_shard, op, bits, seed)
         for got, want in zip(pooled, serial):
             assert got.tobytes() == want.tobytes()
 
@@ -168,19 +168,19 @@ class TestPooledEqualsSerial:
 
 class TestGlobalControls:
     """An op whose gate has controls on global bits leaves the same bytes
-    every way it runs — one block serial or pooled, shard by shard, rank
-    by rank under per-rank tracing, deferred on ``DiskShards`` — and they
+    every way it runs — one block serial or pooled, shard by shard,
+    traced, deferred on ``DiskShards`` — and they
     are, rank by rank, the blocks that rank's control values pick."""
 
     N, L = 9, 5
 
     def _run(self, apply, monkeypatch, *, threshold, block=True,
-             per_rank=False, disk=None):
+             traced=False, disk=None):
         monkeypatch.setattr(kernels, "SPLIT_MIN_AMPLITUDES", threshold)
         storage = None
         if disk is not None:
             storage = DiskShards(1 << (self.N - self.L), 1 << self.L, disk)
-        telemetry = Telemetry.enabled(per_rank=True) if per_rank else None
+        telemetry = Telemetry.enabled() if traced else None
         state = _state(self.N, self.L, 11, not block)
         if storage is not None or telemetry is not None:
             amps = [state.storage.get(r).copy() for r in range(state.num_ranks)]
@@ -222,7 +222,7 @@ class TestGlobalControls:
             "pooled block": dict(threshold=1),
             "serial shards": dict(threshold=SERIAL, block=False),
             "pooled shards": dict(threshold=1, block=False),
-            "per-rank traced": dict(threshold=SERIAL, per_rank=True),
+            "traced": dict(threshold=SERIAL, traced=True),
             "disk serial": dict(threshold=SERIAL, disk=tmp_path / "serial"),
             "disk pooled": dict(threshold=1, disk=tmp_path / "pooled"),
         }
@@ -258,8 +258,8 @@ class TestGlobalControls:
 
 class TestOnePlanEveryWay:
     """One plan with structured ops ends in the same bytes serial, pooled,
-    per rank under tracing, as one local block or shard by shard, and
-    deferred on ``DiskShards``."""
+    traced, as one local block or shard by shard, and deferred on
+    ``DiskShards``."""
 
     N, L = 12, 7
 
@@ -271,7 +271,7 @@ class TestOnePlanEveryWay:
         )
 
     def _run(self, schedule, monkeypatch, *, threshold, block=True,
-             per_rank=False, disk=None):
+             traced=False, disk=None):
         monkeypatch.setattr(kernels, "SPLIT_MIN_AMPLITUDES", threshold)
         storage = None
         if disk is not None:
@@ -279,7 +279,7 @@ class TestOnePlanEveryWay:
         state = DistributedState.for_schedule(schedule, storage=storage)
         if not block:
             state.storage.local_block = lambda: None
-        layers = [TracingLayer(Telemetry.enabled(per_rank=True))] if per_rank else []
+        layers = [TracingLayer(Telemetry.enabled())] if traced else []
         ExecutionEngine(
             schedule, layers=layers, state_factory=lambda: state
         ).run()
@@ -295,12 +295,95 @@ class TestOnePlanEveryWay:
             "pooled block": dict(threshold=1),
             "serial shards": dict(threshold=SERIAL, block=False),
             "pooled shards": dict(threshold=1, block=False),
-            "per-rank traced": dict(threshold=SERIAL, per_rank=True),
+            "traced": dict(threshold=SERIAL, traced=True),
             "disk serial": dict(threshold=SERIAL, disk=tmp_path / "serial"),
             "disk pooled": dict(threshold=1, disk=tmp_path / "pooled"),
         }
         for name, how in runs.items():
             assert self._run(schedule, monkeypatch, **how) == want, name
+
+
+class TestTracedRunIsTheSameRun:
+    """Tracing only observes: a run under ``Telemetry.enabled()`` and a
+    ``TracingLayer`` makes the same sweep, storage and pooled-flush calls
+    as the bare run, in the same order, and leaves the same bytes."""
+
+    N, L = 11, 5  # 64 ranks of 2**5 amplitudes
+
+    @pytest.fixture(scope="class")
+    def schedule(self):
+        return schedule_circuit(
+            generate_supremacy_circuit(self.N, 12, seed=2),
+            SchedulerConfig(local_qubits=self.L, kmax=4, seed=1),
+        )
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        """Every ``split_sweep``, ``storage.sweep`` and pooled stage flush
+        call, in order (``storage.sweep`` once :meth:`_run` wraps it)."""
+        calls = []
+        real_split = state_module.split_sweep
+        real_pooled = DiskShards._stream_pooled
+
+        def split_spy(run, arrays, units):
+            calls.append(("split_sweep", len(arrays), arrays[0].size, units))
+            return real_split(run, arrays, units)
+
+        def pooled_spy(self, files, work, threads):
+            calls.append(("stream_pooled", tuple(files), work, threads))
+            return real_pooled(self, files, work, threads)
+
+        monkeypatch.setattr(state_module, "split_sweep", split_spy)
+        monkeypatch.setattr(DiskShards, "_stream_pooled", pooled_spy)
+        return calls
+
+    def _run(self, schedule, storage, traced, calls):
+        real_sweep = storage.sweep
+
+        def sweep_spy(kernel_of_rank, *, label="", overwrites=False):
+            calls.append(("storage.sweep", label, overwrites))
+            return real_sweep(kernel_of_rank, label=label, overwrites=overwrites)
+
+        storage.sweep = sweep_spy
+        state = DistributedState.for_schedule(schedule, storage=storage)
+        layers = [TracingLayer(Telemetry.enabled())] if traced else []
+        ExecutionEngine(
+            schedule, layers=layers, state_factory=lambda: state
+        ).run()
+        shards = [state.storage.get(r).tobytes() for r in range(state.num_ranks)]
+        if isinstance(storage, DiskShards):
+            storage.close()
+        run_calls = list(calls)
+        calls.clear()
+        return run_calls, shards
+
+    @pytest.mark.parametrize(
+        "backend", ["block", "arrays", "disk serial", "disk pooled"]
+    )
+    def test_same_calls_same_bytes(self, schedule, backend, calls, tmp_path,
+                                   monkeypatch):
+        ranks, size = 1 << (self.N - self.L), 1 << self.L
+        if backend == "arrays":
+            monkeypatch.setattr(storage_module, "_BLOCK_SHARD_BYTES", 0)
+        if backend == "disk pooled":
+            monkeypatch.setattr(kernels, "SPLIT_MIN_AMPLITUDES", 1)
+        runs = {}
+        for traced in (False, True):
+            if backend.startswith("disk"):
+                storage = DiskShards(ranks, size, tmp_path / str(traced))
+            else:
+                storage = InMemoryShards(ranks, size)
+            assert (storage.local_block() is not None) == (backend == "block")
+            runs[traced] = self._run(schedule, storage, traced, calls)
+        (bare_calls, bare), (traced_calls, traced) = runs[False], runs[True]
+        assert {call[0] for call in bare_calls} == {
+            "block": {"split_sweep", "storage.sweep"},
+            "arrays": {"split_sweep", "storage.sweep"},
+            "disk serial": {"storage.sweep"},
+            "disk pooled": {"storage.sweep", "stream_pooled"},
+        }[backend]
+        assert traced_calls == bare_calls
+        assert traced == bare
 
 
 class TestConcurrency:
@@ -422,7 +505,7 @@ def _disk_run(schedule, directory, threshold, monkeypatch):
     with DiskShards(1 << (n - l), 1 << l, directory) as disk:
         result = ExecutionEngine(
             schedule,
-            layers=[TracingLayer(Telemetry.enabled(per_rank=False)),
+            layers=[TracingLayer(Telemetry.enabled()),
                     PipelineLayer(depth=2)],
             state_factory=lambda: DistributedState.for_schedule(
                 schedule, storage=disk
@@ -599,8 +682,8 @@ class TestThreadNeutralKernels:
         """Pooled over in-memory shards, the permutation's scratch comes
         from the calling thread, one buffer per pool thread."""
         monkeypatch.setattr(kernels, "SPLIT_MIN_AMPLITUDES", 1)
-        state = _state(10, 7, 4, per_rank=False)
-        serial = _state(10, 7, 4, per_rank=False)
+        state = _state(10, 7, 4, by_shard=False)
+        serial = _state(10, 7, 4, by_shard=False)
         spy = _AllocationSpy()
         monkeypatch.setattr(state_module, "np", spy)
         state._apply_local_bit_permutation([(0, 5), (2, 6), (1, 3)])

@@ -1,8 +1,9 @@
 """The distributed state's table-free paths.
 
-* an untraced run sweeps all shards of the in-memory backend as one
-  block, a run with per-rank spans goes shard by shard; both do the same
-  arithmetic, so every op leaves bit-identical shards either way;
+* a state whose shards share one array sweeps them as one block, one
+  without goes shard by shard (rank by rank, given a global control),
+  traced or not; both do the same arithmetic, so every op leaves
+  bit-identical shards either way;
 * the staging swap's single transposed copy equals the chain of SWAP
   kernels it replaces, bit for bit.
 """
@@ -41,6 +42,14 @@ def _random_state(n, l, seed, **kwargs) -> DistributedState:
     return state
 
 
+def _traced_by_shard(n, l, seed) -> DistributedState:
+    """A traced state whose shards share no block: it sweeps them one by
+    one."""
+    state = _random_state(n, l, seed, telemetry=Telemetry.enabled())
+    state.storage.local_block = lambda: None
+    return state
+
+
 class _OneBlock(InMemoryShards):
     """In-memory shards in one array whatever their size."""
 
@@ -62,7 +71,7 @@ class TestTracedEqualsUntraced:
         n, l = 13, 10
         u = random_unitary(len(bits), 1)
         plain = _random_state(n, l, 4)
-        traced = _random_state(n, l, 4, telemetry=Telemetry.enabled(per_rank=True))
+        traced = _traced_by_shard(n, l, 4)
         for state in (plain, traced):
             state._sweep(BlockGate.of(u), bits)
         assert _same_shards(plain, traced)
@@ -71,7 +80,7 @@ class TestTracedEqualsUntraced:
         n, l = 13, 10
         diag = np.exp(1j * np.linspace(0, 3, 4))
         plain = _random_state(n, l, 5)
-        traced = _random_state(n, l, 5, telemetry=Telemetry.enabled(per_rank=True))
+        traced = _traced_by_shard(n, l, 5)
         for state in (plain, traced):
             state._sweep(BlockGate.diagonal(diag), (2, 7))
         assert _same_shards(plain, traced)
@@ -85,7 +94,7 @@ class TestTracedEqualsUntraced:
         block = _OneBlock(2, 1 << l)
         assert block.local_block() is not None
         plain = _random_state(n, l, 6, storage=block)
-        traced = _random_state(n, l, 6, telemetry=Telemetry.enabled(per_rank=True))
+        traced = _traced_by_shard(n, l, 6)
         for state in (plain, traced):
             state._sweep(BlockGate.diagonal(diag), (3, 16))
         assert _same_shards(plain, traced)
@@ -96,7 +105,7 @@ class TestTracedEqualsUntraced:
         n, l = 19, 17
         diag = np.exp(1j * np.linspace(0, 3, 8))
         plain = _random_state(n, l, 6, storage=_OneBlock(4, 1 << l))
-        traced = _random_state(n, l, 6, telemetry=Telemetry.enabled(per_rank=True))
+        traced = _traced_by_shard(n, l, 6)
         for state in (plain, traced):
             state._sweep(BlockGate.diagonal(diag), (3, 18, 16))
         assert _same_shards(plain, traced)
@@ -111,7 +120,7 @@ class TestTracedEqualsUntraced:
         bits = (0, 1, 2, 3, 4, 5, 6, 8, 9)  # past SWEEP_MAX_QUBITS
         u = random_unitary(len(bits), 2)
         plain = _random_state(n, l, 7)
-        traced = _random_state(n, l, 7, telemetry=Telemetry.enabled(per_rank=True))
+        traced = _traced_by_shard(n, l, 7)
         monkeypatch.setattr(plain.storage, "local_block", None)  # not called
         for state in (plain, traced):
             state._sweep(BlockGate.of(u), bits)
@@ -132,14 +141,16 @@ class TestTracedEqualsUntraced:
 
     @pytest.mark.parametrize("seed", [0, 3, 8])
     def test_every_plan_op_bit_identical(self, seed):
-        """Per-rank traced vs all-ranks untraced, compared after each op."""
+        """Traced shard by shard vs untraced as one block, compared after
+        each op."""
         circuit = generate_supremacy_circuit(12, 12, seed=seed)
         schedule = schedule_circuit(
             circuit, SchedulerConfig(local_qubits=8, kmax=4, seed=seed + 1)
         )
         plain = DistributedState.for_schedule(schedule)
         traced = DistributedState.for_schedule(schedule)
-        traced.use_telemetry(Telemetry.enabled(per_rank=True))
+        traced.use_telemetry(Telemetry.enabled())
+        traced.storage.local_block = lambda: None
         for index, op in enumerate(plan_for(schedule).ops):
             _run_op(op, plain)
             _run_op(op, traced)

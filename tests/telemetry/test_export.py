@@ -15,7 +15,7 @@ from repro.telemetry import (
 
 
 def traced_run():
-    """A small deterministic span tree with per-rank lane copies."""
+    """A small deterministic span tree."""
     clock = {"t": 0.0}
 
     def tick():
@@ -26,14 +26,8 @@ def traced_run():
     with tracer.span("run", kind="run"):
         with tracer.span("kernel.apply", kind="kernel", k=2):
             tick()
-        start = tracer.now()
         with tracer.span("comm.alltoall", kind="comm", bytes=4096):
             tick()
-        for rank in range(4):
-            tracer.add_span(
-                "comm.alltoall", kind="comm", start=start,
-                end=tracer.now(), rank=rank, bytes=1024,
-            )
     return tracer
 
 
@@ -49,23 +43,15 @@ class TestChromeTrace:
         for e in xs:
             assert e["ts"] >= 0 and e["dur"] >= 0
 
-    def test_one_lane_per_rank(self):
+    def test_one_driver_lane(self):
         data = chrome_trace(traced_run().spans)
         names = {
             e["tid"]: e["args"]["name"]
             for e in data["traceEvents"]
             if e["ph"] == "M" and e["name"] == "thread_name"
         }
-        assert names[0] == "driver"
-        assert {names[r + 1] for r in range(4)} == {f"rank {r}" for r in range(4)}
-        lane_of = {
-            e["args"]["span_id"]: e["tid"]
-            for e in data["traceEvents"]
-            if e["ph"] == "X"
-        }
-        for span in traced_run().spans:
-            expected = 0 if span.rank is None else span.rank + 1
-            assert lane_of[span.span_id] == expected
+        assert names == {0: "driver"}
+        assert {e["tid"] for e in data["traceEvents"]} == {0}
 
     def test_unfinished_spans_are_skipped(self):
         tracer = Tracer()
@@ -98,7 +84,7 @@ class TestJsonl:
         (record,) = span_records(traced_run().spans[:1])
         assert set(record) == {
             "span_id", "parent_id", "name", "kind", "start", "end",
-            "seconds", "rank", "attrs",
+            "seconds", "attrs",
         }
 
 
@@ -111,12 +97,6 @@ class TestFlamegraph:
         text = format_flamegraph(tracer.spans)
         assert text.count("kernel.apply") == 1
         assert "x3" in text
-
-    def test_rank_lane_copies_excluded(self):
-        text = format_flamegraph(traced_run().spans)
-        # one driver comm span, four lane copies: only the driver row shows
-        assert "x4" not in text
-        assert "comm.alltoall" in text
 
     def test_empty_input(self):
         assert format_flamegraph([]) == "(no spans)"

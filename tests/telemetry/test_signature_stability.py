@@ -93,7 +93,7 @@ class TestSignatureStability:
 
     def test_caller_tracer_reuse_does_not_pollute(self, schedule, tmp_path):
         """A shared telemetry bundle across runs still yields per-run traces."""
-        telemetry = Telemetry.enabled(per_rank=False)
+        telemetry = Telemetry.enabled()
         a = run(schedule, tmp_path / "a", telemetry=telemetry)
         b = run(schedule, tmp_path / "b", telemetry=telemetry)
         assert a.trace.signature() == b.trace.signature()
@@ -117,7 +117,7 @@ class TestSpanNesting:
 
     def test_full_telemetry_under_faults_joins_bytes(self, schedule, tmp_path):
         """Metrics streamed across retries equal the merged CommStats."""
-        telemetry = Telemetry.enabled(per_rank=False)
+        telemetry = Telemetry.enabled()
         result = run(schedule, tmp_path, plan=crash_plan(schedule),
                      telemetry=telemetry)
         snap = telemetry.metrics.snapshot()
