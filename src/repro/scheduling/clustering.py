@@ -6,15 +6,15 @@ clusters of at most ``kmax`` qubits; specializable global gates become
 standalone :class:`GateOp` items (they cost no kernel time and no
 communication).
 
-The scan respects per-qubit gate order with a *blocking* rule: once a
+A cluster respects per-qubit gate order with a *blocking* rule: once a
 gate is skipped (not admitted to the growing cluster), its qubits are
 blocked and no later gate touching them may join the cluster.  The
 paper's "small local search" is implemented per cluster: several seed
 gates propose qubit sets, each grown by absorption lookahead and then
 improved by a first-improvement hill climb exchanging one cluster qubit
 at a time; the candidate absorbing the most gates wins.  Qubit sets are
-int bitmasks and, the pending list being fixed within one cluster step,
-that step's scans are memoised by their allowed mask (:class:`_ClusterStep`).
+int bitmasks, and the blocking rule is read off each gate's ancestor
+mask in closed form (:class:`_ClusterStep`).
 """
 
 from __future__ import annotations
@@ -45,91 +45,132 @@ class _ClusterStep:
     """The search for one cluster, over a pending list that stays fixed.
 
     Qubit sets are int masks (:func:`~repro.util.bits.bit_mask`).  The
-    masks of the scan window and of the lookahead horizon are taken once,
-    and every scan is memoised by its allowed mask: the seeds, trials and
-    exchanges of one step re-scan many of the same sets.  The RNG draws
-    from sorted lists (ties before ``rng.integers``, outside qubits
-    before ``rng.shuffle``): that order fixes every schedule, which
+    blocking rule has a closed form: a scan-window gate joins a cluster
+    on qubit set *allowed* iff its *ancestor mask* — the OR of the qubit
+    masks of the gate and of its same-qubit predecessors in the window,
+    transitively — lies inside *allowed*.  The ancestor masks are taken
+    once per step, and one pass over them scores every exchange out of
+    one cluster qubit (:meth:`exchanges`).  The seeds, trials and climbs
+    of one step revisit the same sets, so exchange scores and growth
+    ties are memoised per step.  The RNG draws from sorted lists (ties
+    before ``rng.integers``, outside qubits before ``rng.shuffle``):
+    that order fixes every schedule, which
     ``tests/scheduling/data/schedule_digests.json`` pins.
     """
 
     def __init__(
         self,
+        qubits: Sequence[tuple[int, ...]],
         masks: Sequence[int],
         remaining: Sequence[int],
         global_mask: int,
+        kmax: int,
         counts: Counter,
     ) -> None:
-        #: ``(position, qubit mask)`` of the gates a scan may walk.
-        self.window = [(pos, masks[pos]) for pos in remaining[:_SCAN_LIMIT]]
+        #: ``(position, ancestor mask)`` of the window gates a cluster of
+        #: at most *kmax* qubits can take, in pending order.
+        self.window: list[tuple[int, int]] = []
+        last: dict[int, int] = {}
+        for pos in remaining[:_SCAN_LIMIT]:
+            ancestors = masks[pos]
+            for q in qubits[pos]:
+                ancestors |= last.get(q, 0)
+            for q in qubits[pos]:
+                last[q] = ancestors
+            if ancestors.bit_count() <= kmax:
+                self.window.append((pos, ancestors))
         #: Masks of the local gates in the lookahead window.
         self.horizon = [
             masks[pos] for pos in remaining[:_HORIZON]
             if not masks[pos] & global_mask
         ]
         self.horizon_qubits = reduce(or_, self.horizon, 0)
-        self.memo: dict[int, list[int]] = {}
         self.counts = counts
+        self.memo: dict[int, tuple[int, dict[int, int]]] = {}
+        self.ties: dict[int, list[int]] = {}
 
-    def scan(self, allowed: int) -> list[int]:
-        """Positions, in order, of the gates fitting entirely in *allowed*.
+    def cluster(self, allowed: int) -> list[int]:
+        """Positions, in order, of the gates a cluster on *allowed* takes."""
+        outside = ~allowed
+        return [
+            pos for pos, ancestors in self.window if not ancestors & outside
+        ]
 
-        Applies the blocking rule: skipped gates (global, oversize, or
-        touching blocked qubits) block their qubits for the rest of the
-        scan.  The list is shared through the memo: read only.
+    def exchanges(self, base: int) -> tuple[int, dict[int, int]]:
+        """Cluster sizes of ``base | {q}`` for every qubit ``q`` outside *base*.
+
+        Returns the number of gates a cluster on *base* takes and, keyed
+        by ``1 << q``, how many more ``q`` lets in: those whose ancestor
+        mask leaves *base* by exactly ``q``.  Read only (memoised).
         """
-        cluster = self.memo.get(allowed)
-        if cluster is not None:
+        found = self.memo.get(base)
+        if found is not None:
             self.counts["scan_memo_hits"] += 1
-            return cluster
+            return found
         self.counts["scans"] += 1
-        cluster = []
-        blocked = 0
-        for pos, mask in self.window:
-            if mask & blocked or mask & ~allowed:
-                blocked |= mask
-                if not allowed & ~blocked:
-                    break  # every cluster qubit is blocked: nothing more fits
-            else:
-                cluster.append(pos)
-        self.memo[allowed] = cluster
-        return cluster
+        inside = 0
+        extra: dict[int, int] = {}
+        outside = ~base
+        for _, ancestors in self.window:
+            rest = ancestors & outside
+            if not rest:
+                inside += 1
+            elif not rest & (rest - 1):  # one qubit
+                extra[rest] = extra.get(rest, 0) + 1
+        self.memo[base] = inside, extra
+        return inside, extra
 
     def grow(self, qubit_set: int, kmax: int, rng) -> int:
         """Grow *qubit_set* to ``kmax`` qubits by absorption-count lookahead."""
         while qubit_set.bit_count() < kmax:
-            scores: dict[int, int] = {}
-            for mask in self.horizon:
-                outside = mask & ~qubit_set
-                if outside and not outside & (outside - 1):  # one qubit
-                    q = outside.bit_length() - 1
-                    scores[q] = scores.get(q, 0) + 1
-            if not scores:
+            ties = self.ties.get(qubit_set)
+            if ties is None:
+                ties = self.ties[qubit_set] = self._best_additions(qubit_set)
+            if not ties:
                 break
-            best = max(scores.values())
-            ties = sorted(q for q, s in scores.items() if s == best)
             qubit_set |= 1 << ties[int(rng.integers(len(ties)))]
         return qubit_set
 
-    def climb(self, qubit_set: int, rng) -> tuple[list[int], int]:
-        """Improve *qubit_set* by first-improvement single-qubit exchanges."""
-        best_cluster = self.scan(qubit_set)
+    def _best_additions(self, qubit_set: int) -> list[int]:
+        """The outside qubits, ascending, that complete the most horizon gates."""
+        scores: dict[int, int] = {}
+        for mask in self.horizon:
+            outside = mask & ~qubit_set
+            if outside and not outside & (outside - 1):  # one qubit
+                q = outside.bit_length() - 1
+                scores[q] = scores.get(q, 0) + 1
+        if not scores:
+            return []
+        best = max(scores.values())
+        return sorted(q for q, s in scores.items() if s == best)
+
+    def climb(self, qubit_set: int, rng) -> tuple[int, int]:
+        """Improve *qubit_set* by first-improvement single-qubit exchanges.
+
+        Tries each cluster qubit out in ascending order and, for it, the
+        outside qubits in shuffled order; takes the first exchange that
+        grows the cluster.  Returns the final cluster size and set.
+        """
+        low = qubit_set & -qubit_set
+        inside, extra = self.exchanges(qubit_set ^ low)
+        best = inside + extra.get(low, 0)
         improved = True
         while improved:
             improved = False
             outside = mask_bits(self.horizon_qubits & ~qubit_set)
             rng.shuffle(outside)
             for q_out in mask_bits(qubit_set):
+                base = qubit_set & ~(1 << q_out)
+                inside, extra = self.exchanges(base)
                 for q_in in outside:
-                    trial = (qubit_set & ~(1 << q_out)) | (1 << q_in)
-                    cand = self.scan(trial)
-                    if len(cand) > len(best_cluster):
-                        qubit_set, best_cluster = trial, cand
+                    size = inside + extra.get(1 << q_in, 0)
+                    if size > best:
+                        qubit_set, best = base | (1 << q_in), size
                         improved = True
                         break
                 if improved:
                     break
-        return best_cluster, qubit_set
+        return best, qubit_set
 
 
 def _cluster_qubit_order(
@@ -171,13 +212,16 @@ def cluster_stage_gates(
         Randomised lookahead growths per seed gate (the "small local
         search" of Sec. 3.6.1).
     stats:
-        A counter the call adds its work to: ``scans`` (blocking scans
-        run) and ``scan_memo_hits`` (scans answered by the step's memo).
+        A counter the call adds its work to: ``scans`` (passes over a
+        step's ancestor masks, each scoring every exchange out of one
+        cluster qubit) and ``scan_memo_hits`` (exchange scores answered
+        by the step's memo).
     """
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
     global_mask = bit_mask(global_qubits)
-    masks = [bit_mask(gate.qubits) for gate in gates]
+    qubits = [gate.qubits for gate in gates]
+    masks = [bit_mask(gate_qubits) for gate_qubits in qubits]
     for gate, mask in zip(gates, masks):
         if mask & global_mask:
             if not gate_specializable_under(gate, global_qubits):
@@ -197,26 +241,26 @@ def cluster_stage_gates(
             ops.append(GateOp(gates[first]))
             remaining.pop(0)
             continue
-        step = _ClusterStep(masks, remaining, global_mask, counts)
+        step = _ClusterStep(
+            qubits, masks, remaining, global_mask, kmax, counts
+        )
         # Seed gates: the first few local gates.
         seeds = islice(
             (pos for pos in remaining if not masks[pos] & global_mask),
             _SEED_GATES,
         )
-        best_cluster: list[int] = []
-        best_set = 0
+        best_size, best_set = 0, 0
         for seed_pos in seeds:
             for _ in range(max(1, trials)):
                 grown = step.grow(masks[seed_pos], kmax, rng)
-                cluster, improved_set = step.climb(grown, rng)
-                if len(cluster) > len(best_cluster) or (
-                    len(cluster) == len(best_cluster)
+                size, improved_set = step.climb(grown, rng)
+                if size > best_size or (
+                    size == best_size
                     and improved_set.bit_count() < best_set.bit_count()
                 ):
-                    best_cluster, best_set = cluster, improved_set
-        if not best_cluster:
-            # Fall back to the first local gate alone (always legal).
-            best_cluster = [first]
+                    best_size, best_set = size, improved_set
+        # Fall back to the first local gate alone (always legal).
+        best_cluster = step.cluster(best_set) or [first]
         chosen = set(best_cluster)
         ops.append(
             ClusterOp(

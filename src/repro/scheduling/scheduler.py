@@ -56,7 +56,8 @@ class SchedulerConfig:
         Step 3: try to move each swap earlier to kill trailing small
         clusters, when this does not increase the swap count.
     seed / stage_restarts / neighbor_samples / cluster_trials:
-        Search-effort knobs for the stochastic parts.
+        Search-effort knobs for the stochastic parts; none may be
+        negative.
     """
 
     local_qubits: int
@@ -78,6 +79,12 @@ class SchedulerConfig:
             )
         if self.kmax < 1:
             raise ValueError(f"kmax must be >= 1, got {self.kmax}")
+        for name in ("seed", "stage_restarts", "neighbor_samples",
+                     "cluster_trials"):
+            if getattr(self, name) < 0:
+                raise ValueError(
+                    f"{name} must be >= 0, got {getattr(self, name)}"
+                )
         if self.kmax > self.local_qubits:
             raise ValueError(
                 f"kmax={self.kmax} exceeds local_qubits="
@@ -212,8 +219,10 @@ def schedule_circuit(
     be initialised (``"plus"`` when the H layer was absorbed).  An active
     *telemetry* bundle records one ``schedule``-kind span per pipeline
     phase plus summary gauges (stages, swaps, clusters); the
-    ``find_stages`` span carries the search's ``evaluations`` and
-    ``cluster_and_adjust`` its ``scans`` and ``scan_memo_hits``.
+    ``find_stages`` span carries the search's ``evaluations`` (candidate
+    global sets scored, each in closed form) and ``cluster_and_adjust``
+    its ``scans`` (exchange-scoring passes over a cluster step's
+    ancestor masks) and ``scan_memo_hits``.
     """
     if config.local_qubits > circuit.num_qubits:
         raise ValueError(

@@ -18,6 +18,7 @@ set, which is what recovers the 36-qubit "2 swaps -> 1 swap" result.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from repro.circuit.circuit import Circuit
@@ -34,7 +35,7 @@ class StagePlan:
     num_qubits: int
     local_qubits: int
     stages: list[tuple[frozenset[int], list[int]]] = field(default_factory=list)
-    #: Executable-set evaluations the search spent (``max_executable`` calls).
+    #: Candidate global sets the search scored (``_CircuitView.advance`` calls).
     evaluations: int = 0
 
     @property
@@ -104,10 +105,11 @@ class _CircuitView:
                 nxt[i] = nxt[i + 1] if self.anywhere[gids[i]] else i
             self.next_local.append(nxt)
         self.num_gates = len(self.qubits_of)
-        #: ``max_executable`` calls so far: the stage search's unit of work.
+        #: Candidate global sets scored so far: the stage search's unit
+        #: of work (one :meth:`advance` call each).
         self.evaluations = 0
-        self._pending_key: tuple[int, ...] | None = None
-        self._pending: list[int] = []
+        self._chains_key: tuple[int, ...] | None = None
+        self._chains: tuple[list[list[int]], ...] = ([], [], [])
 
     def gate_remaining(self, gid: int, fronts: list[int]) -> bool:
         """True when gate *gid* has not yet been executed."""
@@ -127,42 +129,98 @@ class _CircuitView:
         return adj
 
     # ------------------------------------------------------------------
+    def _ancestor_chains(
+        self, fronts: list[int]
+    ) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+        """Per qubit, its pending gates' ancestor masks in closed form.
+
+        A pending gate's *ancestor mask* is the OR of ``needs_local`` over
+        the gate and its pending same-qubit predecessors, transitively: the
+        gate runs under a global mask iff its ancestor mask misses it.
+        Along one qubit's pending gates that mask only grows, so what
+        runs on each qubit is a prefix of them.  Returns three per-qubit
+        lists: the distinct nonzero ancestor masks in chain order, the
+        ``per_qubit`` position where each first appears, and how many
+        gates *led* by the qubit (it is their first qubit) lie before
+        that position.  Positions and counts end with a sentinel for
+        "the whole chain runs".  Built once per distinct *fronts*: every
+        candidate of one stage shares them.
+        """
+        key = tuple(fronts)
+        if key == self._chains_key:
+            return self._chains
+        n = self.num_qubits
+        masks: list[list[int]] = [[] for _ in range(n)]
+        positions: list[list[int]] = [[] for _ in range(n)]
+        counts: list[list[int]] = [[] for _ in range(n)]
+        last = [0] * n
+        led = [0] * n
+        needs_local, slots = self.needs_local, self.slots
+        for gid in range(self.num_gates):
+            gate_slots = slots[gid]
+            lead, lead_pos = gate_slots[0]
+            if fronts[lead] > lead_pos:
+                continue  # already executed
+            ancestors = needs_local[gid]
+            for q, _ in gate_slots:
+                ancestors |= last[q]
+            for q, pos in gate_slots:
+                if ancestors != last[q]:
+                    masks[q].append(ancestors)
+                    positions[q].append(pos)
+                    counts[q].append(led[q])
+                last[q] = ancestors
+            led[lead] += 1
+        for q in range(n):
+            positions[q].append(len(self.per_qubit[q]))
+            counts[q].append(led[q])
+        self._chains_key = key
+        self._chains = masks, positions, counts
+        return self._chains
+
+    def advance(self, fronts: list[int], global_mask: int) -> tuple[int, list[int]]:
+        """Score the global set *global_mask* from *fronts*.
+
+        Returns how many gates run under it and the advanced fronts: per
+        qubit, one binary search for the first ancestor mask meeting
+        *global_mask* (:meth:`_ancestor_chains`).  The largest set that
+        keeps per-qubit order runs: a gate runs unless it needs a global
+        qubit local or an earlier pending gate on one of its qubits did
+        not run.
+        """
+        self.evaluations += 1
+        meets = global_mask.__and__
+        new_fronts: list[int] = []
+        executed = 0
+        for masks, positions, counts in zip(*self._ancestor_chains(fronts)):
+            stop = bisect_left(masks, 1, key=meets)
+            new_fronts.append(positions[stop])
+            executed += counts[stop]
+        return executed, new_fronts
+
+    def executed_between(
+        self, fronts: list[int], new_fronts: list[int]
+    ) -> list[int]:
+        """The gate ids (ascending) that moving *fronts* to *new_fronts* runs."""
+        qubits_of = self.qubits_of
+        return sorted(
+            gid
+            for q, gids in enumerate(self.per_qubit)
+            for gid in gids[fronts[q]:new_fronts[q]]
+            if qubits_of[gid][0] == q
+        )
+
     def max_executable(
         self, fronts: list[int], global_mask: int
     ) -> tuple[list[int], list[int]]:
         """Execute every gate runnable under the global set *global_mask*.
 
         ``fronts[q]`` is the index into ``per_qubit[q]`` of the next
-        pending gate on qubit ``q``.  One pass over the pending gates in
-        circuit order: a gate runs unless it needs a global qubit local
-        or one of its qubits is *stuck* (an earlier pending gate on it
-        did not run), which yields the largest set that keeps per-qubit
-        order.  Returns the executed gate ids (ascending) and the
-        advanced fronts; O(pending gates) per call, the inner loop of the
-        stage search.
+        pending gate on qubit ``q``.  Returns the executed gate ids
+        (ascending) and the advanced fronts (see :meth:`advance`).
         """
-        self.evaluations += 1
-        key = tuple(fronts)
-        if key != self._pending_key:
-            self._pending_key = key
-            self._pending = [
-                gid for gid in range(self.num_gates)
-                if self.gate_remaining(gid, fronts)
-            ]
-        fronts = [len(gids) for gids in self.per_qubit]
-        masks, needs_local, slots = self.masks, self.needs_local, self.slots
-        executed: list[int] = []
-        stuck = 0
-        for gid in self._pending:
-            mask = masks[gid]
-            if mask & stuck or needs_local[gid] & global_mask:
-                for q, pos in slots[gid]:
-                    if not stuck >> q & 1:
-                        fronts[q] = pos
-                stuck |= mask
-            else:
-                executed.append(gid)
-        return executed, fronts
+        _, new_fronts = self.advance(fronts, global_mask)
+        return self.executed_between(fronts, new_fronts), new_fronts
 
     def qubits_needing_local(self, fronts: list[int]) -> set[int]:
         """Qubits with a remaining gate that requires them to be local."""
@@ -246,7 +304,8 @@ def _candidate_seeds(
     adj = view.interaction_adjacency(fronts)
     degrees = sorted(range(n), key=lambda q: (len(adj[q]), q))
     roots = degrees[: max(2, count)] + [
-        int(x) for x in rng.choice(n, size=max(0, count - 2), replace=False)
+        int(x)
+        for x in rng.choice(n, size=min(n, max(0, count - 2)), replace=False)
     ]
     for root in roots:
         ball = [root]
@@ -289,25 +348,26 @@ def _hill_climb(
     local_qubits: int,
     neighbor_samples: int,
     max_passes: int,
-) -> tuple[set[int], list[int], list[int]]:
+) -> tuple[set[int], tuple[int, int], list[int]]:
     """First-improvement hill climb over single qubit exchanges.
 
     The objective is lexicographic: primarily, whether the *remainder*
     after this stage completes in a single further stage (this is what
     turns two swaps into one for the 36-qubit circuit); secondarily, the
-    number of gates the stage executes.
+    number of gates the stage executes.  Returns the set, its objective
+    and the fronts after its stage.
     """
     n = view.num_qubits
 
-    def score(mask: int) -> tuple[tuple[int, int], list[int], list[int]]:
-        cand_exec, cand_fronts = view.max_executable(fronts, mask)
+    def score(mask: int) -> tuple[tuple[int, int], list[int]]:
+        executed, cand_fronts = view.advance(fronts, mask)
         finishes = int(len(view.qubits_needing_local(cand_fronts)) <= local_qubits)
-        return (finishes, len(cand_exec)), cand_exec, cand_fronts
+        return (finishes, executed), cand_fronts
 
     # `current` stays a set: iterating it orders `pairs`, hence the shuffle.
     current = set(global_set)
     mask = bit_mask(current)
-    best_key, executed, new_fronts = score(mask)
+    best_key, new_fronts = score(mask)
     for _ in range(max_passes):
         improved = False
         local = [q for q in range(n) if q not in current]
@@ -317,17 +377,16 @@ def _hill_climb(
             if go not in current or li in current:
                 continue  # stale after an accepted move
             exchange = (1 << go) | (1 << li)
-            cand_key, cand_exec, cand_fronts = score(mask ^ exchange)
+            cand_key, cand_fronts = score(mask ^ exchange)
             if cand_key > best_key:
                 current.discard(go)
                 current.add(li)
                 mask ^= exchange
-                best_key = cand_key
-                executed, new_fronts = cand_exec, cand_fronts
+                best_key, new_fronts = cand_key, cand_fronts
                 improved = True
         if not improved:
             break
-    return current, executed, new_fronts
+    return current, best_key, new_fronts
 
 
 def find_stages(
@@ -360,7 +419,7 @@ def find_stages(
 
     if g == 0:
         executed, fronts = view.max_executable(fronts, 0)
-        plan.stages.append((frozenset(), sorted(executed)))
+        plan.stages.append((frozenset(), executed))
         plan.evaluations = view.evaluations
         return plan
 
@@ -379,16 +438,16 @@ def find_stages(
             )
             final_global = frozenset(candidates[:g])
             executed, fronts = view.max_executable(fronts, bit_mask(final_global))
-            plan.stages.append((final_global, sorted(executed)))
+            plan.stages.append((final_global, executed))
             if view.remaining(fronts) != 0:
                 raise AssertionError("completion stage failed to drain circuit")
             break
 
         dist = view.first_block_distance(fronts)
         seeds = _candidate_seeds(view, fronts, dist, g, rng, max(1, restarts))
-        best = None  # ((finishes_next, stage_size), set, executed, fronts)
+        best = None  # ((finishes_next, stage_size), set, fronts)
         for seed_set in seeds:
-            cand_set, executed, cand_fronts = _hill_climb(
+            cand_set, key, cand_fronts = _hill_climb(
                 view,
                 fronts,
                 seed_set,
@@ -397,19 +456,19 @@ def find_stages(
                 neighbor_samples=neighbor_samples,
                 max_passes=max_passes,
             )
-            finishes_next = len(view.qubits_needing_local(cand_fronts)) <= plan.local_qubits
-            key = (finishes_next, len(executed))
             if best is None or key > best[0]:
-                best = (key, cand_set, executed, cand_fronts)
-                if finishes_next:
+                best = (key, cand_set, cand_fronts)
+                if key[0]:
                     break
-        _, chosen_set, executed, fronts = best
-        if not executed:
+        (_, stage_size), chosen_set, new_fronts = best
+        if not stage_size:
             raise RuntimeError(
                 "stage finder made no progress; circuit may contain a gate "
                 "larger than the local qubit count"
             )
-        plan.stages.append((frozenset(chosen_set), sorted(executed)))
+        executed = view.executed_between(fronts, new_fronts)
+        fronts = new_fronts
+        plan.stages.append((frozenset(chosen_set), executed))
 
     plan.evaluations = view.evaluations
     return plan

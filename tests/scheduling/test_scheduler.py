@@ -65,6 +65,23 @@ class TestPipeline:
         with pytest.raises(ValueError, match="kmax must be >= 1"):
             SchedulerConfig(local_qubits=4, kmax=0)
 
+    @pytest.mark.parametrize(
+        "field", ["seed", "stage_restarts", "neighbor_samples", "cluster_trials"]
+    )
+    def test_config_rejects_negative_search_effort(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 0, got -1"):
+            SchedulerConfig(local_qubits=8, kmax=4, **{field: -1})
+
+    def test_more_restarts_than_qubits(self):
+        """Restarts beyond the qubit count cap the random BFS roots at
+        the qubit count instead of over-drawing from them."""
+        circ = generate_supremacy_circuit(12, 10, seed=0)
+        sched = schedule_circuit(
+            circ, SchedulerConfig(local_qubits=8, kmax=4, stage_restarts=40)
+        )
+        sched.validate()
+        assert sched.num_swaps >= 1
+
     def test_config_with_validates_too(self):
         cfg = SchedulerConfig(local_qubits=8, kmax=4)
         with pytest.raises(ValueError, match="kmax=9 exceeds"):
