@@ -29,7 +29,7 @@ import time
 
 from repro.distributed import DiskShards, InMemoryShards
 from repro.distributed.state import DistributedState
-from repro.runtime import ExecutionEngine, PipelineLayer, TracingLayer
+from repro.runtime import ExecutionEngine, PipelineLayer
 from repro.service.jobs import state_fingerprint
 from repro.telemetry import Telemetry
 
@@ -52,11 +52,11 @@ def bench_pipeline(
             storage = InMemoryShards(ranks, 1 << l)
         else:
             storage = DiskShards(ranks, 1 << l, base / variant)
-        layers = [TracingLayer(Telemetry.enabled())]
+        layers = []
         if variant == "armed":
             layers.append(PipelineLayer(depth=PIPELINE_DEPTH))
         engine = ExecutionEngine(
-            sched, layers=layers
+            sched, layers=layers, telemetry=Telemetry.enabled()
         )
         start = time.perf_counter()
         state = DistributedState.for_schedule(sched, storage=storage)

@@ -147,21 +147,21 @@ class DistributedSimulator:
         non-default ``fusion_kmax``.
 
         With an active telemetry bundle the result carries the op-level
-        trace, whose signature does not depend on the fusion settings.
-        Extra *layers* (a :class:`~repro.runtime.PipelineLayer`, a
+        trace of this run, whose signature does not depend on the fusion
+        settings.  *layers* (a :class:`~repro.runtime.PipelineLayer`, a
         :class:`~repro.runtime.CheckpointLayer`, a
-        :class:`~repro.runtime.SanitizerLayer`, ...) are appended after
-        the tracing layer.
+        :class:`~repro.runtime.SanitizerLayer`, ...) compose onto the
+        engine's loop.
         """
         if state is None:
             state = self._state_for(schedule)
-        from repro.runtime import ExecutionEngine, TracingLayer
+        from repro.runtime import ExecutionEngine
 
-        traced = self.telemetry is not None and self.telemetry.active
-        stack = [TracingLayer(self.telemetry)] if traced else []
-        stack.extend(layers)
         engine = ExecutionEngine(  # lint: allow-engine-direct
-            schedule, plan_config=plan_config, layers=stack
+            schedule,
+            plan_config=plan_config,
+            layers=layers,
+            telemetry=self.telemetry,
         )
         result = engine.run(state=state)
         return DistributedRunResult(

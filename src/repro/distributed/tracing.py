@@ -11,8 +11,8 @@ hierarchical span tree collected by a
 flat *view* over that tree (one :class:`TraceEvent` per op-level span,
 built by :meth:`ExecutionTrace.from_spans`), kept because its
 timing-free :meth:`~ExecutionTrace.signature` is the determinism anchor
-the resilience suite compares runs with.  Aggregations are computed once
-when a finalized trace is frozen, not re-summed per property access.
+the resilience suite compares runs with.  A trace is immutable; its
+aggregates are computed once, when it is built.
 """
 
 from __future__ import annotations
@@ -54,24 +54,25 @@ class TraceEvent:
     op_index: int | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExecutionTrace:
-    """All events of one run, with aggregation helpers.
+    """All events of one run, with aggregates computed once.
 
-    A trace under construction recomputes its aggregates on demand; once
-    the run is over, :meth:`freeze` computes them a single time and
-    caches — afterwards :meth:`add` refuses further events.
+    An immutable view: :meth:`from_spans` builds the events and sums
+    their durations and bytes a single time.
     """
 
-    events: list[TraceEvent] = field(default_factory=list)
-    #: Source spans when the trace was built from a tracer (else empty).
-    spans: list = field(default_factory=list, repr=False, compare=False)
-    _cache: dict | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    events: tuple[TraceEvent, ...]
+    #: The source spans the events were taken from.
+    spans: tuple = field(repr=False, compare=False)
+    #: Sum of all event durations.
+    total_seconds: float = field(repr=False, compare=False)
+    #: Total bytes moved across all events that recorded any.
+    bytes_moved: int = field(repr=False, compare=False)
+    _seconds_by_kind: dict = field(repr=False, compare=False)
 
     @classmethod
-    def from_spans(cls, spans, *, freeze: bool = True) -> "ExecutionTrace":
+    def from_spans(cls, spans) -> "ExecutionTrace":
         """Build the flat op-event view over a tracer's span list.
 
         Only spans whose ``kind`` is in :data:`OP_EVENT_KINDS` become
@@ -79,68 +80,32 @@ class ExecutionTrace:
         and run roots are skipped.  Swap events pick up
         ``bytes_moved`` from the span's ``bytes`` attribute.
         """
-        trace = cls(spans=list(spans))
-        for span in trace.spans:
-            if span.kind not in OP_EVENT_KINDS:
-                continue
-            trace.events.append(
-                TraceEvent(
-                    index=len(trace.events),
-                    kind=span.kind,
-                    label=span.name,
-                    seconds=span.seconds,
-                    bytes_moved=span.attrs.get("bytes"),
-                    op_index=span.attrs.get("op_index"),
-                )
-            )
-        return trace.freeze() if freeze else trace
-
-    # ------------------------------------------------------------------
-    @property
-    def frozen(self) -> bool:
-        """True once aggregates are cached and the trace is append-closed."""
-        return self._cache is not None
-
-    def add(self, event: TraceEvent) -> None:
-        """Append an event; refuses once the trace is frozen."""
-        if self.frozen:
-            raise RuntimeError(
-                "trace is frozen; aggregates are already cached"
-            )
-        self.events.append(event)
-
-    def freeze(self) -> "ExecutionTrace":
-        """Compute every aggregate once and close the trace to appends."""
+        spans = tuple(spans)
+        events = []
         by_kind: dict[str, float] = {}
         total = 0.0
         moved = 0
-        for e in self.events:
-            by_kind[e.kind] = by_kind.get(e.kind, 0.0) + e.seconds
-            total += e.seconds
-            moved += e.bytes_moved or 0
-        self._cache = {
-            "total_seconds": total,
-            "seconds_by_kind": by_kind,
-            "bytes_moved": moved,
-        }
-        return self
+        for span in spans:
+            if span.kind not in OP_EVENT_KINDS:
+                continue
+            event = TraceEvent(
+                index=len(events),
+                kind=span.kind,
+                label=span.name,
+                seconds=span.seconds,
+                bytes_moved=span.attrs.get("bytes"),
+                op_index=span.attrs.get("op_index"),
+            )
+            events.append(event)
+            by_kind[event.kind] = by_kind.get(event.kind, 0.0) + event.seconds
+            total += event.seconds
+            moved += event.bytes_moved or 0
+        return cls(tuple(events), spans, total, moved, by_kind)
 
     # ------------------------------------------------------------------
-    @property
-    def total_seconds(self) -> float:
-        """Sum of all event durations (cached once frozen)."""
-        if self._cache is not None:
-            return self._cache["total_seconds"]
-        return sum(e.seconds for e in self.events)
-
     def seconds_by_kind(self) -> dict[str, float]:
-        """Wall time aggregated per event kind (cached once frozen)."""
-        if self._cache is not None:
-            return dict(self._cache["seconds_by_kind"])
-        out: dict[str, float] = {}
-        for e in self.events:
-            out[e.kind] = out.get(e.kind, 0.0) + e.seconds
-        return out
+        """Wall time aggregated per event kind."""
+        return dict(self._seconds_by_kind)
 
     @property
     def comm_fraction(self) -> float:
@@ -159,13 +124,6 @@ class ExecutionTrace:
         return [
             (e.kind, e.label, e.op_index, e.bytes_moved) for e in self.events
         ]
-
-    @property
-    def bytes_moved(self) -> int:
-        """Total bytes moved across all events that recorded any."""
-        if self._cache is not None:
-            return self._cache["bytes_moved"]
-        return sum(e.bytes_moved or 0 for e in self.events)
 
     def timeline(self, *, width: int = 60) -> str:
         """A proportional text timeline (one row per op)."""

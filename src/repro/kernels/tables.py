@@ -12,10 +12,10 @@ the same op to an identically-shaped shard, so one factor serves ``2**g``
 ranks times every repetition of the layer.  (The plan compiler composes
 fused ops from bit masks and block indices: it needs no tables.)
 
-Cache hits and misses are counted (and optionally mirrored into a
-:class:`~repro.telemetry.metrics.MetricsRegistry` as ``plan.cache.hits``
-/ ``plan.cache.misses``), along with the bytes of table construction the
-hits avoided — the numbers ``repro simulate --plan-stats`` reports.
+Cache hits and misses are counted, along with the bytes of table
+construction the hits avoided — the numbers ``repro simulate
+--plan-stats``, ``/statusz`` and the repo benchmark read from
+:meth:`GatherTableCache.stats`.
 """
 
 from __future__ import annotations
@@ -111,20 +111,8 @@ class GatherTableCache:
         self.bytes_cached = 0
         #: Bytes of table construction avoided by hits so far.
         self.bytes_saved = 0
-        self._metrics = None
 
     # ------------------------------------------------------------------
-    def bind_metrics(self, registry) -> None:
-        """Stream hit/miss counts into *registry* (``None`` detaches).
-
-        Mirrored keys: ``plan.cache.hits``, ``plan.cache.misses`` and the
-        ``plan.cache.bytes_saved`` counter.
-        """
-        with self._lock:
-            self._metrics = (
-                registry if registry is not None and registry.enabled else None
-            )
-
     def set_capacity(self, capacity: int) -> None:
         """Rebound the cache to *capacity* entries, evicting LRU overflow."""
         if capacity < 1:
@@ -141,12 +129,6 @@ class GatherTableCache:
             self.bytes_saved += nbytes
         else:
             self.misses += 1
-        if self._metrics is not None:
-            if hit:
-                self._metrics.counter("plan.cache.hits").inc()
-                self._metrics.counter("plan.cache.bytes_saved").inc(nbytes)
-            else:
-                self._metrics.counter("plan.cache.misses").inc()
 
     def _lookup(self, key: tuple):
         entry = self._entries.get(key)

@@ -31,11 +31,6 @@ class TrajectoryResult:
     mean_probabilities: np.ndarray
     mean_fidelity_to_ideal: float
 
-    @property
-    def effective_dim(self) -> int:
-        """Dimension of the sampled Hilbert space."""
-        return self.mean_probabilities.shape[0]
-
 
 class NoisySimulator:
     """Applies circuits with per-gate single-qubit noise channels.

@@ -150,13 +150,12 @@ class CompiledProgram:
         Returns the op-level :class:`ExecutionTrace` when *telemetry* is
         an active bundle (one event per schedule op, whatever the fusion:
         fused ops emit zero-length spans for the sources folded in), else
-        ``None`` (the engine then runs with no layers).
+        ``None``.
         """
-        from repro.runtime import ExecutionEngine, TracingLayer
+        from repro.runtime import ExecutionEngine
 
-        traced = telemetry is not None and telemetry.active
-        layers = [TracingLayer(telemetry)] if traced else ()
-        return ExecutionEngine(self, layers=layers).run(state=state).trace  # lint: allow-engine-direct
+        engine = ExecutionEngine(self, telemetry=telemetry)  # lint: allow-engine-direct
+        return engine.run(state=state).trace
 
     def summary(self) -> dict:
         """Counters for display (``repro simulate --plan-stats``)."""

@@ -9,7 +9,7 @@ simulated stall.
 
 from __future__ import annotations
 
-from repro.resilience.chaos import ChaosRunResult, ChaosSuiteResult
+from repro.resilience.chaos import ChaosSuiteResult
 from repro.resilience.supervisor import RecoveryReport
 
 __all__ = ["format_chaos_suite", "format_recovery_report"]
@@ -76,9 +76,3 @@ def format_chaos_suite(suite: ChaosSuiteResult) -> str:
         f"{suite.num_passed}/{len(suite.results)} scenarios passed"
     )
     return "\n".join(lines)
-
-
-def _scenario_result_line(result: ChaosRunResult) -> str:
-    """One-line verdict (used by tests and compact listings)."""
-    verdict = "PASS" if result.passed else "FAIL"
-    return f"{result.name}: {verdict}"

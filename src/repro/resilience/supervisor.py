@@ -21,9 +21,9 @@ a typed error once its recovery budget is spent.  Three mechanisms:
 
 Since the runtime engine landed this class is a thin assembler: it
 builds an :class:`~repro.runtime.ExecutionEngine` with the resilient
-layer stack (tracing, checkpoint, fault injection, integrity,
-sanitizer) and a :class:`RetryPolicy`, and the engine owns the retry and
-restart machinery.  Execution is recorded as telemetry spans: one span
+layer stack (checkpoint, fault injection, integrity, sanitizer) and a
+:class:`RetryPolicy`, and the engine owns the retry and restart
+machinery.  The engine records execution as telemetry spans: one span
 per op *attempt* (transient failures mutate into ``fault`` spans,
 aborted fatal attempts into ``aborted`` ones, excluded from the op-event
 view), nested under a ``resilient_run`` root.  The result's
@@ -56,7 +56,6 @@ from repro.runtime import (
     RecoveryReport,
     RetryPolicy,
     SanitizerLayer,
-    TracingLayer,
 )
 from repro.scheduling.program import Schedule
 from repro.telemetry.metrics import NULL_METRICS
@@ -85,7 +84,7 @@ class ResilientRunResult:
         return self.state.stats
 
     @property
-    def spans(self) -> list:
+    def spans(self) -> tuple:
         """The run's telemetry spans (the trace is the flat view over them)."""
         return self.trace.spans
 
@@ -183,7 +182,6 @@ class ResilientExecutor:
     def _build_engine(self) -> ExecutionEngine:
         """The engine + layer stack equivalent of this executor."""
         layers = [
-            TracingLayer(self.telemetry, mode="resilient", trace_scope="run"),
             CheckpointLayer(
                 self.manager,
                 every=self.checkpoint_every,
@@ -203,6 +201,7 @@ class ResilientExecutor:
             layers=layers,
             policy=self.policy,
             state_factory=self._state_factory,
+            telemetry=self.telemetry,
             sleep=self._sleep,
             root_span="resilient_run",
             root_attrs={"ops": num_ops},

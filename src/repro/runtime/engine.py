@@ -9,6 +9,12 @@ composed onto that loop.  The front doors (``run_schedule``,
 ``CompiledProgram.execute``, ``ResilientExecutor``) build an engine plus
 the matching layer stack.
 
+The loop records its own op spans: with an active ``telemetry=`` bundle
+every op attempt is one span (``op_index`` and ``stage`` attributes,
+``bytes`` on swaps), ops folded into a fused one get zero-length spans,
+and the result's :class:`~repro.distributed.tracing.ExecutionTrace` is
+the flat view over the spans of that run only.
+
 Hook order is onion-style: ``before_op`` runs in stack order,
 ``after_op`` / ``on_run_end`` in reverse stack order, so the first layer
 in the stack is the outermost wrapper.  With a :class:`RetryPolicy` the
@@ -25,7 +31,6 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
 
-from repro.distributed.comm import CommStats
 from repro.distributed.state import DistributedState
 from repro.distributed.tracing import ExecutionTrace
 from repro.runtime.policy import RecoveryReport, RetryPolicy
@@ -45,8 +50,8 @@ class ExecUnit:
     Wraps a plan op (possibly covering several fused source ops) or, in
     the naive :meth:`ExecutionEngine.for_circuit` mode, one circuit
     gate.  ``op_index`` is the first covered position in the schedule's
-    op stream; ``kind``/``label``/``stage`` match what the
-    tracing layer records for it.
+    op stream; ``kind``/``label``/``stage`` are what the engine's op
+    span records for it.
     """
 
     __slots__ = (
@@ -108,7 +113,6 @@ class ExecutionContext:
         "seconds_since_ckpt",
         "productive_seconds",
         "total_source_ops",
-        "span_base",
     )
 
     def __init__(self, engine, schedule, units, policy, telemetry, report):
@@ -125,7 +129,6 @@ class ExecutionContext:
         self.seconds_since_ckpt = 0.0
         self.productive_seconds = 0.0
         self.total_source_ops = engine.total_source_ops
-        self.span_base = 0
 
     @property
     def tracer(self):
@@ -197,9 +200,10 @@ class ExecutionEngine:
         This is how custom :class:`~repro.distributed.ShardStorage`
         backends survive a restart.
     telemetry:
-        Telemetry bundle for the run; when a ``TracingLayer`` is in the
-        stack its (resolved) bundle takes precedence and is attached to
-        the state for the duration of the run.
+        Telemetry bundle for the run.  When it is active the engine
+        records one span per op attempt, observes ``op.seconds{kind=}``
+        when its metrics are on, attaches the bundle to the state for
+        the duration of the run and returns the run's trace.
     root_span / root_attrs:
         Name and attributes of the run's root span (``execute_schedule``
         by default, ``resilient_run`` under the resilient shim).
@@ -243,15 +247,7 @@ class ExecutionEngine:
             )
         self.total_source_ops = sum(u.num_sources for u in self._units)
         self._unit_of_source = {u.op_index: u.index for u in self._units}
-
-        # A TracingLayer owns the run's effective telemetry bundle.
-        self._tracing = next(
-            (la for la in self._layers if hasattr(la, "trace_scope")), None
-        )
-        if self._tracing is not None:
-            self._telemetry = self._tracing.telemetry
-        else:
-            self._telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        self._telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
 
     # ------------------------------------------------------------------
     @classmethod
@@ -356,62 +352,56 @@ class ExecutionEngine:
             unit.run(ctx.state)
 
     def _dispatch(self, ctx, unit):
-        """Run one unit (with retries under a policy); returns (s, bytes)."""
-        layers = self._layers
-        state = ctx.state
-        if self._policy is None:
-            bytes_before = state.stats.bytes_on_network
-            for layer in layers:
-                layer.on_attempt_start(ctx, unit, 0)
-            start = time.perf_counter()
-            try:
-                self._run_guarded(ctx, unit)
-            except BaseException as exc:
-                seconds = time.perf_counter() - start
-                for layer in reversed(layers):
-                    layer.on_attempt_end(ctx, unit, 0, seconds, 0, exc, False)
-                raise
-            seconds = time.perf_counter() - start
-            moved = state.stats.bytes_on_network - bytes_before
-            for layer in reversed(layers):
-                layer.on_attempt_end(ctx, unit, 0, seconds, moved, None, False)
-            return seconds, moved
+        """Run one unit, retrying transients under a policy; its seconds.
 
+        Each attempt is one op span.  A transient failure turns its span
+        into a ``fault`` span before the retry; a fatal one under a
+        policy into an ``aborted`` span (the run-level ``fatal:`` event
+        records it).  Without a policy there are no retries.
+        """
+        layers = self._layers
         policy = self._policy
         report = ctx.report
-        metrics = self._telemetry.metrics
-        transient_error = self._transient_error
-        for attempt in range(policy.max_retries + 1):
-            # Fresh per-attempt counters, streaming into the same
-            # registry the run counters are bound to (so comm.* metrics
-            # stay equal to the cumulative stats).
-            run_stats = state.stats
-            state.stats = CommStats().bind_metrics(run_stats.metrics)
-            for layer in layers:
-                layer.on_attempt_start(ctx, unit, attempt)
+        telemetry = self._telemetry
+        for attempt in range(self._max_retries + 1):
+            bytes_before = ctx.state.stats.bytes_on_network
+            span_cm = telemetry.tracer.span(
+                unit.label, kind=unit.kind, op_index=unit.op_index,
+                stage=unit.stage,
+            )
+            span = span_cm.__enter__()
             start = time.perf_counter()
             try:
                 self._run_guarded(ctx, unit)
             except BaseException as exc:
                 seconds = time.perf_counter() - start
-                # Always restore the run counters — a fatal fault
-                # escaping here must leave ``state.stats`` cumulative so
-                # the restart path can compute bytes-since-checkpoint.
-                attempt_stats, state.stats = state.stats, run_stats
-                run_stats.merge(attempt_stats)
-                transient = isinstance(exc, transient_error)
+                transient = isinstance(exc, self._transient_error)
                 if transient:
                     # Nothing moved (transients strike before the
                     # transfer), but any staging work the op performed
                     # stays counted exactly once: the swap path is
                     # resumable, so the retry skips what is already done.
-                    report.redundant_bytes += attempt_stats.bytes_on_network
+                    report.redundant_bytes += (
+                        ctx.state.stats.bytes_on_network - bytes_before
+                    )
                     report.transient_retries += 1
-                    metrics.counter("resilience.transient_retries").inc()
+                    telemetry.metrics.counter(
+                        "resilience.transient_retries"
+                    ).inc()
                 for layer in reversed(layers):
                     layer.on_attempt_end(
                         ctx, unit, attempt, seconds, 0, exc, transient
                     )
+                if span is not None:
+                    if transient:
+                        span.name = (
+                            f"transient at op {unit.op_index} "
+                            f"(attempt {attempt})"
+                        )
+                        span.kind = "fault"
+                    elif policy is not None:
+                        span.kind = "aborted"
+                span_cm.__exit__(None, None, None)
                 if not transient:
                     raise
                 if attempt >= policy.max_retries:
@@ -424,15 +414,41 @@ class ExecutionEngine:
                 self._sleep(delay)
                 continue
             seconds = time.perf_counter() - start
-            attempt_stats, state.stats = state.stats, run_stats
-            run_stats.merge(attempt_stats)
-            moved = attempt_stats.bytes_on_network
+            moved = ctx.state.stats.bytes_on_network - bytes_before
             for layer in reversed(layers):
                 layer.on_attempt_end(
                     ctx, unit, attempt, seconds, moved, None, False
                 )
-            return seconds, moved
+            if span is not None and unit.is_swap:
+                span.attrs["bytes"] = moved
+            span_cm.__exit__(None, None, None)
+            if telemetry.active:
+                self._record_op(unit, seconds)
+            return seconds
         raise AssertionError("unreachable")  # pragma: no cover
+
+    def _record_op(self, unit, seconds) -> None:
+        """``op.seconds`` of a finished unit, and its folded sources' spans.
+
+        Ops folded into a fused unit still get their (zero-length)
+        events, keeping one event per original schedule op.
+        """
+        tracer = self._telemetry.tracer
+        metrics = self._telemetry.metrics
+        metrics.histogram("op.seconds", kind=unit.kind).observe(seconds)
+        if unit.num_sources > 1:
+            mark = tracer.now()
+            for source in unit.sources[1:]:
+                tracer.add_span(
+                    source.label,
+                    kind=source.kind,
+                    start=mark,
+                    end=mark,
+                    op_index=source.op_index,
+                    stage=unit.stage,
+                    fused_into=unit.op_index,
+                )
+                metrics.histogram("op.seconds", kind=source.kind).observe(0.0)
 
     # ------------------------------------------------------------------
     def run(self, *, state=None) -> EngineResult:
@@ -449,21 +465,24 @@ class ExecutionEngine:
                 TransientCommError,
             )
 
+            self._max_retries = policy.max_retries
             self._transient_error = TransientCommError
             self._retry_budget_error = RetryBudgetExceededError
             fatal_faults = FATAL_FAULTS
         else:
-            fatal_faults = ()
+            self._max_retries = 0
+            self._transient_error = fatal_faults = ()
 
         report = RecoveryReport()
+        telemetry = self._telemetry
         ctx = ExecutionContext(
-            self, self._schedule, units, policy, self._telemetry, report
+            self, self._schedule, units, policy, telemetry, report
         )
         layers = self._layers
-        tracer = self._telemetry.tracer
-        metrics = self._telemetry.metrics
-        ctx.span_base = len(tracer.spans)
-        attach = self._tracing is not None
+        tracer = telemetry.tracer
+        metrics = telemetry.metrics
+        traced = telemetry.active
+        first_span = len(tracer.spans)
         explicit_state = state
         wall_start = time.perf_counter()
         try:
@@ -476,9 +495,9 @@ class ExecutionEngine:
                     )
                     ctx.state = state
                     previous_bundle = state.telemetry
-                    if attach:
-                        state.use_telemetry(self._telemetry)
-                    restore = attach and state is explicit_state
+                    if traced:
+                        state.use_telemetry(telemetry)
+                    restore = traced and state is explicit_state
                     done = False
                     try:
                         for layer in layers:
@@ -489,14 +508,11 @@ class ExecutionEngine:
                             for unit in units[start_unit:]:
                                 for layer in layers:
                                     layer.before_op(ctx, unit)
-                                seconds, moved = self._dispatch(ctx, unit)
+                                seconds = self._dispatch(ctx, unit)
                                 ctx.productive_seconds += seconds
                                 ctx.seconds_since_ckpt += seconds
                                 for layer in reversed(layers):
                                     layer.after_op(ctx, unit)
-                                if unit.is_swap:
-                                    for layer in layers:
-                                        layer.on_swap(ctx, unit, moved)
                             # A returned run is a finished run: what the
                             # storage deferred runs inside the root span.
                             state.flush()
@@ -517,6 +533,10 @@ class ExecutionEngine:
                                 - ctx.bytes_at_ckpt
                             )
                             ctx.productive_seconds -= ctx.seconds_since_ckpt
+                            tracer.event(
+                                f"fatal: {type(exc).__name__}: {exc}",
+                                kind="fault",
+                            )
                             for layer in layers:
                                 layer.on_failure(ctx, exc)
                             ctx.restarts += 1
@@ -544,11 +564,8 @@ class ExecutionEngine:
                 (time.perf_counter() - wall_start) - ctx.productive_seconds,
             )
             trace = None
-            if self._tracing is not None:
-                spans = tracer.spans
-                if self._tracing.trace_scope == "run":
-                    spans = spans[ctx.span_base:]
-                trace = ExecutionTrace.from_spans(spans)
+            if traced:
+                trace = ExecutionTrace.from_spans(tracer.spans[first_span:])
             return EngineResult(
                 state, time.perf_counter() - wall_start, trace, report
             )

@@ -1,23 +1,23 @@
 """Composable cross-cutting concerns for the execution engine.
 
 Each layer implements (a subset of) the :class:`RuntimeLayer` protocol —
-``on_run_start / before_op / after_op / on_swap / on_run_end /
-on_failure`` — and the engine threads every unit of the canonical loop
-through the stack.  ``before_op`` runs in stack order, ``after_op`` and
-``on_run_end`` in reverse, so the resilient stack
+``on_run_start / before_op / after_op / on_run_end / on_failure`` — and
+the engine threads every unit of the canonical loop through the stack.
+``before_op`` runs in stack order, ``after_op`` and ``on_run_end`` in
+reverse, so the resilient stack
 
-    [TracingLayer, CheckpointLayer, FaultLayer, IntegrityLayer,
-     SanitizerLayer]
+    [CheckpointLayer, FaultLayer, IntegrityLayer, SanitizerLayer]
 
 reproduces the legacy supervisor's exact per-op order: inject faults →
 verify checksums → sanitizer pre-scan → *attempt the op* → sanitizer
 post-scan → refresh checksum table → periodic checkpoint.
 
-Layers that need attempt granularity (one telemetry span per retry, a
-fault guard around the communication call) additionally implement the
-``on_attempt_start / on_attempt_end / attempt_context`` extension hooks;
-``provide_state`` lets a layer supply the state a (re)start resumes
-from, and ``finalize`` is the engine's guaranteed cleanup hook.
+Layers that need attempt granularity (a ring record per retry, a fault
+guard around the communication call) additionally implement the
+``on_attempt_end / attempt_context`` extension hooks; ``provide_state``
+lets a layer supply the state a (re)start resumes from, and
+``finalize`` is the engine's guaranteed cleanup hook.  Op spans are not
+a layer: the engine records them itself from its ``telemetry=``.
 """
 
 from __future__ import annotations
@@ -25,26 +25,22 @@ from __future__ import annotations
 import time
 
 from repro.distributed.checkpoint import CheckpointManager
-from repro.kernels.tables import GATHER_CACHE
 from repro.telemetry.recorder import FlightRecorder
-from repro.telemetry.runtime import Telemetry
 
 __all__ = [
-    "CallbackLayer",
     "CheckpointLayer",
     "FaultLayer",
     "FlightRecorderLayer",
     "IntegrityLayer",
     "RuntimeLayer",
     "SanitizerLayer",
-    "TracingLayer",
 ]
 
 
 class RuntimeLayer:
     """Base layer: every hook is a no-op; override what you need.
 
-    The six core hooks receive the shared
+    The five core hooks receive the shared
     :class:`~repro.runtime.engine.ExecutionContext` (``ctx``) and, where
     applicable, the current :class:`~repro.runtime.engine.ExecUnit`.
     """
@@ -59,9 +55,6 @@ class RuntimeLayer:
     def after_op(self, ctx, unit) -> None:
         """After a unit completed successfully (reverse stack order)."""
 
-    def on_swap(self, ctx, unit, bytes_moved: int) -> None:
-        """After a completed global-to-local swap moved *bytes_moved*."""
-
     def on_run_end(self, ctx) -> None:
         """All units completed (reverse stack order, still restartable)."""
 
@@ -69,9 +62,6 @@ class RuntimeLayer:
         """A fatal fault ends this pass; a restart may follow."""
 
     # -- extension hooks -----------------------------------------------
-    def on_attempt_start(self, ctx, unit, attempt: int) -> None:
-        """One execution attempt of *unit* begins (retries re-enter)."""
-
     def on_attempt_end(
         self, ctx, unit, attempt, seconds, bytes_moved, error, will_retry
     ) -> None:
@@ -87,117 +77,6 @@ class RuntimeLayer:
 
     def finalize(self, ctx) -> None:
         """Guaranteed cleanup after the run (success or error)."""
-
-
-class TracingLayer(RuntimeLayer):
-    """Op-level span recording.
-
-    One span per op *attempt*: a successful attempt keeps the op's
-    kind/label; under a retry policy a transient failure mutates into a
-    ``fault`` span and a fatally aborted attempt into ``aborted`` (both
-    excluded from the op-event view — the run-level ``fatal:`` event
-    records the latter).  Fused plan ops additionally emit zero-length
-    spans for their folded sources so traces keep exactly one event per
-    original schedule op, and the trace ``signature()`` is identical
-    across fusion settings and between plain and resilient executions.
-
-    ``mode="schedule"`` records ``stage`` span attributes and
-    ``op.seconds`` histograms; ``mode="resilient"`` (the
-    ``ResilientExecutor`` stack) records neither.  ``trace_scope``
-    selects the spans the result trace is built from: ``"all"`` (the
-    tracer's full history) or ``"run"`` (this run only, what
-    ``ResilientExecutor`` reports).
-    """
-
-    def __init__(
-        self,
-        telemetry: Telemetry | None = None,
-        *,
-        mode: str = "schedule",
-        trace_scope: str = "all",
-    ) -> None:
-        if mode not in ("schedule", "resilient"):
-            raise ValueError(f"mode must be schedule|resilient, got {mode!r}")
-        if trace_scope not in ("all", "run"):
-            raise ValueError(
-                f"trace_scope must be all|run, got {trace_scope!r}"
-            )
-        if telemetry is None or not telemetry.active:
-            telemetry = Telemetry.spans_only()
-        self.telemetry = telemetry
-        self.trace_scope = trace_scope
-        self._full = mode == "schedule"
-        self._cache_bound = False
-        self._span = None
-        self._span_cm = None
-
-    def on_run_start(self, ctx) -> None:
-        if not self._cache_bound:
-            # Mirror the shared kernel cache's counters into the
-            # bundle's metrics for the duration of the run.
-            GATHER_CACHE.bind_metrics(self.telemetry.metrics)
-            self._cache_bound = True
-
-    def on_attempt_start(self, ctx, unit, attempt: int) -> None:
-        kwargs = {"op_index": unit.op_index}
-        if self._full:
-            kwargs["stage"] = unit.stage
-        self._span_cm = self.telemetry.tracer.span(
-            unit.label, kind=unit.kind, **kwargs
-        )
-        self._span = self._span_cm.__enter__()
-
-    def on_attempt_end(
-        self, ctx, unit, attempt, seconds, bytes_moved, error, will_retry
-    ) -> None:
-        span, cm = self._span, self._span_cm
-        self._span = self._span_cm = None
-        if error is not None:
-            if span is not None:
-                if will_retry:
-                    span.name = (
-                        f"transient at op {unit.op_index} (attempt {attempt})"
-                    )
-                    span.kind = "fault"
-                elif ctx.policy is not None:
-                    span.kind = "aborted"
-            cm.__exit__(None, None, None)
-            return
-        if span is not None and unit.is_swap:
-            span.attrs["bytes"] = bytes_moved
-        cm.__exit__(None, None, None)
-        metrics = self.telemetry.metrics
-        if self._full:
-            metrics.histogram("op.seconds", kind=unit.kind).observe(seconds)
-        if unit.num_sources > 1:
-            # Ops folded into this one still get their (zero-length)
-            # events, keeping one event per original schedule op.
-            tracer = self.telemetry.tracer
-            mark = tracer.now()
-            for source in unit.sources[1:]:
-                tracer.add_span(
-                    source.label,
-                    kind=source.kind,
-                    start=mark,
-                    end=mark,
-                    op_index=source.op_index,
-                    stage=unit.stage,
-                    fused_into=unit.op_index,
-                )
-                if self._full:
-                    metrics.histogram(
-                        "op.seconds", kind=source.kind
-                    ).observe(0.0)
-
-    def on_failure(self, ctx, exc: BaseException) -> None:
-        self.telemetry.tracer.event(
-            f"fatal: {type(exc).__name__}: {exc}", kind="fault"
-        )
-
-    def finalize(self, ctx) -> None:
-        if self._cache_bound:
-            GATHER_CACHE.bind_metrics(None)
-            self._cache_bound = False
 
 
 class FlightRecorderLayer(RuntimeLayer):
@@ -413,48 +292,3 @@ class CheckpointLayer(RuntimeLayer):
         ctx.report.checkpoints_written += 1
         ctx.bytes_at_ckpt = ctx.state.stats.bytes_on_network
         ctx.seconds_since_ckpt = 0.0
-
-
-class CallbackLayer(RuntimeLayer):
-    """Ad-hoc layer from plain callables (fault drills, tests, probes)."""
-
-    def __init__(
-        self,
-        *,
-        on_run_start=None,
-        before_op=None,
-        after_op=None,
-        on_swap=None,
-        on_run_end=None,
-        on_failure=None,
-    ) -> None:
-        self._on_run_start = on_run_start
-        self._before_op = before_op
-        self._after_op = after_op
-        self._on_swap = on_swap
-        self._on_run_end = on_run_end
-        self._on_failure = on_failure
-
-    def on_run_start(self, ctx) -> None:
-        if self._on_run_start is not None:
-            self._on_run_start(ctx)
-
-    def before_op(self, ctx, unit) -> None:
-        if self._before_op is not None:
-            self._before_op(ctx, unit)
-
-    def after_op(self, ctx, unit) -> None:
-        if self._after_op is not None:
-            self._after_op(ctx, unit)
-
-    def on_swap(self, ctx, unit, bytes_moved: int) -> None:
-        if self._on_swap is not None:
-            self._on_swap(ctx, unit, bytes_moved)
-
-    def on_run_end(self, ctx) -> None:
-        if self._on_run_end is not None:
-            self._on_run_end(ctx)
-
-    def on_failure(self, ctx, exc: BaseException) -> None:
-        if self._on_failure is not None:
-            self._on_failure(ctx, exc)

@@ -7,9 +7,10 @@ once* for many users.  A :class:`SimulationService` accepts typed
 predicted seconds, queue depth, per-tenant quotas), orders the admitted
 jobs with a weighted-fair multi-tenant queue, and executes them
 concurrently on a bounded worker pool — every job running through the
-one canonical :class:`~repro.runtime.ExecutionEngine` op loop with a
-per-job tracing layer, so results stay bit-exact with serial execution
-and each job carries its determinism-anchoring trace ``signature()``.
+one canonical :class:`~repro.runtime.ExecutionEngine` op loop, which
+records each job's op spans into a per-job tracer, so results stay
+bit-exact with serial execution and each job carries its
+determinism-anchoring trace ``signature()``.
 
 Cross-request reuse is the point: a :class:`PlanCache` shares schedules
 and compiled :class:`~repro.plan.CompiledProgram`\\ s between requests

@@ -2,11 +2,12 @@
 
 :func:`execute_job` is the synchronous body the service's worker pool
 runs inside a thread: it replays the job's shared compiled plan through
-one :class:`~repro.runtime.ExecutionEngine` with a per-job
-:class:`~repro.runtime.TracingLayer` (the determinism anchor) and a
-:class:`CancelLayer` (cooperative cancellation/timeout at op
-boundaries), then reduces the final state to the result payload —
-fingerprint, trace signature, optional bitstring samples.
+one :class:`~repro.runtime.ExecutionEngine` that records the job's op
+spans into a per-job tracer (the trace signature is the determinism
+anchor) and carries a :class:`CancelLayer` (cooperative
+cancellation/timeout at op boundaries), then reduces the final state to
+the result payload — fingerprint, trace signature, optional bitstring
+samples.
 
 Nothing here touches the event loop; shared mutable state is limited to
 the thread-safe plan/gather caches, which is what makes N of these
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import time
 
-from repro.runtime import ExecutionEngine, TracingLayer
+from repro.runtime import ExecutionEngine
 from repro.runtime.layers import FlightRecorderLayer, RuntimeLayer
 from repro.service.jobs import (
     Job,
@@ -28,6 +29,7 @@ from repro.service.jobs import (
     state_fingerprint,
 )
 from repro.statevector import sample_counts
+from repro.telemetry.runtime import Telemetry
 
 __all__ = ["CancelLayer", "execute_job"]
 
@@ -59,16 +61,15 @@ def execute_job(job: Job, recorder=None) -> JobResult:
     a :class:`~repro.runtime.FlightRecorderLayer` streams this run's op
     attempts into the ring tagged with the job's ``trace_id``.
 
-    The extra layer sits *after* the tracing layer and records only —
-    trace ``signature()`` parity with the bare two-layer stack is an
-    invariant the observability tests pin.
+    The extra layer records only — trace ``signature()`` parity with a
+    run without it is an invariant the observability tests pin.
     """
     spec = job.spec
     entry = job.plan_entry
     start = time.perf_counter()
     if recorder is None:
         recorder = job.recorder
-    layers = [TracingLayer(), CancelLayer(job)]
+    layers = [CancelLayer(job)]
     if recorder is not None:
         layers.append(
             FlightRecorderLayer(recorder, trace_id=job.trace_id or None)
@@ -85,6 +86,7 @@ def execute_job(job: Job, recorder=None) -> JobResult:
     engine = ExecutionEngine(
         entry.program,
         layers=layers,
+        telemetry=Telemetry.spans_only(),
         root_attrs=root_attrs,
     )
     run = engine.run()

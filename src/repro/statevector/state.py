@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.gates.gate import Gate
 from repro.kernels import apply_gate
-from repro.util.bits import bit_length_of_power_of_two, extract_bits
+from repro.util.bits import bit_length_of_power_of_two
 from repro.util.validation import check_qubit_indices
 
 __all__ = ["StateVector"]
@@ -172,10 +172,6 @@ class StateVector:
         state.data[0] = 0.0
         state.data[bitstring] = 1.0
         return state
-
-    def extract_bit_probability(self, indices: np.ndarray, qubit: int) -> np.ndarray:
-        """Bit values of *qubit* for an array of basis-state indices."""
-        return extract_bits(indices, [qubit])
 
     @staticmethod
     def from_array(data: np.ndarray) -> "StateVector":

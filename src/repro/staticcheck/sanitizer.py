@@ -68,10 +68,6 @@ class SanitizerReport:
         """True when no check tripped."""
         return not self.findings
 
-    def findings_at(self, op_index: int) -> list[Finding]:
-        """Findings pinned to one op index."""
-        return [f for f in self.findings if f.op_index == op_index]
-
     def as_check_report(self) -> CheckReport:
         """View as a :class:`CheckReport` for uniform formatting."""
         return CheckReport(

@@ -9,10 +9,10 @@ from repro.distributed.checkpoint import CheckpointManager
 from repro.plan import plan_for
 from repro.resilience import FaultPlan, FaultSpec, RankCrashError, swap_op_indices
 from repro.runtime import (
-    CallbackLayer,
     CheckpointLayer,
     ExecutionEngine,
     FaultLayer,
+    RuntimeLayer,
 )
 from repro.scheduling import SchedulerConfig, schedule_circuit
 from repro.statevector import Simulator
@@ -22,6 +22,17 @@ N, L = 10, 7
 
 class Killed(RuntimeError):
     """The injected node failure."""
+
+
+class KillBefore(RuntimeLayer):
+    """Raises :class:`Killed` before the plan unit of index *unit_index*."""
+
+    def __init__(self, unit_index):
+        self.unit_index = unit_index
+
+    def before_op(self, ctx, unit):
+        if unit.index == self.unit_index:
+            raise Killed(f"killed before op {unit.op_index}")
 
 
 @pytest.fixture
@@ -40,12 +51,7 @@ def run_checkpointed(mgr, sched, *, every=8, kill_before=None, resume=False):
     """
     layers = [CheckpointLayer(mgr, every=every, resume=resume)]
     if kill_before is not None:
-
-        def before_op(ctx, unit):
-            if unit.index == kill_before:
-                raise Killed(f"killed before op {unit.op_index}")
-
-        layers.append(CallbackLayer(before_op=before_op))
+        layers.append(KillBefore(kill_before))
     return DistributedSimulator(N, L).run_schedule(sched, layers=layers).state
 
 

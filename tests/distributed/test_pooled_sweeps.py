@@ -34,7 +34,7 @@ from repro.gates import Gate, random_unitary
 from repro.kernels.apply import apply_gate_naive, run_split
 from repro.kernels.blocks import BlockGate
 from repro.plan import plan_for
-from repro.runtime import ExecutionEngine, PipelineLayer, TracingLayer
+from repro.runtime import ExecutionEngine, PipelineLayer
 from repro.scheduling import SchedulerConfig, schedule_circuit
 from repro.service import JobSpec, ServiceConfig, SimulationService
 from repro.statevector import StateVector
@@ -279,9 +279,9 @@ class TestOnePlanEveryWay:
         state = DistributedState.for_schedule(schedule, storage=storage)
         if not block:
             state.storage.local_block = lambda: None
-        layers = [TracingLayer(Telemetry.enabled())] if traced else []
+        telemetry = Telemetry.enabled() if traced else None
         ExecutionEngine(
-            schedule, layers=layers, state_factory=lambda: state
+            schedule, telemetry=telemetry, state_factory=lambda: state
         ).run()
         data = state.to_statevector().data.tobytes()
         if disk is not None:
@@ -304,9 +304,9 @@ class TestOnePlanEveryWay:
 
 
 class TestTracedRunIsTheSameRun:
-    """Tracing only observes: a run under ``Telemetry.enabled()`` and a
-    ``TracingLayer`` makes the same sweep, storage and pooled-flush calls
-    as the bare run, in the same order, and leaves the same bytes."""
+    """Tracing only observes: an engine run under ``Telemetry.enabled()``
+    makes the same sweep, storage and pooled-flush calls as the bare run,
+    in the same order, and leaves the same bytes."""
 
     N, L = 11, 5  # 64 ranks of 2**5 amplitudes
 
@@ -346,9 +346,9 @@ class TestTracedRunIsTheSameRun:
 
         storage.sweep = sweep_spy
         state = DistributedState.for_schedule(schedule, storage=storage)
-        layers = [TracingLayer(Telemetry.enabled())] if traced else []
+        telemetry = Telemetry.enabled() if traced else None
         ExecutionEngine(
-            schedule, layers=layers, state_factory=lambda: state
+            schedule, telemetry=telemetry, state_factory=lambda: state
         ).run()
         shards = [state.storage.get(r).tobytes() for r in range(state.num_ranks)]
         if isinstance(storage, DiskShards):
@@ -505,8 +505,8 @@ def _disk_run(schedule, directory, threshold, monkeypatch):
     with DiskShards(1 << (n - l), 1 << l, directory) as disk:
         result = ExecutionEngine(
             schedule,
-            layers=[TracingLayer(Telemetry.enabled()),
-                    PipelineLayer(depth=2)],
+            layers=[PipelineLayer(depth=2)],
+            telemetry=Telemetry.enabled(),
             state_factory=lambda: DistributedState.for_schedule(
                 schedule, storage=disk
             ),

@@ -38,7 +38,6 @@ from repro.runtime import (
     PipelineLayer,
     RetryPolicy,
     SanitizerLayer,
-    TracingLayer,
 )
 from repro.scheduling import SchedulerConfig, schedule_circuit
 from repro.staticcheck import ShardSanitizer
@@ -81,8 +80,8 @@ def _run(schedule, storage, workdir, *, fusion_kmax, depth, trace, sanitize,
         schedule, storage=storage
     )
     config = PlanConfig(fusion_kmax=fusion_kmax)
-    telemetry = Telemetry.enabled()
-    layers = [TracingLayer(telemetry)] if trace else []
+    telemetry = Telemetry.enabled() if trace else None
+    layers = []
     if depth:
         layers.append(PipelineLayer(depth=depth))
     if checkpoint_every or crash:
@@ -117,6 +116,7 @@ def _run(schedule, storage, workdir, *, fusion_kmax, depth, trace, sanitize,
         layers=layers,
         policy=policy,
         state_factory=factory,
+        telemetry=telemetry,
         sleep=lambda seconds: None,
     ).run()
     if crash:
@@ -202,9 +202,7 @@ class TestOneLoadOneStorePerStage:
         telemetry = Telemetry.enabled()
         with _disk(n, l, tmp_path) as disk:
             state = DistributedState.for_schedule(schedule, storage=disk)
-            ExecutionEngine(schedule, layers=[TracingLayer(telemetry)]).run(
-                state=state
-            )
+            ExecutionEngine(schedule, telemetry=telemetry).run(state=state)
             stats = dict(disk.io_stats)
         spans = telemetry.tracer.spans
         assert verify_nesting(spans, tolerance=1e-9) == []
@@ -230,7 +228,7 @@ class TestOneLoadOneStorePerStage:
         ranks, stages = 1 << (n - l), schedule.num_swaps + 1
         telemetry = Telemetry.enabled()
         with _disk(n, l, tmp_path) as disk:
-            ExecutionEngine(schedule, layers=[TracingLayer(telemetry)]).run(
+            ExecutionEngine(schedule, telemetry=telemetry).run(
                 state=DistributedState.for_schedule(schedule, storage=disk)
             )
             stats = dict(disk.io_stats)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.kernels import GATHER_CACHE, GatherTableCache, apply_gate_indexed
-from repro.telemetry import MetricsRegistry
 
 #: A Z gate's diagonal: the factor of bit q is -1 where that bit is set.
 _Z = np.array([1.0, -1.0], dtype=np.complex128)
@@ -86,33 +85,6 @@ class TestLRUEviction:
     def test_capacity_validated(self):
         with pytest.raises(ValueError, match="capacity"):
             GatherTableCache(capacity=0)
-
-
-class TestMetricsMirroring:
-    def test_counters_stream_into_registry(self):
-        cache = GatherTableCache()
-        registry = MetricsRegistry(enabled=True)
-        cache.bind_metrics(registry)
-        _lift(cache, 1)
-        _lift(cache, 1)
-        snap = registry.snapshot()
-        assert snap["plan.cache.misses"] == 1
-        assert snap["plan.cache.hits"] == 1
-        assert snap["plan.cache.bytes_saved"] > 0
-
-    def test_disabled_registry_is_ignored(self):
-        cache = GatherTableCache()
-        cache.bind_metrics(MetricsRegistry(enabled=False))
-        _lift(cache, 1)  # must not raise / record
-        assert cache._metrics is None
-
-    def test_unbind(self):
-        cache = GatherTableCache()
-        registry = MetricsRegistry(enabled=True)
-        cache.bind_metrics(registry)
-        cache.bind_metrics(None)
-        _lift(cache, 1)
-        assert "plan.cache.misses" not in registry.snapshot()
 
 
 class TestClear:

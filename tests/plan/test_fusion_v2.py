@@ -29,7 +29,6 @@ from repro.runtime import (
     ExecutionEngine,
     PipelineLayer,
     SanitizerLayer,
-    TracingLayer,
 )
 from repro.scheduling import SchedulerConfig, schedule_circuit
 from repro.service.cache import PlanCache
@@ -205,9 +204,9 @@ class TestFusedComposition:
         plan_for(schedule, _UNFUSED).execute(state)
         return state.to_statevector().data
 
-    def _run(self, schedule, layers):
+    def _run(self, schedule, layers, telemetry=None):
         engine = ExecutionEngine(
-            schedule, plan_config=_FUSED, layers=layers
+            schedule, plan_config=_FUSED, layers=layers, telemetry=telemetry
         )
         return engine.run()
 
@@ -231,10 +230,10 @@ class TestFusedComposition:
     def test_sanitize_and_trace_over_fused_program(
         self, schedule, reference
     ):
-        telemetry = Telemetry.enabled()
         result = self._run(
             schedule,
-            [TracingLayer(telemetry), SanitizerLayer(ShardSanitizer())],
+            [SanitizerLayer(ShardSanitizer())],
+            telemetry=Telemetry.enabled(),
         )
         assert np.allclose(
             result.state.to_statevector().data, reference, atol=1e-10

@@ -18,7 +18,7 @@ from repro.plan import (
 )
 from repro.plan.passes import PassContext, finalize_pass, lower_pass
 from repro.plan.program import _counts_of
-from repro.runtime import ExecutionEngine, TracingLayer
+from repro.runtime import ExecutionEngine
 from repro.scheduling import GateOp, SchedulerConfig, SwapOp, schedule_circuit
 from repro.telemetry import Telemetry
 
@@ -220,8 +220,7 @@ class TestTraceParity:
         trace = plan.execute(_state_for(schedule), telemetry=telemetry)
 
         unfused = ExecutionEngine(
-            _unfused_program(schedule),
-            layers=[TracingLayer(Telemetry.enabled())],
+            _unfused_program(schedule), telemetry=Telemetry.enabled()
         ).run(state=_state_for(schedule)).trace
         assert trace.signature() == unfused.signature()
 

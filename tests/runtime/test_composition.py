@@ -21,7 +21,6 @@ from repro.runtime import (
     IntegrityLayer,
     RetryPolicy,
     SanitizerLayer,
-    TracingLayer,
 )
 from repro.staticcheck import ShardSanitizer
 from repro.telemetry import Telemetry
@@ -49,8 +48,6 @@ def _run_combo(
     no_sleep = lambda _s: None  # noqa: E731
     layers = []
     telemetry = Telemetry.enabled() if trace else None
-    if trace:
-        layers.append(TracingLayer(telemetry))
     if checkpoint:
         layers.append(CheckpointLayer(ckpt_dir, every=3))
     if faults:
@@ -61,6 +58,7 @@ def _run_combo(
         schedule,
         layers=layers,
         policy=RetryPolicy() if faults else None,
+        telemetry=telemetry,
         sleep=no_sleep,
     )
     return engine.run()
@@ -148,12 +146,12 @@ class TestCrashRecoveryComposition:
         engine = ExecutionEngine(
             schedule,
             layers=[
-                TracingLayer(telemetry, mode="resilient", trace_scope="run"),
                 CheckpointLayer(tmp_path / "ckpt", every=2, resume=True),
                 FaultLayer(plan, sleep=no_sleep),
                 IntegrityLayer("swap"),
             ],
             policy=RetryPolicy(),
+            telemetry=telemetry,
             sleep=no_sleep,
         )
         result = engine.run()
@@ -172,12 +170,12 @@ class TestSeedSweep:
         stacked = ExecutionEngine(
             schedule,
             layers=[
-                TracingLayer(Telemetry.enabled()),
                 CheckpointLayer(tmp_path / "ckpt", every=4),
                 FaultLayer(_transient_plan(schedule), sleep=no_sleep),
                 SanitizerLayer(ShardSanitizer()),
             ],
             policy=RetryPolicy(),
+            telemetry=Telemetry.enabled(),
             sleep=no_sleep,
         ).run()
         assert np.array_equal(
@@ -190,7 +188,7 @@ class TestSeedSweep:
         traced = ExecutionEngine(
             schedule,
             plan_config=PlanConfig(fusion_kmax=0),
-            layers=[TracingLayer(Telemetry.enabled())],
+            telemetry=Telemetry.enabled(),
         ).run()
         stacked_ops = [
             e for e in stacked.trace.signature() if e[0] != "fault"

@@ -1,7 +1,7 @@
 """Pipelined execution: composition, parity, metrics, cleanup.
 
 The :class:`~repro.runtime.PipelineLayer` only moves storage I/O in time
-— it never changes a byte of state, a span, or a ``plan.cache.*``
+— it never changes a byte of state, a span, or a ``GATHER_CACHE``
 counter.  These tests pin that contract against every
 layer combination and both storage backends.
 """
@@ -20,7 +20,6 @@ from repro.runtime import (
     ExecutionEngine,
     PipelineLayer,
     SanitizerLayer,
-    TracingLayer,
 )
 from repro.statevector.outofcore import OutOfCoreStateVector
 from repro.staticcheck import ShardSanitizer
@@ -49,14 +48,14 @@ def _run_piped(
     """One engine run with a pipeline layer plus the requested subset."""
     layers = []
     telemetry = Telemetry.enabled() if trace else None
-    if trace:
-        layers.append(TracingLayer(telemetry))
     layers.append(PipelineLayer(depth=depth))
     if checkpoint:
         layers.append(CheckpointLayer(ckpt_dir, every=3))
     if sanitize:
         layers.append(SanitizerLayer(ShardSanitizer()))
-    engine = ExecutionEngine(schedule, plan_config=plan_config, layers=layers)
+    engine = ExecutionEngine(
+        schedule, plan_config=plan_config, layers=layers, telemetry=telemetry
+    )
     return engine.run(state=state)
 
 
@@ -88,9 +87,7 @@ class TestPipelineComposition:
         assert _no_pipeline_threads()
 
     def test_signature_parity_with_serial(self, tmp_path, schedule):
-        serial = ExecutionEngine(
-            schedule, layers=[TracingLayer(Telemetry.enabled())]
-        ).run()
+        serial = ExecutionEngine(schedule, telemetry=Telemetry.enabled()).run()
         piped = _run_piped(
             schedule,
             tmp_path / "ckpt",
@@ -118,8 +115,8 @@ class TestPipelineComposition:
 
     def test_metrics_exposed(self, tmp_path, schedule):
         telemetry = Telemetry.enabled()
-        layers = [TracingLayer(telemetry), PipelineLayer(depth=2)]
-        ExecutionEngine(schedule, layers=layers).run()
+        layers = [PipelineLayer(depth=2)]
+        ExecutionEngine(schedule, layers=layers, telemetry=telemetry).run()
         snapshot = telemetry.metrics.snapshot()
         assert snapshot.get("pipeline.depth") == 2
 
@@ -170,11 +167,10 @@ class TestOutOfCoreParity:
                     initial_global_qubits=schedule.initial_global_qubits
                     or None,
                 )
-            telemetry = Telemetry.enabled()
-            layers = [TracingLayer(telemetry)]
-            if pipelined:
-                layers.append(PipelineLayer(depth=2))
-            result = ExecutionEngine(schedule, layers=layers).run(state=state)
+            layers = [PipelineLayer(depth=2)] if pipelined else []
+            result = ExecutionEngine(
+                schedule, layers=layers, telemetry=Telemetry.enabled()
+            ).run(state=state)
             amps = result.state.to_statevector().data.copy()
             signature = result.trace.signature()
             if disk:

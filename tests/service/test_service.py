@@ -14,7 +14,7 @@ import threading
 
 import pytest
 
-from repro.runtime import ExecutionEngine, TracingLayer
+from repro.runtime import ExecutionEngine
 from repro.runtime.layers import RuntimeLayer
 from repro.service import (
     AdmissionPolicy,
@@ -28,6 +28,7 @@ from repro.service import (
     SimulationService,
     execute_job,
 )
+from repro.telemetry import Telemetry
 
 import repro.service.server as server_module
 
@@ -398,11 +399,8 @@ class TestCancelLayer:
         job = Job(job_id="j", spec=spec, plan_entry=plans.get(spec))
         engine = ExecutionEngine(
             job.plan_entry.program,
-            layers=[
-                TracingLayer(),
-                _TripAfter(job, 3),
-                CancelLayer(job),
-            ],
+            layers=[_TripAfter(job, 3), CancelLayer(job)],
+            telemetry=Telemetry.spans_only(),
         )
         with pytest.raises(JobCancelled, match="tripped"):
             engine.run()

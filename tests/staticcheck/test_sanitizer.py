@@ -6,7 +6,7 @@ import pytest
 from repro.circuit import generate_supremacy_circuit
 from repro.distributed import DistributedSimulator
 from repro.plan import plan_for
-from repro.runtime import CallbackLayer, ExecutionEngine, SanitizerLayer
+from repro.runtime import ExecutionEngine, RuntimeLayer, SanitizerLayer
 from repro.scheduling import SchedulerConfig, schedule_circuit
 from repro.staticcheck import SanitizerConfig, ShardSanitizer
 
@@ -23,16 +23,16 @@ def unit_starts(schedule):
     return [op.sources[0].op_index for op in plan_for(schedule).ops]
 
 
-def _drill(corruptions):
+class _Drill(RuntimeLayer):
     """A layer firing ``corruptions[op_index](state)`` after that op."""
-    table = corruptions or {}
 
-    def fire(ctx, unit):
-        hook = table.get(unit.op_index)
+    def __init__(self, corruptions):
+        self.table = corruptions or {}
+
+    def after_op(self, ctx, unit):
+        hook = self.table.get(unit.op_index)
         if hook is not None:
             hook(ctx.state)
-
-    return CallbackLayer(after_op=fire)
 
 
 def sanitized_run(
@@ -50,9 +50,9 @@ def sanitized_run(
     """
     sanitizer = ShardSanitizer(config)
     layers = [
-        _drill(corrupt_after),
+        _Drill(corrupt_after),
         SanitizerLayer(sanitizer),
-        _drill(corrupt_during),
+        _Drill(corrupt_during),
     ]
     engine = ExecutionEngine(schedule, layers=layers)
     return engine.run().state, sanitizer.report
