@@ -117,33 +117,3 @@ class CommStats:
         registry = self.metrics
         if registry is not None:
             registry.counter("comm.local_swap_kernels").inc()
-
-    def merge(self, other: "CommStats") -> None:
-        """Fold another counter into this one.
-
-        Metrics are *not* re-streamed: a bound ``other`` already counted
-        its events at record time, and an unbound attempt counter is
-        expected to have been bound to the same registry (see the
-        resilience supervisor's per-attempt swap).
-        """
-        self.alltoall_steps += other.alltoall_steps
-        self.group_alltoall_calls += other.group_alltoall_calls
-        self.bytes_on_network += other.bytes_on_network
-        self.rank_renumberings += other.rank_renumberings
-        self.local_swap_kernels += other.local_swap_kernels
-        self.events.extend(other.events)
-
-    def reset(self) -> None:
-        """Zero every counter and drop the event log.
-
-        With :meth:`merge` this supports per-attempt accounting: swap in a
-        fresh/reset counter for one op attempt, then fold it into the run
-        totals only if the attempt succeeded — a retried attempt never
-        double-counts.
-        """
-        self.alltoall_steps = 0
-        self.group_alltoall_calls = 0
-        self.bytes_on_network = 0
-        self.rank_renumberings = 0
-        self.local_swap_kernels = 0
-        self.events.clear()

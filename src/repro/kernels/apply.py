@@ -10,8 +10,9 @@ reached from the target bit *positions* alone — strided views for
 targets above a small window, one periodic in-window index (KiB, never
 cached) for targets inside it, no copy at all for bottom-contiguous
 targets — and then sweeps cache-sized blocks through reused per-thread
-panels with ``np.copyto`` / ``np.take(..., out=)`` /
-``np.matmul(..., out=)``.  Nothing the sweep needs grows with the shard.
+panels with ``np.copyto`` / ``np.take(..., out=)`` and one
+``np.matmul(..., out=)`` per block, its controls' blocks stacked on a
+batch axis.  Nothing the sweep needs grows with the shard.
 
 Large sweeps run on every CPU: one process-wide pool (:func:`run_split`)
 takes disjoint pieces of them, each through its own thread's panels, so
@@ -375,9 +376,10 @@ def _axes_above(low: int, n: int, controls: Sequence[int]):
 
 
 def _outer_blocks(shape, control_axes, mats, batch: int):
-    """``(index, matrix)`` per block: the view index of each block of
-    the looped axes *shape*, and the matrix (or the ``2**batch`` stack of
-    them) its control axes' values pick from *mats*.
+    """``(index, matrices)`` per block: the view index of each block of
+    the looped axes *shape*, and the ``2**batch`` stack of matrices its
+    control axes' values pick from *mats* (a stack of one with no batch
+    axis).
 
     Control axes are top bit first and the controls of *mats* ascending,
     so the last control axis is the lowest looped control.
@@ -388,7 +390,7 @@ def _outer_blocks(shape, control_axes, mats, batch: int):
         for axis in control_axes:
             value = value << 1 | index[axis]
         lo = value << batch
-        out.append((index, mats[lo] if not batch else mats[lo:lo + (1 << batch)]))
+        out.append((index, mats[lo:lo + (1 << batch)]))
     return out
 
 
@@ -417,15 +419,21 @@ class DenseSweep:
       shard is a stack of windows ``(..., rows, 2**w)``, ``w`` reaching
       the highest gate bit below that limit; one ``np.take`` through the
       periodic in-window index gathers each ``c``'s amplitudes into a
-      row, ``panel @ M.T`` multiplies (a real GEMM for small gates; one
-      GEMM per in-window control value, over every ``2**d``-th row), and
-      the inverse index writes back.  Targets that are the bottom ``m``
+      row, ``panel @ M.T`` multiplies (a real GEMM for small gates), and
+      the inverse index writes back.  The in-window controls are the low
+      bits of ``c``: the panel viewed as ``(2**d, rows, 2**m)`` meets the
+      stack of ``2**d`` blocks in one ``np.matmul``, each item a GEMM
+      over every ``2**d``-th row.  Targets that are the bottom ``m``
       bits already *are* such rows and skip both takes.
     * **slab** (some target above the window): the shard is viewed as
       ``reshape(hi, 2, .., 2, lo)`` with one size-2 axis per target and
       control, and one transposed ``np.copyto`` brings the block's
-      ``2**m`` slabs into a contiguous ``(2**m, chunk)`` panel; ``M @
-      panel`` multiplies and the mirror-image copy writes back.
+      ``2**m`` slabs into a contiguous ``(2**m, chunk)`` panel, with a
+      leading batch axis for the controls inside it; ``M @ panel``
+      multiplies and the mirror-image copy writes back.
+
+    Either way a block is one ``np.matmul`` call, a stack of one when
+    the block has no control inside it.
 
     The panels are per-thread buffers reused across calls, so the
     steady-state sweep allocates nothing, and nothing it uses grows with
@@ -542,7 +550,7 @@ class DenseSweep:
             *(2,) * (batch + m), *(shape[i] for i in axes["in"])
         )
         self._block_size = math.prod(self._block_shape)
-        self._gemm_shape = (1 << batch, 1 << m, -1) if batch else (1 << m, -1)
+        self._gemm_shape = (1 << batch, 1 << m, -1)
         self._outer = _outer_blocks(
             [shape[i] for i in looped],
             [looped.index(i) for i in axes["ctl"]],
@@ -573,23 +581,26 @@ class DenseSweep:
 
             def run(shard: np.ndarray) -> np.ndarray:
                 view = shard.reshape(shape).transpose(perm)
-                for outer, matrix in blocks:
+                for outer, matrices in blocks:
                     block = view[outer]
                     np.copyto(a, block)
-                    np.matmul(matrix, panel, out=product)
+                    np.matmul(matrices, panel, out=product)
                     np.copyto(block, b)
                 return shard
 
             return run
         index, inverse, real = self._index, self._inverse, self._real
-        panel, product = b.reshape(gemm_shape), a.reshape(gemm_shape)
-        if real is not None:
-            panel, product = panel.view(real), product.view(real)
-        # One GEMM per in-window control value, over every 2**d-th row of
-        # the panel (a strided operand BLAS takes as is).
-        pairs = [(panel[:, c], product[:, c]) for c in range(gemm_shape[1])]
-        if len(pairs) == 1:
-            blocks = [(outer, (matrix,)) for outer, matrix in blocks]
+
+        def stacked(rows: np.ndarray) -> np.ndarray:
+            # ``(2**d, rows, 2**m)``: one GEMM per in-window control value,
+            # over every 2**d-th row (a strided operand BLAS takes as is),
+            # all in one matmul call.
+            rows = rows.reshape(gemm_shape)
+            if real is not None:
+                rows = rows.view(real)
+            return rows.transpose(1, 0, 2)
+
+        panel, product = stacked(b), stacked(a)
 
         def run(shard: np.ndarray) -> np.ndarray:
             view = shard.reshape(shape)
@@ -598,17 +609,13 @@ class DenseSweep:
                 if index is None:
                     # Bottom-contiguous targets: the shard's rows are
                     # the panel.
-                    rows = block.reshape(-1, gemm_shape[-1])
-                    if real is not None:
-                        rows = rows.view(real)
-                    np.matmul(rows, matrices[0], out=pairs[0][1])
+                    np.matmul(stacked(block), matrices, out=product)
                     np.copyto(block, a)
                 else:
                     # (The method, not ``np.take``: its Python wrapper is a
                     # tenth of a sweep over a 2**11-amplitude shard.)
                     block.take(index, axis=-1, out=b, mode="clip")
-                    for (rows, out), matrix in zip(pairs, matrices):
-                        np.matmul(rows, matrix, out=out)
+                    np.matmul(panel, matrices, out=product)
                     a.take(inverse, axis=-1, out=block, mode="clip")
             return shard
 

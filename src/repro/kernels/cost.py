@@ -56,11 +56,3 @@ class KernelCostModel:
         if seconds <= 0:
             raise ValueError("seconds must be positive")
         return self.total_flops / seconds / 1e9
-
-    def merge(self, other: "KernelCostModel") -> None:
-        """Fold another accumulator into this one (e.g. across ranks)."""
-        self.total_flops += other.total_flops
-        self.total_bytes += other.total_bytes
-        self.diagonal_calls += other.diagonal_calls
-        for k, count in other.calls_by_k.items():
-            self.calls_by_k[k] = self.calls_by_k.get(k, 0) + count

@@ -38,36 +38,6 @@ class TestCommStats:
         with pytest.raises(ValueError):
             CommStats().record_alltoall(num_groups=0, group_size=2, shard_bytes=8)
 
-    def test_merge(self):
-        a, b = CommStats(), CommStats()
-        a.record_alltoall(num_groups=1, group_size=2, shard_bytes=64)
-        b.record_alltoall(num_groups=1, group_size=4, shard_bytes=64)
-        b.record_rank_renumbering()
-        a.merge(b)
-        assert a.alltoall_steps == 2
-        assert a.rank_renumberings == 1
-        assert len(a.events) == 3
-
-    def test_reset(self):
-        s = CommStats()
-        s.record_alltoall(num_groups=1, group_size=2, shard_bytes=64)
-        s.record_rank_renumbering()
-        s.record_local_swap()
-        s.reset()
-        assert s == CommStats()
-        assert s.events == []
-
-    def test_reset_then_merge_counts_once(self):
-        """The per-attempt pattern: a retried attempt never double-counts."""
-        total, attempt = CommStats(), CommStats()
-        attempt.record_alltoall(num_groups=1, group_size=2, shard_bytes=64)
-        failed_bytes = attempt.bytes_on_network
-        attempt.reset()  # attempt failed: discard before the retry
-        attempt.record_alltoall(num_groups=1, group_size=2, shard_bytes=64)
-        total.merge(attempt)
-        assert total.bytes_on_network == failed_bytes
-        assert total.alltoall_steps == 1
-
     def test_events_log(self):
         s = CommStats()
         s.record_alltoall(num_groups=2, group_size=2, shard_bytes=32)
@@ -104,15 +74,3 @@ class TestCommEvent:
         assert snap["comm.bytes_on_network"] == s.bytes_on_network
         assert snap["comm.alltoall_steps"] == 1
         assert snap["comm.local_swap_kernels"] == 1
-
-    def test_merge_does_not_restream_metrics(self):
-        from repro.telemetry import MetricsRegistry
-
-        registry = MetricsRegistry()
-        total = CommStats().bind_metrics(registry)
-        attempt = CommStats().bind_metrics(registry)
-        attempt.record_alltoall(num_groups=1, group_size=2, shard_bytes=64)
-        total.merge(attempt)
-        assert registry.snapshot()["comm.bytes_on_network"] == (
-            total.bytes_on_network
-        )

@@ -43,13 +43,3 @@ class TestKernelCostModel:
         assert m.gflops(1.0) == pytest.approx(14 * 1024 / 1e9)
         with pytest.raises(ValueError):
             m.gflops(0.0)
-
-    def test_merge(self):
-        a, b = KernelCostModel(), KernelCostModel()
-        a.record(8, 1)
-        b.record(8, 1)
-        b.record(8, 3, diagonal=True)
-        a.merge(b)
-        assert a.total_calls == 3
-        assert a.calls_by_k == {1: 2, 3: 1}
-        assert a.diagonal_calls == 1

@@ -26,6 +26,7 @@ from repro.kernels import (
     chunk_for,
 )
 from repro.kernels.apply import (
+    _REAL_GEMM_MAX_QUBITS,
     _WINDOW_MAX_BITS,
     _real_gemm_operand,
     _window_index,
@@ -329,3 +330,126 @@ class TestBlockGates:
             rows = index.reshape(-1, 4, 4)[:, value]
             assert np.all((rows & 1) == (value & 1))
             assert np.all((rows >> 6 & 1) == (value >> 1))
+
+
+def _rows_times(rows, matrix, out):
+    """``out = rows @ matrix.T`` the way the window path multiplies: one
+    real GEMM over the float view for small gates (Sec. 3.2), a complex
+    GEMM otherwise."""
+    if matrix.shape[0] <= 1 << _REAL_GEMM_MAX_QUBITS:
+        real = rows.real.dtype
+        np.matmul(rows.view(real), _real_gemm_operand(matrix.T), out=out.view(real))
+    else:
+        np.matmul(rows, matrix.T, out=out)
+
+
+def _window_loop(shard, gate, qubits, pieces):
+    """The window path as one GEMM per control value: each of *pieces*
+    equal blocks of *shard* is taken through the in-window index, every
+    ``panel[:, c]`` is multiplied by block ``c`` on its own, and the
+    inverse take writes back.  *qubits* ascend, so gate bit order is
+    position order."""
+    pos = [qubits[j] for j in gate.targets]
+    ctl = [qubits[j] for j in gate.controls]
+    m, d = len(pos), len(ctl)
+    w = 1 + max(pos + ctl)
+    index = _window_index(pos, w, ctl)
+    inverse = np.argsort(index)
+    blocks = gate.blocks.astype(shard.dtype)
+    for piece in shard.reshape(pieces, -1, 1 << w):
+        panel = piece.take(index, axis=-1).reshape(-1, 1 << d, 1 << m)
+        product = np.empty_like(panel)
+        for c in range(1 << d):
+            _rows_times(panel[:, c], blocks[c], product[:, c])
+        piece[...] = product.reshape(piece.shape).take(inverse, axis=-1)
+    return shard
+
+
+def _slab_loop(shard, gate, qubits, pieces):
+    """The slab path over the whole shard (one block) as one GEMM per
+    control value: the shard transposed to (controls, targets, the
+    rest), ``M_c @ panel[c]`` for each value ``c``, and the transpose
+    back."""
+    assert pieces == 1
+    n = shard.size.bit_length() - 1
+    pos = [qubits[j] for j in gate.targets]
+    ctl = [qubits[j] for j in gate.controls]
+    rest = [q for q in range(n) if q not in pos and q not in ctl]
+    order = [*reversed(ctl), *reversed(pos), *reversed(rest)]
+    view = shard.reshape((2,) * n).transpose([n - 1 - q for q in order])
+    panel = view.reshape(1 << len(ctl), 1 << len(pos), -1)
+    product = np.empty_like(panel)
+    blocks = gate.blocks.astype(shard.dtype)
+    for c in range(len(blocks)):
+        np.matmul(blocks[c], panel[c], out=product[c])
+    view[...] = product.reshape(view.shape)
+    return shard
+
+
+class TestOneGemmPerBlock:
+    """The sweep multiplies each block in one stacked matmul; each item
+    of the stack is the GEMM a per-control-value loop issues, so the two
+    agree bit for bit on every path."""
+
+    n = 13
+
+    def _check(self, gate, qubits, dtype, loop, chunk=None):
+        s0 = _random_state(self.n, len(qubits), dtype)
+        sweep = DenseSweep(self.n, gate, qubits, dtype, chunk)
+        got = sweep.apply(s0.copy())
+        want = loop(s0.copy(), gate, qubits, sweep.num_blocks)
+        assert np.array_equal(got, want), (qubits, gate.controls)
+        expected = s0.astype(np.complex128)
+        apply_gate_reference(expected, gate.dense(), qubits)
+        atol = 1e-12 if dtype == np.complex128 else 1e-5
+        assert np.allclose(got, expected, atol=atol)
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    @pytest.mark.parametrize("m", range(1, 7))
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_in_window_controls(self, d, m, dtype):
+        """m <= 3 runs the real GEMM, m >= 4 the complex one."""
+        rng = np.random.default_rng(10 * d + m)
+        qubits = tuple(sorted(int(q) for q in rng.permutation(_WINDOW_MAX_BITS)[:m + d]))
+        controls = tuple(int(j) for j in rng.permutation(m + d)[:d])
+        gate = _block_gate(m + d, controls, rng)
+        self._check(gate, qubits, dtype, _window_loop)
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_bottom_contiguous(self, m, dtype):
+        gate = _block_gate(m, (), np.random.default_rng(m))
+        self._check(gate, tuple(range(m)), dtype, _window_loop)
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    @pytest.mark.parametrize("d", range(4))
+    def test_slab(self, d, dtype):
+        """One block over the whole shard: every control is a batch axis
+        (batch 0 without controls)."""
+        rng = np.random.default_rng(d)
+        qubits = (1, 4, 7, 12)[3 - d:] + tuple(range(8, 8 + d))
+        qubits = tuple(sorted(qubits))
+        controls = tuple(j for j, q in enumerate(qubits) if 8 <= q < 8 + d)
+        gate = _block_gate(len(qubits), controls, rng)
+        self._check(gate, qubits, dtype, _slab_loop, chunk=1 << self.n)
+
+    @pytest.mark.parametrize(
+        "qubits, controls",
+        [((0, 1, 2), ()), ((2, 4, 7, 10), (1, 2)), ((1, 12), ()),
+         ((1, 3, 12, 15), (2, 3)), ((2, 6, 9, 14), (0, 3))],
+    )
+    def test_one_matmul_per_block(self, qubits, controls, monkeypatch):
+        """Bottom-contiguous, windowed and slab sweeps, with in-block and
+        looped controls: ``np.matmul`` runs once per block."""
+        gate = _block_gate(len(qubits), controls, np.random.default_rng(0))
+        sweep = DenseSweep(N, gate, qubits, np.complex128, 64)
+        calls = []
+        matmul = np.matmul
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counted)
+        sweep.apply(_random_state(N, 0))
+        assert len(calls) == sweep.num_blocks > 1
