@@ -11,7 +11,8 @@ gate width by ``repro.kernels.chunk_for``); the benches here pin
 
 Run as a script, it re-measures the refuse pass's cost table
 (``_SWEEP_NS`` in ``repro/plan/passes.py``) and prints it in the
-source's format::
+source's format, each entry the median over :data:`ROUNDS` interleaved
+rounds with its min-max on a comment line (~6 min)::
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python benchmarks/bench_kernels_micro.py
 """
@@ -115,16 +116,47 @@ def sweep_ns(l: int, shards: int, m: int, d: int, *, sets=12, reps=3) -> float:
     return float(np.median(times)) / (shards << l) * 1e9
 
 
+#: The ladder's rows: one warm ``2**14`` / ``2**18`` shard
+#: (cache-resident), four ``2**22`` shards streamed from DRAM.
+LADDER = ((14, 1), (18, 1), (22, 4))
+#: Rounds of the script mode; each times every configuration once.
+ROUNDS = 5
+
+
+def ladder_row(l: int, shards: int) -> tuple[float, np.ndarray, float]:
+    """One sample of a ``_SWEEP_NS`` row: the diagonal, the dense sweep of
+    ``m = 1..8`` (made non-decreasing in ``m``), and the median cost of one
+    control bit over ``d = 1..3``; six placements each, timed once."""
+
+    def ns(m, d):
+        return sweep_ns(l, shards, m, d, sets=6, reps=1)
+
+    dense = np.maximum.accumulate([ns(m, 0) for m in range(1, 9)])
+    per_control = float(np.median([
+        (ns(m, d) - dense[m - 1]) / d
+        for m in range(1, 9) for d in range(1, min(3, 8 - m) + 1)
+    ]))
+    return ns(0, 2), dense, per_control
+
+
 if __name__ == "__main__":
-    # One warm 2**14 / 2**18 shard (cache-resident), four 2**22 shards
-    # streamed from DRAM.
-    for l, shards in ((14, 1), (18, 1), (22, 4)):
-        dense = [sweep_ns(l, shards, m, 0) for m in range(1, 9)]
-        dense = np.maximum.accumulate(dense)
-        per_control = np.median([
-            (sweep_ns(l, shards, m, d) - dense[m - 1]) / d
-            for m in range(1, 9) for d in range(1, min(3, 8 - m) + 1)
-        ])
-        print(f"    {l}: ({sweep_ns(l, shards, 0, 2):.2g}, "
-              f"({', '.join(f'{x:.1f}' for x in dense)}), {per_control:.1f}),",
-              flush=True)
+    # Rows and rounds interleave in one process, so drift lands on every
+    # configuration alike; each entry prints as the median over rounds,
+    # with the min-max on the comment line below it.
+    samples = {row: [] for row in LADDER}
+    for _ in range(ROUNDS):
+        for row in LADDER:
+            samples[row].append(ladder_row(*row))
+    print(f"# median over {ROUNDS} interleaved rounds; min-max below")
+    for (l, _), rounds in samples.items():
+        diagonal = [r[0] for r in rounds]
+        dense = np.array([r[1] for r in rounds])
+        per_control = [r[2] for r in rounds]
+        print(f"    {l}: ({np.median(diagonal):.2g}, "
+              f"({', '.join(f'{x:.1f}' for x in np.median(dense, axis=0))}), "
+              f"{np.median(per_control):.1f}),")
+        spans = ", ".join(
+            f"{lo:.1f}-{hi:.1f}" for lo, hi in zip(dense.min(0), dense.max(0))
+        )
+        print(f"    #   ({min(diagonal):.2g}-{max(diagonal):.2g}, ({spans}), "
+              f"{min(per_control):.1f}-{max(per_control):.1f})", flush=True)

@@ -41,7 +41,7 @@ def distributed_entropy(
     partial = 0.0
     norm = 0.0
     for r in range(state.num_ranks):
-        shard = state.storage.get(r)
+        shard = state.storage.read(r)
         p = np.abs(np.asarray(shard)) ** 2
         norm += float(p.sum())
         positive = p[p > 0]

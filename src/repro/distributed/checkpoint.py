@@ -57,7 +57,7 @@ class CheckpointManager:
         """Write a checkpoint (atomically: meta file last); returns bytes."""
         written = 0
         for r in range(state.num_ranks):
-            shard = np.asarray(state.storage.get(r))
+            shard = np.asarray(state.storage.read(r))
             path = self.directory / f"ckpt_shard_{r:06d}.npy"
             np.save(path, shard)
             written += path.stat().st_size

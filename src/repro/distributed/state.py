@@ -37,6 +37,7 @@ from repro.kernels import (
 )
 from repro.kernels.apply import _axes_above, split_sweep
 from repro.kernels.blocks import BlockGate, rank_split
+from repro.kernels.product import product_fill
 from repro.kernels.tables import GATHER_CACHE
 from repro.kernels.cost import KernelCostModel
 from repro.statevector.state import StateVector
@@ -48,6 +49,38 @@ __all__ = ["DistributedState", "NeedsSwapError"]
 #: Logical qubits per chunk of :meth:`DistributedState.logical_chunks`
 #: (1 MiB of complex128): bounds the transient of a streamed digest.
 _CHUNK_QUBITS = 16
+
+
+def _rank_slice(bits, vector, local_qubits, rank):
+    """Factor *vector* on physical *bits* with its rank bits fixed to
+    what *rank* spells: ``(local bits, entries)``."""
+    kept = [j for j, b in enumerate(bits) if b < local_qubits]
+    fixed = sum(
+        (rank >> (b - local_qubits) & 1) << j
+        for j, b in enumerate(bits) if b >= local_qubits
+    )
+    return (
+        [bits[j] for j in kept],
+        vector[scatter_bits(np.arange(1 << len(kept)), kept) | fixed],
+    )
+
+
+def _scale_into(shard, array, scale):
+    """``shard = scale * array``, rounded alike in every storage layout
+    (*array* may be *shard* itself)."""
+    if scale == 0:
+        shard.fill(0)
+    elif scale != 1:
+        np.multiply(array, scale, out=shard)
+    elif shard is not array:
+        shard[:] = array
+
+
+def _write_shard(shard, *, factors, scale):
+    """One rank's kernel of :meth:`DistributedState.write_product`."""
+    if scale != 0:
+        product_fill(shard, factors)
+    _scale_into(shard, shard, scale)
 
 
 class NeedsSwapError(RuntimeError):
@@ -72,6 +105,14 @@ class DistributedState:
         ``"zero"``, ``"plus"`` (uniform superposition), or ``None`` to
         adopt the storage's contents as found (a reopened
         :class:`DiskShards` directory).
+
+    A state is *fresh* (:attr:`fresh_init`) while it holds exactly its
+    init fill: the record its constructor takes is voided by any later
+    call that may write the storage (:attr:`ShardStorage.writes` counts
+    them, a ``get`` of a writable shard included).  On a fresh state
+    :meth:`apply_disjoint` writes what a run of ops on disjoint qubits
+    leaves in one pass (:meth:`write_product`) instead of one sweep per
+    op.
     """
 
     def __init__(
@@ -113,6 +154,9 @@ class DistributedState:
         self.kernel_cost = KernelCostModel()
         self.telemetry = NULL_TELEMETRY
         self.use_telemetry(telemetry)
+        #: ``(init, storage.writes)`` right after the init fill; the
+        #: state is fresh while the storage counts no write since.
+        self._fresh: tuple[str, int] | None = None
         if init is not None:
             self._initialize(init)
 
@@ -146,6 +190,16 @@ class DistributedState:
             label=f"init {init}",
             overwrites=True,
         )
+        self._fresh = (init, self.storage.writes)
+
+    @property
+    def fresh_init(self) -> str | None:
+        """``"zero"`` or ``"plus"`` while the state holds exactly that
+        init fill, written by its constructor and nothing since; else
+        ``None`` (also for a state adopted with ``init=None``)."""
+        if self._fresh is None or self._fresh[1] != self.storage.writes:
+            return None
+        return self._fresh[0]
 
     @property
     def num_ranks(self) -> int:
@@ -223,7 +277,7 @@ class DistributedState:
         for chunk in range(1 << (n - c)):
             base = scatter_bits(chunk, positions[c:])
             for rank_bits, slots, offsets in parts:
-                shard = self.storage.get(rank_bits | base >> l)
+                shard = self.storage.read(rank_bits | base >> l)
                 out[slots] = shard[offsets | (base & offset_mask)]
             yield out
 
@@ -304,6 +358,110 @@ class DistributedState:
         the op, Sec. 3.5).
         """
         self._sweep(gate, self.layout.bits(qubits))
+
+    def apply_disjoint(
+        self, ops: Sequence[tuple[BlockGate, Sequence[int]]]
+    ) -> None:
+        """Apply ``(gate, qubits)`` *ops* on pairwise disjoint qubits: on
+        a fresh state one :meth:`write_product`, on any other one by one
+        through :meth:`apply_compiled`."""
+        if self.fresh_init is not None:
+            self.write_product(ops)
+            return
+        for gate, qubits in ops:
+            self.apply_compiled(gate, qubits)
+
+    def write_product(
+        self, ops: Sequence[tuple[BlockGate, Sequence[int]]]
+    ) -> None:
+        """Overwrite a fresh state with what *ops* leave, in one pass.
+
+        *ops* are ``(gate, qubits)`` pairs on pairwise disjoint logical
+        qubits.  On the product state :attr:`fresh_init` names, each
+        leaves a product state: its factor is its gate applied to ``|0>``
+        or ``|+>`` on its own qubits, and every other qubit keeps its
+        ``|0>`` or ``|+>`` (``(1, 0)``, or ``(1, 1)`` with the norms folded
+        into the first factor: exact).
+
+        A rank's shard is then the product of the factor slices its rank
+        bits pick: the factors with local bits give one array
+        (:func:`~repro.kernels.product.product_fill`, the same for every
+        rank whose bits pick the same slices), the ones on rank bits only
+        one scalar that multiplies it.  Both storage layouts do exactly
+        that per rank, so they agree bit for bit: the block of all
+        shards fills each distinct array once and scales it into its ranks;
+        other storage gets one overwriting kernel per rank through
+        ``storage.sweep`` (which ``DiskShards`` stores without loading).
+        No temporary is larger than a shard.  The cost model records one
+        pass.  Writing the storage ends the state's freshness.
+        """
+        init = self.fresh_init
+        if init is None:
+            raise RuntimeError("write_product needs a freshly initialised state")
+        plus = init == "plus"
+        factors, touched = [], set()
+        for gate, qubits in ops:
+            k = len(qubits)
+            vector = np.full(1 << k, 0.5 ** (k / 2) if plus else 0.0, complex)
+            if not plus:
+                vector[0] = 1.0
+            factors.append((self.layout.bits(qubits), gate.apply(vector)))
+            touched.update(qubits)
+        untouched = [q for q in range(self.num_qubits) if q not in touched]
+        if plus:  # (1, 1) is what product_fill assumes of a bit no factor owns
+            bits, vector = factors[0]
+            factors[0] = (bits, vector * 0.5 ** (len(untouched) / 2))
+        else:
+            zero = np.array([1.0, 0.0], dtype=complex)
+            factors += [((self.bit_position(q),), zero) for q in untouched]
+
+        l = self.local_qubits
+        ranks = np.arange(self.num_ranks)
+        scales = np.ones(self.num_ranks, dtype=np.complex128)
+        local, crossing = [], []
+        for bits, vector in factors:
+            if all(b >= l for b in bits):
+                scales *= vector[extract_bits(ranks, [b - l for b in bits])]
+            else:
+                (crossing if max(bits) >= l else local).append((bits, vector))
+        # Ranks agreeing on the rank bits of the crossing factors share
+        # their local array.
+        picks = bit_mask([b - l for bits, _ in crossing for b in bits if b >= l])
+        slices = {}
+
+        def local_factors(rank):
+            key = rank & picks
+            if key not in slices:
+                slices[key] = local + [
+                    _rank_slice(bits, vector, l, key) for bits, vector in crossing
+                ]
+            return slices[key]
+
+        block = self.storage.local_block()
+        with self.telemetry.tracer.span(
+            "kernel.product", kind="kernel", ops=len(ops)
+        ):
+            if block is not None:
+                shards = block.reshape(self.num_ranks, -1)
+                array = np.empty(shards.shape[1], dtype=block.dtype)
+                sharing: dict[int, list[int]] = {}
+                for rank in range(self.num_ranks):
+                    sharing.setdefault(rank & picks, []).append(rank)
+                for key, group in sharing.items():
+                    product_fill(array, local_factors(key))
+                    for rank in group:
+                        _scale_into(shards[rank], array, scales[rank])
+            else:
+                self.storage.sweep(
+                    lambda rank: partial(
+                        _write_shard,
+                        factors=local_factors(rank),
+                        scale=scales[rank],
+                    ),
+                    label=f"product write of {len(ops)} ops",
+                    overwrites=True,
+                )
+        self.kernel_cost.record(self.num_qubits, 0, diagonal=True)
 
     def _sweep(self, gate: BlockGate, bits: Sequence[int]) -> None:
         """Run *gate* on physical *bits* over every shard, in one sweep.
@@ -608,7 +766,7 @@ class DistributedState:
     # ------------------------------------------------------------------
     def shard_checksum(self, rank: int) -> int:
         """CRC32 of one shard's raw bytes (cheap end-to-end integrity)."""
-        return zlib.crc32(np.ascontiguousarray(self.storage.get(rank)))
+        return zlib.crc32(np.ascontiguousarray(self.storage.read(rank)))
 
     def shard_checksums(self) -> list[int]:
         """Per-rank CRC32 checksums of every shard.
@@ -624,7 +782,7 @@ class DistributedState:
         """2-norm across all shards."""
         total = 0.0
         for r in range(self.num_ranks):
-            shard = self.storage.get(r)
+            shard = self.storage.read(r)
             total += float(np.vdot(shard, shard).real)
         return float(np.sqrt(total))
 

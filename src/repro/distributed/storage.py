@@ -84,36 +84,62 @@ _EXCHANGE_STAGE_BYTES = 1 << 20
 
 
 class ShardStorage(abc.ABC):
-    """Interface shared by the in-memory and on-disk shard backends."""
+    """Interface shared by the in-memory and on-disk shard backends.
+
+    The public methods live here and a backend implements the ``_``
+    methods they call, so every call that may change amplitudes is
+    counted in one place, :attr:`writes`: the writers (:meth:`set`,
+    :meth:`sweep`, :meth:`exchange_blocks`, :meth:`permute_shards`) and
+    the calls that hand out writable arrays (:meth:`get`,
+    :meth:`local_block`, :meth:`resident_shards`).  :meth:`read` is the
+    one look at a shard that is not.
+    """
 
     num_shards: int
     shard_size: int
     dtype: np.dtype
     #: The owning state's bundle (``use_telemetry`` sets it).
     telemetry = NULL_TELEMETRY
+    #: Calls that may have changed amplitudes: a state compares it with
+    #: its own record to know it still holds its init fill.
+    writes = 0
 
-    @abc.abstractmethod
     def get(self, rank: int) -> np.ndarray:
-        """The shard owned by *rank*, as a mutable array (view where possible)."""
+        """The shard owned by *rank*, as a mutable array (view where
+        possible); counts as a write."""
+        self.writes += 1
+        return self._get(rank)
 
-    @abc.abstractmethod
+    def read(self, rank: int) -> np.ndarray:
+        """The shard owned by *rank*, read-only; not a write."""
+        view = self._get(rank).view()
+        view.flags.writeable = False
+        return view
+
     def set(self, rank: int, data: np.ndarray) -> None:
         """Replace the shard owned by *rank*."""
+        if data.shape != (self.shard_size,):
+            raise ValueError(f"shard must have shape ({self.shard_size},)")
+        self.writes += 1
+        self._set(rank, data)
 
-    @abc.abstractmethod
     def exchange_blocks(self, swap_qubits: int) -> None:
         """Fig. 3 block exchange over groups of ``2**swap_qubits`` ranks."""
+        self.writes += 1
+        self._exchange_blocks(swap_qubits)
 
-    @abc.abstractmethod
     def permute_shards(self, permutation: np.ndarray) -> None:
         """Relabel shards: new shard ``i`` is old shard ``permutation[i]``.
 
         This is the rank renumbering of Sec. 3.5 — free on MPI, a pointer
         shuffle here.
         """
+        self._check_permutation(permutation)
+        self.writes += 1
+        self._permute_shards(permutation)
 
     def local_block(self) -> np.ndarray | None:
-        """Every rank's amplitudes as one array, or ``None``.
+        """Every rank's amplitudes as one writable array, or ``None``.
 
         Whole shards back to back in rank order, ``num_shards *
         shard_size`` amplitudes: bit ``l + i`` of an index into it is bit
@@ -121,14 +147,15 @@ class ShardStorage(abc.ABC):
         those bits.  ``None`` when the shards do not sit side by side in
         memory.
         """
-        return None
+        self.writes += 1
+        return self._local_block()
 
     def resident_shards(self) -> list[np.ndarray] | None:
         """Every rank's shard, for a sweep that may write them from several
         threads at once; ``None`` when the shards are not in memory."""
-        return None
+        self.writes += 1
+        return self._resident_shards()
 
-    @abc.abstractmethod
     def sweep(self, kernel_of_rank, *, label: str = "", overwrites=False) -> None:
         """Apply ``kernel_of_rank(r)`` in place to every rank's shard
         (``None``: leave that shard alone) — the one way amplitudes are
@@ -140,6 +167,31 @@ class ShardStorage(abc.ABC):
         later than its op; *overwrites* promises that every kernel
         replaces its whole shard without reading it.
         """
+        self.writes += 1
+        self._sweep(kernel_of_rank, label=label, overwrites=overwrites)
+
+    @abc.abstractmethod
+    def _get(self, rank: int) -> np.ndarray:
+        """The shard owned by *rank*, as a mutable array."""
+
+    @abc.abstractmethod
+    def _set(self, rank: int, data: np.ndarray) -> None:
+        """Replace the shard owned by *rank* (*data* has its shape)."""
+
+    @abc.abstractmethod
+    def _exchange_blocks(self, swap_qubits: int) -> None: ...
+
+    @abc.abstractmethod
+    def _permute_shards(self, permutation: np.ndarray) -> None: ...
+
+    def _local_block(self) -> np.ndarray | None:
+        return None
+
+    def _resident_shards(self) -> list[np.ndarray] | None:
+        return None
+
+    @abc.abstractmethod
+    def _sweep(self, kernel_of_rank, *, label: str, overwrites: bool) -> None: ...
 
     @abc.abstractmethod
     def sweep_threads(self) -> int:
@@ -222,13 +274,13 @@ class InMemoryShards(ShardStorage):
             return None
         return np.zeros(self.num_shards * self.shard_size, dtype=self.dtype)
 
-    def local_block(self) -> np.ndarray | None:
+    def _local_block(self) -> np.ndarray | None:
         return self._block
 
-    def resident_shards(self) -> list[np.ndarray] | None:
+    def _resident_shards(self) -> list[np.ndarray] | None:
         return self._shards
 
-    def sweep(self, kernel_of_rank, *, label: str = "", overwrites=False) -> None:
+    def _sweep(self, kernel_of_rank, *, label: str, overwrites: bool) -> None:
         """Run the kernels here and now; shards of at least
         :data:`~repro.kernels.apply.SPLIT_MIN_AMPLITUDES` on the sweep pool."""
         run_split(
@@ -241,15 +293,13 @@ class InMemoryShards(ShardStorage):
     def sweep_threads(self) -> int:
         return split_threads(self.num_shards, self.shard_size)
 
-    def get(self, rank: int) -> np.ndarray:
+    def _get(self, rank: int) -> np.ndarray:
         return self._shards[rank]
 
-    def set(self, rank: int, data: np.ndarray) -> None:
-        if data.shape != (self.shard_size,):
-            raise ValueError(f"shard must have shape ({self.shard_size},)")
+    def _set(self, rank: int, data: np.ndarray) -> None:
         self._shards[rank][:] = data
 
-    def exchange_blocks(self, swap_qubits: int) -> None:
+    def _exchange_blocks(self, swap_qubits: int) -> None:
         # shard[s] block t <-> shard[t] block s within each group: the
         # all-to-all of Fig. 3 is the transpose of the group's
         # (group x group) matrix of blocks, done in place tile by tile.
@@ -302,8 +352,7 @@ class InMemoryShards(ShardStorage):
                 for j in range(i if tile > 1 else i + tile, group, tile):
                     yield base, i, j
 
-    def permute_shards(self, permutation: np.ndarray) -> None:
-        self._check_permutation(permutation)
+    def _permute_shards(self, permutation: np.ndarray) -> None:
         if self._block is None:
             self._shards = [self._shards[int(p)] for p in permutation]
             return
@@ -468,7 +517,7 @@ class DiskShards(ShardStorage):
         return True
 
     # ------------------------------------------------------------------
-    def get(self, rank: int) -> np.ndarray:
+    def _get(self, rank: int) -> np.ndarray:
         """The rank's file as a writable memmap, every pending op applied
         (page-cache coherent with the fd I/O of later sweeps)."""
         self.flush()
@@ -483,9 +532,7 @@ class DiskShards(ShardStorage):
             )
         return mm
 
-    def set(self, rank: int, data: np.ndarray) -> None:
-        if data.shape != (self.shard_size,):
-            raise ValueError(f"shard must have shape ({self.shard_size},)")
+    def _set(self, rank: int, data: np.ndarray) -> None:
         file_index = self._file_of_rank[rank]
         # Replaced whole: what was pending on it (possibly left by a failed
         # attempt) must not run on the new data.
@@ -498,7 +545,7 @@ class DiskShards(ShardStorage):
         self.io_stats["bytes_written"] += data.nbytes
 
     # -- deferred sweeps -----------------------------------------------
-    def sweep(self, kernel_of_rank, *, label: str = "", overwrites=False) -> None:
+    def _sweep(self, kernel_of_rank, *, label: str, overwrites: bool) -> None:
         """Defer the kernels to the stage flush (:meth:`flush`)."""
         for rank, file_index in enumerate(self._file_of_rank):
             kernel = kernel_of_rank(rank)
@@ -721,7 +768,7 @@ class DiskShards(ShardStorage):
         self._written.clear()
 
     # ------------------------------------------------------------------
-    def exchange_blocks(self, swap_qubits: int) -> None:
+    def _exchange_blocks(self, swap_qubits: int) -> None:
         """Pairwise block swap on the fds; armed, the worker reads pair
         ``i+1`` while pair ``i`` is written.
 
@@ -772,8 +819,7 @@ class DiskShards(ShardStorage):
         self._transfer(_preadv, file_b, out[1], s * out[1].nbytes)
         return out
 
-    def permute_shards(self, permutation: np.ndarray) -> None:
-        self._check_permutation(permutation)
+    def _permute_shards(self, permutation: np.ndarray) -> None:
         self._file_of_rank = [self._file_of_rank[int(p)] for p in permutation]
 
     def close(self) -> None:

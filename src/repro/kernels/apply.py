@@ -155,20 +155,27 @@ def blas_threads() -> int | None:
     return None if getter is None else int(getter())
 
 
+def pin_blas() -> bool:
+    """Pin OpenBLAS to one thread, for good; ``False`` when it is not
+    found.  The sweep pool's GEMMs already fill the CPUs: BLAS threads
+    would compete for them, and spin-wait on them between calls."""
+    pin = _openblas("set")
+    if pin is not None:
+        pin(1)
+    return pin is not None
+
+
 def _sweep_pool() -> ThreadPoolExecutor | None:
     """The process-wide sweep pool, one thread per CPU; ``None`` when
-    sweeps stay serial.  Starting it pins BLAS to one thread: the pieces'
-    GEMMs already fill the CPUs, BLAS threads would compete for them."""
+    sweeps stay serial.  Starting it pins BLAS (:func:`pin_blas`)."""
     global _pool
     with _pool_lock:
         if _pool is None:
-            pin = _openblas("set") if _CPUS > 1 else None
-            _pool = pin is not None and ThreadPoolExecutor(
+            _pool = _CPUS > 1 and pin_blas() and ThreadPoolExecutor(
                 _CPUS, thread_name_prefix="repro-sweep",
                 initializer=lambda: setattr(_pool_thread, "marked", True),
             )
             if _pool:
-                pin(1)
                 register_executor(_pool)
         return _pool or None
 

@@ -8,3 +8,9 @@ def _run_op(plan_op, state) -> None:
         state.apply_compiled(plan_op.gate, plan_op.qubits)
     else:  # "swap" | "passthrough"
         plan_op.source_op.execute(state)
+
+
+def _run_product(plan_ops, state) -> None:
+    """The product prefix: the plan's leading kernel ops, on pairwise
+    disjoint qubits (:meth:`DistributedState.apply_disjoint`)."""
+    state.apply_disjoint([(op.gate, op.qubits) for op in plan_ops])

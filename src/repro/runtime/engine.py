@@ -9,11 +9,17 @@ composed onto that loop.  The front doors (``run_schedule``,
 ``CompiledProgram.execute``, ``ResilientExecutor``) build an engine plus
 the matching layer stack.
 
+Its first unit is the *product prefix*: the leading plan ops on
+pairwise disjoint qubits, which a fresh state takes as one write of the
+product state they leave and any other state op by op
+(:func:`_product_prefix`).
+
 The loop records its own op spans: with an active ``telemetry=`` bundle
 every op attempt is one span (``op_index`` and ``stage`` attributes,
-``bytes`` on swaps), ops folded into a fused one get zero-length spans,
-and the result's :class:`~repro.distributed.tracing.ExecutionTrace` is
-the flat view over the spans of that run only.
+``bytes`` on swaps), ops folded into a fused plan op or the product
+prefix get zero-length spans, and the result's
+:class:`~repro.distributed.tracing.ExecutionTrace` is the flat view over
+the spans of that run only.
 
 Hook order is onion-style: ``before_op`` runs in stack order,
 ``after_op`` / ``on_run_end`` in reverse stack order, so the first layer
@@ -47,11 +53,12 @@ __all__ = [
 class ExecUnit:
     """One step of the canonical loop.
 
-    Wraps a plan op (possibly covering several fused source ops) or, in
-    the naive :meth:`ExecutionEngine.for_circuit` mode, one circuit
-    gate.  ``op_index`` is the first covered position in the schedule's
-    op stream; ``kind``/``label``/``stage`` are what the engine's op
-    span records for it.
+    Wraps a plan op (possibly covering several fused source ops), the
+    product prefix (several plan ops), or, in the naive
+    :meth:`ExecutionEngine.for_circuit` mode, one circuit gate.
+    ``op_index`` is the first covered position in the schedule's op
+    stream; ``kind``/``label``/``stage`` are what the engine's op span
+    records for it.
     """
 
     __slots__ = (
@@ -151,30 +158,65 @@ class EngineResult:
     report: RecoveryReport
 
 
-def _units_from_plan(plan) -> list[ExecUnit]:
-    from repro.plan.executor import _run_op
+def _product_prefix(ops) -> int:
+    """How many leading plan ops are kernel ops on pairwise disjoint
+    qubits, targets and controls alike: a fresh state takes them as one
+    product write (:meth:`DistributedState.write_product`)."""
+    seen: set[int] = set()
+    for count, plan_op in enumerate(ops):
+        kernel = plan_op.exec_kind in ("kernel", "fused_kernel")
+        if not kernel or not seen.isdisjoint(plan_op.qubits):
+            return count
+        seen.update(plan_op.qubits)
+    return len(ops)
 
-    units: list[ExecUnit] = []
-    for plan_op in plan.ops:
-        first = plan_op.sources[0]
-        units.append(
-            ExecUnit(
-                index=len(units),
-                op_index=first.op_index,
-                kind=first.kind,
-                label=first.label,
-                stage=plan_op.stage,
-                sources=plan_op.sources,
-                num_sources=plan_op.num_sources,
-                is_swap=first.kind == "swap",
-                run=partial(_run_op, plan_op),
-            )
-        )
-    return units
+
+def _plan_unit(index, plan_ops, run) -> ExecUnit:
+    """Unit *index*, running *plan_ops* (one, or the product prefix)."""
+    sources = tuple(s for plan_op in plan_ops for s in plan_op.sources)
+    first = sources[0]
+    return ExecUnit(
+        index=index,
+        op_index=first.op_index,
+        kind=first.kind,
+        label=first.label,
+        stage=plan_ops[0].stage,
+        sources=sources,
+        num_sources=len(sources),
+        is_swap=first.kind == "swap",
+        run=run,
+    )
+
+
+def _units_from_plan(plan) -> tuple[list[ExecUnit], list[ExecUnit]]:
+    """One unit per plan op, but one for the product prefix
+    (:func:`_product_prefix`), written at once on a fresh state; and the
+    prefix's plan ops one unit each (all numbered 0, parts of unit 0),
+    for a run resuming inside it."""
+    from repro.plan.executor import _run_op, _run_product
+
+    count = _product_prefix(plan.ops)
+    prefix, rest = plan.ops[:count], plan.ops[count:]
+    units = []
+    if prefix:
+        units.append(_plan_unit(0, prefix, partial(_run_product, prefix)))
+    units += [
+        _plan_unit(len(units) + i, (op,), partial(_run_op, op))
+        for i, op in enumerate(rest)
+    ]
+    return units, [_plan_unit(0, (op,), partial(_run_op, op)) for op in prefix]
 
 
 class ExecutionEngine:
     """Replays a compiled program through one loop.
+
+    One unit per plan op, except the leading plan ops on pairwise
+    disjoint qubits, which are one unit: on a fresh state it writes the
+    product state they leave in one pass, on any other state it runs
+    them one by one.  The engine's default state is fresh; an explicit
+    or a layer-provided one is what its own record says (a checkpoint
+    load writes every shard, so it is not).  A run resuming inside that
+    unit runs its remaining plan ops one by one.
 
     Parameters
     ----------
@@ -229,6 +271,8 @@ class ExecutionEngine:
         self._root_attrs = dict(root_attrs or {})
         self._state_factory = state_factory
 
+        #: The product prefix's plan ops, one unit each.
+        self._prefix_units: list[ExecUnit] = []
         if program is None:
             self._schedule = None
             self._units = []
@@ -236,10 +280,12 @@ class ExecutionEngine:
             from repro.plan import plan_for
 
             self._schedule = program
-            self._units = _units_from_plan(plan_for(program, plan_config))
+            self._units, self._prefix_units = _units_from_plan(
+                plan_for(program, plan_config)
+            )
         elif hasattr(program, "ops"):  # a CompiledProgram
             self._schedule = program.schedule
-            self._units = _units_from_plan(program)
+            self._units, self._prefix_units = _units_from_plan(program)
         else:
             raise TypeError(
                 f"program must be a Schedule or CompiledProgram, got "
@@ -294,24 +340,31 @@ class ExecutionEngine:
         return self._layers
 
     # ------------------------------------------------------------------
-    def _unit_index_for(self, source_index: int) -> int:
-        """Map a schedule-op index to the unit that starts there."""
+    def _units_from(self, source_index: int) -> list[ExecUnit]:
+        """The units a pass starting at schedule op *source_index* runs.
+
+        Inside the product prefix these are its remaining plan ops one
+        by one (a resumed state is not fresh), then the units after it.
+        """
         if source_index <= 0:
-            return 0
+            return self._units
         if source_index >= self.total_source_ops:
             if source_index == self.total_source_ops:
-                return len(self._units)
+                return []
             raise ValueError(
                 f"op index {source_index} is past the end of the program "
                 f"({self.total_source_ops} ops)"
             )
+        for at, unit in enumerate(self._prefix_units):
+            if unit.op_index == source_index:
+                return self._prefix_units[at:] + self._units[1:]
         unit_index = self._unit_of_source.get(source_index)
         if unit_index is None:
             raise ValueError(
                 f"op index {source_index} falls inside a fused plan op; "
-                f"a run resumes only at plan-unit boundaries"
+                f"a run resumes only at plan-op boundaries"
             )
-        return unit_index
+        return self._units[unit_index:]
 
     def _default_state(self) -> DistributedState:
         if self._state_factory is not None:
@@ -325,16 +378,16 @@ class ExecutionEngine:
         return DistributedState.for_schedule(schedule)
 
     def _acquire_state(self, ctx, explicit_state):
-        """State + starting unit for this pass (checkpoint > explicit > fresh)."""
+        """State + the units this pass runs (checkpoint > explicit > fresh)."""
         for layer in self._layers:
             provided = layer.provide_state(ctx)
             if provided is not None:
-                return provided[0], self._unit_index_for(provided[1])
+                return provided[0], self._units_from(provided[1])
         # An explicitly passed state wins on the first pass only; after
         # a fatal fault it may be torn, so restarts start fresh.
         if ctx.pass_index == 0 and explicit_state is not None:
-            return explicit_state, 0
-        return self._default_state(), 0
+            return explicit_state, self._units
+        return self._default_state(), self._units
 
     # ------------------------------------------------------------------
     def _run_guarded(self, ctx, unit) -> None:
@@ -490,7 +543,7 @@ class ExecutionEngine:
                 self._root_span, kind="run", **self._root_attrs
             ) as run_span:
                 while True:
-                    state, start_unit = self._acquire_state(
+                    state, pass_units = self._acquire_state(
                         ctx, explicit_state
                     )
                     ctx.state = state
@@ -505,7 +558,7 @@ class ExecutionEngine:
                         ctx.bytes_at_ckpt = state.stats.bytes_on_network
                         ctx.seconds_since_ckpt = 0.0
                         try:
-                            for unit in units[start_unit:]:
+                            for unit in pass_units:
                                 for layer in layers:
                                     layer.before_op(ctx, unit)
                                 seconds = self._dispatch(ctx, unit)

@@ -11,8 +11,10 @@ Both caches are thread-safe LRUs keyed off
   service traffic repeats circuits heavily; a hit skips all of it and
   (because every rank and repetition also shares the process-wide
   :data:`~repro.kernels.GATHER_CACHE`) lands on fully warm kernels.
-  Misses compile under the cache lock, so each key compiles exactly once
-  no matter how many requests race on it.
+  The lock guards only the dictionaries: a miss compiles outside it,
+  behind a per-key future that later requests for the key wait on, so
+  each key compiles exactly once however many requests race on it, and
+  a cold compile never holds up a hit on another key.
 * :class:`ResultCache` — ``(plan key, shots, seed)`` maps to a finished
   :class:`~repro.service.jobs.JobResult`; a hit completes the job
   without touching the worker pool at all.
@@ -24,6 +26,7 @@ guarded number of ``bench_service_throughput``.
 from __future__ import annotations
 
 from collections import OrderedDict
+from concurrent.futures import Future
 from dataclasses import dataclass, replace
 
 from repro.plan import PlanConfig, plan_for
@@ -93,14 +96,18 @@ class PlanCache(_LruMixin):
 
     def __init__(self, *, capacity: int = 64) -> None:
         super().__init__(capacity=capacity)
+        #: key -> future of the compile in flight for it.
+        self._compiling: dict[tuple, Future] = {}
 
     def get(
         self, spec: JobSpec, config: PlanConfig | None = None
     ) -> PlanEntry:
         """The (memoized) schedule + compiled plan for *spec*.
 
-        Compile-once: concurrent misses on one key serialise on the
-        cache lock and all but the first return the winner's entry.
+        Single-flight: the first miss on a key compiles it outside the
+        cache lock; requests for the key meanwhile wait for that compile
+        and count as hits (``misses`` counts compiles).  A failed
+        compile raises in each of them and leaves the key uncached.
         The cache key is ``(*spec.plan_key(), config)`` with the frozen
         :class:`~repro.plan.PlanConfig` carrying the one compile option,
         ``fusion_kmax``: two requests with different fusion widths never
@@ -114,7 +121,16 @@ class PlanCache(_LruMixin):
                 self.hits += 1
                 self._entries.move_to_end(key)
                 return entry
-            self.misses += 1
+            pending = self._compiling.get(key)
+            compiles = pending is None
+            if compiles:
+                self.misses += 1
+                pending = self._compiling[key] = Future()
+            else:
+                self.hits += 1
+        if not compiles:
+            return pending.result()
+        try:
             schedule = schedule_circuit(
                 spec.circuit,
                 SchedulerConfig(
@@ -124,9 +140,17 @@ class PlanCache(_LruMixin):
             entry = PlanEntry(
                 schedule=schedule, program=plan_for(schedule, config)
             )
+        except BaseException as exc:
+            with self._lock:
+                del self._compiling[key]
+            pending.set_exception(exc)
+            raise
+        with self._lock:
+            del self._compiling[key]
             self._entries[key] = entry
             self._evict()
-            return entry
+        pending.set_result(entry)
+        return entry
 
 
 class ResultCache(_LruMixin):

@@ -187,7 +187,7 @@ class ShardSanitizer:
         cfg = self.config
         if cfg.check_nan:
             for rank in range(state.num_ranks):
-                shard = state.storage.get(rank)
+                shard = state.storage.read(rank)
                 if bool(np.isfinite(shard).all()):
                     self._nonfinite_ranks.discard(rank)
                     continue

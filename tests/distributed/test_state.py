@@ -137,7 +137,8 @@ class TestGlobalControls:
 
     def test_one_kernel_call_per_plan_sweep(self):
         """128 ranks: a plan op is charged once, at its dense width, however
-        many ranks or control values it runs for."""
+        many ranks or control values it runs for (on a state written
+        since its init, which runs every plan op)."""
         schedule = schedule_circuit(
             generate_supremacy_circuit(14, 16, seed=2),
             SchedulerConfig(local_qubits=7, kmax=4, seed=1),
@@ -148,7 +149,9 @@ class TestGlobalControls:
             set(op.qubits) & schedule.stages[op.stage].global_qubits
             for op in sweeps
         )
-        run = DistributedSimulator(14, 7).run_schedule(schedule)
+        state = DistributedState.for_schedule(schedule)
+        state.storage.set(0, state.storage.read(0).copy())
+        run = DistributedSimulator(14, 7).run_schedule(schedule, state=state)
         cost, stats = run.kernel_cost, run.state.stats
         assert cost.total_calls == len(sweeps) + stats.local_swap_kernels
         widths = [len(op.gate.targets) for op in sweeps] + [2] * stats.local_swap_kernels

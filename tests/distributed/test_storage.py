@@ -120,6 +120,31 @@ class TestShardStorage:
         with pytest.raises(ValueError):
             storage_factory().permute_shards(np.array([0, 0, 1, 2]))
 
+    def test_every_call_that_may_write_counts(self, storage_factory):
+        """``writes`` moves on every writer and every hand-out of a
+        writable array; ``read`` is a read-only view and does not."""
+        st = storage_factory(num_shards=4, shard_size=4)
+        calls = [
+            lambda: st.set(1, np.ones(4, dtype=np.complex128)),
+            lambda: st.sweep(lambda r: None),
+            lambda: st.exchange_blocks(1),
+            lambda: st.permute_shards(np.array([1, 0, 2, 3])),
+            lambda: st.get(0),
+            st.local_block,
+            st.resident_shards,
+        ]
+        for call in calls:
+            before = st.writes
+            call()
+            assert st.writes == before + 1
+        expected = np.array(st.get(0))
+        before = st.writes
+        view = st.read(0)
+        assert np.array_equal(view, expected)
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 2
+        assert st.writes == before
+
 
 class TestInMemorySpecific:
     def test_local_block(self, tmp_path):

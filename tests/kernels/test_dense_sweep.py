@@ -284,6 +284,19 @@ class TestBlockGates:
             DenseSweep(N, gate, qubits, np.complex128, 64).apply(out)
             assert np.allclose(out, expected, atol=1e-12), (qubits, controls)
 
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_apply_to_a_gate_sized_vector(self, k):
+        """``BlockGate.apply`` (block by block) is the dense matrix times
+        the vector, for every control count."""
+        rng = np.random.default_rng(k)
+        for d in range(k + 1):
+            controls = tuple(int(j) for j in rng.permutation(k)[:d])
+            gate = _block_gate(k, controls, rng)
+            vector = rng.normal(size=1 << k) + 1j * rng.normal(size=1 << k)
+            assert np.allclose(
+                gate.apply(vector), gate.dense() @ vector, atol=1e-12
+            )
+
     @pytest.mark.parametrize("name", ["inside-window", "slab-mixed", "above-slab-run"])
     def test_block_ranges_partition_the_sweep(self, name):
         qubits, controls = CONTROL_PLACEMENTS[name]

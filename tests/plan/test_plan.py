@@ -44,6 +44,13 @@ def _state_for(schedule, *, telemetry=None):
     )
 
 
+def _written(state):
+    """*state* with one write since its init fill (a shard set to its own
+    amplitudes): no longer fresh, so the engine runs every plan op."""
+    state.storage.set(0, state.storage.read(0).copy())
+    return state
+
+
 def _unfused_program(schedule) -> CompiledProgram:
     """The plan without its refuse pass: one plan op per schedule op."""
     ctx = PassContext.for_schedule(schedule, PlanConfig())
@@ -91,7 +98,9 @@ class TestCompile:
         sweeps = [op for op in plan.ops if op.gate is not None]
         assert any(op.exec_kind == "kernel" for op in sweeps)
         assert all(len(op.qubits) <= SWEEP_MAX_QUBITS for op in sweeps)
-        run = DistributedSimulator(_N, _L).run_schedule(schedule)
+        run = DistributedSimulator(_N, _L).run_schedule(
+            schedule, state=_written(_state_for(schedule))
+        )
         assert run.kernel_cost.diagonal_calls == sum(
             not op.gate.targets for op in sweeps
         )
@@ -156,11 +165,14 @@ class TestExecutionCorrectness:
 
     @pytest.mark.parametrize("seed", [0, 7, 13])
     def test_unfused_plan_bit_exact_vs_direct_execution(self, seed):
-        """Without the refuse pass the plan, run through the engine,
-        makes the exact kernel calls of applying every schedule op's gate
-        straight through the state, so amplitudes are bit-identical."""
+        """Without the refuse pass the plan, run through the engine on a
+        state that is not fresh, makes the exact kernel calls of applying
+        every schedule op's gate straight through the state, so
+        amplitudes are bit-identical."""
         _, schedule = _small_case(seed)
-        ref = ExecutionEngine(_unfused_program(schedule)).run().state
+        ref = ExecutionEngine(_unfused_program(schedule)).run(
+            state=_written(_state_for(schedule))
+        ).state
 
         direct = _state_for(schedule)
         for op in schedule.operations():

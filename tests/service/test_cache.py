@@ -6,6 +6,8 @@ import threading
 
 import pytest
 
+import repro.service.cache as cache_module
+from repro.scheduling import schedule_circuit as _schedule_circuit
 from repro.service import JobResult, JobStatus, PlanCache, ResultCache
 
 
@@ -57,6 +59,86 @@ class TestPlanCache:
         assert not errors
         assert cache.stats()["misses"] == 1
         assert all(e is entries[0] for e in entries)
+
+
+class _HeldCompile:
+    """``schedule_circuit`` stand-in that holds the compile of one
+    circuit until released (every other circuit compiles at once)."""
+
+    def __init__(self, held_circuit):
+        self.held_circuit = held_circuit
+        self.started = threading.Event()
+        self.release = threading.Event()
+        self.calls = 0
+
+    def __call__(self, circuit, config):
+        self.calls += 1
+        if circuit is self.held_circuit:
+            self.started.set()
+            assert self.release.wait(10), "held compile never released"
+        return _schedule_circuit(circuit, config)
+
+
+class TestSingleFlight:
+    """The cache lock guards only its dictionaries: a cold compile runs
+    outside it, once per key."""
+
+    @pytest.fixture
+    def held(self, make_spec, monkeypatch):
+        spec = make_spec(circuit_seed=11)
+        compile_ = _HeldCompile(spec.circuit)
+        monkeypatch.setattr(cache_module, "schedule_circuit", compile_)
+        return spec, compile_
+
+    def test_hit_returns_while_another_key_compiles(self, make_spec, held):
+        cold, compile_ = held
+        cache = PlanCache()
+        hot = make_spec()
+        warm = cache.get(hot)
+        compiling = threading.Thread(target=cache.get, args=(cold,))
+        compiling.start()
+        try:
+            assert compile_.started.wait(10)
+            got = []
+            hit = threading.Thread(target=lambda: got.append(cache.get(hot)))
+            hit.start()
+            hit.join(5)
+            assert got == [warm], "a hit waited for another key's compile"
+        finally:
+            compile_.release.set()
+            compiling.join()
+        assert cache.stats()["hits"] == 1 and cache.stats()["misses"] == 2
+
+    def test_waiters_share_the_one_compile(self, held):
+        cold, compile_ = held
+        cache = PlanCache()
+        entries = []
+        threads = [
+            threading.Thread(target=lambda: entries.append(cache.get(cold)))
+            for _ in range(4)
+        ]
+        threads[0].start()
+        assert compile_.started.wait(10)
+        for thread in threads[1:]:
+            thread.start()
+        compile_.release.set()
+        for thread in threads:
+            thread.join()
+        assert compile_.calls == 1
+        assert len(entries) == 4 and all(e is entries[0] for e in entries)
+        assert cache.stats()["hits"] == 3 and cache.stats()["misses"] == 1
+
+    def test_failed_compile_raises_and_caches_nothing(
+        self, make_spec, monkeypatch
+    ):
+        def broken(circuit, config):
+            raise RuntimeError("compile failed")
+
+        monkeypatch.setattr(cache_module, "schedule_circuit", broken)
+        cache = PlanCache()
+        with pytest.raises(RuntimeError, match="compile failed"):
+            cache.get(make_spec())
+        assert len(cache) == 0 and not cache._compiling
 
 
 class TestResultCache:

@@ -185,12 +185,12 @@ class TestStaticRuntimeCrossCheck:
             "repro.kernels.apply._pool_lock",
             "repro.util.executors._registry_lock",
         } <= static_graph.nodes
-        # The compile-under-cache-lock nesting is the one cross-module
-        # edge the concurrent layer is allowed.
-        assert (
-            "repro.service.cache.PlanCache._lock",
-            "repro.plan.program._PLAN_FOR_LOCK",
-        ) in static_graph.edge_set()
+        # Plan-cache misses compile outside the cache lock (single
+        # flight), so no lock is taken under it.
+        assert not any(
+            held == "repro.service.cache.PlanCache._lock"
+            for held, _ in static_graph.edge_set()
+        )
         # Starting the sweep pool registers it under the pool lock.
         assert (
             "repro.kernels.apply._pool_lock",
@@ -251,16 +251,16 @@ class TestStaticRuntimeCrossCheck:
             f"runtime acquired lock orderings the static graph does not "
             f"predict: {sorted(unpredicted)}"
         )
-        # Plan-cache misses compile under the cache lock, so the one
-        # cross-module edge must actually be exercised by this load.
-        assert (
-            "repro.service.cache.PlanCache._lock",
-            "repro.plan.program._PLAN_FOR_LOCK",
-        ) in observed
+        # The misses of this load compiled, and none under the cache lock.
+        assert not any(
+            held == "repro.service.cache.PlanCache._lock"
+            for held, _ in observed
+        )
         # And the union of prediction and observation stays deadlock-free.
         assert _acyclic(static_edges | observed)
         counts = LOCK_TRACKER.stats()["acquire_counts"]
         assert (
             counts["repro.kernels.tables.GatherTableCache._lock"] > 0
         )
+        assert counts["repro.plan.program._PLAN_FOR_LOCK"] > 0
         LOCK_TRACKER.reset()

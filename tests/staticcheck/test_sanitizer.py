@@ -5,7 +5,6 @@ import pytest
 
 from repro.circuit import generate_supremacy_circuit
 from repro.distributed import DistributedSimulator
-from repro.plan import plan_for
 from repro.runtime import ExecutionEngine, RuntimeLayer, SanitizerLayer
 from repro.scheduling import SchedulerConfig, schedule_circuit
 from repro.staticcheck import SanitizerConfig, ShardSanitizer
@@ -19,8 +18,8 @@ def make_schedule(n=9, l=6, *, depth=8, seed=2):
 
 
 def unit_starts(schedule):
-    """The op index each plan unit starts at: where findings are pinned."""
-    return [op.sources[0].op_index for op in plan_for(schedule).ops]
+    """The op index each engine unit starts at: where findings are pinned."""
+    return [unit.op_index for unit in ExecutionEngine(schedule).units]
 
 
 class _Drill(RuntimeLayer):
