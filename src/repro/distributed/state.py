@@ -38,7 +38,7 @@ from repro.kernels import (
 from repro.kernels.apply import _axes_above, split_sweep
 from repro.kernels.blocks import BlockGate, rank_split
 from repro.kernels.product import product_fill
-from repro.kernels.tables import GATHER_CACHE
+from repro.kernels.tables import GATHER_CACHE, _build_diagonal_tensor
 from repro.kernels.cost import KernelCostModel
 from repro.statevector.state import StateVector
 from repro.telemetry.runtime import NULL_TELEMETRY, Telemetry
@@ -47,7 +47,8 @@ from repro.util.bits import bit_mask, extract_bits, scatter_bits
 __all__ = ["DistributedState", "NeedsSwapError"]
 
 #: Logical qubits per chunk of :meth:`DistributedState.logical_chunks`
-#: (1 MiB of complex128): bounds the transient of a streamed digest.
+#: (1 MiB of complex128): bounds the transient of a streamed digest, and
+#: the factors of a product write (the engine's product prefix).
 _CHUNK_QUBITS = 16
 
 
@@ -83,6 +84,20 @@ def _write_shard(shard, *, factors, scale):
     _scale_into(shard, shard, scale)
 
 
+def _apply_to_factor(vector, gate, positions):
+    """*gate* on bits *positions* of the factor *vector*, in place, with
+    the kernel :meth:`DistributedState._sweep` picks for it."""
+    width = vector.size.bit_length() - 1
+    if not gate.targets:
+        apply_diagonal_factor(
+            vector, _build_diagonal_tensor(gate.blocks[:, 0, 0], positions, width)
+        )
+    elif len(positions) > SWEEP_MAX_QUBITS:
+        apply_gate_reference(vector, gate.dense(), positions)
+    else:
+        DenseSweep(width, gate, positions, vector.dtype).apply(vector)
+
+
 class NeedsSwapError(RuntimeError):
     """Raised when a gate requires a global-to-local swap first."""
 
@@ -110,9 +125,9 @@ class DistributedState:
     init fill: the record its constructor takes is voided by any later
     call that may write the storage (:attr:`ShardStorage.writes` counts
     them, a ``get`` of a writable shard included).  On a fresh state
-    :meth:`apply_disjoint` writes what a run of ops on disjoint qubits
-    leaves in one pass (:meth:`write_product`) instead of one sweep per
-    op.
+    :meth:`apply_factored` writes what a run of ops leaves in one pass
+    (:meth:`write_product`: the ops run on small factors of the product
+    state, which is then written) instead of one sweep per op.
     """
 
     def __init__(
@@ -269,10 +284,14 @@ class DistributedState:
         # Physical index of each in-chunk logical index; a chunk's own
         # number lands on the remaining, disjoint bit positions.
         inner = scatter_bits(np.arange(1 << c, dtype=np.int64), positions[:c])
+        # The rank bits a chunk spans: every value of those of its
+        # qubits that are global.
+        ranked = [b - l for b in positions[:c] if b >= l]
         parts = []  # (rank bits, chunk slots, in-shard offsets) per rank
-        for rank_bits in np.unique(inner >> l):
+        spanned = scatter_bits(np.arange(1 << len(ranked)), ranked)
+        for rank_bits in spanned.tolist():
             slots = np.flatnonzero(inner >> l == rank_bits)
-            parts.append((int(rank_bits), slots, inner[slots] & offset_mask))
+            parts.append((rank_bits, slots, inner[slots] & offset_mask))
         out = np.empty(1 << c, dtype=self.storage.dtype)
         for chunk in range(1 << (n - c)):
             base = scatter_bits(chunk, positions[c:])
@@ -359,12 +378,12 @@ class DistributedState:
         """
         self._sweep(gate, self.layout.bits(qubits))
 
-    def apply_disjoint(
+    def apply_factored(
         self, ops: Sequence[tuple[BlockGate, Sequence[int]]]
     ) -> None:
-        """Apply ``(gate, qubits)`` *ops* on pairwise disjoint qubits: on
-        a fresh state one :meth:`write_product`, on any other one by one
-        through :meth:`apply_compiled`."""
+        """Apply ``(gate, qubits)`` *ops*: on a fresh state one
+        :meth:`write_product`, on any other one by one through
+        :meth:`apply_compiled`."""
         if self.fresh_init is not None:
             self.write_product(ops)
             return
@@ -376,12 +395,17 @@ class DistributedState:
     ) -> None:
         """Overwrite a fresh state with what *ops* leave, in one pass.
 
-        *ops* are ``(gate, qubits)`` pairs on pairwise disjoint logical
-        qubits.  On the product state :attr:`fresh_init` names, each
-        leaves a product state: its factor is its gate applied to ``|0>``
-        or ``|+>`` on its own qubits, and every other qubit keeps its
-        ``|0>`` or ``|+>`` (``(1, 0)``, or ``(1, 1)`` with the norms folded
-        into the first factor: exact).
+        *ops* are ``(gate, qubits)`` pairs on logical qubits.  The product
+        state :attr:`fresh_init` names stays a product under them: one
+        *factor* per group of qubits that ops joined, every other qubit
+        keeping its ``|0>`` or ``|+>`` (``(1, 0)``, or ``(1, 1)`` with the
+        norms folded into the first factor: exact).  An op Kronecker-joins
+        the factors it touches, with ``|0>`` or ``|+>`` on its qubits no
+        factor holds yet, and then runs on that factor in place, with the
+        kernels of :meth:`_sweep` (the dense sweep, or the phase multiply
+        when it has no targets).  A factor is as large as its group: the
+        caller bounds the groups (the engine's product prefix keeps them
+        within :data:`_CHUNK_QUBITS` qubits, 1 MiB).
 
         A rank's shard is then the product of the factor slices its rank
         bits pick: the factors with local bits give one array
@@ -392,25 +416,38 @@ class DistributedState:
         shards fills each distinct array once and scales it into its ranks;
         other storage gets one overwriting kernel per rank through
         ``storage.sweep`` (which ``DiskShards`` stores without loading).
-        No temporary is larger than a shard.  The cost model records one
-        pass.  Writing the storage ends the state's freshness.
+        No temporary is larger than a shard or a factor.  The cost model
+        records one pass.  Writing the storage ends the state's freshness.
         """
         init = self.fresh_init
         if init is None:
             raise RuntimeError("write_product needs a freshly initialised state")
         plus = init == "plus"
-        factors, touched = [], set()
+        groups: list[tuple[list[int], np.ndarray]] = []
         for gate, qubits in ops:
-            k = len(qubits)
-            vector = np.full(1 << k, 0.5 ** (k / 2) if plus else 0.0, complex)
+            joined = [g for g in groups if not set(g[0]).isdisjoint(qubits)]
+            groups = [g for g in groups if set(g[0]).isdisjoint(qubits)]
+            held = {q for names, _ in joined for q in names}
+            names = [q for q in qubits if q not in held]
+            vector = np.full(
+                1 << len(names), 0.5 ** (len(names) / 2) if plus else 0.0,
+                complex,
+            )
             if not plus:
                 vector[0] = 1.0
-            factors.append((self.layout.bits(qubits), gate.apply(vector)))
-            touched.update(qubits)
-        untouched = [q for q in range(self.num_qubits) if q not in touched]
+            for other, factor in joined:  # its qubits go above the ones before
+                names += other
+                vector = np.kron(factor, vector)
+            groups.append((names, vector))
+            _apply_to_factor(vector, gate, [names.index(q) for q in qubits])
+        factors = [(self.layout.bits(names), vector) for names, vector in groups]
+        untouched = [
+            q for q in range(self.num_qubits)
+            if all(q not in names for names, _ in groups)
+        ]
         if plus:  # (1, 1) is what product_fill assumes of a bit no factor owns
-            bits, vector = factors[0]
-            factors[0] = (bits, vector * 0.5 ** (len(untouched) / 2))
+            _, vector = factors[0]
+            vector *= 0.5 ** (len(untouched) / 2)
         else:
             zero = np.array([1.0, 0.0], dtype=complex)
             factors += [((self.bit_position(q),), zero) for q in untouched]
@@ -424,18 +461,23 @@ class DistributedState:
                 scales *= vector[extract_bits(ranks, [b - l for b in bits])]
             else:
                 (crossing if max(bits) >= l else local).append((bits, vector))
-        # Ranks agreeing on the rank bits of the crossing factors share
-        # their local array.
+        # Ranks agreeing on the rank bits of a crossing factor share its
+        # slice; ranks agreeing on those of all of them, the local array.
+        masks = [
+            bit_mask([b - l for b in bits if b >= l]) for bits, _ in crossing
+        ]
         picks = bit_mask([b - l for bits, _ in crossing for b in bits if b >= l])
         slices = {}
 
-        def local_factors(rank):
-            key = rank & picks
+        def slice_of(i, rank):
+            key = (i, rank & masks[i])
             if key not in slices:
-                slices[key] = local + [
-                    _rank_slice(bits, vector, l, key) for bits, vector in crossing
-                ]
+                bits, vector = crossing[i]
+                slices[key] = _rank_slice(bits, vector, l, key[1])
             return slices[key]
+
+        def local_factors(rank):
+            return local + [slice_of(i, rank) for i in range(len(crossing))]
 
         block = self.storage.local_block()
         with self.telemetry.tracer.span(

@@ -115,14 +115,6 @@ class BlockGate:
             self.blocks[scatter_bits(np.arange(1 << len(free)), free) | value],
         )
 
-    def apply(self, vector: np.ndarray) -> np.ndarray:
-        """The gate applied to a ``2**num_bits`` *vector*, block by block
-        (no ``2**k x 2**k`` matrix is formed)."""
-        index = block_index(self.num_bits, self.controls)
-        out = np.empty(vector.shape, np.result_type(vector, self.blocks))
-        out[index] = np.matmul(self.blocks, vector[index][..., None])[..., 0]
-        return out
-
     def dense(self) -> np.ndarray:
         """The full ``2**k x 2**k`` matrix (zero off the blocks)."""
         index = block_index(self.num_bits, self.controls)

@@ -11,6 +11,6 @@ def _run_op(plan_op, state) -> None:
 
 
 def _run_product(plan_ops, state) -> None:
-    """The product prefix: the plan's leading kernel ops, on pairwise
-    disjoint qubits (:meth:`DistributedState.apply_disjoint`)."""
-    state.apply_disjoint([(op.gate, op.qubits) for op in plan_ops])
+    """The product prefix: the plan's leading kernel ops that keep the
+    state factored (:meth:`DistributedState.apply_factored`)."""
+    state.apply_factored([(op.gate, op.qubits) for op in plan_ops])

@@ -9,10 +9,10 @@ composed onto that loop.  The front doors (``run_schedule``,
 ``CompiledProgram.execute``, ``ResilientExecutor``) build an engine plus
 the matching layer stack.
 
-Its first unit is the *product prefix*: the leading plan ops on
-pairwise disjoint qubits, which a fresh state takes as one write of the
-product state they leave and any other state op by op
-(:func:`_product_prefix`).
+Its first unit is the *product prefix*: the leading plan ops that keep
+the fresh product state factored into groups of at most 16 qubits, which
+a fresh state takes as one write of the product state they leave and
+any other state op by op (:func:`_product_prefix`).
 
 The loop records its own op spans: with an active ``telemetry=`` bundle
 every op attempt is one span (``op_index`` and ``stage`` attributes,
@@ -37,7 +37,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
 
-from repro.distributed.state import DistributedState
+from repro.distributed.state import _CHUNK_QUBITS, DistributedState
 from repro.distributed.tracing import ExecutionTrace
 from repro.runtime.policy import RecoveryReport, RetryPolicy
 from repro.telemetry.runtime import NULL_TELEMETRY, Telemetry
@@ -54,7 +54,8 @@ class ExecUnit:
     """One step of the canonical loop.
 
     Wraps a plan op (possibly covering several fused source ops), the
-    product prefix (several plan ops), or, in the naive
+    product prefix (several plan ops, written as one factored product
+    state when the state is fresh), or, in the naive
     :meth:`ExecutionEngine.for_circuit` mode, one circuit gate.
     ``op_index`` is the first covered position in the schedule's op
     stream; ``kind``/``label``/``stage`` are what the engine's op span
@@ -159,15 +160,26 @@ class EngineResult:
 
 
 def _product_prefix(ops) -> int:
-    """How many leading plan ops are kernel ops on pairwise disjoint
-    qubits, targets and controls alike: a fresh state takes them as one
-    product write (:meth:`DistributedState.write_product`)."""
-    seen: set[int] = set()
+    """How many leading plan ops are kernel ops that keep every factor of
+    the product state within :data:`_CHUNK_QUBITS` qubits: a fresh state
+    takes them as one product write
+    (:meth:`DistributedState.write_product`).
+
+    An op joins the groups of qubits (targets and controls alike) the
+    ops before it joined; the prefix stops at the first swap or
+    passthrough, and at the first op whose group would pass the bound
+    (a factor of 16 qubits is 1 MiB of complex128, whatever ``l`` is).
+    """
+    group_of: dict[int, set[int]] = {}
     for count, plan_op in enumerate(ops):
-        kernel = plan_op.exec_kind in ("kernel", "fused_kernel")
-        if not kernel or not seen.isdisjoint(plan_op.qubits):
+        if plan_op.exec_kind not in ("kernel", "fused_kernel"):
             return count
-        seen.update(plan_op.qubits)
+        group = set(plan_op.qubits).union(
+            *(group_of.get(q, ()) for q in plan_op.qubits)
+        )
+        if len(group) > _CHUNK_QUBITS:
+            return count
+        group_of.update(dict.fromkeys(group, group))
     return len(ops)
 
 
@@ -210,10 +222,11 @@ def _units_from_plan(plan) -> tuple[list[ExecUnit], list[ExecUnit]]:
 class ExecutionEngine:
     """Replays a compiled program through one loop.
 
-    One unit per plan op, except the leading plan ops on pairwise
-    disjoint qubits, which are one unit: on a fresh state it writes the
-    product state they leave in one pass, on any other state it runs
-    them one by one.  The engine's default state is fresh; an explicit
+    One unit per plan op, except the product prefix (the leading kernel
+    ops, up to where a group of qubits they join would pass 16 qubits,
+    :func:`_product_prefix`), which is one unit: on a fresh state it
+    writes the product state they leave in one pass, on any other state
+    it runs them one by one.  The engine's default state is fresh; an explicit
     or a layer-provided one is what its own record says (a checkpoint
     load writes every shard, so it is not).  A run resuming inside that
     unit runs its remaining plan ops one by one.

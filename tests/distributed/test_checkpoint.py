@@ -25,7 +25,7 @@ class Killed(RuntimeError):
 
 
 class KillBefore(RuntimeLayer):
-    """Raises :class:`Killed` before the plan unit of index *unit_index*."""
+    """Raises :class:`Killed` before the engine unit of index *unit_index*."""
 
     def __init__(self, unit_index):
         self.unit_index = unit_index
@@ -46,7 +46,7 @@ def workload():
 def run_checkpointed(mgr, sched, *, every=8, kill_before=None, resume=False):
     """Run *sched*, checkpointing into *mgr* every *every* ops.
 
-    ``kill_before`` raises :class:`Killed` before the plan unit of that
+    ``kill_before`` raises :class:`Killed` before the engine unit of that
     index; ``resume`` continues from the checkpoint in *mgr*.
     """
     layers = [CheckpointLayer(mgr, every=every, resume=resume)]
@@ -55,9 +55,15 @@ def run_checkpointed(mgr, sched, *, every=8, kill_before=None, resume=False):
     return DistributedSimulator(N, L).run_schedule(sched, layers=layers).state
 
 
+def units_of(sched):
+    """The engine's units: one per plan op, but one for the product
+    prefix (here all of the first stage's ops)."""
+    return ExecutionEngine(sched).units
+
+
 def first_op_of(sched, unit_index):
-    """Schedule-op index at which plan unit *unit_index* starts."""
-    return plan_for(sched).ops[unit_index].sources[0].op_index
+    """Schedule-op index at which engine unit *unit_index* starts."""
+    return units_of(sched)[unit_index].op_index
 
 
 class TestCheckpointManager:
@@ -73,7 +79,7 @@ class TestCheckpointManager:
         sched, ref = workload
         mgr = CheckpointManager(tmp_path)
         with pytest.raises(Killed):
-            run_checkpointed(mgr, sched, every=3, kill_before=5)
+            run_checkpointed(mgr, sched, every=3, kill_before=3)
         state = run_checkpointed(mgr, sched, every=3, resume=True)
         assert state.to_statevector().allclose(ref, atol=1e-9)
 
@@ -84,7 +90,7 @@ class TestCheckpointManager:
             CheckpointManager(tmp_path / "clean"), sched, every=0
         )
         with pytest.raises(Killed):
-            run_checkpointed(mgr, sched, every=2, kill_before=4)
+            run_checkpointed(mgr, sched, every=2, kill_before=3)
         resumed = run_checkpointed(mgr, sched, resume=True)
         assert resumed.stats.alltoall_steps == clean.stats.alltoall_steps
         assert resumed.kernel_cost.total_calls == clean.kernel_cost.total_calls
@@ -95,9 +101,7 @@ class TestCheckpointManager:
         mgr = CheckpointManager(tmp_path)
         # Fail right after the first swap so the layout is non-trivial.
         swap_unit = next(
-            i
-            for i, op in enumerate(plan_for(sched).ops)
-            if op.exec_kind == "swap"
+            i for i, unit in enumerate(units_of(sched)) if unit.is_swap
         )
         with pytest.raises(Killed):
             run_checkpointed(mgr, sched, every=1, kill_before=swap_unit + 1)
@@ -117,7 +121,7 @@ class TestCheckpointManager:
         sched, _ = workload
         reference = DistributedSimulator(N, L).run_schedule(sched).state
         ref_data = reference.to_statevector().data
-        for stop in range(len(plan_for(sched).ops)):
+        for stop in range(len(units_of(sched))):
             mgr = CheckpointManager(tmp_path / f"stop{stop}")
             with pytest.raises(Killed):
                 run_checkpointed(mgr, sched, every=1, kill_before=stop)
@@ -136,12 +140,12 @@ class TestCheckpointManager:
         sched, ref = workload
         mgr = CheckpointManager(tmp_path)
         with pytest.raises(Killed):
-            run_checkpointed(mgr, sched, every=2, kill_before=2)
+            run_checkpointed(mgr, sched, every=2, kill_before=1)
         _, first_stop = mgr.load()
         assert first_stop < len(list(sched.operations()))
         # Second crash, two units further along.
         with pytest.raises(Killed):
-            run_checkpointed(mgr, sched, every=2, kill_before=4, resume=True)
+            run_checkpointed(mgr, sched, every=2, kill_before=3, resume=True)
         _, second_stop = mgr.load()
         assert second_stop > first_stop
         final = run_checkpointed(mgr, sched, every=2, resume=True)

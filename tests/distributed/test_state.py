@@ -1,8 +1,13 @@
 """Tests for DistributedState: layout, swaps, specialization."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.circuit import generate_supremacy_circuit
 from repro.distributed import DistributedSimulator, DistributedState, NeedsSwapError
 from repro.gates import Gate, random_unitary
@@ -38,6 +43,26 @@ class TestConstruction:
         assert d.global_qubit_set() == {1, 3}
         # zero state is layout-invariant
         assert d.to_statevector().probability_of(0) == pytest.approx(1.0)
+
+    def test_first_gather_imports_no_masked_arrays(self):
+        """A fresh process's first gather leaves ``numpy.ma`` unimported
+        (``np.unique`` imports it, a tenth of a second on first use)."""
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)),
+        )
+        code = (
+            "import sys\n"
+            "from repro.distributed import DistributedState\n"
+            "state = DistributedState(10, 7, initial_global_qubits={0, 4, 9})\n"
+            "assert state.to_statevector().probability_of(0) == 1\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=120, check=True,
+        )
+        assert done.stdout.split() == ["False"], done.stdout
 
     def test_initial_global_size_checked(self):
         with pytest.raises(ValueError):

@@ -286,16 +286,18 @@ class TestBlockGates:
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_apply_to_a_gate_sized_vector(self, k):
-        """``BlockGate.apply`` (block by block) is the dense matrix times
-        the vector, for every control count."""
+        """The sweep over a vector no larger than its gate (how a product
+        write runs an op on a factor) is the dense matrix times the
+        vector, for every control count."""
         rng = np.random.default_rng(k)
         for d in range(k + 1):
             controls = tuple(int(j) for j in rng.permutation(k)[:d])
             gate = _block_gate(k, controls, rng)
             vector = rng.normal(size=1 << k) + 1j * rng.normal(size=1 << k)
-            assert np.allclose(
-                gate.apply(vector), gate.dense() @ vector, atol=1e-12
+            swept = DenseSweep(k, gate, range(k), np.complex128).apply(
+                vector.copy()
             )
+            assert np.allclose(swept, gate.dense() @ vector, atol=1e-12)
 
     @pytest.mark.parametrize("name", ["inside-window", "slab-mixed", "above-slab-run"])
     def test_block_ranges_partition_the_sweep(self, name):

@@ -1,13 +1,17 @@
-"""The product prefix: a fresh state's leading ops on disjoint qubits.
+"""The product prefix: a fresh state's leading ops, kept factored.
 
-The engine runs the leading plan ops whose qubit sets are pairwise
-disjoint as one unit.  On a fresh state (its init fill and nothing
-since) that unit is one write of the product state those ops leave
-(``DistributedState.write_product``); on any other state it runs the
-ops one by one.  Both must agree with the single-node oracle.
+The engine runs the leading kernel ops as one unit, up to the first op
+that would join a group of more than 16 qubits (or a swap or a
+passthrough).  On a fresh state (its init fill and nothing since) that
+unit is one write of the product state those ops leave, each op applied
+to the factor of its group (``DistributedState.write_product``); on any
+other state it runs the ops one by one.  Both must agree with the
+single-node oracle.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -37,6 +41,22 @@ def _case(n, l, seed, *, plus=True, depth=8):
     return circuit, schedule
 
 
+def _groups(ops):
+    """The qubit groups *ops* join, targets and controls alike."""
+    groups = []
+    for op in ops:
+        joined = [g for g in groups if g & set(op.qubits)]
+        groups = [g for g in groups if g not in joined]
+        groups.append(set(op.qubits).union(*joined))
+    return groups
+
+
+def _merged(ops):
+    """True when two of *ops* share a qubit (the prefix is not disjoint)."""
+    qubits = [q for op in ops for q in op.qubits]
+    return len(qubits) > len(set(qubits))
+
+
 def _written(state):
     """*state* with a shard set to its own amplitudes: not fresh."""
     state.storage.set(0, state.storage.read(0).copy())
@@ -62,7 +82,8 @@ class TestOracle:
     @pytest.mark.parametrize(
         "n, l, seed",
         [(8, 5, 0), (9, 7, 1), (10, 5, 2), (11, 8, 3), (12, 6, 4),
-         (12, 10, 5), (13, 9, 6), (14, 7, 7), (14, 12, 8)],
+         (12, 10, 5), (13, 9, 6), (14, 7, 7), (14, 12, 8),
+         (18, 10, 0), (18, 13, 1)],
     )
     def test_fresh_write_matches_oracle_and_fallback(
         self, writes, n, l, seed, plus
@@ -70,8 +91,9 @@ class TestOracle:
         circuit, schedule = _case(n, l, seed, plus=plus)
         oracle = Simulator(n).run(circuit).state
         fresh = ExecutionEngine(schedule).run().state
-        prefix = _product_prefix(plan_for(schedule).ops)
-        assert prefix >= 1 and writes == [prefix]
+        ops = plan_for(schedule).ops
+        prefix = _product_prefix(ops)
+        assert prefix >= 2 and writes == [prefix] and _merged(ops[:prefix])
         fallback = ExecutionEngine(schedule).run(
             state=_written(DistributedState.for_schedule(schedule))
         ).state
@@ -80,11 +102,13 @@ class TestOracle:
         assert got.allclose(oracle, atol=1e-12)
         assert got.allclose(fallback.to_statevector(), atol=1e-12)
 
-    @pytest.mark.parametrize("n, l", [(12, 7), (13, 9)])
+    @pytest.mark.parametrize("n, l", [(12, 7), (13, 9), (18, 11)])
     def test_storage_layouts_agree_bit_for_bit(self, tmp_path, writes, n, l):
         """The block of all shards and the rank-by-rank write do the same
         arithmetic on every amplitude."""
         _, schedule = _case(n, l, 9)
+        ops = plan_for(schedule).ops
+        assert _merged(ops[:_product_prefix(ops)])
         block = DistributedSimulator(n, l).run_schedule(schedule).state
         assert block.storage.local_block() is not None
         with DiskShards(1 << (n - l), 1 << l, tmp_path) as disk:
@@ -196,10 +220,18 @@ class TestResume:
         return ExecutionEngine(schedule, layers=[layer])
 
     def test_at_a_plan_op_inside_the_prefix(self, tmp_path, writes):
-        _, schedule = _case(10, 7, 4)
+        self._check_every_resume_point(tmp_path, writes, 10, 7)
+
+    def test_at_a_plan_op_inside_a_prefix_of_joined_groups(
+        self, tmp_path, writes
+    ):
+        self._check_every_resume_point(tmp_path, writes, 18, 11)
+
+    def _check_every_resume_point(self, tmp_path, writes, n, l):
+        _, schedule = _case(n, l, 4)
         ops = plan_for(schedule).ops
         prefix = ops[:_product_prefix(ops)]
-        assert len(prefix) >= 2
+        assert len(prefix) >= 2 and _merged(prefix)
         for done in range(1, len(prefix)):
             engine = self._resumed(
                 tmp_path / str(done), schedule,
@@ -243,15 +275,47 @@ class TestUnit:
         )
 
     def test_prefix_stops_at_first_overlap(self):
+        """An overlap ends the prefix only when it would join more than 16
+        qubits; with 12 qubits none does, so the prefix ends at the
+        first swap or passthrough."""
         _, schedule = _case(12, 8, 6)
         ops = plan_for(schedule).ops
         prefix = _product_prefix(ops)
-        seen = [q for op in ops[:prefix] for q in op.qubits]
-        assert len(seen) == len(set(seen))
-        follower = ops[prefix]
-        assert follower.exec_kind not in ("kernel", "fused_kernel") or set(
-            follower.qubits
-        ) & set(seen)
+        assert _merged(ops[:prefix])
+        assert ops[prefix].exec_kind in ("swap", "passthrough")
+        assert all(
+            op.exec_kind in ("kernel", "fused_kernel") for op in ops[:prefix]
+        )
+
+
+class TestBound:
+    """A group of qubits the prefix's ops join holds at most 16 (1 MiB
+    of complex128), whatever ``l`` is."""
+
+    @staticmethod
+    def _kernel(*qubits):
+        return SimpleNamespace(exec_kind="kernel", qubits=qubits)
+
+    def test_stops_exactly_where_a_group_would_pass_16(self):
+        k = self._kernel
+        ops = [k(*range(8)), k(*range(8, 16)), k(7, 8), k(20, 21), k(15, 16)]
+        assert _product_prefix(ops) == 4
+        assert _product_prefix(ops[:4] + [k(0, 15)]) == 5
+        ops[3] = k(16)  # a group of one, which k(15, 16) joins to 16
+        assert _product_prefix(ops) == 4
+        assert _product_prefix(ops[:2] + [k(0, 8, 16)]) == 2
+        swap = SimpleNamespace(exec_kind="swap", qubits=(0,))
+        assert _product_prefix([k(0), swap, k(1)]) == 1
+
+    @pytest.mark.parametrize("plus", [True, False])
+    @pytest.mark.parametrize("n, l", [(20, 12), (20, 17), (18, 10)])
+    def test_real_prefix_stops_at_the_bound(self, n, l, plus):
+        _, schedule = _case(n, l, 0, plus=plus)
+        ops = plan_for(schedule).ops
+        prefix = _product_prefix(ops)
+        assert max(map(len, _groups(ops[:prefix]))) <= 16
+        assert ops[prefix].exec_kind in ("kernel", "fused_kernel")
+        assert max(map(len, _groups(ops[:prefix + 1]))) > 16
 
 
 class TestAccounting:
@@ -262,6 +326,7 @@ class TestAccounting:
         _, schedule = _case(14, 7, 2, depth=16)
         ops = plan_for(schedule).ops
         prefix = _product_prefix(ops)
+        assert _merged(ops[:prefix])
         fresh = DistributedSimulator(14, 7).run_schedule(schedule)
         fallback = DistributedSimulator(14, 7).run_schedule(
             schedule, state=_written(DistributedState.for_schedule(schedule))
@@ -296,6 +361,44 @@ class TestDisk:
             state.flush()
             assert disk.io_stats["bytes_read"] == read
             assert disk.io_stats["shard_loads"] == 0
+
+
+class TestFactors:
+    def test_overlapping_ops_of_every_kernel(self, tmp_path):
+        """Ops joining groups, each run on its group's factor with the
+        kernel a sweep would pick (phase multiply, dense sweep, tensordot
+        beyond 8 qubits), global controls included: both storage layouts
+        agree bit for bit and match the op-by-op sweeps."""
+        n, l = 12, 9
+        rng = np.random.default_rng(1)
+
+        def phases(k):
+            return BlockGate.diagonal(np.exp(1j * rng.uniform(0, 6, 1 << k)))
+
+        ops = [
+            (phases(2), (9, 11)),
+            (BlockGate.of(random_unitary(2, rng)), (0, 3)),
+            (BlockGate(3, (2,), np.stack(
+                [random_unitary(2, rng) for _ in range(2)]
+            )), (5, 6, 10)),
+            (phases(2), (3, 5)),
+            (BlockGate.of(random_unitary(2, rng)), (1, 0)),
+            (BlockGate.of(random_unitary(9, rng)), tuple(range(8, -1, -1))),
+            (phases(2), (11, 2)),
+        ]
+        for init in ("plus", "zero"):
+            block = DistributedState(n, l, init=init)
+            block.write_product(ops)
+            with DiskShards(1 << (n - l), 1 << l, tmp_path / init) as disk:
+                by_rank = DistributedState(n, l, init=init, storage=disk)
+                by_rank.write_product(ops)
+                by_rank = by_rank.to_statevector()
+            swept = DistributedState(n, l, init=init)
+            for gate, qubits in ops:
+                swept.apply_compiled(gate, qubits)
+            got = block.to_statevector()
+            assert np.array_equal(got.data, by_rank.data)
+            assert got.allclose(swept.to_statevector(), atol=1e-12)
 
 
 class TestRankScalars:

@@ -180,15 +180,23 @@ class TestEndToEnd:
         assert res.state.to_statevector().allclose(ref, atol=1e-9)
 
     def test_absorption_removes_diagonal_sweeps(self):
+        """Counted on states written since their init fill, so that the
+        leading ops run as sweeps, not as one product write."""
         n, depth, l = 14, 12, 9
         circ = generate_supremacy_circuit(n, depth, seed=1)
         sched = schedule_circuit(
             circ, SchedulerConfig(local_qubits=l, kmax=4, seed=2)
         )
+
+        def written():
+            state = DistributedState.for_schedule(sched)
+            state.storage.set(0, state.storage.read(0).copy())
+            return state
+
         unfused = DistributedSimulator(n, l).run_schedule(
-            sched, plan_config=PlanConfig(fusion_kmax=0)
+            sched, plan_config=PlanConfig(fusion_kmax=0), state=written()
         )
-        res_abs = DistributedSimulator(n, l).run_schedule(sched)
+        res_abs = DistributedSimulator(n, l).run_schedule(sched, state=written())
         assert res_abs.kernel_cost.diagonal_calls < max(
             unfused.kernel_cost.diagonal_calls, 1
         )

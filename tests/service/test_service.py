@@ -399,7 +399,8 @@ class TestCancelLayer:
         job = Job(job_id="j", spec=spec, plan_entry=plans.get(spec))
         engine = ExecutionEngine(
             job.plan_entry.program,
-            layers=[_TripAfter(job, 3), CancelLayer(job)],
+            # Three units: the product prefix, a swap, a cluster.
+            layers=[_TripAfter(job, 2), CancelLayer(job)],
             telemetry=Telemetry.spans_only(),
         )
         with pytest.raises(JobCancelled, match="tripped"):

@@ -100,7 +100,7 @@ class TestCleanRuns:
 class TestNaNDetection:
     @pytest.mark.parametrize("unit", [0, 2, 5])
     def test_nan_pinned_to_exact_op_index(self, unit):
-        sched = make_schedule()
+        sched = make_schedule(depth=16)  # seven units
         op_index = unit_starts(sched)[unit]
         _, report = sanitized_run(
             sched, corrupt_during={op_index: poison_nan()}
@@ -176,7 +176,7 @@ class TestChecksumDivergence:
 
 class TestNormTracking:
     def test_norm_drift_detected_and_pinned(self):
-        sched = make_schedule()
+        sched = make_schedule(depth=16)
         k = unit_starts(sched)[3]
         _, report = sanitized_run(
             sched, corrupt_during={k: flip_amplitude(delta=0.25)}
