@@ -200,11 +200,15 @@ class DistributedState:
             if first:
                 shard[0] = 1.0
 
-        self.storage.sweep(
-            lambda r: partial(fill, first=init == "zero" and r == 0),
-            label=f"init {init}",
-            overwrites=True,
-        )
+        block = self.storage.local_block()
+        if block is not None:
+            fill(block, init == "zero")
+        else:
+            self.storage.sweep(
+                lambda r: partial(fill, first=init == "zero" and r == 0),
+                label=f"init {init}",
+                overwrites=True,
+            )
         self._fresh = (init, self.storage.writes)
 
     @property
@@ -675,12 +679,16 @@ class DistributedState:
         Composes *transpositions* (the caller adopts the layout they lead
         to) into a single axis permutation of the shard viewed
         one axis per run of bits that move together, and applies it with
-        one strided ``np.copyto`` per rank — bit-exact with the per-swap
-        SWAP kernels it replaces (a pure index shuffle touches no
-        amplitude arithmetic) at a fraction of the memory traffic, and
-        with no index table of any size.  Swap/kernel counters still
-        advance once per transposition so ``CommStats`` and the cost
-        model keep their Sec. 3.4 accounting.
+        strided ``np.copyto`` calls — bit-exact with the per-swap SWAP
+        kernels it replaces (a pure index shuffle touches no amplitude
+        arithmetic) at a fraction of the memory traffic, and with no
+        index table of any size.  The shards of a block
+        (:meth:`ShardStorage.local_block`) go ``2**16 >> l`` at a time,
+        one copy per chunk of at most 1 MiB instead of one kernel per
+        shard; any other storage gets one kernel per rank through
+        ``storage.sweep``.  Swap/kernel counters still advance once per
+        transposition so ``CommStats`` and the cost model keep their
+        Sec. 3.4 accounting.
         """
         if not transpositions:
             return
@@ -703,32 +711,45 @@ class DistributedState:
         by_source = sorted(runs, reverse=True)
         shape = [1 << width for _, width in by_source]
         axes = [by_source.index(run) for run in runs]
+        # Axis 0 counts shards, each permuted alone.
+        order = [0] + [a + 1 for a in axes]
+        permuted_shape = [shape[a] for a in axes]
+
+        def permute(shards, buf):  # shards: (count, 2**l), via buf
+            staged = buf[:shards.size].reshape(-1, *permuted_shape)
+            np.copyto(staged, shards.reshape(-1, *shape).transpose(order))
+            np.copyto(shards, staged.reshape(shards.shape))
+
         with self.telemetry.tracer.span(
             "comm.staging_swap", kind="staging", swaps=len(transpositions)
         ):
-            # Scratch is allocated here and lent, one buffer per kernel
-            # that may run at once: one a pool thread allocated and freed
-            # would stay in that thread's malloc arena.
-            lent = queue.SimpleQueue()
-            for _ in range(self.storage.sweep_threads()):
-                lent.put(np.empty(1 << l, dtype=self.storage.dtype))
-            permuted_shape = [shape[a] for a in axes]
+            block = self.storage.local_block()
+            if block is not None:
+                shards = block.reshape(self.num_ranks, -1)
+                per = max(1, (1 << _CHUNK_QUBITS) >> l)
+                buf = np.empty(per << l, dtype=block.dtype)
+                for start in range(0, self.num_ranks, per):
+                    permute(shards[start:start + per], buf)
+            else:
+                # Scratch is allocated here and lent, one buffer per
+                # kernel that may run at once: one a pool thread
+                # allocated and freed would stay in that thread's malloc
+                # arena.
+                lent = queue.SimpleQueue()
+                for _ in range(self.storage.sweep_threads()):
+                    lent.put(np.empty(1 << l, dtype=self.storage.dtype))
 
-            def kernel(shard):
-                buf = lent.get()
-                try:
-                    np.copyto(
-                        buf.reshape(permuted_shape),
-                        shard.reshape(shape).transpose(axes),
-                    )
-                    shard[:] = buf
-                finally:
-                    lent.put(buf)
+                def kernel(shard):
+                    buf = lent.get()
+                    try:
+                        permute(shard.reshape(1, -1), buf)
+                    finally:
+                        lent.put(buf)
 
-            self.storage.sweep(
-                lambda r: kernel,
-                label=f"staging_swap transpositions={list(transpositions)}",
-            )
+                self.storage.sweep(
+                    lambda r: kernel,
+                    label=f"staging_swap transpositions={list(transpositions)}",
+                )
         for _ in transpositions:
             self.stats.record_local_swap()
             self.kernel_cost.record(self.num_qubits, 2)

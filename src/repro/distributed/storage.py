@@ -18,7 +18,9 @@ which stores it as its ``s``-th block.
 Loop order
 ----------
 Every writer in :class:`~repro.distributed.state.DistributedState` hands
-its per-rank kernels to :meth:`ShardStorage.sweep`.  The in-memory
+its per-rank kernels to :meth:`ShardStorage.sweep`, unless the backend
+keeps every shard in one block (:meth:`ShardStorage.local_block`),
+which the writers then take whole.  The in-memory
 backend runs them on the spot (large shards on every CPU, through the
 sweep pool of :mod:`repro.kernels`); :class:`DiskShards` *defers* them, keyed
 by file, and its stage flush streams every file through a RAM buffer
@@ -249,6 +251,14 @@ class InMemoryShards(ShardStorage):
     within noise (1.17–1.28 s one block, 1.20–1.26 s split), and
     ``dense_24q`` did not move (``run_s`` 0.40–0.42 s against 0.38–0.41 s,
     peak RSS 314.8 against 315.1 MiB).
+
+    The exchange transposes each group's matrix of blocks tile by tile
+    through two stage buffers.  On the block, a tile pair over as many
+    groups as the stage holds is four ``np.copyto`` calls (two in, two
+    transposed back); one array per shard takes ``4 * tile`` row copies.
+    On 1024 shards of ``2**11`` amplitudes (2-vCPU Xeon, median of 9,
+    two processes a side) the block copies took a q = 9 exchange from
+    27–29 to 8–10 ms and a q = 6 one from 12–14 to 4.5–6 ms.
     """
 
     def __init__(
@@ -302,55 +312,85 @@ class InMemoryShards(ShardStorage):
     def _exchange_blocks(self, swap_qubits: int) -> None:
         # shard[s] block t <-> shard[t] block s within each group: the
         # all-to-all of Fig. 3 is the transpose of the group's
-        # (group x group) matrix of blocks, done in place tile by tile.
-        # A tile pair costs 4*tile copies for tile**2 block swaps, so the
-        # many-rank, tiny-block exchanges (1024 ranks x 4-amplitude
-        # blocks) are not a Python loop over every pair of ranks; once
-        # eight blocks exceed _EXCHANGE_STAGE_BYTES the tile is one block
-        # and this is the pairwise swap.  Staging is two tiles.
-        group, block, _ = self._check_exchange_args(swap_qubits)
-        tile = 1
+        # (group x group) matrix of blocks, done in place tile by tile
+        # through two tiles of staging.  Once eight blocks exceed
+        # _EXCHANGE_STAGE_BYTES the tile is one block and this is the
+        # pairwise swap.
+        group, block, num_groups = self._check_exchange_args(swap_qubits)
         block_bytes = block * self.dtype.itemsize
+        tile = 1
         while (
             tile < group
             and 2 * (2 * tile) ** 2 * block_bytes <= _EXCHANGE_STAGE_BYTES
         ):
             tile *= 2
+        if self._block is None:
+            self._exchange_rows(group, block, tile)
+            return
+        # The block is (groups, group, group, block): a tile pair is four
+        # copies over `span` groups at once (two in, two transposed back),
+        # so 1024 ranks x 4-amplitude blocks take ~150 calls, not a
+        # Python loop over rows.
+        span = 1
+        while (
+            span < num_groups
+            and 2 * (2 * span) * tile ** 2 * block_bytes <= _EXCHANGE_STAGE_BYTES
+        ):
+            span *= 2
+        blocks = self._block.reshape(num_groups, group, group, block)
+        stage_a = np.empty((span, tile, tile, block), dtype=self.dtype)
+        stage_b = np.empty_like(stage_a)
+        back_a = stage_a.transpose(0, 2, 1, 3)
+        back_b = stage_b.transpose(0, 2, 1, 3)
+        for base in range(0, num_groups, span):
+            groups = blocks[base:base + span]
+            for i, j in self._exchange_tiles(group, tile):
+                a = groups[:, i:i + tile, j:j + tile]
+                np.copyto(stage_a, a)
+                if i == j:
+                    np.copyto(a, back_a)
+                    continue
+                b = groups[:, j:j + tile, i:i + tile]
+                np.copyto(stage_b, b)
+                np.copyto(a, back_b)
+                np.copyto(b, back_a)
+
+    def _exchange_rows(self, group: int, block: int, tile: int) -> None:
+        """The exchange over one array per shard: a tile pair costs
+        ``4 * tile`` row copies for ``tile**2`` block swaps."""
         stage_a = np.empty((tile, tile, block), dtype=self.dtype)
         stage_b = np.empty_like(stage_a)
         steps = range(tile)
-        rows_base = None
-        for base, i, j in self._exchange_tiles(group, tile):
-            if base != rows_base:
-                rows_base = base
-                rows = [
-                    shard.reshape(group, block)
-                    for shard in self._shards[base:base + group]
-                ]
-            if i == j:
+        for base in range(0, self.num_shards, group):
+            rows = [
+                shard.reshape(group, block)
+                for shard in self._shards[base:base + group]
+            ]
+            for i, j in self._exchange_tiles(group, tile):
+                if i == j:
+                    for a in steps:
+                        stage_a[a] = rows[i + a][i:i + tile]
+                    for a in steps:
+                        rows[i + a][i:i + tile] = stage_a[:, a]
+                    continue
                 for a in steps:
-                    stage_a[a] = rows[i + a][i:i + tile]
+                    stage_a[a] = rows[i + a][j:j + tile]
+                for b in steps:
+                    stage_b[b] = rows[j + b][i:i + tile]
                 for a in steps:
-                    rows[i + a][i:i + tile] = stage_a[:, a]
-                continue
-            for a in steps:
-                stage_a[a] = rows[i + a][j:j + tile]
-            for b in steps:
-                stage_b[b] = rows[j + b][i:i + tile]
-            for a in steps:
-                rows[i + a][j:j + tile] = stage_b[:, a]
-            for b in steps:
-                rows[j + b][i:i + tile] = stage_a[:, b]
+                    rows[i + a][j:j + tile] = stage_b[:, a]
+                for b in steps:
+                    rows[j + b][i:i + tile] = stage_a[:, b]
 
-    def _exchange_tiles(self, group: int, tile: int):
-        """Every ``(group base, tile row i, tile column j >= i)`` of one
+    @staticmethod
+    def _exchange_tiles(group: int, tile: int):
+        """Every ``(tile row i, tile column j >= i)`` of one group's
         exchange.  Each names a set of blocks no other tile touches (the
         tile and its mirror image), so tiles can run in any order.  A
         diagonal tile of one block stays put and is not listed."""
-        for base in range(0, self.num_shards, group):
-            for i in range(0, group, tile):
-                for j in range(i if tile > 1 else i + tile, group, tile):
-                    yield base, i, j
+        for i in range(0, group, tile):
+            for j in range(i if tile > 1 else i + tile, group, tile):
+                yield i, j
 
     def _permute_shards(self, permutation: np.ndarray) -> None:
         if self._block is None:

@@ -141,17 +141,23 @@ class TestPooledEqualsSerial:
     )
     def test_byte_for_byte(self, case, op, by_shard, cpus, seed):
         n, l, bits = case
-        saved = kernels._CPUS
-        kernels._CPUS = cpus
+        # A pool of `cpus` threads for this example alone: the process-wide
+        # one is started once, at the width of whichever run starts it.
+        saved = kernels._CPUS, kernels._pool
+        kernels._CPUS, kernels._pool = cpus, None
         try:
             pooled = _run(1, n, l, by_shard, op, bits, seed)
         finally:
-            kernels._CPUS = saved
+            if kernels._pool:
+                kernels._pool.shutdown(wait=True)
+                unregister_executor(kernels._pool)
+            kernels._CPUS, kernels._pool = saved
         serial = _run(SERIAL, n, l, by_shard, op, bits, seed)
         for got, want in zip(pooled, serial):
             assert got.tobytes() == want.tobytes()
 
-    def test_init_is_pooled(self, monkeypatch):
+    def _init_runs(self, monkeypatch):
+        """The ``run_split`` piece sizes one ``zero`` init fill uses."""
         monkeypatch.setattr(kernels, "SPLIT_MIN_AMPLITUDES", 1)
         seen = set()
         real = kernels.run_split
@@ -162,8 +168,18 @@ class TestPooledEqualsSerial:
 
         monkeypatch.setattr("repro.distributed.storage.run_split", spy)
         state = DistributedState(6, 4, init="zero")
-        assert seen == {1 << 4}
         assert state.storage.get(0)[0] == 1 and state.norm() == 1
+        return seen
+
+    def test_init_is_pooled(self, monkeypatch):
+        """Shards in arrays of their own are filled one kernel each, on
+        the pool."""
+        monkeypatch.setattr(storage_module, "_BLOCK_SHARD_BYTES", 0)
+        assert self._init_runs(monkeypatch) == {1 << 4}
+
+    def test_block_init_is_one_fill(self, monkeypatch):
+        """The block of small shards is filled once, in place."""
+        assert self._init_runs(monkeypatch) == set()
 
 
 class TestGlobalControls:
@@ -377,7 +393,7 @@ class TestTracedRunIsTheSameRun:
             runs[traced] = self._run(schedule, storage, traced, calls)
         (bare_calls, bare), (traced_calls, traced) = runs[False], runs[True]
         assert {call[0] for call in bare_calls} == {
-            "block": {"split_sweep", "storage.sweep"},
+            "block": {"split_sweep"},
             "arrays": {"split_sweep", "storage.sweep"},
             "disk serial": {"storage.sweep"},
             "disk pooled": {"storage.sweep", "stream_pooled"},

@@ -3,17 +3,51 @@
 import numpy as np
 import pytest
 
-from repro.distributed import DiskShards, InMemoryShards
+from repro.distributed import (
+    DiskShards,
+    DistributedState,
+    InMemoryShards,
+    QubitLayout,
+)
+from repro.distributed import storage as storage_module
+from repro.util.rng import random_statevector
 
 
-@pytest.fixture(params=["memory", "disk"])
-def storage_factory(request, tmp_path):
+def _in_memory(num_shards, shard_size, *, by_shard, monkeypatch):
+    """``InMemoryShards`` in the block of all shards, or (*by_shard*) one
+    array per shard, as it keeps shards past 128 KiB."""
+    with monkeypatch.context() as patch:
+        if by_shard:
+            patch.setattr(storage_module, "_BLOCK_SHARD_BYTES", 0)
+        storage = InMemoryShards(num_shards, shard_size)
+    assert (storage._block is None) == by_shard
+    return storage
+
+
+@pytest.fixture(params=["memory", "memory_by_shard", "disk"])
+def storage_factory(request, tmp_path, monkeypatch):
     def make(num_shards=4, shard_size=8):
-        if request.param == "memory":
-            return InMemoryShards(num_shards, shard_size)
-        return DiskShards(num_shards, shard_size, tmp_path)
+        if request.param == "disk":
+            return DiskShards(num_shards, shard_size, tmp_path)
+        return _in_memory(
+            num_shards, shard_size,
+            by_shard=request.param == "memory_by_shard",
+            monkeypatch=monkeypatch,
+        )
 
     return make
+
+
+#: (swap qubits, stage bytes, one array per shard); the ids of the block
+#: runs predate the per-shard ones.
+_TILINGS = [
+    pytest.param(
+        q, stage, by_shard, id=f"{q}-{stage}" + ("-by_shard" if by_shard else "")
+    )
+    for by_shard in (False, True)
+    for q in (1, 3, 5)
+    for stage in (1 << 6, 1 << 11, 1 << 20)
+]
 
 
 class TestShardStorage:
@@ -75,21 +109,19 @@ class TestShardStorage:
         for r in range(4):
             assert np.allclose(np.asarray(st.get(r)), originals[r])
 
-    @pytest.mark.parametrize("stage_bytes", [1 << 6, 1 << 11, 1 << 20])
-    @pytest.mark.parametrize("swap_qubits", [1, 3, 5])
+    @pytest.mark.parametrize("swap_qubits,stage_bytes,by_shard", _TILINGS)
     def test_in_memory_exchange_tiling(
-        self, monkeypatch, swap_qubits, stage_bytes
+        self, monkeypatch, swap_qubits, stage_bytes, by_shard
     ):
-        """Every tile size (one block, several tiles, one tile) moves
-        rank s's block b to rank b's block s, in place."""
-        from repro.distributed import storage as storage_module
-
+        """Every tile size (one block, several tiles, one tile; on the
+        block, tiles over one group or several) moves rank s's block b to
+        rank b's block s, in place."""
+        ranks, size, group = 64, 32, 1 << swap_qubits
+        block = size // group
+        st = _in_memory(ranks, size, by_shard=by_shard, monkeypatch=monkeypatch)
         monkeypatch.setattr(
             storage_module, "_EXCHANGE_STAGE_BYTES", stage_bytes
         )
-        ranks, size, group = 64, 32, 1 << swap_qubits
-        block = size // group
-        st = InMemoryShards(ranks, size)
         for r in range(ranks):
             st.get(r)[:] = np.arange(size) + 1j * r
         arrays = [st.get(r) for r in range(ranks)]
@@ -144,6 +176,55 @@ class TestShardStorage:
         with pytest.raises(ValueError, match="read-only"):
             view[0] = 2
         assert st.writes == before
+
+
+class TestSwapAcrossLayouts:
+    """``swap_global_set`` (renumbering, staging, exchange) leaves the same
+    bytes, layout and ``CommStats`` on the block of all shards, on one
+    array per shard and on ``DiskShards``, and the same logical state."""
+
+    @pytest.mark.parametrize(
+        "n,l,new_global,renumbers,stages",
+        [
+            pytest.param(10, 6, {5, 7, 8, 9}, False, False, id="q1-bare"),
+            pytest.param(10, 6, {0, 6, 8, 9}, True, True, id="q1-renumber-stage"),
+            # 16 groups of 2 ranks: a tile spans several groups
+            pytest.param(12, 7, {0, 8, 9, 10, 11}, False, True, id="q1-groups"),
+            # one group, which is one tile
+            pytest.param(10, 6, {0, 1, 2, 3}, False, True, id="q-is-g"),
+            # 16 ranks of 16 amplitudes: blocks of one amplitude
+            pytest.param(8, 4, {0, 1, 2, 3}, False, False, id="q-is-l"),
+            pytest.param(11, 6, {1, 4, 6, 9, 10}, True, True, id="q3-of-5"),
+        ],
+    )
+    def test_same_bytes_layout_and_stats(
+        self, n, l, new_global, renumbers, stages, tmp_path, monkeypatch
+    ):
+        amplitudes = random_statevector(n, seed=n + l)
+        step = QubitLayout.initial(n, l).plan_swap(new_global)
+        assert (step.rank_source is not None, bool(step.transpositions)) == (
+            renumbers, stages,
+        )
+        runs = {}
+        for name in ("block", "by_shard", "disk"):
+            if name == "disk":
+                storage = DiskShards(1 << (n - l), 1 << l, tmp_path)
+            else:
+                storage = _in_memory(
+                    1 << (n - l), 1 << l,
+                    by_shard=name == "by_shard", monkeypatch=monkeypatch,
+                )
+            state = DistributedState(n, l, storage=storage, init=None)
+            state._scatter(amplitudes)
+            state.swap_global_set(new_global)
+            assert state.global_qubit_set() == new_global
+            shards = [state.storage.read(r).tobytes() for r in range(1 << (n - l))]
+            logical = state.to_statevector().data.tobytes()
+            runs[name] = (shards, state.layout, state.stats, logical)
+            if name == "disk":
+                storage.close()
+        assert runs["block"] == runs["by_shard"] == runs["disk"]
+        assert runs["block"][3] == amplitudes.data.tobytes()
 
 
 class TestInMemorySpecific:
