@@ -121,13 +121,15 @@ class DistributedState:
         adopt the storage's contents as found (a reopened
         :class:`DiskShards` directory).
 
-    A state is *fresh* (:attr:`fresh_init`) while it holds exactly its
-    init fill: the record its constructor takes is voided by any later
-    call that may write the storage (:attr:`ShardStorage.writes` counts
-    them, a ``get`` of a writable shard included).  On a fresh state
-    :meth:`apply_factored` writes what a run of ops leaves in one pass
-    (:meth:`write_product`: the ops run on small factors of the product
-    state, which is then written) instead of one sweep per op.
+    The init is the storage's record (:meth:`ShardStorage.initialize`):
+    nothing is written until the first read or write.  A state is
+    *fresh* (:attr:`fresh_init`) while it holds exactly its init: any
+    writer of the storage ends that, a ``get`` of a writable shard
+    included; a read does not.  On a fresh state :meth:`apply_factored`
+    writes what a run of ops leaves in one pass (:meth:`write_product`:
+    the ops run on small factors of the product state, which is then
+    written over the pending init, so the init fill never runs) instead
+    of one sweep per op.
     """
 
     def __init__(
@@ -169,11 +171,8 @@ class DistributedState:
         self.kernel_cost = KernelCostModel()
         self.telemetry = NULL_TELEMETRY
         self.use_telemetry(telemetry)
-        #: ``(init, storage.writes)`` right after the init fill; the
-        #: state is fresh while the storage counts no write since.
-        self._fresh: tuple[str, int] | None = None
         if init is not None:
-            self._initialize(init)
+            storage.initialize(init)
 
     def use_telemetry(self, telemetry: Telemetry | None) -> None:
         """Attach (or detach, with ``None``) a telemetry bundle.
@@ -190,35 +189,13 @@ class DistributedState:
     # ------------------------------------------------------------------
     # Initialisation / conversion
     # ------------------------------------------------------------------
-    def _initialize(self, init: str) -> None:
-        if init not in ("zero", "plus"):
-            raise ValueError(f"unknown init {init!r}")
-        amp = 2.0 ** (-self.num_qubits / 2) if init == "plus" else 0
-
-        def fill(shard, first):
-            shard[:] = amp
-            if first:
-                shard[0] = 1.0
-
-        block = self.storage.local_block()
-        if block is not None:
-            fill(block, init == "zero")
-        else:
-            self.storage.sweep(
-                lambda r: partial(fill, first=init == "zero" and r == 0),
-                label=f"init {init}",
-                overwrites=True,
-            )
-        self._fresh = (init, self.storage.writes)
-
     @property
     def fresh_init(self) -> str | None:
-        """``"zero"`` or ``"plus"`` while the state holds exactly that
-        init fill, written by its constructor and nothing since; else
-        ``None`` (also for a state adopted with ``init=None``)."""
-        if self._fresh is None or self._fresh[1] != self.storage.writes:
-            return None
-        return self._fresh[0]
+        """``"zero"`` or ``"plus"`` while the storage holds exactly that
+        init, pending or written, and no writer has run since; else
+        ``None`` (also for storage that never held one, such as a
+        reopened :class:`DiskShards` directory)."""
+        return self.storage.fresh_init
 
     @property
     def num_ranks(self) -> int:
@@ -254,7 +231,7 @@ class DistributedState:
         storage: ShardStorage | None = None,
     ) -> "DistributedState":
         """Scatter a logical state vector onto shards (identity layout)."""
-        dist = cls(state.num_qubits, local_qubits, storage=storage)
+        dist = cls(state.num_qubits, local_qubits, storage=storage, init=None)
         dist._scatter(state)
         return dist
 
@@ -421,7 +398,8 @@ class DistributedState:
         other storage gets one overwriting kernel per rank through
         ``storage.sweep`` (which ``DiskShards`` stores without loading).
         No temporary is larger than a shard or a factor.  The cost model
-        records one pass.  Writing the storage ends the state's freshness.
+        records one pass.  The write takes the place of a pending init
+        fill, which then never runs, and ends the state's freshness.
         """
         init = self.fresh_init
         if init is None:
@@ -483,7 +461,7 @@ class DistributedState:
         def local_factors(rank):
             return local + [slice_of(i, rank) for i in range(len(crossing))]
 
-        block = self.storage.local_block()
+        block = self.storage.local_block(overwrites=True)
         with self.telemetry.tracer.span(
             "kernel.product", kind="kernel", ops=len(ops)
         ):

@@ -58,6 +58,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future, wait
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -89,12 +90,14 @@ class ShardStorage(abc.ABC):
     """Interface shared by the in-memory and on-disk shard backends.
 
     The public methods live here and a backend implements the ``_``
-    methods they call, so every call that may change amplitudes is
-    counted in one place, :attr:`writes`: the writers (:meth:`set`,
-    :meth:`sweep`, :meth:`exchange_blocks`, :meth:`permute_shards`) and
-    the calls that hand out writable arrays (:meth:`get`,
-    :meth:`local_block`, :meth:`resident_shards`).  :meth:`read` is the
-    one look at a shard that is not.
+    methods they call, so the init is kept in one place:
+    :meth:`initialize` records it as :attr:`pending`.  :meth:`read`,
+    :meth:`drain`, the writers (:meth:`set`, :meth:`sweep`,
+    :meth:`exchange_blocks`, :meth:`permute_shards`) and the hand-outs of
+    writable arrays (:meth:`get`, and :meth:`local_block` /
+    :meth:`resident_shards` unless ``None``) write it first, unless they
+    overwrite every amplitude (``overwrites=True``).  Writers end
+    :attr:`fresh_init`.
     """
 
     num_shards: int
@@ -102,18 +105,55 @@ class ShardStorage(abc.ABC):
     dtype: np.dtype
     #: The owning state's bundle (``use_telemetry`` sets it).
     telemetry = NULL_TELEMETRY
-    #: Calls that may have changed amplitudes: a state compares it with
-    #: its own record to know it still holds its init fill.
-    writes = 0
+    #: ``"zero"`` / ``"plus"`` while the shards hold exactly that init,
+    #: written or :attr:`pending`, and no writer has run since.
+    fresh_init: str | None = None
+    pending = False
+
+    def initialize(self, init: str) -> None:
+        """Hold ``|0...0>`` (``"zero"``) or ``|+...+>`` (``"plus"``)."""
+        if init not in ("zero", "plus"):
+            raise ValueError(f"unknown init {init!r}")
+        self.fresh_init, self.pending = init, True
+
+    def _materialize(self, *, overwrites: bool = False) -> None:
+        """Write the pending init (one fill of the block, else one kernel
+        per rank), or drop it when the caller *overwrites* it all."""
+        if self.pending and not overwrites:
+            n = (self.num_shards * self.shard_size).bit_length() - 1
+            amp = 2.0 ** (-n / 2) if self.fresh_init == "plus" else 0
+            zero = self.fresh_init == "zero"
+
+            def fill(shard, first):
+                shard[:] = amp
+                if first:
+                    shard[0] = 1.0
+
+            block = self._local_block()
+            if block is not None:
+                fill(block, zero)
+            else:
+                self._sweep(
+                    lambda r: partial(fill, first=zero and r == 0),
+                    label=f"init {self.fresh_init}",
+                    overwrites=True,
+                )
+        self.pending = False
+
+    def _write(self, *, overwrites: bool = False) -> None:
+        """Every writer's first step."""
+        self._materialize(overwrites=overwrites)
+        self.fresh_init = None
 
     def get(self, rank: int) -> np.ndarray:
         """The shard owned by *rank*, as a mutable array (view where
-        possible); counts as a write."""
-        self.writes += 1
+        possible); a writer."""
+        self._write()
         return self._get(rank)
 
     def read(self, rank: int) -> np.ndarray:
-        """The shard owned by *rank*, read-only; not a write."""
+        """The shard owned by *rank*, read-only; not a writer."""
+        self._materialize()
         view = self._get(rank).view()
         view.flags.writeable = False
         return view
@@ -122,12 +162,12 @@ class ShardStorage(abc.ABC):
         """Replace the shard owned by *rank*."""
         if data.shape != (self.shard_size,):
             raise ValueError(f"shard must have shape ({self.shard_size},)")
-        self.writes += 1
+        self._write()
         self._set(rank, data)
 
     def exchange_blocks(self, swap_qubits: int) -> None:
         """Fig. 3 block exchange over groups of ``2**swap_qubits`` ranks."""
-        self.writes += 1
+        self._write()
         self._exchange_blocks(swap_qubits)
 
     def permute_shards(self, permutation: np.ndarray) -> None:
@@ -137,26 +177,30 @@ class ShardStorage(abc.ABC):
         shuffle here.
         """
         self._check_permutation(permutation)
-        self.writes += 1
+        self._write()
         self._permute_shards(permutation)
 
-    def local_block(self) -> np.ndarray | None:
+    def local_block(self, *, overwrites: bool = False) -> np.ndarray | None:
         """Every rank's amplitudes as one writable array, or ``None``.
 
         Whole shards back to back in rank order, ``num_shards *
         shard_size`` amplitudes: bit ``l + i`` of an index into it is bit
         ``i`` of the rank, so one sweep over it may tell ranks apart by
         those bits.  ``None`` when the shards do not sit side by side in
-        memory.
+        memory.  *overwrites*: the caller writes every amplitude first.
         """
-        self.writes += 1
-        return self._local_block()
+        block = self._local_block()
+        if block is not None:
+            self._write(overwrites=overwrites)
+        return block
 
     def resident_shards(self) -> list[np.ndarray] | None:
         """Every rank's shard, for a sweep that may write them from several
         threads at once; ``None`` when the shards are not in memory."""
-        self.writes += 1
-        return self._resident_shards()
+        shards = self._resident_shards()
+        if shards is not None:
+            self._write()
+        return shards
 
     def sweep(self, kernel_of_rank, *, label: str = "", overwrites=False) -> None:
         """Apply ``kernel_of_rank(r)`` in place to every rank's shard
@@ -169,7 +213,10 @@ class ShardStorage(abc.ABC):
         later than its op; *overwrites* promises that every kernel
         replaces its whole shard without reading it.
         """
-        self.writes += 1
+        if overwrites and self.pending:  # a rank left alone needs the init
+            given = [kernel_of_rank(r) for r in range(self.num_shards)]
+            kernel_of_rank, overwrites = given.__getitem__, None not in given
+        self._write(overwrites=overwrites)
         self._sweep(kernel_of_rank, label=label, overwrites=overwrites)
 
     @abc.abstractmethod
@@ -799,8 +846,9 @@ class DiskShards(ShardStorage):
         self._buffers.clear()
 
     def drain(self) -> None:
-        """The durability point: flush, then fsync every file written
-        since the last drain."""
+        """The durability point: write a pending init, flush, then fsync
+        every file written since the last drain."""
+        self._materialize()
         self.flush()
         for file_index in sorted(self._written):
             os.fsync(self._fd(file_index))

@@ -53,7 +53,7 @@ def _state(n, l, seed, by_shard) -> DistributedState:
     for r in range(state.num_ranks):
         state.storage.get(r)[:] = amps[r << l:(r + 1) << l]
     if by_shard:
-        state.storage.local_block = lambda: None
+        state.storage.local_block = lambda **_: None
     return state
 
 
@@ -168,7 +168,8 @@ class TestPooledEqualsSerial:
 
         monkeypatch.setattr("repro.distributed.storage.run_split", spy)
         state = DistributedState(6, 4, init="zero")
-        assert state.storage.get(0)[0] == 1 and state.norm() == 1
+        assert state.storage.pending and not seen  # nothing runs yet
+        assert state.norm() == 1 and state.storage.read(0)[0] == 1
         return seen
 
     def test_init_is_pooled(self, monkeypatch):
@@ -294,7 +295,7 @@ class TestOnePlanEveryWay:
             storage = DiskShards(1 << (self.N - self.L), 1 << self.L, disk)
         state = DistributedState.for_schedule(schedule, storage=storage)
         if not block:
-            state.storage.local_block = lambda: None
+            state.storage.local_block = lambda **_: None
         telemetry = Telemetry.enabled() if traced else None
         ExecutionEngine(
             schedule, telemetry=telemetry, state_factory=lambda: state

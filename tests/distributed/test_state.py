@@ -225,7 +225,7 @@ class TestMonomialSpecialization:
             if block:
                 monkeypatch.setattr(d.storage, "sweep", per_rank)
             else:
-                monkeypatch.setattr(d.storage, "local_block", lambda: None)
+                monkeypatch.setattr(d.storage, "local_block", lambda **_: None)
             gate = Gate("cnot", (7, 2))
             d.apply_gate(gate)
             sv.apply_gate(gate)

@@ -153,29 +153,37 @@ class TestShardStorage:
             storage_factory().permute_shards(np.array([0, 0, 1, 2]))
 
     def test_every_call_that_may_write_counts(self, storage_factory):
-        """``writes`` moves on every writer and every hand-out of a
-        writable array; ``read`` is a read-only view and does not."""
+        """Every writer, and every hand-out of a writable array, ends the
+        init the storage holds, writing it first; ``read`` (a read-only
+        view) writes it and keeps it, and a hand-out of ``None`` does
+        neither."""
         st = storage_factory(num_shards=4, shard_size=4)
-        calls = [
+        plus = np.full(4, 0.25, dtype=np.complex128)  # 16 amplitudes
+        writers = [
             lambda: st.set(1, np.ones(4, dtype=np.complex128)),
             lambda: st.sweep(lambda r: None),
             lambda: st.exchange_blocks(1),
             lambda: st.permute_shards(np.array([1, 0, 2, 3])),
             lambda: st.get(0),
-            st.local_block,
-            st.resident_shards,
         ]
-        for call in calls:
-            before = st.writes
+        for call in writers:
+            st.initialize("plus")
             call()
-            assert st.writes == before + 1
-        expected = np.array(st.get(0))
-        before = st.writes
+            assert (st.fresh_init, st.pending) == (None, False)
+            assert np.array_equal(st.read(2), plus)
+        for hand_out in (st.local_block, st.resident_shards):
+            st.initialize("plus")
+            if hand_out() is None:
+                assert (st.fresh_init, st.pending) == ("plus", True)
+            else:
+                assert (st.fresh_init, st.pending) == (None, False)
+        st.initialize("plus")
         view = st.read(0)
-        assert np.array_equal(view, expected)
+        assert (st.fresh_init, st.pending) == ("plus", False)
+        assert np.array_equal(view, plus)
         with pytest.raises(ValueError, match="read-only"):
             view[0] = 2
-        assert st.writes == before
+        assert st.fresh_init == "plus"
 
 
 class TestSwapAcrossLayouts:

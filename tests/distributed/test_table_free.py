@@ -46,7 +46,7 @@ def _traced_by_shard(n, l, seed) -> DistributedState:
     """A traced state whose shards share no block: it sweeps them one by
     one."""
     state = _random_state(n, l, seed, telemetry=Telemetry.enabled())
-    state.storage.local_block = lambda: None
+    state.storage.local_block = lambda **_: None
     return state
 
 
@@ -134,7 +134,7 @@ class TestTracedEqualsUntraced:
         bits, u = (9, 3, 7, 1), random_unitary(4, 1)
         block, ranked = _random_state(13, 10, 4), _random_state(13, 10, 4)
         assert block.storage.local_block().size == 1 << 13
-        monkeypatch.setattr(ranked.storage, "local_block", lambda: None)
+        monkeypatch.setattr(ranked.storage, "local_block", lambda **_: None)
         for state in (block, ranked):
             state._sweep(BlockGate.of(u), bits)
         assert _same_shards(block, ranked)
@@ -150,7 +150,7 @@ class TestTracedEqualsUntraced:
         plain = DistributedState.for_schedule(schedule)
         traced = DistributedState.for_schedule(schedule)
         traced.use_telemetry(Telemetry.enabled())
-        traced.storage.local_block = lambda: None
+        traced.storage.local_block = lambda **_: None
         for index, op in enumerate(plan_for(schedule).ops):
             _run_op(op, plain)
             _run_op(op, traced)
