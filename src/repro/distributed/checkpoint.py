@@ -110,7 +110,10 @@ class CheckpointManager:
                     f"holds ({meta['num_qubits']}, {meta['local_qubits']})"
                 )
         else:
-            state = DistributedState(meta["num_qubits"], meta["local_qubits"])
+            # No init: every shard is set below.
+            state = DistributedState(
+                meta["num_qubits"], meta["local_qubits"], init=None
+            )
         for r in range(state.num_ranks):
             shard = np.load(self.directory / f"ckpt_shard_{r:06d}.npy")
             state.storage.set(r, shard)

@@ -7,8 +7,10 @@ value object recording where every logical qubit currently sits, and the
 only place the global-to-local swap of Sec. 3.4 / Fig. 3 is spelled out:
 :meth:`QubitLayout.plan_swap` returns the whole recipe as data — a free
 rank renumbering, staging swaps of local bits, one group-local
-all-to-all, and the layout that results.  ``DistributedState`` executes
-that recipe on amplitudes; the checkpoint code only stores the layout.
+all-to-all, and the layout that results.  A dense sweep may leave the
+low bits in another order (:meth:`QubitLayout.permute_low_bits`).
+``DistributedState`` executes these transitions on amplitudes; the
+checkpoint code only stores the layout.
 
 Layouts are frozen: every transition returns a new object.
 """
@@ -16,7 +18,7 @@ Layouts are frozen: every transition returns a new object.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -121,6 +123,28 @@ class QubitLayout:
         qa, qb = self.qubit_at(bit_a), self.qubit_at(bit_b)
         bits[qa], bits[qb] = bit_b, bit_a
         return QubitLayout(self.local_qubits, tuple(bits))
+
+    def permute_low_bits(self, order: Sequence[int]) -> "QubitLayout":
+        """The layout once bit ``i`` took what bit ``order[i]`` held, for
+        the local bits ``i < len(order)`` (*order* permutes them); every
+        other bit keeps its qubit.
+
+        What a dense sweep that writes back in another order leaves
+        (:func:`repro.kernels.apply.sweep_order`): it never moves a
+        rank bit.
+        """
+        w = len(order)
+        if w > self.local_qubits or sorted(order) != list(range(w)):
+            raise ValueError(
+                f"order must permute local bits 0..{w - 1}, got {tuple(order)}"
+            )
+        new_bit = dict(zip(order, range(w)))
+        if all(new_bit[b] == b for b in order):
+            return self
+        return QubitLayout(
+            self.local_qubits,
+            tuple(new_bit.get(b, b) for b in self.bit_of_qubit),
+        )
 
     def renumber(
         self, new_bit_of_qubit: dict[int, int]

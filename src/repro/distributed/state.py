@@ -6,7 +6,10 @@ amplitudes, the *physical* amplitude index has bits ``0..l-1`` local
 ``self.layout`` (a frozen :class:`~repro.distributed.layout.QubitLayout`)
 maps every *logical* qubit to its current physical bit; this class moves
 the amplitudes the way the layout's transitions say and then adopts the
-layout they return.
+layout they return.  A dense sweep leaves the bits of its window in the
+order its GEMM panel has them (targets lowest), and the last one before
+a swap may leave them staged for it (:func:`_write_order`): the layout
+changes between ops, not only at swaps.
 
 Writes go through ``storage.sweep`` (deferred by ``DiskShards`` until a
 read or run end flushes it), whose kernels may run on any thread: every
@@ -35,7 +38,12 @@ from repro.kernels import (
     apply_gate_indexed,
     apply_gate_reference,
 )
-from repro.kernels.apply import _axes_above, split_sweep
+from repro.kernels.apply import (
+    _WINDOW_MAX_BITS,
+    _axes_above,
+    split_sweep,
+    sweep_order,
+)
 from repro.kernels.blocks import BlockGate, rank_split
 from repro.kernels.product import product_fill
 from repro.kernels.tables import GATHER_CACHE, _build_diagonal_tensor
@@ -96,6 +104,44 @@ def _apply_to_factor(vector, gate, positions):
         apply_gate_reference(vector, gate.dense(), positions)
     else:
         DenseSweep(width, gate, positions, vector.dtype).apply(vector)
+
+
+def _write_order(
+    layout: QubitLayout,
+    gate: BlockGate,
+    bits: Sequence[int],
+    closing: Iterable[int] | None = None,
+) -> tuple[int, ...] | None:
+    """The low-bit order the sweep of *gate* on physical *bits* leaves
+    from *layout*: bit ``i`` takes what bit ``order[i]`` held
+    (:func:`~repro.kernels.apply.sweep_order`; ``None``: in place).
+
+    With *closing*, the global set of the swap that closes the stage, the
+    write-back also stages that swap (Sec. 3.4) through one composed
+    index: the order is the local part of ``plan_swap(closing).staged``,
+    which then finds no transpositions to run.  That needs every bit the
+    staging moves inside a window the sweep may use, below ``min(l,
+    12)`` (always so for ``l <= 12``); otherwise the staging runs at the
+    swap, as before.
+    """
+    l = layout.local_qubits
+    order = sweep_order(gate, bits, l)
+    if order is None or closing is None:
+        return order
+    step = layout.permute_low_bits(order).plan_swap(closing)
+    moved = [b for pair in step.transpositions for b in pair]
+    if not moved or max(moved) >= min(l, _WINDOW_MAX_BITS):
+        return order
+    return tuple(
+        layout.bit_of_qubit[step.staged.qubit_at(i)]
+        for i in range(max(len(order), max(moved) + 1))
+    )
+
+
+def _last_dense(ops) -> int | None:
+    """Index of the last ``(gate, qubits)`` op with targets: the one a
+    closing swap's staging may fold into."""
+    return max((i for i, (gate, _) in enumerate(ops) if gate.targets), default=None)
 
 
 class NeedsSwapError(RuntimeError):
@@ -349,30 +395,48 @@ class DistributedState:
             self.storage.permute_shards(source_of_dest)
             self.stats.record_rank_renumbering()
 
-    def apply_compiled(self, gate: BlockGate, qubits: Sequence[int]) -> None:
+    def apply_compiled(
+        self,
+        gate: BlockGate,
+        qubits: Sequence[int],
+        *,
+        closing: Iterable[int] | None = None,
+    ) -> None:
         """Apply a plan op's gate on logical *qubits* as one sweep.
 
         Entry point for :class:`repro.plan.CompiledProgram` — every op
         but swaps and rank relabels: the gate's targets must be local,
         its controls may be global (a specialized diagonal absorbed into
-        the op, Sec. 3.5).
+        the op, Sec. 3.5).  *closing* is the global set of the swap that
+        closes the stage when only phase multiplies lie between: the
+        sweep then stages that swap too, where it can (:func:`_write_order`).
         """
-        self._sweep(gate, self.layout.bits(qubits))
+        self._sweep(gate, self.layout.bits(qubits), closing=closing)
 
     def apply_factored(
-        self, ops: Sequence[tuple[BlockGate, Sequence[int]]]
+        self,
+        ops: Sequence[tuple[BlockGate, Sequence[int]]],
+        *,
+        closing: Iterable[int] | None = None,
     ) -> None:
         """Apply ``(gate, qubits)`` *ops*: on a fresh state one
         :meth:`write_product`, on any other one by one through
-        :meth:`apply_compiled`."""
+        :meth:`apply_compiled`, *closing* going to the last op with
+        targets; both leave the same layout."""
         if self.fresh_init is not None:
-            self.write_product(ops)
+            self.write_product(ops, closing=closing)
             return
-        for gate, qubits in ops:
-            self.apply_compiled(gate, qubits)
+        last = _last_dense(ops)
+        for i, (gate, qubits) in enumerate(ops):
+            self.apply_compiled(
+                gate, qubits, closing=closing if i == last else None
+            )
 
     def write_product(
-        self, ops: Sequence[tuple[BlockGate, Sequence[int]]]
+        self,
+        ops: Sequence[tuple[BlockGate, Sequence[int]]],
+        *,
+        closing: Iterable[int] | None = None,
     ) -> None:
         """Overwrite a fresh state with what *ops* leave, in one pass.
 
@@ -400,13 +464,24 @@ class DistributedState:
         No temporary is larger than a shard or a factor.  The cost model
         records one pass.  The write takes the place of a pending init
         fill, which then never runs, and ends the state's freshness.
+        It is written in the layout the ops' sweeps would leave, one by
+        one (:func:`_write_order`, *closing* going to the last op with
+        targets), so a run that sweeps them instead reaches the same.
         """
         init = self.fresh_init
         if init is None:
             raise RuntimeError("write_product needs a freshly initialised state")
         plus = init == "plus"
+        last = _last_dense(ops)
+        layout = self.layout
         groups: list[tuple[list[int], np.ndarray]] = []
-        for gate, qubits in ops:
+        for i, (gate, qubits) in enumerate(ops):
+            order = _write_order(
+                layout, gate, layout.bits(qubits),
+                closing if i == last else None,
+            )
+            if order is not None:
+                layout = layout.permute_low_bits(order)
             joined = [g for g in groups if not set(g[0]).isdisjoint(qubits)]
             groups = [g for g in groups if set(g[0]).isdisjoint(qubits)]
             held = {q for names, _ in joined for q in names}
@@ -422,7 +497,7 @@ class DistributedState:
                 vector = np.kron(factor, vector)
             groups.append((names, vector))
             _apply_to_factor(vector, gate, [names.index(q) for q in qubits])
-        factors = [(self.layout.bits(names), vector) for names, vector in groups]
+        factors = [(layout.bits(names), vector) for names, vector in groups]
         untouched = [
             q for q in range(self.num_qubits)
             if all(q not in names for names, _ in groups)
@@ -432,7 +507,7 @@ class DistributedState:
             vector *= 0.5 ** (len(untouched) / 2)
         else:
             zero = np.array([1.0, 0.0], dtype=complex)
-            factors += [((self.bit_position(q),), zero) for q in untouched]
+            factors += [((layout.bit_of_qubit[q],), zero) for q in untouched]
 
         l = self.local_qubits
         ranks = np.arange(self.num_ranks)
@@ -485,9 +560,16 @@ class DistributedState:
                     label=f"product write of {len(ops)} ops",
                     overwrites=True,
                 )
+        self.layout = layout
         self.kernel_cost.record(self.num_qubits, 0, diagonal=True)
 
-    def _sweep(self, gate: BlockGate, bits: Sequence[int]) -> None:
+    def _sweep(
+        self,
+        gate: BlockGate,
+        bits: Sequence[int],
+        *,
+        closing: Iterable[int] | None = None,
+    ) -> None:
         """Run *gate* on physical *bits* over every shard, in one sweep.
 
         Targets must be local bits; a control on a global bit holds, on
@@ -499,7 +581,9 @@ class DistributedState:
         controls when ranks go one by one), and every way of running it
         (one sweep over a block of shards, or rank by rank) does the same
         arithmetic on every amplitude, bit for bit.  Telemetry only times
-        the sweep; it never picks the way.
+        the sweep; it never picks the way.  A windowed dense sweep writes
+        back in panel order, or in the staged order of the *closing* swap
+        (:func:`_write_order`), and the state adopts the layout that leaves.
         """
         l = self.local_qubits
         if any(bits[j] >= l for j in gate.targets):
@@ -509,6 +593,7 @@ class DistributedState:
             )
         k, m = len(bits), len(gate.targets)
         tensordot = m > 0 and k > SWEEP_MAX_QUBITS
+        order = _write_order(self.layout, gate, bits, closing)
         ranked = [j for j in gate.controls if bits[j] >= l]
         # A backend that keeps the shards side by side, in rank order,
         # gets one sweep over all of them: a target is a bit of that
@@ -527,7 +612,7 @@ class DistributedState:
                 arrays = self.storage.resident_shards()
         if arrays is not None:
             part, units = self._local_kernel(
-                gate, bits, width=arrays[0].size.bit_length() - 1
+                gate, bits, width=arrays[0].size.bit_length() - 1, order=order
             )
             sweep = partial(split_sweep, part, arrays, units)
         else:
@@ -541,7 +626,9 @@ class DistributedState:
                     local = gate.restrict(fixed)
                     kernels[key] = partial(
                         apply_gate_reference, matrix=local.dense(), qubits=kept
-                    ) if tensordot else self._local_kernel(local, kept)[0]
+                    ) if tensordot else self._local_kernel(
+                        local, kept, order=order
+                    )[0]
                 return kernels[key]
 
             sweep = partial(
@@ -561,23 +648,33 @@ class DistributedState:
             tel.metrics.histogram("kernel.apply.seconds", k=k).observe(elapsed)
         else:
             sweep()
+        if order is not None:
+            self.layout = self.layout.permute_low_bits(order)
         # An op does 2**m multiply-adds per amplitude, m its dense width
         # (one multiply for a phase, m = 0).
         self.kernel_cost.record(self.num_qubits, m, diagonal=not m)
 
     def _local_kernel(
-        self, gate: BlockGate, bits: Sequence[int], *, width: int | None = None
+        self,
+        gate: BlockGate,
+        bits: Sequence[int],
+        *,
+        width: int | None = None,
+        order: Sequence[int] | None = None,
     ):
         """``(part, units)`` for *gate* on *bits* of a ``2**width`` array
         (default: one shard): ``part(array, start=0, stop=None)`` sweeps
         units ``start..stop-1`` of it, built once for every array it runs
         on.  Bits from ``l`` up (the block of all shards, in rank order)
         must be controls; a phase multiply takes one factor over the
-        local bits per value of those."""
+        local bits per value of those.  A dense sweep writes back in
+        *order* (:func:`_write_order`)."""
         l = self.local_qubits
         width = l if width is None else width
         if gate.targets:
-            dense = DenseSweep(width, gate, bits, self.storage.dtype)
+            dense = DenseSweep(
+                width, gate, bits, self.storage.dtype, order=order
+            )
             # ``apply`` binds the panels of the thread that runs it: a
             # deferred kernel may run on a pool thread.
             return dense.apply, dense.num_blocks
@@ -660,7 +757,8 @@ class DistributedState:
         strided ``np.copyto`` calls — bit-exact with the per-swap SWAP
         kernels it replaces (a pure index shuffle touches no amplitude
         arithmetic) at a fraction of the memory traffic, and with no
-        index table of any size.  The shards of a block
+        index table of any size.  With no transpositions (the sweep
+        before the swap staged it) nothing runs and nothing is counted.  The shards of a block
         (:meth:`ShardStorage.local_block`) go ``2**16 >> l`` at a time,
         one copy per chunk of at most 1 MiB instead of one kernel per
         shard; any other storage gets one kernel per rank through
@@ -739,7 +837,9 @@ class DistributedState:
         the free rank renumbering, the staging swaps of local bits, one
         q-qubit group-local all-to-all (Fig. 3).  The layout is adopted in
         two steps so it matches the amplitudes whenever the exchange can
-        fail: a retried swap redoes the exchange alone.
+        fail: a retried swap redoes the exchange alone.  When the sweep
+        before the swap staged it already (:func:`_write_order`), the
+        recipe has no transpositions and no staging copy runs.
         """
         step = self.layout.plan_swap(new_global_qubits)
         q = step.q

@@ -60,6 +60,7 @@ __all__ = [
     "run_split",
     "split_sweep",
     "split_threads",
+    "sweep_order",
 ]
 
 #: Number of ``c`` substrings per block of a 4-qubit dense sweep: a
@@ -349,6 +350,20 @@ def _real_gemm_operand(matrix_t: np.ndarray) -> np.ndarray:
     return w
 
 
+def _panel_order(
+    positions: Sequence[int], controls: Sequence[int], w: int
+) -> tuple[int, ...]:
+    """The bits of a ``2**w`` window in the panel's order: the (sorted)
+    target *positions*, then the in-window *controls* (sorted), then the
+    other window bits, ascending."""
+    rest = [p for p in range(w) if p not in positions]
+    return (
+        *positions,
+        *(p for p in rest if p in controls),
+        *(p for p in rest if p not in controls),
+    )
+
+
 def _window_index(
     positions: Sequence[int], w: int, controls: Sequence[int] = ()
 ) -> np.ndarray:
@@ -363,14 +378,38 @@ def _window_index(
     index.  Every window of a shard uses this one index (it is
     periodic), which is why it is rebuilt per op and never stored.
     """
-    k, d = len(positions), len(controls)
-    free = [p for p in range(w) if p not in positions and p not in controls]
-    j = np.arange(1 << w, dtype=np.intp)
-    return (
-        scatter_bits(j & ((1 << k) - 1), positions)
-        | scatter_bits((j >> k) & ((1 << d) - 1), controls)
-        | scatter_bits(j >> (k + d), free)
+    return scatter_bits(
+        np.arange(1 << w, dtype=np.intp), _panel_order(positions, controls, w)
     )
+
+
+def sweep_order(
+    gate: BlockGate, bits: Sequence[int], local_bits: int
+) -> tuple[int, ...] | None:
+    """The bit order a distributed sweep of *gate* on physical *bits*
+    leaves a shard in: bit ``i`` then holds what bit ``order[i]`` held,
+    for the window bits ``i < len(order)``; every other bit stays.
+
+    A windowed :class:`DenseSweep` writes its GEMM product back in panel
+    order (:func:`_panel_order`), so it needs no inverse take.  The
+    order covers the window's bits below *local_bits*, so it never moves
+    a rank bit: a sweep whose window holds one (a control from
+    *local_bits* up, below :data:`_WINDOW_MAX_BITS`) leaves it in place,
+    through one take, while a shard alone has no such bit and writes its
+    panel straight back.  ``None`` for
+    an op whose sweep writes back in place: one with no targets (the
+    phase multiply), one wider than :data:`SWEEP_MAX_QUBITS` (tensordot)
+    and one with a target from :data:`_WINDOW_MAX_BITS` up (the slab
+    scheme).
+    """
+    if not gate.targets or len(bits) > SWEEP_MAX_QUBITS:
+        return None
+    pos = sorted(bits[j] for j in gate.targets)
+    if pos[-1] >= _WINDOW_MAX_BITS:
+        return None
+    ctl = sorted(bits[j] for j in gate.controls)
+    limit = min(local_bits, _WINDOW_MAX_BITS)
+    return _panel_order(pos, ctl, 1 + max(p for p in pos + ctl if p < limit))
 
 
 def _axes_above(low: int, n: int, controls: Sequence[int]):
@@ -426,12 +465,14 @@ class DenseSweep:
       shard is a stack of windows ``(..., rows, 2**w)``, ``w`` reaching
       the highest gate bit below that limit; one ``np.take`` through the
       periodic in-window index gathers each ``c``'s amplitudes into a
-      row, ``panel @ M.T`` multiplies (a real GEMM for small gates), and
-      the inverse index writes back.  The in-window controls are the low
-      bits of ``c``: the panel viewed as ``(2**d, rows, 2**m)`` meets the
-      stack of ``2**d`` blocks in one ``np.matmul``, each item a GEMM
-      over every ``2**d``-th row.  Targets that are the bottom ``m``
-      bits already *are* such rows and skip both takes.
+      row (panel order: targets, then in-window controls, then the other
+      window bits), ``panel @ M.T`` multiplies (a real GEMM for small
+      gates), and the product is written back.  The in-window controls
+      are the low bits of ``c``: the panel viewed as ``(2**d, rows,
+      2**m)`` meets the stack of ``2**d`` blocks in one ``np.matmul``,
+      each item a GEMM over every ``2**d``-th row.  A window already in
+      panel order (targets the bottom ``m`` bits, ...) *is* such rows
+      and skips the gather.
     * **slab** (some target above the window): the shard is viewed as
       ``reshape(hi, 2, .., 2, lo)`` with one size-2 axis per target and
       control, and one transposed ``np.copyto`` brings the block's
@@ -441,6 +482,18 @@ class DenseSweep:
 
     Either way a block is one ``np.matmul`` call, a stack of one when
     the block has no control inside it.
+
+    A window's write-back leaves it in *order*: bit ``i`` of each
+    window takes what bit ``order[i]`` held, for ``i < len(order)`` (the
+    window reaches that far); the window's other bits stay.  A
+    distributed sweep passes the panel order (:func:`sweep_order`), so
+    the GEMM writes its product straight into the shard and no inverse
+    take runs; the one before a swap may pass a composed order that also
+    stages the swap, written back through one take, as is an order that
+    keeps a rank bit of the window in place.  The caller records the
+    layout that leaves.  Without *order* (single-vector callers:
+    :func:`apply_gate_indexed`, the product write's factors) the inverse
+    take restores the old order.
 
     The panels are per-thread buffers reused across calls, so the
     steady-state sweep allocates nothing, and nothing it uses grows with
@@ -455,6 +508,8 @@ class DenseSweep:
         qubits: Sequence[int],
         dtype,
         chunk_size: int | None = None,
+        *,
+        order: Sequence[int] | None = None,
     ) -> None:
         qubits = check_qubit_indices(qubits, n)
         k = len(qubits)
@@ -501,12 +556,20 @@ class DenseSweep:
         chunk = min(int(chunk_size), total_c)
         cbits = max(chunk, 1).bit_length() - 1
         self._dtype = dtype
-        self._index = self._inverse = self._real = self._perm = None
+        self._index = self._write = self._real = self._perm = None
         self._windowed = pos[-1] < _WINDOW_MAX_BITS
+        order = () if order is None else tuple(order)
+        if order and not self._windowed:
+            raise ValueError(f"targets {pos} outside the window {order}")
         if self._windowed:
-            # The window reaches the highest gate bit below its limit, so
-            # a control above it leaves blocks of 2**12 amplitudes or more.
-            w = 1 + max(p for p in pos + ctl if p < _WINDOW_MAX_BITS)
+            # The window reaches the highest gate bit below its limit (so
+            # a control above it leaves blocks of 2**12 amplitudes or
+            # more) and every bit *order* moves; the rest stay put.
+            w = max(
+                1 + max(p for p in pos + ctl if p < _WINDOW_MAX_BITS),
+                len(order),
+            )
+            order += tuple(range(len(order), w))
             inner = [p for p in ctl if p < w]
             outer = ctl[len(inner):]
             rb = min(max(0, cbits - (w - m)), (outer[0] if outer else n) - w)
@@ -515,10 +578,17 @@ class DenseSweep:
             self._block_shape = (1 << rb, 1 << w)
             self._block_size = 1 << (rb + w)
             self._gemm_shape = (-1, 1 << len(inner), 1 << m)
-            if w > m:
-                self._index = _window_index(pos, w, inner)
-                self._inverse = np.empty_like(self._index)
-                self._inverse[self._index] = np.arange(1 << w)
+            panel = _panel_order(pos, inner, w)
+            gather = _window_index(pos, w, inner)
+            if panel != tuple(range(w)):
+                self._index = gather
+            if order != panel:
+                # Panel slot j holds source offset gather[j]; destination
+                # offset o takes the source offset whose bit order[i] is
+                # bit i of o.
+                slot = np.empty_like(gather)
+                slot[gather] = np.arange(1 << w)
+                self._write = slot[scatter_bits(np.arange(1 << w), order)]
             mats = np.ascontiguousarray(blocks.transpose(0, 2, 1))
             if m <= _REAL_GEMM_MAX_QUBITS and dtype.kind == "c":
                 self._real = mats.real.dtype
@@ -596,7 +666,7 @@ class DenseSweep:
                 return shard
 
             return run
-        index, inverse, real = self._index, self._inverse, self._real
+        index, write, real = self._index, self._write, self._real
 
         def stacked(rows: np.ndarray) -> np.ndarray:
             # ``(2**d, rows, 2**m)``: one GEMM per in-window control value,
@@ -614,16 +684,21 @@ class DenseSweep:
             for outer, matrices in blocks:
                 block = view[outer]
                 if index is None:
-                    # Bottom-contiguous targets: the shard's rows are
-                    # the panel.
+                    # The window is in panel order already: the shard's
+                    # rows are the panel.
                     np.matmul(stacked(block), matrices, out=product)
-                    np.copyto(block, a)
                 else:
                     # (The method, not ``np.take``: its Python wrapper is a
                     # tenth of a sweep over a 2**11-amplitude shard.)
                     block.take(index, axis=-1, out=b, mode="clip")
+                    if write is None:  # left in panel order
+                        np.matmul(panel, matrices, out=stacked(block))
+                        continue
                     np.matmul(panel, matrices, out=product)
-                    a.take(inverse, axis=-1, out=block, mode="clip")
+                if write is None:
+                    np.copyto(block, a)
+                else:
+                    a.take(write, axis=-1, out=block, mode="clip")
             return shard
 
         return run

@@ -204,19 +204,29 @@ def _units_from_plan(plan) -> tuple[list[ExecUnit], list[ExecUnit]]:
     """One unit per plan op, but one for the product prefix
     (:func:`_product_prefix`), written at once on a fresh state; and the
     prefix's plan ops one unit each (all numbered 0, parts of unit 0),
-    for a run resuming inside it."""
-    from repro.plan.executor import _run_op, _run_product
+    for a run resuming inside it.  The last op with targets before a
+    swap gets that swap's global set, so its sweep may stage the swap
+    (:func:`~repro.plan.executor.closing_swaps`)."""
+    from repro.plan.executor import _run_op, _run_product, closing_swaps
 
-    count = _product_prefix(plan.ops)
-    prefix, rest = plan.ops[:count], plan.ops[count:]
+    ops = plan.ops
+    count = _product_prefix(ops)
+    closing = closing_swaps(ops)
+
+    def op_unit(index, at):
+        run = partial(_run_op, ops[at], closing=closing.get(at))
+        return _plan_unit(index, (ops[at],), run)
+
     units = []
-    if prefix:
-        units.append(_plan_unit(0, prefix, partial(_run_product, prefix)))
-    units += [
-        _plan_unit(len(units) + i, (op,), partial(_run_op, op))
-        for i, op in enumerate(rest)
-    ]
-    return units, [_plan_unit(0, (op,), partial(_run_op, op)) for op in prefix]
+    if count:
+        prefix = ops[:count]
+        ending = next((closing[at] for at in range(count) if at in closing), None)
+        units.append(
+            _plan_unit(0, prefix, partial(_run_product, prefix, closing=ending))
+        )
+    first = len(units) - count
+    units += [op_unit(first + at, at) for at in range(count, len(ops))]
+    return units, [op_unit(0, at) for at in range(count)]
 
 
 class ExecutionEngine:

@@ -6,6 +6,7 @@ import pytest
 from repro.circuit import generate_supremacy_circuit
 from repro.distributed import DiskShards, DistributedSimulator, DistributedState
 from repro.distributed.checkpoint import CheckpointManager
+from repro.distributed.storage import ShardStorage
 from repro.plan import plan_for
 from repro.resilience import FaultPlan, FaultSpec, RankCrashError, swap_op_indices
 from repro.runtime import (
@@ -216,3 +217,38 @@ def test_crashed_plan_run_resumes_in_fresh_engine(tmp_path, workload, backend):
     finally:
         for storage in stores:
             storage.close()
+
+
+def test_load_runs_no_init_fill(tmp_path, monkeypatch):
+    """``load`` sets every shard of its default vessel, so that vessel
+    has no init to fill: a resume writes the state once, and still ends
+    on the uninterrupted run's bytes."""
+    n, l = 12, 8
+    circ = generate_supremacy_circuit(n, 12, seed=4)
+    sched = schedule_circuit(circ, SchedulerConfig(local_qubits=l, kmax=4, seed=5))
+    uninterrupted = DistributedSimulator(n, l).run_schedule(sched).state
+    fills = []
+    real = ShardStorage._materialize
+
+    def spy(self, *, overwrites=False):
+        if self.pending and not overwrites:
+            fills.append(self.fresh_init)
+        return real(self, overwrites=overwrites)
+
+    mgr = CheckpointManager(tmp_path)
+    swap_unit = next(u for u in ExecutionEngine(sched).units if u.is_swap)
+    with pytest.raises(Killed):
+        DistributedSimulator(n, l).run_schedule(
+            sched,
+            layers=[CheckpointLayer(mgr, every=1), KillBefore(swap_unit.index + 1)],
+        )
+    monkeypatch.setattr(ShardStorage, "_materialize", spy)
+    state, _ = mgr.load()
+    assert fills == [] and state.fresh_init is None
+    resumed = DistributedSimulator(n, l).run_schedule(
+        sched, layers=[CheckpointLayer(mgr, every=0, resume=True)]
+    ).state
+    assert fills == []
+    assert np.array_equal(
+        resumed.to_statevector().data, uninterrupted.to_statevector().data
+    )

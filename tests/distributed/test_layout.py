@@ -7,6 +7,10 @@ from hypothesis import strategies as st
 
 from repro.circuit import Circuit
 from repro.distributed import DistributedState, QubitLayout
+from repro.distributed.state import _write_order
+from repro.gates import random_unitary
+from repro.kernels.apply import sweep_order
+from repro.kernels.blocks import BlockGate
 from repro.scheduling import Schedule, Stage
 from repro.statevector import StateVector
 from repro.staticcheck import predict_comm_stats
@@ -98,3 +102,80 @@ class TestPlanSwap:
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
             QubitLayout(2, (0, 0, 1))
+
+
+@st.composite
+def sweeps_before_a_swap(draw):
+    """A layout, a dense op on it (targets local) and the global set of
+    the swap that closes the stage."""
+    n = draw(st.integers(4, 16))
+    l = draw(st.integers((n + 1) // 2, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    layout = QubitLayout(l, tuple(int(b) for b in rng.permutation(n)))
+    m = int(rng.integers(1, min(4, l) + 1))
+    d = int(rng.integers(0, min(3, n - m) + 1))
+    targets = [int(q) for q in rng.choice(sorted(layout.local_set()), m, replace=False)]
+    others = [q for q in range(n) if q not in targets]
+    controls = [int(q) for q in rng.choice(others, d, replace=False)]
+    blocks = np.stack([random_unitary(m, rng) for _ in range(1 << d)])
+    gate = BlockGate(m + d, tuple(range(m, m + d)), blocks)
+    closing = frozenset(int(q) for q in rng.choice(n, n - l, replace=False))
+    return layout, gate, layout.bits(targets + controls), closing
+
+
+class TestPermuteLowBits:
+    """The transition a dense sweep's write-back leaves
+    (:meth:`QubitLayout.permute_low_bits`), with and without the closing
+    swap's staging folded in."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sweeps_before_a_swap())
+    def test_laws(self, case):
+        layout, gate, bits, closing = case
+        l = layout.local_qubits
+        order = sweep_order(gate, bits, l)
+        folded = _write_order(layout, gate, bits, closing)
+        if order is None:
+            assert folded is None
+            return
+        for this in (order, folded):
+            # Only bits below the window move, and the window stays
+            # below l (and below the window limit of 12 bits).
+            assert len(this) <= min(l, 12)
+            after = layout.permute_low_bits(this)
+            for q, bit in enumerate(layout.bit_of_qubit):
+                if bit >= len(this):
+                    assert after.bit_of_qubit[q] == bit
+            assert after.global_set() == layout.global_set()
+        unfolded = layout.permute_low_bits(order).plan_swap(closing)
+        step = layout.permute_low_bits(folded).plan_swap(closing)
+        if l <= 12:
+            assert step.transpositions == ()
+        if folded != order:
+            assert step.transpositions == () != unfolded.transpositions
+        assert step.q == unfolded.q
+        if unfolded.rank_source is None:
+            assert step.rank_source is None
+        else:
+            assert np.array_equal(step.rank_source, unfolded.rank_source)
+        assert step.after.global_set() == unfolded.after.global_set()
+        assert step.after == unfolded.after
+
+    def test_panel_order(self):
+        """Targets (ascending) on the lowest bits, then the in-window
+        controls, then the other window bits; a control from l up stays
+        outside the window."""
+        layout = QubitLayout.initial(8, 6)
+        gate = BlockGate(4, (2, 3), np.stack([random_unitary(2, 0)] * 4))
+        order = sweep_order(gate, (4, 1, 3, 6), 6)
+        assert order == (1, 4, 3, 0, 2)
+        after = layout.permute_low_bits(order)
+        assert after.bit_of_qubit == (3, 0, 4, 2, 1, 5, 6, 7)
+        assert layout.permute_low_bits(range(4)) is layout
+
+    def test_rejects_rank_bits_and_non_permutations(self):
+        layout = QubitLayout.initial(6, 4)
+        with pytest.raises(ValueError):
+            layout.permute_low_bits(range(5))
+        with pytest.raises(ValueError):
+            layout.permute_low_bits((0, 0, 1))

@@ -31,7 +31,7 @@ import repro.distributed.state as state_module
 import repro.distributed.storage as storage_module
 from repro.distributed import DiskShards, DistributedState, InMemoryShards
 from repro.gates import Gate, random_unitary
-from repro.kernels.apply import apply_gate_naive, run_split
+from repro.kernels.apply import apply_gate_naive, run_split, sweep_order
 from repro.kernels.blocks import BlockGate
 from repro.plan import plan_for
 from repro.runtime import ExecutionEngine, PipelineLayer
@@ -39,6 +39,7 @@ from repro.scheduling import SchedulerConfig, schedule_circuit
 from repro.service import JobSpec, ServiceConfig, SimulationService
 from repro.statevector import StateVector
 from repro.telemetry import Telemetry
+from repro.util.bits import scatter_bits
 from repro.util.executors import unregister_executor
 from repro.util.rng import random_statevector
 
@@ -96,6 +97,17 @@ def _apply(state, op, bits, seed) -> None:
     else:
         state._apply_local_bit_permutation(list(zip(bits, bits[1:])))
         state._swap_local_bits(bits[0], bits[-1])
+
+
+def _source_offsets(order, l) -> np.ndarray:
+    """Offset ``o`` of a shard a sweep leaves in *order* holds what offset
+    ``source[o]`` held before (:func:`~repro.kernels.apply.sweep_order`;
+    ``None``: in place)."""
+    offsets = np.arange(1 << l)
+    if order is None:
+        return offsets
+    w = len(order)
+    return offsets >> w << w | scatter_bits(offsets & ((1 << w) - 1), order)
 
 
 def _monomial_globals(state, local) -> None:
@@ -223,14 +235,16 @@ class TestGlobalControls:
         want = self._every_way(
             lambda state: state._sweep(gate, bits), tmp_path, monkeypatch
         )
-        # Rank by rank: the dense gate its control values restrict it to.
+        # Rank by rank: the dense gate its control values restrict it to,
+        # written back in the order the sweep leaves.
         ranked = [j for j, b in enumerate(bits) if b >= self.L]
         kept = [b for b in bits if b < self.L]
+        source = _source_offsets(sweep_order(gate, bits, self.L), self.L)
         for rank, shard in enumerate(want):
             fixed = {j: rank >> (bits[j] - self.L) & 1 for j in ranked}
             expected = state.storage.get(rank).copy()
             apply_gate_naive(expected, gate.restrict(fixed).dense(), kept)
-            assert np.allclose(shard, expected, atol=1e-12), rank
+            assert np.allclose(shard, expected[source], atol=1e-12), rank
 
     def _every_way(self, apply, tmp_path, monkeypatch) -> list[np.ndarray]:
         """The shards *apply* leaves, the same bytes every way it runs."""
@@ -258,8 +272,14 @@ class TestGlobalControls:
         for gate in [Gate("cnot", (8, 2)), Gate("x", (5,)), Gate("y", (8,)),
                      Gate("swap", (5, 8))]:
             sv.apply_gate(gate)
-        # Relabels move shards, not qubits: the layout is still the identity.
-        assert np.allclose(np.concatenate(want), sv.data, atol=1e-12)
+        # Relabels move shards, not qubits; the CNOT's sweep leaves its
+        # target on bit 0 of the window.
+        order = sweep_order(BlockGate.of(Gate("cnot", (8, 2)).matrix), (8, 2), self.L)
+        source = _source_offsets(order, self.L)
+        assert np.allclose(
+            np.concatenate(want), sv.data.reshape(-1, 1 << self.L)[:, source].ravel(),
+            atol=1e-12,
+        )
 
     @pytest.mark.parametrize("m", [0, 2])
     def test_block_takes_no_per_rank_dispatch(self, m, monkeypatch):
@@ -547,14 +567,21 @@ class TestPooledStageFlush:
         sweep, permute = (DistributedState._sweep,
                           DistributedState._apply_local_bit_permutation)
 
-        def sweep_spy(self, gate, bits, *args):
+        def sweep_spy(self, gate, bits, **kwargs):
             if any(bits[j] >= self.local_qubits for j in gate.controls):
                 seen.add("global controls")
-            return sweep(self, gate, bits, *args)
+            before = self.layout
+            sweep(self, gate, bits, **kwargs)
+            if kwargs.get("closing") is not None:
+                step = self.layout.plan_swap(kwargs["closing"])
+                if before.plan_swap(kwargs["closing"]).transpositions:
+                    assert not step.transpositions
+                    seen.add("folded staging")
 
-        def permute_spy(self, *args):
-            seen.add("bit permutation")
-            return permute(self, *args)
+        def permute_spy(self, transpositions):
+            if transpositions:
+                seen.add("bit permutation")
+            return permute(self, transpositions)
 
         monkeypatch.setattr(DistributedState, "_sweep", sweep_spy)
         monkeypatch.setattr(
@@ -562,10 +589,11 @@ class TestPooledStageFlush:
         )
         serial = _disk_run(schedule, tmp_path / "serial", SERIAL, monkeypatch)
         pooled = _disk_run(schedule, tmp_path / "pooled", 1, monkeypatch)
-        # The schedule has what the flush must carry: swaps (with local
-        # bit permutations), overwrite-init, ops with global controls,
-        # fused kernels.
-        assert schedule.num_swaps == 2 and len(seen) == 2
+        # The schedule has what the flush must carry: swaps (their
+        # staging folded into the sweep before them, l <= 12), overwrite-
+        # init, ops with global controls, fused kernels.
+        assert schedule.num_swaps == 2
+        assert seen == {"global controls", "folded staging"}
         assert plan_for(schedule).summary()["fused_kernel_ops"]
         for got, want in zip(pooled[0], serial[0]):
             assert got.tobytes() == want.tobytes()
@@ -658,7 +686,14 @@ class TestPooledStageFlush:
         spies = _AllocationSpy(), _AllocationSpy()
         monkeypatch.setattr(storage_module, "np", spies[0])
         monkeypatch.setattr(state_module, "np", spies[1])
-        _disk_run(schedule, tmp_path, 1, monkeypatch)
+        _disk_run(schedule, tmp_path / "run", 1, monkeypatch)
+        # The schedule's stagings fold into its sweeps (l <= 12): run one
+        # on the pooled flush directly.
+        n, l = schedule.num_qubits, schedule.local_qubits
+        with DiskShards(1 << (n - l), 1 << l, tmp_path / "staging") as disk:
+            state = DistributedState(n, l, storage=disk, init="plus")
+            state._apply_local_bit_permutation([(0, l - 1), (1, l - 2)])
+            state.flush()
         assert spies[0].threads == spies[1].threads == {threading.get_ident()}
 
 

@@ -178,6 +178,8 @@ class TestGlobalControls:
         state.storage.set(0, state.storage.read(0).copy())
         run = DistributedSimulator(14, 7).run_schedule(schedule, state=state)
         cost, stats = run.kernel_cost, run.state.stats
+        # At l = 7 every staging folds into the sweep before its swap.
+        assert stats.local_swap_kernels == 0
         assert cost.total_calls == len(sweeps) + stats.local_swap_kernels
         widths = [len(op.gate.targets) for op in sweeps] + [2] * stats.local_swap_kernels
         assert cost.calls_by_k == {m: widths.count(m) for m in set(widths)}

@@ -69,9 +69,9 @@ def writes(monkeypatch):
     calls = []
     original = DistributedState.write_product
 
-    def spy(self, ops):
+    def spy(self, ops, **kwargs):
         calls.append(len(ops))
-        return original(self, ops)
+        return original(self, ops, **kwargs)
 
     monkeypatch.setattr(DistributedState, "write_product", spy)
     return calls
@@ -333,6 +333,8 @@ class TestAccounting:
         )
         cost, stats = fresh.kernel_cost, fresh.state.stats
         sweeps = [op for op in ops[prefix:] if op.gate is not None]
+        # At l = 7 every staging folds into the sweep before its swap.
+        assert stats.local_swap_kernels == 0
         assert cost.total_calls == 1 + len(sweeps) + stats.local_swap_kernels
         widths = (
             [0]
