@@ -71,7 +71,7 @@ def _dense(n: int, k: int):
     state = np.full(1 << n, 2.0 ** (-n / 2), dtype=np.complex128)
     qubits = tuple(range(0, n, n // k))[:k]  # low and high targets
     sweep = DenseSweep(n, random_unitary(k, 0), qubits, state.dtype)
-    return state, lambda: split_sweep(sweep.apply, [state], sweep.num_blocks)
+    return state, lambda: split_sweep([(sweep.apply, state, sweep.num_blocks)])
 
 
 def _diagonal(n: int):
@@ -83,7 +83,7 @@ def _diagonal(n: int):
     def part(array, start, stop):
         apply_diagonal_factor(array.reshape(-1, 1 << l)[start:stop], factor)
 
-    return state, lambda: split_sweep(part, [state], 16)
+    return state, lambda: split_sweep([(part, state, 16)])
 
 
 def _bit_identical(n: int, k: int) -> bool:
@@ -136,7 +136,9 @@ def _stage_flush() -> tuple[list[str], bool]:
                 for _ in range(1 + REPEATS):  # first pair: warm-up
                     for threshold, disk in disks.items():
                         for _ in range(m):
-                            disk.sweep(lambda rank: sweep.apply)
+                            disk.sweep(
+                                lambda ranks: (sweep.apply, sweep.num_blocks)
+                            )
                         samples[threshold].append(_timed(disk.flush, threshold))
                 serial, pooled = (
                     statistics.median(samples[t][1:]) for t in (SERIAL, POOLED)

@@ -11,9 +11,10 @@ order its GEMM panel has them (targets lowest), and the last one before
 a swap may leave them staged for it (:func:`_write_order`): the layout
 changes between ops, not only at swaps.
 
-Writes go through ``storage.sweep`` (deferred by ``DiskShards`` until a
-read or run end flushes it), whose kernels may run on any thread: every
-kernel handed to it binds its scratch where it runs, or is lent it.
+Writes go through ``storage.sweep``, one kernel per span of ranks the
+storage hands over (deferred by ``DiskShards`` until a read or run end
+flushes it), whose kernels may run on any thread: every kernel handed to
+it binds its scratch where it runs, or is lent it.
 """
 
 from __future__ import annotations
@@ -31,19 +32,8 @@ from repro.distributed.layout import QubitLayout
 from repro.distributed.storage import InMemoryShards, ShardStorage
 from repro.gates.gate import Gate
 from repro.gates.matrices import SWAP_MATRIX
-from repro.kernels import (
-    SWEEP_MAX_QUBITS,
-    DenseSweep,
-    apply_diagonal_factor,
-    apply_gate_indexed,
-    apply_gate_reference,
-)
-from repro.kernels.apply import (
-    _WINDOW_MAX_BITS,
-    _axes_above,
-    split_sweep,
-    sweep_order,
-)
+from repro.kernels import DenseSweep, apply_diagonal_factor, apply_gate_indexed
+from repro.kernels.apply import _WINDOW_MAX_BITS, _axes_above, sweep_order
 from repro.kernels.blocks import BlockGate, rank_split
 from repro.kernels.product import product_fill
 from repro.kernels.tables import GATHER_CACHE, _build_diagonal_tensor
@@ -85,25 +75,68 @@ def _scale_into(shard, array, scale):
         shard[:] = array
 
 
-def _write_shard(shard, *, factors, scale):
-    """One rank's kernel of :meth:`DistributedState.write_product`."""
-    if scale != 0:
-        product_fill(shard, factors)
-    _scale_into(shard, shard, scale)
+def _kernel(gate, bits, width, l, dtype, *, order=None, cache=GATHER_CACHE):
+    """``(part, units)`` for *gate* on *bits* of a ``2**width`` array:
+    ``part(array, start, stop)`` sweeps units ``start..stop-1`` of it,
+    built once for every array it runs on (``apply`` of a dense sweep
+    binds the panels of the thread that runs it).
+
+    The dense sweep (:class:`~repro.kernels.DenseSweep`, writing back in
+    *order*: :func:`_write_order`) when the gate has targets, else the
+    phase multiply: one factor over the bits below *l* (the local
+    qubits) per value of the bits from there up (the ranks of a longer
+    span, in rank order), which must be controls.  Factors come from
+    *cache*, or are built per op without one.
+    """
+    if gate.targets:
+        dense = DenseSweep(width, gate, bits, dtype, order=order)
+        return dense.apply, dense.num_blocks
+    local = [b for b in bits if b < l]
+    ranked = [j for j, b in enumerate(bits) if b >= l]
+    factors = []
+    for value in range(1 << len(ranked)):
+        diag = np.asarray(
+            gate.restrict({j: value >> i & 1 for i, j in enumerate(ranked)})
+            .blocks[:, 0, 0],
+            dtype=dtype,
+        )
+        factors.append(
+            cache.diagonal_factor(l, local, diag) if cache is not None
+            else _build_diagonal_tensor(diag, local, l)
+        )
+    if not ranked:
+        rows = 1 << (width - l)
+
+        def part(array, start, stop):  # rows of 2**l, start..stop-1
+            apply_diagonal_factor(array.reshape(rows, -1)[start:stop], factors[0])
+
+        return part, rows
+    # One unit per value of the rank-bit controls: the shards whose rank
+    # bits spell it, a view with one size-2 axis per such bit.
+    shape, axes = _axes_above(l, width, [bits[j] for j in ranked])
+    axis_of = dict(zip(sorted(ranked, key=lambda j: -bits[j]), axes))
+    views = []
+    for value in range(len(factors)):
+        index = [slice(None)] * len(shape)
+        for i, j in enumerate(ranked):
+            index[axis_of[j]] = value >> i & 1
+        views.append(tuple(index))
+
+    def part(array, start, stop):  # control values start..stop-1
+        view = array.reshape(*shape, 1 << l)
+        for value in range(len(factors))[start:stop]:
+            apply_diagonal_factor(view[views[value]], factors[value])
+
+    return part, len(factors)
 
 
 def _apply_to_factor(vector, gate, positions):
-    """*gate* on bits *positions* of the factor *vector*, in place, with
-    the kernel :meth:`DistributedState._sweep` picks for it."""
+    """*gate* on bits *positions* of the factor *vector*, in place and in
+    order, with the kernel :meth:`DistributedState._sweep` builds (its
+    phase factor uncached: factors come and go with the product write)."""
     width = vector.size.bit_length() - 1
-    if not gate.targets:
-        apply_diagonal_factor(
-            vector, _build_diagonal_tensor(gate.blocks[:, 0, 0], positions, width)
-        )
-    elif len(positions) > SWEEP_MAX_QUBITS:
-        apply_gate_reference(vector, gate.dense(), positions)
-    else:
-        DenseSweep(width, gate, positions, vector.dtype).apply(vector)
+    part, units = _kernel(gate, positions, width, width, vector.dtype, cache=None)
+    part(vector, 0, units)
 
 
 def _write_order(
@@ -456,12 +489,13 @@ class DistributedState:
         bits pick: the factors with local bits give one array
         (:func:`~repro.kernels.product.product_fill`, the same for every
         rank whose bits pick the same slices), the ones on rank bits only
-        one scalar that multiplies it.  Both storage layouts do exactly
-        that per rank, so they agree bit for bit: the block of all
-        shards fills each distinct array once and scales it into its ranks;
-        other storage gets one overwriting kernel per rank through
-        ``storage.sweep`` (which ``DiskShards`` stores without loading).
-        No temporary is larger than a shard or a factor.  The cost model
+        one scalar that multiplies it.  One overwriting ``storage.sweep``
+        writes it (which ``DiskShards`` stores without loading): each
+        group of a span's ranks that share their array is filled in its
+        first shard, scaled from there into the others, and the first
+        scaled last, so every span shape does the same arithmetic per
+        rank and they agree bit for bit.  No temporary is larger than a
+        factor.  The cost model
         records one pass.  The write takes the place of a pending init
         fill, which then never runs, and ends the state's freshness.
         It is written in the layout the ops' sweeps would leave, one by
@@ -533,33 +567,40 @@ class DistributedState:
                 slices[key] = _rank_slice(bits, vector, l, key[1])
             return slices[key]
 
-        def local_factors(rank):
-            return local + [slice_of(i, rank) for i in range(len(crossing))]
+        def kernel_for(ranks):  # one unit per group of ranks sharing an array
+            sharing: dict[int, list[int]] = {}
+            for rank in ranks:
+                sharing.setdefault(rank & picks, []).append(rank - ranks.start)
+            groups = [
+                (local + [slice_of(i, ranks.start + group[0])
+                          for i in range(len(crossing))],
+                 [(shard, scales[ranks.start + shard]) for shard in group])
+                for group in sharing.values()
+            ]
 
-        block = self.storage.local_block(overwrites=True)
+            def part(array, start, stop):
+                # A one-rank span writes its own array: views made here,
+                # on a pool thread, raised dense_24q's peak RSS by up to
+                # 1.5 MiB in 5 of 12 processes (2 vCPUs, 20 rounds each).
+                shards = [array] if len(ranks) == 1 else array.reshape(len(ranks), -1)
+                for factors, ((lead, scale), *rest) in groups[start:stop]:
+                    first = shards[lead]
+                    if scale != 0 or any(other != 0 for _, other in rest):
+                        product_fill(first, factors)
+                    for shard, other in rest:
+                        _scale_into(shards[shard], first, other)
+                    _scale_into(first, first, scale)
+
+            return part, len(groups)
+
         with self.telemetry.tracer.span(
             "kernel.product", kind="kernel", ops=len(ops)
         ):
-            if block is not None:
-                shards = block.reshape(self.num_ranks, -1)
-                array = np.empty(shards.shape[1], dtype=block.dtype)
-                sharing: dict[int, list[int]] = {}
-                for rank in range(self.num_ranks):
-                    sharing.setdefault(rank & picks, []).append(rank)
-                for key, group in sharing.items():
-                    product_fill(array, local_factors(key))
-                    for rank in group:
-                        _scale_into(shards[rank], array, scales[rank])
-            else:
-                self.storage.sweep(
-                    lambda rank: partial(
-                        _write_shard,
-                        factors=local_factors(rank),
-                        scale=scales[rank],
-                    ),
-                    label=f"product write of {len(ops)} ops",
-                    overwrites=True,
-                )
+            self.storage.sweep(
+                kernel_for,
+                label=f"product write of {len(ops)} ops",
+                overwrites=True,
+            )
         self.layout = layout
         self.kernel_cost.record(self.num_qubits, 0, diagonal=True)
 
@@ -574,12 +615,12 @@ class DistributedState:
 
         Targets must be local bits; a control on a global bit holds, on
         every rank, the value the rank number spells.  The kernel follows
-        from the gate: the phase multiply when it has no targets, the
-        dense sweep (:class:`~repro.kernels.DenseSweep`) up to
-        :data:`~repro.kernels.SWEEP_MAX_QUBITS` bits, and tensordot, rank
-        by rank, beyond.  It is built once (once per value of its global
-        controls when ranks go one by one), and every way of running it
-        (one sweep over a block of shards, or rank by rank) does the same
+        from the gate (:func:`_kernel`: the phase multiply when it has no
+        targets, else the dense sweep), one per span the storage hands
+        over: a control on a rank bit inside the span is a top bit of its
+        longer vector, one above it is fixed by the span's ranks
+        (:meth:`~repro.kernels.blocks.BlockGate.restrict`), and one kernel
+        is built per value of those.  Every span shape does the same
         arithmetic on every amplitude, bit for bit.  Telemetry only times
         the sweep; it never picks the way.  A windowed dense sweep writes
         back in panel order, or in the staged order of the *closing* swap
@@ -592,51 +633,29 @@ class DistributedState:
                 f"{[bits[j] for j in gate.targets if bits[j] >= l]}"
             )
         k, m = len(bits), len(gate.targets)
-        tensordot = m > 0 and k > SWEEP_MAX_QUBITS
         order = _write_order(self.layout, gate, bits, closing)
         ranked = [j for j in gate.controls if bits[j] >= l]
-        # A backend that keeps the shards side by side, in rank order,
-        # gets one sweep over all of them: a target is a bit of that
-        # longer vector just the same, and a global control one of its
-        # top bits.  That block, or else each resident shard (when no
-        # control tells ranks apart), goes to the sweep pool in pieces.
-        # Through the storage, rank by rank, otherwise: shards not
-        # resident, and the tensordot kernel, whose GEMM shape (and with
-        # it the rounding) would follow the vector's length.
-        arrays = None
-        if not tensordot:
-            block = self.storage.local_block()
-            if block is not None:
-                arrays = [block]
-            elif not ranked:
-                arrays = self.storage.resident_shards()
-        if arrays is not None:
-            part, units = self._local_kernel(
-                gate, bits, width=arrays[0].size.bit_length() - 1, order=order
-            )
-            sweep = partial(split_sweep, part, arrays, units)
-        else:
-            kept = [b for b in bits if b < l]
-            kernels: dict[tuple, object] = {}
+        kernels: dict[tuple, tuple] = {}
 
-            def kernel_of_rank(rank):
-                fixed = {j: rank >> (bits[j] - l) & 1 for j in ranked}
-                key = tuple(fixed.values())
-                if key not in kernels:
-                    local = gate.restrict(fixed)
-                    kernels[key] = partial(
-                        apply_gate_reference, matrix=local.dense(), qubits=kept
-                    ) if tensordot else self._local_kernel(
-                        local, kept, order=order
-                    )[0]
-                return kernels[key]
+        def kernel_for(ranks):
+            width = l + len(ranks).bit_length() - 1
+            fixed = {
+                j: ranks.start >> (bits[j] - l) & 1
+                for j in ranked if bits[j] >= width
+            }
+            key = (width, *fixed.values())
+            if key not in kernels:
+                kernels[key] = _kernel(
+                    gate.restrict(fixed) if fixed else gate,
+                    [b for j, b in enumerate(bits) if j not in fixed],
+                    width, l, self.storage.dtype, order=order,
+                )
+            return kernels[key]
 
-            sweep = partial(
-                self.storage.sweep,
-                kernel_of_rank,
-                label=f"op k={k} m={m} bits={list(bits)}",
-            )
-
+        sweep = partial(
+            self.storage.sweep, kernel_for,
+            label=f"op k={k} m={m} bits={list(bits)}",
+        )
         tel = self.telemetry
         if tel.active:
             with tel.tracer.span(
@@ -654,76 +673,11 @@ class DistributedState:
         # (one multiply for a phase, m = 0).
         self.kernel_cost.record(self.num_qubits, m, diagonal=not m)
 
-    def _local_kernel(
-        self,
-        gate: BlockGate,
-        bits: Sequence[int],
-        *,
-        width: int | None = None,
-        order: Sequence[int] | None = None,
-    ):
-        """``(part, units)`` for *gate* on *bits* of a ``2**width`` array
-        (default: one shard): ``part(array, start=0, stop=None)`` sweeps
-        units ``start..stop-1`` of it, built once for every array it runs
-        on.  Bits from ``l`` up (the block of all shards, in rank order)
-        must be controls; a phase multiply takes one factor over the
-        local bits per value of those.  A dense sweep writes back in
-        *order* (:func:`_write_order`)."""
-        l = self.local_qubits
-        width = l if width is None else width
-        if gate.targets:
-            dense = DenseSweep(
-                width, gate, bits, self.storage.dtype, order=order
-            )
-            # ``apply`` binds the panels of the thread that runs it: a
-            # deferred kernel may run on a pool thread.
-            return dense.apply, dense.num_blocks
-        kept = [j for j, b in enumerate(bits) if b < l]
-        ranked = [j for j, b in enumerate(bits) if b >= l]
-        factors = [
-            GATHER_CACHE.diagonal_factor(
-                l, [bits[j] for j in kept],
-                np.asarray(
-                    gate.restrict(
-                        {j: value >> i & 1 for i, j in enumerate(ranked)}
-                    ).blocks[:, 0, 0],
-                    dtype=self.storage.dtype,
-                ),
-            )
-            for value in range(1 << len(ranked))
-        ]
-        if not ranked:
-            rows = 1 << (width - l)
-
-            def part(array, start=0, stop=None):  # shards start..stop-1
-                apply_diagonal_factor(
-                    array.reshape(rows, -1)[start:stop], factors[0]
-                )
-
-            return part, rows
-        # One unit per value of the global controls: the shards whose
-        # rank bits spell it, a view with one size-2 axis per such bit.
-        shape, axes = _axes_above(l, width, [bits[j] for j in ranked])
-        axis_of = dict(zip(sorted(ranked, key=lambda j: -bits[j]), axes))
-        views = []
-        for value in range(len(factors)):
-            index = [slice(None)] * len(shape)
-            for i, j in enumerate(ranked):
-                index[axis_of[j]] = value >> i & 1
-            views.append(tuple(index))
-
-        def part(array, start=0, stop=None):  # control values start..stop-1
-            view = array.reshape(*shape, 1 << l)
-            for value in range(len(factors))[start:stop]:
-                apply_diagonal_factor(view[views[value]], factors[value])
-
-        return part, len(factors)
-
     # ------------------------------------------------------------------
     # Swaps (Sec. 3.4)
     # ------------------------------------------------------------------
     def _swap_local_bits(self, bit_a: int, bit_b: int) -> None:
-        """Swap two local bits via a SWAP kernel on every shard.
+        """Swap two local bits via a SWAP kernel on every span.
 
         The reference the composed :meth:`_apply_local_bit_permutation` is
         tested against.
@@ -736,11 +690,12 @@ class DistributedState:
         with self.telemetry.tracer.span(
             "comm.staging_swap", kind="staging", bit_a=bit_a, bit_b=bit_b
         ):
-            kernel = partial(
-                apply_gate_indexed, matrix=SWAP_MATRIX, qubits=(bit_a, bit_b)
-            )
+            def part(array, start, stop):
+                apply_gate_indexed(array, SWAP_MATRIX, (bit_a, bit_b))
+
             self.storage.sweep(
-                lambda r: kernel, label=f"staging_swap bits={[bit_a, bit_b]}"
+                lambda ranks: (part, 1),
+                label=f"staging_swap bits={[bit_a, bit_b]}",
             )
         self.layout = self.layout.swap_bits(bit_a, bit_b)
         self.stats.record_local_swap()
@@ -758,13 +713,13 @@ class DistributedState:
         kernels it replaces (a pure index shuffle touches no amplitude
         arithmetic) at a fraction of the memory traffic, and with no
         index table of any size.  With no transpositions (the sweep
-        before the swap staged it) nothing runs and nothing is counted.  The shards of a block
-        (:meth:`ShardStorage.local_block`) go ``2**16 >> l`` at a time,
-        one copy per chunk of at most 1 MiB instead of one kernel per
-        shard; any other storage gets one kernel per rank through
-        ``storage.sweep``.  Swap/kernel counters still advance once per
-        transposition so ``CommStats`` and the cost model keep their
-        Sec. 3.4 accounting.
+        before the swap staged it) nothing runs and nothing is counted.
+        The shards of a span go ``2**16 >> l`` at a time, one copy per
+        chunk of at most 1 MiB (a span of one shard: one copy), through a
+        buffer lent to each part that may run at once: one a pool thread
+        allocated and freed would stay in that thread's malloc arena.
+        Swap/kernel counters still advance once per transposition so
+        ``CommStats`` and the cost model keep their Sec. 3.4 accounting.
         """
         if not transpositions:
             return
@@ -791,41 +746,35 @@ class DistributedState:
         order = [0] + [a + 1 for a in axes]
         permuted_shape = [shape[a] for a in axes]
 
-        def permute(shards, buf):  # shards: (count, 2**l), via buf
-            staged = buf[:shards.size].reshape(-1, *permuted_shape)
-            np.copyto(staged, shards.reshape(-1, *shape).transpose(order))
-            np.copyto(shards, staged.reshape(shards.shape))
+        lent = queue.SimpleQueue()
+
+        def kernel_for(ranks):
+            per = min(len(ranks), max(1, (1 << _CHUNK_QUBITS) >> l))
+            # Made at the first span's call: spans have one size, and no
+            # part runs before the last call.
+            if lent.empty():
+                for _ in range(self.storage.sweep_threads()):
+                    lent.put(np.empty(per << l, dtype=self.storage.dtype))
+
+            def part(array, start, stop):  # chunks of `per` shards
+                buf = lent.get()
+                try:
+                    staged = buf.reshape(-1, *permuted_shape)
+                    for shards in array.reshape(-1, per, 1 << l)[start:stop]:
+                        np.copyto(staged, shards.reshape(-1, *shape).transpose(order))
+                        np.copyto(shards, staged.reshape(shards.shape))
+                finally:
+                    lent.put(buf)
+
+            return part, len(ranks) // per
 
         with self.telemetry.tracer.span(
             "comm.staging_swap", kind="staging", swaps=len(transpositions)
         ):
-            block = self.storage.local_block()
-            if block is not None:
-                shards = block.reshape(self.num_ranks, -1)
-                per = max(1, (1 << _CHUNK_QUBITS) >> l)
-                buf = np.empty(per << l, dtype=block.dtype)
-                for start in range(0, self.num_ranks, per):
-                    permute(shards[start:start + per], buf)
-            else:
-                # Scratch is allocated here and lent, one buffer per
-                # kernel that may run at once: one a pool thread
-                # allocated and freed would stay in that thread's malloc
-                # arena.
-                lent = queue.SimpleQueue()
-                for _ in range(self.storage.sweep_threads()):
-                    lent.put(np.empty(1 << l, dtype=self.storage.dtype))
-
-                def kernel(shard):
-                    buf = lent.get()
-                    try:
-                        permute(shard.reshape(1, -1), buf)
-                    finally:
-                        lent.put(buf)
-
-                self.storage.sweep(
-                    lambda r: kernel,
-                    label=f"staging_swap transpositions={list(transpositions)}",
-                )
+            self.storage.sweep(
+                kernel_for,
+                label=f"staging_swap transpositions={list(transpositions)}",
+            )
         for _ in transpositions:
             self.stats.record_local_swap()
             self.kernel_cost.record(self.num_qubits, 2)

@@ -17,12 +17,13 @@ which stores it as its ``s``-th block.
 
 Loop order
 ----------
-Every writer in :class:`~repro.distributed.state.DistributedState` hands
-its per-rank kernels to :meth:`ShardStorage.sweep`, unless the backend
-keeps every shard in one block (:meth:`ShardStorage.local_block`),
-which the writers then take whole.  The in-memory
-backend runs them on the spot (large shards on every CPU, through the
-sweep pool of :mod:`repro.kernels`); :class:`DiskShards` *defers* them, keyed
+Every writer reaches amplitudes through :meth:`ShardStorage.sweep`, and
+only the backend knows how its shards lie: it asks the writer for one
+kernel per *span*, a run of consecutive ranks it hands over as one array
+(the block of all small in-memory shards is one span, any other shard
+one of its own).  The in-memory backend runs the kernels on the spot,
+cut into pieces for every CPU through the sweep pool of
+:mod:`repro.kernels`; :class:`DiskShards` *defers* them, keyed
 by file, and its stage flush streams every file through a RAM buffer
 once: ``preadv`` the shard, run all its pending kernels in order,
 ``pwrite`` it back — one read and one write per shard per *stage*, not
@@ -64,7 +65,12 @@ from pathlib import Path
 import numpy as np
 
 import repro.kernels.apply as kernels
-from repro.kernels.apply import run_split, split_threads
+from repro.kernels.apply import (
+    run_split,
+    split_sweep,
+    split_sweep_threads,
+    split_threads,
+)
 from repro.telemetry.runtime import NULL_TELEMETRY
 from repro.util.validation import check_power_of_two
 
@@ -93,10 +99,9 @@ class ShardStorage(abc.ABC):
     methods they call, so the init is kept in one place:
     :meth:`initialize` records it as :attr:`pending`.  :meth:`read`,
     :meth:`drain`, the writers (:meth:`set`, :meth:`sweep`,
-    :meth:`exchange_blocks`, :meth:`permute_shards`) and the hand-outs of
-    writable arrays (:meth:`get`, and :meth:`local_block` /
-    :meth:`resident_shards` unless ``None``) write it first, unless they
-    overwrite every amplitude (``overwrites=True``).  Writers end
+    :meth:`exchange_blocks`, :meth:`permute_shards`) and the hand-out of
+    a writable shard (:meth:`get`) write it first, unless they overwrite
+    every amplitude (``overwrites=True``).  Writers end
     :attr:`fresh_init`.
     """
 
@@ -117,27 +122,24 @@ class ShardStorage(abc.ABC):
         self.fresh_init, self.pending = init, True
 
     def _materialize(self, *, overwrites: bool = False) -> None:
-        """Write the pending init (one fill of the block, else one kernel
-        per rank), or drop it when the caller *overwrites* it all."""
+        """Write the pending init (one fill per span), or drop it when
+        the caller *overwrites* it all."""
         if self.pending and not overwrites:
             n = (self.num_shards * self.shard_size).bit_length() - 1
             amp = 2.0 ** (-n / 2) if self.fresh_init == "plus" else 0
             zero = self.fresh_init == "zero"
 
-            def fill(shard, first):
-                shard[:] = amp
+            def fill(array, start, stop, first):
+                array[:] = amp
                 if first:
-                    shard[0] = 1.0
+                    array[0] = 1.0
 
-            block = self._local_block()
-            if block is not None:
-                fill(block, zero)
-            else:
-                self._sweep(
-                    lambda r: partial(fill, first=zero and r == 0),
-                    label=f"init {self.fresh_init}",
-                    overwrites=True,
-                )
+            self._sweep(
+                [(ranks, partial(fill, first=zero and ranks.start == 0), 1)
+                 for ranks in self._spans()],
+                label=f"init {self.fresh_init}",
+                overwrites=True,
+            )
         self.pending = False
 
     def _write(self, *, overwrites: bool = False) -> None:
@@ -180,44 +182,33 @@ class ShardStorage(abc.ABC):
         self._write()
         self._permute_shards(permutation)
 
-    def local_block(self, *, overwrites: bool = False) -> np.ndarray | None:
-        """Every rank's amplitudes as one writable array, or ``None``.
+    def sweep(self, kernel_for, *, label: str = "", overwrites=False) -> None:
+        """Run a kernel in place on every *span* — the one way amplitudes
+        are written outside the collectives.
 
-        Whole shards back to back in rank order, ``num_shards *
-        shard_size`` amplitudes: bit ``l + i`` of an index into it is bit
-        ``i`` of the rank, so one sweep over it may tell ranks apart by
-        those bits.  ``None`` when the shards do not sit side by side in
-        memory.  *overwrites*: the caller writes every amplitude first.
+        A span is a ``range`` of consecutive ranks whose shards the
+        backend holds as one array, in rank order: bit ``l + i`` of an
+        index into it is bit ``i`` of ``rank - ranks.start``.  The block
+        of all in-memory shards is one span, ``range(0, num_shards)``;
+        any other shard is ``range(r, r + 1)``.  ``kernel_for(ranks)`` is
+        called once per span, on the calling thread, and returns ``(part,
+        units)``: ``part(array, start, stop)`` sweeps units
+        ``start..stop-1`` of the span's array, in place.  ``None`` leaves
+        the span alone.
+
+        Parts may run on any thread, several at once on distinct units,
+        and later than the call (until :meth:`flush`).  *label* names the
+        op (kind, k, bits) for the error of a kernel that fails later than
+        its op; *overwrites* promises that every part replaces its span
+        without reading it (a span left alone then still gets a pending
+        init).
         """
-        block = self._local_block()
-        if block is not None:
-            self._write(overwrites=overwrites)
-        return block
-
-    def resident_shards(self) -> list[np.ndarray] | None:
-        """Every rank's shard, for a sweep that may write them from several
-        threads at once; ``None`` when the shards are not in memory."""
-        shards = self._resident_shards()
-        if shards is not None:
-            self._write()
-        return shards
-
-    def sweep(self, kernel_of_rank, *, label: str = "", overwrites=False) -> None:
-        """Apply ``kernel_of_rank(r)`` in place to every rank's shard
-        (``None``: leave that shard alone) — the one way amplitudes are
-        written outside the collectives.
-
-        Kernels may run on any thread, several at once on distinct
-        shards, and later than the call (until :meth:`flush`).  *label*
-        names the op (kind, k, bits) for the error of a kernel that fails
-        later than its op; *overwrites* promises that every kernel
-        replaces its whole shard without reading it.
-        """
-        if overwrites and self.pending:  # a rank left alone needs the init
-            given = [kernel_of_rank(r) for r in range(self.num_shards)]
-            kernel_of_rank, overwrites = given.__getitem__, None not in given
+        spans = self._spans()
+        given = [(ranks, *kernel) for ranks in spans
+                 if (kernel := kernel_for(ranks)) is not None]
+        overwrites = overwrites and len(given) == len(spans)
         self._write(overwrites=overwrites)
-        self._sweep(kernel_of_rank, label=label, overwrites=overwrites)
+        self._sweep(given, label=label, overwrites=overwrites)
 
     @abc.abstractmethod
     def _get(self, rank: int) -> np.ndarray:
@@ -233,19 +224,19 @@ class ShardStorage(abc.ABC):
     @abc.abstractmethod
     def _permute_shards(self, permutation: np.ndarray) -> None: ...
 
-    def _local_block(self) -> np.ndarray | None:
-        return None
-
-    def _resident_shards(self) -> list[np.ndarray] | None:
-        return None
+    def _spans(self) -> list[range]:
+        """The spans :meth:`sweep` walks: one rank each, unless the
+        backend keeps shards side by side."""
+        return [range(rank, rank + 1) for rank in range(self.num_shards)]
 
     @abc.abstractmethod
-    def _sweep(self, kernel_of_rank, *, label: str, overwrites: bool) -> None: ...
+    def _sweep(self, parts, *, label: str, overwrites: bool) -> None:
+        """Run (or defer) every ``(ranks, part, units)`` of *parts*."""
 
     @abc.abstractmethod
     def sweep_threads(self) -> int:
-        """Most kernels of one sweep that run at once: what a kernel
-        needing scratch is lent, one buffer per running kernel."""
+        """Most parts of one sweep that run at once: what a part needing
+        scratch is lent, one buffer per running part."""
 
     def flush(self) -> None:
         """Run every deferred sweep (nothing is ever deferred here)."""
@@ -287,8 +278,8 @@ class InMemoryShards(ShardStorage):
     """All shards live in process memory.
 
     Shards of up to :data:`_BLOCK_SHARD_BYTES` are views into one array,
-    back to back in rank order, so a sweep takes them all at once
-    (:meth:`local_block`) instead of dispatching ``2**g`` times.
+    back to back in rank order, so a sweep takes them all at once (one
+    span) instead of dispatching ``2**g`` times.
     Larger ones are one array each, mapped and returned to the system
     one by one: dispatch is noise next to their sweep, and one allocation
     of the whole state fragments the heap of a long-lived process.  With
@@ -331,24 +322,23 @@ class InMemoryShards(ShardStorage):
             return None
         return np.zeros(self.num_shards * self.shard_size, dtype=self.dtype)
 
-    def _local_block(self) -> np.ndarray | None:
-        return self._block
+    def _spans(self) -> list[range]:
+        if self._block is None:
+            return super()._spans()
+        return [range(self.num_shards)]
 
-    def _resident_shards(self) -> list[np.ndarray] | None:
-        return self._shards
-
-    def _sweep(self, kernel_of_rank, *, label: str, overwrites: bool) -> None:
-        """Run the kernels here and now; shards of at least
+    def _sweep(self, parts, *, label: str, overwrites: bool) -> None:
+        """Run the parts here and now, in pieces of at least
         :data:`~repro.kernels.apply.SPLIT_MIN_AMPLITUDES` on the sweep pool."""
-        run_split(
-            lambda job: job[0](job[1]),
-            ((kernel, shard) for rank, shard in enumerate(self._shards)
-             if (kernel := kernel_of_rank(rank)) is not None),
-            self.shard_size,
+        split_sweep(
+            (part, self._shards[ranks.start] if self._block is None
+             else self._block, units)
+            for ranks, part, units in parts
         )
 
     def sweep_threads(self) -> int:
-        return split_threads(self.num_shards, self.shard_size)
+        spans = self._spans()
+        return split_sweep_threads(len(spans), len(spans[0]) * self.shard_size)
 
     def _get(self, rank: int) -> np.ndarray:
         return self._shards[rank]
@@ -632,17 +622,15 @@ class DiskShards(ShardStorage):
         self.io_stats["bytes_written"] += data.nbytes
 
     # -- deferred sweeps -----------------------------------------------
-    def _sweep(self, kernel_of_rank, *, label: str, overwrites: bool) -> None:
-        """Defer the kernels to the stage flush (:meth:`flush`)."""
-        for rank, file_index in enumerate(self._file_of_rank):
-            kernel = kernel_of_rank(rank)
-            if kernel is None:
-                continue
+    def _sweep(self, parts, *, label: str, overwrites: bool) -> None:
+        """Defer each file's part to the stage flush (:meth:`flush`)."""
+        for ranks, part, units in parts:
+            file_index = self._file_of_rank[ranks.start]
             if overwrites:
                 self._pending[file_index] = []
                 self._unread.add(file_index)
             self._pending.setdefault(file_index, []).append(
-                (kernel, label, rank)
+                (partial(part, start=0, stop=units), label, ranks.start)
             )
 
     def sweep_threads(self) -> int:

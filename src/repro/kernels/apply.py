@@ -59,6 +59,7 @@ __all__ = [
     "matrix_is_diagonal",
     "run_split",
     "split_sweep",
+    "split_sweep_threads",
     "split_threads",
     "sweep_order",
 ]
@@ -220,23 +221,37 @@ def run_split(work, items, amplitudes: int) -> None:
         future.result()
 
 
-def split_sweep(run, arrays: Sequence[np.ndarray], units: int) -> None:
-    """``run(array, start, stop)`` over units ``0..units-1`` of every one
-    of *arrays* (all of one size), through :func:`run_split`.
+def _split_parts(count: int, size: int, units: int) -> int:
+    """Unit ranges :func:`split_sweep` cuts each of *count* arrays of
+    *size* amplitudes and *units* units into."""
+    return max(1, min(-(-_CPUS // count), units, size // SPLIT_MIN_AMPLITUDES))
+
+
+def split_sweep(items) -> None:
+    """``part(array, start, stop)`` over units ``0..units-1`` of every
+    ``(part, array, units)`` item (arrays all of one size), through
+    :func:`run_split`.
 
     Each array is cut into as many unit ranges as it takes to give every
     CPU a piece, none smaller than :data:`SPLIT_MIN_AMPLITUDES`; a unit
-    is what *run* sweeps as one (a :class:`DenseSweep` block, a row).
+    is what its *part* sweeps as one (a :class:`DenseSweep` block, a row).
     """
-    size = arrays[0].size
-    parts = max(1, min(-(-_CPUS // len(arrays)), units,
-                       size // SPLIT_MIN_AMPLITUDES))
-    run_split(
-        lambda item: run(*item),
-        [(array, i * units // parts, (i + 1) * units // parts)
-         for array in arrays for i in range(parts)],
-        units // parts * size // units,
-    )
+    items = list(items)
+    pieces, smallest = [], []
+    for part, array, units in items:
+        parts = _split_parts(len(items), array.size, units)
+        pieces += [(part, array, i * units // parts, (i + 1) * units // parts)
+                   for i in range(parts)]
+        smallest.append(units // parts * array.size // units)
+    run_split(lambda piece: piece[0](*piece[1:]), pieces, min(smallest, default=0))
+
+
+def split_sweep_threads(count: int, size: int) -> int:
+    """Most pieces :func:`split_sweep` runs at once over *count* arrays of
+    *size* amplitudes: what a caller lending each running piece a buffer
+    allocates."""
+    parts = _split_parts(count, size, size)
+    return split_threads(count * parts, size // parts)
 
 
 def _num_qubits_of(state: np.ndarray) -> int:
@@ -316,8 +331,9 @@ def apply_gate_two_vector(
 #: (32 KiB), whatever the shard size.
 _WINDOW_MAX_BITS = 12
 
-#: Widest gate the dense sweep takes before the tensordot kernel does.
-#: Measured cold on this host (1 BLAS thread, us per sweep, sweep vs
+#: Widest gate :func:`apply_gate` gives the dense sweep before the
+#: tensordot kernel (the distributed state sweeps every width).  Measured
+#: cold on the reference host (1 BLAS thread, us per sweep, sweep vs
 #: ``apply_gate_reference``): 16 x 2**14 shards k=7 5.7k/7.7k, k=8
 #: 10.6k/14.1k, k=9 21.3k/34.5k; one 2**20 shard k=7 22k/38k, k=8
 #: 38k/43k, k=9 76k/74k — the tensordot only catches up at k=9.
@@ -398,11 +414,10 @@ def sweep_order(
     through one take, while a shard alone has no such bit and writes its
     panel straight back.  ``None`` for
     an op whose sweep writes back in place: one with no targets (the
-    phase multiply), one wider than :data:`SWEEP_MAX_QUBITS` (tensordot)
-    and one with a target from :data:`_WINDOW_MAX_BITS` up (the slab
-    scheme).
+    phase multiply) and one with a target from :data:`_WINDOW_MAX_BITS`
+    up (the slab scheme).
     """
-    if not gate.targets or len(bits) > SWEEP_MAX_QUBITS:
+    if not gate.targets:
         return None
     pos = sorted(bits[j] for j in gate.targets)
     if pos[-1] >= _WINDOW_MAX_BITS:

@@ -58,10 +58,9 @@ class PlanOp:
       diagonal) is fixed.  Qubits global in the op's stage are controls
       — each rank runs the blocks its rank number picks.  The state
       picks the kernel from the gate (the phase multiply when it has no
-      targets, the dense sweep up to
-      :data:`repro.kernels.SWEEP_MAX_QUBITS` qubits, tensordot beyond);
-      the sweep's addresses come from the run-time bit layout and its
-      chunk from :func:`repro.kernels.chunk_for`.
+      targets, the dense sweep at any width otherwise); the sweep's
+      addresses come from the run-time bit layout and its chunk from
+      :func:`repro.kernels.chunk_for`.
     * ``"fused_kernel"`` — several adjacent kernel ops refused into one
       over the qubit union, run exactly like a ``"kernel"`` op; its
       blocks are composed block by block from its members.

@@ -6,8 +6,42 @@ import numpy as np
 import pytest
 
 from repro.circuit import Circuit, generate_supremacy_circuit
+from repro.distributed import InMemoryShards
+from repro.distributed import storage as storage_module
 from repro.gates import Gate, random_unitary
 from repro.util.rng import random_statevector
+
+
+def shards_apart(num_shards: int, shard_size: int, **kwargs) -> InMemoryShards:
+    """``InMemoryShards`` with every shard in an array of its own, as it
+    keeps shards past 128 KiB, whatever their size: one span per rank."""
+    saved = storage_module._BLOCK_SHARD_BYTES
+    storage_module._BLOCK_SHARD_BYTES = 0
+    try:
+        return InMemoryShards(num_shards, shard_size, **kwargs)
+    finally:
+        storage_module._BLOCK_SHARD_BYTES = saved
+
+
+def sweep_ranks(storage, kernel_of_rank, **kwargs) -> None:
+    """``storage.sweep`` with one kernel per rank: ``kernel_of_rank(r)``
+    runs in place on rank ``r``'s shard, or is ``None`` to leave it alone
+    (a span whose ranks all are is left alone)."""
+
+    def kernel_for(ranks):
+        kernels = [kernel_of_rank(rank) for rank in ranks]
+        if all(kernel is None for kernel in kernels):
+            return None
+
+        def part(array, start, stop):
+            shards = array.reshape(len(ranks), -1)
+            for i in range(start, stop):
+                if kernels[i] is not None:
+                    kernels[i](shards[i])
+
+        return part, len(ranks)
+
+    storage.sweep(kernel_for, **kwargs)
 
 
 @pytest.fixture

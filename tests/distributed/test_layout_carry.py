@@ -19,7 +19,7 @@ import pytest
 
 import repro.distributed.storage as storage_module
 import repro.kernels.apply as kernels
-from repro.circuit import generate_supremacy_circuit
+from repro.circuit import Circuit, generate_supremacy_circuit
 from repro.distributed import DiskShards, DistributedState
 from repro.distributed.checkpoint import CheckpointManager
 from repro.gates import Gate, random_unitary
@@ -92,7 +92,7 @@ def _run(
                 schedule, layers=layers(fresh), state_factory=fresh,
                 **engine_kwargs,
             ).run().state
-            assert (state.storage.local_block() is not None) == (
+            assert (state.storage._spans() == [range(state.num_ranks)]) == (
                 backend == "block"
             )
             return _Final(state)
@@ -192,6 +192,63 @@ class TestEveryBackend:
         block = DistributedState.from_statevector(StateVector(n, amps.copy()), l)
         block.apply_compiled(gate, bits)
         assert got.shards == _Final(block).shards
+
+
+def _wide_op(name):
+    """``(gate, bits)`` of a wide op on 14 qubits: 9 dense bits, or 10
+    bits of which 5 are controls — bit 11 (the lowest rank bit at l = 11,
+    inside the block's window) and bit 13 (above it) among them."""
+    rng = np.random.default_rng(len(name))
+    if name == "k9":
+        return BlockGate.of(random_unitary(9, rng)), (0, 1, 2, 3, 4, 5, 6, 8, 10)
+    # gate bits 5..9 are the controls: bits 0, 6, 10, 11, 13
+    blocks = np.stack([random_unitary(5, rng) for _ in range(32)])
+    return BlockGate(10, (5, 6, 7, 8, 9), blocks), (1, 3, 5, 7, 9, 0, 6, 10, 11, 13)
+
+
+class TestWideOps:
+    """Ops past ``SWEEP_MAX_QUBITS`` are dense sweeps like any other: the
+    same bytes and layout on every backend, pooled or serial, and the
+    single-node simulator's state."""
+
+    N, L = 14, 11
+
+    @pytest.mark.parametrize("name", ["k9", "k10_five_controls"])
+    def test_every_backend(self, name, tmp_path, monkeypatch):
+        gate, bits = _wide_op(name)
+        assert len(bits) > kernels.SWEEP_MAX_QUBITS
+        amps = random_statevector(self.N, 5)
+        runs = {}
+        for backend, pooled in WAYS:
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    kernels, "SPLIT_MIN_AMPLITUDES", 1 if pooled else SERIAL
+                )
+                if backend == "by_shard":
+                    patch.setattr(storage_module, "_BLOCK_SHARD_BYTES", 0)
+                storage = None
+                if backend == "disk":
+                    storage = DiskShards(
+                        1 << (self.N - self.L), 1 << self.L,
+                        tmp_path / f"{name}{pooled}",
+                    )
+                state = DistributedState.from_statevector(
+                    StateVector(self.N, amps.copy()), self.L, storage=storage
+                )
+                state.apply_compiled(gate, bits)
+                runs[backend, pooled] = _Final(state)
+                if storage is not None:
+                    storage.close()
+        want = runs["block", False]
+        assert want.layout.bit_of_qubit != tuple(range(self.N))  # panel order
+        for way, got in runs.items():
+            assert got.shards == want.shards, way
+            assert got.layout == want.layout, way
+        oracle = Simulator(self.N).run(
+            Circuit(self.N, [Gate(name, bits, gate.dense())]),
+            state=StateVector(self.N, amps.copy()),
+        ).state
+        assert want.logical.allclose(oracle, atol=1e-12)
 
 
 class _KillBefore(RuntimeLayer):

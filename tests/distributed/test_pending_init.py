@@ -44,7 +44,9 @@ def make(request, tmp_path, monkeypatch):
             if request.param == "by_shard":
                 patch.setattr(storage_module, "_BLOCK_SHARD_BYTES", 0)
             storage = storage_module.InMemoryShards(1 << (N - L), 1 << L)
-        assert (storage.local_block() is None) == (request.param == "by_shard")
+        assert (storage._spans() == [range(1 << (N - L))]) == (
+            request.param == "block"
+        )
         return storage
 
     yield make
@@ -146,18 +148,22 @@ class TestPendingInit:
         assert np.array_equal(state.to_statevector().data, _init_vector(init))
 
     def test_overwriting_sweep_of_some_ranks(self, make, fills, init):
-        """An ``overwrites=True`` sweep that leaves ranks alone: they get
-        the init, the others what their kernels write."""
+        """An ``overwrites=True`` sweep that leaves spans alone: their
+        ranks get the init, the others what their parts write.  The
+        block is one span, so a part for rank 1 leaves none alone."""
         storage = make()
         storage.initialize(init)
 
-        def ones(shard):
-            shard[:] = 1
+        def ones(array, start, stop):
+            array[:] = 1
 
-        storage.sweep(lambda r: ones if r == 1 else None, overwrites=True)
-        assert fills == [init] and storage.fresh_init is None
+        storage.sweep(lambda ranks: (ones, 1) if 1 in ranks else None,
+                      overwrites=True)
+        block = storage._spans() == [range(1 << (N - L))]
+        assert fills == ([] if block else [init])
+        assert storage.fresh_init is None
         want = _init_vector(init).reshape(-1, 1 << L)
-        want[1] = 1
+        want[slice(None) if block else 1] = 1
         for rank, shard in enumerate(want):
             assert np.array_equal(storage.read(rank), shard)
 

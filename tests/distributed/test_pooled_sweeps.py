@@ -1,10 +1,9 @@
 """The distributed state on the sweep pool: same bits, no hangs.
 
-Every in-memory write — the sweeps of ``DistributedState._sweep`` over
-the local block or the resident shards (global controls included), and
-whatever goes through ``ShardStorage.sweep`` (init, ops rank by rank,
-monomial renumbering, local bit swaps) — must leave the same bytes
-pooled as forced serial,
+Every in-memory write — whatever goes through ``ShardStorage.sweep``
+(init, ops over the block of all shards or shard by shard, global
+controls included, monomial renumbering, local bit swaps) — must leave
+the same bytes pooled as forced serial,
 and so must ``DiskShards``' stage flush, which hands whole files to the
 pool.  Forcing either side patches ``SPLIT_MIN_AMPLITUDES``.
 """
@@ -42,6 +41,7 @@ from repro.telemetry import Telemetry
 from repro.util.bits import scatter_bits
 from repro.util.executors import unregister_executor
 from repro.util.rng import random_statevector
+from tests.conftest import shards_apart, sweep_ranks
 
 SERIAL = 1 << 62
 OPS = ("dense", "structured", "diagonal", "global_controls", "diagonal_global",
@@ -49,12 +49,11 @@ OPS = ("dense", "structured", "diagonal", "global_controls", "diagonal_global",
 
 
 def _state(n, l, seed, by_shard) -> DistributedState:
-    state = DistributedState(n, l, init="plus")
+    storage = shards_apart(1 << (n - l), 1 << l) if by_shard else None
+    state = DistributedState(n, l, storage=storage, init="plus")
     amps = random_statevector(n, seed)
     for r in range(state.num_ranks):
         state.storage.get(r)[:] = amps[r << l:(r + 1) << l]
-    if by_shard:
-        state.storage.local_block = lambda **_: None
     return state
 
 
@@ -169,16 +168,18 @@ class TestPooledEqualsSerial:
             assert got.tobytes() == want.tobytes()
 
     def _init_runs(self, monkeypatch):
-        """The ``run_split`` piece sizes one ``zero`` init fill uses."""
+        """The ``run_split`` calls (pieces, piece size) of one ``zero``
+        init fill."""
         monkeypatch.setattr(kernels, "SPLIT_MIN_AMPLITUDES", 1)
         seen = set()
         real = kernels.run_split
 
         def spy(work, items, amplitudes):
-            seen.add(amplitudes)
+            items = list(items)
+            seen.add((len(items), amplitudes))
             return real(work, items, amplitudes)
 
-        monkeypatch.setattr("repro.distributed.storage.run_split", spy)
+        monkeypatch.setattr(kernels, "run_split", spy)
         state = DistributedState(6, 4, init="zero")
         assert state.storage.pending and not seen  # nothing runs yet
         assert state.norm() == 1 and state.storage.read(0)[0] == 1
@@ -188,11 +189,12 @@ class TestPooledEqualsSerial:
         """Shards in arrays of their own are filled one kernel each, on
         the pool."""
         monkeypatch.setattr(storage_module, "_BLOCK_SHARD_BYTES", 0)
-        assert self._init_runs(monkeypatch) == {1 << 4}
+        assert self._init_runs(monkeypatch) == {(4, 1 << 4)}
 
     def test_block_init_is_one_fill(self, monkeypatch):
-        """The block of small shards is filled once, in place."""
-        assert self._init_runs(monkeypatch) == set()
+        """The block of small shards is filled once, in place: one span,
+        one piece."""
+        assert self._init_runs(monkeypatch) == {(1, 1 << 6)}
 
 
 class TestGlobalControls:
@@ -283,14 +285,18 @@ class TestGlobalControls:
 
     @pytest.mark.parametrize("m", [0, 2])
     def test_block_takes_no_per_rank_dispatch(self, m, monkeypatch):
+        """On the block, global controls included, one kernel is asked
+        for: the one span of every rank."""
         state = _state(self.N, self.L, 11, False)
         gate, bits = _global_control_gate(state, (0, 2, 4), np.random.default_rng(m), m)
+        asked, sweep = [], state.storage.sweep
 
-        def per_rank(*args, **kwargs):
-            raise AssertionError("rank-by-rank sweep on block storage")
+        def spy(kernel_for, **kwargs):
+            sweep(lambda ranks: asked.append(ranks) or kernel_for(ranks), **kwargs)
 
-        monkeypatch.setattr(state.storage, "sweep", per_rank)
+        monkeypatch.setattr(state.storage, "sweep", spy)
         state._sweep(gate, bits)
+        assert asked == [range(state.num_ranks)]
 
 
 class TestOnePlanEveryWay:
@@ -310,12 +316,11 @@ class TestOnePlanEveryWay:
     def _run(self, schedule, monkeypatch, *, threshold, block=True,
              traced=False, disk=None):
         monkeypatch.setattr(kernels, "SPLIT_MIN_AMPLITUDES", threshold)
-        storage = None
+        ranks, size = 1 << (self.N - self.L), 1 << self.L
+        storage = None if block else shards_apart(ranks, size)
         if disk is not None:
-            storage = DiskShards(1 << (self.N - self.L), 1 << self.L, disk)
+            storage = DiskShards(ranks, size, disk)
         state = DistributedState.for_schedule(schedule, storage=storage)
-        if not block:
-            state.storage.local_block = lambda **_: None
         telemetry = Telemetry.enabled() if traced else None
         ExecutionEngine(
             schedule, telemetry=telemetry, state_factory=lambda: state
@@ -359,27 +364,31 @@ class TestTracedRunIsTheSameRun:
         """Every ``split_sweep``, ``storage.sweep`` and pooled stage flush
         call, in order (``storage.sweep`` once :meth:`_run` wraps it)."""
         calls = []
-        real_split = state_module.split_sweep
+        real_split = storage_module.split_sweep
         real_pooled = DiskShards._stream_pooled
 
-        def split_spy(run, arrays, units):
-            calls.append(("split_sweep", len(arrays), arrays[0].size, units))
-            return real_split(run, arrays, units)
+        def split_spy(items):
+            items = list(items)
+            calls.append((
+                "split_sweep",
+                tuple((array.size, units) for _, array, units in items),
+            ))
+            return real_split(items)
 
         def pooled_spy(self, files, work, threads):
             calls.append(("stream_pooled", tuple(files), work, threads))
             return real_pooled(self, files, work, threads)
 
-        monkeypatch.setattr(state_module, "split_sweep", split_spy)
+        monkeypatch.setattr(storage_module, "split_sweep", split_spy)
         monkeypatch.setattr(DiskShards, "_stream_pooled", pooled_spy)
         return calls
 
     def _run(self, schedule, storage, traced, calls):
         real_sweep = storage.sweep
 
-        def sweep_spy(kernel_of_rank, *, label="", overwrites=False):
+        def sweep_spy(kernel_for, *, label="", overwrites=False):
             calls.append(("storage.sweep", label, overwrites))
-            return real_sweep(kernel_of_rank, label=label, overwrites=overwrites)
+            return real_sweep(kernel_for, label=label, overwrites=overwrites)
 
         storage.sweep = sweep_spy
         state = DistributedState.for_schedule(schedule, storage=storage)
@@ -410,12 +419,12 @@ class TestTracedRunIsTheSameRun:
                 storage = DiskShards(ranks, size, tmp_path / str(traced))
             else:
                 storage = InMemoryShards(ranks, size)
-            assert (storage.local_block() is not None) == (backend == "block")
+            assert (storage._spans() == [range(ranks)]) == (backend == "block")
             runs[traced] = self._run(schedule, storage, traced, calls)
         (bare_calls, bare), (traced_calls, traced) = runs[False], runs[True]
         assert {call[0] for call in bare_calls} == {
-            "block": {"split_sweep"},
-            "arrays": {"split_sweep", "storage.sweep"},
+            "block": {"storage.sweep", "split_sweep"},
+            "arrays": {"storage.sweep", "split_sweep"},
             "disk serial": {"storage.sweep"},
             "disk pooled": {"storage.sweep", "stream_pooled"},
         }[backend]
@@ -453,7 +462,7 @@ class TestConcurrency:
             "from repro.kernels.apply import blas_threads, split_sweep\n"
             "before = blas_threads()\n"
             "k.SPLIT_MIN_AMPLITUDES = 1\n"
-            "split_sweep(lambda a, i, j: a[i:j].fill(1), [np.zeros(8)], 8)\n"
+            "split_sweep([(lambda a, i, j: a[i:j].fill(1), np.zeros(8), 8)])\n"
             "print(before, blas_threads())\n"
         )
         done = subprocess.run(
@@ -624,8 +633,8 @@ class TestPooledStageFlush:
         disk = DiskShards(8, 8, tmp_path)
         for rank in range(8):
             disk.set(rank, np.full(8, rank + 1, dtype=np.complex128))
-        disk.sweep(lambda r: double, label="first")
-        disk.sweep(kernel_of_rank, label="dense k=2 bits=[0, 1]")
+        sweep_ranks(disk, lambda r: double, label="first")
+        sweep_ranks(disk, kernel_of_rank, label="dense k=2 bits=[0, 1]")
         with pytest.raises(FloatingPointError) as excinfo:
             disk.flush()
         (note,) = excinfo.value.__notes__
@@ -656,7 +665,7 @@ class TestPooledStageFlush:
                 for rank in range(64):
                     disk.set(rank, np.full(16, rank, dtype=np.complex128))
                 for _ in range(3):
-                    disk.sweep(lambda r: _add_one)
+                    sweep_ranks(disk, lambda r: _add_one)
                 disk.flush()
                 stats, pool = dict(disk.io_stats), kernels._pool
                 assert not disk._pending and len(disk._written) == 64

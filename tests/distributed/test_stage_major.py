@@ -43,6 +43,7 @@ from repro.scheduling import SchedulerConfig, schedule_circuit
 from repro.staticcheck import ShardSanitizer
 from repro.telemetry import Telemetry
 from repro.telemetry.spans import verify_nesting
+from tests.conftest import sweep_ranks
 
 
 def _schedule(n, l, kmax, seed, *, depth=10):
@@ -368,7 +369,7 @@ class TestReadYourWrites:
 
     def test_set_replaces_what_was_pending(self, tmp_path):
         with DiskShards(4, 8, tmp_path) as disk:
-            disk.sweep(lambda r: _double)
+            sweep_ranks(disk, lambda r: _double)
             data = np.arange(8, dtype=np.complex128)
             disk.set(1, data)
             assert np.array_equal(disk.get(1), data)
@@ -381,7 +382,7 @@ class TestReadYourWrites:
             raise RuntimeError("kernel failure")
 
         with DiskShards(4, 8, tmp_path) as disk:
-            disk.sweep(lambda r: boom if r == 2 else _double)
+            sweep_ranks(disk, lambda r: boom if r == 2 else _double)
             with pytest.raises(RuntimeError):
                 disk.flush()
             assert sorted(disk._pending) == [2, 3]
@@ -394,7 +395,7 @@ class TestReadYourWrites:
 
     def test_fresh_initial_state_drops_stale_pending(self, tmp_path):
         with DiskShards(4, 8, tmp_path) as disk:
-            disk.sweep(lambda r: _double)
+            sweep_ranks(disk, lambda r: _double)
             state = DistributedState(5, 3, storage=disk, init="plus")
             assert all(len(p) == 1 for p in disk._pending.values())
             assert state.norm() == pytest.approx(1.0)
@@ -403,7 +404,7 @@ class TestReadYourWrites:
     def test_writes_through_get_are_seen_by_later_sweeps(self, tmp_path):
         with DiskShards(2, 8, tmp_path) as disk:
             disk.get(1)[:] = np.arange(8)
-            disk.sweep(lambda r: _double)
+            sweep_ranks(disk, lambda r: _double)
             assert np.array_equal(disk.get(1), 2 * np.arange(8))
             assert np.array_equal(disk.get(0), np.zeros(8))
 
@@ -417,7 +418,7 @@ class TestLoudAttributableFailures:
         for rank in range(4):
             disk.set(rank, np.ones(8, dtype=np.complex128))
         os.truncate(tmp_path / "shard_000002.dat", 40)
-        disk.sweep(lambda r: _double)
+        sweep_ranks(disk, lambda r: _double)
         with pytest.raises(ShardIOError) as excinfo:
             disk.flush()
         message = str(excinfo.value)
@@ -431,7 +432,7 @@ class TestLoudAttributableFailures:
     def test_unlinked_shard_file(self, tmp_path):
         disk = DiskShards(4, 8, tmp_path)
         (tmp_path / "shard_000001.dat").unlink()
-        disk.sweep(lambda r: _double)
+        sweep_ranks(disk, lambda r: _double)
         with pytest.raises(ShardIOError) as excinfo:
             disk.flush()
         assert isinstance(excinfo.value.__cause__, FileNotFoundError)
@@ -459,8 +460,8 @@ class TestLoudAttributableFailures:
         with ThreadPoolExecutor(max_workers=1) as pool:
             if depth:
                 disk.arm_pipeline(pool, depth=depth)
-            disk.sweep(lambda r: _double, label="first")
-            disk.sweep(kernel_of_rank, label="dense k=2 bits=[0, 1]")
+            sweep_ranks(disk, lambda r: _double, label="first")
+            sweep_ranks(disk, kernel_of_rank, label="dense k=2 bits=[0, 1]")
             with pytest.raises(FloatingPointError) as excinfo:
                 disk.flush()
             disk.disarm_pipeline()
@@ -489,8 +490,8 @@ class TestLoudAttributableFailures:
         disk = DiskShards(4, 8, tmp_path)
         for rank in range(4):
             disk.set(rank, np.full(8, rank + 1, dtype=np.complex128))
-        disk.sweep(lambda r: _double, label="first")
-        disk.sweep(lambda r: _double, label="second")
+        sweep_ranks(disk, lambda r: _double, label="first")
+        sweep_ranks(disk, lambda r: _double, label="second")
         real, victim = os.pwrite, disk._fd(2)
 
         def pwrite(fd, data, offset):
@@ -529,7 +530,8 @@ class TestLoudAttributableFailures:
             state = DistributedState(n, l, storage=disk, init="plus")
             state.apply_gate(Gate("h", (0,)))
             bad = np.full((2, 2), np.nan)[:1]  # wrong shape: kernel raises
-            state.storage.sweep(
+            sweep_ranks(
+                state.storage,
                 lambda r: (lambda shard: shard.reshape(bad.shape)),
                 label="broken k=1 bits=[0]",
             )

@@ -17,11 +17,14 @@ from repro.plan import plan_for
 from repro.scheduling import SchedulerConfig, schedule_circuit
 from repro.statevector import StateVector
 from repro.util.rng import random_statevector
+from tests.conftest import shards_apart
 
 
-def dist_from_random(n=8, l=5, seed=0) -> tuple[DistributedState, StateVector]:
+def dist_from_random(
+    n=8, l=5, seed=0, storage=None
+) -> tuple[DistributedState, StateVector]:
     sv = StateVector(n, random_statevector(n, seed))
-    return DistributedState.from_statevector(sv, l), sv
+    return DistributedState.from_statevector(sv, l, storage=storage), sv
 
 
 class TestConstruction:
@@ -137,7 +140,7 @@ class TestGlobalControls:
         relabel the shards; an op with global controls afterwards still
         gives each rank the blocks its own rank bits pick."""
         d, sv = dist_from_random(n, l, seed=3)
-        assert (d.storage.local_block() is not None) == (l == 5)
+        assert (d.storage._spans() == [range(d.num_ranks)]) == (l == 5)
         if relabel == "renumbering-swap":
             d.swap_global_set({0, l, l + 1})
             assert d.stats.rank_renumberings == 1
@@ -205,29 +208,24 @@ class TestMonomialSpecialization:
 
     def test_one_descriptor_per_global_value(self, monkeypatch):
         """A global-control CNOT on 8 ranks is one sweep of dense width 1:
-        one descriptor over the block of shards, whose top bit picks X or
-        the identity, with no rank-by-rank dispatch; on separate arrays
-        one descriptor per value of its global bit, not one per rank."""
+        one descriptor over the block of shards (one span), whose top bit
+        picks X or the identity; on separate arrays one descriptor per
+        value of its global bit, not one per rank."""
         import repro.distributed.state as state_module
 
         built = []
-        real = state_module.DistributedState._local_kernel
+        real = state_module._kernel
 
-        def spy(self, gate, bits, **kwargs):
+        def spy(gate, bits, *args, **kwargs):
             built.append(bits)
-            return real(self, gate, bits, **kwargs)
+            return real(gate, bits, *args, **kwargs)
 
-        def per_rank(*args, **kwargs):
-            raise AssertionError("rank-by-rank sweep on block storage")
-
-        monkeypatch.setattr(state_module.DistributedState, "_local_kernel", spy)
+        monkeypatch.setattr(state_module, "_kernel", spy)
         for block, descriptors in [(True, 1), (False, 2)]:
             built.clear()
-            d, sv = dist_from_random()
-            if block:
-                monkeypatch.setattr(d.storage, "sweep", per_rank)
-            else:
-                monkeypatch.setattr(d.storage, "local_block", lambda **_: None)
+            d, sv = dist_from_random(
+                storage=None if block else shards_apart(8, 32)
+            )
             gate = Gate("cnot", (7, 2))
             d.apply_gate(gate)
             sv.apply_gate(gate)

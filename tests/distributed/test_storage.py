@@ -11,6 +11,7 @@ from repro.distributed import (
 )
 from repro.distributed import storage as storage_module
 from repro.util.rng import random_statevector
+from tests.conftest import sweep_ranks
 
 
 def _in_memory(num_shards, shard_size, *, by_shard, monkeypatch):
@@ -153,15 +154,14 @@ class TestShardStorage:
             storage_factory().permute_shards(np.array([0, 0, 1, 2]))
 
     def test_every_call_that_may_write_counts(self, storage_factory):
-        """Every writer, and every hand-out of a writable array, ends the
+        """Every writer, and the hand-out of a writable shard, ends the
         init the storage holds, writing it first; ``read`` (a read-only
-        view) writes it and keeps it, and a hand-out of ``None`` does
-        neither."""
+        view) writes it and keeps it."""
         st = storage_factory(num_shards=4, shard_size=4)
         plus = np.full(4, 0.25, dtype=np.complex128)  # 16 amplitudes
         writers = [
             lambda: st.set(1, np.ones(4, dtype=np.complex128)),
-            lambda: st.sweep(lambda r: None),
+            lambda: sweep_ranks(st, lambda r: None),
             lambda: st.exchange_blocks(1),
             lambda: st.permute_shards(np.array([1, 0, 2, 3])),
             lambda: st.get(0),
@@ -171,12 +171,6 @@ class TestShardStorage:
             call()
             assert (st.fresh_init, st.pending) == (None, False)
             assert np.array_equal(st.read(2), plus)
-        for hand_out in (st.local_block, st.resident_shards):
-            st.initialize("plus")
-            if hand_out() is None:
-                assert (st.fresh_init, st.pending) == ("plus", True)
-            else:
-                assert (st.fresh_init, st.pending) == (None, False)
         st.initialize("plus")
         view = st.read(0)
         assert (st.fresh_init, st.pending) == ("plus", False)
@@ -184,6 +178,106 @@ class TestShardStorage:
         with pytest.raises(ValueError, match="read-only"):
             view[0] = 2
         assert st.fresh_init == "plus"
+
+
+def _spans_of(st) -> list[range]:
+    """The spans a sweep of *st* must walk: the block of all in-memory
+    shards is one, any other shard one of its own."""
+    if isinstance(st, InMemoryShards) and st._block is not None:
+        return [range(st.num_shards)]
+    return [range(r, r + 1) for r in range(st.num_shards)]
+
+
+def _fill(value):
+    """A kernel builder whose part overwrites its span with *value*."""
+
+    def part(array, start, stop):
+        array[:] = value
+
+    return lambda ranks: (part, 1)
+
+
+class TestSweepContract:
+    """``sweep(kernel_for)`` asks for one kernel per span, in rank order,
+    and keeps the pending init's books by span."""
+
+    def test_kernel_for_runs_once_per_span(self, storage_factory):
+        st = storage_factory(num_shards=4, shard_size=8)
+        for r in range(4):
+            st.set(r, np.full(8, r, dtype=np.complex128))
+        asked = []
+
+        def kernel_for(ranks):
+            asked.append(ranks)
+
+            def part(array, start, stop):  # one unit per rank of the span
+                shards = array.reshape(len(ranks), -1)
+                shards[start:stop] += 10 * np.arange(
+                    ranks.start + start, ranks.start + stop
+                )[:, None]
+
+            return part, len(ranks)
+
+        st.sweep(kernel_for)
+        assert asked == _spans_of(st)
+        for r in range(4):
+            assert np.array_equal(st.read(r), np.full(8, 11 * r)), r
+
+    def test_none_span_on_pending_init_gets_the_fill(self, storage_factory):
+        """A span left alone by an overwriting sweep holds the init, the
+        others what their parts wrote."""
+        st = storage_factory(num_shards=4, shard_size=4)
+        st.initialize("plus")
+        spans = _spans_of(st)
+        written = spans[-1]
+        st.sweep(
+            lambda ranks: _fill(2)(ranks) if ranks == written else None,
+            overwrites=True,
+        )
+        assert (st.fresh_init, st.pending) == (None, False)
+        for r in range(4):
+            want = 2 if r in written else 0.25
+            assert np.array_equal(st.read(r), np.full(4, want)), r
+
+    def test_overwriting_every_span_writes_no_fill(
+        self, storage_factory, monkeypatch
+    ):
+        st = storage_factory(num_shards=4, shard_size=4)
+        st.initialize("zero")
+        fills = []
+        real = type(st)._sweep
+
+        def spy(self, parts, *, label, overwrites):
+            fills.extend(label for _ in parts if label.startswith("init"))
+            return real(self, parts, label=label, overwrites=overwrites)
+
+        monkeypatch.setattr(type(st), "_sweep", spy)
+        st.sweep(_fill(3), label="product", overwrites=True)
+        for r in range(4):
+            assert np.array_equal(st.read(r), np.full(4, 3)), r
+        assert fills == [] and not st.pending
+
+    def test_raising_part_names_op_rank_and_file(self, tmp_path):
+        """A part that raises during a ``DiskShards`` flush: the note names
+        its op, its rank and that rank's file."""
+        st = DiskShards(4, 4, tmp_path)
+        st.permute_shards(np.array([1, 0, 3, 2]))
+
+        def kernel_for(ranks):
+            def part(array, start, stop):
+                if ranks.start == 2:
+                    raise FloatingPointError("bad amplitude")
+
+            return part, 1
+
+        st.sweep(kernel_for, label="op k=2 m=1 bits=[0, 1]")
+        with pytest.raises(FloatingPointError) as excinfo:
+            st.flush()
+        (note,) = excinfo.value.__notes__
+        assert "'op k=2 m=1 bits=[0, 1]'" in note
+        assert "rank 2" in note and "shard_000003.dat" in note
+        st._pending.clear()
+        st.close()
 
 
 class TestSwapAcrossLayouts:
@@ -237,17 +331,26 @@ class TestSwapAcrossLayouts:
 
 class TestInMemorySpecific:
     def test_local_block(self, tmp_path):
-        """One array over every shard where they sit side by side."""
+        """One span over every shard where they sit side by side, in rank
+        order after a relabel too."""
         memory = InMemoryShards(4, 8)
         memory.permute_shards(np.array([2, 0, 3, 1]))
-        block = memory.local_block()
-        assert block.shape == (4 * 8,)
-        block[:] = np.arange(32)
-        assert sorted(memory.get(r)[0].real for r in range(4)) == [0, 8, 16, 24]
+        shapes = []
+
+        def kernel_for(ranks):
+            def part(array, start, stop):
+                shapes.append(array.shape)
+                array[:] = np.arange(32)
+
+            return part, 1
+
+        memory.sweep(kernel_for)
+        assert shapes == [(4 * 8,)]
+        assert [memory.get(r)[0].real for r in range(4)] == [0, 8, 16, 24]
         # Past 128 KiB a shard is an array of its own (steady heap use).
-        assert InMemoryShards(2, 1 << 13).local_block() is not None
-        assert InMemoryShards(2, 1 << 14).local_block() is None
-        assert DiskShards(4, 8, tmp_path).local_block() is None
+        assert InMemoryShards(2, 1 << 13)._spans() == [range(2)]
+        assert InMemoryShards(2, 1 << 14)._spans() == [range(1), range(1, 2)]
+        assert DiskShards(2, 8, tmp_path)._spans() == [range(1), range(1, 2)]
 
 
 class TestDiskSpecific:
@@ -334,7 +437,7 @@ class TestDiskShardsPipelined:
         with ThreadPoolExecutor(max_workers=1) as pool:
             st.arm_pipeline(pool, depth=1)
             st.set(0, np.arange(8, dtype=np.complex128))
-            st.sweep(lambda r: _double)
+            sweep_ranks(st, lambda r: _double)
             assert st.io_stats["sync_flushes"] == 0
             st.drain()
             st.disarm_pipeline()
@@ -356,7 +459,7 @@ class TestDiskShardsPipelined:
         events = []
         with ThreadPoolExecutor(max_workers=1) as pool:
             st.arm_pipeline(pool, depth=depth, observer=lambda *e: events.append(e))
-            st.sweep(lambda r: _double)
+            sweep_ranks(st, lambda r: _double)
             st.flush()
             assert 1 <= len(st._buffers) <= depth + 1
             st.disarm_pipeline()
@@ -374,7 +477,7 @@ class TestDiskShardsPipelined:
 
     def test_unarmed_flush_holds_one_buffer_until_close(self, tmp_path):
         st = DiskShards(4, 8, tmp_path)
-        st.sweep(lambda r: _double)
+        sweep_ranks(st, lambda r: _double)
         st.flush()
         assert len(st._buffers) == 1
         assert st.io_stats["read_aheads"] == 0

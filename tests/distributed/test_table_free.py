@@ -24,6 +24,7 @@ from repro.scheduling import SchedulerConfig, schedule_circuit
 from repro.statevector import StateVector
 from repro.telemetry import Telemetry
 from repro.util.rng import random_statevector
+from tests.conftest import shards_apart
 
 
 def _shards(state) -> list[np.ndarray]:
@@ -45,9 +46,10 @@ def _random_state(n, l, seed, **kwargs) -> DistributedState:
 def _traced_by_shard(n, l, seed) -> DistributedState:
     """A traced state whose shards share no block: it sweeps them one by
     one."""
-    state = _random_state(n, l, seed, telemetry=Telemetry.enabled())
-    state.storage.local_block = lambda **_: None
-    return state
+    return _random_state(
+        n, l, seed, storage=shards_apart(1 << (n - l), 1 << l),
+        telemetry=Telemetry.enabled(),
+    )
 
 
 class _OneBlock(InMemoryShards):
@@ -92,7 +94,7 @@ class TestTracedEqualsUntraced:
         # In-memory shards this large are separate arrays; a backend that
         # keeps them in one block still sweeps them as one.
         block = _OneBlock(2, 1 << l)
-        assert block.local_block() is not None
+        assert block._spans() == [range(2)]
         plain = _random_state(n, l, 6, storage=block)
         traced = _traced_by_shard(n, l, 6)
         for state in (plain, traced):
@@ -113,28 +115,28 @@ class TestTracedEqualsUntraced:
         want.apply_gate(Gate("d", (3, 18, 16), np.diag(diag)))
         assert plain.to_statevector().allclose(want, atol=1e-12)
 
-    def test_reference_strategy_goes_rank_by_rank(self, monkeypatch):
-        """The tensordot kernel's GEMM shape follows the vector's length,
-        and its rounding with it: no block sweep for it."""
+    def test_wide_op_bit_identical(self):
+        """An op past ``SWEEP_MAX_QUBITS`` is a dense sweep like any
+        other, over the block as shard by shard."""
         n, l = 12, 10
-        bits = (0, 1, 2, 3, 4, 5, 6, 8, 9)  # past SWEEP_MAX_QUBITS
+        bits = (0, 1, 2, 3, 4, 5, 6, 8, 9)
         u = random_unitary(len(bits), 2)
         plain = _random_state(n, l, 7)
         traced = _traced_by_shard(n, l, 7)
-        monkeypatch.setattr(plain.storage, "local_block", None)  # not called
         for state in (plain, traced):
             state._sweep(BlockGate.of(u), bits)
         assert _same_shards(plain, traced)
+        want = StateVector(n, random_statevector(n, 7))
+        want.apply_gate(Gate("u", bits, u))
+        assert plain.to_statevector().allclose(want, atol=1e-12)
 
-    def test_block_sweep_is_what_the_untraced_run_does(
-        self, monkeypatch, small_chunks
-    ):
+    def test_block_sweep_is_what_the_untraced_run_does(self, small_chunks):
         """Guards the comparisons above: without a block the untraced run
         goes rank by rank too, and still lands on the same bits."""
         bits, u = (9, 3, 7, 1), random_unitary(4, 1)
-        block, ranked = _random_state(13, 10, 4), _random_state(13, 10, 4)
-        assert block.storage.local_block().size == 1 << 13
-        monkeypatch.setattr(ranked.storage, "local_block", lambda **_: None)
+        block = _random_state(13, 10, 4)
+        ranked = _random_state(13, 10, 4, storage=shards_apart(8, 1 << 10))
+        assert block.storage._spans() == [range(8)]
         for state in (block, ranked):
             state._sweep(BlockGate.of(u), bits)
         assert _same_shards(block, ranked)
@@ -148,9 +150,10 @@ class TestTracedEqualsUntraced:
             circuit, SchedulerConfig(local_qubits=8, kmax=4, seed=seed + 1)
         )
         plain = DistributedState.for_schedule(schedule)
-        traced = DistributedState.for_schedule(schedule)
-        traced.use_telemetry(Telemetry.enabled())
-        traced.storage.local_block = lambda **_: None
+        traced = DistributedState.for_schedule(
+            schedule, storage=shards_apart(16, 1 << 8),
+            telemetry=Telemetry.enabled(),
+        )
         for index, op in enumerate(plan_for(schedule).ops):
             _run_op(op, plain)
             _run_op(op, traced)

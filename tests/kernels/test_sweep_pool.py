@@ -1,9 +1,10 @@
 """The sweep pool: pieces of one sweep on every CPU, bit for bit serial.
 
-``repro.kernels.apply.split_sweep`` cuts each array into unit ranges, one per
-CPU (the ``_CPUS`` patched here sets how many), and ``run_split`` hands
-them to the process-wide pool.  Block ranges keep every panel shape, so
-pooled results equal the serial sweep byte for byte.
+``repro.kernels.apply.split_sweep`` cuts the array of each ``(part, array,
+units)`` item into unit ranges, one per CPU (the ``_CPUS`` patched here
+sets how many), and ``run_split`` hands them to the process-wide pool.
+Block ranges keep every panel shape, so pooled results equal the serial
+sweep byte for byte.
 """
 
 from __future__ import annotations
@@ -16,7 +17,12 @@ from hypothesis import strategies as st
 import repro.kernels.apply as kernels
 from repro.gates import random_unitary
 from repro.kernels import DenseSweep, apply_diagonal_factor, apply_gate_reference
-from repro.kernels.apply import run_split, split_sweep, split_threads
+from repro.kernels.apply import (
+    run_split,
+    split_sweep,
+    split_sweep_threads,
+    split_threads,
+)
 from repro.kernels.tables import _build_diagonal_factor
 from repro.util.executors import registered_executors
 from repro.util.rng import random_statevector
@@ -48,7 +54,7 @@ def _serial(fn):
 def _dense(state, u, qubits, chunk=8):
     n = state.size.bit_length() - 1
     sweep = DenseSweep(n, u, qubits, state.dtype, chunk)
-    split_sweep(sweep.apply, [state], sweep.num_blocks)
+    split_sweep([(sweep.apply, state, sweep.num_blocks)])
     return state
 
 
@@ -59,7 +65,7 @@ def _phase(state, diag, qubits, l):
     def part(array, start, stop):
         apply_diagonal_factor(array.reshape(-1, 1 << l)[start:stop], factor)
 
-    split_sweep(part, [state], state.size >> l)
+    split_sweep([(part, state, state.size >> l)])
     return state
 
 
@@ -68,11 +74,8 @@ def _cuts(units: int, size: int = 1 << 12, arrays: int = 1) -> list[tuple]:
     seen = []
     blocks = [np.zeros(size) for _ in range(arrays)]
     split_sweep(
-        lambda array, i, j: seen.append(
-            (next(b for b, a in enumerate(blocks) if a is array), i, j)
-        ),
-        blocks,
-        units,
+        (lambda array, i, j, b=b: seen.append((b, i, j)), block, units)
+        for b, block in enumerate(blocks)
     )
     return sorted(seen)
 
@@ -225,3 +228,28 @@ class TestSplitSweep:
         pooled(4)
         assert _cuts(1) == [(0, 0, 1)]
         assert _cuts(1, arrays=3) == [(0, 0, 1), (1, 0, 1), (2, 0, 1)]
+
+    def test_each_item_runs_its_own_part(self, pooled):
+        """Items carry their own part and unit count: a rank's kernel and
+        a longer span's are cut alike, each over its own units."""
+        pooled(2)
+        arrays = [np.zeros(8), np.zeros(8)]
+
+        def adding(value, units):
+            def part(array, start, stop):
+                array.reshape(units, -1)[start:stop] += value
+
+            return part, arrays[value - 1], units
+
+        split_sweep([adding(1, 4), adding(2, 2)])
+        assert arrays[0].tolist() == [1] * 8 and arrays[1].tolist() == [2] * 8
+
+    def test_split_sweep_threads_bounds_what_runs_at_once(self, pooled):
+        """One buffer per piece that may run at once: the pool's width
+        when the cut gives two or more pieces, else one."""
+        pooled(2)
+        run_split(lambda item: None, range(2), 1)  # start the pool
+        width = 2 if kernels._pool else 1
+        assert split_sweep_threads(1, 2) == width  # one array, two pieces
+        assert split_sweep_threads(4, 2) == width
+        assert split_sweep_threads(1, 1) == 1  # one amplitude: one piece

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from repro.circuit import generate_supremacy_circuit
-from repro.kernels.apply import SWEEP_MAX_QUBITS, chunk_for
+from repro.kernels.apply import chunk_for
 from repro.plan import PlanConfig, compile_program
 from repro.scheduling import SchedulerConfig, schedule_circuit
 
@@ -47,9 +47,7 @@ def _kernel_of(op) -> tuple[str | None, int | None]:
         return None, None
     if not op.gate.targets:
         return "phase", None
-    if len(op.qubits) <= SWEEP_MAX_QUBITS:
-        return "sweep", chunk_for(len(op.gate.targets))
-    return "tensordot", None
+    return "sweep", chunk_for(len(op.gate.targets))
 
 
 def plan_digest(program) -> str:

@@ -110,7 +110,7 @@ class TestOracle:
         ops = plan_for(schedule).ops
         assert _merged(ops[:_product_prefix(ops)])
         block = DistributedSimulator(n, l).run_schedule(schedule).state
-        assert block.storage.local_block() is not None
+        assert block.storage._spans() == [range(block.num_ranks)]
         with DiskShards(1 << (n - l), 1 << l, tmp_path) as disk:
             by_rank = DistributedSimulator(n, l, storage=disk).run_schedule(
                 schedule
