@@ -12,7 +12,7 @@ import time
 
 
 from repro.gates import random_unitary
-from repro.kernels import apply_gate_indexed, apply_gate_two_vector
+from repro.kernels import apply_gate_indexed, apply_gate_reference
 from repro.perfmodel import CORI_KNL_NODE, EDISON_SOCKET, roofline_table
 from repro.util.flops import gate_flops, operational_intensity
 from repro.util.rng import random_statevector
@@ -52,7 +52,8 @@ def bench_fig2_roofline(benchmark, report_writer):
     for k, qubits in [(1, (3,)), (4, (0, 1, 2, 3))]:
         u = random_unitary(k, 0)
         baseline = _measure_gflops(
-            lambda s, m, q: apply_gate_two_vector(s, m, q), state, u, qubits, k
+            lambda s, m, q: apply_gate_reference(s.copy(), m, q),
+            state, u, qubits, k,
         )
         tuned = _measure_gflops(
             lambda s, m, q: apply_gate_indexed(s, m, q, chunk_size=1 << 14),

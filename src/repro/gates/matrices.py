@@ -145,8 +145,8 @@ _DIAGONAL = GateStructure(diagonal=True, permutation=True)
 _PERMUTATION = GateStructure(diagonal=False, permutation=True)
 _DENSE = GateStructure(diagonal=False, permutation=False)
 
-#: Structure flags per named gate — the compile-time answer to the
-#: per-call ``np.allclose`` scans ``strategy="auto"`` used to run.
+#: Structure flags per named gate, so a named gate never scans its
+#: matrix to find out whether the phase multiply applies.
 GATE_STRUCTURE: dict[str, GateStructure] = {
     "id": _DIAGONAL,
     "i": _DIAGONAL,

@@ -46,17 +46,13 @@ from repro.util.validation import check_qubit_indices
 __all__ = [
     "DenseSweep",
     "SPLIT_MIN_AMPLITUDES",
-    "SWEEP_MAX_QUBITS",
-    "apply_gate_naive",
     "apply_gate_reference",
     "apply_gate_indexed",
-    "apply_gate_two_vector",
     "apply_diagonal_gate",
     "apply_diagonal_factor",
     "apply_gate",
     "blas_threads",
     "chunk_for",
-    "matrix_is_diagonal",
     "run_split",
     "split_sweep",
     "split_sweep_threads",
@@ -260,33 +256,6 @@ def _num_qubits_of(state: np.ndarray) -> int:
     return bit_length_of_power_of_two(state.shape[0])
 
 
-def apply_gate_naive(
-    state: np.ndarray, matrix: np.ndarray, qubits: Sequence[int]
-) -> np.ndarray:
-    """Correctness oracle: explicit Python loop over every state index.
-
-    O(2**n * 4**k) Python-level work — use only for n ≲ 12.
-    """
-    n = _num_qubits_of(state)
-    qubits = check_qubit_indices(qubits, n)
-    k = len(qubits)
-    out = np.zeros_like(state)
-    for idx in range(state.shape[0]):
-        x = 0
-        for j, q in enumerate(qubits):
-            x |= ((idx >> q) & 1) << j
-        base = idx
-        for q in qubits:
-            base &= ~(1 << q)
-        for xp in range(1 << k):
-            src = base
-            for j, q in enumerate(qubits):
-                src |= ((xp >> j) & 1) << q
-            out[idx] += matrix[x, xp] * state[src]
-    state[:] = out
-    return state
-
-
 def apply_gate_reference(
     state: np.ndarray, matrix: np.ndarray, qubits: Sequence[int]
 ) -> np.ndarray:
@@ -295,7 +264,9 @@ def apply_gate_reference(
     Reshapes the state to an n-axis tensor (axis ``i`` = qubit ``n-1-i``)
     and contracts the gate over the target axes.  Fast and allocation-heavy
     (one full temporary) — the "two state vectors" baseline of Sec. 3.1
-    expressed in idiomatic numpy.
+    expressed in idiomatic numpy.  It shares no code with the production
+    kernels, and on an ``np.clongdouble`` state numpy runs it without
+    BLAS: the tests' oracle (``oracle_state`` in ``tests/conftest.py``).
     """
     n = _num_qubits_of(state)
     qubits = check_qubit_indices(qubits, n)
@@ -313,31 +284,10 @@ def apply_gate_reference(
     return state
 
 
-def apply_gate_two_vector(
-    state: np.ndarray, matrix: np.ndarray, qubits: Sequence[int]
-) -> np.ndarray:
-    """Standard two-vector implementation (Sec. 3.1): returns a NEW array.
-
-    Unlike the in-place kernels this does not mutate *state*; it models the
-    pre-optimization baseline that streams an input and an output vector.
-    """
-    out = state.copy()
-    apply_gate_reference(out, matrix, qubits)
-    return out
-
-
 #: Widest periodic window: gates whose highest target sits below this
 #: bit are resolved by one in-window index of at most 2**12 entries
 #: (32 KiB), whatever the shard size.
 _WINDOW_MAX_BITS = 12
-
-#: Widest gate :func:`apply_gate` gives the dense sweep before the
-#: tensordot kernel (the distributed state sweeps every width).  Measured
-#: cold on the reference host (1 BLAS thread, us per sweep, sweep vs
-#: ``apply_gate_reference``): 16 x 2**14 shards k=7 5.7k/7.7k, k=8
-#: 10.6k/14.1k, k=9 21.3k/34.5k; one 2**20 shard k=7 22k/38k, k=8
-#: 38k/43k, k=9 76k/74k — the tensordot only catches up at k=9.
-SWEEP_MAX_QUBITS = 8
 
 #: Widest gate for which the real-block GEMM beats complex GEMM on the
 #: reference host (small inner dimensions leave zgemm overhead-bound;
@@ -793,47 +743,19 @@ def apply_diagonal_gate(
     return apply_diagonal_factor(state, factor)
 
 
-def matrix_is_diagonal(matrix: np.ndarray, *, atol: float = 1e-12) -> bool:
-    """True when every off-diagonal entry of *matrix* is ~0."""
-    matrix = np.asarray(matrix)
-    off_diag = matrix[~np.eye(matrix.shape[0], dtype=bool)]
-    return bool(np.allclose(off_diag, 0.0, atol=atol))
-
-
 def apply_gate(
     state: np.ndarray,
     matrix: np.ndarray,
     qubits: Sequence[int],
     *,
-    strategy: str = "auto",
-    diagonal: bool | None = None,
+    diagonal: bool,
 ) -> np.ndarray:
-    """Apply a gate matrix choosing a kernel strategy.
-
-    ``strategy`` is one of ``"auto"``, ``"naive"``, ``"reference"``,
-    ``"indexed"``, ``"diagonal"``.  ``"auto"`` picks the diagonal fast path
-    when the matrix is diagonal, the indexed kernel up to
-    :data:`SWEEP_MAX_QUBITS`, and the tensordot kernel beyond.
-
-    ``diagonal`` is an optional structure hint (e.g. from
-    :class:`~repro.gates.Gate` metadata): when given, ``"auto"`` trusts it
-    instead of scanning the matrix with ``np.allclose`` per call.
+    """Apply a gate matrix to one state vector, in place, through one of
+    the two production kernels: the phase multiply
+    (:func:`apply_diagonal_gate`) when *diagonal* says the matrix is
+    diagonal (e.g. :attr:`~repro.gates.Gate.is_diagonal`), the dense
+    sweep (:func:`apply_gate_indexed`) at any width otherwise.
     """
-    matrix = np.asarray(matrix)
-    if strategy == "auto":
-        if diagonal is None:
-            diagonal = matrix_is_diagonal(matrix)
-        if diagonal:
-            return apply_diagonal_gate(state, np.diagonal(matrix), qubits)
-        if len(qubits) <= SWEEP_MAX_QUBITS:
-            return apply_gate_indexed(state, matrix, qubits)
-        return apply_gate_reference(state, matrix, qubits)
-    if strategy == "naive":
-        return apply_gate_naive(state, matrix, qubits)
-    if strategy == "reference":
-        return apply_gate_reference(state, matrix, qubits)
-    if strategy == "indexed":
-        return apply_gate_indexed(state, matrix, qubits)
-    if strategy == "diagonal":
+    if diagonal:
         return apply_diagonal_gate(state, np.diagonal(matrix), qubits)
-    raise ValueError(f"unknown kernel strategy {strategy!r}")
+    return apply_gate_indexed(state, matrix, qubits)

@@ -36,9 +36,6 @@ class Simulator:
     initial_state:
         ``"zero"`` (``|0...0>``) or ``"plus"`` (uniform superposition — the
         Sec. 3.6 shortcut replacing the initial Hadamard layer).
-    strategy:
-        Kernel strategy passed through to :func:`repro.kernels.apply_gate`
-        (``"naive"`` / ``"reference"`` pick the slow oracles).
     single_precision:
         Use complex64 amplitudes (Sec. 5: enables one more qubit for the
         same memory).
@@ -49,11 +46,9 @@ class Simulator:
         num_qubits: int,
         *,
         initial_state: str = "zero",
-        strategy: str = "auto",
         single_precision: bool = False,
     ) -> None:
         self.num_qubits = num_qubits
-        self.strategy = strategy
         self._initial_state = initial_state
         self._single_precision = single_precision
 
@@ -86,7 +81,7 @@ class Simulator:
         cost = KernelCostModel()
         start = time.perf_counter()
         for gate in circuit:
-            state.apply_gate(gate, strategy=self.strategy)
+            state.apply_gate(gate)
             cost.record(
                 self.num_qubits, gate.num_qubits, diagonal=gate.is_diagonal
             )

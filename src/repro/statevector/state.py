@@ -57,15 +57,17 @@ class StateVector:
     # ------------------------------------------------------------------
     # Gate application
     # ------------------------------------------------------------------
-    def apply_gate(self, gate: Gate, *, strategy: str = "auto") -> "StateVector":
+    def apply_gate(self, gate: Gate) -> "StateVector":
         """Apply *gate* in place. Returns self for chaining."""
-        apply_gate(self.data, gate.matrix, gate.qubits, strategy=strategy)
+        apply_gate(
+            self.data, gate.matrix, gate.qubits, diagonal=gate.is_diagonal
+        )
         return self
 
-    def apply_circuit(self, gates, **kwargs) -> "StateVector":
+    def apply_circuit(self, gates) -> "StateVector":
         """Apply every gate of an iterable/:class:`Circuit` in order."""
         for gate in gates:
-            self.apply_gate(gate, **kwargs)
+            self.apply_gate(gate)
         return self
 
     # ------------------------------------------------------------------

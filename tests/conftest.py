@@ -9,7 +9,54 @@ from repro.circuit import Circuit, generate_supremacy_circuit
 from repro.distributed import InMemoryShards
 from repro.distributed import storage as storage_module
 from repro.gates import Gate, random_unitary
+from repro.kernels import apply_gate_reference
 from repro.util.rng import random_statevector
+
+#: The one error budget against :func:`oracle_state`: *gates* gates run
+#: in dtype ``D`` may leave any amplitude at most ``ORACLE_BUDGET *
+#: eps(D) * gates`` from the oracle's.  The largest ratio measured over
+#: the oracle tests is 0.82 (4,000 random gates of k <= 3 on n <= 10
+#: qubits, where amplitudes are largest); circuits read far below it.
+ORACLE_BUDGET = 4.0
+
+
+def oracle_state(gates, n: int, state=None) -> np.ndarray:
+    """The amplitudes *gates* leave on *n* qubits, from ``|0...0>`` or
+    from the amplitudes *state*: ``apply_gate_reference`` (a tensordot)
+    gate by gate on an ``np.clongdouble`` vector.
+
+    It shares no code and no rounding order with the production kernels
+    (``DenseSweep``, ``BlockGate``, the phase multiply and its factor
+    cache), numpy runs a long-double tensordot without BLAS, and on
+    x86-64 it rounds at eps 1.1e-19: what it differs by from a complex128
+    run is that run's own error.
+    """
+    psi = np.zeros(1 << n, dtype=np.clongdouble)
+    if state is None:
+        psi[0] = 1
+    else:
+        psi[:] = state
+    for gate in gates:
+        apply_gate_reference(psi, gate.matrix, gate.qubits)
+    return psi
+
+
+def oracle_ratio(got, oracle: np.ndarray, gates: int) -> float:
+    """``max|got - oracle|`` in units of ``eps(got.dtype) * gates``: the
+    budget holds when it is at most :data:`ORACLE_BUDGET`.  *got* is an
+    amplitude array or a ``StateVector``."""
+    got = np.asarray(getattr(got, "data", got))
+    err = np.max(np.abs(got.astype(np.clongdouble) - oracle))
+    return float(err / (np.finfo(got.dtype).eps * gates))
+
+
+def assert_oracle(got, oracle: np.ndarray, gates: int) -> None:
+    """*got* is within the budget of *oracle*, after *gates* gates."""
+    ratio = oracle_ratio(got, oracle, gates)
+    assert ratio <= ORACLE_BUDGET, (
+        f"max|err| = {ratio:.3g} eps x {gates} gates, over the budget of "
+        f"{ORACLE_BUDGET:g}"
+    )
 
 
 def shards_apart(num_shards: int, shard_size: int, **kwargs) -> InMemoryShards:

@@ -7,7 +7,7 @@ a stage's closing swap writes straight into the swap's staged order, so
 the staging copy does not run.  Every backend — the block of small
 shards, one array per shard, ``DiskShards`` — pooled or serial, must
 leave the same bytes and the same layout, and the logical state must be
-the single-node simulator's.  Resumes (between a folded sweep and its
+within the oracle's budget.  Resumes (between a folded sweep and its
 swap, or inside the product prefix) and retried exchanges land on the
 uninterrupted run's bytes.
 """
@@ -19,7 +19,7 @@ import pytest
 
 import repro.distributed.storage as storage_module
 import repro.kernels.apply as kernels
-from repro.circuit import Circuit, generate_supremacy_circuit
+from repro.circuit import generate_supremacy_circuit
 from repro.distributed import DiskShards, DistributedState
 from repro.distributed.checkpoint import CheckpointManager
 from repro.gates import Gate, random_unitary
@@ -35,8 +35,9 @@ from repro.runtime import (
     RuntimeLayer,
 )
 from repro.scheduling import SchedulerConfig, schedule_circuit
-from repro.statevector import Simulator, StateVector
+from repro.statevector import StateVector
 from repro.util.rng import random_statevector
+from tests.conftest import assert_oracle, oracle_state
 
 SERIAL = 1 << 62
 BACKENDS = ("block", "by_shard", "disk")
@@ -121,8 +122,8 @@ class TestEveryBackend:
             assert got.shards == want.shards, way
             assert got.layout == want.layout, way
             assert got.stats == want.stats, way
-        oracle = Simulator(schedule.num_qubits).run(circuit).state
-        assert want.logical.allclose(oracle, atol=1e-12)
+        oracle = oracle_state(circuit, schedule.num_qubits)
+        assert_oracle(want.logical, oracle, len(circuit))
         assert want.stats.alltoall_steps == schedule.num_swaps
         if l <= 12:
             # Every staging folded into the sweep before its swap.
@@ -182,9 +183,8 @@ class TestEveryBackend:
             got = _Final(state)
             if storage is not None:
                 storage.close()
-        want = StateVector(n, amps.copy())
-        want.apply_gate(Gate("fused", bits, gate.dense()))
-        assert got.logical.allclose(want, atol=1e-12)
+        want = oracle_state([Gate("fused", bits, gate.dense())], n, amps)
+        assert_oracle(got.logical, want, 1)
         # Targets first, then the in-window control, then the other bits
         # below 11; the rank bits stay.
         assert got.layout.bit_of_qubit[:4] == (3, 4, 0, 5)
@@ -207,16 +207,17 @@ def _wide_op(name):
 
 
 class TestWideOps:
-    """Ops past ``SWEEP_MAX_QUBITS`` are dense sweeps like any other: the
-    same bytes and layout on every backend, pooled or serial, and the
-    single-node simulator's state."""
+    """Ops wider than 8 bits are dense sweeps like any other: the same
+    bytes and layout on every backend, pooled or serial, and the oracle's
+    state."""
 
     N, L = 14, 11
 
     @pytest.mark.parametrize("name", ["k9", "k10_five_controls"])
     def test_every_backend(self, name, tmp_path, monkeypatch):
         gate, bits = _wide_op(name)
-        assert len(bits) > kernels.SWEEP_MAX_QUBITS
+        # Past DEFAULT_FUSION_KMAX (8): only a scheduler kmax >= 9 builds one.
+        assert len(bits) > 8
         amps = random_statevector(self.N, 5)
         runs = {}
         for backend, pooled in WAYS:
@@ -244,11 +245,8 @@ class TestWideOps:
         for way, got in runs.items():
             assert got.shards == want.shards, way
             assert got.layout == want.layout, way
-        oracle = Simulator(self.N).run(
-            Circuit(self.N, [Gate(name, bits, gate.dense())]),
-            state=StateVector(self.N, amps.copy()),
-        ).state
-        assert want.logical.allclose(oracle, atol=1e-12)
+        oracle = oracle_state([Gate(name, bits, gate.dense())], self.N, amps)
+        assert_oracle(want.logical, oracle, 1)
 
 
 class _KillBefore(RuntimeLayer):

@@ -30,7 +30,7 @@ import repro.distributed.state as state_module
 import repro.distributed.storage as storage_module
 from repro.distributed import DiskShards, DistributedState, InMemoryShards
 from repro.gates import Gate, random_unitary
-from repro.kernels.apply import apply_gate_naive, run_split, sweep_order
+from repro.kernels.apply import run_split, sweep_order
 from repro.kernels.blocks import BlockGate
 from repro.plan import plan_for
 from repro.runtime import ExecutionEngine, PipelineLayer
@@ -41,7 +41,7 @@ from repro.telemetry import Telemetry
 from repro.util.bits import scatter_bits
 from repro.util.executors import unregister_executor
 from repro.util.rng import random_statevector
-from tests.conftest import shards_apart, sweep_ranks
+from tests.conftest import assert_oracle, oracle_state, shards_apart, sweep_ranks
 
 SERIAL = 1 << 62
 OPS = ("dense", "structured", "diagonal", "global_controls", "diagonal_global",
@@ -244,9 +244,11 @@ class TestGlobalControls:
         source = _source_offsets(sweep_order(gate, bits, self.L), self.L)
         for rank, shard in enumerate(want):
             fixed = {j: rank >> (bits[j] - self.L) & 1 for j in ranked}
-            expected = state.storage.get(rank).copy()
-            apply_gate_naive(expected, gate.restrict(fixed).dense(), kept)
-            assert np.allclose(shard, expected[source], atol=1e-12), rank
+            expected = oracle_state(
+                [Gate("g", kept, gate.restrict(fixed).dense())], self.L,
+                state.storage.read(rank),
+            )
+            assert_oracle(shard, expected[source], 1)
 
     def _every_way(self, apply, tmp_path, monkeypatch) -> list[np.ndarray]:
         """The shards *apply* leaves, the same bytes every way it runs."""

@@ -24,7 +24,7 @@ from repro.scheduling import SchedulerConfig, schedule_circuit
 from repro.statevector import StateVector
 from repro.telemetry import Telemetry
 from repro.util.rng import random_statevector
-from tests.conftest import shards_apart
+from tests.conftest import assert_oracle, oracle_state, shards_apart
 
 
 def _shards(state) -> list[np.ndarray]:
@@ -116,8 +116,9 @@ class TestTracedEqualsUntraced:
         assert plain.to_statevector().allclose(want, atol=1e-12)
 
     def test_wide_op_bit_identical(self):
-        """An op past ``SWEEP_MAX_QUBITS`` is a dense sweep like any
-        other, over the block as shard by shard."""
+        """An op wider than 8 bits (past DEFAULT_FUSION_KMAX: only a
+        scheduler kmax >= 9 builds one) is a dense sweep like any other,
+        over the block as shard by shard."""
         n, l = 12, 10
         bits = (0, 1, 2, 3, 4, 5, 6, 8, 9)
         u = random_unitary(len(bits), 2)
@@ -126,9 +127,8 @@ class TestTracedEqualsUntraced:
         for state in (plain, traced):
             state._sweep(BlockGate.of(u), bits)
         assert _same_shards(plain, traced)
-        want = StateVector(n, random_statevector(n, 7))
-        want.apply_gate(Gate("u", bits, u))
-        assert plain.to_statevector().allclose(want, atol=1e-12)
+        want = oracle_state([Gate("u", bits, u)], n, random_statevector(n, 7))
+        assert_oracle(plain.to_statevector(), want, 1)
 
     def test_block_sweep_is_what_the_untraced_run_does(self, small_chunks):
         """Guards the comparisons above: without a block the untraced run

@@ -3,21 +3,21 @@
 import numpy as np
 import pytest
 
-from repro.gates import random_unitary
+from repro.gates import Gate, random_unitary
 from repro.gates.matrices import CZ_MATRIX, H_MATRIX, T_MATRIX, X_MATRIX
 from repro.kernels import (
     apply_diagonal_gate,
     apply_gate,
     apply_gate_indexed,
-    apply_gate_naive,
     apply_gate_reference,
-    apply_gate_two_vector,
 )
 from repro.util.rng import random_statevector
+from tests.conftest import assert_oracle, oracle_state
 
 
 class TestAgainstNaive:
-    """Every optimized kernel must equal the explicit-loop oracle."""
+    """Every kernel must equal the naive two-vector kernel of Sec. 3.1 run
+    in extended precision (the oracle), within its budget."""
 
     @pytest.mark.parametrize(
         "qubits",
@@ -28,8 +28,7 @@ class TestAgainstNaive:
         n = 8
         u = random_unitary(len(qubits), rng)
         s0 = random_statevector(n, rng).copy()
-        oracle = s0.copy()
-        apply_gate_naive(oracle, u, qubits)
+        oracle = oracle_state([Gate("u", qubits, u)], n, s0)
         for kernel, kwargs in [
             (apply_gate_reference, {}),
             (apply_gate_indexed, {}),
@@ -38,17 +37,16 @@ class TestAgainstNaive:
         ]:
             out = s0.copy()
             kernel(out, u, qubits, **kwargs)
-            assert np.allclose(out, oracle, atol=1e-10), kernel.__name__
+            assert_oracle(out, oracle, 1)
 
     def test_diagonal_kernel(self, rng):
         n = 7
         s0 = random_statevector(n, rng).copy()
         for qubits, matrix in [((3,), T_MATRIX), ((2, 5), CZ_MATRIX), ((6, 0), CZ_MATRIX)]:
-            oracle = s0.copy()
-            apply_gate_naive(oracle, matrix, qubits)
+            oracle = oracle_state([Gate("d", qubits, matrix)], n, s0)
             out = s0.copy()
             apply_diagonal_gate(out, np.diagonal(matrix), qubits)
-            assert np.allclose(out, oracle, atol=1e-12)
+            assert_oracle(out, oracle, 1)
 
 
 class TestSemantics:
@@ -74,42 +72,33 @@ class TestSemantics:
         apply_gate_indexed(state, random_unitary(3, rng), (9, 1, 5))
         assert np.linalg.norm(state) == pytest.approx(1.0)
 
-    def test_two_vector_does_not_mutate(self, rng):
-        s0 = random_statevector(6, rng).copy()
-        before = s0.copy()
-        out = apply_gate_two_vector(s0, H_MATRIX, (2,))
-        assert np.array_equal(s0, before)
-        assert not np.allclose(out, before)
-
     def test_inplace_kernels_return_state(self, rng):
         s0 = random_statevector(6, rng).copy()
         assert apply_gate_indexed(s0, H_MATRIX, (0,)) is s0
 
 
+def _no_dense_sweep(*args, **kwargs):
+    raise AssertionError("a diagonal gate reached the dense sweep")
+
+
 class TestDispatcher:
-    def test_auto_uses_diagonal_path(self, rng):
+    def test_auto_uses_diagonal_path(self, rng, monkeypatch):
         s0 = random_statevector(6, rng).copy()
-        oracle = s0.copy()
-        apply_gate_naive(oracle, CZ_MATRIX, (1, 4))
-        apply_gate(s0, CZ_MATRIX, (1, 4), strategy="auto")
-        assert np.allclose(s0, oracle)
+        oracle = oracle_state([Gate("cz", (1, 4))], 6, s0)
+        monkeypatch.setattr(
+            "repro.kernels.apply.apply_gate_indexed", _no_dense_sweep
+        )
+        apply_gate(s0, CZ_MATRIX, (1, 4), diagonal=True)
+        assert_oracle(s0, oracle, 1)
 
-    def test_explicit_strategies_agree(self, rng):
-        n = 7
-        u = random_unitary(2, rng)
+    def test_dense_sweep_at_any_width(self, rng):
+        """Past 8 bits too: the dense sweep has no width limit."""
+        n, qubits = 10, (9, 0, 1, 2, 3, 4, 5, 6, 8)
+        u = random_unitary(len(qubits), rng)
         s0 = random_statevector(n, rng).copy()
-        results = []
-        for strategy in ("naive", "reference", "indexed"):
-            out = s0.copy()
-            apply_gate(out, u, (2, 6), strategy=strategy)
-            results.append(out)
-        assert np.allclose(results[0], results[1])
-        assert np.allclose(results[0], results[2])
-
-    def test_unknown_strategy(self, rng):
-        s0 = random_statevector(4, rng).copy()
-        with pytest.raises(ValueError, match="strategy"):
-            apply_gate(s0, H_MATRIX, (0,), strategy="magic")
+        oracle = oracle_state([Gate("u", qubits, u)], n, s0)
+        apply_gate(s0, u, qubits, diagonal=False)
+        assert_oracle(s0, oracle, 1)
 
 
 class TestValidation:

@@ -3,7 +3,7 @@
 Both address schemes of the sweep — strided slabs (including slabs with
 runs of one or two amplitudes) and the periodic window with its
 bottom-contiguous shortcut — are checked against the
-explicit-loop oracle (small n) and the tensordot kernel (n <= 16), over
+extended-precision oracle (small n) and the tensordot kernel (n <= 16), over
 gate widths 1..8, every blocking regime, both complex dtypes, a memmap
 shard and non-sorted qubit orders.  Block-diagonal gates run as blocks
 over their controls; those are checked over every control placement.
@@ -16,12 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gates import random_unitary
+from repro.gates import Gate, random_unitary
 from repro.kernels import (
     DEFAULT_CHUNK,
     DenseSweep,
     apply_gate_indexed,
-    apply_gate_naive,
     apply_gate_reference,
     chunk_for,
 )
@@ -33,6 +32,7 @@ from repro.kernels.apply import (
 )
 from repro.kernels.blocks import BlockGate, control_bits
 from repro.util.rng import random_statevector
+from tests.conftest import assert_oracle, oracle_state
 
 N = 16
 
@@ -147,17 +147,19 @@ def _small_cases(draw):
 
 
 class TestAgainstNaive:
+    """Against the naive two-vector kernel of Sec. 3.1 in extended
+    precision (the oracle)."""
+
     @settings(max_examples=40, deadline=None)
     @given(_small_cases())
-    def test_matches_explicit_loop(self, case):
+    def test_matches_the_oracle(self, case):
         n, qubits, chunk, seed = case
         u = random_unitary(len(qubits), seed)
         s0 = _random_state(n, seed)
-        oracle = s0.copy()
-        apply_gate_naive(oracle, u, qubits)
+        oracle = oracle_state([Gate("u", qubits, u)], n, s0)
         out = s0.copy()
         apply_gate_indexed(out, u, qubits, chunk_size=chunk)
-        assert np.allclose(out, oracle, atol=1e-10)
+        assert_oracle(out, oracle, 1)
 
 
 class TestDescriptor:

@@ -8,7 +8,7 @@ import pytest
 from repro.circuit import Circuit, generate_supremacy_circuit
 from repro.distributed import DistributedSimulator, DistributedState
 from repro.gates import Gate
-from repro.kernels import GATHER_CACHE, SWEEP_MAX_QUBITS, apply_gate_reference
+from repro.kernels import GATHER_CACHE, apply_gate_reference
 from repro.plan import (
     CompiledProgram,
     PlanConfig,
@@ -89,15 +89,13 @@ class TestCompile:
                 assert isinstance(op.source_op, GateOp)
                 assert not op.source_op.gate.is_diagonal
 
-    def test_strategy_resolved_at_compile_time(self):
+    def test_phase_multiply_runs_for_exactly_the_all_control_ops(self):
         """A kernel op's gate alone fixes its kernel: the run takes the
-        phase multiply exactly for the all-control gates, and every gate
-        stays within the dense sweep's width."""
+        phase multiply exactly for the all-control gates."""
         _, schedule = _small_case(1)
         plan = compile_program(schedule)
         sweeps = [op for op in plan.ops if op.gate is not None]
         assert any(op.exec_kind == "kernel" for op in sweeps)
-        assert all(len(op.qubits) <= SWEEP_MAX_QUBITS for op in sweeps)
         run = DistributedSimulator(_N, _L).run_schedule(
             schedule, state=_written(_state_for(schedule))
         )

@@ -6,6 +6,7 @@ import pytest
 from repro.circuit import Circuit, generate_supremacy_circuit
 from repro.gates import Gate
 from repro.statevector import Simulator
+from tests.conftest import assert_oracle, oracle_state
 
 
 class TestSimulator:
@@ -42,10 +43,10 @@ class TestSimulator:
         sim.run(circ[half:], state=staged)
         assert staged.allclose(full, atol=1e-10)
 
-    def test_strategy_override(self, small_supremacy_circuit):
-        a = Simulator(9, strategy="reference").run(small_supremacy_circuit).state
-        b = Simulator(9, strategy="auto").run(small_supremacy_circuit).state
-        assert a.allclose(b, atol=1e-9)
+    def test_matches_the_oracle(self, small_supremacy_circuit):
+        got = Simulator(9).run(small_supremacy_circuit).state
+        oracle = oracle_state(small_supremacy_circuit, 9)
+        assert_oracle(got, oracle, len(small_supremacy_circuit))
 
     def test_single_precision_run(self, small_supremacy_circuit):
         result = Simulator(9, single_precision=True).run(small_supremacy_circuit)
