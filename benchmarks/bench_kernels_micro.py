@@ -26,7 +26,7 @@ import pytest
 
 from repro.gates import random_unitary
 from repro.kernels import apply_diagonal_gate, apply_gate_indexed
-from repro.kernels.apply import DenseSweep, apply_diagonal_factor
+from repro.kernels.apply import DenseSweep, apply_diagonal_factor, sweep_order
 from repro.kernels.blocks import BlockGate
 from repro.kernels.tables import _build_diagonal_factor
 from repro.util.rng import random_statevector
@@ -91,7 +91,9 @@ def bench_structured_kernel(benchmark, state, kd, scheme):
 def sweep_ns(l: int, shards: int, m: int, d: int, *, sets=12, reps=3) -> float:
     """Median ns per amplitude of one sweep of *shards* shards of
     ``2**l`` amplitudes: a diagonal (``m = 0``) or ``2**d`` blocks of an
-    ``m``-bit gate, over *sets* random placements (best of *reps*)."""
+    ``m``-bit gate, over *sets* random placements (best of *reps*).  A
+    dense sweep is the one a distributed state runs: written back in its
+    panel's order (:func:`~repro.kernels.apply.sweep_order`)."""
     rng = np.random.default_rng(0)
     arrays = [np.ones(1 << l, complex) for _ in range(shards)]
     times = []
@@ -103,7 +105,9 @@ def sweep_ns(l: int, shards: int, m: int, d: int, *, sets=12, reps=3) -> float:
             )
             run = lambda a: apply_diagonal_factor(a, factor)  # noqa: E731
         else:
-            run = DenseSweep(l, _block_gate(m + d, d, rng), qubits, complex).apply
+            gate = _block_gate(m + d, d, rng)
+            order = sweep_order(gate, qubits, l)
+            run = DenseSweep(l, gate, qubits, complex, order=order).apply
         for a in arrays:
             run(a)
         best = []

@@ -258,12 +258,18 @@ class DistributedState:
 
         Kernel and comm paths emit spans into its tracer, and the comm
         counters are (re)bound so ``comm.*`` metrics stream as they are
-        recorded.  Detaching restores the shared no-op bundle.
+        recorded.  The gauges ``storage.page.bytes{source=fresh|recycled}``
+        say where the pages of the shards in RAM came from
+        (:attr:`ShardStorage.page_bytes`).  Detaching restores the shared
+        no-op bundle.
         """
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.storage.telemetry = self.telemetry
         registry = self.telemetry.metrics
         self.stats.bind_metrics(registry if registry.enabled else None)
+        if registry.enabled:
+            for source, nbytes in self.storage.page_bytes.items():
+                registry.gauge("storage.page.bytes", source=source).set(nbytes)
 
     # ------------------------------------------------------------------
     # Initialisation / conversion
@@ -335,29 +341,43 @@ class DistributedState:
         The one logical-to-physical gather (:meth:`to_statevector` joins
         the chunks): a digest of the whole state needs no state-sized
         copy.  One buffer is reused, so each chunk is overwritten by the
-        next.
+        next.  A chunk is one strided ``np.copyto`` per rank it spans,
+        with no index arrays: the chunk and the shard are viewed with one
+        size-2 axis per bit (top bit first), the bits a chunk or rank
+        fixes are indexed away, and the shard's remaining axes are put in
+        the chunk's qubit order.
         """
         n, l = self.num_qubits, self.local_qubits
         c = min(_CHUNK_QUBITS, n)
         positions = self.layout.bit_of_qubit
-        offset_mask = (1 << l) - 1
-        # Physical index of each in-chunk logical index; a chunk's own
-        # number lands on the remaining, disjoint bit positions.
-        inner = scatter_bits(np.arange(1 << c, dtype=np.int64), positions[:c])
-        # The rank bits a chunk spans: every value of those of its
-        # qubits that are global.
-        ranked = [b - l for b in positions[:c] if b >= l]
-        parts = []  # (rank bits, chunk slots, in-shard offsets) per rank
-        spanned = scatter_bits(np.arange(1 << len(ranked)), ranked)
-        for rank_bits in spanned.tolist():
-            slots = np.flatnonzero(inner >> l == rank_bits)
-            parts.append((rank_bits, slots, inner[slots] & offset_mask))
         out = np.empty(1 << c, dtype=self.storage.dtype)
+        cells = out.reshape((2,) * c)
+        # In-shard bits of the chunk's qubits (top qubit first), and the
+        # shard axes left once every other bit is indexed away: the same
+        # bits, top bit first.
+        local = [positions[q] for q in reversed(range(c)) if positions[q] < l]
+        kept = sorted(local, reverse=True)
+        order = [kept.index(b) for b in local]
+        # The rank bits a chunk spans: one copy per value of those of its
+        # qubits that are global, into the cells whose bits spell it.
+        ranked = [q for q in range(c) if positions[q] >= l]
+        parts = []  # (rank bits, cells) per rank the chunk spans
+        for value in range(1 << len(ranked)):
+            index = [slice(None)] * c
+            rank_bits = 0
+            for i, q in enumerate(ranked):
+                index[c - 1 - q] = bit = value >> i & 1
+                rank_bits |= bit << (positions[q] - l)
+            parts.append((rank_bits, cells[tuple(index)]))
         for chunk in range(1 << (n - c)):
             base = scatter_bits(chunk, positions[c:])
-            for rank_bits, slots, offsets in parts:
+            index = tuple(
+                slice(None) if b in kept else base >> b & 1
+                for b in reversed(range(l))
+            )
+            for rank_bits, cell in parts:
                 shard = self.storage.read(rank_bits | base >> l)
-                out[slots] = shard[offsets | (base & offset_mask)]
+                np.copyto(cell, shard.reshape((2,) * l)[index].transpose(order))
             yield out
 
     # ------------------------------------------------------------------

@@ -55,6 +55,7 @@ from __future__ import annotations
 import abc
 import os
 import queue
+import sys
 import threading
 import time
 from collections import deque
@@ -91,6 +92,72 @@ _BLOCK_SHARD_BYTES = 1 << 17
 #: half of the 2 MiB L2, so a tile is still cached when it is written back.
 _EXCHANGE_STAGE_BYTES = 1 << 20
 
+#: Smallest in-memory shard array that goes to the next storage of its
+#: shape when its storage is freed: glibc's largest mmap threshold.
+#: malloc maps every allocation this large afresh, and the kernel faults
+#: in and zeroes each page on first touch (a ``product_fill`` of one
+#: 64 MiB shard: 30.3 ms on fresh pages, 19.0 ms on reused ones, median
+#: of 9, 2-vCPU Xeon); smaller ones reuse freed heap memory anyway.
+_RECYCLE_MIN_BYTES = 32 << 20
+
+
+def _refcounts(arrays: list) -> list[int]:
+    return [sys.getrefcount(array) for array in arrays]
+
+
+#: What :func:`_refcounts` reads for an array only its list references.
+_UNSHARED_REFS = _refcounts([np.empty(0)])[0]
+
+
+class _SpareArrays:
+    """The large shard arrays of the last :class:`InMemoryShards` freed,
+    kept for the next storage of their size and dtype (one list per
+    process, behind a lock: service workers build and drop states on
+    several threads at once).
+
+    It holds at most one storage's arrays: :meth:`give` replaces what
+    was held, and a :meth:`take` that finds no array of the size and
+    dtype asked for drops every one before its caller allocates.  Live
+    plus spare bytes so never pass what was live before the last free.
+    """
+
+    def __init__(self) -> None:
+        # Re-entrant: the collector may free a storage, which gives its
+        # arrays back, on a thread inside ``take``.
+        self._lock = threading.RLock()
+        self._arrays: list[np.ndarray] = []
+
+    def take(self, size: int, dtype: np.dtype) -> np.ndarray | None:
+        """An array of *size* elements of *dtype*, holding whatever its
+        last storage left there; ``None`` (and nothing held) if none."""
+        with self._lock:
+            arrays = self._arrays
+            for i, array in enumerate(arrays):
+                if array.size == size and array.dtype == dtype:
+                    return arrays.pop(i)
+            self._arrays = []
+        return None
+
+    def give(self, arrays: list[np.ndarray]) -> None:
+        """Hold *arrays* in place of what was held, bar those something
+        else still references (a view :meth:`ShardStorage.read` handed
+        out, say): their bytes must not change under it."""
+        unshared = [
+            array for array, refs in zip(arrays, _refcounts(arrays))
+            if refs <= _UNSHARED_REFS
+        ]
+        with self._lock:
+            self._arrays = unshared
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held."""
+        with self._lock:
+            return sum(array.nbytes for array in self._arrays)
+
+
+_SPARES = _SpareArrays()
+
 
 class ShardStorage(abc.ABC):
     """Interface shared by the in-memory and on-disk shard backends.
@@ -113,7 +180,13 @@ class ShardStorage(abc.ABC):
     #: ``"zero"`` / ``"plus"`` while the shards hold exactly that init,
     #: written or :attr:`pending`, and no writer has run since.
     fresh_init: str | None = None
+    #: A fill is owed before any amplitude is read: the init, or zeros
+    #: where no init was given (over another state's recycled arrays).
     pending = False
+    #: Bytes of the shard arrays held in RAM, by where their pages came
+    #: from: ``"fresh"`` (``np.zeros``) or ``"recycled"`` (a freed
+    #: storage's); none for shards kept in files.
+    page_bytes: dict[str, int] = {}
 
     def initialize(self, init: str) -> None:
         """Hold ``|0...0>`` (``"zero"``) or ``|+...+>`` (``"plus"``)."""
@@ -137,7 +210,7 @@ class ShardStorage(abc.ABC):
             self._sweep(
                 [(ranks, partial(fill, first=zero and ranks.start == 0), 1)
                  for ranks in self._spans()],
-                label=f"init {self.fresh_init}",
+                label=f"init {self.fresh_init or 'zeros'}",
                 overwrites=True,
             )
         self.pending = False
@@ -280,15 +353,25 @@ class InMemoryShards(ShardStorage):
     Shards of up to :data:`_BLOCK_SHARD_BYTES` are views into one array,
     back to back in rank order, so a sweep takes them all at once (one
     span) instead of dispatching ``2**g`` times.
-    Larger ones are one array each, mapped and returned to the system
-    one by one: dispatch is noise next to their sweep, and one allocation
-    of the whole state fragments the heap of a long-lived process.  With
+    Larger ones are one array each: dispatch is noise next to their
+    sweep, and one allocation of the whole state fragments the heap of a
+    long-lived process.  With
     every in-memory state made one block (2-vCPU Xeon, benchmark seed 0,
     runs alternated), ``service_mix`` peak RSS rose from 140.4 / 140.7 /
     141.3 MiB to 151.7–154.5 MiB (+8–10 %) while its ``run_s`` stayed
     within noise (1.17–1.28 s one block, 1.20–1.26 s split), and
     ``dense_24q`` did not move (``run_s`` 0.40–0.42 s against 0.38–0.41 s,
     peak RSS 314.8 against 315.1 MiB).
+
+    An array of at least :data:`_RECYCLE_MIN_BYTES` (a large shard, or a
+    large block) comes from the arrays the last storage freed when one
+    has its size and dtype, and goes back to them when this storage is
+    freed (by reference counting: nothing here refers back to it), unless
+    something else still references it.  Such an array still holds a
+    dropped state's amplitudes, so a storage built on one owes a zero
+    fill (:attr:`pending`) until :meth:`initialize` or a write of every
+    amplitude says otherwise: it reads as zeros, as fresh pages do.
+    :attr:`page_bytes` counts the bytes allocated fresh and recycled.
 
     The exchange transposes each group's matrix of blocks tile by tile
     through two stage buffers.  On the block, a tile pair over as many
@@ -302,25 +385,49 @@ class InMemoryShards(ShardStorage):
     def __init__(
         self, num_shards: int, shard_size: int, dtype=np.complex128
     ) -> None:
+        #: The arrays ``__del__`` hands on.
+        self._recyclable: list[np.ndarray] = []
         check_power_of_two(num_shards, "num_shards")
         check_power_of_two(shard_size, "shard_size")
         self.num_shards = num_shards
         self.shard_size = shard_size
         self.dtype = np.dtype(dtype)
+        self.page_bytes = {"fresh": 0, "recycled": 0}
         self._block = self._allocate()
         if self._block is None:
-            self._shards = [
-                np.zeros(shard_size, dtype=self.dtype)
-                for _ in range(num_shards)
-            ]
+            self._shards = [self._array(shard_size) for _ in range(num_shards)]
         else:
             self._shards = list(self._block.reshape(num_shards, shard_size))
+        self.pending = self.page_bytes["recycled"] > 0
+
+    def __del__(self) -> None:
+        recyclable, self._recyclable = self._recyclable, []
+        # The views go first: each one refers to its array.
+        self._shards = self._block = None
+        if recyclable:
+            _SPARES.give(recyclable)
 
     def _allocate(self) -> np.ndarray | None:
         """The array holding every shard, or ``None`` for one array each."""
         if self.shard_bytes > _BLOCK_SHARD_BYTES:
             return None
-        return np.zeros(self.num_shards * self.shard_size, dtype=self.dtype)
+        return self._array(self.num_shards * self.shard_size)
+
+    def _array(self, size: int) -> np.ndarray:
+        """*size* amplitudes: a freed storage's array when it is large
+        and one of that size is spare, else zeros on fresh pages."""
+        nbytes = size * self.dtype.itemsize
+        if nbytes < _RECYCLE_MIN_BYTES:
+            self.page_bytes["fresh"] += nbytes
+            return np.zeros(size, dtype=self.dtype)
+        array = _SPARES.take(size, self.dtype)
+        if array is None:
+            array = np.zeros(size, dtype=self.dtype)
+            self.page_bytes["fresh"] += nbytes
+        else:
+            self.page_bytes["recycled"] += nbytes
+        self._recyclable.append(array)
+        return array
 
     def _spans(self) -> list[range]:
         if self._block is None:

@@ -36,10 +36,7 @@ from repro.kernels.tables import (
     GatherTableCache,
     _build_diagonal_factor,
 )
-from repro.util.bits import (
-    bit_length_of_power_of_two,
-    scatter_bits,
-)
+from repro.util.bits import bit_length_of_power_of_two, permuted_indices
 from repro.util.executors import register_executor
 from repro.util.validation import check_qubit_indices
 
@@ -344,9 +341,7 @@ def _window_index(
     index.  Every window of a shard uses this one index (it is
     periodic), which is why it is rebuilt per op and never stored.
     """
-    return scatter_bits(
-        np.arange(1 << w, dtype=np.intp), _panel_order(positions, controls, w)
-    )
+    return permuted_indices(_panel_order(positions, controls, w))
 
 
 def sweep_order(
@@ -503,12 +498,8 @@ class DenseSweep:
         pos = [qubits[j] for j in t_order]
         ctl = [qubits[j] for j in c_order]
         m, d = len(pos), len(ctl)
-        t_perm = scatter_bits(
-            np.arange(1 << m), [gate.targets.index(j) for j in t_order]
-        )
-        c_perm = scatter_bits(
-            np.arange(1 << d), [gate.controls.index(j) for j in c_order]
-        )
+        t_perm = permuted_indices([gate.targets.index(j) for j in t_order])
+        c_perm = permuted_indices([gate.controls.index(j) for j in c_order])
         blocks = np.asarray(gate.blocks, dtype=dtype)[
             c_perm[:, None, None], t_perm[None, :, None], t_perm[None, None, :]
         ]
@@ -553,7 +544,7 @@ class DenseSweep:
                 # bit i of o.
                 slot = np.empty_like(gather)
                 slot[gather] = np.arange(1 << w)
-                self._write = slot[scatter_bits(np.arange(1 << w), order)]
+                self._write = slot[permuted_indices(order)]
             mats = np.ascontiguousarray(blocks.transpose(0, 2, 1))
             if m <= _REAL_GEMM_MAX_QUBITS and dtype.kind == "c":
                 self._real = mats.real.dtype

@@ -22,6 +22,7 @@ __all__ = [
     "extract_bits",
     "gather_bits",
     "scatter_bits",
+    "permuted_indices",
     "insert_zero_bits",
     "expand_index",
     "bit_mask",
@@ -78,6 +79,16 @@ def scatter_bits(values: np.ndarray | int, positions: Sequence[int]) -> np.ndarr
     if np.isscalar(values):
         return int(result)
     return result
+
+
+def permuted_indices(positions: Sequence[int]) -> np.ndarray:
+    """``scatter_bits(np.arange(2**w), positions)`` for a permutation
+    *positions* of ``range(w)``, as one transposed copy of an ``arange``
+    (one size-2 axis per bit) instead of a pass per bit."""
+    w = len(positions)
+    axes = [w - 1 - positions[w - 1 - axis] for axis in range(w)]
+    cube = np.arange(1 << w, dtype=np.intp).reshape((2,) * w)
+    return cube.transpose(axes).ravel()
 
 
 def insert_zero_bits(compact: np.ndarray | int, positions: Sequence[int]) -> np.ndarray | int:

@@ -1,5 +1,6 @@
 """Tests for DistributedState: layout, swaps, specialization."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -9,13 +10,20 @@ import pytest
 
 import repro
 from repro.circuit import generate_supremacy_circuit
-from repro.distributed import DistributedSimulator, DistributedState, NeedsSwapError
+from repro.distributed import (
+    DiskShards,
+    DistributedSimulator,
+    DistributedState,
+    NeedsSwapError,
+)
+from repro.distributed import state as state_module
 from repro.gates import Gate, random_unitary
 from repro.kernels import kernel_cost
 from repro.kernels.blocks import BlockGate
 from repro.plan import plan_for
 from repro.scheduling import SchedulerConfig, schedule_circuit
 from repro.statevector import StateVector
+from repro.util.bits import scatter_bits
 from repro.util.rng import random_statevector
 from tests.conftest import shards_apart
 
@@ -78,6 +86,67 @@ class TestConstruction:
     def test_norm(self):
         d, _ = dist_from_random()
         assert d.norm() == pytest.approx(1.0)
+
+
+def _indexed_chunks(state):
+    """The chunks of ``logical_chunks`` through fancy indices: the
+    physical index of every in-chunk logical index, gathered per rank."""
+    n, l = state.num_qubits, state.local_qubits
+    c = min(state_module._CHUNK_QUBITS, n)
+    positions = state.layout.bit_of_qubit
+    offset_mask = (1 << l) - 1
+    inner = scatter_bits(np.arange(1 << c, dtype=np.int64), positions[:c])
+    ranked = [b - l for b in positions[:c] if b >= l]
+    parts = []
+    for rank_bits in scatter_bits(np.arange(1 << len(ranked)), ranked).tolist():
+        slots = np.flatnonzero(inner >> l == rank_bits)
+        parts.append((rank_bits, slots, inner[slots] & offset_mask))
+    for chunk in range(1 << (n - c)):
+        out = np.empty(1 << c, dtype=state.storage.dtype)
+        base = scatter_bits(chunk, positions[c:])
+        for rank_bits, slots, offsets in parts:
+            shard = state.storage.read(rank_bits | base >> l)
+            out[slots] = shard[offsets | (base & offset_mask)]
+        yield out
+
+
+class TestLogicalChunks:
+    """The strided-view gather gives the index gather's bytes, so every
+    digest over it stays the same bit for bit."""
+
+    @pytest.mark.parametrize("chunk_qubits", [3, 6, 16])
+    @pytest.mark.parametrize("storage", ["block", "by_shard", "disk"])
+    def test_same_digest_as_the_index_gather(
+        self, storage, chunk_qubits, monkeypatch, tmp_path
+    ):
+        n, l = 11, 7
+        schedule = schedule_circuit(
+            generate_supremacy_circuit(n, 14, seed=5),
+            SchedulerConfig(local_qubits=l, kmax=4, seed=1),
+        )
+        assert schedule.num_swaps >= 1
+        shards = {
+            "block": lambda: None,
+            "by_shard": lambda: shards_apart(1 << (n - l), 1 << l),
+            "disk": lambda: DiskShards(1 << (n - l), 1 << l, tmp_path),
+        }[storage]()
+        state = DistributedSimulator(n, l, storage=shards).run_schedule(
+            schedule
+        ).state
+        # Relabelled, with a global qubit among the lowest six: a chunk of
+        # six or more qubits spans ranks.
+        assert state.bit_of_qubit != tuple(range(n))
+        assert any(b >= l for b in state.bit_of_qubit[:6])
+        monkeypatch.setattr(state_module, "_CHUNK_QUBITS", chunk_qubits)
+        digests = []
+        for chunks in (state.logical_chunks(), _indexed_chunks(state)):
+            digest = hashlib.sha256()
+            for chunk in chunks:
+                digest.update(chunk)
+            digests.append(digest.hexdigest())
+        assert digests[0] == digests[1]
+        if storage == "disk":
+            shards.close()
 
 
 class TestLocalGates:

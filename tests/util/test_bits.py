@@ -12,6 +12,7 @@ from repro.util.bits import (
     extract_bits,
     insert_zero_bits,
     is_power_of_two,
+    permuted_indices,
     scatter_bits,
     set_bits,
 )
@@ -60,6 +61,14 @@ class TestExtractScatter:
     def test_scatter_extract_roundtrip(self, value, positions):
         compact = value & 0b111111
         assert extract_bits(scatter_bits(compact, positions), positions) == compact
+
+    @given(st.integers(0, 12).flatmap(lambda w: st.permutations(range(w))))
+    def test_permuted_indices_is_scatter_bits(self, positions):
+        """The transposed ``arange`` spreads bits as ``scatter_bits`` does."""
+        want = scatter_bits(np.arange(1 << len(positions), dtype=np.intp), positions)
+        got = permuted_indices(positions)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 class TestInsertExpand:
